@@ -379,15 +379,13 @@ def inject_context(preacts, q_s: QuantTensor, dec: QuantAttnDecoderSpec):
     q_ms = requantize_scaled(acc, dec.m_ms, dec.qp_ms.zero_point, 8)
     d = q_ms - dec.qp_ms.zero_point
     cell = dec.cell
-    sig = np.clip(
-        pre_sig.data.astype(np.int64) + apply_multiplier(d[cell._sig_rows], dec.m_ms2sig),
-        0,
+    sig = np.minimum(
+        np.maximum(pre_sig.data.astype(np.int64) + apply_multiplier(d[cell._sig_rows], dec.m_ms2sig), 0),
         cell.qp_pre_sig.qmax,
     )
     floatguard.note(sig)
-    j = np.clip(
-        pre_j.data.astype(np.int64) + apply_multiplier(d[cell._j_rows], dec.m_ms2j),
-        0,
+    j = np.minimum(
+        np.maximum(pre_j.data.astype(np.int64) + apply_multiplier(d[cell._j_rows], dec.m_ms2j), 0),
         cell.qp_pre_j.qmax,
     )
     return (

@@ -207,7 +207,7 @@ def madnorm_int(q_x: QuantTensor, p: MadNormQParams) -> QuantTensor:
     draw = q_raw.astype(np.int64) - p.qp_y_raw.zero_point
     raw = draw * p._aff_mants + (p._aff_consts << (p._aff_shifts - _AFFINE_FRAC_BITS))
     val = _shift_round_rows(raw, p._aff_shifts)
-    out = np.clip(val, 0, p.qp_y.qmax)
+    out = np.minimum(np.maximum(val, 0), p.qp_y.qmax)
     floatguard.note(out)
     return QuantTensor(out.astype(p.qp_y.storage_dtype), p.qp_y)
 
@@ -232,7 +232,8 @@ def madnorm_int_exact(q_x, p: MadNormQParams) -> np.ndarray:
     """Arbitrary-precision mirror of :func:`madnorm_int` (1-D input)."""
     data = [int(v) for v in np.asarray(q_x).ravel()]
     h = p.hidden
-    assert len(data) == h
+    if len(data) != h:
+        raise ValueError("hidden dimension mismatch")
 
     acc_mu = sum(data) - h * p.qp_x.zero_point
     q_mu = requantize_exact(acc_mu, p._m_mu, p.qp_mu.zero_point, 8)

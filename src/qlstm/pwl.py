@@ -248,14 +248,14 @@ def eval_pwl_int(q_x, t: PwlTable):
     """
     q = np.asarray(q_x, dtype=np.int64)
     floatguard.note(q)
-    idx = np.clip(np.searchsorted(t.knots_q, q, side="right") - 1, 0, t.n_pieces - 1)
+    idx = np.minimum(np.maximum(np.searchsorted(t.knots_q, q, side="right") - 1, 0), t.n_pieces - 1)
     d = q - t.knots_q[idx]
     shift = t.slope_shifts[idx]
     raw = d * t.slope_mants[idx] + (t.intercept_fx[idx] << (shift - t.frac_bits))
     half = np.int64(1) << (shift - 1)
     val = np.sign(raw) * ((np.abs(raw) + half) >> shift)
-    out = np.clip(val, 0, t.out_qp.qmax)
-    out = np.where(q == t.knots_q[-1], np.clip(t.knot_targets[-1], 0, t.out_qp.qmax), out)
+    out = np.minimum(np.maximum(val, 0), t.out_qp.qmax)
+    out = np.where(q == t.knots_q[-1], min(max(int(t.knot_targets[-1]), 0), t.out_qp.qmax), out)
     if t.override_q is not None and len(t.override_q):
         pos = np.searchsorted(t.override_q, q)
         pos = np.minimum(pos, len(t.override_q) - 1)

@@ -93,7 +93,7 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
 def quantize(x, qp: QuantParams):
     """Map real values onto the quantized grid (saturating)."""
     q = iround(np.asarray(x, dtype=np.float64) / qp.scale) + qp.zero_point
-    q = np.clip(q, 0, qp.qmax)
+    q = np.minimum(np.maximum(q, 0), qp.qmax)
     return int(q) if np.isscalar(x) or np.ndim(x) == 0 else q
 
 
@@ -237,7 +237,7 @@ def _shift_round_exact(p: int, shift: int) -> int:
 
 
 def _clamp_store(v: np.ndarray, zero_point: int, bitwidth: int) -> np.ndarray:
-    out = np.clip(v + np.int64(zero_point), 0, (1 << bitwidth) - 1)
+    out = np.minimum(np.maximum(v + np.int64(zero_point), 0), (1 << bitwidth) - 1)
     floatguard.note(out)
     return out
 
@@ -364,8 +364,18 @@ def divide_round_exact(num: int, den: int, shift: int, out_zero_point: int, out_
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matmul with 32-bit accumulation (contracted dim <= MAX_REDUCE_DIM)."""
+    """Integer ``a @ b`` for 1-D or 2-D operands with 32-bit accumulation
+    (contracted dim <= MAX_REDUCE_DIM).
+
+    numpy's int32 ``@`` has no BLAS path; ``np.einsum``'s integer loops are
+    faster and take strided operands such as ``w.T`` as they are.
+    ``optimize=True`` would route the 2-D product through a slower path.
+    """
     floatguard.note(a, b)
-    out = a.astype(np.int32, copy=False) @ b.astype(np.int32, copy=False)
+    sa = "ij"[2 - a.ndim:]
+    sb = "jk"[: b.ndim]
+    out = np.einsum(
+        f"{sa},{sb}->{sa[:-1]}{sb[1:]}", a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
+    )
     floatguard.note(out)
     return out

@@ -25,6 +25,7 @@ from .attention import (
     attn_decoder_sequence_real,
 )
 from .lstm import (
+    _BIAS_LIMIT,
     BiLstmSpec,
     LstmWeights,
     QuantLstmSpec,
@@ -36,6 +37,7 @@ from .lstm import (
     lstm_sequence_real,
 )
 from .quant import (
+    MAX_REDUCE_DIM,
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
@@ -48,8 +50,6 @@ from .quant import (
     rescale_add,
     rescale_add_exact,
 )
-
-_BIAS_LIMIT = 1 << 30
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,12 @@ class ResidualAddLayer:
 
 @dataclass
 class FinalProjectionLayer:
-    w: np.ndarray  # (vocab, m)
+    w: np.ndarray  # (vocab, m); m is 2x the hidden size after a BiLSTM
     bias: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.w)[-1] > MAX_REDUCE_DIM:
+            raise ValueError(f"dimensions above {MAX_REDUCE_DIM} overflow the 32-bit accumulator")
 
 
 @dataclass

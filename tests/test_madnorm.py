@@ -139,6 +139,12 @@ class TestMadNormInt:
         with pytest.raises(ValueError):
             madnorm_int(QuantTensor.zeros(8, other), p)
 
+    def test_oracle_rejects_wrong_width(self):
+        rng = np.random.default_rng(6)
+        p = calibrated_params(rng.normal(0, 1, (10, 8)), 8)
+        with pytest.raises(ValueError, match="hidden dimension mismatch"):
+            madnorm_int_exact(np.full(7, p.qp_x.zero_point), p)
+
 
 class TestDistributionFacts:
     """Monte-Carlo checks of the normalization scale's statistical behavior."""

@@ -2,8 +2,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from qlstm.floatguard import trace_float_ops
+from qlstm.lstm import _BIAS_LIMIT
 from qlstm.quant import (
+    MAX_REDUCE_DIM,
     DegenerateRangeError,
     FixedPointMultiplier,
     QuantTensor,
@@ -11,6 +15,7 @@ from qlstm.quant import (
     compute_qparams,
     dequantize,
     fixed_multiplier_from_real,
+    int_matmul,
     quantize,
     requantize,
     requantize_exact,
@@ -183,3 +188,43 @@ class TestQuantTensor:
         t = QuantTensor.from_real(x, qp)
         assert t.data.dtype == np.uint16
         assert np.max(np.abs(t.dequantize() - x)) <= qp.scale / 2 + 1e-12
+
+
+def _checked_matmul(a, b):
+    """int_matmul(a, b), asserted int32, float-free and equal to int64 ``a @ b``."""
+    with trace_float_ops() as count:
+        got = int_matmul(a, b)
+        assert count() == 0
+    assert got.dtype == np.int32
+    assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
+    return got
+
+
+class TestIntMatmul:
+    """The three operand forms the engine passes: cell matvecs, the attention
+    context (vector times matrix) and a transposed weight view on the right
+    (attention keys, final projection)."""
+
+    def test_accumulator_bound_leaves_room_for_the_bias(self):
+        assert 255 * 255 * MAX_REDUCE_DIM + _BIAS_LIMIT < 2**31
+
+    def test_all_forms_exact_at_max_reduce_dim(self):
+        k = MAX_REDUCE_DIM
+        rng = np.random.default_rng(0)
+        top = np.full(k, 255, dtype=np.int32)
+        # rows: all +255, all -255, random signs; each contracted against all +255
+        rows = np.stack([top, -top, 255 * rng.choice([-1, 1], k).astype(np.int32)])
+
+        mv = _checked_matmul(rows, top)
+        assert mv[0] == 255 * 255 * k and mv[1] == -255 * 255 * k
+        assert np.array_equal(_checked_matmul(top, np.ascontiguousarray(rows.T)), mv)
+        w = np.stack([top, -top])
+        assert not w.T.flags.c_contiguous
+        mm = _checked_matmul(rows, w.T)
+        assert np.array_equal(mm, np.stack([mv, -mv], axis=1))
+
+    @given(st.sampled_from(["mv", "vm", "mm_t"]), *[st.integers(1, 6)] * 3, st.data())
+    def test_matches_int64_matmul(self, form, m, k, n, data):
+        shapes = {"mv": ((m, k), (k,)), "vm": ((k,), (k, n)), "mm_t": ((m, k), (n, k))}[form]
+        a, b = (data.draw(hnp.arrays(np.int32, shape, elements=st.integers(-255, 255))) for shape in shapes)
+        _checked_matmul(a, b.T if form == "mm_t" else b)

@@ -7,7 +7,7 @@ import pytest
 from conftest import calibrated_int_model, random_cell, token_model
 from qlstm import floatguard, serialize
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
-from qlstm.quant import DegenerateRangeError
+from qlstm.quant import MAX_REDUCE_DIM, DegenerateRangeError
 from qlstm.runtime import (
     EmbeddingLayer,
     FinalProjectionLayer,
@@ -167,6 +167,11 @@ class TestConvertAndRun:
             convert(model, ranges, pieces=0)
         with pytest.raises(ValueError):
             convert(model, ranges, cell_bits=12)
+
+    def test_projection_wider_than_accumulator_bound_rejected(self):
+        FinalProjectionLayer(np.zeros((2, MAX_REDUCE_DIM)), np.zeros(2))
+        with pytest.raises(ValueError, match="overflow the 32-bit accumulator"):
+            FinalProjectionLayer(np.zeros((2, MAX_REDUCE_DIM + 1)), np.zeros(2))
 
     def test_no_float_ops_on_integer_path(self):
         rng = np.random.default_rng(13)
