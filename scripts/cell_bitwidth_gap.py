@@ -11,8 +11,9 @@ import argparse
 
 import numpy as np
 
-from qlstm.lstm import LstmWeights, QuantLstmSpec, collect_lstm_ranges, lstm_sequence_int, lstm_sequence_real
+from qlstm.lstm import LstmWeights, QuantLstmSpec, lstm_sequence_int, lstm_sequence_real
 from qlstm.quant import QuantTensor
+from qlstm.runtime import CalibrationObserver
 
 
 def main():
@@ -34,8 +35,9 @@ def main():
             rng.uniform(-0.1, 0.1, 4 * m),
         )
         xs = rng.normal(0, 1, (args.steps, n))
-        ranges = collect_lstm_ranges(w, xs)
-        real = lstm_sequence_real(xs, w)
+        obs = CalibrationObserver()
+        real = lstm_sequence_real(xs, w, record=obs)
+        ranges = obs.ranges
         row = {}
         for bits in (8, 16):
             spec = QuantLstmSpec.from_float(w, ranges, pieces=args.pieces, cell_bits=bits)

@@ -8,15 +8,12 @@ exact fake-quantization oracle for bit-exact verification.
 """
 
 from .quant import (
-    FixedPointMultiplier,
     QuantParams,
     QuantTensor,
     ScaledMultiplier,
     compute_qparams,
     dequantize,
-    fixed_multiplier_from_real,
     quantize,
-    requantize,
 )
 from .pwl import PwlTable, build_lut, build_pwl, eval_pwl_int, eval_pwl_real, select_knots
 from .madnorm import MadNormQParams, layernorm_real, madnorm_int, madnorm_real
@@ -30,10 +27,8 @@ from .lstm import (
     bilstm_sequence_real,
     lstm_sequence_int,
     lstm_sequence_real,
-    lstm_step_fakequant,
     lstm_step_int,
     lstm_step_real,
-    madnorm_lstm_step_int,
     madnorm_lstm_step_real,
 )
 from .attention import (

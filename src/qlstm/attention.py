@@ -1,4 +1,4 @@
-"""Additive (Bahdanau-style) attention in real, fake-quant and integer form.
+"""Additive (Bahdanau-style) attention in real, integer and exact-oracle form.
 
 Mixed-precision layout on the integer path: 8-bit weights and projection
 outputs, 16-bit pre-tanh sums and alignments, 8-bit tanh/exp outputs, a
@@ -27,17 +27,16 @@ from .lstm import (
 )
 from .pwl import PwlTable, build_pwl, eval_pwl_float_act, eval_pwl_int, eval_pwl_int_exact
 from .quant import (
-    MAX_REDUCE_DIM,
     QuantParams,
     QuantTensor,
     ScaledMultiplier,
     apply_multiplier,
+    check_accumulator,
     compute_qparams,
-    dequantize,
     divide_round,
     divide_round_exact,
     int_matmul,
-    quantize,
+    quantize_weights,
     requantize_exact,
     requantize_scaled,
     rescale_add,
@@ -65,8 +64,7 @@ class AttentionWeights:
             raise ValueError("attention projection dimensions disagree")
         if self.w_s.shape != (4 * self.m_dec, self.m_enc):
             raise ValueError("context injection matrix shape mismatch")
-        if max(self.m_att, self.m_dec, self.m_enc) > MAX_REDUCE_DIM:
-            raise ValueError(f"dimensions above {MAX_REDUCE_DIM} overflow the 32-bit accumulator")
+        check_accumulator((self.m_att, self.m_dec, self.m_enc))
 
     @property
     def m_att(self) -> int:
@@ -151,6 +149,7 @@ class QuantAttentionSpec:
             raise ValueError("exp input range must end at 0 (max-shifted alignments)")
         if self.qp_alpha.min > 0.0 or self.qp_alpha.max < 1.0:
             raise ValueError("attention weights must be representable over [0, 1]")
+        check_accumulator((self.w_q_q.shape[-1], self.w_k_q.shape[-1], self.v_q.shape[-1]))
         self.w_q_diff = self.w_q_q.astype(np.int32) - np.int32(self.qp_wq.zero_point)
         self.w_k_diff = self.w_k_q.astype(np.int32) - np.int32(self.qp_wk.zero_point)
         self.v_diff = self.v_q.astype(np.int32) - np.int32(self.qp_v.zero_point)
@@ -175,9 +174,9 @@ class QuantAttentionSpec:
         pieces_exp: int = 16,
         candidates: int | None = None,
     ) -> "QuantAttentionSpec":
-        qp_wq = compute_qparams(w.w_q.min(), w.w_q.max(), 8)
-        qp_wk = compute_qparams(w.w_k.min(), w.w_k.max(), 8)
-        qp_v = compute_qparams(w.v.min(), w.v.max(), 8)
+        w_q_q, qp_wq = quantize_weights(w.w_q)
+        w_k_q, qp_wk = quantize_weights(w.w_k)
+        v_q, qp_v = quantize_weights(w.v)
         qp_sum = stage_qparams(ranges, "sum", 16)
         # exp sees max-shifted alignments, which are non-positive by construction
         qp_exp_in = compute_qparams(min(ranges["exp_in"][0], -1e-6), 0.0, 16)
@@ -188,9 +187,9 @@ class QuantAttentionSpec:
         pwl_tanh = build_pwl("tanh", qp_sum, qp_tanh, pieces_tanh, candidates=candidates)
         pwl_exp = build_pwl("exp", qp_exp_in, qp_exp_out, pieces_exp, candidates=candidates)
         return cls(
-            w_q_q=np.asarray(quantize(w.w_q, qp_wq)).astype(np.uint8),
-            w_k_q=np.asarray(quantize(w.w_k, qp_wk)).astype(np.uint8),
-            v_q=np.asarray(quantize(w.v, qp_v)).astype(np.uint8),
+            w_q_q=w_q_q,
+            w_k_q=w_k_q,
+            v_q=v_q,
             qp_wq=qp_wq,
             qp_wk=qp_wk,
             qp_v=qp_v,
@@ -303,14 +302,6 @@ def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
     return q_s, q_alpha
 
 
-def attention_fakequant(h_prev, enc_h, spec: QuantAttentionSpec):
-    """Fake-quantized attention: real in/out, integer pipeline inside."""
-    q_h = np.asarray(quantize(h_prev, spec.qp_h_dec))
-    q_enc = np.asarray(quantize(enc_h, spec.qp_enc))
-    q_s, q_alpha = attention_int_exact(q_h, q_enc, spec)
-    return dequantize(q_s, spec.qp_s), dequantize(q_alpha, spec.qp_alpha)
-
-
 # ---------------------------------------------------------------------------
 # attention decoder cell (context injected into the gate preactivations)
 # ---------------------------------------------------------------------------
@@ -332,6 +323,7 @@ class QuantAttnDecoderSpec:
             raise ValueError("attention query qparams must match the decoder hidden state")
         if self.qp_ms.bitwidth != 8:
             raise ValueError("context matmul output must be 8-bit")
+        check_accumulator((self.w_s_q.shape[-1],))
         self.w_s_diff = self.w_s_q.astype(np.int32) - np.int32(self.qp_ws.zero_point)
         self.m_ms = ScaledMultiplier.from_real(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
         self.m_ms2sig = ScaledMultiplier.from_real(self.qp_ms.scale / self.cell.qp_pre_sig.scale)
@@ -362,11 +354,11 @@ class QuantAttnDecoderSpec:
             pieces_tanh=pieces, pieces_exp=pieces_exp if pieces_exp is not None else pieces,
             candidates=candidates,
         )
-        qp_ws = compute_qparams(attn_w.w_s.min(), attn_w.w_s.max(), 8)
+        w_s_q, qp_ws = quantize_weights(attn_w.w_s)
         return cls(
             cell=cell,
             attn=attn,
-            w_s_q=np.asarray(quantize(attn_w.w_s, qp_ws)).astype(np.uint8),
+            w_s_q=w_s_q,
             qp_ws=qp_ws,
             qp_ms=stage_qparams(ranges, "ms", 8),
         )
@@ -483,38 +475,3 @@ def attn_decoder_sequence_real(xs, enc_h, cell_w: LstmWeights, attn_w: Attention
         hs[t] = state.h
     return hs
 
-
-def collect_attention_ranges(w: AttentionWeights, h_prevs, enc_h) -> dict:
-    """Gather per-stage ranges by running the real path for every query."""
-    ranges: dict = {}
-
-    def record(name, value):
-        v = np.asarray(value, dtype=np.float64)
-        lo, hi = float(v.min()), float(v.max())
-        if name in ranges:
-            ranges[name] = (min(ranges[name][0], lo), max(ranges[name][1], hi))
-        else:
-            ranges[name] = (lo, hi)
-
-    for h in np.atleast_2d(h_prevs):
-        attention_real(h, enc_h, w, record)
-    return ranges
-
-
-def collect_attn_decoder_ranges(cell_w: LstmWeights, attn_w: AttentionWeights, xs, enc_h) -> dict:
-    ranges: dict = {}
-
-    def record(name, value):
-        v = np.asarray(value, dtype=np.float64)
-        lo, hi = float(v.min()), float(v.max())
-        if name in ranges:
-            ranges[name] = (min(ranges[name][0], lo), max(ranges[name][1], hi))
-        else:
-            ranges[name] = (lo, hi)
-
-    state = LstmState.zeros(cell_w.hidden_size)
-    record("c", state.c)
-    record("h", state.h)
-    for x in np.atleast_2d(xs):
-        state, _ = attn_decoder_step_real(x, state, enc_h, cell_w, attn_w, record)
-    return ranges

@@ -134,21 +134,11 @@ def cmd_run(args) -> int:
 
 def _bench_input(model: runtime.IntModel, seq_len: int):
     rng = np.random.default_rng(0)
-    if model.takes_tokens:
-        vocab = model.layers[0].table_q.shape[0]
-        return rng.integers(0, vocab, size=seq_len)
     first = model.layers[0]
-    if isinstance(first, runtime.IntLstm):
-        dim = first.spec.input_size
-    elif isinstance(first, runtime.IntBiLstm):
-        dim = first.spec.fwd.input_size
-    elif isinstance(first, runtime.IntAttnDecoder):
-        dim = first.spec.cell.input_size
-    else:
-        raise ValueError("cannot infer input width for this model")
+    if model.takes_tokens:
+        return rng.integers(0, first.table_q.shape[0], size=seq_len)
     qp = model.input_qp
-    lo, hi = qp.min, qp.max
-    return rng.uniform(lo, hi, size=(seq_len, dim))
+    return rng.uniform(qp.min, qp.max, size=(seq_len, first.input_size))
 
 
 def _time_config(fn, warmup: int, iters: int) -> float:

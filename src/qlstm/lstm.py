@@ -3,9 +3,9 @@
 * a real-arithmetic reference (float64),
 * an integer-only engine (8-bit matmuls, 32-bit accumulation, fixed-point
   rescaling, PWL activations),
-* an exact-arithmetic fake-quantization oracle that mirrors the integer
-  engine's dataflow with arbitrary-precision rounding and is the
-  bit-exactness reference for it.
+* an exact-arithmetic fake-quantization oracle (``*_exact``) that mirrors
+  the integer engine's dataflow with arbitrary-precision rounding and is
+  the bit-exactness reference for it.
 
 Weight layout stacks the four gates as contiguous row blocks in the order
 (input, forget, candidate, output).  The three sigmoid gates share one
@@ -21,16 +21,15 @@ import numpy as np
 from .madnorm import MadNormQParams, madnorm_int, madnorm_int_exact, madnorm_observe
 from .pwl import PwlTable, build_pwl, eval_pwl_float_act, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
-    MAX_REDUCE_DIM,
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
     ScaledMultiplier,
+    check_accumulator,
     compute_qparams,
-    dequantize,
     int_matmul,
-    iround,
-    quantize,
+    quantize_bias,
+    quantize_weights,
     requantize_exact,
     requantize_scaled,
     rescale_add,
@@ -46,9 +45,6 @@ def stage_qparams(ranges: dict, key: str, bitwidth: int) -> QuantParams:
         raise ValueError(f"stage {key!r} missing from calibration ranges") from None
     except DegenerateRangeError as e:
         raise DegenerateRangeError(f"stage {key!r}: {e}") from None
-
-
-_BIAS_LIMIT = 1 << 30  # keeps acc + bias inside the 32-bit accumulator
 
 
 @dataclass
@@ -69,8 +65,7 @@ class LstmWeights:
         m = four_m // 4
         if self.w_h.shape != (four_m, m) or self.bias.shape != (four_m,):
             raise ValueError("inconsistent LSTM weight shapes")
-        if n > MAX_REDUCE_DIM or m > MAX_REDUCE_DIM:
-            raise ValueError(f"dimensions above {MAX_REDUCE_DIM} overflow the 32-bit accumulator")
+        check_accumulator((n, m))
 
     @property
     def hidden_size(self) -> int:
@@ -198,6 +193,7 @@ class QuantLstmSpec:
         norms = (self.norm_x, self.norm_h, self.norm_c)
         if any(n is not None for n in norms) and not all(n is not None for n in norms):
             raise ValueError("MadNorm variant needs all three norm configurations")
+        check_accumulator((self.input_size, self.w_h_q.shape[-1]), self.bias_q)
         m = self.hidden_size
         self._sig_rows, self._j_rows = _gate_rows(m)
         self.w_x_diff = self.w_x_q.astype(np.int32) - np.int32(self.qp_wx.zero_point)
@@ -264,13 +260,9 @@ class QuantLstmSpec:
         qp_p_ij = stage_qparams(ranges, "p_ij", cell_bits)
         qp_tanh_c = stage_qparams(ranges, "tanh_c", 8)
 
-        qp_wx = compute_qparams(weights.w_x.min(), weights.w_x.max(), 8)
-        qp_wh = compute_qparams(weights.w_h.min(), weights.w_h.max(), 8)
-        w_x_q = np.asarray(quantize(weights.w_x, qp_wx)).astype(qp_wx.storage_dtype)
-        w_h_q = np.asarray(quantize(weights.w_h, qp_wh)).astype(qp_wh.storage_dtype)
-        bias_q = np.clip(
-            iround(weights.bias / (qp_wx.scale * qp_x.scale)), -_BIAS_LIMIT, _BIAS_LIMIT
-        ).astype(np.int32)
+        w_x_q, qp_wx = quantize_weights(weights.w_x)
+        w_h_q, qp_wh = quantize_weights(weights.w_h)
+        bias_q = quantize_bias(weights.bias, qp_wx.scale * qp_x.scale)
 
         norm_x = norm_h = norm_c = None
         if norm:
@@ -319,27 +311,6 @@ def _norm_params(ranges: dict, prefix: str, qp_in: QuantParams, hidden: int) -> 
         qp_y=stage_qparams(ranges, f"{prefix}.y", 8),
         hidden=hidden,
     )
-
-
-def collect_lstm_ranges(weights: LstmWeights, xs: np.ndarray, norm: bool = False) -> dict:
-    """Run the float path over ``xs`` (T, n) and gather per-stage ranges."""
-    ranges: dict = {}
-
-    def record(name, value):
-        v = np.asarray(value, dtype=np.float64)
-        lo, hi = float(v.min()), float(v.max())
-        if name in ranges:
-            ranges[name] = (min(ranges[name][0], lo), max(ranges[name][1], hi))
-        else:
-            ranges[name] = (lo, hi)
-
-    step = madnorm_lstm_step_real if norm else lstm_step_real
-    state = LstmState.zeros(weights.hidden_size)
-    record("c", state.c)
-    record("h", state.h)
-    for x in np.atleast_2d(xs):
-        state = step(x, state, weights, record)
-    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +400,6 @@ def lstm_step_int(
     """One integer-only LSTM step."""
     pre_sig, pre_j = lstm_gate_preacts_int(q_x, state.h, spec)
     return lstm_apply_gates_int(pre_sig, pre_j, state.c, spec, float_act=float_act)
-
-
-def madnorm_lstm_step_int(q_x, state, spec: QuantLstmSpec, float_act: bool = False) -> QuantLstmState:
-    if not spec.norm:
-        raise ValueError("spec carries no MadNorm configuration")
-    return lstm_step_int(q_x, state, spec, float_act=float_act)
 
 
 # ---------------------------------------------------------------------------
@@ -543,21 +508,6 @@ def lstm_step_exact(q_x, q_h, q_c, spec: QuantLstmSpec):
     return lstm_apply_gates_exact(pre_sig, pre_j, q_c, spec)
 
 
-def lstm_step_fakequant(x_t, state: LstmState, spec: QuantLstmSpec) -> LstmState:
-    """Fake-quantized step: real values in and out, the integer pipeline inside.
-
-    Every tensor passes through quantize/dequantize at exactly the points the
-    integer engine requantizes, with the same constants and the same rounding
-    (carried out in exact arithmetic).  Quantizing the returned state
-    reproduces the integer engine's state bit-exactly.
-    """
-    q_x = np.asarray(quantize(x_t, spec.qp_x))
-    q_h = np.asarray(quantize(state.h, spec.qp_h))
-    q_c = np.asarray(quantize(state.c, spec.qp_c))
-    h_new, c_new = lstm_step_exact(q_x, q_h, q_c, spec)
-    return LstmState(dequantize(h_new, spec.qp_h), dequantize(c_new, spec.qp_c))
-
-
 # ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
@@ -608,16 +558,6 @@ def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec, direction: str = 
     for t in _time_order(len(data), direction):
         q_h, q_c = lstm_step_exact(data[t], q_h, q_c, spec)
         hs[t] = q_h
-    return hs
-
-
-def lstm_sequence_fakequant(xs: np.ndarray, spec: QuantLstmSpec, direction: str = "forward") -> np.ndarray:
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    state = LstmState.zeros(spec.hidden_size)
-    hs = np.zeros((len(xs), spec.hidden_size))
-    for t in _time_order(len(xs), direction):
-        state = lstm_step_fakequant(xs[t], state, spec)
-        hs[t] = state.h
     return hs
 
 

@@ -24,6 +24,7 @@ _MANT_MAX = (1 << 31) - 1
 
 #: documented accumulator headroom limit for 8-bit matmul reductions
 MAX_REDUCE_DIM = 16384
+_BIAS_LIMIT = 1 << 30  # keeps acc + bias inside the 32-bit accumulator
 
 
 class DegenerateRangeError(ValueError):
@@ -103,6 +104,26 @@ def dequantize(q, qp: QuantParams):
     return float(r) if np.ndim(q) == 0 else r
 
 
+def quantize_weights(w) -> tuple:
+    """8-bit weights on their own min/max grid: ``(w_q, qp)``."""
+    qp = compute_qparams(float(np.min(w)), float(np.max(w)), 8)
+    return np.asarray(quantize(w, qp)).astype(np.uint8), qp
+
+
+def quantize_bias(bias, scale: float) -> np.ndarray:
+    """Bias on the accumulator grid ``scale``, clipped to the bias headroom."""
+    return np.clip(iround(bias / scale), -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
+
+
+def check_accumulator(dims, bias_q=None) -> None:
+    """Reject contracted widths or biases that could overflow the 32-bit accumulator."""
+    if max(dims) > MAX_REDUCE_DIM:
+        raise ValueError(f"dimensions above {MAX_REDUCE_DIM} overflow the 32-bit accumulator")
+    bias = np.asarray(bias_q if bias_q is not None else [], dtype=np.int64)
+    if bias.size and np.abs(bias).max() > _BIAS_LIMIT:
+        raise ValueError(f"bias magnitudes above {_BIAS_LIMIT} overflow the 32-bit accumulator")
+
+
 @dataclass
 class QuantTensor:
     """Quantized integer data together with its quantization parameters."""
@@ -140,54 +161,11 @@ class QuantTensor:
 
 
 @dataclass(frozen=True)
-class FixedPointMultiplier:
-    """Positive real constant below 1 encoded as mantissa * 2^-(31 + right_shift)."""
-
-    mantissa: int
-    right_shift: int
-
-    def __post_init__(self):
-        if self.mantissa != 0 and not (_MANT_MIN <= self.mantissa <= _MANT_MAX):
-            raise ValueError("mantissa must be 0 or normalized into [2^30, 2^31)")
-        if self.right_shift < 0:
-            raise ValueError("right_shift must be non-negative")
-
-    @property
-    def value(self) -> float:
-        return self.mantissa * 2.0 ** (-(MANTISSA_BITS + self.right_shift))
-
-
-def fixed_multiplier_from_real(r: float) -> FixedPointMultiplier:
-    """Encode ``0 <= r < 1`` as a fixed-point multiplier.
-
-    Values of 1 or above are rejected: callers fold the integer part into a
-    pre-shift (see :class:`ScaledMultiplier`) so the requantize kernel stays
-    single-form.
-    """
-    if r == 0.0:
-        return FixedPointMultiplier(0, 0)
-    if r < 0.0:
-        raise ValueError("multiplier must be non-negative")
-    if r >= 1.0:
-        raise ValueError("multiplier >= 1; fold the integer part into a pre-shift")
-    frac, exp = math.frexp(r)  # r = frac * 2^exp, frac in [0.5, 1)
-    mantissa = int(frac * (1 << MANTISSA_BITS) + 0.5)
-    right_shift = -exp
-    if mantissa > _MANT_MAX:
-        if right_shift > 0:
-            mantissa = _MANT_MIN
-            right_shift -= 1
-        else:
-            mantissa = _MANT_MAX  # r just below 1; still within 2^-30 relative
-    return FixedPointMultiplier(mantissa, right_shift)
-
-
-@dataclass(frozen=True)
 class ScaledMultiplier:
     """Positive real of any magnitude as mantissa * 2^-shift.
 
-    For reals below 1 this coincides with :class:`FixedPointMultiplier`
-    (shift = 31 + right_shift); larger reals simply carry a smaller shift.
+    ``from_real`` normalizes the mantissa into [2^30, 2^31); reals of 1 or
+    more simply carry a smaller (possibly negative) shift.
     """
 
     mantissa: int
@@ -209,10 +187,6 @@ class ScaledMultiplier:
             mantissa = _MANT_MIN
             exp += 1
         return cls(mantissa, MANTISSA_BITS - exp)
-
-    @classmethod
-    def from_fixed(cls, m: FixedPointMultiplier) -> "ScaledMultiplier":
-        return cls(m.mantissa, MANTISSA_BITS + m.right_shift)
 
 
 def _shift_round(p: np.ndarray, shift: int) -> np.ndarray:
@@ -248,24 +222,18 @@ def apply_multiplier(acc, m: ScaledMultiplier) -> np.ndarray:
     return _shift_round(p, m.shift)
 
 
-def requantize(acc, m: FixedPointMultiplier, out_zero_point: int, out_bitwidth: int):
-    """Rescale a 32-bit accumulator to a narrower quantized representation.
+def requantize_scaled(acc, m: ScaledMultiplier, out_zero_point: int, out_bitwidth: int):
+    """Rescale an accumulator to a narrower quantized representation.
 
     Computes ``clamp(round(acc * m.value) + out_zero_point)`` with integer
-    multiply-high and arithmetic shifts only.
+    multiply and arithmetic shifts only.
     """
-    return requantize_scaled(acc, ScaledMultiplier.from_fixed(m), out_zero_point, out_bitwidth)
-
-
-def requantize_scaled(acc, m: ScaledMultiplier, out_zero_point: int, out_bitwidth: int):
     v = _clamp_store(apply_multiplier(acc, m), out_zero_point, out_bitwidth)
     return int(v) if np.ndim(acc) == 0 else v
 
 
-def requantize_exact(acc: int, m, out_zero_point: int, out_bitwidth: int) -> int:
-    """Arbitrary-precision reference for :func:`requantize` (same rounding rule)."""
-    if isinstance(m, FixedPointMultiplier):
-        m = ScaledMultiplier.from_fixed(m)
+def requantize_exact(acc: int, m: ScaledMultiplier, out_zero_point: int, out_bitwidth: int) -> int:
+    """Arbitrary-precision reference for :func:`requantize_scaled` (same rounding rule)."""
     v = _shift_round_exact(int(acc) * m.mantissa, m.shift) + out_zero_point
     return max(0, min(v, (1 << out_bitwidth) - 1))
 

@@ -6,6 +6,19 @@ for calibration and as the accuracy reference; conversion produces an
 integer model whose ``run`` touches no floating point and whose outputs are
 reproduced bit-exactly by the exact-arithmetic reference engine.
 
+Every layer type is one float class and one integer class, and each class
+carries all of its type-specific code, so the model-level functions below
+are plain loops over the stack:
+
+* a float layer has ``forward(x, outputs, record)``, ``stages(prefix)`` (the
+  calibration keys it needs) and ``convert(ranges, prefix, qp_in, out_qps,
+  **opts)``, which returns its integer layer;
+* an integer layer has ``qp_in``/``qp_out``, ``links`` (the qparams chain
+  checks), ``run``, ``run_exact`` (its exact oracle) and ``dequantize``;
+* both have ``encode(writer, prefix)`` and ``decode(reader, desc)`` for the
+  manifest, whose type tags ``serialize`` maps to the classes.
+
+``outputs`` holds the outputs of the layers already run, for residuals.
 Per-stage quantization parameters chain through the stack: every layer
 consumes its producer's output qparams, so adjacent layers always agree on
 the wire format.
@@ -25,7 +38,6 @@ from .attention import (
     attn_decoder_sequence_real,
 )
 from .lstm import (
-    _BIAS_LIMIT,
     BiLstmSpec,
     LstmWeights,
     QuantLstmSpec,
@@ -35,21 +47,66 @@ from .lstm import (
     lstm_sequence_exact,
     lstm_sequence_int,
     lstm_sequence_real,
+    stage_qparams,
 )
 from .quant import (
-    MAX_REDUCE_DIM,
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
     ScaledMultiplier,
+    check_accumulator,
     compute_qparams,
     dequantize,
     int_matmul,
-    iround,
-    quantize,
+    quantize_bias,
+    quantize_weights,
     rescale_add,
     rescale_add_exact,
 )
+
+_CELL_STAGES = ["mx", "mh", "pre_sig", "pre_j", "sig", "tanh_j", "p_fc", "p_ij", "c", "tanh_c", "h", "x"]
+_NORM_STAGES = [f"{p}.{s}" for p in ("nx", "nh", "nc") for s in ("mu", "xhat", "d", "y")]
+_ATTN_STAGES = ["q", "k", "sum", "tanh", "e", "exp_in", "exp_out", "alpha", "ctx"]
+
+
+class _Layer:
+    """Where a layer may sit in a stack; shared by the float and integer forms."""
+
+    takes_tokens = False  # consumes token ids, so it must come first
+    emits_logits = False  # ends the stack
+
+
+def _check_structure(layers) -> None:
+    for i, layer in enumerate(layers):
+        if layer.takes_tokens and i != 0:
+            raise ValueError("embedding must be the first layer")
+        if layer.emits_logits and i != len(layers) - 1:
+            raise ValueError("final projection must be the last layer")
+        skip = getattr(layer, "skip_from", None)
+        if skip is not None and not (isinstance(skip, (int, np.integer)) and 0 <= skip < i):
+            raise ValueError("residual skip must reference an earlier layer")
+
+
+def _sub(ranges: dict, prefix: str) -> dict:
+    """The ranges under ``prefix.``, with the prefix stripped."""
+    pre = prefix + "."
+    return {k[len(pre):]: v for k, v in ranges.items() if k.startswith(pre)}
+
+
+def _encode_weights(w, prefix: str, weights: LstmWeights, key: str = "") -> dict:
+    return {f"{key}{n}": w.tensor(f"{prefix}.{key}{n}", getattr(weights, n)) for n in ("w_x", "w_h", "bias")}
+
+
+def _decode_weights(r, tensors: dict, key: str = "") -> LstmWeights:
+    return LstmWeights(*(r.tensor(tensors[f"{key}{n}"]) for n in ("w_x", "w_h", "bias")))
+
+
+def _dequant_cell(spec: QuantLstmSpec) -> LstmWeights:
+    return LstmWeights(
+        dequantize(spec.w_x_q, spec.qp_wx),
+        dequantize(spec.w_h_q, spec.qp_wh),
+        spec.bias_q * (spec.qp_wx.scale * spec.qp_x.scale),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -58,41 +115,160 @@ from .quant import (
 
 
 @dataclass
-class EmbeddingLayer:
+class EmbeddingLayer(_Layer):
     table: np.ndarray  # (vocab, dim)
+
+    takes_tokens = True
+
+    def forward(self, tokens, outputs, record):
+        return self.table[_check_tokens(tokens, self.table.shape[0])]
+
+    def stages(self, prefix):
+        return []
+
+    def convert(self, ranges, prefix, qp_in, out_qps, **opts):
+        return IntEmbedding(*quantize_weights(self.table))
+
+    def encode(self, w, prefix):
+        return {"type": "embedding", "tensors": {"table": w.tensor(f"{prefix}.table", self.table)}}
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(r.tensor(d["tensors"]["table"]))
 
 
 @dataclass
-class LstmLayer:
+class LstmLayer(_Layer):
     weights: LstmWeights
     norm: bool = False
 
+    def forward(self, x, outputs, record):
+        return lstm_sequence_real(x, self.weights, record=record, norm=self.norm)
+
+    def stages(self, prefix):
+        return [f"{prefix}.{s}" for s in _CELL_STAGES + (_NORM_STAGES if self.norm else [])]
+
+    def convert(self, ranges, prefix, qp_in, out_qps, **opts):
+        spec = QuantLstmSpec.from_float(self.weights, _sub(ranges, prefix), qp_x=qp_in, norm=self.norm, **opts)
+        return IntLstm(spec)
+
+    def encode(self, w, prefix):
+        return {
+            "type": "madnorm_lstm" if self.norm else "lstm",
+            "norm": self.norm,
+            "tensors": _encode_weights(w, prefix, self.weights),
+        }
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(_decode_weights(r, d["tensors"]), norm=d.get("norm", d["type"] == "madnorm_lstm"))
+
 
 @dataclass
-class BiLstmLayer:
+class BiLstmLayer(_Layer):
     fwd: LstmWeights
     bwd: LstmWeights
 
+    def forward(self, x, outputs, record):
+        return bilstm_sequence_real(x, self.fwd, self.bwd, record=record)
+
+    def stages(self, prefix):
+        return [f"{prefix}.{d}.{s}" for d in ("fwd", "bwd") for s in _CELL_STAGES]
+
+    def convert(self, ranges, prefix, qp_in, out_qps, **opts):
+        rf, rb = _sub(ranges, f"{prefix}.fwd"), _sub(ranges, f"{prefix}.bwd")
+        return IntBiLstm(BiLstmSpec.from_float(self.fwd, self.bwd, rf, rb, qp_x=qp_in, **opts))
+
+    def encode(self, w, prefix):
+        t = _encode_weights(w, prefix, self.fwd, "fwd.")
+        return {"type": "bilstm", "tensors": {**t, **_encode_weights(w, prefix, self.bwd, "bwd.")}}
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(_decode_weights(r, d["tensors"], "fwd."), _decode_weights(r, d["tensors"], "bwd."))
+
 
 @dataclass
-class AttentionDecoderLayer:
+class AttentionDecoderLayer(_Layer):
     cell: LstmWeights
     attn: AttentionWeights
 
+    def forward(self, x, outputs, record):
+        return attn_decoder_sequence_real(x, x, self.cell, self.attn, record=record)
+
+    def stages(self, prefix):
+        return [f"{prefix}.{s}" for s in _CELL_STAGES + ["ms"]] + [f"{prefix}.attn.{s}" for s in _ATTN_STAGES]
+
+    def convert(self, ranges, prefix, qp_in, out_qps, **opts):
+        spec = QuantAttnDecoderSpec.from_float(
+            self.cell, self.attn, _sub(ranges, prefix), qp_x=qp_in, qp_enc=qp_in, **opts
+        )
+        return IntAttnDecoder(spec)
+
+    def encode(self, w, prefix):
+        t = _encode_weights(w, prefix, self.cell)
+        for n in ("w_q", "w_k", "v", "w_s"):
+            t[n] = w.tensor(f"{prefix}.{n}", getattr(self.attn, n))
+        return {"type": "attention_decoder", "tensors": t}
+
+    @classmethod
+    def decode(cls, r, d):
+        t = d["tensors"]
+        attn = AttentionWeights(*(r.tensor(t[n]) for n in ("w_q", "w_k", "v", "w_s")))
+        return cls(_decode_weights(r, t), attn)
+
 
 @dataclass
-class ResidualAddLayer:
+class ResidualAddLayer(_Layer):
     skip_from: int
 
+    def forward(self, x, outputs, record):
+        out = outputs[self.skip_from] + x
+        record("out", out)
+        return out
+
+    def stages(self, prefix):
+        return [f"{prefix}.out"]
+
+    def convert(self, ranges, prefix, qp_in, out_qps, **opts):
+        qp_out = stage_qparams(ranges, f"{prefix}.out", 8)
+        return IntResidual(self.skip_from, out_qps[self.skip_from], qp_in, qp_out)
+
+    def encode(self, w, prefix):
+        return {"type": "residual_add", "skip_from": self.skip_from}
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(d["skip_from"])
+
 
 @dataclass
-class FinalProjectionLayer:
+class FinalProjectionLayer(_Layer):
     w: np.ndarray  # (vocab, m); m is 2x the hidden size after a BiLSTM
     bias: np.ndarray
 
+    emits_logits = True
+
     def __post_init__(self):
-        if np.shape(self.w)[-1] > MAX_REDUCE_DIM:
-            raise ValueError(f"dimensions above {MAX_REDUCE_DIM} overflow the 32-bit accumulator")
+        check_accumulator((np.shape(self.w)[-1],))
+
+    def forward(self, x, outputs, record):
+        return x @ self.w.T + self.bias
+
+    def stages(self, prefix):
+        return []
+
+    def convert(self, ranges, prefix, qp_in, out_qps, **opts):
+        w_q, qp_w = quantize_weights(self.w)
+        return IntProjection(w_q, qp_w, quantize_bias(self.bias, qp_w.scale * qp_in.scale), qp_in)
+
+    def encode(self, w, prefix):
+        t = {"w": w.tensor(f"{prefix}.w", self.w), "bias": w.tensor(f"{prefix}.bias", self.bias)}
+        return {"type": "final_projection", "tensors": t}
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(r.tensor(d["tensors"]["w"]), r.tensor(d["tensors"]["bias"]))
 
 
 @dataclass
@@ -100,17 +276,11 @@ class FloatModel:
     layers: list
 
     def __post_init__(self):
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, EmbeddingLayer) and i != 0:
-                raise ValueError("embedding must be the first layer")
-            if isinstance(layer, FinalProjectionLayer) and i != len(self.layers) - 1:
-                raise ValueError("final projection must be the last layer")
-            if isinstance(layer, ResidualAddLayer) and not (0 <= layer.skip_from < i):
-                raise ValueError("residual skip must reference an earlier layer")
+        _check_structure(self.layers)
 
     @property
     def takes_tokens(self) -> bool:
-        return bool(self.layers) and isinstance(self.layers[0], EmbeddingLayer)
+        return bool(self.layers) and self.layers[0].takes_tokens
 
 
 class CalibrationObserver:
@@ -137,47 +307,19 @@ class CalibrationObserver:
 def forward_float(model: FloatModel, seq, record=None) -> list:
     """Run the float model, returning every layer's output sequence."""
     obs = record if record is not None else (lambda name, value: None)
+    cur = seq
+    if not model.takes_tokens:
+        cur = np.atleast_2d(np.asarray(seq, dtype=np.float64))
+        obs("input", cur)
     outputs = []
-    cur = None
     for i, layer in enumerate(model.layers):
-        prefix = f"L{i}"
-        if isinstance(layer, EmbeddingLayer):
-            tokens = _check_tokens(seq, layer.table.shape[0])
-            cur = layer.table[tokens]
-        elif isinstance(layer, LstmLayer):
-            cur = _first_input(cur, seq, obs)
-            cur = lstm_sequence_real(
-                cur, layer.weights, record=_prefixed(obs, prefix), norm=layer.norm
-            )
-        elif isinstance(layer, BiLstmLayer):
-            cur = _first_input(cur, seq, obs)
-            cur = bilstm_sequence_real(cur, layer.fwd, layer.bwd, record=_prefixed(obs, prefix))
-        elif isinstance(layer, AttentionDecoderLayer):
-            cur = _first_input(cur, seq, obs)
-            cur = attn_decoder_sequence_real(
-                cur, cur, layer.cell, layer.attn, record=_prefixed(obs, prefix)
-            )
-        elif isinstance(layer, ResidualAddLayer):
-            cur = outputs[layer.skip_from] + cur
-            obs(f"{prefix}.out", cur)
-        elif isinstance(layer, FinalProjectionLayer):
-            cur = cur @ layer.w.T + layer.bias
-        else:
-            raise TypeError(f"unknown layer {type(layer).__name__}")
+        cur = layer.forward(cur, outputs, _prefixed(obs, f"L{i}"))
         outputs.append(cur)
     return outputs
 
 
 def _prefixed(obs, prefix):
     return lambda name, value: obs(f"{prefix}.{name}", value)
-
-
-def _first_input(cur, seq, obs):
-    if cur is not None:
-        return cur
-    x = np.atleast_2d(np.asarray(seq, dtype=np.float64))
-    obs("input", x)
-    return x
 
 
 def _check_tokens(seq, vocab: int) -> np.ndarray:
@@ -193,26 +335,12 @@ def _check_tokens(seq, vocab: int) -> np.ndarray:
 
 def required_stages(model: FloatModel) -> list:
     """Stage keys that calibration must observe for this model."""
-    cell = ["mx", "mh", "pre_sig", "pre_j", "sig", "tanh_j", "p_fc", "p_ij", "c", "tanh_c", "h", "x"]
-    norm_sub = [f"{p}.{s}" for p in ("nx", "nh", "nc") for s in ("mu", "xhat", "d", "y")]
-    attn = ["q", "k", "sum", "tanh", "e", "exp_in", "exp_out", "alpha", "ctx"]
-    stages = []
-    for i, layer in enumerate(model.layers):
-        prefix = f"L{i}"
-        if isinstance(layer, LstmLayer):
-            stages += [f"{prefix}.{s}" for s in cell]
-            if layer.norm:
-                stages += [f"{prefix}.{s}" for s in norm_sub]
-        elif isinstance(layer, BiLstmLayer):
-            stages += [f"{prefix}.{d}.{s}" for d in ("fwd", "bwd") for s in cell]
-        elif isinstance(layer, AttentionDecoderLayer):
-            stages += [f"{prefix}.{s}" for s in cell + ["ms"]]
-            stages += [f"{prefix}.attn.{s}" for s in attn]
-        elif isinstance(layer, ResidualAddLayer):
-            stages.append(f"{prefix}.out")
-    if not model.takes_tokens:
-        stages.append("input")
-    return stages
+    stages = [s for i, layer in enumerate(model.layers) for s in layer.stages(f"L{i}")]
+    return stages if model.takes_tokens else stages + ["input"]
+
+
+def _missing_stages(model: FloatModel, ranges: dict) -> list:
+    return [s for s in required_stages(model) if s not in ranges]
 
 
 def calibrate(model: FloatModel, batches) -> dict:
@@ -224,7 +352,7 @@ def calibrate(model: FloatModel, batches) -> dict:
     obs = CalibrationObserver()
     for seq in batches:
         forward_float(model, seq, record=obs)
-    missing = [s for s in required_stages(model) if s not in obs.ranges]
+    missing = _missing_stages(model, obs.ranges)
     if missing:
         raise ValueError(f"stages never observed during calibration: {', '.join(missing)}")
     return obs.ranges
@@ -235,29 +363,172 @@ def calibrate(model: FloatModel, batches) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _IntLayer(_Layer):
+    def links(self, prev, out_qps) -> list:
+        """``(consumed, produced, where)`` qparams pairs that must be equal."""
+        return [] if self.qp_in is None else [(self.qp_in, prev, "")]
+
+
 @dataclass
-class IntEmbedding:
+class IntEmbedding(_IntLayer):
     table_q: np.ndarray
     qp: QuantParams
 
+    takes_tokens = True
+    qp_in = None  # consumes token ids, not a layer's output
+
+    @property
+    def qp_out(self):
+        return self.qp
+
+    def run(self, tokens, outputs, float_act):
+        return QuantTensor(self.table_q[tokens], self.qp)
+
+    def run_exact(self, tokens, outputs):
+        return self.table_q[tokens].astype(np.int64), self.qp
+
+    def dequantize(self):
+        return EmbeddingLayer(dequantize(self.table_q, self.qp))
+
+    def encode(self, w, prefix):
+        return {
+            "type": "embedding",
+            "tensors": {"table": w.tensor(f"{prefix}.table", self.table_q)},
+            "qparams": {"out": w.qp(f"{prefix}.out", self.qp)},
+        }
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(r.tensor(d["tensors"]["table"]), r.qp(d["qparams"]["out"]))
+
 
 @dataclass
-class IntLstm:
+class IntLstm(_IntLayer):
     spec: QuantLstmSpec
 
+    @property
+    def qp_in(self):
+        return self.spec.qp_x
+
+    @property
+    def qp_out(self):
+        return self.spec.qp_h
+
+    @property
+    def input_size(self) -> int:
+        return self.spec.input_size
+
+    def run(self, x, outputs, float_act):
+        return lstm_sequence_int(x, self.spec, float_act=float_act)
+
+    def run_exact(self, x, outputs):
+        return lstm_sequence_exact(x[0], self.spec), self.qp_out
+
+    def dequantize(self):
+        return LstmLayer(_dequant_cell(self.spec), norm=self.spec.norm)
+
+    def encode(self, w, prefix):
+        return {"type": "madnorm_lstm" if self.spec.norm else "lstm", **w.cell(prefix, self.spec)}
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(r.cell(d))
+
 
 @dataclass
-class IntBiLstm:
+class IntBiLstm(_IntLayer):
     spec: BiLstmSpec
 
+    @property
+    def qp_in(self):
+        return self.spec.fwd.qp_x
+
+    @property
+    def qp_out(self):
+        return self.spec.qp_h
+
+    @property
+    def input_size(self) -> int:
+        return self.spec.fwd.input_size
+
+    def run(self, x, outputs, float_act):
+        return bilstm_sequence_int(x, self.spec, float_act=float_act)
+
+    def run_exact(self, x, outputs):
+        return bilstm_sequence_exact(x[0], self.spec), self.qp_out
+
+    def dequantize(self):
+        return BiLstmLayer(_dequant_cell(self.spec.fwd), _dequant_cell(self.spec.bwd))
+
+    def encode(self, w, prefix):
+        fwd = w.cell(f"{prefix}.fwd", self.spec.fwd)
+        return {"type": "bilstm", "fwd": fwd, "bwd": w.cell(f"{prefix}.bwd", self.spec.bwd)}
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(BiLstmSpec(r.cell(d["fwd"]), r.cell(d["bwd"])))
+
 
 @dataclass
-class IntAttnDecoder:
+class IntAttnDecoder(_IntLayer):
     spec: QuantAttnDecoderSpec
 
+    @property
+    def qp_in(self):
+        return self.spec.cell.qp_x
+
+    @property
+    def qp_out(self):
+        return self.spec.cell.qp_h
+
+    @property
+    def input_size(self) -> int:
+        return self.spec.cell.input_size
+
+    def links(self, prev, out_qps):
+        return [(self.spec.attn.qp_enc, prev, " (attention encoder input)"), (self.qp_in, prev, "")]
+
+    def run(self, x, outputs, float_act):
+        return attn_decoder_sequence_int(x, x, self.spec, float_act=float_act)
+
+    def run_exact(self, x, outputs):
+        return attn_decoder_sequence_exact(x[0], x[0], self.spec), self.qp_out
+
+    def dequantize(self):
+        a = self.spec.attn
+        attn = AttentionWeights(
+            dequantize(a.w_q_q, a.qp_wq),
+            dequantize(a.w_k_q, a.qp_wk),
+            dequantize(a.v_q, a.qp_v),
+            dequantize(self.spec.w_s_q, self.spec.qp_ws),
+        )
+        return AttentionDecoderLayer(_dequant_cell(self.spec.cell), attn)
+
+    def encode(self, w, prefix):
+        spec = self.spec
+        return {
+            "type": "attention_decoder",
+            "cell": w.cell(f"{prefix}.cell", spec.cell),
+            "attn": w.attn(f"{prefix}.attn", spec.attn),
+            "tensors": {"w_s": w.tensor(f"{prefix}.w_s", spec.w_s_q)},
+            "qparams": {"ws": w.qp(f"{prefix}.ws", spec.qp_ws), "ms": w.qp(f"{prefix}.ms", spec.qp_ms)},
+        }
+
+    @classmethod
+    def decode(cls, r, d):
+        return cls(
+            QuantAttnDecoderSpec(
+                cell=r.cell(d["cell"]),
+                attn=r.attn(d["attn"]),
+                w_s_q=r.tensor(d["tensors"]["w_s"]),
+                qp_ws=r.qp(d["qparams"]["ws"]),
+                qp_ms=r.qp(d["qparams"]["ms"]),
+            )
+        )
+
 
 @dataclass
-class IntResidual:
+class IntResidual(_IntLayer):
     skip_from: int
     qp_a: QuantParams
     qp_b: QuantParams
@@ -267,16 +538,93 @@ class IntResidual:
         self.m_a = ScaledMultiplier.from_real(self.qp_a.scale / self.qp_out.scale)
         self.m_b = ScaledMultiplier.from_real(self.qp_b.scale / self.qp_out.scale)
 
+    @property
+    def qp_in(self):
+        return self.qp_b
+
+    def links(self, prev, out_qps):
+        return [(self.qp_a, out_qps[self.skip_from], " (residual skip operand)"), (self.qp_b, prev, "")]
+
+    def run(self, x, outputs, float_act):
+        a = outputs[self.skip_from]
+        out = rescale_add([(a.diffs(), self.m_a), (x.diffs(), self.m_b)], self.qp_out.zero_point, 8)
+        return QuantTensor(out.astype(np.uint8), self.qp_out)
+
+    def run_exact(self, x, outputs):
+        (a, qp_a), (b, qp_b) = outputs[self.skip_from], x
+        res = [
+            rescale_add_exact(
+                [(int(u) - qp_a.zero_point, self.m_a), (int(v) - qp_b.zero_point, self.m_b)],
+                self.qp_out.zero_point,
+                8,
+            )
+            for u, v in zip(a.ravel(), b.ravel())
+        ]
+        return np.array(res, dtype=np.int64).reshape(a.shape), self.qp_out
+
+    def dequantize(self):
+        return ResidualAddLayer(self.skip_from)
+
+    def encode(self, w, prefix):
+        return {
+            "type": "residual_add",
+            "skip_from": self.skip_from,
+            "qparams": {
+                "a": w.qp(f"{prefix}.a", self.qp_a),
+                "b": w.qp(f"{prefix}.b", self.qp_b),
+                "out": w.qp(f"{prefix}.out", self.qp_out),
+            },
+        }
+
+    @classmethod
+    def decode(cls, r, d):
+        q = d["qparams"]
+        return cls(d["skip_from"], r.qp(q["a"]), r.qp(q["b"]), r.qp(q["out"]))
+
 
 @dataclass
-class IntProjection:
+class IntProjection(_IntLayer):
     w_q: np.ndarray
     qp_w: QuantParams
     bias_q: np.ndarray
     qp_in: QuantParams
 
+    emits_logits = True
+    qp_out = None  # 32-bit logits on the qp_w.scale * qp_in.scale grid
+
     def __post_init__(self):
+        check_accumulator((self.w_q.shape[-1],), self.bias_q)
         self.w_diff = self.w_q.astype(np.int32) - np.int32(self.qp_w.zero_point)
+
+    @property
+    def input_size(self) -> int:
+        return self.w_q.shape[-1]
+
+    def run(self, x, outputs, float_act):
+        return (int_matmul(x.diffs(), self.w_diff.T) + self.bias_q).astype(np.int32)
+
+    def run_exact(self, x, outputs):
+        data, qp = x
+        return (data - qp.zero_point) @ self.w_diff.T.astype(np.int64) + self.bias_q, None
+
+    def dequantize(self):
+        bias = self.bias_q * (self.qp_w.scale * self.qp_in.scale)
+        return FinalProjectionLayer(dequantize(self.w_q, self.qp_w), bias)
+
+    def encode(self, w, prefix):
+        return {
+            "type": "final_projection",
+            "tensors": {
+                "w": w.tensor(f"{prefix}.w", self.w_q),
+                "bias": w.tensor(f"{prefix}.bias", self.bias_q),
+            },
+            "qparams": {"w": w.qp(f"{prefix}.wq", self.qp_w), "in": w.qp(f"{prefix}.in", self.qp_in)},
+        }
+
+    @classmethod
+    def decode(cls, r, d):
+        t, q = d["tensors"], d["qparams"]
+        return cls(r.tensor(t["w"]), r.qp(q["w"]), r.tensor(t["bias"]), r.qp(q["in"]))
 
 
 @dataclass
@@ -285,27 +633,12 @@ class IntModel:
     input_qp: QuantParams | None
     config: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        _check_structure(self.layers)
+
     @property
     def takes_tokens(self) -> bool:
-        return bool(self.layers) and isinstance(self.layers[0], IntEmbedding)
-
-    def layer_out_qp(self, i: int) -> QuantParams:
-        layer = self.layers[i]
-        if isinstance(layer, IntEmbedding):
-            return layer.qp
-        if isinstance(layer, IntLstm):
-            return layer.spec.qp_h
-        if isinstance(layer, IntBiLstm):
-            return layer.spec.qp_h
-        if isinstance(layer, IntAttnDecoder):
-            return layer.spec.cell.qp_h
-        if isinstance(layer, IntResidual):
-            return layer.qp_out
-        raise TypeError(f"layer {i} has no quantized output")
-
-
-def _table_qparams(table: np.ndarray) -> QuantParams:
-    return compute_qparams(float(table.min()), float(table.max()), 8)
+        return bool(self.layers) and self.layers[0].takes_tokens
 
 
 def convert(
@@ -322,107 +655,43 @@ def convert(
         raise ValueError("pieces must be at least 1")
     if cell_bits not in (8, 16):
         raise ValueError("cell state bitwidth must be 8 or 16")
+    missing = _missing_stages(model, ranges)
+    if missing:
+        raise ValueError(f"missing calibration ranges: {', '.join(missing)}")
 
-    def sub(prefix: str) -> dict:
-        pre = prefix + "."
-        out = {k[len(pre):]: v for k, v in ranges.items() if k.startswith(pre)}
-        if not out:
-            raise ValueError(f"missing calibration ranges for {prefix}")
-        return out
-
-    layers = []
-    out_qps: list = []
     input_qp = None
     if not model.takes_tokens:
-        if "input" not in ranges:
-            raise ValueError("missing calibration range for model input")
         try:
             input_qp = compute_qparams(*ranges["input"], 8)
         except DegenerateRangeError as e:
             raise DegenerateRangeError(f"stage 'input': {e}") from None
+
+    opts = dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits, candidates=candidates)
+    layers, out_qps = [], []
     prev_qp = input_qp
-
-    common = dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits, candidates=candidates)
     for i, layer in enumerate(model.layers):
-        prefix = f"L{i}"
-        if isinstance(layer, EmbeddingLayer):
-            qp = _table_qparams(layer.table)
-            table_q = np.asarray(quantize(layer.table, qp)).astype(np.uint8)
-            layers.append(IntEmbedding(table_q, qp))
-            prev_qp = qp
-        elif isinstance(layer, LstmLayer):
-            spec = QuantLstmSpec.from_float(
-                layer.weights, sub(prefix), qp_x=prev_qp, norm=layer.norm, **common
-            )
-            layers.append(IntLstm(spec))
-            prev_qp = spec.qp_h
-        elif isinstance(layer, BiLstmLayer):
-            r = sub(prefix)
-            rf = {k[4:]: v for k, v in r.items() if k.startswith("fwd.")}
-            rb = {k[4:]: v for k, v in r.items() if k.startswith("bwd.")}
-            spec = BiLstmSpec.from_float(layer.fwd, layer.bwd, rf, rb, qp_x=prev_qp, **common)
-            layers.append(IntBiLstm(spec))
-            prev_qp = spec.qp_h
-        elif isinstance(layer, AttentionDecoderLayer):
-            spec = QuantAttnDecoderSpec.from_float(
-                layer.cell, layer.attn, sub(prefix), qp_x=prev_qp, qp_enc=prev_qp, **common
-            )
-            layers.append(IntAttnDecoder(spec))
-            prev_qp = spec.cell.qp_h
-        elif isinstance(layer, ResidualAddLayer):
-            qp_out = compute_qparams(*ranges[f"{prefix}.out"], 8)
-            layers.append(IntResidual(layer.skip_from, out_qps[layer.skip_from], prev_qp, qp_out))
-            prev_qp = qp_out
-        elif isinstance(layer, FinalProjectionLayer):
-            qp_w = compute_qparams(float(layer.w.min()), float(layer.w.max()), 8)
-            w_q = np.asarray(quantize(layer.w, qp_w)).astype(np.uint8)
-            bias_q = np.clip(
-                iround(layer.bias / (qp_w.scale * prev_qp.scale)), -_BIAS_LIMIT, _BIAS_LIMIT
-            ).astype(np.int32)
-            layers.append(IntProjection(w_q, qp_w, bias_q, prev_qp))
-        else:
-            raise TypeError(f"unknown layer {type(layer).__name__}")
+        int_layer = layer.convert(ranges, f"L{i}", prev_qp, out_qps, **opts)
+        layers.append(int_layer)
+        prev_qp = int_layer.qp_out
         out_qps.append(prev_qp)
-
-    return IntModel(
-        layers,
-        input_qp,
-        config=dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits),
-    )
+    return IntModel(layers, input_qp, config=dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits))
 
 
 def validate_chain(model: IntModel) -> None:
     """Check that every consumer's input qparams equal its producer's output."""
     prev = model.input_qp
+    out_qps = []
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, IntEmbedding):
-            prev = layer.qp
-            continue
-        if isinstance(layer, IntLstm):
-            got = layer.spec.qp_x
-        elif isinstance(layer, IntBiLstm):
-            got = layer.spec.fwd.qp_x
-        elif isinstance(layer, IntAttnDecoder):
-            got = layer.spec.cell.qp_x
-            if layer.spec.attn.qp_enc != prev:
-                raise ValueError(f"qparams chain broken at layer {i} (attention encoder input)")
-        elif isinstance(layer, IntResidual):
-            got = layer.qp_b
-            if layer.qp_a != model.layer_out_qp(layer.skip_from):
-                raise ValueError(f"qparams chain broken at layer {i} (residual skip operand)")
-        elif isinstance(layer, IntProjection):
-            got = layer.qp_in
-        else:
-            raise TypeError(f"unknown layer {type(layer).__name__}")
-        if prev is None or got != prev:
-            raise ValueError(f"qparams chain broken at layer {i}")
-        prev = model.layer_out_qp(i) if not isinstance(layer, IntProjection) else prev
+        for got, want, where in layer.links(prev, out_qps):
+            if want is None or got != want:
+                raise ValueError(f"qparams chain broken at layer {i}{where}")
+        prev = layer.qp_out
+        out_qps.append(prev)
 
 
 def _prepare_input(model: IntModel, seq):
     if model.takes_tokens:
-        tokens = _check_tokens(seq, model.layers[0].table_q.shape[0])
-        return tokens
+        return _check_tokens(seq, model.layers[0].table_q.shape[0])
     x = np.atleast_2d(np.asarray(seq, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("input sequence must not be empty")
@@ -448,74 +717,23 @@ def run(model: IntModel, seq, float_act: bool = False):
 
 
 def _run_layers(model: IntModel, prepared, float_act: bool):
-    cur = None
-    outputs = []
+    cur, outputs = prepared, []
     for layer in model.layers:
-        if isinstance(layer, IntEmbedding):
-            cur = QuantTensor(layer.table_q[prepared], layer.qp)
-        elif isinstance(layer, IntLstm):
-            cur = cur if cur is not None else prepared
-            cur = lstm_sequence_int(cur, layer.spec, float_act=float_act)
-        elif isinstance(layer, IntBiLstm):
-            cur = cur if cur is not None else prepared
-            cur = bilstm_sequence_int(cur, layer.spec, float_act=float_act)
-        elif isinstance(layer, IntAttnDecoder):
-            cur = cur if cur is not None else prepared
-            cur = attn_decoder_sequence_int(cur, cur, layer.spec, float_act=float_act)
-        elif isinstance(layer, IntResidual):
-            a = outputs[layer.skip_from]
-            out = rescale_add(
-                [(a.diffs(), layer.m_a), (cur.diffs(), layer.m_b)],
-                layer.qp_out.zero_point,
-                8,
-            )
-            cur = QuantTensor(out.astype(np.uint8), layer.qp_out)
-        elif isinstance(layer, IntProjection):
-            acc = int_matmul(cur.diffs(), layer.w_diff.T) + layer.bias_q
-            cur = acc.astype(np.int32)
+        cur = layer.run(cur, outputs, float_act)
         outputs.append(cur)
     return cur
 
 
 def run_reference(model: IntModel, seq):
     """Exact-arithmetic mirror of :func:`run` (the fake-quantization oracle)."""
-    prepared = _prepare_input(model, seq)
-    cur = None
+    cur = _prepare_input(model, seq)
+    if not model.takes_tokens:
+        cur = (cur.data.astype(np.int64), cur.qp)
     outputs = []
     for layer in model.layers:
-        if isinstance(layer, IntEmbedding):
-            cur = (layer.table_q[prepared].astype(np.int64), layer.qp)
-        elif isinstance(layer, IntLstm):
-            data, _ = cur if cur is not None else (prepared.data.astype(np.int64), prepared.qp)
-            cur = (lstm_sequence_exact(data, layer.spec), layer.spec.qp_h)
-        elif isinstance(layer, IntBiLstm):
-            data, _ = cur if cur is not None else (prepared.data.astype(np.int64), prepared.qp)
-            cur = (bilstm_sequence_exact(data, layer.spec), layer.spec.qp_h)
-        elif isinstance(layer, IntAttnDecoder):
-            data, _ = cur if cur is not None else (prepared.data.astype(np.int64), prepared.qp)
-            cur = (attn_decoder_sequence_exact(data, data, layer.spec), layer.spec.cell.qp_h)
-        elif isinstance(layer, IntResidual):
-            (a, qp_a) = outputs[layer.skip_from]
-            (b, qp_b) = cur
-            out = np.empty_like(a)
-            flat_a, flat_b = a.ravel(), b.ravel()
-            res = [
-                rescale_add_exact(
-                    [(int(x) - qp_a.zero_point, layer.m_a), (int(y) - qp_b.zero_point, layer.m_b)],
-                    layer.qp_out.zero_point,
-                    8,
-                )
-                for x, y in zip(flat_a, flat_b)
-            ]
-            cur = (np.array(res, dtype=np.int64).reshape(a.shape), layer.qp_out)
-        elif isinstance(layer, IntProjection):
-            data, qp = cur
-            acc = (data - qp.zero_point) @ layer.w_diff.T.astype(np.int64) + layer.bias_q
-            cur = acc
+        cur = layer.run_exact(cur, outputs)
         outputs.append(cur)
-    if isinstance(cur, tuple):
-        return cur[0]
-    return cur
+    return cur[0]
 
 
 def dequantize_model(model: IntModel) -> FloatModel:
@@ -524,34 +742,4 @@ def dequantize_model(model: IntModel) -> FloatModel:
     This is the float reference used by the benchmark: identical weights,
     real arithmetic, exact nonlinearities.
     """
-    layers = []
-    for layer in model.layers:
-        if isinstance(layer, IntEmbedding):
-            layers.append(EmbeddingLayer(dequantize(layer.table_q, layer.qp)))
-        elif isinstance(layer, IntLstm):
-            layers.append(LstmLayer(_dequant_cell(layer.spec), norm=layer.spec.norm))
-        elif isinstance(layer, IntBiLstm):
-            layers.append(BiLstmLayer(_dequant_cell(layer.spec.fwd), _dequant_cell(layer.spec.bwd)))
-        elif isinstance(layer, IntAttnDecoder):
-            spec = layer.spec
-            attn = AttentionWeights(
-                dequantize(spec.attn.w_q_q, spec.attn.qp_wq),
-                dequantize(spec.attn.w_k_q, spec.attn.qp_wk),
-                dequantize(spec.attn.v_q, spec.attn.qp_v),
-                dequantize(spec.w_s_q, spec.qp_ws),
-            )
-            layers.append(AttentionDecoderLayer(_dequant_cell(spec.cell), attn))
-        elif isinstance(layer, IntResidual):
-            layers.append(ResidualAddLayer(layer.skip_from))
-        elif isinstance(layer, IntProjection):
-            bias = layer.bias_q * (layer.qp_w.scale * layer.qp_in.scale)
-            layers.append(FinalProjectionLayer(dequantize(layer.w_q, layer.qp_w), bias))
-    return FloatModel(layers)
-
-
-def _dequant_cell(spec: QuantLstmSpec) -> LstmWeights:
-    return LstmWeights(
-        dequantize(spec.w_x_q, spec.qp_wx),
-        dequantize(spec.w_h_q, spec.qp_wh),
-        spec.bias_q * (spec.qp_wx.scale * spec.qp_x.scale),
-    )
+    return FloatModel([layer.dequantize() for layer in model.layers])

@@ -2,7 +2,9 @@
 
 The manifest carries the layer graph, every per-stage quantization parameter,
 PWL tables (both real and integer form) and references into the blob as
-(offset, length) pairs.  Floats round-trip exactly through JSON (shortest
+(offset, length) pairs.  Each layer class encodes and decodes its own
+descriptor through the writer and reader below; ``_LAYER_TYPES`` maps the
+descriptors' type tags back to the classes.  Floats round-trip exactly through JSON (shortest
 repr), integer constants are stored verbatim, so ``load(save(m))`` runs
 bit-identically to ``m``.  The blob is integrity-checked with SHA-256.
 """
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionWeights, QuantAttentionSpec, QuantAttnDecoderSpec
-from .lstm import BiLstmSpec, LstmWeights, QuantLstmSpec
+from .attention import QuantAttentionSpec
+from .lstm import QuantLstmSpec
 from .madnorm import MadNormQParams
 from .pwl import PwlTable
 from .quant import QuantParams
@@ -118,7 +120,32 @@ def _qp_from(d: dict) -> QuantParams:
     return QuantParams(d["min"], d["max"], d["bitwidth"], d["scale"], d["zero_point"])
 
 
+# manifest type tag -> (float layer class, integer layer class)
+_LAYER_TYPES = {
+    "embedding": (EmbeddingLayer, IntEmbedding),
+    "lstm": (LstmLayer, IntLstm),
+    "madnorm_lstm": (LstmLayer, IntLstm),
+    "bilstm": (BiLstmLayer, IntBiLstm),
+    "attention_decoder": (AttentionDecoderLayer, IntAttnDecoder),
+    "residual_add": (ResidualAddLayer, IntResidual),
+    "final_projection": (FinalProjectionLayer, IntProjection),
+}
+
+_QP_FIELDS = (
+    "wx", "wh", "x", "h", "c", "mx", "mh", "pre_sig", "pre_j",
+    "sig", "tanh_j", "p_fc", "p_ij", "tanh_c",
+)
+_ATTN_QP_FIELDS = (
+    "wq", "wk", "v", "h_dec", "enc", "q", "k", "sum", "tanh", "e", "exp_in", "exp_out", "alpha", "s",
+)
+_PWL_INT_FIELDS = (
+    "slope_mants", "slope_shifts", "intercept_fx", "knot_targets", "override_q", "override_val",
+)
+
+
 class _Writer:
+    """Collects tensors into the blob and qparams into the registry."""
+
     def __init__(self):
         self.chunks = []
         self.offset = 0
@@ -145,8 +172,66 @@ class _Writer:
         self.qparams[name] = _qp_dict(qp)
         return name
 
+    def pwl(self, prefix: str, t: PwlTable) -> dict:
+        return {
+            "fn": t.fn_name,
+            "in_qp": self.qp(f"{prefix}.in", t.in_qp),
+            "out_qp": self.qp(f"{prefix}.out", t.out_qp),
+            "knots_q": [int(v) for v in t.knots_q],
+            "knots_r": [float(v) for v in t.knots_r],
+            "slopes": [float(v) for v in t.slopes],
+            "intercepts": [float(v) for v in t.intercepts],
+            "frac_bits": t.frac_bits,
+            **{k: [int(v) for v in getattr(t, k)] for k in _PWL_INT_FIELDS},
+        }
+
+    def norm(self, prefix: str, p: MadNormQParams, qp_in_key: str) -> dict:
+        return {
+            "x": qp_in_key,
+            **{k: self.qp(f"{prefix}.{k}", getattr(p, f"qp_{k}")) for k in ("mu", "xhat", "d", "y")},
+            "hidden": p.hidden,
+        }
+
+    def cell(self, prefix: str, spec: QuantLstmSpec) -> dict:
+        d = {
+            "tensors": {
+                "w_x": self.tensor(f"{prefix}.w_x", spec.w_x_q),
+                "w_h": self.tensor(f"{prefix}.w_h", spec.w_h_q),
+                "bias": self.tensor(f"{prefix}.bias", spec.bias_q),
+            },
+            "qparams": {k: self.qp(f"{prefix}.{k}", getattr(spec, f"qp_{k}")) for k in _QP_FIELDS},
+            "pwl": {
+                k: self.pwl(f"{prefix}.pwl_{k}", getattr(spec, f"pwl_{k}")) for k in ("sig", "tanh_j", "tanh_c")
+            },
+            "norm": None,
+        }
+        if spec.norm:
+            q = d["qparams"]
+            d["norm"] = {
+                "nx": self.norm(f"{prefix}.nx", spec.norm_x, q["mx"]),
+                "nh": self.norm(f"{prefix}.nh", spec.norm_h, q["mh"]),
+                "nc": self.norm(f"{prefix}.nc", spec.norm_c, q["c"]),
+            }
+        return d
+
+    def attn(self, prefix: str, spec: QuantAttentionSpec) -> dict:
+        return {
+            "tensors": {
+                "w_q": self.tensor(f"{prefix}.w_q", spec.w_q_q),
+                "w_k": self.tensor(f"{prefix}.w_k", spec.w_k_q),
+                "v": self.tensor(f"{prefix}.v", spec.v_q),
+            },
+            "qparams": {k: self.qp(f"{prefix}.{k}", getattr(spec, f"qp_{k}")) for k in _ATTN_QP_FIELDS},
+            "pwl": {
+                "tanh": self.pwl(f"{prefix}.pwl_tanh", spec.pwl_tanh),
+                "exp": self.pwl(f"{prefix}.pwl_exp", spec.pwl_exp),
+            },
+        }
+
 
 class _Reader:
+    """Resolves the manifest's tensor and qparams references."""
+
     def __init__(self, manifest: ModelManifest, blob: bytes):
         self.m = manifest
         self.blob = blob
@@ -167,327 +252,44 @@ class _Reader:
             self._qp_cache[name] = _qp_from(self.m.qparams[name])
         return self._qp_cache[name]
 
-
-# ---------------------------------------------------------------------------
-# PWL and MadNorm descriptors
-# ---------------------------------------------------------------------------
-
-
-def _pwl_desc(w: _Writer, prefix: str, t: PwlTable) -> dict:
-    return {
-        "fn": t.fn_name,
-        "in_qp": w.qp(f"{prefix}.in", t.in_qp),
-        "out_qp": w.qp(f"{prefix}.out", t.out_qp),
-        "knots_q": [int(v) for v in t.knots_q],
-        "knots_r": [float(v) for v in t.knots_r],
-        "slopes": [float(v) for v in t.slopes],
-        "intercepts": [float(v) for v in t.intercepts],
-        "slope_mants": [int(v) for v in t.slope_mants],
-        "slope_shifts": [int(v) for v in t.slope_shifts],
-        "intercept_fx": [int(v) for v in t.intercept_fx],
-        "frac_bits": t.frac_bits,
-        "knot_targets": [int(v) for v in t.knot_targets],
-        "override_q": [int(v) for v in t.override_q],
-        "override_val": [int(v) for v in t.override_val],
-    }
-
-
-def _pwl_from(r: _Reader, d: dict) -> PwlTable:
-    return PwlTable(
-        knots_q=np.array(d["knots_q"], dtype=np.int64),
-        knots_r=np.array(d["knots_r"], dtype=np.float64),
-        slopes=np.array(d["slopes"], dtype=np.float64),
-        intercepts=np.array(d["intercepts"], dtype=np.float64),
-        in_qp=r.qp(d["in_qp"]),
-        out_qp=r.qp(d["out_qp"]),
-        fn_name=d["fn"],
-        slope_mants=np.array(d["slope_mants"], dtype=np.int64),
-        slope_shifts=np.array(d["slope_shifts"], dtype=np.int64),
-        intercept_fx=np.array(d["intercept_fx"], dtype=np.int64),
-        frac_bits=d["frac_bits"],
-        knot_targets=np.array(d["knot_targets"], dtype=np.int64),
-        override_q=np.array(d["override_q"], dtype=np.int64),
-        override_val=np.array(d["override_val"], dtype=np.int64),
-    )
-
-
-def _norm_desc(w: _Writer, prefix: str, p: MadNormQParams, qp_in_key: str) -> dict:
-    return {
-        "x": qp_in_key,
-        "mu": w.qp(f"{prefix}.mu", p.qp_mu),
-        "xhat": w.qp(f"{prefix}.xhat", p.qp_xhat),
-        "d": w.qp(f"{prefix}.d", p.qp_d),
-        "y": w.qp(f"{prefix}.y", p.qp_y),
-        "hidden": p.hidden,
-    }
-
-
-def _norm_from(r: _Reader, d: dict) -> MadNormQParams:
-    return MadNormQParams(
-        qp_x=r.qp(d["x"]),
-        qp_mu=r.qp(d["mu"]),
-        qp_xhat=r.qp(d["xhat"]),
-        qp_d=r.qp(d["d"]),
-        qp_y=r.qp(d["y"]),
-        hidden=d["hidden"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# layer descriptors
-# ---------------------------------------------------------------------------
-
-_QP_FIELDS = (
-    "wx", "wh", "x", "h", "c", "mx", "mh", "pre_sig", "pre_j",
-    "sig", "tanh_j", "p_fc", "p_ij", "tanh_c",
-)
-_SPEC_ATTRS = {
-    "wx": "qp_wx", "wh": "qp_wh", "x": "qp_x", "h": "qp_h", "c": "qp_c",
-    "mx": "qp_mx", "mh": "qp_mh", "pre_sig": "qp_pre_sig", "pre_j": "qp_pre_j",
-    "sig": "qp_sig", "tanh_j": "qp_tanh_j", "p_fc": "qp_p_fc", "p_ij": "qp_p_ij",
-    "tanh_c": "qp_tanh_c",
-}
-
-
-def _cell_desc(w: _Writer, prefix: str, spec: QuantLstmSpec) -> dict:
-    d = {
-        "tensors": {
-            "w_x": w.tensor(f"{prefix}.w_x", spec.w_x_q),
-            "w_h": w.tensor(f"{prefix}.w_h", spec.w_h_q),
-            "bias": w.tensor(f"{prefix}.bias", spec.bias_q),
-        },
-        "qparams": {k: w.qp(f"{prefix}.{k}", getattr(spec, _SPEC_ATTRS[k])) for k in _QP_FIELDS},
-        "pwl": {
-            "sig": _pwl_desc(w, f"{prefix}.pwl_sig", spec.pwl_sig),
-            "tanh_j": _pwl_desc(w, f"{prefix}.pwl_tanh_j", spec.pwl_tanh_j),
-            "tanh_c": _pwl_desc(w, f"{prefix}.pwl_tanh_c", spec.pwl_tanh_c),
-        },
-        "norm": None,
-    }
-    if spec.norm:
-        d["norm"] = {
-            "nx": _norm_desc(w, f"{prefix}.nx", spec.norm_x, d["qparams"]["mx"]),
-            "nh": _norm_desc(w, f"{prefix}.nh", spec.norm_h, d["qparams"]["mh"]),
-            "nc": _norm_desc(w, f"{prefix}.nc", spec.norm_c, d["qparams"]["c"]),
-        }
-    return d
-
-
-def _cell_from(r: _Reader, d: dict) -> QuantLstmSpec:
-    kwargs = {attr: r.qp(d["qparams"][k]) for k, attr in _SPEC_ATTRS.items()}
-    norm = d.get("norm")
-    return QuantLstmSpec(
-        w_x_q=r.tensor(d["tensors"]["w_x"]),
-        w_h_q=r.tensor(d["tensors"]["w_h"]),
-        bias_q=r.tensor(d["tensors"]["bias"]),
-        pwl_sig=_pwl_from(r, d["pwl"]["sig"]),
-        pwl_tanh_j=_pwl_from(r, d["pwl"]["tanh_j"]),
-        pwl_tanh_c=_pwl_from(r, d["pwl"]["tanh_c"]),
-        norm_x=_norm_from(r, norm["nx"]) if norm else None,
-        norm_h=_norm_from(r, norm["nh"]) if norm else None,
-        norm_c=_norm_from(r, norm["nc"]) if norm else None,
-        **kwargs,
-    )
-
-
-def _attn_desc(w: _Writer, prefix: str, spec: QuantAttentionSpec) -> dict:
-    keys = ("wq", "wk", "v", "h_dec", "enc", "q", "k", "sum", "tanh", "e", "exp_in", "exp_out", "alpha", "s")
-    attrs = ("qp_wq", "qp_wk", "qp_v", "qp_h_dec", "qp_enc", "qp_q", "qp_k", "qp_sum", "qp_tanh", "qp_e", "qp_exp_in", "qp_exp_out", "qp_alpha", "qp_s")
-    return {
-        "tensors": {
-            "w_q": w.tensor(f"{prefix}.w_q", spec.w_q_q),
-            "w_k": w.tensor(f"{prefix}.w_k", spec.w_k_q),
-            "v": w.tensor(f"{prefix}.v", spec.v_q),
-        },
-        "qparams": {k: w.qp(f"{prefix}.{k}", getattr(spec, a)) for k, a in zip(keys, attrs)},
-        "pwl": {
-            "tanh": _pwl_desc(w, f"{prefix}.pwl_tanh", spec.pwl_tanh),
-            "exp": _pwl_desc(w, f"{prefix}.pwl_exp", spec.pwl_exp),
-        },
-    }
-
-
-def _attn_from(r: _Reader, d: dict) -> QuantAttentionSpec:
-    q = d["qparams"]
-    return QuantAttentionSpec(
-        w_q_q=r.tensor(d["tensors"]["w_q"]),
-        w_k_q=r.tensor(d["tensors"]["w_k"]),
-        v_q=r.tensor(d["tensors"]["v"]),
-        qp_wq=r.qp(q["wq"]),
-        qp_wk=r.qp(q["wk"]),
-        qp_v=r.qp(q["v"]),
-        qp_h_dec=r.qp(q["h_dec"]),
-        qp_enc=r.qp(q["enc"]),
-        qp_q=r.qp(q["q"]),
-        qp_k=r.qp(q["k"]),
-        qp_sum=r.qp(q["sum"]),
-        qp_tanh=r.qp(q["tanh"]),
-        qp_e=r.qp(q["e"]),
-        qp_exp_in=r.qp(q["exp_in"]),
-        qp_exp_out=r.qp(q["exp_out"]),
-        qp_alpha=r.qp(q["alpha"]),
-        qp_s=r.qp(q["s"]),
-        pwl_tanh=_pwl_from(r, d["pwl"]["tanh"]),
-        pwl_exp=_pwl_from(r, d["pwl"]["exp"]),
-    )
-
-
-def _int_layer_desc(w: _Writer, i: int, layer) -> dict:
-    prefix = f"L{i}"
-    if isinstance(layer, IntEmbedding):
-        return {
-            "type": "embedding",
-            "tensors": {"table": w.tensor(f"{prefix}.table", layer.table_q)},
-            "qparams": {"out": w.qp(f"{prefix}.out", layer.qp)},
-        }
-    if isinstance(layer, IntLstm):
-        kind = "madnorm_lstm" if layer.spec.norm else "lstm"
-        return {"type": kind, **_cell_desc(w, prefix, layer.spec)}
-    if isinstance(layer, IntBiLstm):
-        return {
-            "type": "bilstm",
-            "fwd": _cell_desc(w, f"{prefix}.fwd", layer.spec.fwd),
-            "bwd": _cell_desc(w, f"{prefix}.bwd", layer.spec.bwd),
-        }
-    if isinstance(layer, IntAttnDecoder):
-        spec = layer.spec
-        return {
-            "type": "attention_decoder",
-            "cell": _cell_desc(w, f"{prefix}.cell", spec.cell),
-            "attn": _attn_desc(w, f"{prefix}.attn", spec.attn),
-            "tensors": {"w_s": w.tensor(f"{prefix}.w_s", spec.w_s_q)},
-            "qparams": {"ws": w.qp(f"{prefix}.ws", spec.qp_ws), "ms": w.qp(f"{prefix}.ms", spec.qp_ms)},
-        }
-    if isinstance(layer, IntResidual):
-        return {
-            "type": "residual_add",
-            "skip_from": layer.skip_from,
-            "qparams": {
-                "a": w.qp(f"{prefix}.a", layer.qp_a),
-                "b": w.qp(f"{prefix}.b", layer.qp_b),
-                "out": w.qp(f"{prefix}.out", layer.qp_out),
-            },
-        }
-    if isinstance(layer, IntProjection):
-        return {
-            "type": "final_projection",
-            "tensors": {
-                "w": w.tensor(f"{prefix}.w", layer.w_q),
-                "bias": w.tensor(f"{prefix}.bias", layer.bias_q),
-            },
-            "qparams": {"w": w.qp(f"{prefix}.wq", layer.qp_w), "in": w.qp(f"{prefix}.in", layer.qp_in)},
-        }
-    raise TypeError(f"cannot serialize layer {type(layer).__name__}")
-
-
-def _int_layer_from(r: _Reader, d: dict):
-    kind = d["type"]
-    if kind == "embedding":
-        return IntEmbedding(r.tensor(d["tensors"]["table"]), r.qp(d["qparams"]["out"]))
-    if kind in ("lstm", "madnorm_lstm"):
-        return IntLstm(_cell_from(r, d))
-    if kind == "bilstm":
-        return IntBiLstm(BiLstmSpec(_cell_from(r, d["fwd"]), _cell_from(r, d["bwd"])))
-    if kind == "attention_decoder":
-        return IntAttnDecoder(
-            QuantAttnDecoderSpec(
-                cell=_cell_from(r, d["cell"]),
-                attn=_attn_from(r, d["attn"]),
-                w_s_q=r.tensor(d["tensors"]["w_s"]),
-                qp_ws=r.qp(d["qparams"]["ws"]),
-                qp_ms=r.qp(d["qparams"]["ms"]),
-            )
+    def pwl(self, d: dict) -> PwlTable:
+        return PwlTable(
+            knots_q=np.array(d["knots_q"], dtype=np.int64),
+            knots_r=np.array(d["knots_r"], dtype=np.float64),
+            slopes=np.array(d["slopes"], dtype=np.float64),
+            intercepts=np.array(d["intercepts"], dtype=np.float64),
+            in_qp=self.qp(d["in_qp"]),
+            out_qp=self.qp(d["out_qp"]),
+            fn_name=d["fn"],
+            frac_bits=d["frac_bits"],
+            **{k: np.array(d[k], dtype=np.int64) for k in _PWL_INT_FIELDS},
         )
-    if kind == "residual_add":
-        q = d["qparams"]
-        return IntResidual(d["skip_from"], r.qp(q["a"]), r.qp(q["b"]), r.qp(q["out"]))
-    if kind == "final_projection":
-        return IntProjection(
-            r.tensor(d["tensors"]["w"]),
-            r.qp(d["qparams"]["w"]),
-            r.tensor(d["tensors"]["bias"]),
-            r.qp(d["qparams"]["in"]),
-        )
-    raise ModelFormatError(f"unknown layer type {kind!r}")
 
+    def norm(self, d: dict) -> MadNormQParams:
+        qps = {f"qp_{k}": self.qp(d[k]) for k in ("x", "mu", "xhat", "d", "y")}
+        return MadNormQParams(hidden=d["hidden"], **qps)
 
-def _float_layer_desc(w: _Writer, i: int, layer) -> dict:
-    prefix = f"L{i}"
-    if isinstance(layer, EmbeddingLayer):
-        return {"type": "embedding", "tensors": {"table": w.tensor(f"{prefix}.table", layer.table)}}
-    if isinstance(layer, LstmLayer):
-        return {
-            "type": "madnorm_lstm" if layer.norm else "lstm",
-            "norm": layer.norm,
-            "tensors": {
-                "w_x": w.tensor(f"{prefix}.w_x", layer.weights.w_x),
-                "w_h": w.tensor(f"{prefix}.w_h", layer.weights.w_h),
-                "bias": w.tensor(f"{prefix}.bias", layer.weights.bias),
-            },
-        }
-    if isinstance(layer, BiLstmLayer):
-        return {
-            "type": "bilstm",
-            "tensors": {
-                "fwd.w_x": w.tensor(f"{prefix}.fwd.w_x", layer.fwd.w_x),
-                "fwd.w_h": w.tensor(f"{prefix}.fwd.w_h", layer.fwd.w_h),
-                "fwd.bias": w.tensor(f"{prefix}.fwd.bias", layer.fwd.bias),
-                "bwd.w_x": w.tensor(f"{prefix}.bwd.w_x", layer.bwd.w_x),
-                "bwd.w_h": w.tensor(f"{prefix}.bwd.w_h", layer.bwd.w_h),
-                "bwd.bias": w.tensor(f"{prefix}.bwd.bias", layer.bwd.bias),
-            },
-        }
-    if isinstance(layer, AttentionDecoderLayer):
-        return {
-            "type": "attention_decoder",
-            "tensors": {
-                "w_x": w.tensor(f"{prefix}.w_x", layer.cell.w_x),
-                "w_h": w.tensor(f"{prefix}.w_h", layer.cell.w_h),
-                "bias": w.tensor(f"{prefix}.bias", layer.cell.bias),
-                "w_q": w.tensor(f"{prefix}.w_q", layer.attn.w_q),
-                "w_k": w.tensor(f"{prefix}.w_k", layer.attn.w_k),
-                "v": w.tensor(f"{prefix}.v", layer.attn.v),
-                "w_s": w.tensor(f"{prefix}.w_s", layer.attn.w_s),
-            },
-        }
-    if isinstance(layer, ResidualAddLayer):
-        return {"type": "residual_add", "skip_from": layer.skip_from}
-    if isinstance(layer, FinalProjectionLayer):
-        return {
-            "type": "final_projection",
-            "tensors": {
-                "w": w.tensor(f"{prefix}.w", layer.w),
-                "bias": w.tensor(f"{prefix}.bias", layer.bias),
-            },
-        }
-    raise TypeError(f"cannot serialize layer {type(layer).__name__}")
+    def cell(self, d: dict) -> QuantLstmSpec:
+        t, norm = d["tensors"], d.get("norm")
+        return QuantLstmSpec(
+            w_x_q=self.tensor(t["w_x"]),
+            w_h_q=self.tensor(t["w_h"]),
+            bias_q=self.tensor(t["bias"]),
+            **{f"pwl_{k}": self.pwl(d["pwl"][k]) for k in ("sig", "tanh_j", "tanh_c")},
+            **{f"norm_{k}": self.norm(norm[f"n{k}"]) if norm else None for k in ("x", "h", "c")},
+            **{f"qp_{k}": self.qp(d["qparams"][k]) for k in _QP_FIELDS},
+        )
 
-
-def _float_layer_from(r: _Reader, d: dict):
-    kind = d["type"]
-    t = d.get("tensors", {})
-    if kind == "embedding":
-        return EmbeddingLayer(r.tensor(t["table"]))
-    if kind in ("lstm", "madnorm_lstm"):
-        return LstmLayer(
-            LstmWeights(r.tensor(t["w_x"]), r.tensor(t["w_h"]), r.tensor(t["bias"])),
-            norm=d.get("norm", kind == "madnorm_lstm"),
+    def attn(self, d: dict) -> QuantAttentionSpec:
+        t = d["tensors"]
+        return QuantAttentionSpec(
+            w_q_q=self.tensor(t["w_q"]),
+            w_k_q=self.tensor(t["w_k"]),
+            v_q=self.tensor(t["v"]),
+            pwl_tanh=self.pwl(d["pwl"]["tanh"]),
+            pwl_exp=self.pwl(d["pwl"]["exp"]),
+            **{f"qp_{k}": self.qp(d["qparams"][k]) for k in _ATTN_QP_FIELDS},
         )
-    if kind == "bilstm":
-        return BiLstmLayer(
-            LstmWeights(r.tensor(t["fwd.w_x"]), r.tensor(t["fwd.w_h"]), r.tensor(t["fwd.bias"])),
-            LstmWeights(r.tensor(t["bwd.w_x"]), r.tensor(t["bwd.w_h"]), r.tensor(t["bwd.bias"])),
-        )
-    if kind == "attention_decoder":
-        return AttentionDecoderLayer(
-            LstmWeights(r.tensor(t["w_x"]), r.tensor(t["w_h"]), r.tensor(t["bias"])),
-            AttentionWeights(r.tensor(t["w_q"]), r.tensor(t["w_k"]), r.tensor(t["v"]), r.tensor(t["w_s"])),
-        )
-    if kind == "residual_add":
-        return ResidualAddLayer(d["skip_from"])
-    if kind == "final_projection":
-        return FinalProjectionLayer(r.tensor(t["w"]), r.tensor(t["bias"]))
-    raise ModelFormatError(f"unknown layer type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +299,14 @@ def _float_layer_from(r: _Reader, d: dict):
 
 def save(model, path: str) -> str:
     """Write a model (float or integer) as ``path`` plus ``path + '.blob'``."""
-    w = _Writer()
-    if isinstance(model, IntModel):
-        kind = "integer"
-        layers = [_int_layer_desc(w, i, layer) for i, layer in enumerate(model.layers)]
-        input_key = w.qp("input", model.input_qp) if model.input_qp is not None else None
-        config = model.config
-    elif isinstance(model, FloatModel):
-        kind = "float"
-        layers = [_float_layer_desc(w, i, layer) for i, layer in enumerate(model.layers)]
-        input_key = None
-        config = {}
-    else:
+    if not isinstance(model, (IntModel, FloatModel)):
         raise TypeError("save() expects a FloatModel or IntModel")
+    w = _Writer()
+    layers = [layer.encode(w, f"L{i}") for i, layer in enumerate(model.layers)]
+    input_key, config, kind = None, {}, "float"
+    if isinstance(model, IntModel):
+        input_key = w.qp("input", model.input_qp) if model.input_qp is not None else None
+        config, kind = model.config, "integer"
     blob = b"".join(w.chunks)
     blob_name = os.path.basename(path) + ".blob"
     manifest = ModelManifest(
@@ -540,16 +337,18 @@ def load(path: str):
         blob = fh.read()
     if hashlib.sha256(blob).hexdigest() != manifest.checksum:
         raise ModelFormatError("blob checksum mismatch")
+    if manifest.kind not in ("float", "integer"):
+        raise ModelFormatError(f"unknown model kind {manifest.kind!r}")
     r = _Reader(manifest, blob)
-    if manifest.kind == "integer":
-        layers = [_int_layer_from(r, d) for d in manifest.layers]
-        model = IntModel(
-            layers,
-            r.qp(manifest.input_qparams) if manifest.input_qparams else None,
-            config=manifest.config,
-        )
-        validate_chain(model)
-        return model
-    if manifest.kind == "float":
-        return FloatModel([_float_layer_from(r, d) for d in manifest.layers])
-    raise ModelFormatError(f"unknown model kind {manifest.kind!r}")
+    integer = manifest.kind == "integer"
+    layers = []
+    for d in manifest.layers:
+        if d.get("type") not in _LAYER_TYPES:
+            raise ModelFormatError(f"unknown layer type {d.get('type')!r}")
+        layers.append(_LAYER_TYPES[d["type"]][integer].decode(r, d))
+    if not integer:
+        return FloatModel(layers)
+    input_qp = r.qp(manifest.input_qparams) if manifest.input_qparams else None
+    model = IntModel(layers, input_qp, config=manifest.config)
+    validate_chain(model)
+    return model

@@ -18,6 +18,13 @@ def random_cell(rng, m, n, scale=0.5):
     )
 
 
+def observe(fn, *args, **kwargs) -> dict:
+    """Per-stage ranges of one float-path call, recorded by a CalibrationObserver."""
+    obs = runtime.CalibrationObserver()
+    fn(*args, record=obs, **kwargs)
+    return obs.ranges
+
+
 def random_lstm_config(rng, *, norm=False, cell_bits=8, gate_bits=8, pieces=6, T=None, m=None, n=None):
     """Random weights + inputs, calibrated on those inputs, spec built from them."""
     m = m if m is not None else int(rng.integers(2 if norm else 1, 5))
@@ -25,7 +32,7 @@ def random_lstm_config(rng, *, norm=False, cell_bits=8, gate_bits=8, pieces=6, T
     T = T if T is not None else int(rng.integers(2, 5))
     w = random_cell(rng, m, n)
     xs = rng.normal(0, 1, (T, n))
-    ranges = L.collect_lstm_ranges(w, xs, norm=norm)
+    ranges = observe(L.lstm_sequence_real, xs, w, norm=norm)
     spec = L.QuantLstmSpec.from_float(
         w, ranges, cell_bits=cell_bits, gate_bits=gate_bits, pieces=pieces, norm=norm
     )
@@ -45,7 +52,7 @@ def random_attention_config(rng, *, pieces=10, candidates=256):
     )
     enc = rng.normal(0, 1, (T, m_enc))
     h = rng.normal(0, 1, m_dec)
-    ranges = att.collect_attention_ranges(w, h[None, :], enc)
+    ranges = observe(att.attention_real, h, enc, w)
     qp_h = quant.compute_qparams(float(h.min()), float(h.max()), 8)
     qp_enc = quant.compute_qparams(float(enc.min()), float(enc.max()), 8)
     spec = att.QuantAttentionSpec.from_float(

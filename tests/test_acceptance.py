@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import calibrated_int_model, random_attention_config, random_cell
+from conftest import calibrated_int_model, observe, random_attention_config, random_cell
 from qlstm import floatguard, runtime, serialize
 from qlstm.attention import attention_int, attention_int_exact
 from qlstm.cli import main
@@ -19,7 +19,6 @@ from qlstm.lstm import (
     QuantLstmState,
     bilstm_sequence_exact,
     bilstm_sequence_int,
-    collect_lstm_ranges,
     lstm_sequence_int,
     lstm_sequence_real,
     lstm_step_exact,
@@ -162,7 +161,7 @@ def test_criterion_6_bit_exactness_suite():
             n = int(rng.integers(1, 5))
             w = random_cell(rng, m, n)
             xs = rng.normal(0, 1, (3, n))
-            ranges = collect_lstm_ranges(w, xs, norm=norm)
+            ranges = observe(lstm_sequence_real, xs, w, norm=norm)
             spec = QuantLstmSpec.from_float(
                 w, ranges, pieces=int(rng.integers(2, 10)),
                 cell_bits=8 if k % 2 == 0 else 16, norm=norm,
@@ -184,7 +183,7 @@ def test_criterion_6_bit_exactness_suite():
             wf, wb = random_cell(rng, m, n), random_cell(rng, m, n)
             xs = rng.normal(0, 1, (T, n))
             spec = BiLstmSpec.from_float(
-                wf, wb, collect_lstm_ranges(wf, xs), collect_lstm_ranges(wb, xs[::-1]),
+                wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"),
                 pieces=int(rng.integers(2, 8)), cell_bits=8 if k % 2 == 0 else 16,
             )
             q_xs = QuantTensor.from_real(xs, spec.fwd.qp_x)
@@ -231,7 +230,7 @@ def test_criterion_7_cell_state_bitwidth_fidelity():
                 rng.uniform(-0.1, 0.1, 4 * m),
             )
             xs = rng.normal(0, 1, (T, n))
-            ranges = collect_lstm_ranges(w, xs)
+            ranges = observe(lstm_sequence_real, xs, w)
             real = lstm_sequence_real(xs, w)
             gaps = {}
             for cell_bits in (8, 16):

@@ -2,24 +2,22 @@
 import numpy as np
 import pytest
 
-from conftest import random_attention_config, random_cell
+from conftest import observe, random_attention_config, random_cell
 from qlstm import attention as att
 from qlstm.attention import (
     AttentionWeights,
     QuantAttnDecoderSpec,
-    attention_fakequant,
     attention_int,
     attention_int_exact,
     attention_real,
     attn_decoder_sequence_exact,
     attn_decoder_sequence_int,
-    collect_attn_decoder_ranges,
     inject_context,
     softmax_int,
     softmax_int_exact,
 )
 from qlstm.lstm import lstm_gate_preacts_int
-from qlstm.quant import QuantTensor, compute_qparams, quantize
+from qlstm.quant import QuantTensor, compute_qparams, dequantize, quantize
 
 
 def scalar_reference_attention(h_prev, enc_h, w):
@@ -141,7 +139,9 @@ class TestAttentionInt:
     def test_fakequant_matches_int_after_quantization(self):
         rng = np.random.default_rng(11)
         w, h, enc, spec = random_attention_config(rng)
-        s_fq, a_fq = attention_fakequant(h, enc, spec)
+        # fake quantization: quantize -> exact oracle -> dequantize
+        q_s_fq, q_a_fq = attention_int_exact(quantize(h, spec.qp_h_dec), quantize(enc, spec.qp_enc), spec)
+        s_fq, a_fq = dequantize(q_s_fq, spec.qp_s), dequantize(q_a_fq, spec.qp_alpha)
         q_h = QuantTensor.from_real(h, spec.qp_h_dec)
         q_enc = QuantTensor.from_real(enc, spec.qp_enc)
         q_s, q_a = attention_int(q_h, q_enc, spec)
@@ -192,7 +192,7 @@ def build_decoder(rng, *, gate_bits=8, pieces=8, n_in=3, T=6):
     )
     enc = rng.normal(0, 1, (T, 5))
     xs = rng.normal(0, 1, (T, n_in))
-    ranges = collect_attn_decoder_ranges(cell, attn_w, xs, enc)
+    ranges = observe(att.attn_decoder_sequence_real, xs, enc, cell, attn_w)
     qp_x = compute_qparams(*ranges["x"], 8)
     qp_enc = compute_qparams(float(enc.min()), float(enc.max()), 8)
     dec = QuantAttnDecoderSpec.from_float(

@@ -1,11 +1,14 @@
 """CLI: exit codes, file formats, pipeline consistency, bench/pwl outputs."""
+import json
+
 import numpy as np
 import pytest
 
+from conftest import calibrated_int_model, random_cell, token_model
 from qlstm import runtime, serialize
 from qlstm.cli import main
 from qlstm.lstm import LstmWeights
-from qlstm.runtime import EmbeddingLayer, FinalProjectionLayer, FloatModel, LstmLayer
+from qlstm.runtime import BiLstmLayer, EmbeddingLayer, FinalProjectionLayer, FloatModel, LstmLayer
 
 GOLDEN_LOGITS = [
     [7477, 4542, 4150, -11874, -1451],
@@ -71,11 +74,34 @@ class TestExitCodes:
         assert rc == 3
         assert "validation error" in capsys.readouterr().err
 
+    def test_missing_stage_is_validation_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(31)
+        model = token_model(rng, ["bilstm", "attn"])
+        fpath = str(tmp_path / "float.json")
+        serialize.save(model, fpath)
+        ranges = runtime.calibrate(model, [rng.integers(0, 6, 8)])
+        stages = {k: {"min": lo, "max": hi} for k, (lo, hi) in ranges.items() if k != "L1.bwd.h"}
+        qp = tmp_path / "qp.json"
+        qp.write_text(json.dumps({"version": 1, "stages": stages}))
+        rc = main(["convert", "--model", fpath, "--qparams", str(qp), "--out", str(tmp_path / "int.json")])
+        assert rc == 3
+        assert "L1.bwd.h" in capsys.readouterr().err
+
+    def test_bad_residual_skip_is_validation_error(self, tmp_path, capsys):
+        _, im = calibrated_int_model(np.random.default_rng(32), ["lstm", "lstm", "residual"])
+        path = tmp_path / "int.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][3]["skip_from"] = 7
+        path.write_text(json.dumps(doc))
+        inp = tmp_path / "input.txt"
+        inp.write_text("0 1 2\n")
+        assert main(["run", "--model", str(path), "--input", str(inp), "--out", str(tmp_path / "o.txt")]) == 3
+        assert "residual skip" in capsys.readouterr().err
+
 
 class TestCalibrateConvert:
     def test_qparams_file_parses_back(self, pipeline):
-        import json
-
         tmp_path, fpath, data = pipeline
         qp, ipath = run_pipeline(tmp_path, fpath, data)
         doc = json.loads((tmp_path / "qp.json").read_text())
@@ -170,6 +196,22 @@ class TestBench:
         tmp_path, fpath, data = pipeline
         _, ipath = run_pipeline(tmp_path, fpath, data)
         assert main(["bench", "--model", ipath, "--seq-len", "4", "--warmup", "0", "--iters", "1"]) == 0
+
+    def test_feature_input_bilstm_model(self, tmp_path):
+        rng = np.random.default_rng(33)
+        model = FloatModel(
+            [
+                BiLstmLayer(random_cell(rng, 3, 2), random_cell(rng, 3, 2)),
+                FinalProjectionLayer(rng.normal(0, 0.5, (4, 6)), np.zeros(4)),
+            ]
+        )
+        im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 2))]), pieces=4)
+        ipath = str(tmp_path / "int.json")
+        serialize.save(im, ipath)
+        csv = tmp_path / "bench.csv"
+        args = ["bench", "--model", ipath, "--seq-len", "5", "--warmup", "0", "--iters", "1", "--csv", str(csv)]
+        assert main(args) == 0
+        assert [line.split(",")[0] for line in csv.read_text().split()[1:]] == ["float", "int_pwl", "int_float_act"]
 
 
 class TestPwl:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_cell, random_lstm_config
+from conftest import observe, random_cell, random_lstm_config
 from qlstm.lstm import (
     BiLstmSpec,
     LstmState,
@@ -11,17 +11,15 @@ from qlstm.lstm import (
     bilstm_sequence_exact,
     bilstm_sequence_int,
     bilstm_sequence_real,
-    collect_lstm_ranges,
     lstm_sequence_exact,
     lstm_sequence_int,
     lstm_sequence_real,
     lstm_step_exact,
-    lstm_step_fakequant,
     lstm_step_int,
     lstm_step_real,
     madnorm_lstm_step_real,
 )
-from qlstm.quant import QuantTensor, quantize
+from qlstm.quant import QuantTensor, dequantize, quantize
 
 
 def scalar_reference_step(x, state, w):
@@ -40,6 +38,14 @@ def scalar_reference_step(x, state, w):
         c[k] = sig(f) * state.c[k] + sig(i) * np.tanh(j)
         h[k] = sig(o) * np.tanh(c[k])
     return LstmState(h, c)
+
+
+def fakequant_step(x_t, state, spec):
+    """Real values in and out, the exact oracle inside: quantizing the result
+    must reproduce the integer engine's state bit-exactly."""
+    q = [np.asarray(quantize(v, qp)) for v, qp in ((x_t, spec.qp_x), (state.h, spec.qp_h), (state.c, spec.qp_c))]
+    h_new, c_new = lstm_step_exact(*q, spec)
+    return LstmState(dequantize(h_new, spec.qp_h), dequantize(c_new, spec.qp_c))
 
 
 class TestRealStep:
@@ -79,7 +85,7 @@ class TestIntStep:
     def test_zero_point_inputs_land_on_zero_points(self):
         rng = np.random.default_rng(2)
         w = LstmWeights(rng.normal(0, 0.4, (12, 2)), rng.normal(0, 0.4, (12, 3)), np.zeros(12))
-        ranges = collect_lstm_ranges(w, rng.normal(0, 1, (4, 2)))
+        ranges = observe(lstm_sequence_real, rng.normal(0, 1, (4, 2)), w)
         spec = QuantLstmSpec.from_float(w, ranges, pieces=255)
         state = spec.zero_state()
         out = lstm_step_int(QuantTensor.zeros(2, spec.qp_x), state, spec)
@@ -94,7 +100,7 @@ class TestIntStep:
         state_q = spec.zero_state()
         for t in range(1000):
             q_x = QuantTensor.from_real(xs[t], spec.qp_x)
-            state_r = lstm_step_fakequant(xs[t], state_r, spec)
+            state_r = fakequant_step(xs[t], state_r, spec)
             state_q = lstm_step_int(q_x, state_q, spec)
             assert np.array_equal(
                 np.asarray(quantize(state_r.h, spec.qp_h)), state_q.h.data.astype(np.int64)
@@ -111,16 +117,16 @@ class TestIntStep:
         q_h = np.full(8, spec.qp_h.zero_point, dtype=np.int64)
         q_c = np.full(8, spec.qp_c.zero_point, dtype=np.int64)
         for t in range(1000):
-            state_r = lstm_step_fakequant(xs[t], state_r, spec)
+            state_r = fakequant_step(xs[t], state_r, spec)
             q_h, q_c = lstm_step_exact(np.asarray(quantize(xs[t], spec.qp_x)), q_h, q_c, spec)
             assert np.array_equal(np.asarray(quantize(state_r.h, spec.qp_h)), q_h)
 
     def test_fakequant_zero_input(self):
         rng = np.random.default_rng(4)
         w = LstmWeights(rng.normal(0, 0.4, (8, 2)), rng.normal(0, 0.4, (8, 2)), np.zeros(8))
-        ranges = collect_lstm_ranges(w, rng.normal(0, 1, (4, 2)))
+        ranges = observe(lstm_sequence_real, rng.normal(0, 1, (4, 2)), w)
         spec = QuantLstmSpec.from_float(w, ranges, pieces=255)
-        out = lstm_step_fakequant(np.zeros(2), LstmState.zeros(2), spec)
+        out = fakequant_step(np.zeros(2), LstmState.zeros(2), spec)
         assert np.array_equal(np.asarray(quantize(out.h, spec.qp_h)), [spec.qp_h.zero_point] * 2)
 
     def test_large_cell_close_to_real_path(self):
@@ -133,7 +139,7 @@ class TestIntStep:
             rng.uniform(-0.1, 0.1, 4 * m),
         )
         xs = rng.normal(0, 1, (32, n))
-        ranges = collect_lstm_ranges(w, xs)
+        ranges = observe(lstm_sequence_real, xs, w)
         spec = QuantLstmSpec.from_float(w, ranges, pieces=16, cell_bits=16)
         hs = lstm_sequence_int(QuantTensor.from_real(xs, spec.qp_x), spec)
         gap = np.abs(hs.dequantize() - lstm_sequence_real(xs, w)).mean()
@@ -240,10 +246,8 @@ class TestBiLstm:
     def _bispec(self, rng, m=3, n=2, T=6):
         wf, wb = random_cell(rng, m, n), random_cell(rng, m, n)
         xs = rng.normal(0, 1, (T, n))
-        rf = collect_lstm_ranges(wf, xs)
-        rb_src = {}
-        bwd_ref = lstm_sequence_real(xs[::-1], wb)  # backward pass sees reversed time
-        rb = collect_lstm_ranges(wb, xs[::-1])
+        rf = observe(lstm_sequence_real, xs, wf)
+        rb = observe(lstm_sequence_real, xs, wb, "backward")  # backward pass sees reversed time
         spec = BiLstmSpec.from_float(wf, wb, rf, rb, pieces=8)
         return wf, wb, xs, spec
 

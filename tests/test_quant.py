@@ -5,20 +5,18 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qlstm.floatguard import trace_float_ops
-from qlstm.lstm import _BIAS_LIMIT
 from qlstm.quant import (
+    _BIAS_LIMIT,
     MAX_REDUCE_DIM,
     DegenerateRangeError,
-    FixedPointMultiplier,
     QuantTensor,
     ScaledMultiplier,
     compute_qparams,
     dequantize,
-    fixed_multiplier_from_real,
     int_matmul,
     quantize,
-    requantize,
     requantize_exact,
+    requantize_scaled,
 )
 
 ranges8 = st.tuples(
@@ -94,34 +92,28 @@ class TestQuantizeDequantize:
 
 
 class TestFixedPointMultiplier:
+    """ScaledMultiplier: a positive real as a normalized 31-bit mantissa times 2^-shift."""
+
     def test_half(self):
-        m = fixed_multiplier_from_real(0.5)
-        assert m.mantissa == 1 << 30 and m.right_shift == 0
+        m = ScaledMultiplier.from_real(0.5)
+        assert m.mantissa == 1 << 30 and m.shift == 31
         assert m.value == 0.5
 
     def test_one_over_255(self):
-        m = fixed_multiplier_from_real(1 / 255)
+        m = ScaledMultiplier.from_real(1 / 255)
         assert abs(m.value - 1 / 255) / (1 / 255) <= 2**-30
 
     def test_zero(self):
-        assert fixed_multiplier_from_real(0.0).mantissa == 0
+        assert ScaledMultiplier.from_real(0.0).mantissa == 0
 
-    def test_rejects_negative_and_ge_one(self):
+    def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            fixed_multiplier_from_real(-0.1)
-        with pytest.raises(ValueError):
-            fixed_multiplier_from_real(1.0)
-
-    def test_invalid_mantissa_rejected(self):
-        with pytest.raises(ValueError):
-            FixedPointMultiplier(123, 0)
-        with pytest.raises(ValueError):
-            FixedPointMultiplier(1 << 30, -1)
+            ScaledMultiplier.from_real(-0.1)
 
     @given(st.floats(1e-300, 1.0, exclude_max=True))
     def test_relative_error_bound(self, r):
-        m = fixed_multiplier_from_real(r)
-        assert m.mantissa == 0 or (1 << 30) <= m.mantissa < (1 << 31)
+        m = ScaledMultiplier.from_real(r)
+        assert (1 << 30) <= m.mantissa < (1 << 31)
         assert abs(m.value - r) / r <= 2**-30
 
     @given(st.floats(1e-6, 1e6))
@@ -130,22 +122,23 @@ class TestFixedPointMultiplier:
         assert abs(m.value - r) / r <= 2**-30
 
 
+def requantize(acc, r: float, zero_point: int, bits: int):
+    return requantize_scaled(acc, ScaledMultiplier.from_real(r), zero_point, bits)
+
+
 class TestRequantize:
     def test_zero_acc_yields_zero_point(self):
-        m = fixed_multiplier_from_real(0.25)
-        assert requantize(0, m, 37, 8) == 37
+        assert requantize(0, 0.25, 37, 8) == 37
 
     def test_saturation(self):
-        assert requantize(1000, fixed_multiplier_from_real(0.5), 0, 8) == 255
+        assert requantize(1000, 0.5, 0, 8) == 255
 
     def test_two_over_255(self):
-        m = fixed_multiplier_from_real(2 / 255)
-        assert requantize(100, m, 128, 8) == 129  # round(0.7843) + 128
+        assert requantize(100, 2 / 255, 128, 8) == 129  # round(0.7843) + 128
 
     def test_monotone_in_acc(self):
-        m = fixed_multiplier_from_real(0.37)
         accs = np.arange(-4000, 4000, dtype=np.int64)
-        out = requantize(accs, m, 128, 8)
+        out = requantize(accs, 0.37, 128, 8)
         assert np.all(np.diff(out) >= 0)
 
     def test_bit_exact_against_extended_precision(self):
@@ -154,21 +147,19 @@ class TestRequantize:
         n_mults = 4096
         n = 10**6
         reals = np.exp(rng.uniform(np.log(1e-7), np.log(0.999), size=n_mults))
-        mults = [fixed_multiplier_from_real(float(r)) for r in reals]
+        mults = [ScaledMultiplier.from_real(float(r)) for r in reals]
         accs = rng.integers(-(2**31), 2**31, size=n, dtype=np.int64)
         got = np.empty(n, dtype=np.int64)
         want = np.empty(n, dtype=np.int64)
         for i, m in enumerate(mults):
             sl = slice(i, n, n_mults)
-            got[sl] = requantize(accs[sl], m, 128, 8)
-            sm = ScaledMultiplier.from_fixed(m)
-            want[sl] = [requantize_exact(int(a), sm, 128, 8) for a in accs[sl]]
+            got[sl] = requantize_scaled(accs[sl], m, 128, 8)
+            want[sl] = [requantize_exact(int(a), m, 128, 8) for a in accs[sl]]
         assert np.array_equal(got, want)
 
     def test_16_bit_output(self):
-        m = fixed_multiplier_from_real(0.9)
-        assert requantize(100_000, m, 0, 16) == 65535
-        assert requantize(10_000, m, 500, 16) == 9500
+        assert requantize(100_000, 0.9, 0, 16) == 65535
+        assert requantize(10_000, 0.9, 500, 16) == 9500
 
 
 class TestQuantTensor:

@@ -1,5 +1,7 @@
 """Runtime: calibration, conversion, integer execution and serialization."""
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ import pytest
 from conftest import calibrated_int_model, random_cell, token_model
 from qlstm import floatguard, serialize
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
-from qlstm.quant import MAX_REDUCE_DIM, DegenerateRangeError
+from qlstm.quant import _BIAS_LIMIT, MAX_REDUCE_DIM, DegenerateRangeError, compute_qparams
 from qlstm.runtime import (
     EmbeddingLayer,
     FinalProjectionLayer,
     FloatModel,
+    IntModel,
+    IntProjection,
     LstmLayer,
     calibrate,
     convert,
@@ -159,6 +163,24 @@ class TestConvertAndRun:
         with pytest.raises(ValueError, match="non-empty"):
             run(im, np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("stage", ["L1.bwd.h", "L3.attn.exp_in", "L4.out"])
+    def test_missing_layer_stage_named_before_building(self, stage):
+        rng = np.random.default_rng(25)
+        model = token_model(rng, ["bilstm", "lstm", "attn", "residual"])
+        ranges = calibrate(model, [rng.integers(0, 6, 8)])
+        del ranges[stage]
+        with pytest.raises(ValueError, match=f"missing calibration ranges: {stage}$"):
+            convert(model, ranges)
+
+    def test_all_missing_stages_named_in_one_error(self):
+        rng = np.random.default_rng(26)
+        model = token_model(rng, ["bilstm", "lstm", "attn", "residual"])
+        ranges = calibrate(model, [rng.integers(0, 6, 8)])
+        for stage in ("L1.bwd.h", "L3.attn.exp_in", "L4.out"):
+            del ranges[stage]
+        with pytest.raises(ValueError, match="L1.bwd.h, L3.attn.exp_in, L4.out$"):
+            convert(model, ranges)
+
     def test_invalid_convert_options(self):
         rng = np.random.default_rng(12)
         model = token_model(rng, ["lstm"])
@@ -172,6 +194,31 @@ class TestConvertAndRun:
         FinalProjectionLayer(np.zeros((2, MAX_REDUCE_DIM)), np.zeros(2))
         with pytest.raises(ValueError, match="overflow the 32-bit accumulator"):
             FinalProjectionLayer(np.zeros((2, MAX_REDUCE_DIM + 1)), np.zeros(2))
+
+    def test_int_projection_wider_than_accumulator_bound_rejected(self):
+        qp = compute_qparams(-1.0, 1.0, 8)
+        IntProjection(np.zeros((2, MAX_REDUCE_DIM), np.uint8), qp, np.zeros(2, np.int32), qp)
+        with pytest.raises(ValueError, match="overflow the 32-bit accumulator"):
+            IntProjection(np.zeros((2, MAX_REDUCE_DIM + 1), np.uint8), qp, np.zeros(2, np.int32), qp)
+
+    def test_int_specs_wider_than_accumulator_bound_rejected(self):
+        rng = np.random.default_rng(27)
+        _, im = calibrated_int_model(rng, ["lstm", "attn"])
+        lstm, dec = im.layers[1].spec, im.layers[2].spec
+        wide = lambda a: np.zeros((a.shape[0], MAX_REDUCE_DIM + 1), np.uint8)
+        for spec, name in ((lstm, "w_x_q"), (dec.attn, "w_k_q"), (dec, "w_s_q")):
+            with pytest.raises(ValueError, match="overflow the 32-bit accumulator"):
+                replace(spec, **{name: wide(getattr(spec, name))})
+
+    def test_int_structure_rules_shared_with_float_model(self):
+        rng = np.random.default_rng(28)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        emb, lstm, proj = im.layers
+        for layers in ([lstm, emb, proj], [emb, proj, lstm]):
+            with pytest.raises(ValueError, match="first|last"):
+                IntModel(layers, None)
+            with pytest.raises(ValueError, match="first|last"):
+                FloatModel([layer.dequantize() for layer in layers])
 
     def test_no_float_ops_on_integer_path(self):
         rng = np.random.default_rng(13)
@@ -280,6 +327,32 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="chain"):
             serialize.load(path)
 
+    @pytest.mark.parametrize("skip_from", [7, -1, 3])
+    def test_residual_skip_out_of_range_rejected(self, tmp_path, skip_from):
+        rng = np.random.default_rng(29)
+        _, im = calibrated_int_model(rng, ["lstm", "lstm", "residual"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][3]["skip_from"] = skip_from
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="residual skip"):
+            serialize.load(str(path))
+
+    @pytest.mark.parametrize("layer", ["projection", "lstm"])
+    def test_over_range_bias_in_resaved_manifest_rejected(self, tmp_path, layer):
+        rng = np.random.default_rng(30)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        bias = im.layers[2].bias_q if layer == "projection" else im.layers[1].spec.bias_q
+        bias[0] = 2**31 - 1  # int32 acc + bias wraps where the int64 oracle does not
+        path = str(tmp_path / "m.json")
+        serialize.save(im, path)
+        with pytest.raises(ValueError, match="bias"):
+            serialize.load(path)
+        bias[0] = _BIAS_LIMIT
+        serialize.save(im, path)
+        serialize.load(path)
+
     def test_validate_chain_direct(self):
         rng = np.random.default_rng(21)
         _, im = calibrated_int_model(rng, ["lstm", "lstm"])
@@ -295,3 +368,30 @@ class TestSaveLoad:
         a = forward_float(model, seq)[-1]
         b = forward_float(loaded, seq)[-1]
         assert np.array_equal(a, b)
+
+
+class TestGoldenFormat:
+    """Models written by an earlier version of the code, every layer type in
+    each: the format must keep reading them and writing them back unchanged."""
+
+    DATA = Path(__file__).resolve().parent / "data"
+
+    @pytest.mark.parametrize("name", ["golden_int.json", "golden_float.json"])
+    def test_loads_and_saves_back_byte_identical(self, tmp_path, name):
+        model = serialize.load(str(self.DATA / name))
+        kinds = [d["type"] for d in json.loads((self.DATA / name).read_text())["layers"]]
+        assert len(model.layers) == len(kinds) == 7
+        assert set(kinds) == {
+            "embedding", "lstm", "madnorm_lstm", "bilstm", "attention_decoder", "residual_add", "final_projection"
+        }
+        serialize.save(model, str(tmp_path / name))
+        for suffix in ("", ".blob"):
+            assert (tmp_path / (name + suffix)).read_bytes() == (self.DATA / (name + suffix)).read_bytes()
+
+    def test_int_run_matches_oracle_and_stored_logits(self):
+        model = serialize.load(str(self.DATA / "golden_int.json"))
+        expected = json.loads((self.DATA / "golden_int.expected.json").read_text())
+        tokens = np.array(expected["tokens"])
+        got = run(model, tokens)
+        assert np.array_equal(got, run_reference(model, tokens))
+        assert got.tolist() == expected["logits"]
