@@ -17,8 +17,9 @@ from .lstm import (
     LstmState,
     LstmWeights,
     QuantLstmSpec,
-    QuantLstmState,
+    _check_inputs,
     _finish_step_real,
+    _gate_blocks,
     lstm_apply_gates_exact,
     lstm_apply_gates_int,
     lstm_gate_preacts_exact,
@@ -29,9 +30,11 @@ from .pwl import PwlTable, build_pwl, eval_pwl_float_act, eval_pwl_int, eval_pwl
 from .quant import (
     QuantParams,
     QuantTensor,
+    RowMultipliers,
     ScaledMultiplier,
-    apply_multiplier,
+    _clamp,
     check_accumulator,
+    check_dtype,
     compute_qparams,
     divide_round,
     divide_round_exact,
@@ -149,6 +152,7 @@ class QuantAttentionSpec:
             raise ValueError("exp input range must end at 0 (max-shifted alignments)")
         if self.qp_alpha.min > 0.0 or self.qp_alpha.max < 1.0:
             raise ValueError("attention weights must be representable over [0, 1]")
+        check_dtype(np.uint8, w_q_q=self.w_q_q, w_k_q=self.w_k_q, v_q=self.v_q)
         check_accumulator((self.w_q_q.shape[-1], self.w_k_q.shape[-1], self.v_q.shape[-1]))
         self.w_q_diff = self.w_q_q.astype(np.int32) - np.int32(self.qp_wq.zero_point)
         self.w_k_diff = self.w_k_q.astype(np.int32) - np.int32(self.qp_wk.zero_point)
@@ -323,11 +327,13 @@ class QuantAttnDecoderSpec:
             raise ValueError("attention query qparams must match the decoder hidden state")
         if self.qp_ms.bitwidth != 8:
             raise ValueError("context matmul output must be 8-bit")
+        check_dtype(np.uint8, w_s_q=self.w_s_q)
         check_accumulator((self.w_s_q.shape[-1],))
         self.w_s_diff = self.w_s_q.astype(np.int32) - np.int32(self.qp_ws.zero_point)
         self.m_ms = ScaledMultiplier.from_real(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
         self.m_ms2sig = ScaledMultiplier.from_real(self.qp_ms.scale / self.cell.qp_pre_sig.scale)
         self.m_ms2j = ScaledMultiplier.from_real(self.qp_ms.scale / self.cell.qp_pre_j.scale)
+        self._rs_ms = RowMultipliers.blocks(*_gate_blocks(self.cell.hidden_size, self.m_ms2sig, self.m_ms2j))
 
     @classmethod
     def from_float(
@@ -364,26 +370,13 @@ class QuantAttnDecoderSpec:
         )
 
 
-def inject_context(preacts, q_s: QuantTensor, dec: QuantAttnDecoderSpec):
-    """Add the rescaled context matmul to already-formed gate preactivations."""
-    pre_sig, pre_j = preacts
+def inject_context(pre: np.ndarray, q_s: QuantTensor, dec: QuantAttnDecoderSpec) -> np.ndarray:
+    """Add the rescaled context matmul to already-formed gate preactivations
+    (the 4m rows of :func:`lstm_gate_preacts_int`), saturating on each
+    row's gate-sum grid."""
     acc = int_matmul(dec.w_s_diff, q_s.diffs())
-    q_ms = requantize_scaled(acc, dec.m_ms, dec.qp_ms.zero_point, 8)
-    d = q_ms - dec.qp_ms.zero_point
-    cell = dec.cell
-    sig = np.minimum(
-        np.maximum(pre_sig.data.astype(np.int64) + apply_multiplier(d[cell._sig_rows], dec.m_ms2sig), 0),
-        cell.qp_pre_sig.qmax,
-    )
-    floatguard.note(sig)
-    j = np.minimum(
-        np.maximum(pre_j.data.astype(np.int64) + apply_multiplier(d[cell._j_rows], dec.m_ms2j), 0),
-        cell.qp_pre_j.qmax,
-    )
-    return (
-        QuantTensor(sig.astype(cell.qp_pre_sig.storage_dtype), cell.qp_pre_sig),
-        QuantTensor(j.astype(cell.qp_pre_j.storage_dtype), cell.qp_pre_j),
-    )
+    d = requantize_scaled(acc, dec.m_ms, dec.qp_ms.zero_point, 8) - np.int64(dec.qp_ms.zero_point)
+    return _clamp(pre + dec._rs_ms.apply(d), 0, dec.cell._pre_top)
 
 
 def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
@@ -407,29 +400,21 @@ def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
     return sig, j
 
 
-def attn_decoder_step_int(
-    q_x: QuantTensor, state: QuantLstmState, q_enc: QuantTensor, dec: QuantAttnDecoderSpec,
-    float_act: bool = False,
-):
-    q_s, q_alpha = attention_int(state.h, q_enc, dec.attn, float_act=float_act)
-    preacts = lstm_gate_preacts_int(q_x, state.h, dec.cell)
-    pre_sig, pre_j = inject_context(preacts, q_s, dec)
-    new_state = lstm_apply_gates_int(pre_sig, pre_j, state.c, dec.cell, float_act=float_act)
-    return new_state, q_alpha
-
-
 def attn_decoder_sequence_int(
     q_xs: QuantTensor, q_enc: QuantTensor, dec: QuantAttnDecoderSpec, float_act: bool = False
 ) -> QuantTensor:
+    cell = dec.cell
+    _check_inputs(cell, q_xs.qp)
     data = np.atleast_2d(q_xs.data)
-    state = dec.cell.zero_state()
-    hs = np.zeros((len(data), dec.cell.hidden_size), dtype=np.uint8)
+    state = cell.zero_state()
+    h, c = state.h.data, state.c.data
+    hs = np.zeros((len(data), cell.hidden_size), dtype=np.uint8)
     for t in range(len(data)):
-        state, _ = attn_decoder_step_int(
-            QuantTensor(data[t], q_xs.qp), state, q_enc, dec, float_act=float_act
-        )
-        hs[t] = state.h.data
-    return QuantTensor(hs, dec.cell.qp_h)
+        q_s, _ = attention_int(QuantTensor(h, cell.qp_h), q_enc, dec.attn, float_act=float_act)
+        pre = inject_context(lstm_gate_preacts_int(data[t], h, cell), q_s, dec)
+        h, c = lstm_apply_gates_int(pre, c, cell, float_act=float_act)
+        hs[t] = h
+    return QuantTensor(hs, cell.qp_h)
 
 
 def attn_decoder_step_exact(q_x, q_h, q_c, q_enc, dec: QuantAttnDecoderSpec):

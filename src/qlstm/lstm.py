@@ -11,6 +11,10 @@ Weight layout stacks the four gates as contiguous row blocks in the order
 (input, forget, candidate, output).  The three sigmoid gates share one
 preactivation grid and one PWL instance; the candidate tanh and the cell
 tanh each have their own.
+
+The integer step works on all 4m gate rows at once: each stage's
+multipliers, zero points and clamp bounds are per-row arrays that the spec
+builds once, so a stage is one vectorised pass whichever grid a row is on.
 """
 from __future__ import annotations
 
@@ -24,8 +28,11 @@ from .quant import (
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
+    RowMultipliers,
     ScaledMultiplier,
+    _clamp,
     check_accumulator,
+    check_dtype,
     compute_qparams,
     int_matmul,
     quantize_bias,
@@ -35,6 +42,9 @@ from .quant import (
     rescale_add,
     rescale_add_exact,
 )
+
+# eval_pwl_int and rescale_add are not called here; the names stay bound
+# because perfbench/spans.py re-binds them in this module.
 
 
 def stage_qparams(ranges: dict, key: str, bitwidth: int) -> QuantParams:
@@ -100,6 +110,17 @@ def _gate_rows(m: int):
     sig = np.concatenate([np.arange(0, 2 * m), np.arange(3 * m, 4 * m)])
     j = np.arange(2 * m, 3 * m)
     return sig, j
+
+
+def _gate_blocks(m: int, sig, j) -> tuple:
+    """``(value, row count)`` blocks over the 4m gate rows: ``sig`` for the
+    input, forget and output rows, ``j`` for the candidate rows."""
+    return (sig, 2 * m), (j, m), (sig, m)
+
+
+def _rows(*blocks) -> np.ndarray:
+    """int64 per-row constants from ``(value, row count)`` blocks."""
+    return np.repeat(np.array([v for v, _ in blocks], dtype=np.int64), [n for _, n in blocks])
 
 
 def lstm_step_real(x_t, state: LstmState, weights: LstmWeights, record=_noop) -> LstmState:
@@ -193,6 +214,8 @@ class QuantLstmSpec:
         norms = (self.norm_x, self.norm_h, self.norm_c)
         if any(n is not None for n in norms) and not all(n is not None for n in norms):
             raise ValueError("MadNorm variant needs all three norm configurations")
+        check_dtype(np.uint8, w_x_q=self.w_x_q, w_h_q=self.w_h_q)
+        check_dtype(np.int32, bias_q=self.bias_q)
         check_accumulator((self.input_size, self.w_h_q.shape[-1]), self.bias_q)
         m = self.hidden_size
         self._sig_rows, self._j_rows = _gate_rows(m)
@@ -211,6 +234,41 @@ class QuantLstmSpec:
         self.m_fc2c = ScaledMultiplier.from_real(self.qp_p_fc.scale / self.qp_c.scale)
         self.m_ij2c = ScaledMultiplier.from_real(self.qp_p_ij.scale / self.qp_c.scale)
         self.m_h = ScaledMultiplier.from_real(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
+        self._build_kernel_constants()
+
+    def _build_kernel_constants(self):
+        """Per-row constants of the fused integer step, built once."""
+        m, n = self.hidden_size, 4 * self.hidden_size
+        pre_sig, pre_j = self.qp_pre_sig, self.qp_pre_j
+        self._zp_x = np.int32(self.qp_x.zero_point)
+        self._zp_h = np.int32(self.qp_h.zero_point)
+        self._zp_c = np.int64(self.qp_c.zero_point)
+        self._zp_tanh_c = np.int64(self.qp_tanh_c.zero_point)
+        # stacked mx|mh: storage values when MadNorm follows, centred values otherwise
+        self._rq_mxh = RowMultipliers.blocks((self.m_mx, n), (self.m_mh, n))
+        zp_mxh = _rows((self.qp_mx.zero_point, n), (self.qp_mh.zero_point, n))
+        if self.norm:
+            self._mxh_zp = zp_mxh
+            self._nxh_zp = _rows((self.norm_x.qp_y.zero_point, n), (self.norm_h.qp_y.zero_point, n))
+        else:
+            self._mxh_lo, self._mxh_hi = -zp_mxh, 255 - zp_mxh
+        self._rs_pre = RowMultipliers.blocks(
+            *_gate_blocks(m, self.m_x2sig, self.m_x2j), *_gate_blocks(m, self.m_h2sig, self.m_h2j)
+        )
+        self._pre_zp = _rows(*_gate_blocks(m, pre_sig.zero_point, pre_j.zero_point))
+        self._pre_top = _rows(*_gate_blocks(m, pre_sig.qmax, pre_j.qmax))
+        # sigmoid and candidate tanh share one table; the PwlTables keep views of it
+        sig_out, j_out = self.pwl_sig.grid_out, self.pwl_tanh_j.grid_out
+        self._gate_table = np.concatenate((sig_out, j_out))
+        self.pwl_sig.grid_out = self._gate_table[: len(sig_out)]
+        self.pwl_tanh_j.grid_out = self._gate_table[len(sig_out) :]
+        self._gate_off = _rows(*_gate_blocks(m, 0, len(sig_out)))
+        self._gate_zp = _rows(*_gate_blocks(m, self.qp_sig.zero_point, self.qp_tanh_j.zero_point))
+        # stacked f*c | i*j products, then their rescale-add into c
+        self._rq_prod = RowMultipliers.blocks((self.m_fc, m), (self.m_ij, m))
+        zp_prod = _rows((self.qp_p_fc.zero_point, m), (self.qp_p_ij.zero_point, m))
+        self._prod_lo, self._prod_hi = -zp_prod, self.qp_c.qmax - zp_prod
+        self._rs_c = RowMultipliers.blocks((self.m_fc2c, m), (self.m_ij2c, m))
 
     @property
     def hidden_size(self) -> int:
@@ -318,88 +376,71 @@ def _norm_params(ranges: dict, prefix: str, qp_in: QuantParams, hidden: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def lstm_gate_preacts_int(q_x: QuantTensor, q_h: QuantTensor, spec: QuantLstmSpec):
-    """Matmuls, per-output requantization and the rescaled gate sums.
+def _madnorm_raw(q: np.ndarray, p: MadNormQParams) -> np.ndarray:
+    return madnorm_int(QuantTensor(q.astype(p.qp_x.storage_dtype), p.qp_x), p).data
 
-    Returns the (input|forget|output) and candidate preactivations as
-    QuantTensors under the gate-sum qparams.
+
+def lstm_gate_preacts_int(x: np.ndarray, h: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
+    """Matmuls, one requantize over the stacked ``mx|mh`` (MadNorm on each
+    half), and one rescale-add over all 4m gate rows.
+
+    ``x`` and ``h`` are raw storage arrays under ``spec.qp_x``/``spec.qp_h``
+    (the caller checks the qparams).  Returns the 4m preactivations, each
+    row on its own gate-sum grid: ``qp_pre_sig`` for the input, forget and
+    output rows, ``qp_pre_j`` for the candidate rows.
     """
-    if q_x.qp != spec.qp_x or q_h.qp != spec.qp_h:
-        raise ValueError("input/state qparams do not match the cell spec")
-    acc_x = int_matmul(spec.w_x_diff, q_x.diffs()) + spec.bias_q
-    acc_h = int_matmul(spec.w_h_diff, q_h.diffs())
-    q_mx = requantize_scaled(acc_x, spec.m_mx, spec.qp_mx.zero_point, 8)
-    q_mh = requantize_scaled(acc_h, spec.m_mh, spec.qp_mh.zero_point, 8)
+    n = 4 * spec.hidden_size
+    acc = np.concatenate(
+        (int_matmul(spec.w_x_diff, x - spec._zp_x) + spec.bias_q, int_matmul(spec.w_h_diff, h - spec._zp_h))
+    )
     if spec.norm:
-        q_mx = madnorm_int(QuantTensor(q_mx.astype(np.uint8), spec.qp_mx), spec.norm_x).data.astype(np.int64)
-        q_mh = madnorm_int(QuantTensor(q_mh.astype(np.uint8), spec.qp_mh), spec.norm_h).data.astype(np.int64)
-        zx, zh = spec.norm_x.qp_y.zero_point, spec.norm_h.qp_y.zero_point
+        q = _clamp(spec._rq_mxh.apply(acc) + spec._mxh_zp, 0, 255)
+        d = np.concatenate((_madnorm_raw(q[:n], spec.norm_x), _madnorm_raw(q[n:], spec.norm_h))) - spec._nxh_zp
     else:
-        zx, zh = spec.qp_mx.zero_point, spec.qp_mh.zero_point
-    dx = q_mx - zx
-    dh = q_mh - zh
-    pre_sig = rescale_add(
-        [(dx[spec._sig_rows], spec.m_x2sig), (dh[spec._sig_rows], spec.m_h2sig)],
-        spec.qp_pre_sig.zero_point,
-        spec.qp_pre_sig.bitwidth,
-    )
-    pre_j = rescale_add(
-        [(dx[spec._j_rows], spec.m_x2j), (dh[spec._j_rows], spec.m_h2j)],
-        spec.qp_pre_j.zero_point,
-        spec.qp_pre_j.bitwidth,
-    )
-    return (
-        QuantTensor(pre_sig.astype(spec.qp_pre_sig.storage_dtype), spec.qp_pre_sig),
-        QuantTensor(pre_j.astype(spec.qp_pre_j.storage_dtype), spec.qp_pre_j),
-    )
+        d = _clamp(spec._rq_mxh.apply(acc), spec._mxh_lo, spec._mxh_hi)
+    t = spec._rs_pre.apply(d)
+    return _clamp(t[:n] + t[n:] + spec._pre_zp, 0, spec._pre_top)
 
 
-def lstm_apply_gates_int(
-    pre_sig: QuantTensor,
-    pre_j: QuantTensor,
-    q_c: QuantTensor,
-    spec: QuantLstmSpec,
-    float_act: bool = False,
-) -> QuantLstmState:
-    """Activations, cell update and hidden output of the integer cell."""
+def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, spec: QuantLstmSpec, float_act: bool = False):
+    """Activations, cell update and hidden output of the integer cell.
+
+    ``pre`` is :func:`lstm_gate_preacts_int`'s output and ``c`` the raw cell
+    state.  Sigmoid and candidate tanh are one gather from the spec's gate
+    table (``float_act`` evaluates the true functions instead); the ``fc|ij``
+    products are requantized together.  Returns the raw ``(h, c)``: ``h`` as
+    uint8 storage, ``c`` as int64.
+    """
     m = spec.hidden_size
-    act = eval_pwl_float_act if float_act else eval_pwl_int
-    gates = np.asarray(act(pre_sig.data, spec.pwl_sig), dtype=np.int64)
-    t_j = np.asarray(act(pre_j.data, spec.pwl_tanh_j), dtype=np.int64)
-    z_sig = spec.qp_sig.zero_point
-    d_i, d_f, d_o = gates[:m] - z_sig, gates[m : 2 * m] - z_sig, gates[2 * m :] - z_sig
-
-    acc_fc = d_f * (q_c.data.astype(np.int64) - spec.qp_c.zero_point)
-    q_p_fc = requantize_scaled(acc_fc, spec.m_fc, spec.qp_p_fc.zero_point, spec.qp_p_fc.bitwidth)
-    acc_ij = d_i * (t_j - spec.qp_tanh_j.zero_point)
-    q_p_ij = requantize_scaled(acc_ij, spec.m_ij, spec.qp_p_ij.zero_point, spec.qp_p_ij.bitwidth)
-
-    c_new = rescale_add(
-        [(q_p_fc - spec.qp_p_fc.zero_point, spec.m_fc2c), (q_p_ij - spec.qp_p_ij.zero_point, spec.m_ij2c)],
-        spec.qp_c.zero_point,
-        spec.qp_c.bitwidth,
-    )
-    if spec.norm:
-        tanh_src = madnorm_int(
-            QuantTensor(c_new.astype(spec.qp_c.storage_dtype), spec.qp_c), spec.norm_c
-        ).data
+    if float_act:
+        a = np.empty(4 * m, dtype=np.int64)
+        a[spec._sig_rows] = eval_pwl_float_act(pre[spec._sig_rows], spec.pwl_sig)
+        a[spec._j_rows] = eval_pwl_float_act(pre[spec._j_rows], spec.pwl_tanh_j)
     else:
-        tanh_src = c_new
-    t_c = np.asarray(act(tanh_src, spec.pwl_tanh_c), dtype=np.int64)
-    acc_h = d_o * (t_c - spec.qp_tanh_c.zero_point)
-    h_new = requantize_scaled(acc_h, spec.m_h, spec.qp_h.zero_point, 8)
-    return QuantLstmState(
-        QuantTensor(h_new.astype(np.uint8), spec.qp_h),
-        QuantTensor(c_new.astype(spec.qp_c.storage_dtype), spec.qp_c),
-    )
+        a = spec._gate_table[pre + spec._gate_off]
+    d = a - spec._gate_zp  # centred i | f | j | o
+    prod = np.concatenate((d[m : 2 * m], d[:m])) * np.concatenate((c - spec._zp_c, d[2 * m : 3 * m]))
+    t = spec._rs_c.apply(_clamp(spec._rq_prod.apply(prod), spec._prod_lo, spec._prod_hi))
+    c_new = _clamp(t[:m] + t[m:] + spec._zp_c, 0, spec.qp_c.qmax)
+    src = _madnorm_raw(c_new, spec.norm_c) if spec.norm else c_new
+    t_c = eval_pwl_float_act(src, spec.pwl_tanh_c) if float_act else spec.pwl_tanh_c.grid_out[src]
+    h_new = requantize_scaled(d[3 * m :] * (t_c - spec._zp_tanh_c), spec.m_h, spec.qp_h.zero_point, 8)
+    return h_new.astype(np.uint8), c_new
+
+
+def _check_inputs(spec: QuantLstmSpec, qp_x: QuantParams, qp_h: QuantParams | None = None) -> None:
+    if qp_x != spec.qp_x or qp_h not in (None, spec.qp_h):
+        raise ValueError("input/state qparams do not match the cell spec")
 
 
 def lstm_step_int(
     q_x: QuantTensor, state: QuantLstmState, spec: QuantLstmSpec, float_act: bool = False
 ) -> QuantLstmState:
     """One integer-only LSTM step."""
-    pre_sig, pre_j = lstm_gate_preacts_int(q_x, state.h, spec)
-    return lstm_apply_gates_int(pre_sig, pre_j, state.c, spec, float_act=float_act)
+    _check_inputs(spec, q_x.qp, state.h.qp)
+    pre = lstm_gate_preacts_int(q_x.data, state.h.data, spec)
+    h, c = lstm_apply_gates_int(pre, state.c.data, spec, float_act=float_act)
+    return QuantLstmState(QuantTensor(h, spec.qp_h), QuantTensor(c.astype(spec.qp_c.storage_dtype), spec.qp_c))
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +582,14 @@ def lstm_sequence_real(
 def lstm_sequence_int(
     q_xs: QuantTensor, spec: QuantLstmSpec, direction: str = "forward", float_act: bool = False
 ) -> QuantTensor:
+    _check_inputs(spec, q_xs.qp)
     data = np.atleast_2d(q_xs.data)
     state = spec.zero_state()
+    h, c = state.h.data, state.c.data
     hs = np.zeros((len(data), spec.hidden_size), dtype=np.uint8)
     for t in _time_order(len(data), direction):
-        state = lstm_step_int(QuantTensor(data[t], q_xs.qp), state, spec, float_act=float_act)
-        hs[t] = state.h.data
+        h, c = lstm_apply_gates_int(lstm_gate_preacts_int(data[t], h, spec), c, spec, float_act=float_act)
+        hs[t] = h
     return QuantTensor(hs, spec.qp_h)
 
 

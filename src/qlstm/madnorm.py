@@ -17,7 +17,9 @@ from .quant import (
     MultiplierCombo,
     QuantParams,
     QuantTensor,
+    RowMultipliers,
     ScaledMultiplier,
+    _clamp,
     _clamp_store,
     _shift_round_exact,
     combine_round,
@@ -126,6 +128,7 @@ class MadNormQParams:
         self._aff_mants = mants
         self._aff_shifts = shifts
         self._aff_consts = iround(b * 2.0**e)
+        self._affine = RowMultipliers(mants, shifts, addends=self._aff_consts << (shifts - e))
 
     @classmethod
     def from_ranges(cls, ranges: dict, hidden: int, input_bits: int = 8, gamma=None, beta=None) -> "MadNormQParams":
@@ -204,11 +207,7 @@ def madnorm_int(q_x: QuantTensor, p: MadNormQParams) -> QuantTensor:
         return QuantTensor(out.astype(p.qp_y.storage_dtype), p.qp_y)
 
     q_raw = _divide_rows(num, den, p._m_y.shift, p.qp_y_raw.zero_point, 8)
-    draw = q_raw.astype(np.int64) - p.qp_y_raw.zero_point
-    raw = draw * p._aff_mants + (p._aff_consts << (p._aff_shifts - _AFFINE_FRAC_BITS))
-    val = _shift_round_rows(raw, p._aff_shifts)
-    out = np.minimum(np.maximum(val, 0), p.qp_y.qmax)
-    floatguard.note(out)
+    out = _clamp(p._affine.apply(q_raw - np.int64(p.qp_y_raw.zero_point)), 0, p.qp_y.qmax)
     return QuantTensor(out.astype(p.qp_y.storage_dtype), p.qp_y)
 
 
@@ -221,11 +220,6 @@ def _divide_rows(num: np.ndarray, den: np.ndarray, shift: int, zp: int, bits: in
         num = num << np.int64(-shift)
     v = np.sign(num) * ((2 * np.abs(num) + den_total) // (2 * den_total))
     return _clamp_store(v, zp, bits)
-
-
-def _shift_round_rows(raw: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    half = np.int64(1) << (shifts - 1)
-    return np.sign(raw) * ((np.abs(raw) + half) >> shifts)
 
 
 def madnorm_int_exact(q_x, p: MadNormQParams) -> np.ndarray:

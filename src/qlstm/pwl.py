@@ -6,6 +6,12 @@ with all grid points as knots reproduces the full look-up table exactly.
 Knot selection greedily merges the pair of adjacent pieces whose slopes
 differ least, which concentrates the surviving knots where the function
 curves most.
+
+The PWL form (knots, fixed-point slopes and intercepts, override points) is
+what a model stores and what the exact oracle evaluates.  At build or load
+time every table also expands that form into its integer output at each
+point of the input grid (256 entries for an 8-bit input, 65,536 for a
+16-bit one), so the integer engine evaluates an activation as one gather.
 """
 from __future__ import annotations
 
@@ -47,6 +53,12 @@ CANDIDATES_16BIT = 1 << 12
 
 # fraction bits carried by the per-piece intercept constants
 _FRAC_BITS = {8: 23, 16: 15}
+
+
+def _grid_dtype(out_qp: QuantParams):
+    """Signed storage one size wider than the outputs, so that subtracting
+    the output zero point from a table entry cannot wrap."""
+    return np.int16 if out_qp.bitwidth == 8 else np.int32
 
 
 def build_lut(f, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
@@ -109,7 +121,8 @@ class PwlTable:
     ``intercepts`` the exact function values at every knot, ``slopes`` the N
     chord slopes.  The integer form carries one fixed-point slope multiplier
     and one precomputed intercept constant per piece, aligned so each
-    evaluation performs a single rounding.
+    evaluation performs a single rounding; ``grid_out`` is that evaluation
+    over the whole input grid.
     """
 
     knots_q: np.ndarray
@@ -129,6 +142,21 @@ class PwlTable:
     # boundary differently from the real path; pinned at build time
     override_q: np.ndarray = field(default=None, repr=False)
     override_val: np.ndarray = field(default=None, repr=False)
+    # integer output at every input grid point, overrides applied; derived
+    # from the integer form above and never serialized
+    grid_out: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        knots = np.asarray(self.knots_q)
+        if knots.size < 2 or np.any(np.diff(knots) <= 0) or knots[0] < 0 or knots[-1] > self.in_qp.qmax:
+            raise ValueError("PWL knots must be strictly increasing points of the input grid")
+        if self.slope_mants is not None:
+            pins = np.asarray(self.override_q)
+            if pins.shape != np.shape(self.override_val) or np.any((pins < 0) | (pins > self.in_qp.qmax)):
+                raise ValueError("PWL override points must lie on the input grid, one value each")
+            out = _fixed_point_grid(self)
+            out[pins] = self.override_val
+            self.grid_out = out.astype(_grid_dtype(self.out_qp))
 
     @property
     def n_pieces(self) -> int:
@@ -176,17 +204,16 @@ def _build_integer_form(t: PwlTable) -> None:
     t.intercept_fx = consts
     t.frac_bits = e
     t.knot_targets = targets
-    t.override_q = np.empty(0, dtype=np.int64)
-    t.override_val = np.empty(0, dtype=np.int64)
     # exhaustive agreement check: pin any grid point where the fixed-point
     # rounding lands on the other side of a half-step boundary
     grid = np.arange(t.in_qp.qmax + 1, dtype=np.int64)
     want = np.asarray(quantize(eval_pwl_real(dequantize(grid, t.in_qp), t), t.out_qp), dtype=np.int64)
-    got = np.asarray(eval_pwl_int(grid, t), dtype=np.int64)
+    got = _fixed_point_grid(t)
     bad = np.nonzero(got != want)[0]
-    if len(bad):
-        t.override_q = grid[bad]
-        t.override_val = want[bad]
+    t.override_q = grid[bad]
+    t.override_val = want[bad]
+    got[bad] = want[bad]
+    t.grid_out = got.astype(_grid_dtype(t.out_qp))
 
 
 def _candidate_grid(in_qp: QuantParams, candidates: int | None) -> np.ndarray:
@@ -240,27 +267,41 @@ def eval_pwl_real(x, t: PwlTable):
     return float(g) if np.ndim(x) == 0 else g
 
 
+def _fixed_point_grid(t: PwlTable) -> np.ndarray:
+    """The integer form at every input grid point, overrides not applied.
+
+    Each piece covers a run of consecutive grid points (the first piece also
+    those below its left knot, the last piece all from its left knot on);
+    there the value is one multiply plus one rounding shift per point.
+    """
+    n, top = t.n_pieces, t.in_qp.qmax
+    edges = np.minimum(np.maximum(t.knots_q, 0), top + 1)
+    out = np.empty(top + 1, dtype=np.int64)
+    for i in range(n):
+        lo = 0 if i == 0 else int(edges[i])
+        hi = top + 1 if i == n - 1 else int(edges[i + 1])
+        shift, knot = int(t.slope_shifts[i]), int(t.knots_q[i])
+        raw = np.arange(lo - knot, hi - knot, dtype=np.int64) * t.slope_mants[i]
+        raw += int(t.intercept_fx[i]) << (shift - t.frac_bits)
+        out[lo:hi] = np.sign(raw) * ((np.abs(raw) + (1 << (shift - 1))) >> shift)
+    out = np.minimum(np.maximum(out, 0), t.out_qp.qmax)
+    last = int(t.knots_q[-1])
+    if 0 <= last <= top:
+        out[last] = min(max(int(t.knot_targets[-1]), 0), t.out_qp.qmax)
+    return out
+
+
 def eval_pwl_int(q_x, t: PwlTable):
     """Integer-only PWL evaluation, bit-exact with quantize(eval_pwl_real(...)).
 
-    The piece is located by binary search over the quantized knots; the
-    value is one multiply plus one rounding shift per element.
+    One gather from the table's grid outputs; inputs outside the input grid
+    raise ``ValueError``.
     """
-    q = np.asarray(q_x, dtype=np.int64)
+    q = np.asarray(q_x)
     floatguard.note(q)
-    idx = np.minimum(np.maximum(np.searchsorted(t.knots_q, q, side="right") - 1, 0), t.n_pieces - 1)
-    d = q - t.knots_q[idx]
-    shift = t.slope_shifts[idx]
-    raw = d * t.slope_mants[idx] + (t.intercept_fx[idx] << (shift - t.frac_bits))
-    half = np.int64(1) << (shift - 1)
-    val = np.sign(raw) * ((np.abs(raw) + half) >> shift)
-    out = np.minimum(np.maximum(val, 0), t.out_qp.qmax)
-    out = np.where(q == t.knots_q[-1], min(max(int(t.knot_targets[-1]), 0), t.out_qp.qmax), out)
-    if t.override_q is not None and len(t.override_q):
-        pos = np.searchsorted(t.override_q, q)
-        pos = np.minimum(pos, len(t.override_q) - 1)
-        hit = t.override_q[pos] == q
-        out = np.where(hit, t.override_val[pos], out)
+    if q.size and (q.min() < 0 or q.max() > t.in_qp.qmax):
+        raise ValueError(f"PWL input outside the quantized grid [0, {t.in_qp.qmax}]")
+    out = t.grid_out[q]
     floatguard.note(out)
     return int(out) if np.ndim(q_x) == 0 else out
 

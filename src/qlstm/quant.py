@@ -115,6 +115,13 @@ def quantize_bias(bias, scale: float) -> np.ndarray:
     return np.clip(iround(bias / scale), -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
 
 
+def check_dtype(dtype, **arrays) -> None:
+    """Reject integer-layer tensors stored in any dtype but ``dtype``."""
+    for name, arr in arrays.items():
+        if np.asarray(arr).dtype != dtype:
+            raise ValueError(f"{name} must be stored as {np.dtype(dtype).name}, not {np.asarray(arr).dtype}")
+
+
 def check_accumulator(dims, bias_q=None) -> None:
     """Reject contracted widths or biases that could overflow the 32-bit accumulator."""
     if max(dims) > MAX_REDUCE_DIM:
@@ -210,10 +217,48 @@ def _shift_round_exact(p: int, shift: int) -> int:
     return q if p >= 0 else -q
 
 
-def _clamp_store(v: np.ndarray, zero_point: int, bitwidth: int) -> np.ndarray:
-    out = np.minimum(np.maximum(v + np.int64(zero_point), 0), (1 << bitwidth) - 1)
+def _clamp(v: np.ndarray, lo, hi) -> np.ndarray:
+    out = np.minimum(np.maximum(v, lo), hi)
     floatguard.note(out)
     return out
+
+
+def _clamp_store(v: np.ndarray, zero_point: int, bitwidth: int) -> np.ndarray:
+    return _clamp(v + np.int64(zero_point), 0, (1 << bitwidth) - 1)
+
+
+class RowMultipliers:
+    """One fixed-point multiplier per row of a stacked vector.
+
+    :meth:`apply` computes ``round_half_away((x_r * mantissa_r + addend_r) *
+    2^-shift_r)`` for every row ``r`` in one pass, with the rounding rule of
+    :func:`_shift_round`.  The constants are normalized once at construction:
+    a shift <= 0 becomes a left shift folded into the mantissa and addend
+    (exact modulo 2^64, like ``_shift_round``'s ``p << -shift``), and a shift
+    >= 63 rounds the row to 0, as there.
+    """
+
+    def __init__(self, mantissas, shifts, addends=None):
+        shifts = np.asarray(shifts, dtype=np.int64)
+        left = np.maximum(-shifts, 0)
+        live = shifts < 63
+        self.mant = np.where(live, np.asarray(mantissas, dtype=np.int64) << left, 0)
+        self.add = None if addends is None else np.where(live, np.asarray(addends, dtype=np.int64) << left, 0)
+        self.shift = np.where(live, np.maximum(shifts, 0), 0)
+        self.half = np.where(self.shift > 0, np.int64(1) << np.maximum(self.shift - 1, 0), 0)
+
+    @classmethod
+    def blocks(cls, *pairs) -> "RowMultipliers":
+        """Rows given as consecutive ``(ScaledMultiplier, row count)`` blocks."""
+        counts = [n for _, n in pairs]
+        return cls(np.repeat([m.mantissa for m, _ in pairs], counts), np.repeat([m.shift for m, _ in pairs], counts))
+
+    def apply(self, x) -> np.ndarray:
+        p = x * self.mant
+        if self.add is not None:
+            p = p + self.add
+        floatguard.note(p)
+        return np.sign(p) * ((np.abs(p) + self.half) >> self.shift)
 
 
 def apply_multiplier(acc, m: ScaledMultiplier) -> np.ndarray:

@@ -55,6 +55,7 @@ from .quant import (
     QuantTensor,
     ScaledMultiplier,
     check_accumulator,
+    check_dtype,
     compute_qparams,
     dequantize,
     int_matmul,
@@ -377,6 +378,9 @@ class IntEmbedding(_IntLayer):
     takes_tokens = True
     qp_in = None  # consumes token ids, not a layer's output
 
+    def __post_init__(self):
+        check_dtype(np.uint8, table_q=self.table_q)
+
     @property
     def qp_out(self):
         return self.qp
@@ -593,6 +597,8 @@ class IntProjection(_IntLayer):
     qp_out = None  # 32-bit logits on the qp_w.scale * qp_in.scale grid
 
     def __post_init__(self):
+        check_dtype(np.uint8, w_q=self.w_q)
+        check_dtype(np.int32, bias_q=self.bias_q)
         check_accumulator((self.w_q.shape[-1],), self.bias_q)
         self.w_diff = self.w_q.astype(np.int32) - np.int32(self.qp_w.zero_point)
 

@@ -332,7 +332,10 @@ def load(path: str):
     """Load a model saved with :func:`save`; verifies version and checksum."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = ModelManifest.from_json(fh.read())
-    blob_path = os.path.join(os.path.dirname(path) or ".", manifest.blob_file)
+    name = manifest.blob_file
+    if not isinstance(name, str) or os.path.basename(name) != name or "\\" in name or name in ("", ".", ".."):
+        raise ModelFormatError(f"blob file {name!r} must be a plain file name next to the manifest")
+    blob_path = os.path.join(os.path.dirname(path) or ".", name)
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     if hashlib.sha256(blob).hexdigest() != manifest.checksum:
@@ -345,7 +348,13 @@ def load(path: str):
     for d in manifest.layers:
         if d.get("type") not in _LAYER_TYPES:
             raise ModelFormatError(f"unknown layer type {d.get('type')!r}")
-        layers.append(_LAYER_TYPES[d["type"]][integer].decode(r, d))
+        try:
+            layers.append(_LAYER_TYPES[d["type"]][integer].decode(r, d))
+        except ModelFormatError:
+            raise
+        except ValueError as e:
+            # the layer constructors' checks (dtypes, shapes, accumulator bounds)
+            raise ModelFormatError(f"layer {len(layers)}: {e}") from e
     if not integer:
         return FloatModel(layers)
     input_qp = r.qp(manifest.input_qparams) if manifest.input_qparams else None

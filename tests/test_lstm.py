@@ -1,8 +1,13 @@
 """LSTM cells: real math, integer pipeline vs exact oracle, sequence layers."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import observe, random_cell, random_lstm_config
+from qlstm import runtime
+from qlstm.attention import AttentionWeights
 from qlstm.lstm import (
     BiLstmSpec,
     LstmState,
@@ -19,7 +24,7 @@ from qlstm.lstm import (
     lstm_step_real,
     madnorm_lstm_step_real,
 )
-from qlstm.quant import QuantTensor, dequantize, quantize
+from qlstm.quant import QuantTensor, compute_qparams, dequantize, quantize
 
 
 def scalar_reference_step(x, state, w):
@@ -276,3 +281,66 @@ class TestBiLstm:
         want = bilstm_sequence_exact(q_xs.data, spec)
         assert np.array_equal(got.data.astype(np.int64), want)
         assert got.shape == (6, 6)
+
+
+def edge_model(rng, kind: str, n: int = 3, m: int = 3) -> runtime.FloatModel:
+    """A feature-input model: one recurrent layer of ``kind`` and a projection."""
+    cell = random_cell(rng, m, n)
+    if kind == "bilstm":
+        layer, width = runtime.BiLstmLayer(cell, random_cell(rng, m, n)), 2 * m
+    elif kind == "decoder":
+        attn = AttentionWeights(
+            rng.normal(0, 0.5, (m, m)), rng.normal(0, 0.5, (m, n)), rng.normal(0, 0.5, m), rng.normal(0, 0.5, (4 * m, n))
+        )
+        layer, width = runtime.AttentionDecoderLayer(cell, attn), m
+    else:
+        layer, width = runtime.LstmLayer(cell, norm=kind == "madnorm_lstm"), m
+    proj = runtime.FinalProjectionLayer(rng.normal(0, 0.5, (4, width)), rng.normal(0, 0.1, 4))
+    return runtime.FloatModel([layer, proj])
+
+
+class TestFusedKernelEdges:
+    @given(
+        kind=st.sampled_from(["lstm", "madnorm_lstm", "bilstm", "decoder"]),
+        cell_bits=st.sampled_from([8, 16]),
+        gate_bits=st.sampled_from([8, 16]),
+        T=st.sampled_from([1, 2, 37]),
+        inputs=st.sampled_from(["random", "zero", "qmax", "both"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_run_equals_oracle(self, kind, cell_bits, gate_bits, T, inputs, seed):
+        rng = np.random.default_rng(seed)
+        model = edge_model(rng, kind)
+        ranges = runtime.calibrate(model, [rng.normal(0, 1, (6, 3))])
+        im = runtime.convert(model, ranges, pieces=6, cell_bits=cell_bits, gate_bits=gate_bits, candidates=256)
+        # +-1e3 lies far outside the calibrated range: those inputs quantize to 0 or qmax
+        xs = {
+            "random": rng.normal(0, 1, (T, 3)),
+            "zero": np.full((T, 3), -1e3),
+            "qmax": np.full((T, 3), 1e3),
+            "both": rng.choice([-1e3, 1e3], size=(T, 3)),
+        }[inputs]
+        q = QuantTensor.from_real(xs, im.input_qp).data
+        assert inputs == "random" or np.all((q == 0) | (q == 255))
+        assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
+
+    @pytest.mark.parametrize("norm", [False, True])
+    def test_stage_shift_of_63_or_more_rounds_bit_exactly(self, norm):
+        rng = np.random.default_rng(40)
+        _, xs, spec = random_lstm_config(rng, m=3, n=3, T=6, norm=norm)
+        spec = replace(spec, qp_mx=compute_qparams(-1e12, 1e12, 8))
+        assert spec.m_mx.shift >= 63
+        if norm:  # MadNorm's input grid follows the stage it normalizes
+            spec = replace(spec, norm_x=replace(spec.norm_x, qp_x=spec.qp_mx))
+        q_xs = QuantTensor.from_real(xs, spec.qp_x)
+        assert np.array_equal(lstm_sequence_int(q_xs, spec).data, lstm_sequence_exact(q_xs.data, spec))
+
+    @pytest.mark.parametrize("gate_bits", [8, 16])
+    def test_stage_shift_of_0_or_less_rounds_bit_exactly(self, gate_bits):
+        rng = np.random.default_rng(41)
+        _, xs, spec = random_lstm_config(rng, m=3, n=3, T=6, gate_bits=gate_bits)
+        tiny = compute_qparams(-1e-12, 1e-12, gate_bits)
+        spec = replace(spec, qp_pre_sig=tiny, qp_pre_j=tiny)
+        assert spec.m_x2sig.shift <= 0 and spec.m_h2j.shift <= 0
+        q_xs = QuantTensor.from_real(xs, spec.qp_x)
+        assert np.array_equal(lstm_sequence_int(q_xs, spec).data, lstm_sequence_exact(q_xs.data, spec))

@@ -1,4 +1,6 @@
 """PWL tables: knot selection, LUT equivalence, integer/real agreement."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +196,40 @@ class TestEvalInt:
         got = eval_pwl_int(qs, t)
         want = [eval_pwl_int_exact(int(q), t) for q in qs]
         assert np.array_equal(got, want)
+
+
+class TestGridOutputs:
+    @pytest.mark.parametrize(
+        "name, in_qp, pieces",
+        [
+            ("sigmoid", QP_IN_44, 32),  # pins one override point
+            ("tanh", QP_IN_88, 8),
+            ("tanh", compute_qparams(-5.0, 3.0, 16), 12),
+        ],
+    )
+    def test_every_entry_equals_exact_oracle(self, name, in_qp, pieces):
+        out_qp = QP_SIG if name == "sigmoid" else QP_TANH
+        t = build_pwl(name, in_qp, out_qp, pieces, candidates=256 if in_qp.bitwidth == 16 else None)
+        if name == "sigmoid":
+            assert len(t.override_q) > 0
+        assert t.grid_out.shape == (in_qp.qmax + 1,)
+        want = np.array([eval_pwl_int_exact(q, t) for q in range(in_qp.qmax + 1)])
+        assert np.array_equal(t.grid_out, want)
+        assert np.array_equal(eval_pwl_int(np.arange(in_qp.qmax + 1), t), want)
+        # a table built from the stored integer constants, as load does, has the same outputs
+        assert np.array_equal(replace(t).grid_out, want)
+
+    def test_centred_outputs_cannot_wrap(self):
+        t = build_pwl("tanh", QP_IN_44, QP_TANH, 8)
+        centred = t.grid_out - QP_TANH.zero_point
+        assert centred.min() < 0
+        assert np.array_equal(centred, t.grid_out.astype(np.int64) - QP_TANH.zero_point)
+
+    @pytest.mark.parametrize("q", [-1, 256, [0, -1], [255, 256]])
+    def test_inputs_off_the_grid_rejected(self, q):
+        t = build_pwl("tanh", QP_IN_44, QP_TANH, 8)
+        with pytest.raises(ValueError, match="outside the quantized grid"):
+            eval_pwl_int(np.array(q), t)
 
 
 def test_csv_dump(tmp_path):

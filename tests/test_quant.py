@@ -10,7 +10,10 @@ from qlstm.quant import (
     MAX_REDUCE_DIM,
     DegenerateRangeError,
     QuantTensor,
+    RowMultipliers,
     ScaledMultiplier,
+    _shift_round,
+    _shift_round_exact,
     compute_qparams,
     dequantize,
     int_matmul,
@@ -160,6 +163,34 @@ class TestRequantize:
     def test_16_bit_output(self):
         assert requantize(100_000, 0.9, 0, 16) == 65535
         assert requantize(10_000, 0.9, 500, 16) == 9500
+
+
+class TestRowMultipliers:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(2**20), 2**20),  # x
+                st.integers(0, 2**31 - 1),  # mantissa
+                st.integers(-8, 80),  # shift, both edges included
+                st.integers(-(2**24), 2**24),  # addend
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_each_row_rounds_like_the_scalar_helpers(self, rows):
+        x, mants, shifts, adds = (np.array(c, dtype=np.int64) for c in zip(*rows))
+        got = RowMultipliers(mants, shifts, addends=adds).apply(x)
+        for r in range(len(rows)):
+            p = int(x[r]) * int(mants[r]) + int(adds[r])  # |p| < 2^52, so shifts >= 63 give 0
+            assert got[r] == _shift_round_exact(p, int(shifts[r])) == _shift_round(np.int64(p), int(shifts[r]))
+
+    def test_blocks_repeat_each_multiplier(self):
+        a, b = ScaledMultiplier.from_real(0.3), ScaledMultiplier.from_real(5e9)
+        rows = RowMultipliers.blocks((a, 2), (b, 3))
+        x = np.array([7, -7, 1, -1, 0])
+        want = [_shift_round_exact(int(v) * m.mantissa, m.shift) for v, m in zip(x, [a, a, b, b, b])]
+        assert b.shift <= 0 and np.array_equal(rows.apply(x), want)
 
 
 class TestQuantTensor:

@@ -27,6 +27,21 @@ from qlstm.runtime import (
 )
 
 
+def pwl_tables(model) -> list:
+    """Every PwlTable of an integer model, in layer order."""
+    tables = []
+    for layer in model.layers:
+        spec = getattr(layer, "spec", None)
+        cells = [spec] if spec is not None else []
+        if hasattr(spec, "fwd"):
+            cells = [spec.fwd, spec.bwd]
+        elif hasattr(spec, "attn"):
+            cells = [spec.cell]
+            tables += [spec.attn.pwl_tanh, spec.attn.pwl_exp]
+        tables += [t for c in cells for t in (c.pwl_sig, c.pwl_tanh_j, c.pwl_tanh_c)]
+    return tables
+
+
 class TestCalibrate:
     def test_constant_zero_stream_reports_degenerate_stage(self):
         rng = np.random.default_rng(0)
@@ -352,6 +367,78 @@ class TestSaveLoad:
         bias[0] = _BIAS_LIMIT
         serialize.save(im, path)
         serialize.load(path)
+
+    def test_wrong_tensor_dtype_rejected_by_convert_and_load(self, tmp_path):
+        rng = np.random.default_rng(31)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        spec = im.layers[1].spec
+        with pytest.raises(ValueError, match="bias_q must be stored as int32"):
+            replace(spec, bias_q=spec.bias_q.astype(np.float64))
+        # a float bias in a saved model: it used to load and run through the integer cell
+        spec.bias_q = spec.bias_q.astype(np.float64) + 0.4
+        path = str(tmp_path / "m.json")
+        serialize.save(im, path)
+        with pytest.raises(serialize.ModelFormatError, match="bias_q must be stored as int32"):
+            serialize.load(path)
+
+    @pytest.mark.parametrize("layer, name", [(0, "table_q"), (1, "w_h_q"), (2, "w_q")])
+    def test_wrong_weight_dtype_in_manifest_rejected(self, tmp_path, layer, name):
+        rng = np.random.default_rng(32)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        owner = im.layers[layer].spec if layer == 1 else im.layers[layer]
+        setattr(owner, name, getattr(owner, name).astype(np.uint16))
+        path = str(tmp_path / "m.json")
+        serialize.save(im, path)
+        with pytest.raises(serialize.ModelFormatError, match=f"{name} must be stored as uint8"):
+            serialize.load(path)
+
+    @pytest.mark.parametrize("blob_file", ["../x.blob", "sub/../../x.blob", "/tmp/x.blob", "..", "", "a\\x.blob"])
+    def test_blob_file_outside_manifest_directory_rejected(self, tmp_path, blob_file):
+        rng = np.random.default_rng(33)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        (tmp_path / "models").mkdir()
+        path = tmp_path / "models" / "m.json"
+        serialize.save(im, str(path))
+        (tmp_path / "x.blob").write_bytes((tmp_path / "models" / "m.json.blob").read_bytes())
+        doc = json.loads(path.read_text())
+        doc["blob"]["file"] = blob_file
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match="plain file name"):
+            serialize.load(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(override_q=[256], override_val=[0]), "override points"),
+            (dict(override_q=[-1], override_val=[0]), "override points"),
+            (dict(override_q=[3], override_val=[]), "override points"),
+            (dict(knots_q=[0, 300]), "knots"),
+            (dict(knots_q=[5, 5]), "knots"),
+        ],
+    )
+    def test_pwl_points_off_the_grid_rejected(self, tmp_path, edit, message):
+        rng = np.random.default_rng(35)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][1]["pwl"]["sig"].update(edit)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match=message):
+            serialize.load(str(path))
+
+    def test_loaded_activation_tables_equal_converted_ones(self, tmp_path):
+        rng = np.random.default_rng(34)
+        _, im = calibrated_int_model(rng, ["bilstm", "lstm_norm", "attn"], cell_bits=16)
+        path = str(tmp_path / "m.json")
+        serialize.save(im, path)
+        built, loaded = pwl_tables(im), pwl_tables(serialize.load(path))
+        assert len(built) == len(loaded) == 2 * 3 + 3 + 3 + 2
+        for a, b in zip(built, loaded):
+            assert a is not b and a.grid_out.dtype == b.grid_out.dtype
+            assert np.array_equal(a.grid_out, b.grid_out)
+        # the tables are derived at load time, never stored
+        assert "grid_out" not in (tmp_path / "m.json").read_text()
 
     def test_validate_chain_direct(self):
         rng = np.random.default_rng(21)
