@@ -36,6 +36,7 @@ from .attention import (
     QuantAttentionSpec,
     QuantAttnDecoderSpec,
     attention_int,
+    attention_keys,
     attention_real,
     inject_context,
     softmax_int,

@@ -9,6 +9,7 @@ integer path happens directly on the raw alignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .quant import (
     RowMultipliers,
     ScaledMultiplier,
     _clamp,
+    apply_multiplier,
     check_accumulator,
     check_dtype,
     compute_qparams,
@@ -46,6 +48,9 @@ from .quant import (
     rescale_add_exact,
     _shift_round_exact,
 )
+
+# eval_pwl_int and rescale_add are not called here; the names stay bound
+# because perfbench/spans.py re-binds them in this module.
 
 
 @dataclass
@@ -165,6 +170,11 @@ class QuantAttentionSpec:
         self.m_shift = ScaledMultiplier.from_real(self.qp_e.scale / self.qp_exp_in.scale)
         self.m_alpha = ScaledMultiplier.from_real(1.0 / self.qp_alpha.scale)
         self.m_ctx = ScaledMultiplier.from_real(self.qp_alpha.scale * self.qp_enc.scale / self.qp_s.scale)
+        # per-step kernel constants: the query's centred clamp bounds and zero points
+        self._q_lo, self._q_hi = -self.qp_q.zero_point, 255 - self.qp_q.zero_point
+        self._zp_sum = np.int64(self.qp_sum.zero_point)
+        self._zp_tanh = np.int32(self.qp_tanh.zero_point)
+        self._zp_exp_out = np.int64(self.qp_exp_out.zero_point)
 
     @classmethod
     def from_float(
@@ -214,16 +224,19 @@ class QuantAttentionSpec:
 
 
 def softmax_int(q_e: QuantTensor, spec: QuantAttentionSpec, float_act: bool = False) -> QuantTensor:
-    """Integer softmax: max-shift, PWL exp, 32-bit denominator, rounded division."""
+    """Integer softmax: max-shift, PWL exp, 32-bit denominator, rounded division.
+
+    The max-shift's requantize clamps onto the exp input grid, so the PWL exp
+    is one gather from its table (``float_act`` evaluates the true function
+    instead).
+    """
     if q_e.qp != spec.qp_e:
         raise ValueError("alignment qparams do not match the attention spec")
     data = q_e.data.astype(np.int64)
     floatguard.note(data)
-    delta = data - data.max()
-    q_in = requantize_scaled(delta, spec.m_shift, spec.qp_exp_in.zero_point, 16)
-    act = eval_pwl_float_act if float_act else eval_pwl_int
-    q_exp = np.asarray(act(q_in, spec.pwl_exp), dtype=np.int64)
-    d_exp = q_exp - spec.qp_exp_out.zero_point
+    q_in = requantize_scaled(data - data.max(), spec.m_shift, spec.qp_exp_in.zero_point, 16)
+    q_exp = eval_pwl_float_act(q_in, spec.pwl_exp) if float_act else spec.pwl_exp.grid_out[q_in]
+    d_exp = q_exp - spec._zp_exp_out
     denom = max(int(d_exp.sum()), 1)
     num = d_exp * np.int64(spec.m_alpha.mantissa)
     q_alpha = divide_round(num, denom, spec.m_alpha.shift, spec.qp_alpha.zero_point, 8)
@@ -248,26 +261,41 @@ def softmax_int_exact(q_e, spec: QuantAttentionSpec) -> np.ndarray:
     )
 
 
-def attention_int(q_h_prev: QuantTensor, q_enc: QuantTensor, spec: QuantAttentionSpec, float_act: bool = False):
-    """Integer attention: returns (context, attention weights) as QuantTensors."""
-    if q_h_prev.qp != spec.qp_h_dec or q_enc.qp != spec.qp_enc:
-        raise ValueError("attention input qparams do not match the spec")
+class AttentionKeys(NamedTuple):
+    """The attention operands that depend on the encoder states only."""
+
+    enc_diff: np.ndarray  # (T, m_enc) int32: centred encoder states
+    k_term: np.ndarray  # (T, m_att) int64: the key projections' term of the pre-tanh sum
+
+
+def attention_keys(q_enc: QuantTensor, spec: QuantAttentionSpec) -> AttentionKeys:
+    """Project the encoder states through ``w_k`` once per sequence.
+
+    The pre-tanh sum rounds the query and key terms on their own before
+    adding them, so the rescaled key term is the same at every decoder step.
+    """
+    if q_enc.qp != spec.qp_enc:
+        raise ValueError("attention encoder qparams do not match the spec")
     enc_diff = q_enc.diffs()
+    q_k = requantize_scaled(int_matmul(enc_diff, spec.w_k_diff.T), spec.m_k, spec.qp_k.zero_point, 8)
+    return AttentionKeys(enc_diff, apply_multiplier(q_k - spec.qp_k.zero_point, spec.m_k2sum))
+
+
+def attention_int(
+    q_h_prev: QuantTensor, keys: AttentionKeys, spec: QuantAttentionSpec, float_act: bool = False
+):
+    """One decoder step of integer attention over :func:`attention_keys`'
+    output; returns (context, attention weights) as QuantTensors."""
+    if q_h_prev.qp != spec.qp_h_dec:
+        raise ValueError("attention query qparams do not match the spec")
     acc_q = int_matmul(spec.w_q_diff, q_h_prev.diffs())
-    q_q = requantize_scaled(acc_q, spec.m_q, spec.qp_q.zero_point, 8)
-    acc_k = int_matmul(enc_diff, spec.w_k_diff.T)
-    q_k = requantize_scaled(acc_k, spec.m_k, spec.qp_k.zero_point, 8)
-    pre = rescale_add(
-        [(q_q[None, :] - spec.qp_q.zero_point, spec.m_q2sum), (q_k - spec.qp_k.zero_point, spec.m_k2sum)],
-        spec.qp_sum.zero_point,
-        16,
-    )
-    act = eval_pwl_float_act if float_act else eval_pwl_int
-    th = np.asarray(act(pre, spec.pwl_tanh), dtype=np.int64)
-    acc_e = int_matmul((th - spec.qp_tanh.zero_point).astype(np.int32), spec.v_diff)
+    d_q = _clamp(apply_multiplier(acc_q, spec.m_q), spec._q_lo, spec._q_hi)
+    pre = _clamp(apply_multiplier(d_q, spec.m_q2sum) + keys.k_term + spec._zp_sum, 0, spec.qp_sum.qmax)
+    th = eval_pwl_float_act(pre, spec.pwl_tanh) if float_act else spec.pwl_tanh.grid_out[pre]
+    acc_e = int_matmul(th - spec._zp_tanh, spec.v_diff)
     q_e = requantize_scaled(acc_e, spec.m_e, spec.qp_e.zero_point, 16)
     q_alpha = softmax_int(QuantTensor(q_e.astype(np.uint16), spec.qp_e), spec, float_act=float_act)
-    acc_s = int_matmul(q_alpha.diffs(), enc_diff)
+    acc_s = int_matmul(q_alpha.diffs(), keys.enc_diff)
     q_s = requantize_scaled(acc_s, spec.m_ctx, spec.qp_s.zero_point, 8)
     return QuantTensor(q_s.astype(np.uint8), spec.qp_s), q_alpha
 
@@ -409,8 +437,9 @@ def attn_decoder_sequence_int(
     state = cell.zero_state()
     h, c = state.h.data, state.c.data
     hs = np.zeros((len(data), cell.hidden_size), dtype=np.uint8)
+    keys = attention_keys(q_enc, dec.attn)
     for t in range(len(data)):
-        q_s, _ = attention_int(QuantTensor(h, cell.qp_h), q_enc, dec.attn, float_act=float_act)
+        q_s, _ = attention_int(QuantTensor(h, cell.qp_h), keys, dec.attn, float_act=float_act)
         pre = inject_context(lstm_gate_preacts_int(data[t], h, cell), q_s, dec)
         h, c = lstm_apply_gates_int(pre, c, cell, float_act=float_act)
         hs[t] = h

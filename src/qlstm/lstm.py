@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .madnorm import MadNormQParams, madnorm_int, madnorm_int_exact, madnorm_observe
+from .madnorm import MadNormQParams, MadNormRows, madnorm_int, madnorm_int_exact, madnorm_observe
 from .pwl import PwlTable, build_pwl, eval_pwl_float_act, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
     DegenerateRangeError,
@@ -218,6 +218,13 @@ class QuantLstmSpec:
         check_dtype(np.int32, bias_q=self.bias_q)
         check_accumulator((self.input_size, self.w_h_q.shape[-1]), self.bias_q)
         m = self.hidden_size
+        if self.norm:
+            # each MadNorm normalizes one stage's rows on that stage's grid
+            stages = (("norm_x", 4 * m, self.qp_mx), ("norm_h", 4 * m, self.qp_mh), ("norm_c", m, self.qp_c))
+            for name, hidden, qp in stages:
+                p = getattr(self, name)
+                if p.hidden != hidden or p.qp_x != qp or p.gamma is not None:
+                    raise ValueError(f"{name} must take {hidden} values on its stage's grid, without affine")
         self._sig_rows, self._j_rows = _gate_rows(m)
         self.w_x_diff = self.w_x_q.astype(np.int32) - np.int32(self.qp_wx.zero_point)
         self.w_h_diff = self.w_h_q.astype(np.int32) - np.int32(self.qp_wh.zero_point)
@@ -248,6 +255,7 @@ class QuantLstmSpec:
         self._rq_mxh = RowMultipliers.blocks((self.m_mx, n), (self.m_mh, n))
         zp_mxh = _rows((self.qp_mx.zero_point, n), (self.qp_mh.zero_point, n))
         if self.norm:
+            self._norm_xh = MadNormRows([self.norm_x, self.norm_h])
             self._mxh_zp = zp_mxh
             self._nxh_zp = _rows((self.norm_x.qp_y.zero_point, n), (self.norm_h.qp_y.zero_point, n))
         else:
@@ -376,13 +384,10 @@ def _norm_params(ranges: dict, prefix: str, qp_in: QuantParams, hidden: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _madnorm_raw(q: np.ndarray, p: MadNormQParams) -> np.ndarray:
-    return madnorm_int(QuantTensor(q.astype(p.qp_x.storage_dtype), p.qp_x), p).data
-
-
 def lstm_gate_preacts_int(x: np.ndarray, h: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
-    """Matmuls, one requantize over the stacked ``mx|mh`` (MadNorm on each
-    half), and one rescale-add over all 4m gate rows.
+    """Matmuls, one requantize over the stacked ``mx|mh`` (then one MadNorm
+    call over both halves as a 2-row stack), and one rescale-add over all
+    4m gate rows.
 
     ``x`` and ``h`` are raw storage arrays under ``spec.qp_x``/``spec.qp_h``
     (the caller checks the qparams).  Returns the 4m preactivations, each
@@ -395,7 +400,7 @@ def lstm_gate_preacts_int(x: np.ndarray, h: np.ndarray, spec: QuantLstmSpec) -> 
     )
     if spec.norm:
         q = _clamp(spec._rq_mxh.apply(acc) + spec._mxh_zp, 0, 255)
-        d = np.concatenate((_madnorm_raw(q[:n], spec.norm_x), _madnorm_raw(q[n:], spec.norm_h))) - spec._nxh_zp
+        d = madnorm_int(q.reshape(2, n), spec._norm_xh).reshape(-1) - spec._nxh_zp
     else:
         d = _clamp(spec._rq_mxh.apply(acc), spec._mxh_lo, spec._mxh_hi)
     t = spec._rs_pre.apply(d)
@@ -422,7 +427,7 @@ def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, spec: QuantLstmSpec, fl
     prod = np.concatenate((d[m : 2 * m], d[:m])) * np.concatenate((c - spec._zp_c, d[2 * m : 3 * m]))
     t = spec._rs_c.apply(_clamp(spec._rq_prod.apply(prod), spec._prod_lo, spec._prod_hi))
     c_new = _clamp(t[:m] + t[m:] + spec._zp_c, 0, spec.qp_c.qmax)
-    src = _madnorm_raw(c_new, spec.norm_c) if spec.norm else c_new
+    src = madnorm_int(c_new[None], spec.norm_c.rows)[0] if spec.norm else c_new
     t_c = eval_pwl_float_act(src, spec.pwl_tanh_c) if float_act else spec.pwl_tanh_c.grid_out[src]
     h_new = requantize_scaled(d[3 * m :] * (t_c - spec._zp_tanh_c), spec.m_h, spec.qp_h.zero_point, 8)
     return h_new.astype(np.uint8), c_new

@@ -20,7 +20,6 @@ from .quant import (
     RowMultipliers,
     ScaledMultiplier,
     _clamp,
-    _clamp_store,
     _shift_round_exact,
     combine_round,
     combine_round_exact,
@@ -32,6 +31,9 @@ from .quant import (
     requantize_exact,
     requantize_scaled,
 )
+
+# combine_round and requantize_scaled are not called here; the names stay
+# bound because perfbench/spans.py re-binds them in this module.
 
 _AFFINE_FRAC_BITS = 23
 
@@ -88,6 +90,7 @@ class MadNormQParams:
     _combo_xhat: MultiplierCombo = field(init=False, repr=False)
     _m_d: ScaledMultiplier = field(init=False, repr=False)
     _m_y: ScaledMultiplier = field(init=False, repr=False)
+    rows: MadNormRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -107,6 +110,7 @@ class MadNormQParams:
         self._m_y = ScaledMultiplier.from_real(self.qp_xhat.scale / (qp_num.scale * self.qp_d.scale))
         if self.gamma is not None:
             self._build_affine()
+        self.rows = MadNormRows([self])
 
     def _build_affine(self):
         if self.qp_y_raw is None or self.qp_gamma is None or self.qp_beta is None:
@@ -175,51 +179,79 @@ def madnorm_observe(x: np.ndarray, record, prefix: str) -> np.ndarray:
     return y
 
 
-def madnorm_int(q_x: QuantTensor, p: MadNormQParams) -> QuantTensor:
-    """Integer-only MadNorm over the last axis of ``q_x``.
+class MadNormRows:
+    """Constants of the integer MadNorm kernel for ``k`` stacked instances.
+
+    Every constant is a ``(k, 1)`` column built once, so row ``r`` of a
+    ``(k, h)`` input is normalized on instance ``r``'s grids with instance
+    ``r``'s multipliers.  Each :class:`MadNormQParams` carries the ``k = 1``
+    stack of itself as ``rows``.
+    """
+
+    def __init__(self, params):
+        if len({p.hidden for p in params}) != 1:
+            raise ValueError("stacked MadNorm instances must share the hidden dimension")
+        h = self.hidden = params[0].hidden
+
+        def col(f):
+            return np.array([[f(p)] for p in params], dtype=np.int64)
+
+        zp_x = col(lambda p: p.qp_x.zero_point)
+        self.mu_off = h * zp_x
+        self.mu = RowMultipliers(col(lambda p: p._m_mu.mantissa), col(lambda p: p._m_mu.shift))
+        zp_mu = col(lambda p: p.qp_mu.zero_point)
+        self.mu_lo, self.mu_hi = -zp_mu, 255 - zp_mu
+        # x_hat rounds (x - zp_x) * a + dmu * b once; both terms share the combo's shift
+        shift = col(lambda p: p._combo_xhat.shift)
+        self.xhat_x = RowMultipliers(col(lambda p: p._combo_xhat.mantissas[0]), shift)
+        self.xhat_mu = RowMultipliers(col(lambda p: p._combo_xhat.mantissas[1]), shift)
+        self.xhat_off = zp_x * self.xhat_x.mant
+        zp_xhat = col(lambda p: p.qp_xhat.zero_point)
+        self.xhat_lo, self.xhat_hi = -zp_xhat, 255 - zp_xhat
+        self.d = RowMultipliers(col(lambda p: p._m_d.mantissa), col(lambda p: p._m_d.shift))
+        # y = round(x_hat * m_y / max(q_d, 1)); a shift <= 0 scales the numerator instead
+        m_y = [p._m_y for p in params]
+        self.y_mant2 = np.array([[2 * (m.mantissa << max(-m.shift, 0))] for m in m_y], dtype=np.int64)
+        self.y_shift = np.array([[max(m.shift, 0)] for m in m_y], dtype=np.int64)
+        self.zp_y = col(lambda p: (p.qp_y_raw if p.gamma is not None else p.qp_y).zero_point)
+
+
+def madnorm_int(q_x, p):
+    """Integer-only MadNorm.
+
+    With a :class:`MadNormQParams`, ``q_x`` is a QuantTensor on ``p.qp_x``,
+    normalized over its last axis, and the result a QuantTensor on
+    ``p.qp_y`` (the affine form applied last).  With a :class:`MadNormRows`
+    stack of ``k`` instances, ``q_x`` is a raw ``(k, h)`` int64 array whose
+    row ``r`` lies on instance ``r``'s input grid, and the result is the raw
+    ``(k, h)`` int64 output, row ``r`` on instance ``r``'s output grid.  Both forms run :func:`_normalize_rows`.
 
     Mean, centred values and deviation each land on their own calibrated
     8-bit grid; the division is guarded by ``max(q_d, 1)``.
     """
+    if isinstance(p, MadNormRows):
+        return _normalize_rows(q_x, p)
     if q_x.qp != p.qp_x:
         raise ValueError("input qparams do not match the MadNorm configuration")
     data = q_x.data.astype(np.int64)
-    floatguard.note(data)
-    h = p.hidden
-    if data.shape[-1] != h:
-        raise ValueError("hidden dimension mismatch")
-
-    acc_mu = data.sum(axis=-1, keepdims=True) - h * p.qp_x.zero_point
-    q_mu = requantize_scaled(acc_mu, p._m_mu, p.qp_mu.zero_point, 8)
-
-    dx = data - p.qp_x.zero_point
-    dmu = q_mu.astype(np.int64) - p.qp_mu.zero_point
-    q_xhat = combine_round([dx, dmu], p._combo_xhat, p.qp_xhat.zero_point, 8)
-
-    dxhat = q_xhat.astype(np.int64) - p.qp_xhat.zero_point
-    acc_d = np.abs(dxhat).sum(axis=-1, keepdims=True)
-    q_d = requantize_scaled(acc_d, p._m_d, p.qp_d.zero_point, 8)
-
-    den = np.maximum(q_d, 1)
-    num = dxhat * np.int64(p._m_y.mantissa)
-    if p.gamma is None:
-        out = _divide_rows(num, den, p._m_y.shift, p.qp_y.zero_point, 8)
-        return QuantTensor(out.astype(p.qp_y.storage_dtype), p.qp_y)
-
-    q_raw = _divide_rows(num, den, p._m_y.shift, p.qp_y_raw.zero_point, 8)
-    out = _clamp(p._affine.apply(q_raw - np.int64(p.qp_y_raw.zero_point)), 0, p.qp_y.qmax)
+    out = _normalize_rows(data.reshape(-1, data.shape[-1]), p.rows).reshape(data.shape)
+    if p.gamma is not None:
+        out = _clamp(p._affine.apply(out - np.int64(p.qp_y_raw.zero_point)), 0, p.qp_y.qmax)
     return QuantTensor(out.astype(p.qp_y.storage_dtype), p.qp_y)
 
 
-def _divide_rows(num: np.ndarray, den: np.ndarray, shift: int, zp: int, bits: int) -> np.ndarray:
-    """Rowwise divide_round where ``den`` broadcasts over the last axis."""
-    floatguard.note(num, den)
-    den_total = den.astype(np.int64) << np.int64(max(shift, 0))
-    num = num.astype(np.int64)
-    if shift < 0:
-        num = num << np.int64(-shift)
-    v = np.sign(num) * ((2 * np.abs(num) + den_total) // (2 * den_total))
-    return _clamp_store(v, zp, bits)
+def _normalize_rows(x: np.ndarray, r: MadNormRows) -> np.ndarray:
+    """The MadNorm kernel over the rows of int64 ``x``, with ``r``'s per-row constants."""
+    floatguard.note(x)
+    if x.shape[-1] != r.hidden:
+        raise ValueError("hidden dimension mismatch")
+    dmu = _clamp(r.mu.apply(x.sum(axis=-1, keepdims=True) - r.mu_off), r.mu_lo, r.mu_hi)
+    xhat = r.xhat_x.round(x * r.xhat_x.mant + (dmu * r.xhat_mu.mant - r.xhat_off))
+    dxhat = _clamp(xhat, r.xhat_lo, r.xhat_hi)
+    mag = np.abs(dxhat)
+    den = _clamp(r.d.apply(mag.sum(axis=-1, keepdims=True)), 1, 255) << r.y_shift
+    v = np.sign(dxhat) * ((mag * r.y_mant2 + den) // (2 * den))
+    return _clamp(v + r.zp_y, 0, 255)
 
 
 def madnorm_int_exact(q_x, p: MadNormQParams) -> np.ndarray:

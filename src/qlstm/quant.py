@@ -257,6 +257,10 @@ class RowMultipliers:
         p = x * self.mant
         if self.add is not None:
             p = p + self.add
+        return self.round(p)
+
+    def round(self, p) -> np.ndarray:
+        """round_half_away(p * 2^-shift_r) of an already scaled product ``p``."""
         floatguard.note(p)
         return np.sign(p) * ((np.abs(p) + self.half) >> self.shift)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,19 @@ class ModelFormatError(ValueError):
     """Manifest or blob cannot be trusted (version, checksum, truncation)."""
 
 
+@contextmanager
+def _malformed(where: str):
+    """Re-raise what a malformed manifest makes decoding raise as ModelFormatError."""
+    try:
+        yield
+    except ModelFormatError:
+        raise
+    except KeyError as e:
+        raise ModelFormatError(f"{where}: unknown or missing key {e}") from e
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as e:
+        raise ModelFormatError(f"{where}: {e}") from e
+
+
 @dataclass
 class ModelManifest:
     """Parsed manifest: layer descriptors plus tensor and qparams registries."""
@@ -89,21 +103,22 @@ class ModelManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelManifest":
-        doc = json.loads(text)
-        if doc.get("version") != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported manifest version {doc.get('version')}")
-        return cls(
-            version=doc["version"],
-            kind=doc["kind"],
-            endianness=doc["endianness"],
-            blob_file=doc["blob"]["file"],
-            checksum=doc["blob"]["sha256"],
-            layers=doc["layers"],
-            tensors=doc["tensors"],
-            qparams=doc["qparams"],
-            config=doc.get("config") or {},
-            input_qparams=doc.get("input_qparams"),
-        )
+        with _malformed("manifest"):
+            doc = json.loads(text)
+            if doc.get("version") != FORMAT_VERSION:
+                raise ModelFormatError(f"unsupported manifest version {doc.get('version')}")
+            return cls(
+                version=doc["version"],
+                kind=doc["kind"],
+                endianness=doc["endianness"],
+                blob_file=doc["blob"]["file"],
+                checksum=doc["blob"]["sha256"],
+                layers=doc["layers"],
+                tensors=doc["tensors"],
+                qparams=doc["qparams"],
+                config=doc.get("config") or {},
+                input_qparams=doc.get("input_qparams"),
+            )
 
 
 def _qp_dict(qp: QuantParams) -> dict:
@@ -329,7 +344,11 @@ def save(model, path: str) -> str:
 
 
 def load(path: str):
-    """Load a model saved with :func:`save`; verifies version and checksum."""
+    """Load a model saved with :func:`save`; verifies version and checksum.
+
+    Any manifest the loader cannot decode into a valid model raises
+    :class:`ModelFormatError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         manifest = ModelManifest.from_json(fh.read())
     name = manifest.blob_file
@@ -345,19 +364,19 @@ def load(path: str):
     r = _Reader(manifest, blob)
     integer = manifest.kind == "integer"
     layers = []
-    for d in manifest.layers:
-        if d.get("type") not in _LAYER_TYPES:
-            raise ModelFormatError(f"unknown layer type {d.get('type')!r}")
-        try:
-            layers.append(_LAYER_TYPES[d["type"]][integer].decode(r, d))
-        except ModelFormatError:
-            raise
-        except ValueError as e:
-            # the layer constructors' checks (dtypes, shapes, accumulator bounds)
-            raise ModelFormatError(f"layer {len(layers)}: {e}") from e
-    if not integer:
-        return FloatModel(layers)
-    input_qp = r.qp(manifest.input_qparams) if manifest.input_qparams else None
-    model = IntModel(layers, input_qp, config=manifest.config)
-    validate_chain(model)
+    with _malformed("manifest"):
+        for i, d in enumerate(manifest.layers):
+            # missing keys, and the layer constructors' checks (dtypes, shapes, accumulator bounds)
+            with _malformed(f"layer {i}"):
+                kind = d.get("type")
+                if not isinstance(kind, str) or kind not in _LAYER_TYPES:
+                    raise ModelFormatError(f"unknown layer type {kind!r}")
+                layers.append(_LAYER_TYPES[kind][integer].decode(r, d))
+    # the structure rules and the qparams chain
+    with _malformed("model"):
+        if not integer:
+            return FloatModel(layers)
+        input_qp = r.qp(manifest.input_qparams) if manifest.input_qparams else None
+        model = IntModel(layers, input_qp, config=manifest.config)
+        validate_chain(model)
     return model

@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import calibrated_int_model, observe, random_attention_config, random_cell
 from qlstm import floatguard, runtime, serialize
-from qlstm.attention import attention_int, attention_int_exact
+from qlstm.attention import attention_int, attention_int_exact, attention_keys
 from qlstm.cli import main
 from qlstm.lstm import (
     BiLstmSpec,
@@ -194,7 +194,7 @@ def test_criterion_6_bit_exactness_suite():
             _, h, enc, spec = random_attention_config(rng, pieces=8, candidates=128)
             q_h = QuantTensor.from_real(h, spec.qp_h_dec)
             q_enc = QuantTensor.from_real(enc, spec.qp_enc)
-            q_s, q_a = attention_int(q_h, q_enc, spec)
+            q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
             s_ref, a_ref = attention_int_exact(q_h.data, q_enc.data, spec)
             assert np.array_equal(q_s.data.astype(np.int64), s_ref)
             assert np.array_equal(q_a.data.astype(np.int64), a_ref)

@@ -1,6 +1,9 @@
 """Additive attention: real path, integer softmax/attention vs exact oracle."""
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import observe, random_attention_config, random_cell
 from qlstm import attention as att
@@ -9,6 +12,7 @@ from qlstm.attention import (
     QuantAttnDecoderSpec,
     attention_int,
     attention_int_exact,
+    attention_keys,
     attention_real,
     attn_decoder_sequence_exact,
     attn_decoder_sequence_int,
@@ -17,6 +21,7 @@ from qlstm.attention import (
     softmax_int_exact,
 )
 from qlstm.lstm import lstm_gate_preacts_int
+from qlstm.pwl import eval_pwl_float_act
 from qlstm.quant import QuantTensor, compute_qparams, dequantize, quantize
 
 
@@ -131,7 +136,7 @@ class TestAttentionInt:
             w, h, enc, spec = random_attention_config(rng)
             q_h = QuantTensor.from_real(h, spec.qp_h_dec)
             q_enc = QuantTensor.from_real(enc, spec.qp_enc)
-            q_s, q_a = attention_int(q_h, q_enc, spec)
+            q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
             s_ref, a_ref = attention_int_exact(q_h.data, q_enc.data, spec)
             assert np.array_equal(q_s.data.astype(np.int64), s_ref)
             assert np.array_equal(q_a.data.astype(np.int64), a_ref)
@@ -144,7 +149,7 @@ class TestAttentionInt:
         s_fq, a_fq = dequantize(q_s_fq, spec.qp_s), dequantize(q_a_fq, spec.qp_alpha)
         q_h = QuantTensor.from_real(h, spec.qp_h_dec)
         q_enc = QuantTensor.from_real(enc, spec.qp_enc)
-        q_s, q_a = attention_int(q_h, q_enc, spec)
+        q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
         assert np.array_equal(np.asarray(quantize(s_fq, spec.qp_s)), q_s.data.astype(np.int64))
         assert np.array_equal(np.asarray(quantize(a_fq, spec.qp_alpha)), q_a.data.astype(np.int64))
 
@@ -157,7 +162,7 @@ class TestAttentionInt:
             w, h, enc, spec = random_attention_config(rng, pieces=12)
             q_h = QuantTensor.from_real(h, spec.qp_h_dec)
             q_enc = QuantTensor.from_real(enc, spec.qp_enc)
-            _, q_a = attention_int(q_h, q_enc, spec)
+            _, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
             _, a_real = attention_real(h, enc, w)
             agree += int(np.argmax(q_a.data) == np.argmax(a_real))
         assert agree / n >= 0.95
@@ -168,7 +173,7 @@ class TestAttentionInt:
         rng = np.random.default_rng(21)
         w, h, enc, spec = random_attention_config(rng)
         q_enc = QuantTensor.from_real(enc[:1], spec.qp_enc)
-        q_s, q_a = attention_int(QuantTensor.from_real(h, spec.qp_h_dec), q_enc, spec)
+        q_s, q_a = attention_int(QuantTensor.from_real(h, spec.qp_h_dec), attention_keys(q_enc, spec), spec)
         assert q_a.data[0] == quantize(1.0, spec.qp_alpha)
         want = np.asarray(quantize(q_enc.dequantize()[0], spec.qp_s))
         assert np.max(np.abs(q_s.data.astype(np.int64) - want)) <= 1
@@ -178,7 +183,51 @@ class TestAttentionInt:
         _, h, enc, spec = random_attention_config(rng)
         bad = QuantTensor.zeros(len(h), compute_qparams(-20.0, 20.0, 8))
         with pytest.raises(ValueError):
-            attention_int(bad, QuantTensor.from_real(enc, spec.qp_enc), spec)
+            attention_int(bad, attention_keys(QuantTensor.from_real(enc, spec.qp_enc), spec), spec)
+
+
+def pinned(rng, shape, how: str) -> np.ndarray:
+    """uint8 storage: random, all 0, all 255, or a random mix of 0 and 255."""
+    return {
+        "random": lambda: rng.integers(0, 256, shape),
+        "zero": lambda: np.zeros(shape, dtype=np.int64),
+        "qmax": lambda: np.full(shape, 255),
+        "both": lambda: rng.choice([0, 255], size=shape),
+    }[how]().astype(np.uint8)
+
+
+def with_true_activations(spec):
+    """A copy of ``spec`` whose tanh and exp tables hold the quantized true
+    functions, i.e. what ``float_act=True`` evaluates."""
+    spec = copy.copy(spec)
+    for name in ("pwl_tanh", "pwl_exp"):
+        t = copy.copy(getattr(spec, name))
+        t.grid_out = np.asarray(eval_pwl_float_act(np.arange(t.in_qp.qmax + 1), t))
+        setattr(spec, name, t)
+    return spec
+
+
+class TestAttentionKernelEdges:
+    @given(
+        T=st.integers(1, 40),
+        enc_in=st.sampled_from(["random", "zero", "qmax", "both"]),
+        h_in=st.sampled_from(["random", "zero", "qmax"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_attention_equals_oracle(self, T, enc_in, h_in, seed):
+        rng = np.random.default_rng(seed)
+        _, _, _, spec = random_attention_config(rng, pieces=8, candidates=128)
+        q_enc = QuantTensor(pinned(rng, (T, spec.w_k_q.shape[1]), enc_in), spec.qp_enc)
+        q_h = QuantTensor(pinned(rng, spec.w_q_q.shape[1], h_in), spec.qp_h_dec)
+        keys = attention_keys(q_enc, spec)
+        q_s, q_a = attention_int(q_h, keys, spec)
+        s_ref, a_ref = attention_int_exact(q_h.data, q_enc.data, spec)
+        assert np.array_equal(q_s.data.astype(np.int64), s_ref)
+        assert np.array_equal(q_a.data.astype(np.int64), a_ref)
+        # float_act runs the same kernel with the true functions in place of the tables
+        f_s, f_a = attention_int(q_h, keys, spec, float_act=True)
+        g_s, g_a = attention_int(q_h, keys, with_true_activations(spec))
+        assert np.array_equal(f_s.data, g_s.data) and np.array_equal(f_a.data, g_a.data)
 
 
 def build_decoder(rng, *, gate_bits=8, pieces=8, n_in=3, T=6):
@@ -242,6 +291,25 @@ class TestInjectContext:
         got = attn_decoder_sequence_int(q_xs, q_enc, dec)
         want = attn_decoder_sequence_exact(q_xs.data, q_enc.data, dec)
         assert np.array_equal(got.data.astype(np.int64), want)
+
+
+def test_keys_are_projected_once_per_sequence(monkeypatch):
+    rng = np.random.default_rng(18)
+    T = 6
+    _, _, xs, enc, dec = build_decoder(rng, T=T)
+    m_att, m_enc = dec.attn.w_k_q.shape
+    shapes, int_matmul = [], att.int_matmul
+
+    def counting(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return int_matmul(a, b)
+
+    monkeypatch.setattr(att, "int_matmul", counting)
+    q_enc = QuantTensor.from_real(enc, dec.attn.qp_enc)
+    attn_decoder_sequence_int(QuantTensor.from_real(xs, dec.cell.qp_x), q_enc, dec)
+    # one T x m_att x m_enc key product per sequence, never one per step
+    assert [a for a, b in shapes if b == (m_enc, m_att)] == [(T, m_enc)]
+    assert len(shapes) == 1 + 4 * T  # per step: query, score, context and its injection
 
 
 def test_ledger_bitwidth_violation_rejected():

@@ -100,6 +100,19 @@ class TestExitCodes:
         assert "residual skip" in capsys.readouterr().err
 
 
+    def test_malformed_manifest_is_validation_error(self, tmp_path, capsys):
+        _, im = calibrated_int_model(np.random.default_rng(33), ["lstm"])
+        path = tmp_path / "int.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        del doc["layers"][1]["tensors"]
+        path.write_text(json.dumps(doc))
+        inp = tmp_path / "input.txt"
+        inp.write_text("0 1 2\n")
+        assert main(["run", "--model", str(path), "--input", str(inp), "--out", str(tmp_path / "o.txt")]) == 3
+        assert "missing key 'tensors'" in capsys.readouterr().err
+
+
 class TestCalibrateConvert:
     def test_qparams_file_parses_back(self, pipeline):
         tmp_path, fpath, data = pipeline

@@ -1,10 +1,13 @@
 """MadNorm: real reference, integer path vs exact oracle, distribution facts."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qlstm.madnorm import (
     MadNormQParams,
+    MadNormRows,
     layernorm_real,
     madnorm_int,
     madnorm_int_exact,
@@ -144,6 +147,87 @@ class TestMadNormInt:
         p = calibrated_params(rng.normal(0, 1, (10, 8)), 8)
         with pytest.raises(ValueError, match="hidden dimension mismatch"):
             madnorm_int_exact(np.full(7, p.qp_x.zero_point), p)
+
+
+def _qp(e: int, below: float, bits: int = 8):
+    """qparams over a range of width 2^e, the fraction ``below`` of it under 0."""
+    return compute_qparams(-below * 2.0**e, (1 - below) * 2.0**e, bits)
+
+
+@st.composite
+def madnorm_stack(draw):
+    """``k`` MadNorm instances of one width, each with its own grids, and one
+    input row per instance: random, constant, or pinned at 0 and qmax.
+
+    The exponents keep every product inside int64, so the integer kernel has
+    to agree with the exact oracle everywhere; ``y_left`` picks grids whose
+    output multiplier has shift <= 0 (a left-shifted numerator).
+    """
+    hidden, k = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    params, rows = [], []
+    for _ in range(k):
+        below = [draw(st.floats(0.0, 1.0)) for _ in range(4)]
+        if draw(st.booleans()):  # y_left
+            e_xhat, e_d, e_y = draw(st.integers(5, 6)), draw(st.integers(-12, -9)), draw(st.integers(-12, -9))
+        else:
+            e_xhat, e_d, e_y = draw(st.integers(-6, 6)), draw(st.integers(-12, 4)), draw(st.integers(-12, 4))
+        p = MadNormQParams(
+            qp_x=_qp(draw(st.integers(-6, 6)), below[0], draw(st.sampled_from([8, 16]))),
+            qp_mu=_qp(draw(st.integers(-6, 6)), below[1]),
+            qp_xhat=_qp(e_xhat, below[2]),
+            qp_d=compute_qparams(0.0, 2.0**e_d, 8),
+            qp_y=_qp(e_y, below[3]),
+            hidden=hidden,
+        )
+        qmax = p.qp_x.qmax
+        kind = draw(st.sampled_from(["random", "constant", "zero", "qmax", "extremes"]))
+        if kind == "random":
+            row = draw(st.lists(st.integers(0, qmax), min_size=hidden, max_size=hidden))
+        elif kind == "constant":
+            row = [draw(st.integers(0, qmax))] * hidden
+        elif kind == "extremes":
+            row = draw(st.lists(st.sampled_from([0, qmax]), min_size=hidden, max_size=hidden))
+        else:
+            row = [0 if kind == "zero" else qmax] * hidden
+        params.append(p)
+        rows.append(row)
+    return params, np.array(rows, dtype=np.int64)
+
+
+class TestStackedKernel:
+    @given(madnorm_stack())
+    def test_rows_equal_oracle(self, case):
+        params, x = case
+        out = madnorm_int(x, MadNormRows(params))
+        assert out.shape == x.shape
+        for row, q_x, p in zip(out, x, params):
+            want = madnorm_int_exact(q_x, p)
+            assert np.array_equal(row, want)
+            # the one-instance form runs the same kernel
+            single = madnorm_int(QuantTensor(q_x.astype(p.qp_x.storage_dtype), p.qp_x), p).data
+            assert np.array_equal(single.astype(np.int64), want)
+
+    def test_left_shifted_output_multiplier_and_guard(self):
+        # shift <= 0 on the output multiplier, and constant rows whose
+        # deviation rounds to 0 (the max(q_d, 1) guard)
+        p = MadNormQParams(
+            qp_x=_qp(2, 0.5), qp_mu=_qp(2, 0.5), qp_xhat=_qp(6, 0.5),
+            qp_d=compute_qparams(0.0, 2.0**-12, 8), qp_y=_qp(-12, 0.5), hidden=5,
+        )
+        q = MadNormRows([p, p])
+        assert p._m_y.shift <= 0
+        x = np.array([[0, 255, 7, 128, 255], [9, 9, 9, 9, 9]], dtype=np.int64)
+        out = madnorm_int(x, q)
+        for row, q_x in zip(out, x):
+            assert np.array_equal(row, madnorm_int_exact(q_x, p))
+
+    def test_rows_must_share_the_hidden_dimension(self):
+        ranges = {"x": (-1, 1), "mu": (-1, 1), "xhat": (-1, 1), "d": (0, 1), "y": (-1, 1)}
+        a = MadNormQParams.from_ranges(ranges, 4)
+        with pytest.raises(ValueError, match="hidden dimension"):
+            MadNormRows([a, replace(a, hidden=5)])
+        with pytest.raises(ValueError, match="hidden dimension mismatch"):
+            madnorm_int(np.zeros((1, 5), dtype=np.int64), a.rows)
 
 
 class TestDistributionFacts:

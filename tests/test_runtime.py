@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import calibrated_int_model, random_cell, token_model
 from qlstm import floatguard, serialize
@@ -427,6 +428,58 @@ class TestSaveLoad:
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["layers"][1].pop("tensors"), "layer 1: unknown or missing key 'tensors'"),
+            (lambda doc: doc["qparams"].pop(doc["layers"][1]["qparams"]["c"]), "layer 1: unknown or missing key"),
+            (lambda doc: doc.pop("layers"), "manifest: unknown or missing key 'layers'"),
+            (lambda doc: doc["layers"][2].update(type=["final_projection"]), "unknown layer type"),
+            (lambda doc: doc["layers"].insert(2, doc["layers"][0]), "model: embedding must be the first"),
+            (lambda doc: doc["layers"][2]["qparams"].update({"in": "L1.c"}), "chain"),
+        ],
+        ids=["layer-key", "qparams-entry", "top-key", "type-not-a-string", "structure", "chain"],
+    )
+    def test_malformed_manifest_is_a_format_error(self, tmp_path, edit, message):
+        rng = np.random.default_rng(36)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match=message):
+            serialize.load(str(path))
+
+    def test_manifest_that_is_not_json_is_a_format_error(self, tmp_path):
+        rng = np.random.default_rng(37)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        path.write_text(path.read_text()[:-40])
+        with pytest.raises(serialize.ModelFormatError, match="manifest"):
+            serialize.load(str(path))
+
+    @pytest.mark.parametrize(
+        "norm, key, value",
+        [
+            ("nx", "hidden", 7), ("nh", "hidden", 13), ("nc", "hidden", 12),
+            ("nc", "x", "mx"), ("nh", "x", "mx"),
+        ],
+    )
+    def test_madnorm_not_matching_its_stage_rejected(self, tmp_path, norm, key, value):
+        # a stacked MadNorm kernel would otherwise run on the wrong rows or grid
+        rng = np.random.default_rng(38)
+        _, im = calibrated_int_model(rng, ["lstm_norm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        cell = doc["layers"][1]
+        cell["norm"][norm][key] = cell["qparams"][value] if key == "x" else value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match=f"norm_{norm[1]} must take"):
+            serialize.load(str(path))
+
     def test_loaded_activation_tables_equal_converted_ones(self, tmp_path):
         rng = np.random.default_rng(34)
         _, im = calibrated_int_model(rng, ["bilstm", "lstm_norm", "attn"], cell_bits=16)
@@ -455,6 +508,46 @@ class TestSaveLoad:
         a = forward_float(model, seq)[-1]
         b = forward_float(loaded, seq)[-1]
         assert np.array_equal(a, b)
+
+
+def _leaf_paths(node, path=()):
+    """Key paths to every scalar or numeric list in a manifest document."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(node, list) and node and isinstance(node[0], (dict, list)):
+        for i, v in enumerate(node):
+            yield from _leaf_paths(v, path + (i,))
+    else:
+        yield path
+
+
+@pytest.fixture(scope="module")
+def saved_manifest(tmp_path_factory):
+    _, im = calibrated_int_model(np.random.default_rng(39), ["lstm_norm", "attn"])
+    path = tmp_path_factory.mktemp("fuzz") / "m.json"
+    serialize.save(im, str(path))
+    doc = json.loads(path.read_text())
+    return path, doc, [p for p in _leaf_paths(doc) if p[0] != "blob"]
+
+
+@given(data=st.data(), value=st.sampled_from([None, -1, 0, 1.5, 10**12, "x", [], {}, "<deleted>"]))
+def test_mutated_manifest_loads_or_raises_format_error(saved_manifest, data, value):
+    path, doc, paths = saved_manifest
+    doc = json.loads(json.dumps(doc))
+    *parents, key = data.draw(st.sampled_from(paths))
+    node = doc
+    for k in parents:
+        node = node[k]
+    if value == "<deleted>":
+        node.pop(key)
+    else:
+        node[key] = value
+    path.write_text(json.dumps(doc))
+    try:
+        serialize.load(str(path))
+    except serialize.ModelFormatError:
+        pass
 
 
 class TestGoldenFormat:
