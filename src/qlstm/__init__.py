@@ -54,6 +54,7 @@ from .runtime import (
     calibrate,
     convert,
     dequantize_model,
+    exact_activations,
     run,
     run_reference,
 )

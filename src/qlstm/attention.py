@@ -4,7 +4,8 @@ Mixed-precision layout on the integer path: 8-bit weights and projection
 outputs, 16-bit pre-tanh sums and alignments, 8-bit tanh/exp outputs, a
 32-bit softmax denominator and 8-bit attention weights and context.  The
 softmax inputs are max-shifted for numerical stability, which on the
-integer path happens directly on the raw alignments.
+integer path happens directly on the raw alignments.  The integer tanh and
+exp are gathers from their tables' grid outputs.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .lstm import (
     lstm_gate_preacts_int,
     stage_qparams,
 )
-from .pwl import PwlTable, build_pwl, eval_pwl_float_act, eval_pwl_int, eval_pwl_int_exact
+from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact
 from .quant import (
     QuantParams,
     QuantTensor,
@@ -191,13 +192,15 @@ class QuantAttentionSpec:
         w_q_q, qp_wq = quantize_weights(w.w_q)
         w_k_q, qp_wk = quantize_weights(w.w_k)
         v_q, qp_v = quantize_weights(w.v)
+        # exp sees max-shifted alignments, non-positive by construction; exp
+        # output and attention weights cover their analytic tops (exp(0) = 1
+        # after the shift; weights live in [0, 1]).  A NaN bound stays NaN.
+        ranges = {**ranges, "exp_in": (min(ranges["exp_in"][0], -1e-6), 0.0)}
+        ranges["exp_out"] = (0.0, max(ranges["exp_out"][1], 1.0))
         qp_sum = stage_qparams(ranges, "sum", 16)
-        # exp sees max-shifted alignments, which are non-positive by construction
-        qp_exp_in = compute_qparams(min(ranges["exp_in"][0], -1e-6), 0.0, 16)
+        qp_exp_in = stage_qparams(ranges, "exp_in", 16)
         qp_tanh = stage_qparams(ranges, "tanh", 8)
-        # exp output and attention weights always cover their analytic tops
-        # (exp(0) = 1 after the max shift; weights live in [0, 1])
-        qp_exp_out = compute_qparams(0.0, max(ranges["exp_out"][1], 1.0), 8)
+        qp_exp_out = stage_qparams(ranges, "exp_out", 8)
         pwl_tanh = build_pwl("tanh", qp_sum, qp_tanh, pieces_tanh, candidates=candidates)
         pwl_exp = build_pwl("exp", qp_exp_in, qp_exp_out, pieces_exp, candidates=candidates)
         return cls(
@@ -223,20 +226,18 @@ class QuantAttentionSpec:
         )
 
 
-def softmax_int(q_e: QuantTensor, spec: QuantAttentionSpec, float_act: bool = False) -> QuantTensor:
+def softmax_int(q_e: QuantTensor, spec: QuantAttentionSpec) -> QuantTensor:
     """Integer softmax: max-shift, PWL exp, 32-bit denominator, rounded division.
 
     The max-shift's requantize clamps onto the exp input grid, so the PWL exp
-    is one gather from its table (``float_act`` evaluates the true function
-    instead).
+    is one gather from its table.
     """
     if q_e.qp != spec.qp_e:
         raise ValueError("alignment qparams do not match the attention spec")
     data = q_e.data.astype(np.int64)
     floatguard.note(data)
     q_in = requantize_scaled(data - data.max(), spec.m_shift, spec.qp_exp_in.zero_point, 16)
-    q_exp = eval_pwl_float_act(q_in, spec.pwl_exp) if float_act else spec.pwl_exp.grid_out[q_in]
-    d_exp = q_exp - spec._zp_exp_out
+    d_exp = spec.pwl_exp.grid_out[q_in] - spec._zp_exp_out
     denom = max(int(d_exp.sum()), 1)
     num = d_exp * np.int64(spec.m_alpha.mantissa)
     q_alpha = divide_round(num, denom, spec.m_alpha.shift, spec.qp_alpha.zero_point, 8)
@@ -281,9 +282,7 @@ def attention_keys(q_enc: QuantTensor, spec: QuantAttentionSpec) -> AttentionKey
     return AttentionKeys(enc_diff, apply_multiplier(q_k - spec.qp_k.zero_point, spec.m_k2sum))
 
 
-def attention_int(
-    q_h_prev: QuantTensor, keys: AttentionKeys, spec: QuantAttentionSpec, float_act: bool = False
-):
+def attention_int(q_h_prev: QuantTensor, keys: AttentionKeys, spec: QuantAttentionSpec):
     """One decoder step of integer attention over :func:`attention_keys`'
     output; returns (context, attention weights) as QuantTensors."""
     if q_h_prev.qp != spec.qp_h_dec:
@@ -291,10 +290,9 @@ def attention_int(
     acc_q = int_matmul(spec.w_q_diff, q_h_prev.diffs())
     d_q = _clamp(apply_multiplier(acc_q, spec.m_q), spec._q_lo, spec._q_hi)
     pre = _clamp(apply_multiplier(d_q, spec.m_q2sum) + keys.k_term + spec._zp_sum, 0, spec.qp_sum.qmax)
-    th = eval_pwl_float_act(pre, spec.pwl_tanh) if float_act else spec.pwl_tanh.grid_out[pre]
-    acc_e = int_matmul(th - spec._zp_tanh, spec.v_diff)
+    acc_e = int_matmul(spec.pwl_tanh.grid_out[pre] - spec._zp_tanh, spec.v_diff)
     q_e = requantize_scaled(acc_e, spec.m_e, spec.qp_e.zero_point, 16)
-    q_alpha = softmax_int(QuantTensor(q_e.astype(np.uint16), spec.qp_e), spec, float_act=float_act)
+    q_alpha = softmax_int(QuantTensor(q_e.astype(np.uint16), spec.qp_e), spec)
     acc_s = int_matmul(q_alpha.diffs(), keys.enc_diff)
     q_s = requantize_scaled(acc_s, spec.m_ctx, spec.qp_s.zero_point, 8)
     return QuantTensor(q_s.astype(np.uint8), spec.qp_s), q_alpha
@@ -428,9 +426,7 @@ def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
     return sig, j
 
 
-def attn_decoder_sequence_int(
-    q_xs: QuantTensor, q_enc: QuantTensor, dec: QuantAttnDecoderSpec, float_act: bool = False
-) -> QuantTensor:
+def attn_decoder_sequence_int(q_xs: QuantTensor, q_enc: QuantTensor, dec: QuantAttnDecoderSpec) -> QuantTensor:
     cell = dec.cell
     _check_inputs(cell, q_xs.qp)
     data = np.atleast_2d(q_xs.data)
@@ -439,9 +435,9 @@ def attn_decoder_sequence_int(
     hs = np.zeros((len(data), cell.hidden_size), dtype=np.uint8)
     keys = attention_keys(q_enc, dec.attn)
     for t in range(len(data)):
-        q_s, _ = attention_int(QuantTensor(h, cell.qp_h), keys, dec.attn, float_act=float_act)
+        q_s, _ = attention_int(QuantTensor(h, cell.qp_h), keys, dec.attn)
         pre = inject_context(lstm_gate_preacts_int(data[t], h, cell), q_s, dec)
-        h, c = lstm_apply_gates_int(pre, c, cell, float_act=float_act)
+        h, c = lstm_apply_gates_int(pre, c, cell)
         hs[t] = h
     return QuantTensor(hs, cell.qp_h)
 

@@ -152,16 +152,17 @@ def _time_config(fn, warmup: int, iters: int) -> float:
 
 def bench_model(model: runtime.IntModel, seq_len: int, warmup: int, iters: int) -> BenchReport:
     """Time the float reference, the integer engine and the integer engine
-    with full-precision activations on the same weights and input."""
+    on exact activation tables, on the same weights and input."""
     if iters < 1:
         raise ValueError("iters must be at least 1")
     seq = _bench_input(model, seq_len)
     float_model = runtime.dequantize_model(model)
+    exact_model = runtime.exact_activations(model)
 
     configs = [
         ("float", lambda: runtime.forward_float(float_model, seq)),
         ("int_pwl", lambda: runtime.run(model, seq)),
-        ("int_float_act", lambda: runtime.run(model, seq, float_act=True)),
+        ("int_float_act", lambda: runtime.run(exact_model, seq)),
     ]
     report = BenchReport(warmup=warmup, iters=iters)
     times = {}

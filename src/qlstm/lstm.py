@@ -2,7 +2,7 @@
 
 * a real-arithmetic reference (float64),
 * an integer-only engine (8-bit matmuls, 32-bit accumulation, fixed-point
-  rescaling, PWL activations),
+  rescaling, activations gathered from the PWL tables' grid outputs),
 * an exact-arithmetic fake-quantization oracle (``*_exact``) that mirrors
   the integer engine's dataflow with arbitrary-precision rounding and is
   the bit-exactness reference for it.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .madnorm import MadNormQParams, MadNormRows, madnorm_int, madnorm_int_exact, madnorm_observe
-from .pwl import PwlTable, build_pwl, eval_pwl_float_act, eval_pwl_int, eval_pwl_int_exact, sigmoid
+from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
     DegenerateRangeError,
     QuantParams,
@@ -407,28 +407,22 @@ def lstm_gate_preacts_int(x: np.ndarray, h: np.ndarray, spec: QuantLstmSpec) -> 
     return _clamp(t[:n] + t[n:] + spec._pre_zp, 0, spec._pre_top)
 
 
-def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, spec: QuantLstmSpec, float_act: bool = False):
+def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, spec: QuantLstmSpec):
     """Activations, cell update and hidden output of the integer cell.
 
     ``pre`` is :func:`lstm_gate_preacts_int`'s output and ``c`` the raw cell
     state.  Sigmoid and candidate tanh are one gather from the spec's gate
-    table (``float_act`` evaluates the true functions instead); the ``fc|ij``
-    products are requantized together.  Returns the raw ``(h, c)``: ``h`` as
+    table and the cell tanh one from its own; the ``fc|ij`` products are
+    requantized together.  Returns the raw ``(h, c)``: ``h`` as
     uint8 storage, ``c`` as int64.
     """
     m = spec.hidden_size
-    if float_act:
-        a = np.empty(4 * m, dtype=np.int64)
-        a[spec._sig_rows] = eval_pwl_float_act(pre[spec._sig_rows], spec.pwl_sig)
-        a[spec._j_rows] = eval_pwl_float_act(pre[spec._j_rows], spec.pwl_tanh_j)
-    else:
-        a = spec._gate_table[pre + spec._gate_off]
-    d = a - spec._gate_zp  # centred i | f | j | o
+    d = spec._gate_table[pre + spec._gate_off] - spec._gate_zp  # centred i | f | j | o
     prod = np.concatenate((d[m : 2 * m], d[:m])) * np.concatenate((c - spec._zp_c, d[2 * m : 3 * m]))
     t = spec._rs_c.apply(_clamp(spec._rq_prod.apply(prod), spec._prod_lo, spec._prod_hi))
     c_new = _clamp(t[:m] + t[m:] + spec._zp_c, 0, spec.qp_c.qmax)
     src = madnorm_int(c_new[None], spec.norm_c.rows)[0] if spec.norm else c_new
-    t_c = eval_pwl_float_act(src, spec.pwl_tanh_c) if float_act else spec.pwl_tanh_c.grid_out[src]
+    t_c = spec.pwl_tanh_c.grid_out[src]
     h_new = requantize_scaled(d[3 * m :] * (t_c - spec._zp_tanh_c), spec.m_h, spec.qp_h.zero_point, 8)
     return h_new.astype(np.uint8), c_new
 
@@ -438,13 +432,11 @@ def _check_inputs(spec: QuantLstmSpec, qp_x: QuantParams, qp_h: QuantParams | No
         raise ValueError("input/state qparams do not match the cell spec")
 
 
-def lstm_step_int(
-    q_x: QuantTensor, state: QuantLstmState, spec: QuantLstmSpec, float_act: bool = False
-) -> QuantLstmState:
+def lstm_step_int(q_x: QuantTensor, state: QuantLstmState, spec: QuantLstmSpec) -> QuantLstmState:
     """One integer-only LSTM step."""
     _check_inputs(spec, q_x.qp, state.h.qp)
     pre = lstm_gate_preacts_int(q_x.data, state.h.data, spec)
-    h, c = lstm_apply_gates_int(pre, state.c.data, spec, float_act=float_act)
+    h, c = lstm_apply_gates_int(pre, state.c.data, spec)
     return QuantLstmState(QuantTensor(h, spec.qp_h), QuantTensor(c.astype(spec.qp_c.storage_dtype), spec.qp_c))
 
 
@@ -584,16 +576,14 @@ def lstm_sequence_real(
     return hs
 
 
-def lstm_sequence_int(
-    q_xs: QuantTensor, spec: QuantLstmSpec, direction: str = "forward", float_act: bool = False
-) -> QuantTensor:
+def lstm_sequence_int(q_xs: QuantTensor, spec: QuantLstmSpec, direction: str = "forward") -> QuantTensor:
     _check_inputs(spec, q_xs.qp)
     data = np.atleast_2d(q_xs.data)
     state = spec.zero_state()
     h, c = state.h.data, state.c.data
     hs = np.zeros((len(data), spec.hidden_size), dtype=np.uint8)
     for t in _time_order(len(data), direction):
-        h, c = lstm_apply_gates_int(lstm_gate_preacts_int(data[t], h, spec), c, spec, float_act=float_act)
+        h, c = lstm_apply_gates_int(lstm_gate_preacts_int(data[t], h, spec), c, spec)
         hs[t] = h
     return QuantTensor(hs, spec.qp_h)
 
@@ -642,13 +632,13 @@ class BiLstmSpec:
         qp_x: QuantParams | None = None,
         **kwargs,
     ) -> "BiLstmSpec":
+        def shared(key):  # one range over both directions; a NaN bound stays NaN
+            (a, b), (c, d) = ranges_fwd[key], ranges_bwd[key]
+            return {key: (float(np.minimum(a, c)), float(np.maximum(b, d)))}
+
         if qp_x is None:
-            lo = min(ranges_fwd["x"][0], ranges_bwd["x"][0])
-            hi = max(ranges_fwd["x"][1], ranges_bwd["x"][1])
-            qp_x = compute_qparams(lo, hi, 8)
-        lo = min(ranges_fwd["h"][0], ranges_bwd["h"][0])
-        hi = max(ranges_fwd["h"][1], ranges_bwd["h"][1])
-        qp_h = compute_qparams(lo, hi, 8)
+            qp_x = stage_qparams(shared("x"), "x", 8)
+        qp_h = stage_qparams(shared("h"), "h", 8)
         fwd = QuantLstmSpec.from_float(w_fwd, ranges_fwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
         bwd = QuantLstmSpec.from_float(w_bwd, ranges_bwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
         return cls(fwd, bwd)
@@ -660,9 +650,9 @@ def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noo
     return np.concatenate([fwd, bwd], axis=-1)
 
 
-def bilstm_sequence_int(q_xs: QuantTensor, spec: BiLstmSpec, float_act: bool = False) -> QuantTensor:
-    fwd = lstm_sequence_int(q_xs, spec.fwd, "forward", float_act=float_act)
-    bwd = lstm_sequence_int(q_xs, spec.bwd, "backward", float_act=float_act)
+def bilstm_sequence_int(q_xs: QuantTensor, spec: BiLstmSpec) -> QuantTensor:
+    fwd = lstm_sequence_int(q_xs, spec.fwd, "forward")
+    bwd = lstm_sequence_int(q_xs, spec.bwd, "backward")
     return QuantTensor(np.concatenate([fwd.data, bwd.data], axis=-1), spec.qp_h)
 
 

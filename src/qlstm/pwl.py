@@ -12,6 +12,9 @@ what a model stores and what the exact oracle evaluates.  At build or load
 time every table also expands that form into its integer output at each
 point of the input grid (256 entries for an 8-bit input, 65,536 for a
 16-bit one), so the integer engine evaluates an activation as one gather.
+The engine reads nothing else, so the same tables filled with
+:func:`build_lut` run the true nonlinearities instead
+(``runtime.exact_activations``).
 """
 from __future__ import annotations
 
@@ -161,10 +164,6 @@ class PwlTable:
     @property
     def n_pieces(self) -> int:
         return len(self.slopes)
-
-    def slope_multipliers(self):
-        """Per-piece fixed-point slope encoding as (mantissa, shift) pairs."""
-        return [ScaledMultiplier(int(abs(m)), int(s)) for m, s in zip(self.slope_mants, self.slope_shifts)]
 
 
 def _build_integer_form(t: PwlTable) -> None:
@@ -320,21 +319,6 @@ def eval_pwl_int_exact(q: int, t: PwlTable) -> int:
     raw = (q - int(t.knots_q[i])) * int(t.slope_mants[i])
     raw += int(t.intercept_fx[i]) << (shift - t.frac_bits)
     return max(0, min(_shift_round_exact(raw, shift), t.out_qp.qmax))
-
-
-def eval_pwl_float_act(q_x, t: PwlTable):
-    """Quantized-in/quantized-out evaluation of the true nonlinearity.
-
-    Used by the "without quantized activations" engine configuration: the
-    input is dequantized, the exact function applied in floating point, and
-    the result requantized.
-    """
-    if t.fn_name is None:
-        raise ValueError("table carries no function name")
-    f = ACTIVATIONS[t.fn_name]
-    real = f(dequantize(np.asarray(q_x), t.in_qp))
-    floatguard.note(np.asarray(real))
-    return quantize(real, t.out_qp)
 
 
 def dump_pwl_csv(t: PwlTable, fh) -> None:

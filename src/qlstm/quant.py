@@ -55,6 +55,8 @@ class QuantParams:
     def __post_init__(self):
         if self.bitwidth not in (8, 16):
             raise ValueError(f"unsupported bitwidth {self.bitwidth}")
+        if not all(math.isfinite(v) for v in (self.min, self.max, self.scale)):
+            raise ValueError("range and scale must be finite")
         if not (self.min <= 0.0 <= self.max):
             raise ValueError("range must include zero")
         if self.scale <= 0.0:
@@ -75,7 +77,8 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
     """Derive quantization parameters from an observed value range.
 
     The range is widened to include zero so that real 0 is exactly
-    representable at the zero-point.
+    representable at the zero-point.  A NaN or infinite bound, or a range
+    too wide for a finite scale, raises :class:`DegenerateRangeError`.
     """
     if bitwidth not in (8, 16):
         raise ValueError(f"unsupported bitwidth {bitwidth}")
@@ -87,6 +90,8 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
         raise DegenerateRangeError("degenerate range: min = max = 0")
     qmax = (1 << bitwidth) - 1
     scale = (hi - lo) / qmax
+    if not math.isfinite(scale):
+        raise DegenerateRangeError(f"range [{min_val}, {max_val}] is not finite or too wide")
     zero_point = int(iround(-lo / scale))
     return QuantParams(lo, hi, bitwidth, scale, zero_point)
 
@@ -328,10 +333,6 @@ class MultiplierCombo:
         shift = 30 - math.floor(math.log2(peak))
         mants = tuple(int(iround(float(r) * 2.0**shift)) for r in reals)
         return cls(mants, shift)
-
-    @property
-    def values(self):
-        return tuple(m * 2.0**-self.shift for m in self.mantissas)
 
 
 def combine_round(diffs, combo: MultiplierCombo, out_zero_point: int, out_bitwidth: int) -> np.ndarray:

@@ -25,7 +25,8 @@ the wire format.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .lstm import (
     lstm_sequence_real,
     stage_qparams,
 )
+from .pwl import ACTIVATIONS, PwlTable, build_lut
 from .quant import (
     DegenerateRangeError,
     QuantParams,
@@ -301,9 +303,6 @@ class CalibrationObserver:
         else:
             self.ranges[name] = (lo, hi)
 
-    def prefixed(self, prefix: str):
-        return lambda name, value: self(f"{prefix}.{name}", value)
-
 
 def forward_float(model: FloatModel, seq, record=None) -> list:
     """Run the float model, returning every layer's output sequence."""
@@ -385,7 +384,7 @@ class IntEmbedding(_IntLayer):
     def qp_out(self):
         return self.qp
 
-    def run(self, tokens, outputs, float_act):
+    def run(self, tokens, outputs):
         return QuantTensor(self.table_q[tokens], self.qp)
 
     def run_exact(self, tokens, outputs):
@@ -422,8 +421,8 @@ class IntLstm(_IntLayer):
     def input_size(self) -> int:
         return self.spec.input_size
 
-    def run(self, x, outputs, float_act):
-        return lstm_sequence_int(x, self.spec, float_act=float_act)
+    def run(self, x, outputs):
+        return lstm_sequence_int(x, self.spec)
 
     def run_exact(self, x, outputs):
         return lstm_sequence_exact(x[0], self.spec), self.qp_out
@@ -455,8 +454,8 @@ class IntBiLstm(_IntLayer):
     def input_size(self) -> int:
         return self.spec.fwd.input_size
 
-    def run(self, x, outputs, float_act):
-        return bilstm_sequence_int(x, self.spec, float_act=float_act)
+    def run(self, x, outputs):
+        return bilstm_sequence_int(x, self.spec)
 
     def run_exact(self, x, outputs):
         return bilstm_sequence_exact(x[0], self.spec), self.qp_out
@@ -492,8 +491,8 @@ class IntAttnDecoder(_IntLayer):
     def links(self, prev, out_qps):
         return [(self.spec.attn.qp_enc, prev, " (attention encoder input)"), (self.qp_in, prev, "")]
 
-    def run(self, x, outputs, float_act):
-        return attn_decoder_sequence_int(x, x, self.spec, float_act=float_act)
+    def run(self, x, outputs):
+        return attn_decoder_sequence_int(x, x, self.spec)
 
     def run_exact(self, x, outputs):
         return attn_decoder_sequence_exact(x[0], x[0], self.spec), self.qp_out
@@ -549,7 +548,7 @@ class IntResidual(_IntLayer):
     def links(self, prev, out_qps):
         return [(self.qp_a, out_qps[self.skip_from], " (residual skip operand)"), (self.qp_b, prev, "")]
 
-    def run(self, x, outputs, float_act):
+    def run(self, x, outputs):
         a = outputs[self.skip_from]
         out = rescale_add([(a.diffs(), self.m_a), (x.diffs(), self.m_b)], self.qp_out.zero_point, 8)
         return QuantTensor(out.astype(np.uint8), self.qp_out)
@@ -606,7 +605,7 @@ class IntProjection(_IntLayer):
     def input_size(self) -> int:
         return self.w_q.shape[-1]
 
-    def run(self, x, outputs, float_act):
+    def run(self, x, outputs):
         return (int_matmul(x.diffs(), self.w_diff.T) + self.bias_q).astype(np.int32)
 
     def run_exact(self, x, outputs):
@@ -701,10 +700,12 @@ def _prepare_input(model: IntModel, seq):
     x = np.atleast_2d(np.asarray(seq, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("input sequence must not be empty")
+    if not np.isfinite(x).all():
+        raise ValueError("input frames must be finite (found NaN or inf)")
     return QuantTensor.from_real(x, model.input_qp)
 
 
-def run(model: IntModel, seq, float_act: bool = False):
+def run(model: IntModel, seq):
     """Execute the integer model; returns 32-bit logits when the model ends
     in a projection, otherwise the final quantized sequence.
 
@@ -712,22 +713,46 @@ def run(model: IntModel, seq, float_act: bool = False):
     and fails loudly if any floating-point value crosses an integer kernel.
     """
     prepared = _prepare_input(model, seq)
-    if floatguard.env_tracing_requested() and not float_act and not floatguard.tracing():
+    if floatguard.env_tracing_requested() and not floatguard.tracing():
         with floatguard.trace_float_ops() as count:
-            result = _run_layers(model, prepared, float_act)
+            result = _run_layers(model, prepared)
             n = count()
         if n:
             raise RuntimeError(f"{n} floating-point operations detected on the integer path")
         return result
-    return _run_layers(model, prepared, float_act)
+    return _run_layers(model, prepared)
 
 
-def _run_layers(model: IntModel, prepared, float_act: bool):
+def _run_layers(model: IntModel, prepared):
     cur, outputs = prepared, []
     for layer in model.layers:
-        cur = layer.run(cur, outputs, float_act)
+        cur = layer.run(cur, outputs)
         outputs.append(cur)
     return cur
+
+
+def exact_activations(model: IntModel) -> IntModel:
+    """A copy of ``model`` whose activation tables hold the true functions
+    (``build_lut`` on each table's grids): the configuration without
+    quantized activations, run by the same integer ``run``.  The copy is
+    for ``run`` only; ``run_reference`` and ``save`` still see the PWL form
+    it was made from.  ``model`` itself is not changed."""
+    return replace(model, layers=[_exact_tables(layer) for layer in model.layers])
+
+
+def _exact_tables(node):
+    # replace() re-derives what a spec builds from its tables (an LSTM's joint gate table)
+    if isinstance(node, PwlTable):
+        if node.fn_name not in ACTIVATIONS:
+            raise ValueError(f"PWL table of unknown function {node.fn_name!r}")
+        t = copy.copy(node)
+        t.grid_out = build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp).astype(node.grid_out.dtype)
+        return t
+    if not is_dataclass(node):
+        return node
+    new = {f.name: _exact_tables(getattr(node, f.name)) for f in fields(node) if f.init}
+    changed = {k: v for k, v in new.items() if v is not getattr(node, k)}
+    return replace(node, **changed) if changed else node
 
 
 def run_reference(model: IntModel, seq):

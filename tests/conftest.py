@@ -3,6 +3,7 @@ from hypothesis import HealthCheck, settings
 from qlstm import attention as att
 from qlstm import lstm as L
 from qlstm import quant, runtime
+from qlstm.pwl import ACTIVATIONS
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -92,9 +93,25 @@ def token_model(rng, arch, vocab=6, emb=3, m=3):
     return runtime.FloatModel(layers)
 
 
-def calibrated_int_model(rng, arch, *, pieces=6, cell_bits=8, candidates=256, vocab=6, T=8, n_batches=2):
+def calibrated_int_model(
+    rng, arch, *, pieces=6, cell_bits=8, gate_bits=8, candidates=256, vocab=6, T=8, n_batches=2
+):
     model = token_model(rng, arch, vocab=vocab)
     batches = [rng.integers(0, vocab, size=T) for _ in range(n_batches)]
     ranges = runtime.calibrate(model, batches)
-    im = runtime.convert(model, ranges, pieces=pieces, cell_bits=cell_bits, candidates=candidates)
+    im = runtime.convert(
+        model, ranges, pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits, candidates=candidates
+    )
     return model, im
+
+
+def use_true_functions(monkeypatch) -> None:
+    """Make the exact oracle evaluate every activation as its quantized true
+    function instead of the PWL form, so ``runtime.run_reference`` becomes
+    the oracle of ``runtime.exact_activations``."""
+
+    def true_function(q, t):
+        return quant.quantize(ACTIVATIONS[t.fn_name](quant.dequantize(q, t.in_qp)), t.out_qp)
+
+    monkeypatch.setattr(L, "eval_pwl_int_exact", true_function)
+    monkeypatch.setattr(att, "eval_pwl_int_exact", true_function)

@@ -1,12 +1,11 @@
 """Additive attention: real path, integer softmax/attention vs exact oracle."""
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import observe, random_attention_config, random_cell
+from conftest import calibrated_int_model, observe, random_attention_config, random_cell, use_true_functions
 from qlstm import attention as att
+from qlstm import runtime
 from qlstm.attention import (
     AttentionWeights,
     QuantAttnDecoderSpec,
@@ -21,7 +20,6 @@ from qlstm.attention import (
     softmax_int_exact,
 )
 from qlstm.lstm import lstm_gate_preacts_int
-from qlstm.pwl import eval_pwl_float_act
 from qlstm.quant import QuantTensor, compute_qparams, dequantize, quantize
 
 
@@ -196,17 +194,6 @@ def pinned(rng, shape, how: str) -> np.ndarray:
     }[how]().astype(np.uint8)
 
 
-def with_true_activations(spec):
-    """A copy of ``spec`` whose tanh and exp tables hold the quantized true
-    functions, i.e. what ``float_act=True`` evaluates."""
-    spec = copy.copy(spec)
-    for name in ("pwl_tanh", "pwl_exp"):
-        t = copy.copy(getattr(spec, name))
-        t.grid_out = np.asarray(eval_pwl_float_act(np.arange(t.in_qp.qmax + 1), t))
-        setattr(spec, name, t)
-    return spec
-
-
 class TestAttentionKernelEdges:
     @given(
         T=st.integers(1, 40),
@@ -224,10 +211,21 @@ class TestAttentionKernelEdges:
         s_ref, a_ref = attention_int_exact(q_h.data, q_enc.data, spec)
         assert np.array_equal(q_s.data.astype(np.int64), s_ref)
         assert np.array_equal(q_a.data.astype(np.int64), a_ref)
-        # float_act runs the same kernel with the true functions in place of the tables
-        f_s, f_a = attention_int(q_h, keys, spec, float_act=True)
-        g_s, g_a = attention_int(q_h, keys, with_true_activations(spec))
-        assert np.array_equal(f_s.data, g_s.data) and np.array_equal(f_a.data, g_a.data)
+
+    @pytest.mark.parametrize("gate_bits", [8, 16])
+    def test_exact_activations_run_the_true_functions(self, monkeypatch, gate_bits):
+        """A decoder on exact tables equals the oracle that evaluates the true
+        tanh, exp and sigmoid at every activation: 16-bit pre-tanh sums and
+        exp inputs, and 8- or 16-bit gate sums."""
+        rng = np.random.default_rng(40 + gate_bits)
+        _, im = calibrated_int_model(rng, ["attn"], gate_bits=gate_bits)
+        exact = runtime.exact_activations(im)
+        seqs = [rng.integers(0, 6, size=T) for T in (1, 5, 12)]
+        got = [runtime.run(exact, seq) for seq in seqs]
+        assert any(not np.array_equal(g, runtime.run(im, seq)) for g, seq in zip(got, seqs))
+        use_true_functions(monkeypatch)
+        for g, seq in zip(got, seqs):
+            assert np.array_equal(g, runtime.run_reference(im, seq))
 
 
 def build_decoder(rng, *, gate_bits=8, pieces=8, n_in=3, T=6):

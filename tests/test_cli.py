@@ -87,6 +87,32 @@ class TestExitCodes:
         assert rc == 3
         assert "L1.bwd.h" in capsys.readouterr().err
 
+    def test_non_finite_stage_is_validation_error(self, pipeline, capsys):
+        tmp_path, fpath, data = pipeline
+        qp, _ = run_pipeline(tmp_path, fpath, data)
+        doc = json.loads(open(qp).read())
+        doc["stages"]["L1.mx"]["min"] = float("nan")
+        with open(qp, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["convert", "--model", fpath, "--qparams", qp, "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        assert "stage 'mx': range [nan, " in capsys.readouterr().err
+
+    def test_non_finite_feature_frame_is_validation_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(78)
+        model = FloatModel(
+            [LstmLayer(random_cell(rng, 3, 2)), FinalProjectionLayer(rng.normal(0, 0.5, (4, 3)), np.zeros(4))]
+        )
+        im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 2))]), pieces=4)
+        ipath = str(tmp_path / "int.json")
+        serialize.save(im, ipath)
+        frames = rng.normal(0, 1, (4, 2)).astype("<f4")
+        frames[2, 0] = np.nan
+        frames.tofile(tmp_path / "frames.bin")
+        args = ["run", "--model", ipath, "--input", str(tmp_path / "frames.bin"), "--out", str(tmp_path / "o.txt")]
+        assert main(args + ["--input-format", "f32", "--feat-dim", "2"]) == 3
+        assert "must be finite" in capsys.readouterr().err
+
     def test_bad_residual_skip_is_validation_error(self, tmp_path, capsys):
         _, im = calibrated_int_model(np.random.default_rng(32), ["lstm", "lstm", "residual"])
         path = tmp_path / "int.json"

@@ -9,6 +9,7 @@ from qlstm.quant import (
     _BIAS_LIMIT,
     MAX_REDUCE_DIM,
     DegenerateRangeError,
+    QuantParams,
     QuantTensor,
     RowMultipliers,
     ScaledMultiplier,
@@ -50,6 +51,23 @@ class TestComputeQparams:
     def test_bad_bitwidth(self):
         with pytest.raises(ValueError):
             compute_qparams(-1.0, 1.0, 12)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan), (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)]
+        + [(-1e308, 1e308)],  # finite bounds, but no finite scale
+    )
+    def test_non_finite_or_too_wide_range_is_degenerate(self, lo, hi):
+        with pytest.raises(DegenerateRangeError, match="is not finite or too wide"):
+            compute_qparams(lo, hi, 16)
+
+    @pytest.mark.parametrize("field", ["min", "max", "scale"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_quant_params_reject_non_finite_fields(self, field, value):
+        good = dict(min=-1.0, max=1.0, bitwidth=8, scale=2 / 255, zero_point=128)
+        QuantParams(**good)
+        with pytest.raises(ValueError, match="must be finite"):
+            QuantParams(**{**good, field: value})
 
     @given(ranges8)
     def test_zero_point_dequantizes_to_zero(self, r):

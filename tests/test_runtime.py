@@ -7,20 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, random_cell, token_model
-from qlstm import floatguard, serialize
+from conftest import calibrated_int_model, random_cell, token_model, use_true_functions
+from qlstm import floatguard, lstm, serialize
+from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
-from qlstm.quant import _BIAS_LIMIT, MAX_REDUCE_DIM, DegenerateRangeError, compute_qparams
+from qlstm.quant import _BIAS_LIMIT, MAX_REDUCE_DIM, DegenerateRangeError, QuantTensor, compute_qparams, int_matmul
 from qlstm.runtime import (
     EmbeddingLayer,
     FinalProjectionLayer,
     FloatModel,
+    IntLstm,
     IntModel,
     IntProjection,
     LstmLayer,
     calibrate,
     convert,
     dequantize_model,
+    exact_activations,
     forward_float,
     run,
     run_reference,
@@ -236,16 +239,20 @@ class TestConvertAndRun:
             with pytest.raises(ValueError, match="first|last"):
                 FloatModel([layer.dequantize() for layer in layers])
 
-    def test_no_float_ops_on_integer_path(self):
+    def test_no_float_ops_on_integer_path(self, monkeypatch):
         rng = np.random.default_rng(13)
         _, im = calibrated_int_model(rng, ["bilstm", "lstm_norm", "attn"])
         seq = rng.integers(0, 6, size=5)
+        for model in (im, exact_activations(im)):
+            with floatguard.trace_float_ops() as count:
+                run(model, seq)
+                assert count() == 0
+        # positive control: a float matmul result is counted before numpy's
+        # integer shift rejects it
+        monkeypatch.setattr(lstm, "int_matmul", lambda a, b: int_matmul(a, b).astype(np.float64))
         with floatguard.trace_float_ops() as count:
-            run(im, seq)
-            assert count() == 0
-        # positive control: the hybrid engine does touch floats
-        with floatguard.trace_float_ops() as count:
-            run(im, seq, float_act=True)
+            with pytest.raises(TypeError):
+                run(im, seq)
             assert count() > 0
 
     def test_env_var_enables_tracing_guard(self, monkeypatch):
@@ -255,6 +262,7 @@ class TestConvertAndRun:
         monkeypatch.setenv("QLSTM_FLOAT_TRACE", "1")
         baseline = run(im, seq)  # guarded run passes on a clean integer path
         assert np.array_equal(baseline, run_reference(im, seq))
+        run(exact_activations(im), seq)  # the exact-activation configuration is guarded too
 
     def test_manifest_layer_type_tags(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -575,3 +583,133 @@ class TestGoldenFormat:
         got = run(model, tokens)
         assert np.array_equal(got, run_reference(model, tokens))
         assert got.tolist() == expected["logits"]
+
+
+class TestExactActivations:
+    def test_tables_equal_build_lut(self):
+        """Sigmoid and tanh on 8- and 16-bit input grids and exp on its 16-bit
+        grid (the mixed-precision layout has no 8-bit exp input)."""
+        seen = set()
+        for gate_bits in (8, 16):
+            rng = np.random.default_rng(50 + gate_bits)
+            _, im = calibrated_int_model(rng, ["lstm", "attn"], gate_bits=gate_bits, cell_bits=16)
+            exact = exact_activations(im)
+            for src, t in zip(pwl_tables(im), pwl_tables(exact)):
+                assert t is not src and t.grid_out.dtype == src.grid_out.dtype
+                assert np.array_equal(t.grid_out, build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp))
+                seen.add((t.fn_name, t.in_qp.bitwidth))
+            # the LSTM's joint gate table is rebuilt from the new tables
+            spec = exact.layers[1].spec
+            assert np.array_equal(spec._gate_table, np.concatenate((spec.pwl_sig.grid_out, spec.pwl_tanh_j.grid_out)))
+        assert seen == {(f, b) for f in ("sigmoid", "tanh") for b in (8, 16)} | {("exp", 16)}
+
+    def test_source_model_untouched(self, tmp_path):
+        rng = np.random.default_rng(52)
+        _, im = calibrated_int_model(rng, ["bilstm", "lstm_norm", "attn"])
+        before = [t.grid_out.copy() for t in pwl_tables(im)]
+        cells = [im.layers[1].spec.fwd, im.layers[1].spec.bwd, im.layers[2].spec, im.layers[3].spec.cell]
+        gates = [c._gate_table.copy() for c in cells]
+        exact = exact_activations(im)
+        assert all(np.array_equal(a, t.grid_out) for a, t in zip(before, pwl_tables(im)))
+        assert all(np.array_equal(a, c._gate_table) for a, c in zip(gates, cells))
+        seq = rng.integers(0, 6, size=6)
+        assert np.array_equal(run(im, seq), run_reference(im, seq))
+        assert not np.array_equal(run(exact, seq), run(im, seq))
+        # save describes the PWL form, which the copy shares with its source
+        for name, model in (("a", im), ("b", exact)):
+            (tmp_path / name).mkdir()
+            serialize.save(model, str(tmp_path / name / "m.json"))
+        for f in ("m.json", "m.json.blob"):
+            assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+    @pytest.mark.parametrize("arch", [["bilstm", "lstm_norm", "lstm", "residual"], ["lstm", "attn"]])
+    def test_run_equals_true_function_oracle(self, monkeypatch, arch):
+        rng = np.random.default_rng(53)
+        _, im = calibrated_int_model(rng, arch, cell_bits=16)
+        exact = exact_activations(im)
+        seqs = [rng.integers(0, 6, size=T) for T in (1, 7)]
+        got = [run(exact, seq) for seq in seqs]
+        use_true_functions(monkeypatch)
+        for g, seq in zip(got, seqs):
+            assert np.array_equal(g, run_reference(im, seq))
+
+    def test_full_knot_tables_are_already_exact(self):
+        # with a knot at every point of 8-bit grids the PWL form is the LUT
+        rng = np.random.default_rng(54)
+        _, im = calibrated_int_model(rng, ["lstm", "bilstm"], pieces=255)
+        seq = rng.integers(0, 6, size=6)
+        assert np.array_equal(run(exact_activations(im), seq), run(im, seq))
+
+
+def _feature_model(rng):
+    model = FloatModel([LstmLayer(random_cell(rng, 3, 2)), FinalProjectionLayer(rng.normal(0, 1, (4, 3)), np.zeros(4))])
+    return model, calibrate(model, [rng.normal(0, 1, (6, 2))])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "stage, side",
+        [("L1.mx", 1), ("L2.bwd.h", 0), ("L2.fwd.h", 1), ("L3.attn.exp_in", 0), ("L3.attn.exp_out", 1), ("L3.ms", 0)],
+    )
+    def test_convert_names_the_non_finite_stage(self, stage, side, bad):
+        rng = np.random.default_rng(60)
+        model = token_model(rng, ["lstm", "bilstm", "attn"])
+        ranges = calibrate(model, [rng.integers(0, 6, 8)])
+        bound = list(ranges[stage])
+        bound[side] = bad if side else -bad
+        ranges[stage] = tuple(bound)
+        short = stage.rsplit(".", 1)[1]
+        with pytest.raises(DegenerateRangeError, match=f"stage '{short}': range .* is not finite"):
+            convert(model, ranges, candidates=256)
+
+    def test_convert_names_a_non_finite_input_stage(self):
+        model, ranges = _feature_model(np.random.default_rng(61))
+        ranges["input"] = (float("nan"), 1.0)
+        with pytest.raises(DegenerateRangeError, match="stage 'input': range .* is not finite"):
+            convert(model, ranges)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_run_rejects_non_finite_frames(self, bad):
+        rng = np.random.default_rng(62)
+        model, ranges = _feature_model(rng)
+        im = convert(model, ranges, candidates=256)
+        x = rng.normal(0, 1, (5, 2))
+        x[3, 1] = bad
+        for fn in (run, run_reference):
+            with pytest.raises(ValueError, match="must be finite"):
+                fn(im, x)
+
+
+class TestAccumulatorLimit:
+    """``run == run_reference`` with every product at its extreme over
+    ``MAX_REDUCE_DIM`` terms and the bias at its limit: the accumulator
+    comes within 2% of the int32 range and must not wrap."""
+
+    TOP = 255 * 255 * MAX_REDUCE_DIM + _BIAS_LIMIT
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_projection_at_max_reduce_dim(self, sign):
+        k = MAX_REDUCE_DIM
+        qp_w = compute_qparams(min(sign, 0), max(sign, 0), 8)  # weights sit at the grid end far from zero
+        qp_in = compute_qparams(0.0, 1.0, 8)
+        w_q = np.full((2, k), 255 if sign > 0 else 0, dtype=np.uint8)
+        bias = np.array([_BIAS_LIMIT, -_BIAS_LIMIT], dtype=np.int32) * sign
+        im = IntModel([IntProjection(w_q, qp_w, bias, qp_in)], qp_in)
+        x = np.ones((2, k))
+        got = run(im, x)
+        assert np.array_equal(got, run_reference(im, x))
+        assert got[0, 0] == sign * self.TOP
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_lstm_at_max_reduce_dim(self, sign):
+        m, k = 2, MAX_REDUCE_DIM
+        w = LstmWeights(np.full((4 * m, k), sign * 0.01), np.full((4 * m, m), 0.3), np.zeros(4 * m))
+        model = FloatModel([LstmLayer(w)])
+        x = np.ones((3, k))
+        spec = convert(model, calibrate(model, [x, 0 * x]), pieces=4).layers[0].spec
+        bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
+        im = IntModel([IntLstm(replace(spec, bias_q=bias))], spec.qp_x)
+        acc = int_matmul(spec.w_x_diff, QuantTensor.from_real(x[0], spec.qp_x).diffs()) + bias
+        assert np.abs(acc.astype(np.int64)).max() == self.TOP
+        assert np.array_equal(run(im, x).data, run_reference(im, x))
