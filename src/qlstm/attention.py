@@ -26,6 +26,7 @@ from .lstm import (
     lstm_apply_gates_int,
     lstm_gate_preacts_exact,
     lstm_gate_preacts_int,
+    stage_errors,
     stage_qparams,
 )
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact
@@ -201,8 +202,10 @@ class QuantAttentionSpec:
         qp_exp_in = stage_qparams(ranges, "exp_in", 16)
         qp_tanh = stage_qparams(ranges, "tanh", 8)
         qp_exp_out = stage_qparams(ranges, "exp_out", 8)
-        pwl_tanh = build_pwl("tanh", qp_sum, qp_tanh, pieces_tanh, candidates=candidates)
-        pwl_exp = build_pwl("exp", qp_exp_in, qp_exp_out, pieces_exp, candidates=candidates)
+        with stage_errors("tanh"):
+            pwl_tanh = build_pwl("tanh", qp_sum, qp_tanh, pieces_tanh, candidates=candidates)
+        with stage_errors("exp_out"):
+            pwl_exp = build_pwl("exp", qp_exp_in, qp_exp_out, pieces_exp, candidates=candidates)
         return cls(
             w_q_q=w_q_q,
             w_k_q=w_k_q,
@@ -398,11 +401,11 @@ class QuantAttnDecoderSpec:
 
 def inject_context(pre: np.ndarray, q_s: QuantTensor, dec: QuantAttnDecoderSpec) -> np.ndarray:
     """Add the rescaled context matmul to already-formed gate preactivations
-    (the 4m rows of :func:`lstm_gate_preacts_int`), saturating on each
-    row's gate-sum grid."""
+    (the ``(1, 4m)`` output of :func:`lstm_gate_preacts_int` on the cell's
+    one lane), saturating on each row's gate-sum grid."""
     acc = int_matmul(dec.w_s_diff, q_s.diffs())
     d = requantize_scaled(acc, dec.m_ms, dec.qp_ms.zero_point, 8) - np.int64(dec.qp_ms.zero_point)
-    return _clamp(pre + dec._rs_ms.apply(d), 0, dec.cell._pre_top)
+    return _clamp(pre + dec._rs_ms.apply(d), 0, dec.cell.lanes.pre_top)
 
 
 def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
@@ -427,18 +430,17 @@ def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
 
 
 def attn_decoder_sequence_int(q_xs: QuantTensor, q_enc: QuantTensor, dec: QuantAttnDecoderSpec) -> QuantTensor:
-    cell = dec.cell
+    cell, lanes = dec.cell, dec.cell.lanes
     _check_inputs(cell, q_xs.qp)
     data = np.atleast_2d(q_xs.data)
-    state = cell.zero_state()
-    h, c = state.h.data, state.c.data
-    hs = np.zeros((len(data), cell.hidden_size), dtype=np.uint8)
+    h, c = lanes.zero_state()
+    hs = np.empty((len(data), cell.hidden_size), dtype=np.uint8)
     keys = attention_keys(q_enc, dec.attn)
     for t in range(len(data)):
-        q_s, _ = attention_int(QuantTensor(h, cell.qp_h), keys, dec.attn)
-        pre = inject_context(lstm_gate_preacts_int(data[t], h, cell), q_s, dec)
-        h, c = lstm_apply_gates_int(pre, c, cell)
-        hs[t] = h
+        q_s, _ = attention_int(QuantTensor(h[0], cell.qp_h), keys, dec.attn)
+        pre = inject_context(lstm_gate_preacts_int(data[t, None], h, lanes), q_s, dec)
+        h, c = lstm_apply_gates_int(pre, c, lanes)
+        hs[t] = h[0]
     return QuantTensor(hs, cell.qp_h)
 
 

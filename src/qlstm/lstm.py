@@ -12,12 +12,18 @@ Weight layout stacks the four gates as contiguous row blocks in the order
 preactivation grid and one PWL instance; the candidate tanh and the cell
 tanh each have their own.
 
-The integer step works on all 4m gate rows at once: each stage's
-multipliers, zero points and clamp bounds are per-row arrays that the spec
-builds once, so a stage is one vectorised pass whichever grid a row is on.
+The integer step works on all 4m gate rows of ``k`` cells ("lanes") at
+once: each stage's multipliers, zero points and clamp bounds are ``(k,
+rows)`` arrays that :class:`LstmLanes` builds once, so a stage is one
+vectorised pass whichever lane and grid a row is on.  A unidirectional
+layer and the attention decoder run one lane; a BiLSTM runs its forward
+step t and its backward step T-1-t as two lanes of one call.  Weights are
+stored k-major, a contiguous ``(k, n, 4m)`` stack of ``W.T``, so each
+matmul is one batched vector-matrix product.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +31,6 @@ import numpy as np
 from .madnorm import MadNormQParams, MadNormRows, madnorm_int, madnorm_int_exact, madnorm_observe
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
-    DegenerateRangeError,
     QuantParams,
     QuantTensor,
     RowMultipliers,
@@ -43,18 +48,25 @@ from .quant import (
     rescale_add_exact,
 )
 
-# eval_pwl_int and rescale_add are not called here; the names stay bound
-# because perfbench/spans.py re-binds them in this module.
+# eval_pwl_int, rescale_add and requantize_scaled are not called here; the
+# names stay bound because perfbench/spans.py re-binds them in this module.
+
+
+@contextmanager
+def stage_errors(key: str):
+    """Re-raise a ``ValueError`` (as its own type) with the stage's name in front."""
+    try:
+        yield
+    except ValueError as e:
+        raise type(e)(f"stage {key!r}: {e}") from None
 
 
 def stage_qparams(ranges: dict, key: str, bitwidth: int) -> QuantParams:
     """compute_qparams for one named stage; errors carry the stage name."""
-    try:
+    if key not in ranges:
+        raise ValueError(f"stage {key!r} missing from calibration ranges")
+    with stage_errors(key):
         return compute_qparams(*ranges[key], bitwidth)
-    except KeyError:
-        raise ValueError(f"stage {key!r} missing from calibration ranges") from None
-    except DegenerateRangeError as e:
-        raise DegenerateRangeError(f"stage {key!r}: {e}") from None
 
 
 @dataclass
@@ -226,8 +238,6 @@ class QuantLstmSpec:
                 if p.hidden != hidden or p.qp_x != qp or p.gamma is not None:
                     raise ValueError(f"{name} must take {hidden} values on its stage's grid, without affine")
         self._sig_rows, self._j_rows = _gate_rows(m)
-        self.w_x_diff = self.w_x_q.astype(np.int32) - np.int32(self.qp_wx.zero_point)
-        self.w_h_diff = self.w_h_q.astype(np.int32) - np.int32(self.qp_wh.zero_point)
         src_x = self.norm_x.qp_y if self.norm_x is not None else self.qp_mx
         src_h = self.norm_h.qp_y if self.norm_h is not None else self.qp_mh
         self.m_mx = ScaledMultiplier.from_real(self.qp_wx.scale * self.qp_x.scale / self.qp_mx.scale)
@@ -241,42 +251,14 @@ class QuantLstmSpec:
         self.m_fc2c = ScaledMultiplier.from_real(self.qp_p_fc.scale / self.qp_c.scale)
         self.m_ij2c = ScaledMultiplier.from_real(self.qp_p_ij.scale / self.qp_c.scale)
         self.m_h = ScaledMultiplier.from_real(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
-        self._build_kernel_constants()
+        self.lanes = LstmLanes([self])
 
-    def _build_kernel_constants(self):
-        """Per-row constants of the fused integer step, built once."""
-        m, n = self.hidden_size, 4 * self.hidden_size
-        pre_sig, pre_j = self.qp_pre_sig, self.qp_pre_j
-        self._zp_x = np.int32(self.qp_x.zero_point)
-        self._zp_h = np.int32(self.qp_h.zero_point)
-        self._zp_c = np.int64(self.qp_c.zero_point)
-        self._zp_tanh_c = np.int64(self.qp_tanh_c.zero_point)
-        # stacked mx|mh: storage values when MadNorm follows, centred values otherwise
-        self._rq_mxh = RowMultipliers.blocks((self.m_mx, n), (self.m_mh, n))
-        zp_mxh = _rows((self.qp_mx.zero_point, n), (self.qp_mh.zero_point, n))
-        if self.norm:
-            self._norm_xh = MadNormRows([self.norm_x, self.norm_h])
-            self._mxh_zp = zp_mxh
-            self._nxh_zp = _rows((self.norm_x.qp_y.zero_point, n), (self.norm_h.qp_y.zero_point, n))
-        else:
-            self._mxh_lo, self._mxh_hi = -zp_mxh, 255 - zp_mxh
-        self._rs_pre = RowMultipliers.blocks(
-            *_gate_blocks(m, self.m_x2sig, self.m_x2j), *_gate_blocks(m, self.m_h2sig, self.m_h2j)
+    def weight_diffs(self) -> tuple:
+        """The zero-point-centred ``(w_x, w_h)`` as int32."""
+        return (
+            self.w_x_q.astype(np.int32) - np.int32(self.qp_wx.zero_point),
+            self.w_h_q.astype(np.int32) - np.int32(self.qp_wh.zero_point),
         )
-        self._pre_zp = _rows(*_gate_blocks(m, pre_sig.zero_point, pre_j.zero_point))
-        self._pre_top = _rows(*_gate_blocks(m, pre_sig.qmax, pre_j.qmax))
-        # sigmoid and candidate tanh share one table; the PwlTables keep views of it
-        sig_out, j_out = self.pwl_sig.grid_out, self.pwl_tanh_j.grid_out
-        self._gate_table = np.concatenate((sig_out, j_out))
-        self.pwl_sig.grid_out = self._gate_table[: len(sig_out)]
-        self.pwl_tanh_j.grid_out = self._gate_table[len(sig_out) :]
-        self._gate_off = _rows(*_gate_blocks(m, 0, len(sig_out)))
-        self._gate_zp = _rows(*_gate_blocks(m, self.qp_sig.zero_point, self.qp_tanh_j.zero_point))
-        # stacked f*c | i*j products, then their rescale-add into c
-        self._rq_prod = RowMultipliers.blocks((self.m_fc, m), (self.m_ij, m))
-        zp_prod = _rows((self.qp_p_fc.zero_point, m), (self.qp_p_ij.zero_point, m))
-        self._prod_lo, self._prod_hi = -zp_prod, self.qp_c.qmax - zp_prod
-        self._rs_c = RowMultipliers.blocks((self.m_fc2c, m), (self.m_ij2c, m))
 
     @property
     def hidden_size(self) -> int:
@@ -337,9 +319,13 @@ class QuantLstmSpec:
             norm_c = _norm_params(ranges, "nc", qp_c, m)
         tanh_c_in = norm_c.qp_y if norm else qp_c
 
-        pwl_sig = build_pwl("sigmoid", qp_pre_sig, qp_sig, pieces, candidates=candidates)
-        pwl_tanh_j = build_pwl("tanh", qp_pre_j, qp_tanh_j, pieces, candidates=candidates)
-        pwl_tanh_c = build_pwl("tanh", tanh_c_in, qp_tanh_c, pieces, candidates=candidates)
+        # each table is named after the stage its outputs land on
+        with stage_errors("sig"):
+            pwl_sig = build_pwl("sigmoid", qp_pre_sig, qp_sig, pieces, candidates=candidates)
+        with stage_errors("tanh_j"):
+            pwl_tanh_j = build_pwl("tanh", qp_pre_j, qp_tanh_j, pieces, candidates=candidates)
+        with stage_errors("tanh_c"):
+            pwl_tanh_c = build_pwl("tanh", tanh_c_in, qp_tanh_c, pieces, candidates=candidates)
 
         return cls(
             w_x_q=w_x_q,
@@ -379,52 +365,171 @@ def _norm_params(ranges: dict, prefix: str, qp_in: QuantParams, hidden: int) -> 
     )
 
 
+def _k_major(w_diff: np.ndarray, m: int, width: int, cols: int) -> np.ndarray:
+    """A lane's ``(4m, c)`` gate weights as the ``(cols, 4 * width)``
+    transpose, each gate block zero-padded from ``m`` to ``width`` rows and
+    the ``c`` columns zero-padded to ``cols``."""
+    pad = np.zeros((4, width, cols), dtype=np.int32)
+    pad[:, :m, : w_diff.shape[-1]] = w_diff.reshape(4, m, -1)
+    return pad.reshape(4 * width, cols).T
+
+
+class LstmLanes:
+    """Constants of the fused integer LSTM step for ``k`` cells run side by side.
+
+    Lane ``l`` is the cell ``specs[l]``.  Every per-row constant is a ``(k,
+    rows)`` stack and every per-lane one a ``(k, 1)`` column, so one kernel
+    call advances all lanes by one step, each on its own grids, as
+    :class:`~qlstm.madnorm.MadNormRows` does for MadNorm.  The weights are
+    k-major: ``w_x`` is the contiguous ``(k, n, 4w)`` stack of the lanes'
+    centred ``W_x.T`` and ``w_h`` the ``(k, w, 4w)`` stack of ``W_h.T``.
+    The lanes' gate tables (sigmoid | candidate tanh) are concatenated into
+    one table and their cell tanh tables into another, and each row gathers
+    at its lane's offset.
+
+    ``w`` is the widest lane's hidden size.  A narrower lane is padded to it
+    with zero weight rows and columns: its padded units run through every
+    stage like real ones, but their hidden values meet only zero weights,
+    so they change no real unit, and callers copy out each lane's own
+    ``hidden`` units.  MadNorm normalizes over all of a stage's rows, so
+    MadNorm lanes must share their width.
+    """
+
+    def __init__(self, specs):
+        if len({s.input_size for s in specs}) != 1:
+            raise ValueError("lanes must share the input width")
+        if len({s.norm for s in specs}) != 1:
+            raise ValueError("lanes must all be MadNorm cells or all plain cells")
+        self.hidden = [s.hidden_size for s in specs]
+        self.k, w = len(specs), max(self.hidden)
+        self.width = w
+        self.norm = specs[0].norm
+        if self.norm and min(self.hidden) != w:
+            raise ValueError("MadNorm lanes must share the hidden width")
+        n, r = specs[0].input_size, 4 * w
+
+        def col(f):
+            return np.array([[f(s)] for s in specs], dtype=np.int64)
+
+        def rows(f):  # f(spec) -> (value, row count) blocks
+            return np.stack([_rows(*f(s)) for s in specs])
+
+        def multipliers(f):  # f(spec) -> (ScaledMultiplier, row count) blocks
+            def part(name):
+                return rows(lambda s: [(getattr(sm, name), c) for sm, c in f(s)])
+
+            return RowMultipliers(part("mantissa"), part("shift"))
+
+        def gates(f):  # f(spec) -> (sigmoid value, candidate value) on the 4w gate rows
+            return lambda s: _gate_blocks(w, *f(s))
+
+        self.zp_x = col(lambda s: s.qp_x.zero_point).astype(np.int32)
+        self.zp_h = col(lambda s: s.qp_h.zero_point).astype(np.int32)
+        diffs = [s.weight_diffs() for s in specs]
+        self.w_x = np.stack([_k_major(dx, s.hidden_size, w, n) for s, (dx, _) in zip(specs, diffs)])
+        self.w_h = np.stack([_k_major(dh, s.hidden_size, w, w) for s, (_, dh) in zip(specs, diffs)])
+        # the bias padded like a one-column weight
+        self.bias = np.stack([_k_major(s.bias_q[:, None], s.hidden_size, w, 1)[0] for s in specs])
+        # stacked mx|mh: storage values when MadNorm follows, centred values otherwise
+        self.rq_mxh = multipliers(lambda s: ((s.m_mx, r), (s.m_mh, r)))
+        zp_mxh = rows(lambda s: ((s.qp_mx.zero_point, r), (s.qp_mh.zero_point, r)))
+        if self.norm:
+            self.norm_xh = MadNormRows([p for s in specs for p in (s.norm_x, s.norm_h)])
+            self.mxh_zp = zp_mxh
+            self.nxh_zp = rows(lambda s: ((s.norm_x.qp_y.zero_point, r), (s.norm_h.qp_y.zero_point, r)))
+            self.norm_c = MadNormRows([s.norm_c for s in specs])
+        else:
+            self.mxh_lo, self.mxh_hi = -zp_mxh, 255 - zp_mxh
+        self.rs_pre = multipliers(
+            lambda s: (*_gate_blocks(w, s.m_x2sig, s.m_x2j), *_gate_blocks(w, s.m_h2sig, s.m_h2j))
+        )
+        self.pre_zp = rows(gates(lambda s: (s.qp_pre_sig.zero_point, s.qp_pre_j.zero_point)))
+        self.pre_top = rows(gates(lambda s: (s.qp_pre_sig.qmax, s.qp_pre_j.qmax)))
+        # every lane's sigmoid | candidate tanh, one table; rows gather at their lane's offsets
+        tables = [t for s in specs for t in (s.pwl_sig.grid_out, s.pwl_tanh_j.grid_out)]
+        starts = np.cumsum([0] + [len(t) for t in tables])
+        self.gate_table = np.concatenate(tables)
+        self.gate_off = np.stack([_rows(*_gate_blocks(w, *starts[2 * i : 2 * i + 2])) for i in range(self.k)])
+        self.gate_zp = rows(gates(lambda s: (s.qp_sig.zero_point, s.qp_tanh_j.zero_point)))
+        # stacked f*c | i*j products, then their rescale-add into c
+        self.rq_prod = multipliers(lambda s: ((s.m_fc, w), (s.m_ij, w)))
+        zp_prod = rows(lambda s: ((s.qp_p_fc.zero_point, w), (s.qp_p_ij.zero_point, w)))
+        self.prod_lo, self.prod_hi = -zp_prod, col(lambda s: s.qp_c.qmax) - zp_prod
+        self.rs_c = multipliers(lambda s: ((s.m_fc2c, w), (s.m_ij2c, w)))
+        self.zp_c = col(lambda s: s.qp_c.zero_point)
+        self.c_top = col(lambda s: s.qp_c.qmax)
+        tanh_c = [s.pwl_tanh_c.grid_out for s in specs]
+        self.tanh_c_table = np.concatenate(tanh_c)
+        self.tanh_c_off = np.cumsum([0] + [len(t) for t in tanh_c[:-1]])[:, None]
+        self.zp_tanh_c = col(lambda s: s.qp_tanh_c.zero_point)
+        self.rq_h = multipliers(lambda s: ((s.m_h, 1),))
+
+    def zero_state(self) -> tuple:
+        """Raw ``(h, c)`` of every lane at real 0: uint8 and int64 ``(k, w)``."""
+        shape = (self.k, self.width)
+        return np.broadcast_to(self.zp_h, shape).astype(np.uint8), np.broadcast_to(self.zp_c, shape).copy()
+
+
 # ---------------------------------------------------------------------------
 # integer path
 # ---------------------------------------------------------------------------
 
 
-def lstm_gate_preacts_int(x: np.ndarray, h: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
+def lstm_gate_preacts_int(x: np.ndarray, h: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     """Matmuls, one requantize over the stacked ``mx|mh`` (then one MadNorm
-    call over both halves as a 2-row stack), and one rescale-add over all
-    4m gate rows.
+    call over both halves of every lane as a ``2k``-row stack), and one
+    rescale-add over all 4w gate rows of every lane.
 
-    ``x`` and ``h`` are raw storage arrays under ``spec.qp_x``/``spec.qp_h``
-    (the caller checks the qparams).  Returns the 4m preactivations, each
-    row on its own gate-sum grid: ``qp_pre_sig`` for the input, forget and
-    output rows, ``qp_pre_j`` for the candidate rows.
+    ``x`` (``(k, n)``) and ``h`` (``(k, w)``) are raw storage arrays, row
+    ``l`` on lane ``l``'s ``qp_x``/``qp_h`` (the caller checks the
+    qparams).  Returns the ``(k, 4w)`` preactivations, each row on its own
+    gate-sum grid: ``qp_pre_sig`` for the input, forget and output rows,
+    ``qp_pre_j`` for the candidate rows.
     """
-    n = 4 * spec.hidden_size
+    r = 4 * lanes.width
     acc = np.concatenate(
-        (int_matmul(spec.w_x_diff, x - spec._zp_x) + spec.bias_q, int_matmul(spec.w_h_diff, h - spec._zp_h))
+        (int_matmul(x - lanes.zp_x, lanes.w_x) + lanes.bias, int_matmul(h - lanes.zp_h, lanes.w_h)), axis=1
     )
-    if spec.norm:
-        q = _clamp(spec._rq_mxh.apply(acc) + spec._mxh_zp, 0, 255)
-        d = madnorm_int(q.reshape(2, n), spec._norm_xh).reshape(-1) - spec._nxh_zp
+    if lanes.norm:
+        q = _clamp(lanes.rq_mxh.apply(acc) + lanes.mxh_zp, 0, 255)
+        d = madnorm_int(q.reshape(-1, r), lanes.norm_xh).reshape(q.shape) - lanes.nxh_zp
     else:
-        d = _clamp(spec._rq_mxh.apply(acc), spec._mxh_lo, spec._mxh_hi)
-    t = spec._rs_pre.apply(d)
-    return _clamp(t[:n] + t[n:] + spec._pre_zp, 0, spec._pre_top)
+        d = _clamp(lanes.rq_mxh.apply(acc), lanes.mxh_lo, lanes.mxh_hi)
+    t = lanes.rs_pre.apply(d)
+    return _clamp(t[:, :r] + t[:, r:] + lanes.pre_zp, 0, lanes.pre_top)
 
 
-def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, spec: QuantLstmSpec):
+def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, lanes: LstmLanes):
     """Activations, cell update and hidden output of the integer cell.
 
-    ``pre`` is :func:`lstm_gate_preacts_int`'s output and ``c`` the raw cell
-    state.  Sigmoid and candidate tanh are one gather from the spec's gate
-    table and the cell tanh one from its own; the ``fc|ij`` products are
-    requantized together.  Returns the raw ``(h, c)``: ``h`` as
-    uint8 storage, ``c`` as int64.
+    ``pre`` is :func:`lstm_gate_preacts_int`'s output and ``c`` the raw
+    ``(k, w)`` cell state.  Sigmoid and candidate tanh are one gather from
+    the lanes' gate table and the cell tanh one from their cell tanh table;
+    the ``fc|ij`` products are requantized together.  Returns the raw
+    ``(h, c)``: ``h`` as uint8 storage, ``c`` as int64.
     """
-    m = spec.hidden_size
-    d = spec._gate_table[pre + spec._gate_off] - spec._gate_zp  # centred i | f | j | o
-    prod = np.concatenate((d[m : 2 * m], d[:m])) * np.concatenate((c - spec._zp_c, d[2 * m : 3 * m]))
-    t = spec._rs_c.apply(_clamp(spec._rq_prod.apply(prod), spec._prod_lo, spec._prod_hi))
-    c_new = _clamp(t[:m] + t[m:] + spec._zp_c, 0, spec.qp_c.qmax)
-    src = madnorm_int(c_new[None], spec.norm_c.rows)[0] if spec.norm else c_new
-    t_c = spec.pwl_tanh_c.grid_out[src]
-    h_new = requantize_scaled(d[3 * m :] * (t_c - spec._zp_tanh_c), spec.m_h, spec.qp_h.zero_point, 8)
+    m = lanes.width
+    d = lanes.gate_table[pre + lanes.gate_off] - lanes.gate_zp  # centred i | f | j | o
+    gates = np.concatenate((d[:, m : 2 * m], d[:, :m]), axis=1)  # f | i
+    prod = gates * np.concatenate((c - lanes.zp_c, d[:, 2 * m : 3 * m]), axis=1)  # f*c | i*j
+    t = lanes.rs_c.apply(_clamp(lanes.rq_prod.apply(prod), lanes.prod_lo, lanes.prod_hi))
+    c_new = _clamp(t[:, :m] + t[:, m:] + lanes.zp_c, 0, lanes.c_top)
+    src = madnorm_int(c_new, lanes.norm_c) if lanes.norm else c_new
+    t_c = lanes.tanh_c_table[src + lanes.tanh_c_off]
+    h_new = _clamp(lanes.rq_h.apply(d[:, 3 * m :] * (t_c - lanes.zp_tanh_c)) + lanes.zp_h, 0, 255)
     return h_new.astype(np.uint8), c_new
+
+
+def run_lanes(frames: np.ndarray, lanes: LstmLanes) -> np.ndarray:
+    """Advance every lane from the zero state over ``frames`` (``(T, k,
+    n)``), lane ``l`` reading ``frames[t, l]`` at step ``t``; returns the
+    ``(T, k, w)`` uint8 hidden states."""
+    h, c = lanes.zero_state()
+    hs = np.empty((len(frames), lanes.k, lanes.width), dtype=np.uint8)
+    for t in range(len(frames)):
+        h, c = lstm_apply_gates_int(lstm_gate_preacts_int(frames[t], h, lanes), c, lanes)
+        hs[t] = h
+    return hs
 
 
 def _check_inputs(spec: QuantLstmSpec, qp_x: QuantParams, qp_h: QuantParams | None = None) -> None:
@@ -435,9 +540,9 @@ def _check_inputs(spec: QuantLstmSpec, qp_x: QuantParams, qp_h: QuantParams | No
 def lstm_step_int(q_x: QuantTensor, state: QuantLstmState, spec: QuantLstmSpec) -> QuantLstmState:
     """One integer-only LSTM step."""
     _check_inputs(spec, q_x.qp, state.h.qp)
-    pre = lstm_gate_preacts_int(q_x.data, state.h.data, spec)
-    h, c = lstm_apply_gates_int(pre, state.c.data, spec)
-    return QuantLstmState(QuantTensor(h, spec.qp_h), QuantTensor(c.astype(spec.qp_c.storage_dtype), spec.qp_c))
+    pre = lstm_gate_preacts_int(q_x.data[None], state.h.data[None], spec.lanes)
+    h, c = lstm_apply_gates_int(pre, state.c.data[None], spec.lanes)
+    return QuantLstmState(QuantTensor(h[0], spec.qp_h), QuantTensor(c[0].astype(spec.qp_c.storage_dtype), spec.qp_c))
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +551,9 @@ def lstm_step_int(q_x: QuantTensor, state: QuantLstmState, spec: QuantLstmSpec) 
 
 
 def lstm_gate_preacts_exact(q_x, q_h, spec: QuantLstmSpec):
-    acc_x = spec.w_x_diff.astype(np.int64) @ (np.asarray(q_x, dtype=np.int64) - spec.qp_x.zero_point)
-    acc_x = acc_x + spec.bias_q
-    acc_h = spec.w_h_diff.astype(np.int64) @ (np.asarray(q_h, dtype=np.int64) - spec.qp_h.zero_point)
+    w_x, w_h = (w.astype(np.int64) for w in spec.weight_diffs())
+    acc_x = w_x @ (np.asarray(q_x, dtype=np.int64) - spec.qp_x.zero_point) + spec.bias_q
+    acc_h = w_h @ (np.asarray(q_h, dtype=np.int64) - spec.qp_h.zero_point)
     q_mx = np.array([requantize_exact(int(a), spec.m_mx, spec.qp_mx.zero_point, 8) for a in acc_x])
     q_mh = np.array([requantize_exact(int(a), spec.m_mh, spec.qp_mh.zero_point, 8) for a in acc_h])
     if spec.norm:
@@ -579,12 +684,9 @@ def lstm_sequence_real(
 def lstm_sequence_int(q_xs: QuantTensor, spec: QuantLstmSpec, direction: str = "forward") -> QuantTensor:
     _check_inputs(spec, q_xs.qp)
     data = np.atleast_2d(q_xs.data)
-    state = spec.zero_state()
-    h, c = state.h.data, state.c.data
-    hs = np.zeros((len(data), spec.hidden_size), dtype=np.uint8)
-    for t in _time_order(len(data), direction):
-        h, c = lstm_apply_gates_int(lstm_gate_preacts_int(data[t], h, spec), c, spec)
-        hs[t] = h
+    order = list(_time_order(len(data), direction))
+    hs = np.empty((len(data), spec.hidden_size), dtype=np.uint8)
+    hs[order] = run_lanes(data[order, None], spec.lanes)[:, 0]
     return QuantTensor(hs, spec.qp_h)
 
 
@@ -616,6 +718,7 @@ class BiLstmSpec:
             raise ValueError("forward/backward hidden qparams must be shared for concatenation")
         if self.fwd.qp_x != self.bwd.qp_x:
             raise ValueError("forward/backward cells must consume the same input qparams")
+        self.lanes = LstmLanes([self.fwd, self.bwd])
 
     @property
     def qp_h(self) -> QuantParams:
@@ -651,9 +754,12 @@ def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noo
 
 
 def bilstm_sequence_int(q_xs: QuantTensor, spec: BiLstmSpec) -> QuantTensor:
-    fwd = lstm_sequence_int(q_xs, spec.fwd, "forward")
-    bwd = lstm_sequence_int(q_xs, spec.bwd, "backward")
-    return QuantTensor(np.concatenate([fwd.data, bwd.data], axis=-1), spec.qp_h)
+    """Forward step t and backward step T-1-t as the two lanes of one kernel call."""
+    _check_inputs(spec.fwd, q_xs.qp)
+    data = np.atleast_2d(q_xs.data)
+    hs = run_lanes(np.stack((data, data[::-1]), axis=1), spec.lanes)
+    fwd, bwd = spec.lanes.hidden
+    return QuantTensor(np.concatenate((hs[:, 0, :fwd], hs[::-1, 1, :bwd]), axis=1), spec.qp_h)
 
 
 def bilstm_sequence_exact(q_xs: np.ndarray, spec: BiLstmSpec) -> np.ndarray:

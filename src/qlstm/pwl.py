@@ -182,12 +182,18 @@ def _build_integer_form(t: PwlTable) -> None:
         if a != 0.0:
             sm = ScaledMultiplier.from_real(abs(a))
             shift = min(max(sm.shift, e), e + 28)
-            mant = int(iround(abs(a) * 2.0**shift))
-            if mant.bit_length() > 33:
-                raise ValueError("slope too steep for the fixed-point encoding")
+            scaled = abs(a) * 2.0**shift
+            # checked before the int cast: the mantissa must round to below 2^33
+            if not scaled < 2.0**33 - 0.5:
+                raise ValueError(f"slope of {a:.3g} output steps per input step too steep for the fixed-point encoding")
+            mant = int(iround(scaled))
             mants[i] = mant if a > 0 else -mant
             shifts[i] = shift
-        c = int(iround((t.intercepts[i] / t.out_qp.scale + zp) * 2.0**e))
+        c_real = (t.intercepts[i] / t.out_qp.scale + zp) * 2.0**e
+        if not abs(c_real) < 2.0**62:
+            v, lo, hi = t.intercepts[i], t.out_qp.min, t.out_qp.max
+            raise ValueError(f"knot value {v:.3g} lies too far outside the output range [{lo:.3g}, {hi:.3g}]")
+        c = int(iround(c_real))
         # nudge so the integer evaluation reproduces the quantized knot value exactly
         want = int(targets[i])
         for _ in range(8):

@@ -97,9 +97,13 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
 
 
 def quantize(x, qp: QuantParams):
-    """Map real values onto the quantized grid (saturating)."""
-    q = iround(np.asarray(x, dtype=np.float64) / qp.scale) + qp.zero_point
-    q = np.minimum(np.maximum(q, 0), qp.qmax)
+    """Map real values onto the quantized grid (saturating).
+
+    The clamp comes before the int cast, so values whose grid index lies
+    beyond int64 (tiny scales, huge inputs) saturate instead of wrapping.
+    """
+    q = round_half_away(np.asarray(x, dtype=np.float64) / qp.scale) + qp.zero_point
+    q = np.minimum(np.maximum(q, 0), qp.qmax).astype(np.int64)
     return int(q) if np.isscalar(x) or np.ndim(x) == 0 else q
 
 
@@ -272,6 +276,7 @@ class RowMultipliers:
 
 def apply_multiplier(acc, m: ScaledMultiplier) -> np.ndarray:
     """round_half_away(acc * m.value) via integer multiply and shift."""
+    floatguard.note(acc)  # before the cast, which would hide a float accumulator
     p = np.asarray(acc, dtype=np.int64) * np.int64(m.mantissa)
     return _shift_round(p, m.shift)
 
@@ -382,18 +387,24 @@ def divide_round_exact(num: int, den: int, shift: int, out_zero_point: int, out_
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer ``a @ b`` for 1-D or 2-D operands with 32-bit accumulation
-    (contracted dim <= MAX_REDUCE_DIM).
+    """Integer ``a @ b`` with 32-bit accumulation (contracted dim <= MAX_REDUCE_DIM).
+
+    ``a`` and ``b`` are 1-D or 2-D, or ``b`` is a 3-D ``(k, n, p)`` stack
+    and ``a`` a ``(k, n)`` one: the lane-batched vector-matrix product
+    ``out[l] = a[l] @ b[l]``, shape ``(k, p)`` (``kj,kji->ki``).  The
+    activations come first, so ``a``'s last axis is always the contracted
+    one.
 
     numpy's int32 ``@`` has no BLAS path; ``np.einsum``'s integer loops are
     faster and take strided operands such as ``w.T`` as they are.
     ``optimize=True`` would route the 2-D product through a slower path.
     """
     floatguard.note(a, b)
-    sa = "ij"[2 - a.ndim:]
-    sb = "jk"[: b.ndim]
-    out = np.einsum(
-        f"{sa},{sb}->{sa[:-1]}{sb[1:]}", a.astype(np.int32, copy=False), b.astype(np.int32, copy=False)
-    )
+    if b.ndim == 3:
+        subscripts = "kj,kji->ki"
+    else:
+        sa, sb = "ij"[2 - a.ndim :], "jk"[: b.ndim]
+        subscripts = f"{sa},{sb}->{sa[:-1]}{sb[1:]}"
+    out = np.einsum(subscripts, a.astype(np.int32, copy=False), b.astype(np.int32, copy=False))
     floatguard.note(out)
     return out

@@ -675,7 +675,10 @@ def convert(
     layers, out_qps = [], []
     prev_qp = input_qp
     for i, layer in enumerate(model.layers):
-        int_layer = layer.convert(ranges, f"L{i}", prev_qp, out_qps, **opts)
+        try:
+            int_layer = layer.convert(ranges, f"L{i}", prev_qp, out_qps, **opts)
+        except ValueError as e:
+            raise type(e)(f"layer {i}: {e}") from None
         layers.append(int_layer)
         prev_qp = int_layer.qp_out
         out_qps.append(prev_qp)

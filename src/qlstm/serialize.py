@@ -21,7 +21,7 @@ import numpy as np
 from .attention import QuantAttentionSpec
 from .lstm import QuantLstmSpec
 from .madnorm import MadNormQParams
-from .pwl import PwlTable
+from .pwl import ACTIVATIONS, PwlTable
 from .quant import QuantParams
 from .runtime import (
     AttentionDecoderLayer,
@@ -268,6 +268,8 @@ class _Reader:
         return self._qp_cache[name]
 
     def pwl(self, d: dict) -> PwlTable:
+        if d["fn"] not in ACTIVATIONS:
+            raise ModelFormatError(f"PWL table of unknown function {d['fn']!r}")
         return PwlTable(
             knots_q=np.array(d["knots_q"], dtype=np.int64),
             knots_r=np.array(d["knots_r"], dtype=np.float64),

@@ -255,9 +255,9 @@ class TestInjectContext:
         _, _, xs, enc, dec = build_decoder(rng)
         q_x = QuantTensor.from_real(xs[0], dec.cell.qp_x)
         state = dec.cell.zero_state()
-        pre = lstm_gate_preacts_int(q_x.data, state.h.data, dec.cell)
+        pre = lstm_gate_preacts_int(q_x.data[None], state.h.data[None], dec.cell.lanes)
         q_s = QuantTensor.zeros(5, dec.attn.qp_s)
-        out = inject_context(pre, q_s, dec)
+        out, pre = inject_context(pre, q_s, dec)[0], pre[0]
         sig, j = dec.cell._sig_rows, dec.cell._j_rows
         assert np.array_equal(out[sig], pre[sig])
         assert np.array_equal(out[j], pre[j])

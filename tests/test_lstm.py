@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import observe, random_cell, random_lstm_config
+from qlstm import lstm as L
 from qlstm import runtime
-from qlstm.attention import AttentionWeights
+from qlstm.attention import AttentionWeights, attn_decoder_sequence_exact, attn_decoder_sequence_int
 from qlstm.lstm import (
     BiLstmSpec,
     LstmState,
@@ -282,6 +283,49 @@ class TestBiLstm:
         assert np.array_equal(got.data.astype(np.int64), want)
         assert got.shape == (6, 6)
 
+    def test_unequal_direction_widths_run_equals_reference(self):
+        """Forward m=3 and backward m=5: the narrower lane is padded inside
+        the kernel, and only each lane's own units reach the output."""
+        rng = np.random.default_rng(21)
+        layer = runtime.BiLstmLayer(random_cell(rng, 3, 4), random_cell(rng, 5, 4))
+        model = runtime.FloatModel([layer, runtime.FinalProjectionLayer(rng.normal(0, 0.5, (4, 8)), np.zeros(4))])
+        im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (7, 4))]), pieces=6, cell_bits=16)
+        spec = im.layers[0].spec
+        for T in (1, 9):
+            xs = rng.normal(0, 1, (T, 4))
+            assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
+            q_xs = QuantTensor.from_real(xs, spec.fwd.qp_x)
+            got = bilstm_sequence_int(q_xs, spec)
+            assert got.shape == (T, 8)
+            assert np.array_equal(got.data.astype(np.int64), bilstm_sequence_exact(q_xs.data, spec))
+
+    def test_madnorm_lanes_of_unequal_width_rejected(self):
+        rng = np.random.default_rng(22)
+        _, _, f = random_lstm_config(rng, norm=True, m=3, n=2)
+        _, _, b = random_lstm_config(rng, norm=True, m=4, n=2)
+        b = replace(b, qp_x=f.qp_x, qp_h=f.qp_h)
+        with pytest.raises(ValueError, match="MadNorm lanes must share the hidden width"):
+            BiLstmSpec(f, b)
+
+    def test_one_kernel_call_per_time_step(self, monkeypatch):
+        """Both directions advance in one preacts call, with one batched
+        matmul for the inputs and one for the hidden states."""
+        rng = np.random.default_rng(23)
+        _, _, xs, spec = self._bispec(rng, T=7)
+        calls = {"preacts": 0, "matmul": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(L, "lstm_gate_preacts_int", counted("preacts", L.lstm_gate_preacts_int))
+        monkeypatch.setattr(L, "int_matmul", counted("matmul", L.int_matmul))
+        bilstm_sequence_int(QuantTensor.from_real(xs, spec.fwd.qp_x), spec)
+        assert calls == {"preacts": 7, "matmul": 14}
+
 
 def edge_model(rng, kind: str, n: int = 3, m: int = 3) -> runtime.FloatModel:
     """A feature-input model: one recurrent layer of ``kind`` and a projection."""
@@ -345,3 +389,122 @@ class TestFusedKernelEdges:
         assert spec.m_x2sig.shift <= 0 and spec.m_h2j.shift <= 0
         q_xs = QuantTensor.from_real(xs, spec.qp_x)
         assert np.array_equal(lstm_sequence_int(q_xs, spec).data, lstm_sequence_exact(q_xs.data, spec))
+
+    @pytest.mark.parametrize("lane", [0, 1])
+    @pytest.mark.parametrize("edge", ["shift63", "shift0"])
+    def test_bilstm_one_lane_at_a_shift_edge(self, edge, lane):
+        """One lane's stage multipliers sit at a shift edge (>= 63, or <= 0)
+        and the other lane's do not."""
+        rng = np.random.default_rng(42)
+        wf, wb = random_cell(rng, 3, 3), random_cell(rng, 3, 3)
+        xs = rng.normal(0, 1, (6, 3))
+        spec = BiLstmSpec.from_float(
+            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"), pieces=6
+        )
+        cells = [spec.fwd, spec.bwd]
+        if edge == "shift63":
+            cells[lane] = replace(cells[lane], qp_mx=compute_qparams(-1e12, 1e12, 8))
+            assert cells[lane].m_mx.shift >= 63 and cells[1 - lane].m_mx.shift < 63
+        else:
+            tiny = compute_qparams(-1e-12, 1e-12, 8)
+            cells[lane] = replace(cells[lane], qp_pre_sig=tiny, qp_pre_j=tiny)
+            assert cells[lane].m_x2sig.shift <= 0 and cells[lane].m_h2j.shift <= 0
+            assert cells[1 - lane].m_x2sig.shift > 0
+        spec = BiLstmSpec(*cells)
+        q_xs = QuantTensor.from_real(rng.normal(0, 1, (9, 3)), spec.fwd.qp_x)
+        assert np.array_equal(bilstm_sequence_int(q_xs, spec).data, bilstm_sequence_exact(q_xs.data, spec))
+
+    def test_bilstm_lanes_with_gate_tables_of_different_lengths(self):
+        """An 8-bit gate grid on one lane and a 16-bit one on the other:
+        the lanes' tables differ in length, so each lane gathers at its own
+        offsets."""
+        rng = np.random.default_rng(43)
+        wf, wb = random_cell(rng, 3, 2), random_cell(rng, 4, 2)
+        xs = rng.normal(0, 1, (6, 2))
+        rf, rb = observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward")
+        qp_x = compute_qparams(float(xs.min()), float(xs.max()), 8)
+        qp_h = compute_qparams(min(rf["h"][0], rb["h"][0]), max(rf["h"][1], rb["h"][1]), 8)
+        common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6, candidates=256)
+        fwd = QuantLstmSpec.from_float(wf, rf, gate_bits=8, **common)
+        bwd = QuantLstmSpec.from_float(wb, rb, gate_bits=16, cell_bits=16, **common)
+        spec = BiLstmSpec(fwd, bwd)
+        assert len(spec.lanes.gate_table) == 2 * 256 + 2 * 65536
+        assert len(spec.lanes.tanh_c_table) == 256 + 65536
+        for T in (1, 11):
+            q_xs = QuantTensor.from_real(rng.normal(0, 2, (T, 2)), qp_x)
+            assert np.array_equal(bilstm_sequence_int(q_xs, spec).data, bilstm_sequence_exact(q_xs.data, spec))
+
+    def test_bilstm_single_frame_both_lanes_read_it(self):
+        rng = np.random.default_rng(44)
+        wf, wb = random_cell(rng, 3, 2), random_cell(rng, 3, 2)
+        xs = rng.normal(0, 1, (6, 2))
+        spec = BiLstmSpec.from_float(
+            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"), pieces=6
+        )
+        q_x = QuantTensor.from_real(xs[:1], spec.fwd.qp_x)
+        got = bilstm_sequence_int(q_x, spec).data
+        assert np.array_equal(got, bilstm_sequence_exact(q_x.data, spec))
+        one = [lstm_step_int(QuantTensor(q_x.data[0], q_x.qp), c.zero_state(), c).h.data for c in (spec.fwd, spec.bwd)]
+        assert np.array_equal(got[0], np.concatenate(one))
+
+
+def saturating_cell(rng, m, n):
+    """Random weights whose input, forget and candidate biases drive the
+    cell state up, past any range calibrated on a few steps."""
+    w = random_cell(rng, m, n, scale=0.5)
+    return LstmWeights(w.w_x, w.w_h, np.repeat([4.0, 4.0, 1.0, 0.0], m))
+
+
+def assert_cell_saturates(spec, q_xs):
+    """The integer cell state reaches the top of its grid within the run."""
+    state = spec.zero_state()
+    for q_x in q_xs.data[:200]:
+        state = lstm_step_int(QuantTensor(q_x, q_xs.qp), state, spec)
+        if state.c.data.max() == spec.qp_c.qmax:
+            return
+    raise AssertionError("cell state never saturated")
+
+
+class TestLongRuns:
+    """About 2,000 steps in which the cell state reaches the top of its grid."""
+
+    T = 2000
+
+    @pytest.mark.parametrize("cell_bits", [8, 16])
+    def test_bilstm(self, cell_bits):
+        rng = np.random.default_rng(60)
+        layer = runtime.BiLstmLayer(saturating_cell(rng, 3, 3), saturating_cell(rng, 2, 3))
+        model = runtime.FloatModel([layer, runtime.FinalProjectionLayer(rng.normal(0, 0.5, (4, 5)), np.zeros(4))])
+        im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 3))]), pieces=6, cell_bits=cell_bits)
+        xs = rng.normal(0, 1, (self.T, 3))
+        spec = im.layers[0].spec
+        assert_cell_saturates(spec.fwd, QuantTensor.from_real(xs, im.input_qp))
+        assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
+
+    def test_seq2seq_shaped(self):
+        """LSTM -> MadNorm-LSTM over the whole run, then the attention
+        decoder over the same 2,000 steps attending to the first 16 encoder
+        states (attending to all of them would make the oracle quadratic)."""
+        rng = np.random.default_rng(61)
+        m = 3
+        attn = AttentionWeights(
+            rng.normal(0, 0.5, (m, m)), rng.normal(0, 0.5, (m, m)), rng.normal(0, 0.5, m), rng.normal(0, 0.5, (4 * m, m))
+        )
+        model = runtime.FloatModel(
+            [
+                runtime.LstmLayer(saturating_cell(rng, m, 3)),
+                runtime.LstmLayer(saturating_cell(rng, m, m), norm=True),
+                runtime.AttentionDecoderLayer(saturating_cell(rng, m, m), attn),
+            ]
+        )
+        im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 3))]), pieces=6)
+        q = QuantTensor.from_real(rng.normal(0, 1, (self.T, 3)), im.input_qp)
+        assert_cell_saturates(im.layers[0].spec, q)
+        for layer in im.layers[:2]:
+            got = layer.run(q, [])
+            want, _ = layer.run_exact((q.data.astype(np.int64), q.qp), [])
+            assert np.array_equal(got.data.astype(np.int64), want)
+            q = got
+        dec, enc = im.layers[2].spec, QuantTensor(q.data[:16], q.qp)
+        got = attn_decoder_sequence_int(q, enc, dec)
+        assert np.array_equal(got.data.astype(np.int64), attn_decoder_sequence_exact(q.data, enc.data, dec))

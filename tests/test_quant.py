@@ -236,14 +236,16 @@ def _checked_matmul(a, b):
         got = int_matmul(a, b)
         assert count() == 0
     assert got.dtype == np.int32
-    assert np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    assert np.array_equal(got, a @ b if b.ndim < 3 else (a[:, None] @ b)[:, 0])
     return got
 
 
 class TestIntMatmul:
-    """The three operand forms the engine passes: cell matvecs, the attention
-    context (vector times matrix) and a transposed weight view on the right
-    (attention keys, final projection)."""
+    """The four operand forms the engine passes: matvecs (attention query,
+    context injection), the attention context (vector times matrix), a
+    transposed weight view on the right (attention keys, final projection)
+    and the LSTM lanes' batched vector-matrix product over k-major weights."""
 
     def test_accumulator_bound_leaves_room_for_the_bias(self):
         assert 255 * 255 * MAX_REDUCE_DIM + _BIAS_LIMIT < 2**31
@@ -262,9 +264,13 @@ class TestIntMatmul:
         assert not w.T.flags.c_contiguous
         mm = _checked_matmul(rows, w.T)
         assert np.array_equal(mm, np.stack([mv, -mv], axis=1))
+        lanes = _checked_matmul(np.stack([top, top]), np.stack([rows.T, -rows.T]))
+        assert np.array_equal(lanes, np.stack([mv, -mv]))
 
-    @given(st.sampled_from(["mv", "vm", "mm_t"]), *[st.integers(1, 6)] * 3, st.data())
+    @given(st.sampled_from(["mv", "vm", "mm_t", "lanes"]), *[st.integers(1, 6)] * 3, st.data())
     def test_matches_int64_matmul(self, form, m, k, n, data):
-        shapes = {"mv": ((m, k), (k,)), "vm": ((k,), (k, n)), "mm_t": ((m, k), (n, k))}[form]
+        shapes = {
+            "mv": ((m, k), (k,)), "vm": ((k,), (k, n)), "mm_t": ((m, k), (n, k)), "lanes": ((m, k), (m, k, n))
+        }[form]
         a, b = (data.draw(hnp.arrays(np.int32, shape, elements=st.integers(-255, 255))) for shape in shapes)
         _checked_matmul(a, b.T if form == "mm_t" else b)

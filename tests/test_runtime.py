@@ -1,5 +1,6 @@
 """Runtime: calibration, conversion, integer execution and serialization."""
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import calibrated_int_model, random_cell, token_model, use_true_functions
-from qlstm import floatguard, lstm, serialize
+from qlstm import attention, floatguard, lstm, serialize
 from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
 from qlstm.quant import _BIAS_LIMIT, MAX_REDUCE_DIM, DegenerateRangeError, QuantTensor, compute_qparams, int_matmul
@@ -200,6 +201,22 @@ class TestConvertAndRun:
         with pytest.raises(ValueError, match="L1.bwd.h, L3.attn.exp_in, L4.out$"):
             convert(model, ranges)
 
+    def test_tiny_range_pwl_stage_named_without_warning(self):
+        """All input weights -2 on all-ones frames: sigmoid(-128) gives the
+        ``sig`` stage a range of about 2.6e-56, too narrow for the PWL's
+        fixed-point slopes.  The error names the layer and the stage, and
+        no cast overflows on the way."""
+        m = n = 64
+        w_h = np.random.default_rng(0).normal(0, 0.1, (4 * m, m))
+        w = LstmWeights(np.full((4 * m, n), -2.0), w_h, np.zeros(4 * m))
+        model = FloatModel([LstmLayer(w)])
+        ranges = calibrate(model, [np.ones((5, n))])
+        assert 0 < ranges["L0.sig"][1] < 1e-50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="layer 0: stage 'sig': slope .* too steep"):
+                convert(model, ranges, pieces=4)
+
     def test_invalid_convert_options(self):
         rng = np.random.default_rng(12)
         model = token_model(rng, ["lstm"])
@@ -253,6 +270,17 @@ class TestConvertAndRun:
         with floatguard.trace_float_ops() as count:
             with pytest.raises(TypeError):
                 run(im, seq)
+            assert count() > 0
+
+    def test_float_accumulator_in_rescale_is_counted(self, monkeypatch):
+        """A float matmul result reaching a rescale is counted before the
+        rescale casts it to int64 (which would otherwise hide it)."""
+        rng = np.random.default_rng(14)
+        _, im = calibrated_int_model(rng, ["lstm", "attn"])
+        seq = rng.integers(0, 6, size=5)
+        monkeypatch.setattr(attention, "int_matmul", lambda a, b: int_matmul(a, b).astype(np.float64) + 0.4)
+        with floatguard.trace_float_ops() as count:
+            run(im, seq)
             assert count() > 0
 
     def test_env_var_enables_tracing_guard(self, monkeypatch):
@@ -459,6 +487,18 @@ class TestSaveLoad:
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
+    @pytest.mark.parametrize("fn", ["foo", None])
+    def test_pwl_of_unknown_function_rejected(self, tmp_path, fn):
+        rng = np.random.default_rng(38)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        doc["layers"][1]["pwl"]["tanh_c"]["fn"] = fn
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match=f"PWL table of unknown function {fn!r}"):
+            serialize.load(str(path))
+
     def test_manifest_that_is_not_json_is_a_format_error(self, tmp_path):
         rng = np.random.default_rng(37)
         _, im = calibrated_int_model(rng, ["lstm"])
@@ -600,18 +640,20 @@ class TestExactActivations:
                 seen.add((t.fn_name, t.in_qp.bitwidth))
             # the LSTM's joint gate table is rebuilt from the new tables
             spec = exact.layers[1].spec
-            assert np.array_equal(spec._gate_table, np.concatenate((spec.pwl_sig.grid_out, spec.pwl_tanh_j.grid_out)))
+            joint = np.concatenate((spec.pwl_sig.grid_out, spec.pwl_tanh_j.grid_out))
+            assert np.array_equal(spec.lanes.gate_table, joint)
         assert seen == {(f, b) for f in ("sigmoid", "tanh") for b in (8, 16)} | {("exp", 16)}
 
     def test_source_model_untouched(self, tmp_path):
         rng = np.random.default_rng(52)
         _, im = calibrated_int_model(rng, ["bilstm", "lstm_norm", "attn"])
         before = [t.grid_out.copy() for t in pwl_tables(im)]
-        cells = [im.layers[1].spec.fwd, im.layers[1].spec.bwd, im.layers[2].spec, im.layers[3].spec.cell]
-        gates = [c._gate_table.copy() for c in cells]
+        bi = im.layers[1].spec
+        specs = [bi, bi.fwd, bi.bwd, im.layers[2].spec, im.layers[3].spec.cell]
+        gates = [s.lanes.gate_table.copy() for s in specs]
         exact = exact_activations(im)
         assert all(np.array_equal(a, t.grid_out) for a, t in zip(before, pwl_tables(im)))
-        assert all(np.array_equal(a, c._gate_table) for a, c in zip(gates, cells))
+        assert all(np.array_equal(a, s.lanes.gate_table) for a, s in zip(gates, specs))
         seq = rng.integers(0, 6, size=6)
         assert np.array_equal(run(im, seq), run_reference(im, seq))
         assert not np.array_equal(run(exact, seq), run(im, seq))
@@ -621,6 +663,23 @@ class TestExactActivations:
             serialize.save(model, str(tmp_path / name / "m.json"))
         for f in ("m.json", "m.json.blob"):
             assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
+
+    def test_bilstm_lane_tables_rebuilt(self):
+        """The BiLSTM's concatenated lane tables hold both directions' exact
+        tables, so the copy runs no stale PWL entry."""
+        rng = np.random.default_rng(55)
+        _, im = calibrated_int_model(rng, ["bilstm"])
+        src, spec = im.layers[1].spec, exact_activations(im).layers[1].spec
+
+        def lut(t):
+            return build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp)
+
+        cells = (spec.fwd, spec.bwd)
+        gates = np.concatenate([lut(t) for c in cells for t in (c.pwl_sig, c.pwl_tanh_j)])
+        assert np.array_equal(spec.lanes.gate_table, gates)
+        assert np.array_equal(spec.lanes.tanh_c_table, np.concatenate([lut(c.pwl_tanh_c) for c in cells]))
+        assert not np.array_equal(src.lanes.gate_table, spec.lanes.gate_table)
+        assert not np.array_equal(src.lanes.tanh_c_table, spec.lanes.tanh_c_table)
 
     @pytest.mark.parametrize("arch", [["bilstm", "lstm_norm", "lstm", "residual"], ["lstm", "attn"]])
     def test_run_equals_true_function_oracle(self, monkeypatch, arch):
@@ -710,6 +769,6 @@ class TestAccumulatorLimit:
         spec = convert(model, calibrate(model, [x, 0 * x]), pieces=4).layers[0].spec
         bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
         im = IntModel([IntLstm(replace(spec, bias_q=bias))], spec.qp_x)
-        acc = int_matmul(spec.w_x_diff, QuantTensor.from_real(x[0], spec.qp_x).diffs()) + bias
+        acc = int_matmul(spec.weight_diffs()[0], QuantTensor.from_real(x[0], spec.qp_x).diffs()) + bias
         assert np.abs(acc.astype(np.int64)).max() == self.TOP
         assert np.array_equal(run(im, x).data, run_reference(im, x))
