@@ -61,6 +61,18 @@ def stage_errors(key: str):
         raise type(e)(f"stage {key!r}: {e}") from None
 
 
+@contextmanager
+def direction_errors(direction: str):
+    """Re-raise a ``ValueError`` from one direction's cell with the direction
+    in its stage name (``stage 'bwd.sig': ...``), or in front of the message."""
+    try:
+        yield
+    except ValueError as e:
+        msg, head = str(e), "stage '"
+        msg = head + f"{direction}." + msg[len(head) :] if msg.startswith(head) else f"{direction}: {msg}"
+        raise type(e)(msg) from None
+
+
 def stage_qparams(ranges: dict, key: str, bitwidth: int) -> QuantParams:
     """compute_qparams for one named stage; errors carry the stage name."""
     if key not in ranges:
@@ -742,8 +754,10 @@ class BiLstmSpec:
         if qp_x is None:
             qp_x = stage_qparams(shared("x"), "x", 8)
         qp_h = stage_qparams(shared("h"), "h", 8)
-        fwd = QuantLstmSpec.from_float(w_fwd, ranges_fwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
-        bwd = QuantLstmSpec.from_float(w_bwd, ranges_bwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
+        with direction_errors("fwd"):
+            fwd = QuantLstmSpec.from_float(w_fwd, ranges_fwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
+        with direction_errors("bwd"):
+            bwd = QuantLstmSpec.from_float(w_bwd, ranges_bwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
         return cls(fwd, bwd)
 
 

@@ -5,7 +5,9 @@ parameters.  Knots are constrained to the quantized input grid, so a table
 with all grid points as knots reproduces the full look-up table exactly.
 Knot selection greedily merges the pair of adjacent pieces whose slopes
 differ least, which concentrates the surviving knots where the function
-curves most.
+curves most.  A min-heap of adjacent slope differences drives the merges, so
+reducing N candidate knots costs O(N log N); among equal differences the
+knot of lowest index goes first.
 
 The PWL form (knots, fixed-point slopes and intercepts, override points) is
 what a model stores and what the exact oracle evaluates.  At build or load
@@ -18,6 +20,8 @@ The engine reads nothing else, so the same tables filled with
 """
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +77,13 @@ def build_lut(f, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
 def _select_indices(knots: np.ndarray, intercepts: np.ndarray, n_pieces: int) -> np.ndarray:
     """Indices of surviving knots after greedy adjacent-slope merging.
 
-    Only the merged slope is recomputed per round; the result is identical to
-    recomputing every slope from the surviving knots each round.  Ties in the
-    slope-difference argmin keep the lowest index.
+    Each round drops the interior knot whose two adjacent chord slopes differ
+    least (lowest index on ties) and recomputes only the merged chord.  The
+    candidates sit in a min-heap keyed on ``(|right - left slope|, index)``
+    over a doubly linked list of live knots; an entry is stale once its knot
+    is dropped or its key recomputed, and is skipped when popped.  This is
+    O(N log N) and picks the same knots as recomputing every slope from the
+    surviving knots each round.
     """
     if n_pieces < 1:
         raise ValueError("n_pieces must be at least 1")
@@ -85,29 +93,52 @@ def _select_indices(knots: np.ndarray, intercepts: np.ndarray, n_pieces: int) ->
         raise ValueError("knots and intercepts must be 1-D and equally long")
     if len(knots) < n_pieces + 1:
         raise ValueError("need at least n_pieces + 1 knots")
+    if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(intercepts))):
+        raise ValueError("knot values must be finite")
     if np.any(np.diff(knots) <= 0):
         raise ValueError("knots must be strictly increasing")
+    with np.errstate(over="ignore"):
+        slopes = np.diff(intercepts) / np.diff(knots)
+    if not np.all(np.isfinite(slopes)):
+        raise ValueError("knot slopes must be finite")
 
-    idx = np.arange(len(knots))
-    k = knots.copy()
-    b = intercepts.copy()
-    slopes = np.diff(b) / np.diff(k)
-    n = len(slopes)  # live piece count; arrays are compacted in place
-    while n > n_pieces:
-        j = int(np.argmin(np.abs(slopes[1:n] - slopes[: n - 1])))
-        merged = (b[j + 2] - b[j]) / (k[j + 2] - k[j])
-        tail = slice(j + 2, n + 1)
-        k[j + 1 : n] = k[tail].copy()
-        b[j + 1 : n] = b[tail].copy()
-        idx[j + 1 : n] = idx[tail].copy()
-        slopes[j] = merged
-        slopes[j + 1 : n - 1] = slopes[j + 2 : n].copy()
-        n -= 1
-    return idx[: n + 1]
+    n = len(knots)
+    k, b = knots.tolist(), intercepts.tolist()
+    slope = slopes.tolist()  # slope[i]: chord from live knot i to the next live knot
+    prev, nxt = list(range(-1, n - 1)), list(range(1, n + 1))
+    # key[i]: |right - left| chord slope at interior knot i, as each merge recomputes it
+    key = [0.0] + [abs(r - l) for l, r in zip(slope, slope[1:])]
+    heap = [(key[i], i) for i in range(1, n - 1)]
+    heapq.heapify(heap)
+    live = [True] * n
+    for _ in range(n - 1 - n_pieces):
+        while True:
+            d, i = heapq.heappop(heap)
+            if live[i] and d == key[i]:
+                break
+        live[i] = False
+        p, q = prev[i], nxt[i]
+        nxt[p], prev[q] = q, p
+        slope[p] = s = (b[q] - b[p]) / (k[q] - k[p])
+        if not math.isfinite(s):
+            raise ValueError("knot slopes must be finite")
+        if p > 0:
+            key[p] = abs(s - slope[prev[p]])
+            heapq.heappush(heap, (key[p], p))
+        if q < n - 1:
+            key[q] = abs(slope[q] - s)
+            heapq.heappush(heap, (key[q], q))
+    return np.flatnonzero(live)
 
 
 def select_knots(knots, intercepts, n_pieces: int):
-    """Reduce a knot set to ``n_pieces + 1`` knots; returns (knots, slopes, intercepts)."""
+    """Reduce a knot set to ``n_pieces + 1`` knots; returns (knots, slopes, intercepts).
+
+    Greedy merging: each round drops the interior knot whose adjacent chord
+    slopes differ least, the lowest-index knot among equal differences.  A
+    heap of those differences makes this O(N log N) in the N input knots.
+    Knot values and their initial slopes must be finite (``ValueError``).
+    """
     knots = np.asarray(knots, dtype=np.float64)
     intercepts = np.asarray(intercepts, dtype=np.float64)
     idx = _select_indices(knots, intercepts, n_pieces)
@@ -252,7 +283,8 @@ def build_pwl(
     if n_pieces > len(qs) - 1:
         raise ValueError("n_pieces exceeds candidate knot count")
     rs = dequantize(qs, in_qp)
-    bs = np.asarray(f(rs), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
+        bs = np.asarray(f(rs), dtype=np.float64)
     idx = _select_indices(rs, bs, n_pieces)
     knots_q = qs[idx]
     knots_r = rs[idx]

@@ -287,21 +287,45 @@ class FloatModel:
 
 
 class CalibrationObserver:
-    """Running per-stage min/max over observed activations."""
+    """Running per-stage min/max over observed activations.
+
+    A call only buffers its value; :meth:`flush` (which :func:`calibrate`
+    runs after every sequence, and reading ``ranges`` runs too) reduces each
+    stage's buffered values to one min and max.  So that a long sequence
+    cannot buffer without bound, a call that brings the buffer above
+    ``PENDING_LIMIT`` elements flushes it too.  A recorded array must not be
+    changed in place before it is flushed.  Empty values are ignored, and a
+    NaN value makes its stage's range NaN.
+    """
+
+    PENDING_LIMIT = 1 << 20
 
     def __init__(self):
-        self.ranges: dict = {}
+        self._ranges: dict = {}
+        self._pending: dict = {}
+        self._pending_size = 0
 
     def __call__(self, name: str, value) -> None:
-        v = np.asarray(value, dtype=np.float64)
-        if v.size == 0:
-            return
-        lo, hi = float(v.min()), float(v.max())
-        if name in self.ranges:
-            old = self.ranges[name]
-            self.ranges[name] = (min(old[0], lo), max(old[1], hi))
-        else:
-            self.ranges[name] = (lo, hi)
+        v = np.asarray(value)
+        self._pending.setdefault(name, []).append(v)
+        self._pending_size += v.size
+        if self._pending_size > self.PENDING_LIMIT:
+            self.flush()
+
+    def flush(self) -> None:
+        for name, values in self._pending.items():
+            if name in self._ranges:
+                values.append(self._ranges[name])
+            v = np.concatenate(values, axis=None, dtype=np.float64)
+            if v.size:
+                self._ranges[name] = (float(v.min()), float(v.max()))
+        self._pending.clear()
+        self._pending_size = 0
+
+    @property
+    def ranges(self) -> dict:
+        self.flush()
+        return self._ranges
 
 
 def forward_float(model: FloatModel, seq, record=None) -> list:
@@ -352,6 +376,7 @@ def calibrate(model: FloatModel, batches) -> dict:
     obs = CalibrationObserver()
     for seq in batches:
         forward_float(model, seq, record=obs)
+        obs.flush()
     missing = _missing_stages(model, obs.ranges)
     if missing:
         raise ValueError(f"stages never observed during calibration: {', '.join(missing)}")

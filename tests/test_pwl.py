@@ -1,4 +1,5 @@
 """PWL tables: knot selection, LUT equivalence, integer/real agreement."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,59 @@ class TestSelectKnots:
         assert len(k) == pieces + 1 and len(s) == pieces and len(b) == pieces + 1
         assert k[0] == knots[0] and k[-1] == knots[-1]
         assert set(k).issubset(set(knots))
+
+    @staticmethod
+    def draw_values(data, knots):
+        kind = data.draw(st.sampled_from(["flat", "linear", "steps", "random"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        if kind == "flat":
+            return np.full(len(knots), rng.normal())
+        if kind == "linear":
+            return rng.normal() * knots + rng.normal()
+        if kind == "steps":  # many equal chord slopes, so many tied slope differences
+            return np.round(np.tanh(knots / knots[-1] * 4 - 2) * rng.integers(1, 8)) / 4
+        return rng.normal(0, 1, len(knots))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_drawn_data(self, data):
+        n = data.draw(st.integers(3, 600))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        knots = np.cumsum(rng.integers(1, 4, n)).astype(np.float64)
+        vals = self.draw_values(data, knots)
+        for pieces in data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True)):
+            got = select_knots(knots, vals, pieces)
+            want = select_knots_reference(knots, vals, pieces)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_matches_reference_on_4096_sigmoid_candidates(self):
+        grid = np.linspace(-8.0, 8.0, 4096)
+        vals = sigmoid(grid)
+        for g, w in zip(select_knots(grid, vals, 16), select_knots_reference(grid, vals, 16)):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize(
+        "knots, vals, message",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0.0, 1.0, np.inf, np.inf, 5.0, 6.0], "knot values must be finite"),
+            ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0], "knot values must be finite"),
+            ([0.0, np.inf, 2.0], [0.0, 1.0, 2.0], "knot values must be finite"),
+            ([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0], "knot slopes must be finite"),
+            ([0.0, 1.0, 2.0], [-1e308, 0.0, 1e308], "knot slopes must be finite"),  # the merged chord overflows
+        ],
+    )
+    def test_non_finite_rejected_without_warning(self, knots, vals, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                select_knots(knots, vals, 1)
+
+    def test_overflowing_activation_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="knot values must be finite"):
+                build_pwl("exp", compute_qparams(-10.0, 800.0, 8), QP_SIG, 4)
 
 
 class TestBuildPwl:

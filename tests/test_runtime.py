@@ -14,6 +14,8 @@ from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
 from qlstm.quant import _BIAS_LIMIT, MAX_REDUCE_DIM, DegenerateRangeError, QuantTensor, compute_qparams, int_matmul
 from qlstm.runtime import (
+    BiLstmLayer,
+    CalibrationObserver,
     EmbeddingLayer,
     FinalProjectionLayer,
     FloatModel,
@@ -94,6 +96,60 @@ class TestCalibrate:
         )
         with pytest.raises(ValueError, match="never observed.*L0.mx"):
             calibrate(model, [])
+
+    @staticmethod
+    def per_call_ranges(model, batches) -> dict:
+        """Min/max reduced at every recorded value: the unbuffered reference."""
+        ranges = {}
+
+        def record(name, value):
+            v = np.asarray(value, dtype=np.float64)
+            if v.size:
+                lo, hi = ranges.get(name, (np.inf, -np.inf))
+                ranges[name] = (min(lo, float(v.min())), max(hi, float(v.max())))
+
+        for seq in batches:
+            forward_float(model, seq, record=record)
+        return ranges
+
+    @pytest.mark.parametrize("arch", [["bilstm", "bilstm", "residual"], ["lstm", "lstm_norm", "attn"]])
+    def test_equals_per_call_min_max(self, arch):
+        rng = np.random.default_rng(70)
+        model = token_model(rng, arch, m=4)
+        batches = [rng.integers(0, 6, int(t)) for t in (7, 1, 12)]
+        got = calibrate(model, batches)
+        want = self.per_call_ranges(model, batches)
+        assert list(got) == list(want) and got == want
+
+    def test_observer_ignores_empty_values(self):
+        obs = CalibrationObserver()
+        obs("a", np.zeros(0))
+        obs("b", [])
+        obs("a", [[1.0, -2.0]])
+        obs("a", 3)
+        assert obs.ranges == {"a": (-2.0, 3.0)}
+        obs("a", np.zeros((0, 4)))
+        obs("b", np.zeros(0))
+        assert obs.ranges == {"a": (-2.0, 3.0)}
+
+    def test_observer_buffer_is_bounded(self):
+        obs = CalibrationObserver()
+        obs.PENDING_LIMIT = 5
+        values = np.random.default_rng(73).normal(0, 1, (40, 3))
+        for i, v in enumerate(values):
+            obs("a", v)
+            obs("b", [float(i)])
+            assert obs._pending_size <= obs.PENDING_LIMIT
+        assert obs.ranges == {"a": (values.min(), values.max()), "b": (0.0, 39.0)}
+
+    def test_observer_nan_anywhere_makes_range_nan(self):
+        obs = CalibrationObserver()
+        obs("a", [1.0, 2.0])
+        obs("b", [1.0])
+        obs("a", [np.nan])
+        obs.flush()
+        obs("b", [np.nan, 0.0])
+        assert all(np.isnan(obs.ranges["a"])) and all(np.isnan(obs.ranges["b"]))
 
 
 class TestConvertAndRun:
@@ -216,6 +272,27 @@ class TestConvertAndRun:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="layer 0: stage 'sig': slope .* too steep"):
                 convert(model, ranges, pieces=4)
+
+    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    def test_bilstm_stage_error_names_the_direction(self, direction):
+        """Only one direction's ``sig`` range is too narrow for the PWL's
+        fixed-point slopes; the error names that direction's stage."""
+        rng = np.random.default_rng(71)
+        model = FloatModel([BiLstmLayer(random_cell(rng, 3, 2), random_cell(rng, 3, 2))])
+        ranges = calibrate(model, [rng.normal(0, 1, (5, 2))])
+        ranges[f"L0.{direction}.sig"] = (0.0, 1e-60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^layer 0: stage '{direction}.sig': slope .* too steep"):
+                convert(model, ranges, pieces=4)
+
+    def test_bilstm_degenerate_backward_range_names_the_direction(self):
+        rng = np.random.default_rng(72)
+        model = FloatModel([BiLstmLayer(random_cell(rng, 3, 2), random_cell(rng, 3, 2))])
+        ranges = calibrate(model, [rng.normal(0, 1, (5, 2))])
+        ranges["L0.bwd.c"] = (0.0, 0.0)
+        with pytest.raises(DegenerateRangeError, match="^layer 0: stage 'bwd.c': "):
+            convert(model, ranges)
 
     def test_invalid_convert_options(self):
         rng = np.random.default_rng(12)
