@@ -16,7 +16,7 @@ from .quant import (
     quantize,
 )
 from .pwl import PwlTable, build_lut, build_pwl, eval_pwl_int, eval_pwl_real, select_knots
-from .madnorm import MadNormQParams, layernorm_real, madnorm_int, madnorm_real
+from .madnorm import MadNormQParams, madnorm_int
 from .lstm import (
     BiLstmSpec,
     LstmState,

@@ -247,8 +247,8 @@ class QuantLstmSpec:
             stages = (("norm_x", 4 * m, self.qp_mx), ("norm_h", 4 * m, self.qp_mh), ("norm_c", m, self.qp_c))
             for name, hidden, qp in stages:
                 p = getattr(self, name)
-                if p.hidden != hidden or p.qp_x != qp or p.gamma is not None:
-                    raise ValueError(f"{name} must take {hidden} values on its stage's grid, without affine")
+                if p.hidden != hidden or p.qp_x != qp:
+                    raise ValueError(f"{name} must take {hidden} values on its stage's grid")
         self._sig_rows, self._j_rows = _gate_rows(m)
         src_x = self.norm_x.qp_y if self.norm_x is not None else self.qp_mx
         src_h = self.norm_h.qp_y if self.norm_h is not None else self.qp_mh
@@ -693,13 +693,10 @@ def lstm_sequence_real(
     return hs
 
 
-def lstm_sequence_int(q_xs: QuantTensor, spec: QuantLstmSpec, direction: str = "forward") -> QuantTensor:
+def lstm_sequence_int(q_xs: QuantTensor, spec: QuantLstmSpec) -> QuantTensor:
+    """Forward pass of one cell; a BiLSTM runs both directions in :func:`bilstm_sequence_int`."""
     _check_inputs(spec, q_xs.qp)
-    data = np.atleast_2d(q_xs.data)
-    order = list(_time_order(len(data), direction))
-    hs = np.empty((len(data), spec.hidden_size), dtype=np.uint8)
-    hs[order] = run_lanes(data[order, None], spec.lanes)[:, 0]
-    return QuantTensor(hs, spec.qp_h)
+    return QuantTensor(run_lanes(np.atleast_2d(q_xs.data)[:, None], spec.lanes)[:, 0], spec.qp_h)
 
 
 def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec, direction: str = "forward") -> np.ndarray:

@@ -3,12 +3,11 @@
 MadNorm centres a vector on its mean and divides by the mean absolute
 deviation instead of the standard deviation, which keeps the whole
 operation inside integer arithmetic (sums, absolute values and fixed-point
-rescales; no square root).  A LayerNorm reference is included for
-comparison tests only and never runs on the integer path.
+rescales; no square root).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +19,10 @@ from .quant import (
     RowMultipliers,
     ScaledMultiplier,
     _clamp,
-    _shift_round_exact,
     combine_round,
     combine_round_exact,
     compute_qparams,
-    dequantize,
     divide_round_exact,
-    iround,
-    quantize,
     requantize_exact,
     requantize_scaled,
 )
@@ -35,43 +30,13 @@ from .quant import (
 # combine_round and requantize_scaled are not called here; the names stay
 # bound because perfbench/spans.py re-binds them in this module.
 
-_AFFINE_FRAC_BITS = 23
-
-
-def layernorm_real(x, eps: float = 1e-5) -> np.ndarray:
-    """Standardize across the hidden dimension (test reference only)."""
-    x = np.asarray(x, dtype=np.float64)
-    centred = x - x.mean()
-    return centred / np.sqrt((centred**2).mean() + eps)
-
-
-def _dead_deviation(d, mu):
-    # deviations at the rounding noise of the mean are treated as zero
-    return d <= 1e-12 * np.abs(mu)
-
-
-def madnorm_real(x) -> np.ndarray:
-    """Centre on the mean and divide by the mean absolute deviation.
-
-    Zero (or numerically-dead) deviation yields a zero vector, mirroring the
-    integer path's guarded division.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mu = x.mean()
-    centred = x - mu
-    d = np.abs(centred).mean()
-    if d == 0.0 or _dead_deviation(d, mu):
-        return np.zeros_like(x)
-    return centred / d
-
 
 @dataclass
 class MadNormQParams:
     """Per-stage quantization parameters for one integer MadNorm instance.
 
     The input may be 8- or 16-bit (the latter when normalizing a 16-bit cell
-    state); every intermediate stage is 8-bit.  Optional affine parameters are
-    folded in as one extra per-element requantize stage.
+    state); every intermediate stage is 8-bit.
     """
 
     qp_x: QuantParams
@@ -80,17 +45,6 @@ class MadNormQParams:
     qp_d: QuantParams
     qp_y: QuantParams
     hidden: int
-    gamma: np.ndarray | None = None
-    beta: np.ndarray | None = None
-    qp_gamma: QuantParams | None = None
-    qp_beta: QuantParams | None = None
-    qp_y_raw: QuantParams | None = None
-
-    _m_mu: ScaledMultiplier = field(init=False, repr=False)
-    _combo_xhat: MultiplierCombo = field(init=False, repr=False)
-    _m_d: ScaledMultiplier = field(init=False, repr=False)
-    _m_y: ScaledMultiplier = field(init=False, repr=False)
-    rows: MadNormRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.hidden < 1:
@@ -106,53 +60,16 @@ class MadNormQParams:
             [self.qp_x.scale / self.qp_xhat.scale, -self.qp_mu.scale / self.qp_xhat.scale]
         )
         self._m_d = ScaledMultiplier.from_real(self.qp_xhat.scale / (self.qp_d.scale * h))
-        qp_num = self.qp_y_raw if self.gamma is not None else self.qp_y
-        self._m_y = ScaledMultiplier.from_real(self.qp_xhat.scale / (qp_num.scale * self.qp_d.scale))
-        if self.gamma is not None:
-            self._build_affine()
+        self._m_y = ScaledMultiplier.from_real(self.qp_xhat.scale / (self.qp_y.scale * self.qp_d.scale))
         self.rows = MadNormRows([self])
 
-    def _build_affine(self):
-        if self.qp_y_raw is None or self.qp_gamma is None or self.qp_beta is None:
-            raise ValueError("affine form needs qp_y_raw, qp_gamma and qp_beta")
-        gamma_q = np.asarray(quantize(self.gamma, self.qp_gamma))
-        beta_q = np.asarray(quantize(self.beta, self.qp_beta))
-        g = dequantize(gamma_q, self.qp_gamma) * (self.qp_y_raw.scale / self.qp_y.scale)
-        b = dequantize(beta_q, self.qp_beta) / self.qp_y.scale + self.qp_y.zero_point
-        e = _AFFINE_FRAC_BITS
-        mants = np.zeros(self.hidden, dtype=np.int64)
-        shifts = np.full(self.hidden, e, dtype=np.int64)
-        for i in range(self.hidden):
-            if g[i] != 0.0:
-                sm = ScaledMultiplier.from_real(abs(float(g[i])))
-                shift = min(max(sm.shift, e), e + 28)
-                mant = int(iround(abs(float(g[i])) * 2.0**shift))
-                mants[i] = mant if g[i] > 0 else -mant
-                shifts[i] = shift
-        self._aff_mants = mants
-        self._aff_shifts = shifts
-        self._aff_consts = iround(b * 2.0**e)
-        self._affine = RowMultipliers(mants, shifts, addends=self._aff_consts << (shifts - e))
-
     @classmethod
-    def from_ranges(cls, ranges: dict, hidden: int, input_bits: int = 8, gamma=None, beta=None) -> "MadNormQParams":
+    def from_ranges(cls, ranges: dict, hidden: int, input_bits: int = 8) -> "MadNormQParams":
         """Build from observed per-stage (min, max) ranges.
 
-        Expected keys: ``x``, ``mu``, ``xhat``, ``d``, ``y`` and, with affine
-        parameters, ``y_raw``.
+        Expected keys: ``x``, ``mu``, ``xhat``, ``d`` and ``y``.
         """
         qp = {k: compute_qparams(*ranges[k], 8) for k in ("mu", "xhat", "d", "y")}
-        kwargs = {}
-        if gamma is not None:
-            gamma = np.asarray(gamma, dtype=np.float64)
-            beta = np.asarray(beta, dtype=np.float64) if beta is not None else np.zeros_like(gamma)
-            kwargs = dict(
-                gamma=gamma,
-                beta=beta,
-                qp_gamma=compute_qparams(gamma.min(), gamma.max(), 8),
-                qp_beta=compute_qparams(beta.min(), beta.max(), 8),
-                qp_y_raw=compute_qparams(*ranges["y_raw"], 8),
-            )
         return cls(
             qp_x=compute_qparams(*ranges["x"], input_bits),
             qp_mu=qp["mu"],
@@ -160,17 +77,20 @@ class MadNormQParams:
             qp_d=qp["d"],
             qp_y=qp["y"],
             hidden=hidden,
-            **kwargs,
         )
 
 
 def madnorm_observe(x: np.ndarray, record, prefix: str) -> np.ndarray:
-    """Float-path MadNorm that reports every integer-stage value for calibration."""
+    """Real MadNorm over the last axis; reports each integer stage's values.
+
+    Zero deviation, or one at the rounding noise of the mean, yields zeros,
+    like the integer path's guarded division.
+    """
     x = np.asarray(x, dtype=np.float64)
     mu = x.mean(axis=-1, keepdims=True)
     xhat = x - mu
     d = np.abs(xhat).mean(axis=-1, keepdims=True)
-    dead = (d == 0.0) | _dead_deviation(d, mu)
+    dead = d <= 1e-12 * np.abs(mu)
     y = np.where(dead, 0.0, xhat / np.where(dead, 1.0, d))
     record(f"{prefix}.mu", mu)
     record(f"{prefix}.xhat", xhat)
@@ -213,7 +133,7 @@ class MadNormRows:
         m_y = [p._m_y for p in params]
         self.y_mant2 = np.array([[2 * (m.mantissa << max(-m.shift, 0))] for m in m_y], dtype=np.int64)
         self.y_shift = np.array([[max(m.shift, 0)] for m in m_y], dtype=np.int64)
-        self.zp_y = col(lambda p: (p.qp_y_raw if p.gamma is not None else p.qp_y).zero_point)
+        self.zp_y = col(lambda p: p.qp_y.zero_point)
 
 
 def madnorm_int(q_x, p):
@@ -221,10 +141,11 @@ def madnorm_int(q_x, p):
 
     With a :class:`MadNormQParams`, ``q_x`` is a QuantTensor on ``p.qp_x``,
     normalized over its last axis, and the result a QuantTensor on
-    ``p.qp_y`` (the affine form applied last).  With a :class:`MadNormRows`
-    stack of ``k`` instances, ``q_x`` is a raw ``(k, h)`` int64 array whose
-    row ``r`` lies on instance ``r``'s input grid, and the result is the raw
-    ``(k, h)`` int64 output, row ``r`` on instance ``r``'s output grid.  Both forms run :func:`_normalize_rows`.
+    ``p.qp_y``.  With a :class:`MadNormRows` stack of ``k`` instances,
+    ``q_x`` is a raw ``(k, h)`` int64 array whose row ``r`` lies on instance
+    ``r``'s input grid, and the result is the raw ``(k, h)`` int64 output,
+    row ``r`` on instance ``r``'s output grid.  Both forms run
+    :func:`_normalize_rows`.
 
     Mean, centred values and deviation each land on their own calibrated
     8-bit grid; the division is guarded by ``max(q_d, 1)``.
@@ -235,8 +156,6 @@ def madnorm_int(q_x, p):
         raise ValueError("input qparams do not match the MadNorm configuration")
     data = q_x.data.astype(np.int64)
     out = _normalize_rows(data.reshape(-1, data.shape[-1]), p.rows).reshape(data.shape)
-    if p.gamma is not None:
-        out = _clamp(p._affine.apply(out - np.int64(p.qp_y_raw.zero_point)), 0, p.qp_y.qmax)
     return QuantTensor(out.astype(p.qp_y.storage_dtype), p.qp_y)
 
 
@@ -275,21 +194,8 @@ def madnorm_int_exact(q_x, p: MadNormQParams) -> np.ndarray:
     q_d = requantize_exact(acc_d, p._m_d, p.qp_d.zero_point, 8)
     den = max(q_d, 1)
 
-    if p.gamma is None:
-        out = [
-            divide_round_exact(v * p._m_y.mantissa, den, p._m_y.shift, p.qp_y.zero_point, 8)
-            for v in dxhat
-        ]
-        return np.array(out, dtype=np.int64)
-
-    q_raw = [
-        divide_round_exact(v * p._m_y.mantissa, den, p._m_y.shift, p.qp_y_raw.zero_point, 8)
+    out = [
+        divide_round_exact(v * p._m_y.mantissa, den, p._m_y.shift, p.qp_y.zero_point, 8)
         for v in dxhat
     ]
-    out = []
-    for i, v in enumerate(q_raw):
-        shift = int(p._aff_shifts[i])
-        raw = (v - p.qp_y_raw.zero_point) * int(p._aff_mants[i])
-        raw += int(p._aff_consts[i]) << (shift - _AFFINE_FRAC_BITS)
-        out.append(max(0, min(_shift_round_exact(raw, shift), p.qp_y.qmax)))
     return np.array(out, dtype=np.int64)

@@ -53,6 +53,10 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
+        for name in ("bitwidth", "zero_point"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {v!r}")
         if self.bitwidth not in (8, 16):
             raise ValueError(f"unsupported bitwidth {self.bitwidth}")
         if not all(math.isfinite(v) for v in (self.min, self.max, self.scale)):
@@ -239,20 +243,19 @@ def _clamp_store(v: np.ndarray, zero_point: int, bitwidth: int) -> np.ndarray:
 class RowMultipliers:
     """One fixed-point multiplier per row of a stacked vector.
 
-    :meth:`apply` computes ``round_half_away((x_r * mantissa_r + addend_r) *
-    2^-shift_r)`` for every row ``r`` in one pass, with the rounding rule of
+    :meth:`apply` computes ``round_half_away(x_r * mantissa_r * 2^-shift_r)``
+    for every row ``r`` in one pass, with the rounding rule of
     :func:`_shift_round`.  The constants are normalized once at construction:
-    a shift <= 0 becomes a left shift folded into the mantissa and addend
-    (exact modulo 2^64, like ``_shift_round``'s ``p << -shift``), and a shift
-    >= 63 rounds the row to 0, as there.
+    a shift <= 0 becomes a left shift folded into the mantissa (exact modulo
+    2^64, like ``_shift_round``'s ``p << -shift``), and a shift >= 63 rounds
+    the row to 0, as there.
     """
 
-    def __init__(self, mantissas, shifts, addends=None):
+    def __init__(self, mantissas, shifts):
         shifts = np.asarray(shifts, dtype=np.int64)
         left = np.maximum(-shifts, 0)
         live = shifts < 63
         self.mant = np.where(live, np.asarray(mantissas, dtype=np.int64) << left, 0)
-        self.add = None if addends is None else np.where(live, np.asarray(addends, dtype=np.int64) << left, 0)
         self.shift = np.where(live, np.maximum(shifts, 0), 0)
         self.half = np.where(self.shift > 0, np.int64(1) << np.maximum(self.shift - 1, 0), 0)
 
@@ -263,10 +266,7 @@ class RowMultipliers:
         return cls(np.repeat([m.mantissa for m, _ in pairs], counts), np.repeat([m.shift for m, _ in pairs], counts))
 
     def apply(self, x) -> np.ndarray:
-        p = x * self.mant
-        if self.add is not None:
-            p = p + self.add
-        return self.round(p)
+        return self.round(x * self.mant)
 
     def round(self, p) -> np.ndarray:
         """round_half_away(p * 2^-shift_r) of an already scaled product ``p``."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -254,12 +255,16 @@ class _Reader:
 
     def tensor(self, name: str) -> np.ndarray:
         ref = self.m.tensors[name]
-        end = ref["offset"] + ref["length"]
-        if end > len(self.blob):
-            raise ModelFormatError(f"tensor {name} extends past the end of the blob")
+        offset, length, shape = ref["offset"], ref["length"], ref["shape"]
+        if not all(type(v) is int and v >= 0 for v in (offset, length, *shape)):
+            raise ModelFormatError(f"tensor {name}: offset, length and shape must be non-negative integers")
         dt = np.dtype(_DTYPES[ref["dtype"]]).newbyteorder("<")
-        arr = np.frombuffer(self.blob, dtype=dt, count=ref["length"] // dt.itemsize, offset=ref["offset"])
-        return arr.astype(_DTYPES[ref["dtype"]]).reshape(ref["shape"])
+        if length != math.prod(shape) * dt.itemsize:
+            raise ModelFormatError(f"tensor {name}: length {length} does not fit shape {shape}")
+        if offset + length > len(self.blob):
+            raise ModelFormatError(f"tensor {name} extends past the end of the blob")
+        arr = np.frombuffer(self.blob, dtype=dt, count=length // dt.itemsize, offset=offset)
+        return arr.astype(_DTYPES[ref["dtype"]]).reshape(shape)
 
     def qp(self, name: str) -> QuantParams:
         # shared references resolve to one object so chained layers compare equal

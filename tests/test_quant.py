@@ -69,6 +69,14 @@ class TestComputeQparams:
         with pytest.raises(ValueError, match="must be finite"):
             QuantParams(**{**good, field: value})
 
+    @pytest.mark.parametrize("field", ["bitwidth", "zero_point"])
+    @pytest.mark.parametrize("value", [8.0, 8.5, True, "8"])
+    def test_quant_params_reject_non_integer_fields(self, field, value):
+        good = dict(min=-1.0, max=1.0, bitwidth=8, scale=2 / 255, zero_point=128)
+        assert QuantParams(**{**good, field: np.int64(good[field])}) == QuantParams(**good)
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            QuantParams(**{**good, field: value})
+
     @given(ranges8)
     def test_zero_point_dequantizes_to_zero(self, r):
         qp = compute_qparams(*r, 8)
@@ -190,17 +198,16 @@ class TestRowMultipliers:
                 st.integers(-(2**20), 2**20),  # x
                 st.integers(0, 2**31 - 1),  # mantissa
                 st.integers(-8, 80),  # shift, both edges included
-                st.integers(-(2**24), 2**24),  # addend
             ),
             min_size=1,
             max_size=12,
         )
     )
     def test_each_row_rounds_like_the_scalar_helpers(self, rows):
-        x, mants, shifts, adds = (np.array(c, dtype=np.int64) for c in zip(*rows))
-        got = RowMultipliers(mants, shifts, addends=adds).apply(x)
+        x, mants, shifts = (np.array(c, dtype=np.int64) for c in zip(*rows))
+        got = RowMultipliers(mants, shifts).apply(x)
         for r in range(len(rows)):
-            p = int(x[r]) * int(mants[r]) + int(adds[r])  # |p| < 2^52, so shifts >= 63 give 0
+            p = int(x[r]) * int(mants[r])  # |p| < 2^52, so shifts >= 63 give 0
             assert got[r] == _shift_round_exact(p, int(shifts[r])) == _shift_round(np.int64(p), int(shifts[r]))
 
     def test_blocks_repeat_each_multiplier(self):

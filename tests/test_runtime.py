@@ -14,11 +14,13 @@ from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
 from qlstm.quant import _BIAS_LIMIT, MAX_REDUCE_DIM, DegenerateRangeError, QuantTensor, compute_qparams, int_matmul
 from qlstm.runtime import (
+    AttentionDecoderLayer,
     BiLstmLayer,
     CalibrationObserver,
     EmbeddingLayer,
     FinalProjectionLayer,
     FloatModel,
+    IntAttnDecoder,
     IntLstm,
     IntModel,
     IntProjection,
@@ -456,6 +458,40 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="chain"):
             serialize.load(path)
 
+    @pytest.mark.parametrize("field, value", [("zero_point", 106.5), ("zero_point", 106.0), ("zero_point", True)])
+    def test_non_integer_qparams_field_rejected(self, tmp_path, field, value):
+        # a fractional zero point used to load, and run then disagreed with run_reference
+        rng = np.random.default_rng(40)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        doc["qparams"][doc["layers"][1]["qparams"]["mx"]][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match=f"{field} must be an integer"):
+            serialize.load(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(length=-1), "non-negative integers"),  # numpy's count=-1 reads to the end of the blob
+            (dict(shape=[-1, 1], length=-1), "non-negative integers"),
+            (dict(offset=0.0), "non-negative integers"),
+            (dict(length=True), "non-negative integers"),
+            (dict(shape=[1]), "does not fit shape"),
+        ],
+    )
+    def test_bad_tensor_reference_rejected(self, tmp_path, edit, message):
+        rng = np.random.default_rng(41)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        max(doc["tensors"].values(), key=lambda ref: ref["offset"]).update(edit)  # the blob's last tensor
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match=message):
+            serialize.load(str(path))
+
     @pytest.mark.parametrize("skip_from", [7, -1, 3])
     def test_residual_skip_out_of_range_rejected(self, tmp_path, skip_from):
         rng = np.random.default_rng(29)
@@ -848,4 +884,32 @@ class TestAccumulatorLimit:
         im = IntModel([IntLstm(replace(spec, bias_q=bias))], spec.qp_x)
         acc = int_matmul(spec.weight_diffs()[0], QuantTensor.from_real(x[0], spec.qp_x).diffs()) + bias
         assert np.abs(acc.astype(np.int64)).max() == self.TOP
+        assert np.array_equal(run(im, x).data, run_reference(im, x))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_attention_decoder_at_max_reduce_dim(self, sign):
+        # the decoder attends over its own input: w_x, w_k and w_s all contract MAX_REDUCE_DIM
+        # terms; T = 3 keeps the quadratic attention oracle small.  The float bias centres the
+        # calibrated gate sums.  Without it every gate saturates in calibration, the cell-state
+        # range comes out about 1e-143 wide, and its multipliers' left shifts leave int64: a
+        # separate limit from the accumulator's, not what this test checks.
+        m, a, k = 2, 2, MAX_REDUCE_DIM
+        end = np.full((4 * m, k), sign * 0.01)
+        cell = LstmWeights(end, np.full((4 * m, m), 0.3), np.full(4 * m, -sign * 0.02 * k))
+        attn = attention.AttentionWeights(np.full((a, m), 0.3), end[:a], np.full(a, 0.5), end)
+        model = FloatModel([AttentionDecoderLayer(cell, attn)])
+        x = np.ones((3, k))
+        dec = convert(model, calibrate(model, [x, 0 * x]), pieces=4).layers[0].spec
+        bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
+        dec = replace(dec, cell=replace(dec.cell, bias_q=bias))
+        q_x = QuantTensor.from_real(x, dec.cell.qp_x)
+        q_s, _ = attention.attention_int(
+            QuantTensor.zeros(m, dec.cell.qp_h), attention.attention_keys(q_x, dec.attn), dec.attn
+        )
+        acc_x = int_matmul(dec.cell.weight_diffs()[0], q_x.diffs()[0]) + bias
+        acc_k = int_matmul(q_x.diffs(), dec.attn.w_k_diff.T)
+        acc_s = int_matmul(dec.w_s_diff, q_s.diffs())
+        assert np.abs(acc_x.astype(np.int64)).max() == self.TOP
+        assert np.abs(acc_k).max() == np.abs(acc_s).max() == self.TOP - _BIAS_LIMIT
+        im = IntModel([IntAttnDecoder(dec)], dec.cell.qp_x)
         assert np.array_equal(run(im, x).data, run_reference(im, x))
