@@ -22,12 +22,10 @@ from .lstm import (
     LstmState,
     LstmWeights,
     QuantLstmSpec,
-    QuantLstmState,
     bilstm_sequence_int,
     bilstm_sequence_real,
     lstm_sequence_int,
     lstm_sequence_real,
-    lstm_step_int,
     lstm_step_real,
     madnorm_lstm_step_real,
 )

@@ -34,7 +34,6 @@ from .quant import (
     QuantParams,
     QuantTensor,
     RowMultipliers,
-    ScaledMultiplier,
     _clamp,
     apply_multiplier,
     check_accumulator,
@@ -48,6 +47,8 @@ from .quant import (
     requantize_scaled,
     rescale_add,
     rescale_add_exact,
+    saturating_multiplier,
+    term_multiplier,
     _shift_round_exact,
 )
 
@@ -164,16 +165,18 @@ class QuantAttentionSpec:
         self.w_q_diff = self.w_q_q.astype(np.int32) - np.int32(self.qp_wq.zero_point)
         self.w_k_diff = self.w_k_q.astype(np.int32) - np.int32(self.qp_wk.zero_point)
         self.v_diff = self.v_q.astype(np.int32) - np.int32(self.qp_v.zero_point)
-        self.m_q = ScaledMultiplier.from_real(self.qp_wq.scale * self.qp_h_dec.scale / self.qp_q.scale)
-        self.m_k = ScaledMultiplier.from_real(self.qp_wk.scale * self.qp_enc.scale / self.qp_k.scale)
-        self.m_q2sum = ScaledMultiplier.from_real(self.qp_q.scale / self.qp_sum.scale)
-        self.m_k2sum = ScaledMultiplier.from_real(self.qp_k.scale / self.qp_sum.scale)
-        self.m_e = ScaledMultiplier.from_real(self.qp_v.scale * self.qp_tanh.scale / self.qp_e.scale)
-        self.m_shift = ScaledMultiplier.from_real(self.qp_e.scale / self.qp_exp_in.scale)
-        self.m_alpha = ScaledMultiplier.from_real(1.0 / self.qp_alpha.scale)
-        self.m_ctx = ScaledMultiplier.from_real(self.qp_alpha.scale * self.qp_enc.scale / self.qp_s.scale)
-        # per-step kernel constants: the query's centred clamp bounds and zero points
+        self.m_q = saturating_multiplier(self.qp_wq.scale * self.qp_h_dec.scale / self.qp_q.scale)
+        self.m_k = saturating_multiplier(self.qp_wk.scale * self.qp_enc.scale / self.qp_k.scale)
+        self.m_q2sum = term_multiplier("sum", self.qp_q.scale / self.qp_sum.scale, 255)
+        self.m_k2sum = term_multiplier("sum", self.qp_k.scale / self.qp_sum.scale, 255)
+        self.m_e = saturating_multiplier(self.qp_v.scale * self.qp_tanh.scale / self.qp_e.scale)
+        self.m_shift = saturating_multiplier(self.qp_e.scale / self.qp_exp_in.scale)
+        self.m_alpha = saturating_multiplier(1.0 / self.qp_alpha.scale)
+        self.m_ctx = saturating_multiplier(self.qp_alpha.scale * self.qp_enc.scale / self.qp_s.scale)
+        # per-step kernel constants: the query's centred clamp bounds and zero points.  The
+        # zero points are signed numpy scalars, so unsigned storage minus one is signed.
         self._q_lo, self._q_hi = -self.qp_q.zero_point, 255 - self.qp_q.zero_point
+        self._zp_h, self._zp_enc, self._zp_s = (np.int32(qp.zero_point) for qp in (self.qp_h_dec, self.qp_enc, self.qp_s))
         self._zp_sum = np.int64(self.qp_sum.zero_point)
         self._zp_tanh = np.int32(self.qp_tanh.zero_point)
         self._zp_exp_out = np.int64(self.qp_exp_out.zero_point)
@@ -186,8 +189,7 @@ class QuantAttentionSpec:
         qp_h_dec: QuantParams,
         qp_enc: QuantParams,
         *,
-        pieces_tanh: int = 16,
-        pieces_exp: int = 16,
+        pieces: int = 16,
         candidates: int | None = None,
     ) -> "QuantAttentionSpec":
         w_q_q, qp_wq = quantize_weights(w.w_q)
@@ -203,9 +205,9 @@ class QuantAttentionSpec:
         qp_tanh = stage_qparams(ranges, "tanh", 8)
         qp_exp_out = stage_qparams(ranges, "exp_out", 8)
         with stage_errors("tanh"):
-            pwl_tanh = build_pwl("tanh", qp_sum, qp_tanh, pieces_tanh, candidates=candidates)
+            pwl_tanh = build_pwl("tanh", qp_sum, qp_tanh, pieces, candidates=candidates)
         with stage_errors("exp_out"):
-            pwl_exp = build_pwl("exp", qp_exp_in, qp_exp_out, pieces_exp, candidates=candidates)
+            pwl_exp = build_pwl("exp", qp_exp_in, qp_exp_out, pieces, candidates=candidates)
         return cls(
             w_q_q=w_q_q,
             w_k_q=w_k_q,
@@ -229,22 +231,21 @@ class QuantAttentionSpec:
         )
 
 
-def softmax_int(q_e: QuantTensor, spec: QuantAttentionSpec) -> QuantTensor:
+def softmax_int(e: np.ndarray, spec: QuantAttentionSpec) -> np.ndarray:
     """Integer softmax: max-shift, PWL exp, 32-bit denominator, rounded division.
 
-    The max-shift's requantize clamps onto the exp input grid, so the PWL exp
-    is one gather from its table.
+    ``e`` holds raw alignments on ``spec.qp_e``; returns the raw int64
+    attention weights on ``spec.qp_alpha``.  The max-shift's requantize
+    clamps onto the exp input grid, so the PWL exp is one gather from its
+    table.
     """
-    if q_e.qp != spec.qp_e:
-        raise ValueError("alignment qparams do not match the attention spec")
-    data = q_e.data.astype(np.int64)
-    floatguard.note(data)
+    floatguard.note(e)
+    data = e.astype(np.int64)  # signed, so the max-shift cannot wrap
     q_in = requantize_scaled(data - data.max(), spec.m_shift, spec.qp_exp_in.zero_point, 16)
     d_exp = spec.pwl_exp.grid_out[q_in] - spec._zp_exp_out
     denom = max(int(d_exp.sum()), 1)
     num = d_exp * np.int64(spec.m_alpha.mantissa)
-    q_alpha = divide_round(num, denom, spec.m_alpha.shift, spec.qp_alpha.zero_point, 8)
-    return QuantTensor(q_alpha.astype(np.uint8), spec.qp_alpha)
+    return divide_round(num, denom, spec.m_alpha.shift, spec.qp_alpha.zero_point, 8)
 
 
 def softmax_int_exact(q_e, spec: QuantAttentionSpec) -> np.ndarray:
@@ -272,33 +273,30 @@ class AttentionKeys(NamedTuple):
     k_term: np.ndarray  # (T, m_att) int64: the key projections' term of the pre-tanh sum
 
 
-def attention_keys(q_enc: QuantTensor, spec: QuantAttentionSpec) -> AttentionKeys:
-    """Project the encoder states through ``w_k`` once per sequence.
+def attention_keys(enc: np.ndarray, spec: QuantAttentionSpec) -> AttentionKeys:
+    """Project the raw encoder states (``(T, m_enc)`` storage on
+    ``spec.qp_enc``) through ``w_k`` once per sequence.
 
     The pre-tanh sum rounds the query and key terms on their own before
     adding them, so the rescaled key term is the same at every decoder step.
     """
-    if q_enc.qp != spec.qp_enc:
-        raise ValueError("attention encoder qparams do not match the spec")
-    enc_diff = q_enc.diffs()
+    enc_diff = enc - spec._zp_enc
     q_k = requantize_scaled(int_matmul(enc_diff, spec.w_k_diff.T), spec.m_k, spec.qp_k.zero_point, 8)
     return AttentionKeys(enc_diff, apply_multiplier(q_k - spec.qp_k.zero_point, spec.m_k2sum))
 
 
-def attention_int(q_h_prev: QuantTensor, keys: AttentionKeys, spec: QuantAttentionSpec):
+def attention_int(h: np.ndarray, keys: AttentionKeys, spec: QuantAttentionSpec):
     """One decoder step of integer attention over :func:`attention_keys`'
-    output; returns (context, attention weights) as QuantTensors."""
-    if q_h_prev.qp != spec.qp_h_dec:
-        raise ValueError("attention query qparams do not match the spec")
-    acc_q = int_matmul(spec.w_q_diff, q_h_prev.diffs())
+    output.  ``h`` is the raw decoder state on ``spec.qp_h_dec``; returns
+    the raw int64 (context, attention weights) on ``spec.qp_s`` and
+    ``spec.qp_alpha``."""
+    acc_q = int_matmul(spec.w_q_diff, h - spec._zp_h)
     d_q = _clamp(apply_multiplier(acc_q, spec.m_q), spec._q_lo, spec._q_hi)
     pre = _clamp(apply_multiplier(d_q, spec.m_q2sum) + keys.k_term + spec._zp_sum, 0, spec.qp_sum.qmax)
     acc_e = int_matmul(spec.pwl_tanh.grid_out[pre] - spec._zp_tanh, spec.v_diff)
-    q_e = requantize_scaled(acc_e, spec.m_e, spec.qp_e.zero_point, 16)
-    q_alpha = softmax_int(QuantTensor(q_e.astype(np.uint16), spec.qp_e), spec)
-    acc_s = int_matmul(q_alpha.diffs(), keys.enc_diff)
-    q_s = requantize_scaled(acc_s, spec.m_ctx, spec.qp_s.zero_point, 8)
-    return QuantTensor(q_s.astype(np.uint8), spec.qp_s), q_alpha
+    alpha = softmax_int(requantize_scaled(acc_e, spec.m_e, spec.qp_e.zero_point, 16), spec)
+    acc_s = int_matmul(alpha - spec.qp_alpha.zero_point, keys.enc_diff)
+    return requantize_scaled(acc_s, spec.m_ctx, spec.qp_s.zero_point, 8), alpha
 
 
 def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
@@ -359,9 +357,9 @@ class QuantAttnDecoderSpec:
         check_dtype(np.uint8, w_s_q=self.w_s_q)
         check_accumulator((self.w_s_q.shape[-1],))
         self.w_s_diff = self.w_s_q.astype(np.int32) - np.int32(self.qp_ws.zero_point)
-        self.m_ms = ScaledMultiplier.from_real(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
-        self.m_ms2sig = ScaledMultiplier.from_real(self.qp_ms.scale / self.cell.qp_pre_sig.scale)
-        self.m_ms2j = ScaledMultiplier.from_real(self.qp_ms.scale / self.cell.qp_pre_j.scale)
+        self.m_ms = saturating_multiplier(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
+        self.m_ms2sig = term_multiplier("pre_sig", self.qp_ms.scale / self.cell.qp_pre_sig.scale, 255)
+        self.m_ms2j = term_multiplier("pre_j", self.qp_ms.scale / self.cell.qp_pre_j.scale, 255)
         self._rs_ms = RowMultipliers.blocks(*_gate_blocks(self.cell.hidden_size, self.m_ms2sig, self.m_ms2j))
 
     @classmethod
@@ -374,7 +372,6 @@ class QuantAttnDecoderSpec:
         qp_x: QuantParams,
         qp_enc: QuantParams,
         pieces: int = 16,
-        pieces_exp: int | None = None,
         cell_bits: int = 8,
         gate_bits: int = 8,
         candidates: int | None = None,
@@ -385,9 +382,7 @@ class QuantAttnDecoderSpec:
         )
         attn_ranges = {k.split(".", 1)[1]: v for k, v in ranges.items() if k.startswith("attn.")}
         attn = QuantAttentionSpec.from_float(
-            attn_w, attn_ranges, qp_h_dec=cell.qp_h, qp_enc=qp_enc,
-            pieces_tanh=pieces, pieces_exp=pieces_exp if pieces_exp is not None else pieces,
-            candidates=candidates,
+            attn_w, attn_ranges, qp_h_dec=cell.qp_h, qp_enc=qp_enc, pieces=pieces, candidates=candidates
         )
         w_s_q, qp_ws = quantize_weights(attn_w.w_s)
         return cls(
@@ -399,11 +394,12 @@ class QuantAttnDecoderSpec:
         )
 
 
-def inject_context(pre: np.ndarray, q_s: QuantTensor, dec: QuantAttnDecoderSpec) -> np.ndarray:
+def inject_context(pre: np.ndarray, s: np.ndarray, dec: QuantAttnDecoderSpec) -> np.ndarray:
     """Add the rescaled context matmul to already-formed gate preactivations
     (the ``(1, 4m)`` output of :func:`lstm_gate_preacts_int` on the cell's
-    one lane), saturating on each row's gate-sum grid."""
-    acc = int_matmul(dec.w_s_diff, q_s.diffs())
+    one lane), saturating on each row's gate-sum grid.  ``s`` is the raw
+    context on ``dec.attn.qp_s``."""
+    acc = int_matmul(dec.w_s_diff, s - dec.attn._zp_s)
     d = requantize_scaled(acc, dec.m_ms, dec.qp_ms.zero_point, 8) - np.int64(dec.qp_ms.zero_point)
     return _clamp(pre + dec._rs_ms.apply(d), 0, dec.cell.lanes.pre_top)
 
@@ -430,15 +426,19 @@ def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
 
 
 def attn_decoder_sequence_int(q_xs: QuantTensor, q_enc: QuantTensor, dec: QuantAttnDecoderSpec) -> QuantTensor:
+    """The decoder over ``q_xs``, attending over ``q_enc``; the qparams are
+    checked here, once, and the kernels run on the raw storage arrays."""
     cell, lanes = dec.cell, dec.cell.lanes
     _check_inputs(cell, q_xs.qp)
+    if q_enc.qp != dec.attn.qp_enc:
+        raise ValueError("encoder qparams do not match the attention spec")
     data = np.atleast_2d(q_xs.data)
-    h, c = lanes.zero_state()
+    h, c = lanes.initial_state()
     hs = np.empty((len(data), cell.hidden_size), dtype=np.uint8)
-    keys = attention_keys(q_enc, dec.attn)
+    keys = attention_keys(q_enc.data, dec.attn)
     for t in range(len(data)):
-        q_s, _ = attention_int(QuantTensor(h[0], cell.qp_h), keys, dec.attn)
-        pre = inject_context(lstm_gate_preacts_int(data[t, None], h, lanes), q_s, dec)
+        s, _ = attention_int(h[0], keys, dec.attn)
+        pre = inject_context(lstm_gate_preacts_int(data[t, None], h, lanes), s, dec)
         h, c = lstm_apply_gates_int(pre, c, lanes)
         hs[t] = h[0]
     return QuantTensor(hs, cell.qp_h)

@@ -34,7 +34,6 @@ from .quant import (
     QuantParams,
     QuantTensor,
     RowMultipliers,
-    ScaledMultiplier,
     _clamp,
     check_accumulator,
     check_dtype,
@@ -46,6 +45,8 @@ from .quant import (
     requantize_scaled,
     rescale_add,
     rescale_add_exact,
+    saturating_multiplier,
+    term_multiplier,
 )
 
 # eval_pwl_int, rescale_add and requantize_scaled are not called here; the
@@ -62,14 +63,15 @@ def stage_errors(key: str):
 
 
 @contextmanager
-def direction_errors(direction: str):
-    """Re-raise a ``ValueError`` from one direction's cell with the direction
-    in its stage name (``stage 'bwd.sig': ...``), or in front of the message."""
+def prefix_errors(prefix: str):
+    """Re-raise a ``ValueError`` from one part of a layer (a BiLSTM direction,
+    a MadNorm) with the part in its stage name (``stage 'bwd.sig': ...``),
+    or in front of the message."""
     try:
         yield
     except ValueError as e:
         msg, head = str(e), "stage '"
-        msg = head + f"{direction}." + msg[len(head) :] if msg.startswith(head) else f"{direction}: {msg}"
+        msg = head + f"{prefix}." + msg[len(head) :] if msg.startswith(head) else f"{prefix}: {msg}"
         raise type(e)(msg) from None
 
 
@@ -118,12 +120,6 @@ class LstmState:
     @classmethod
     def zeros(cls, m: int) -> "LstmState":
         return cls(np.zeros(m), np.zeros(m))
-
-
-@dataclass
-class QuantLstmState:
-    h: QuantTensor
-    c: QuantTensor
 
 
 def _noop(name, value):
@@ -252,17 +248,17 @@ class QuantLstmSpec:
         self._sig_rows, self._j_rows = _gate_rows(m)
         src_x = self.norm_x.qp_y if self.norm_x is not None else self.qp_mx
         src_h = self.norm_h.qp_y if self.norm_h is not None else self.qp_mh
-        self.m_mx = ScaledMultiplier.from_real(self.qp_wx.scale * self.qp_x.scale / self.qp_mx.scale)
-        self.m_mh = ScaledMultiplier.from_real(self.qp_wh.scale * self.qp_h.scale / self.qp_mh.scale)
-        self.m_x2sig = ScaledMultiplier.from_real(src_x.scale / self.qp_pre_sig.scale)
-        self.m_h2sig = ScaledMultiplier.from_real(src_h.scale / self.qp_pre_sig.scale)
-        self.m_x2j = ScaledMultiplier.from_real(src_x.scale / self.qp_pre_j.scale)
-        self.m_h2j = ScaledMultiplier.from_real(src_h.scale / self.qp_pre_j.scale)
-        self.m_fc = ScaledMultiplier.from_real(self.qp_sig.scale * self.qp_c.scale / self.qp_p_fc.scale)
-        self.m_ij = ScaledMultiplier.from_real(self.qp_sig.scale * self.qp_tanh_j.scale / self.qp_p_ij.scale)
-        self.m_fc2c = ScaledMultiplier.from_real(self.qp_p_fc.scale / self.qp_c.scale)
-        self.m_ij2c = ScaledMultiplier.from_real(self.qp_p_ij.scale / self.qp_c.scale)
-        self.m_h = ScaledMultiplier.from_real(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
+        self.m_mx = saturating_multiplier(self.qp_wx.scale * self.qp_x.scale / self.qp_mx.scale)
+        self.m_mh = saturating_multiplier(self.qp_wh.scale * self.qp_h.scale / self.qp_mh.scale)
+        self.m_x2sig = term_multiplier("pre_sig", src_x.scale / self.qp_pre_sig.scale, 255)
+        self.m_h2sig = term_multiplier("pre_sig", src_h.scale / self.qp_pre_sig.scale, 255)
+        self.m_x2j = term_multiplier("pre_j", src_x.scale / self.qp_pre_j.scale, 255)
+        self.m_h2j = term_multiplier("pre_j", src_h.scale / self.qp_pre_j.scale, 255)
+        self.m_fc = saturating_multiplier(self.qp_sig.scale * self.qp_c.scale / self.qp_p_fc.scale)
+        self.m_ij = saturating_multiplier(self.qp_sig.scale * self.qp_tanh_j.scale / self.qp_p_ij.scale)
+        self.m_fc2c = term_multiplier("c", self.qp_p_fc.scale / self.qp_c.scale, self.qp_c.qmax)
+        self.m_ij2c = term_multiplier("c", self.qp_p_ij.scale / self.qp_c.scale, self.qp_c.qmax)
+        self.m_h = saturating_multiplier(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
         self.lanes = LstmLanes([self])
 
     def weight_diffs(self) -> tuple:
@@ -281,16 +277,8 @@ class QuantLstmSpec:
         return self.w_x_q.shape[1]
 
     @property
-    def cell_bits(self) -> int:
-        return self.qp_c.bitwidth
-
-    @property
     def norm(self) -> bool:
         return self.norm_x is not None
-
-    def zero_state(self) -> QuantLstmState:
-        m = self.hidden_size
-        return QuantLstmState(QuantTensor.zeros(m, self.qp_h), QuantTensor.zeros(m, self.qp_c))
 
     @classmethod
     def from_float(
@@ -367,14 +355,9 @@ class QuantLstmSpec:
 
 
 def _norm_params(ranges: dict, prefix: str, qp_in: QuantParams, hidden: int) -> MadNormQParams:
-    return MadNormQParams(
-        qp_x=qp_in,
-        qp_mu=stage_qparams(ranges, f"{prefix}.mu", 8),
-        qp_xhat=stage_qparams(ranges, f"{prefix}.xhat", 8),
-        qp_d=stage_qparams(ranges, f"{prefix}.d", 8),
-        qp_y=stage_qparams(ranges, f"{prefix}.y", 8),
-        hidden=hidden,
-    )
+    qps = {f"qp_{k}": stage_qparams(ranges, f"{prefix}.{k}", 8) for k in ("mu", "xhat", "d", "y")}
+    with prefix_errors(prefix):
+        return MadNormQParams(qp_x=qp_in, hidden=hidden, **qps)
 
 
 def _k_major(w_diff: np.ndarray, m: int, width: int, cols: int) -> np.ndarray:
@@ -476,7 +459,7 @@ class LstmLanes:
         self.zp_tanh_c = col(lambda s: s.qp_tanh_c.zero_point)
         self.rq_h = multipliers(lambda s: ((s.m_h, 1),))
 
-    def zero_state(self) -> tuple:
+    def initial_state(self) -> tuple:
         """Raw ``(h, c)`` of every lane at real 0: uint8 and int64 ``(k, w)``."""
         shape = (self.k, self.width)
         return np.broadcast_to(self.zp_h, shape).astype(np.uint8), np.broadcast_to(self.zp_c, shape).copy()
@@ -536,7 +519,7 @@ def run_lanes(frames: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     """Advance every lane from the zero state over ``frames`` (``(T, k,
     n)``), lane ``l`` reading ``frames[t, l]`` at step ``t``; returns the
     ``(T, k, w)`` uint8 hidden states."""
-    h, c = lanes.zero_state()
+    h, c = lanes.initial_state()
     hs = np.empty((len(frames), lanes.k, lanes.width), dtype=np.uint8)
     for t in range(len(frames)):
         h, c = lstm_apply_gates_int(lstm_gate_preacts_int(frames[t], h, lanes), c, lanes)
@@ -544,17 +527,9 @@ def run_lanes(frames: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     return hs
 
 
-def _check_inputs(spec: QuantLstmSpec, qp_x: QuantParams, qp_h: QuantParams | None = None) -> None:
-    if qp_x != spec.qp_x or qp_h not in (None, spec.qp_h):
-        raise ValueError("input/state qparams do not match the cell spec")
-
-
-def lstm_step_int(q_x: QuantTensor, state: QuantLstmState, spec: QuantLstmSpec) -> QuantLstmState:
-    """One integer-only LSTM step."""
-    _check_inputs(spec, q_x.qp, state.h.qp)
-    pre = lstm_gate_preacts_int(q_x.data[None], state.h.data[None], spec.lanes)
-    h, c = lstm_apply_gates_int(pre, state.c.data[None], spec.lanes)
-    return QuantLstmState(QuantTensor(h[0], spec.qp_h), QuantTensor(c[0].astype(spec.qp_c.storage_dtype), spec.qp_c))
+def _check_inputs(spec: QuantLstmSpec, qp_x: QuantParams) -> None:
+    if qp_x != spec.qp_x:
+        raise ValueError("input qparams do not match the cell spec")
 
 
 # ---------------------------------------------------------------------------
@@ -751,9 +726,9 @@ class BiLstmSpec:
         if qp_x is None:
             qp_x = stage_qparams(shared("x"), "x", 8)
         qp_h = stage_qparams(shared("h"), "h", 8)
-        with direction_errors("fwd"):
+        with prefix_errors("fwd"):
             fwd = QuantLstmSpec.from_float(w_fwd, ranges_fwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
-        with direction_errors("bwd"):
+        with prefix_errors("bwd"):
             bwd = QuantLstmSpec.from_float(w_bwd, ranges_bwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
         return cls(fwd, bwd)
 

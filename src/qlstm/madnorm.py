@@ -15,16 +15,17 @@ from . import floatguard
 from .quant import (
     MultiplierCombo,
     QuantParams,
-    QuantTensor,
     RowMultipliers,
-    ScaledMultiplier,
     _clamp,
+    check_int,
     combine_round,
     combine_round_exact,
     compute_qparams,
     divide_round_exact,
     requantize_exact,
     requantize_scaled,
+    saturating_multiplier,
+    term_multiplier,
 )
 
 # combine_round and requantize_scaled are not called here; the names stay
@@ -47,6 +48,7 @@ class MadNormQParams:
     hidden: int
 
     def __post_init__(self):
+        check_int("hidden", self.hidden)
         if self.hidden < 1:
             raise ValueError("hidden dimension must be at least 1")
         for name in ("qp_mu", "qp_xhat", "qp_d", "qp_y"):
@@ -55,13 +57,13 @@ class MadNormQParams:
         if self.qp_d.min < 0 or self.qp_d.zero_point != 0:
             raise ValueError("deviation qparams must be non-negative with zero_point 0")
         h = self.hidden
-        self._m_mu = ScaledMultiplier.from_real(self.qp_x.scale / (self.qp_mu.scale * h))
-        self._combo_xhat = MultiplierCombo.from_reals(
-            [self.qp_x.scale / self.qp_xhat.scale, -self.qp_mu.scale / self.qp_xhat.scale]
-        )
-        self._m_d = ScaledMultiplier.from_real(self.qp_xhat.scale / (self.qp_d.scale * h))
-        self._m_y = ScaledMultiplier.from_real(self.qp_xhat.scale / (self.qp_y.scale * self.qp_d.scale))
-        self.rows = MadNormRows([self])
+        self._m_mu = saturating_multiplier(self.qp_x.scale / (self.qp_mu.scale * h))
+        reals = [self.qp_x.scale / self.qp_xhat.scale, -self.qp_mu.scale / self.qp_xhat.scale]
+        self._combo_xhat = MultiplierCombo.from_reals(reals)
+        # the combo folds the shift of its larger term's multiplier into both terms
+        term_multiplier("xhat", max(abs(v) for v in reals), self.qp_x.qmax)
+        self._m_d = saturating_multiplier(self.qp_xhat.scale / (self.qp_d.scale * h))
+        self._m_y = saturating_multiplier(self.qp_xhat.scale / (self.qp_y.scale * self.qp_d.scale))
 
     @classmethod
     def from_ranges(cls, ranges: dict, hidden: int, input_bits: int = 8) -> "MadNormQParams":
@@ -104,8 +106,7 @@ class MadNormRows:
 
     Every constant is a ``(k, 1)`` column built once, so row ``r`` of a
     ``(k, h)`` input is normalized on instance ``r``'s grids with instance
-    ``r``'s multipliers.  Each :class:`MadNormQParams` carries the ``k = 1``
-    stack of itself as ``rows``.
+    ``r``'s multipliers.
     """
 
     def __init__(self, params):
@@ -129,38 +130,23 @@ class MadNormRows:
         zp_xhat = col(lambda p: p.qp_xhat.zero_point)
         self.xhat_lo, self.xhat_hi = -zp_xhat, 255 - zp_xhat
         self.d = RowMultipliers(col(lambda p: p._m_d.mantissa), col(lambda p: p._m_d.shift))
-        # y = round(x_hat * m_y / max(q_d, 1)); a shift <= 0 scales the numerator instead
-        m_y = [p._m_y for p in params]
-        self.y_mant2 = np.array([[2 * (m.mantissa << max(-m.shift, 0))] for m in m_y], dtype=np.int64)
-        self.y_shift = np.array([[max(m.shift, 0)] for m in m_y], dtype=np.int64)
+        # y = round(x_hat * m_y / max(q_d, 1)), the mantissa doubled to round the division;
+        # from shift 40 on |x_hat| * m_y < 1/2, so the row rounds to 0 (and den << shift cannot wrap)
+        live = col(lambda p: p._m_y.shift < 40)
+        self.y_mant2 = live * col(lambda p: 2 * p._m_y.mantissa)
+        self.y_shift = live * col(lambda p: p._m_y.shift)
         self.zp_y = col(lambda p: p.qp_y.zero_point)
 
 
-def madnorm_int(q_x, p):
-    """Integer-only MadNorm.
+def madnorm_int(x: np.ndarray, r: MadNormRows) -> np.ndarray:
+    """Integer-only MadNorm over the rows of a raw ``(k, h)`` int64 array.
 
-    With a :class:`MadNormQParams`, ``q_x`` is a QuantTensor on ``p.qp_x``,
-    normalized over its last axis, and the result a QuantTensor on
-    ``p.qp_y``.  With a :class:`MadNormRows` stack of ``k`` instances,
-    ``q_x`` is a raw ``(k, h)`` int64 array whose row ``r`` lies on instance
-    ``r``'s input grid, and the result is the raw ``(k, h)`` int64 output,
-    row ``r`` on instance ``r``'s output grid.  Both forms run
-    :func:`_normalize_rows`.
-
-    Mean, centred values and deviation each land on their own calibrated
-    8-bit grid; the division is guarded by ``max(q_d, 1)``.
+    Row ``i`` of ``x`` lies on instance ``i``'s input grid (the caller
+    checks the qparams); the result is the raw ``(k, h)`` int64 output, row
+    ``i`` on instance ``i``'s output grid.  Mean, centred values and
+    deviation each land on their own calibrated 8-bit grid; the division is
+    guarded by ``max(q_d, 1)``.
     """
-    if isinstance(p, MadNormRows):
-        return _normalize_rows(q_x, p)
-    if q_x.qp != p.qp_x:
-        raise ValueError("input qparams do not match the MadNorm configuration")
-    data = q_x.data.astype(np.int64)
-    out = _normalize_rows(data.reshape(-1, data.shape[-1]), p.rows).reshape(data.shape)
-    return QuantTensor(out.astype(p.qp_y.storage_dtype), p.qp_y)
-
-
-def _normalize_rows(x: np.ndarray, r: MadNormRows) -> np.ndarray:
-    """The MadNorm kernel over the rows of int64 ``x``, with ``r``'s per-row constants."""
     floatguard.note(x)
     if x.shape[-1] != r.hidden:
         raise ValueError("hidden dimension mismatch")

@@ -42,6 +42,12 @@ def iround(x):
     return round_half_away(x).astype(np.int64)
 
 
+def check_int(name: str, v) -> None:
+    """Reject a count or grid value that is not an integer (numpy integers pass, bools fail)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {v!r}")
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Affine quantization descriptor for one tensor or pipeline stage."""
@@ -54,9 +60,7 @@ class QuantParams:
 
     def __post_init__(self):
         for name in ("bitwidth", "zero_point"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {v!r}")
+            check_int(name, getattr(self, name))
         if self.bitwidth not in (8, 16):
             raise ValueError(f"unsupported bitwidth {self.bitwidth}")
         if not all(math.isfinite(v) for v in (self.min, self.max, self.scale)):
@@ -174,11 +178,6 @@ class QuantTensor:
     def from_real(cls, x, qp: QuantParams) -> "QuantTensor":
         return cls(np.asarray(quantize(x, qp)).astype(qp.storage_dtype), qp)
 
-    @classmethod
-    def zeros(cls, shape, qp: QuantParams) -> "QuantTensor":
-        """Tensor representing real 0 everywhere (filled with the zero-point)."""
-        return cls(np.full(shape, qp.zero_point, dtype=qp.storage_dtype), qp)
-
 
 @dataclass(frozen=True)
 class ScaledMultiplier:
@@ -209,8 +208,31 @@ class ScaledMultiplier:
         return cls(mantissa, MANTISSA_BITS - exp)
 
 
+def saturating_multiplier(r: float) -> ScaledMultiplier:
+    """Multiplier of a stage that rescales one operand and saturates.
+
+    From 2^17 up, ``r`` sends every nonzero operand past the stage's grid
+    (8 or 16 bits, after a division by at most 255), as the exact oracle
+    saturates; capping ``r`` at 2^30 keeps the outputs, a shift >= 0 and
+    operands of up to 2^32 inside int64."""
+    return ScaledMultiplier.from_real(min(r, 2.0**30))
+
+
+def term_multiplier(stage: str, r: float, bound: int) -> ScaledMultiplier:
+    """Multiplier of one term of a rescale-add, on operands of magnitude at
+    most ``bound``.  The sum saturates, not the term, so ``r`` is not capped:
+    its negative shift folds into a left shift of the int64 product, and a
+    multiplier for which that product can pass 2^61 (room for a second term
+    and a zero point) is rejected, naming the stage."""
+    m = ScaledMultiplier.from_real(r)
+    if m.shift < 0 and (bound * m.mantissa) << -m.shift >= 1 << 61:
+        raise ValueError(f"stage {stage!r}: multiplier {r:.3g} on operands up to {bound} overflows int64")
+    return m
+
+
 def _shift_round(p: np.ndarray, shift: int) -> np.ndarray:
-    """round_half_away(p / 2^shift) on int64; exact integer arithmetic only."""
+    """round_half_away(p / 2^shift) on int64; exact integer arithmetic only
+    (a shift <= 0 is a left shift, exact for a :func:`term_multiplier`)."""
     floatguard.note(p)
     if shift <= 0:
         return p << (-shift)
@@ -246,9 +268,9 @@ class RowMultipliers:
     :meth:`apply` computes ``round_half_away(x_r * mantissa_r * 2^-shift_r)``
     for every row ``r`` in one pass, with the rounding rule of
     :func:`_shift_round`.  The constants are normalized once at construction:
-    a shift <= 0 becomes a left shift folded into the mantissa (exact modulo
-    2^64, like ``_shift_round``'s ``p << -shift``), and a shift >= 63 rounds
-    the row to 0, as there.
+    a shift <= 0 becomes a left shift folded into the mantissa (exact for a
+    :func:`term_multiplier`, like ``_shift_round``'s ``p << -shift``), and a
+    shift >= 63 rounds the row to 0, as there.
     """
 
     def __init__(self, mantissas, shifts):
@@ -356,12 +378,11 @@ def combine_round_exact(diffs, combo: MultiplierCombo, out_zero_point: int, out_
 
 
 def divide_round(num: np.ndarray, den: int, shift: int, out_zero_point: int, out_bitwidth: int) -> np.ndarray:
-    """clamp(round(num / (den * 2^shift)) + zp); num int64, den positive int."""
+    """clamp(round(num / (den * 2^shift)) + zp); num int64, den positive int,
+    shift >= 0 (a :func:`saturating_multiplier`'s)."""
     floatguard.note(num)
-    den_total = int(den) << max(shift, 0)
+    den_total = int(den) << shift
     num = np.asarray(num, dtype=np.int64)
-    if shift < 0:
-        num = num << (-shift)
     if den_total > (1 << 61):
         v = np.array([_round_div_exact(int(p), den_total) for p in num.ravel()], dtype=np.int64)
         v = v.reshape(num.shape)

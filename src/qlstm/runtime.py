@@ -55,7 +55,6 @@ from .quant import (
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
-    ScaledMultiplier,
     check_accumulator,
     check_dtype,
     compute_qparams,
@@ -65,6 +64,7 @@ from .quant import (
     quantize_weights,
     rescale_add,
     rescale_add_exact,
+    term_multiplier,
 )
 
 _CELL_STAGES = ["mx", "mh", "pre_sig", "pre_j", "sig", "tanh_j", "p_fc", "p_ij", "c", "tanh_c", "h", "x"]
@@ -563,8 +563,8 @@ class IntResidual(_IntLayer):
     qp_out: QuantParams
 
     def __post_init__(self):
-        self.m_a = ScaledMultiplier.from_real(self.qp_a.scale / self.qp_out.scale)
-        self.m_b = ScaledMultiplier.from_real(self.qp_b.scale / self.qp_out.scale)
+        self.m_a = term_multiplier("out", self.qp_a.scale / self.qp_out.scale, 255)
+        self.m_b = term_multiplier("out", self.qp_b.scale / self.qp_out.scale, 255)
 
     @property
     def qp_in(self):

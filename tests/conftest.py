@@ -57,7 +57,7 @@ def random_attention_config(rng, *, pieces=10, candidates=256):
     qp_h = quant.compute_qparams(float(h.min()), float(h.max()), 8)
     qp_enc = quant.compute_qparams(float(enc.min()), float(enc.max()), 8)
     spec = att.QuantAttentionSpec.from_float(
-        w, ranges, qp_h, qp_enc, pieces_tanh=pieces, pieces_exp=pieces, candidates=candidates
+        w, ranges, qp_h, qp_enc, pieces=pieces, candidates=candidates
     )
     return w, h, enc, spec
 

@@ -16,15 +16,15 @@ from qlstm.lstm import (
     BiLstmSpec,
     LstmWeights,
     QuantLstmSpec,
-    QuantLstmState,
     bilstm_sequence_exact,
     bilstm_sequence_int,
+    lstm_apply_gates_int,
+    lstm_gate_preacts_int,
     lstm_sequence_int,
     lstm_sequence_real,
     lstm_step_exact,
-    lstm_step_int,
 )
-from qlstm.madnorm import MadNormQParams, madnorm_int, madnorm_int_exact, madnorm_observe
+from qlstm.madnorm import MadNormQParams, MadNormRows, madnorm_int, madnorm_int_exact, madnorm_observe
 from qlstm.pwl import build_lut, build_pwl, eval_pwl_int, eval_pwl_real, select_knots, sigmoid
 from qlstm.quant import QuantTensor, compute_qparams, dequantize
 
@@ -143,8 +143,7 @@ def _madnorm_cases(rng, count):
             madnorm_observe(x, rec, "n")
         ranges["x"] = (float(xs.min()), float(xs.max()))
         p = MadNormQParams.from_ranges(ranges, hidden)
-        q_x = QuantTensor(rng.integers(0, 256, hidden).astype(np.uint8), p.qp_x)
-        yield q_x, p
+        yield rng.integers(0, 256, hidden).astype(np.uint8), p
 
 
 def test_criterion_6_bit_exactness_suite():
@@ -152,8 +151,8 @@ def test_criterion_6_bit_exactness_suite():
         rng = np.random.default_rng(6)
 
         for q_x, p in _madnorm_cases(rng, 1000):
-            got = madnorm_int(q_x, p).data.astype(np.int64)
-            assert np.array_equal(got, madnorm_int_exact(q_x.data, p))
+            got = madnorm_int(q_x.astype(np.int64)[None], MadNormRows([p]))[0]
+            assert np.array_equal(got, madnorm_int_exact(q_x, p))
 
         for k in range(1000):
             norm = k % 3 == 0
@@ -166,15 +165,15 @@ def test_criterion_6_bit_exactness_suite():
                 w, ranges, pieces=int(rng.integers(2, 10)),
                 cell_bits=8 if k % 2 == 0 else 16, norm=norm,
             )
-            q_x = QuantTensor(rng.integers(0, 256, n).astype(np.uint8), spec.qp_x)
-            q_h = QuantTensor(rng.integers(0, 256, m).astype(np.uint8), spec.qp_h)
-            q_c = QuantTensor(
-                rng.integers(0, spec.qp_c.qmax + 1, m).astype(spec.qp_c.storage_dtype), spec.qp_c
-            )
-            state = lstm_step_int(q_x, QuantLstmState(q_h, q_c), spec)
-            h_ref, c_ref = lstm_step_exact(q_x.data, q_h.data, q_c.data, spec)
-            assert np.array_equal(state.h.data.astype(np.int64), h_ref)
-            assert np.array_equal(state.c.data.astype(np.int64), c_ref)
+            q_x = rng.integers(0, 256, n).astype(np.uint8)
+            q_h = rng.integers(0, 256, m).astype(np.uint8)
+            q_c = rng.integers(0, spec.qp_c.qmax + 1, m).astype(spec.qp_c.storage_dtype)
+            # one step of the fused kernels from an arbitrary state
+            pre = lstm_gate_preacts_int(q_x[None], q_h[None], spec.lanes)
+            h, c = lstm_apply_gates_int(pre, q_c[None], spec.lanes)
+            h_ref, c_ref = lstm_step_exact(q_x, q_h, q_c, spec)
+            assert np.array_equal(h[0].astype(np.int64), h_ref)
+            assert np.array_equal(c[0], c_ref)
 
         for k in range(1000):
             m = int(rng.integers(1, 4))
@@ -192,12 +191,12 @@ def test_criterion_6_bit_exactness_suite():
 
         for _ in range(1000):
             _, h, enc, spec = random_attention_config(rng, pieces=8, candidates=128)
-            q_h = QuantTensor.from_real(h, spec.qp_h_dec)
-            q_enc = QuantTensor.from_real(enc, spec.qp_enc)
+            q_h = QuantTensor.from_real(h, spec.qp_h_dec).data
+            q_enc = QuantTensor.from_real(enc, spec.qp_enc).data
             q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
-            s_ref, a_ref = attention_int_exact(q_h.data, q_enc.data, spec)
-            assert np.array_equal(q_s.data.astype(np.int64), s_ref)
-            assert np.array_equal(q_a.data.astype(np.int64), a_ref)
+            s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
+            assert np.array_equal(q_s, s_ref)
+            assert np.array_equal(q_a, a_ref)
 
         archs = (
             ["lstm", "lstm"],

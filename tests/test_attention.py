@@ -87,42 +87,38 @@ class TestSoftmaxInt:
     def test_singleton_is_quantized_one(self):
         rng = np.random.default_rng(5)
         _, _, _, spec = random_attention_config(rng)
-        q_e = QuantTensor(np.array([1234], dtype=np.uint16), spec.qp_e)
-        alpha = softmax_int(q_e, spec)
-        assert alpha.data[0] == quantize(1.0, spec.qp_alpha)
+        alpha = softmax_int(np.array([1234], dtype=np.uint16), spec)
+        assert alpha[0] == quantize(1.0, spec.qp_alpha)
 
     def test_equal_alignments_give_uniform_weights(self):
         rng = np.random.default_rng(6)
         _, _, _, spec = random_attention_config(rng)
-        q_e = QuantTensor(np.full(4, 900, dtype=np.uint16), spec.qp_e)
-        alpha = softmax_int(q_e, spec)
-        assert np.all(alpha.data == quantize(0.25, spec.qp_alpha))
+        alpha = softmax_int(np.full(4, 900, dtype=np.uint16), spec)
+        assert np.all(alpha == quantize(0.25, spec.qp_alpha))
 
     def test_bit_exact_vs_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             _, _, _, spec = random_attention_config(rng)
             t = int(rng.integers(1, 9))
-            q_e = QuantTensor(rng.integers(0, 65536, t).astype(np.uint16), spec.qp_e)
-            got = softmax_int(q_e, spec).data.astype(np.int64)
-            assert np.array_equal(got, softmax_int_exact(q_e.data, spec))
+            q_e = rng.integers(0, 65536, t).astype(np.uint16)
+            assert np.array_equal(softmax_int(q_e, spec), softmax_int_exact(q_e, spec))
 
     def test_integer_shift_leaves_weights_bit_identical(self):
         rng = np.random.default_rng(8)
         _, _, _, spec = random_attention_config(rng)
         base = rng.integers(5000, 20000, 6).astype(np.uint16)
-        a1 = softmax_int(QuantTensor(base, spec.qp_e), spec)
-        a2 = softmax_int(QuantTensor(base + np.uint16(4000), spec.qp_e), spec)
-        assert np.array_equal(a1.data, a2.data)
+        a1 = softmax_int(base, spec)
+        a2 = softmax_int(base + np.uint16(4000), spec)
+        assert np.array_equal(a1, a2)
 
     def test_weight_sum_close_to_one(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             _, _, _, spec = random_attention_config(rng)
             t = int(rng.integers(1, 9))
-            q_e = QuantTensor(rng.integers(0, 65536, t).astype(np.uint16), spec.qp_e)
-            alpha = softmax_int(q_e, spec)
-            deq = alpha.dequantize()
+            alpha = softmax_int(rng.integers(0, 65536, t).astype(np.uint16), spec)
+            deq = dequantize(alpha, spec.qp_alpha)
             assert np.all(deq >= 0.0) and np.all(deq <= 1.0 + spec.qp_alpha.scale)
             assert abs(deq.sum() - 1.0) <= t * spec.qp_alpha.scale
 
@@ -132,12 +128,11 @@ class TestAttentionInt:
         rng = np.random.default_rng(10)
         for _ in range(100):
             w, h, enc, spec = random_attention_config(rng)
-            q_h = QuantTensor.from_real(h, spec.qp_h_dec)
-            q_enc = QuantTensor.from_real(enc, spec.qp_enc)
+            q_h, q_enc = stored(h, spec.qp_h_dec), stored(enc, spec.qp_enc)
             q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
-            s_ref, a_ref = attention_int_exact(q_h.data, q_enc.data, spec)
-            assert np.array_equal(q_s.data.astype(np.int64), s_ref)
-            assert np.array_equal(q_a.data.astype(np.int64), a_ref)
+            s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
+            assert np.array_equal(q_s, s_ref)
+            assert np.array_equal(q_a, a_ref)
 
     def test_fakequant_matches_int_after_quantization(self):
         rng = np.random.default_rng(11)
@@ -145,11 +140,9 @@ class TestAttentionInt:
         # fake quantization: quantize -> exact oracle -> dequantize
         q_s_fq, q_a_fq = attention_int_exact(quantize(h, spec.qp_h_dec), quantize(enc, spec.qp_enc), spec)
         s_fq, a_fq = dequantize(q_s_fq, spec.qp_s), dequantize(q_a_fq, spec.qp_alpha)
-        q_h = QuantTensor.from_real(h, spec.qp_h_dec)
-        q_enc = QuantTensor.from_real(enc, spec.qp_enc)
-        q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
-        assert np.array_equal(np.asarray(quantize(s_fq, spec.qp_s)), q_s.data.astype(np.int64))
-        assert np.array_equal(np.asarray(quantize(a_fq, spec.qp_alpha)), q_a.data.astype(np.int64))
+        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), spec), spec)
+        assert np.array_equal(np.asarray(quantize(s_fq, spec.qp_s)), q_s)
+        assert np.array_equal(np.asarray(quantize(a_fq, spec.qp_alpha)), q_a)
 
     def test_argmax_agreement_with_real_path(self):
         # cross-path statistic pinned at the 95% threshold over 1000 trials
@@ -158,11 +151,9 @@ class TestAttentionInt:
         n = 1000
         for _ in range(n):
             w, h, enc, spec = random_attention_config(rng, pieces=12)
-            q_h = QuantTensor.from_real(h, spec.qp_h_dec)
-            q_enc = QuantTensor.from_real(enc, spec.qp_enc)
-            _, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
+            _, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), spec), spec)
             _, a_real = attention_real(h, enc, w)
-            agree += int(np.argmax(q_a.data) == np.argmax(a_real))
+            agree += int(np.argmax(q_a) == np.argmax(a_real))
         assert agree / n >= 0.95
 
     def test_singleton_encoder_context_is_rescaled_state(self):
@@ -170,18 +161,16 @@ class TestAttentionInt:
         # encoder state re-gridded onto the context qparams
         rng = np.random.default_rng(21)
         w, h, enc, spec = random_attention_config(rng)
-        q_enc = QuantTensor.from_real(enc[:1], spec.qp_enc)
-        q_s, q_a = attention_int(QuantTensor.from_real(h, spec.qp_h_dec), attention_keys(q_enc, spec), spec)
-        assert q_a.data[0] == quantize(1.0, spec.qp_alpha)
-        want = np.asarray(quantize(q_enc.dequantize()[0], spec.qp_s))
-        assert np.max(np.abs(q_s.data.astype(np.int64) - want)) <= 1
+        q_enc = stored(enc[:1], spec.qp_enc)
+        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(q_enc, spec), spec)
+        assert q_a[0] == quantize(1.0, spec.qp_alpha)
+        want = np.asarray(quantize(dequantize(q_enc, spec.qp_enc)[0], spec.qp_s))
+        assert np.max(np.abs(q_s - want)) <= 1
 
-    def test_mismatched_inputs_rejected(self):
-        rng = np.random.default_rng(12)
-        _, h, enc, spec = random_attention_config(rng)
-        bad = QuantTensor.zeros(len(h), compute_qparams(-20.0, 20.0, 8))
-        with pytest.raises(ValueError):
-            attention_int(bad, attention_keys(QuantTensor.from_real(enc, spec.qp_enc), spec), spec)
+
+def stored(x, qp) -> np.ndarray:
+    """``x`` quantized onto ``qp`` in its storage dtype, as a layer holds it."""
+    return quantize(x, qp).astype(qp.storage_dtype)
 
 
 def pinned(rng, shape, how: str) -> np.ndarray:
@@ -204,13 +193,13 @@ class TestAttentionKernelEdges:
     def test_attention_equals_oracle(self, T, enc_in, h_in, seed):
         rng = np.random.default_rng(seed)
         _, _, _, spec = random_attention_config(rng, pieces=8, candidates=128)
-        q_enc = QuantTensor(pinned(rng, (T, spec.w_k_q.shape[1]), enc_in), spec.qp_enc)
-        q_h = QuantTensor(pinned(rng, spec.w_q_q.shape[1], h_in), spec.qp_h_dec)
+        q_enc = pinned(rng, (T, spec.w_k_q.shape[1]), enc_in)
+        q_h = pinned(rng, spec.w_q_q.shape[1], h_in)
         keys = attention_keys(q_enc, spec)
         q_s, q_a = attention_int(q_h, keys, spec)
-        s_ref, a_ref = attention_int_exact(q_h.data, q_enc.data, spec)
-        assert np.array_equal(q_s.data.astype(np.int64), s_ref)
-        assert np.array_equal(q_a.data.astype(np.int64), a_ref)
+        s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
+        assert np.array_equal(q_s, s_ref)
+        assert np.array_equal(q_a, a_ref)
 
     @pytest.mark.parametrize("gate_bits", [8, 16])
     def test_exact_activations_run_the_true_functions(self, monkeypatch, gate_bits):
@@ -253,11 +242,9 @@ class TestInjectContext:
     def test_zero_point_context_leaves_preacts_unchanged(self):
         rng = np.random.default_rng(13)
         _, _, xs, enc, dec = build_decoder(rng)
-        q_x = QuantTensor.from_real(xs[0], dec.cell.qp_x)
-        state = dec.cell.zero_state()
-        pre = lstm_gate_preacts_int(q_x.data[None], state.h.data[None], dec.cell.lanes)
-        q_s = QuantTensor.zeros(5, dec.attn.qp_s)
-        out, pre = inject_context(pre, q_s, dec)[0], pre[0]
+        h, _ = dec.cell.lanes.initial_state()
+        pre = lstm_gate_preacts_int(stored(xs[:1], dec.cell.qp_x), h, dec.cell.lanes)
+        out, pre = inject_context(pre, np.full(5, dec.attn.qp_s.zero_point, dtype=np.uint8), dec)[0], pre[0]
         sig, j = dec.cell._sig_rows, dec.cell._j_rows
         assert np.array_equal(out[sig], pre[sig])
         assert np.array_equal(out[j], pre[j])
@@ -279,6 +266,13 @@ class TestInjectContext:
         got = attn_decoder_sequence_int(q_xs, q_enc, dec).dequantize()
         want = att.attn_decoder_sequence_real(xs, enc, cell, attn_w)
         assert np.abs(got - want).mean() < 0.1
+
+    def test_decoder_rejects_mismatched_encoder_qparams(self):
+        rng = np.random.default_rng(12)
+        _, _, xs, enc, dec = build_decoder(rng)
+        bad = QuantTensor.from_real(enc, compute_qparams(-20.0, 20.0, 8))
+        with pytest.raises(ValueError, match="encoder qparams"):
+            attn_decoder_sequence_int(QuantTensor.from_real(xs, dec.cell.qp_x), bad, dec)
 
     def test_16bit_gate_sum_bit_exact(self):
         rng = np.random.default_rng(16)

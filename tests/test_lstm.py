@@ -17,15 +17,30 @@ from qlstm.lstm import (
     bilstm_sequence_exact,
     bilstm_sequence_int,
     bilstm_sequence_real,
+    lstm_apply_gates_int,
+    lstm_gate_preacts_int,
     lstm_sequence_exact,
     lstm_sequence_int,
     lstm_sequence_real,
     lstm_step_exact,
-    lstm_step_int,
     lstm_step_real,
     madnorm_lstm_step_real,
 )
-from qlstm.quant import QuantTensor, compute_qparams, dequantize, quantize
+from qlstm.quant import QuantTensor, ScaledMultiplier, compute_qparams, dequantize, quantize
+
+
+def int_step(q_x, h, c, spec):
+    """One integer step of ``spec``'s cell from the raw state ``(h, c)``,
+    through the fused kernels on its one lane; returns the raw ``(h, c)``."""
+    pre = lstm_gate_preacts_int(np.asarray(q_x)[None], np.asarray(h)[None], spec.lanes)
+    h, c = lstm_apply_gates_int(pre, np.asarray(c)[None], spec.lanes)
+    return h[0], c[0]
+
+
+def initial_state(spec):
+    """The raw ``(h, c)`` of ``spec``'s cell at real 0."""
+    h, c = spec.lanes.initial_state()
+    return h[0], c[0]
 
 
 def scalar_reference_step(x, state, w):
@@ -93,27 +108,22 @@ class TestIntStep:
         w = LstmWeights(rng.normal(0, 0.4, (12, 2)), rng.normal(0, 0.4, (12, 3)), np.zeros(12))
         ranges = observe(lstm_sequence_real, rng.normal(0, 1, (4, 2)), w)
         spec = QuantLstmSpec.from_float(w, ranges, pieces=255)
-        state = spec.zero_state()
-        out = lstm_step_int(QuantTensor.zeros(2, spec.qp_x), state, spec)
-        assert np.all(out.h.data == spec.qp_h.zero_point)
-        assert np.all(out.c.data == spec.qp_c.zero_point)
+        h, c = int_step(np.full(2, spec.qp_x.zero_point, dtype=np.uint8), *initial_state(spec), spec)
+        assert np.all(h == spec.qp_h.zero_point)
+        assert np.all(c == spec.qp_c.zero_point)
 
     def test_thousand_steps_bit_exact_vs_fakequant(self):
         rng = np.random.default_rng(3)
         w, _, spec = random_lstm_config(rng, m=4, n=3, T=8, pieces=10)
         xs = rng.normal(0, 1, (1000, 3))
         state_r = LstmState.zeros(4)
-        state_q = spec.zero_state()
+        h, c = initial_state(spec)
         for t in range(1000):
             q_x = QuantTensor.from_real(xs[t], spec.qp_x)
             state_r = fakequant_step(xs[t], state_r, spec)
-            state_q = lstm_step_int(q_x, state_q, spec)
-            assert np.array_equal(
-                np.asarray(quantize(state_r.h, spec.qp_h)), state_q.h.data.astype(np.int64)
-            )
-            assert np.array_equal(
-                np.asarray(quantize(state_r.c, spec.qp_c)), state_q.c.data.astype(np.int64)
-            )
+            h, c = int_step(q_x.data, h, c, spec)
+            assert np.array_equal(np.asarray(quantize(state_r.h, spec.qp_h)), h.astype(np.int64))
+            assert np.array_equal(np.asarray(quantize(state_r.c, spec.qp_c)), c)
 
     def test_fakequant_cross_check_m8(self):
         rng = np.random.default_rng(30)
@@ -155,20 +165,18 @@ class TestIntStep:
         rng = np.random.default_rng(8)
         w, _, spec = random_lstm_config(rng, m=3, n=3, T=6, cell_bits=16)
         xs = rng.normal(0, 25, (50, 3))  # far outside the calibrated range
-        state = spec.zero_state()
+        h, c = initial_state(spec)
         for x in xs:
-            state = lstm_step_int(QuantTensor.from_real(x, spec.qp_x), state, spec)
-            assert 0 <= state.h.data.min() and state.h.data.max() <= 255
-            assert 0 <= state.c.data.min() and state.c.data.max() <= 65535
+            h, c = int_step(QuantTensor.from_real(x, spec.qp_x).data, h, c, spec)
+            assert 0 <= h.min() and h.max() <= 255
+            assert 0 <= c.min() and c.max() <= 65535
 
     def test_rejects_mismatched_input(self):
         rng = np.random.default_rng(9)
         _, _, spec = random_lstm_config(rng)
-        from qlstm.quant import compute_qparams
-
-        bad = QuantTensor.zeros(spec.input_size, compute_qparams(-7.0, 7.0, 8))
-        with pytest.raises(ValueError):
-            lstm_step_int(bad, spec.zero_state(), spec)
+        bad = QuantTensor.from_real(np.zeros((3, spec.input_size)), compute_qparams(-7.0, 7.0, 8))
+        with pytest.raises(ValueError, match="input qparams"):
+            lstm_sequence_int(bad, spec)
 
 
 class TestMadNormVariant:
@@ -391,6 +399,19 @@ class TestFusedKernelEdges:
         q_xs = QuantTensor.from_real(xs, spec.qp_x)
         assert np.array_equal(lstm_sequence_int(q_xs, spec).data, lstm_sequence_exact(q_xs.data, spec))
 
+    def test_stage_shift_past_int64_rejected_with_its_stage(self):
+        """At +-1e-20 the gate-sum multipliers reach shift -37, and their
+        product folded into a left shift would leave int64 where the oracle
+        saturates: building the cell names the stage instead."""
+        rng = np.random.default_rng(41)
+        _, xs, spec = random_lstm_config(rng, m=3, n=3, T=6)
+        tiny = compute_qparams(-1e-20, 1e-20, 8)
+        assert ScaledMultiplier.from_real(spec.qp_mx.scale / tiny.scale).shift == -37
+        with pytest.raises(ValueError, match="stage 'pre_sig'"):
+            replace(spec, qp_pre_sig=tiny, qp_pre_j=tiny)
+        with pytest.raises(ValueError, match="stage 'pre_j'"):
+            replace(spec, qp_pre_j=tiny)
+
     @pytest.mark.parametrize("lane", [0, 1])
     @pytest.mark.parametrize("edge", ["shift63", "shift0"])
     def test_bilstm_one_lane_at_a_shift_edge(self, edge, lane):
@@ -445,7 +466,7 @@ class TestFusedKernelEdges:
         q_x = QuantTensor.from_real(xs[:1], spec.fwd.qp_x)
         got = bilstm_sequence_int(q_x, spec).data
         assert np.array_equal(got, bilstm_sequence_exact(q_x.data, spec))
-        one = [lstm_step_int(QuantTensor(q_x.data[0], q_x.qp), c.zero_state(), c).h.data for c in (spec.fwd, spec.bwd)]
+        one = [int_step(q_x.data[0], *initial_state(c), c)[0] for c in (spec.fwd, spec.bwd)]
         assert np.array_equal(got[0], np.concatenate(one))
 
 
@@ -458,10 +479,10 @@ def saturating_cell(rng, m, n):
 
 def assert_cell_saturates(spec, q_xs):
     """The integer cell state reaches the top of its grid within the run."""
-    state = spec.zero_state()
+    h, c = initial_state(spec)
     for q_x in q_xs.data[:200]:
-        state = lstm_step_int(QuantTensor(q_x, q_xs.qp), state, spec)
-        if state.c.data.max() == spec.qp_c.qmax:
+        h, c = int_step(q_x, h, c, spec)
+        if c.max() == spec.qp_c.qmax:
             return
     raise AssertionError("cell state never saturated")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlstm.madnorm import MadNormQParams, MadNormRows, madnorm_int, madnorm_int_exact, madnorm_observe
-from qlstm.quant import QuantTensor, compute_qparams, dequantize
+from qlstm.quant import compute_qparams, dequantize, quantize
 
 finite_vec = st.lists(st.floats(-100, 100), min_size=1, max_size=64).map(np.array)
 
@@ -28,6 +28,11 @@ def calibrated_params(vectors, hidden, input_bits=8):
         madnorm_observe(np.asarray(x, dtype=np.float64), rec, "n")
         rec("n.x", x)
     return MadNormQParams.from_ranges(ranges, hidden, input_bits=input_bits)
+
+
+def madnorm_one(q_x, p):
+    """The integer kernel on one vector, as the one-row stack of ``p``."""
+    return madnorm_int(np.asarray(q_x, dtype=np.int64)[None], MadNormRows([p]))[0]
 
 
 def madnorm_real(x):
@@ -57,24 +62,22 @@ class TestMadNormInt:
     def test_zero_point_vector_normalizes_to_zero_point(self):
         rng = np.random.default_rng(0)
         p = calibrated_params(rng.normal(0, 1, (20, 16)), 16)
-        q_x = QuantTensor.zeros(16, p.qp_x)
-        out = madnorm_int(q_x, p)
-        assert np.all(out.data == p.qp_y.zero_point)
+        out = madnorm_one(np.full(16, p.qp_x.zero_point), p)
+        assert np.all(out == p.qp_y.zero_point)
 
     def test_single_element_maps_to_zero_point(self):
         ranges = {"x": (-1, 1), "mu": (-1, 1), "xhat": (-0.5, 0.5), "d": (0, 0.5), "y": (-1, 1)}
         p = MadNormQParams.from_ranges(ranges, 1)
-        q_x = QuantTensor.from_real(np.array([0.7]), p.qp_x)
-        assert madnorm_int(q_x, p).data[0] == p.qp_y.zero_point
+        assert madnorm_one(quantize(np.array([0.7]), p.qp_x), p)[0] == p.qp_y.zero_point
 
     def test_close_to_real_path(self):
         rng = np.random.default_rng(1)
         xs = rng.normal(0, 2, (50, 64))
         p = calibrated_params(xs, 64)
         for x in xs[:10]:
-            q_x = QuantTensor.from_real(x, p.qp_x)
-            got = madnorm_int(q_x, p).dequantize()
-            want = madnorm_real(dequantize(q_x.data, p.qp_x))
+            q_x = quantize(x, p.qp_x)
+            got = dequantize(madnorm_one(q_x, p), p.qp_y)
+            want = madnorm_real(dequantize(q_x, p.qp_x))
             assert np.max(np.abs(got - want)) <= 3 * p.qp_y.scale
 
     def test_bit_exact_vs_oracle_10k(self):
@@ -89,26 +92,18 @@ class TestMadNormInt:
             else:
                 p = calibrated_params(rng.normal(0, 1.5, (30, hidden)), hidden)
             xs = rng.normal(0, 1.5, (per_h, hidden))
+            rows = MadNormRows([p])
             for x in xs:
-                q_x = QuantTensor.from_real(x, p.qp_x)
-                got = madnorm_int(q_x, p).data.astype(np.int64)
-                assert np.array_equal(got, madnorm_int_exact(q_x.data, p))
+                q_x = quantize(x, p.qp_x)
+                assert np.array_equal(madnorm_int(q_x[None], rows)[0], madnorm_int_exact(q_x, p))
 
     def test_16bit_input_variant(self):
         rng = np.random.default_rng(3)
         xs = rng.normal(0, 3, (30, 32))
         p = calibrated_params(xs, 32, input_bits=16)
         for x in xs[:20]:
-            q_x = QuantTensor.from_real(x, p.qp_x)
-            got = madnorm_int(q_x, p).data.astype(np.int64)
-            assert np.array_equal(got, madnorm_int_exact(q_x.data, p))
-
-    def test_rejects_mismatched_input_qparams(self):
-        rng = np.random.default_rng(5)
-        p = calibrated_params(rng.normal(0, 1, (10, 8)), 8)
-        other = compute_qparams(-9.0, 9.0, 8)
-        with pytest.raises(ValueError):
-            madnorm_int(QuantTensor.zeros(8, other), p)
+            q_x = quantize(x, p.qp_x)
+            assert np.array_equal(madnorm_one(q_x, p), madnorm_int_exact(q_x, p))
 
     def test_oracle_rejects_wrong_width(self):
         rng = np.random.default_rng(6)
@@ -171,9 +166,8 @@ class TestStackedKernel:
         for row, q_x, p in zip(out, x, params):
             want = madnorm_int_exact(q_x, p)
             assert np.array_equal(row, want)
-            # the one-instance form runs the same kernel
-            single = madnorm_int(QuantTensor(q_x.astype(p.qp_x.storage_dtype), p.qp_x), p).data
-            assert np.array_equal(single.astype(np.int64), want)
+            # the one-row stack of the instance gives the same row
+            assert np.array_equal(madnorm_one(q_x, p), want)
 
     def test_left_shifted_output_multiplier_and_guard(self):
         # shift <= 0 on the output multiplier, and constant rows whose
@@ -189,13 +183,27 @@ class TestStackedKernel:
         for row, q_x in zip(out, x):
             assert np.array_equal(row, madnorm_int_exact(q_x, p))
 
+    @pytest.mark.parametrize("e_y", [30, 34, 40, 50])
+    def test_right_shifted_output_multiplier_rounds_to_zero(self, e_y):
+        # an output range 2^e_y wide gives the output multiplier shift 53 to 73;
+        # from shift 56 on, the divisor den << shift would wrap int64
+        p = MadNormQParams(
+            qp_x=_qp(1, 0.5), qp_mu=_qp(1, 0.5), qp_xhat=_qp(1, 0.5),
+            qp_d=compute_qparams(0.0, 1.0, 8), qp_y=_qp(e_y + 1, 0.5), hidden=4,
+        )
+        assert p._m_y.shift >= 53
+        x = np.array([[0, 255, 7, 128], [255, 0, 0, 0]], dtype=np.int64)
+        out = madnorm_int(x, MadNormRows([p, p]))
+        for row, q_x in zip(out, x):
+            assert np.array_equal(row, madnorm_int_exact(q_x, p))
+
     def test_rows_must_share_the_hidden_dimension(self):
         ranges = {"x": (-1, 1), "mu": (-1, 1), "xhat": (-1, 1), "d": (0, 1), "y": (-1, 1)}
         a = MadNormQParams.from_ranges(ranges, 4)
         with pytest.raises(ValueError, match="hidden dimension"):
             MadNormRows([a, replace(a, hidden=5)])
         with pytest.raises(ValueError, match="hidden dimension mismatch"):
-            madnorm_int(np.zeros((1, 5), dtype=np.int64), a.rows)
+            madnorm_int(np.zeros((1, 5), dtype=np.int64), MadNormRows([a]))
 
 
 class TestDistributionFacts:

