@@ -22,6 +22,7 @@ from .lstm import (
     _check_inputs,
     _finish_step_real,
     _gate_blocks,
+    _rows,
     lstm_apply_gates_exact,
     lstm_apply_gates_int,
     lstm_gate_preacts_exact,
@@ -33,9 +34,8 @@ from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact
 from .quant import (
     QuantParams,
     QuantTensor,
-    RowMultipliers,
-    _clamp,
-    apply_multiplier,
+    Rescale,
+    ScaledMultiplier,
     check_accumulator,
     check_dtype,
     compute_qparams,
@@ -51,9 +51,6 @@ from .quant import (
     term_multiplier,
     _shift_round_exact,
 )
-
-# eval_pwl_int and rescale_add are not called here; the names stay bound
-# because perfbench/spans.py re-binds them in this module.
 
 
 @dataclass
@@ -173,11 +170,17 @@ class QuantAttentionSpec:
         self.m_shift = saturating_multiplier(self.qp_e.scale / self.qp_exp_in.scale)
         self.m_alpha = saturating_multiplier(1.0 / self.qp_alpha.scale)
         self.m_ctx = saturating_multiplier(self.qp_alpha.scale * self.qp_enc.scale / self.qp_s.scale)
-        # per-step kernel constants: the query's centred clamp bounds and zero points.  The
-        # zero points are signed numpy scalars, so unsigned storage minus one is signed.
-        self._q_lo, self._q_hi = -self.qp_q.zero_point, 255 - self.qp_q.zero_point
+        # the kernels' stages; the query and keys stay centred for the pre-tanh sum
+        zp_q, zp_k = self.qp_q.zero_point, self.qp_k.zero_point
+        self.rq_q = Rescale.of(self.m_q, 0, -zp_q, 255 - zp_q)
+        self.rq_k = Rescale.of(self.m_k, 0, -zp_k, 255 - zp_k)
+        self.rs_k2sum = Rescale.of(self.m_k2sum, self.qp_sum.zero_point)  # unclamped: the sum saturates
+        self.rq_e = Rescale.of(self.m_e, self.qp_e.zero_point, 0, self.qp_e.qmax)
+        self.rq_shift = Rescale.of(self.m_shift, self.qp_exp_in.zero_point, 0, self.qp_exp_in.qmax)
+        self.rq_alpha = Rescale.of(self.m_alpha, self.qp_alpha.zero_point, 0, self.qp_alpha.qmax)
+        self.rq_ctx = Rescale.of(self.m_ctx, self.qp_s.zero_point, 0, self.qp_s.qmax)
+        # zero points as signed numpy scalars, so unsigned storage minus one is signed
         self._zp_h, self._zp_enc, self._zp_s = (np.int32(qp.zero_point) for qp in (self.qp_h_dec, self.qp_enc, self.qp_s))
-        self._zp_sum = np.int64(self.qp_sum.zero_point)
         self._zp_tanh = np.int32(self.qp_tanh.zero_point)
         self._zp_exp_out = np.int64(self.qp_exp_out.zero_point)
 
@@ -241,11 +244,8 @@ def softmax_int(e: np.ndarray, spec: QuantAttentionSpec) -> np.ndarray:
     """
     floatguard.note(e)
     data = e.astype(np.int64)  # signed, so the max-shift cannot wrap
-    q_in = requantize_scaled(data - data.max(), spec.m_shift, spec.qp_exp_in.zero_point, 16)
-    d_exp = spec.pwl_exp.grid_out[q_in] - spec._zp_exp_out
-    denom = max(int(d_exp.sum()), 1)
-    num = d_exp * np.int64(spec.m_alpha.mantissa)
-    return divide_round(num, denom, spec.m_alpha.shift, spec.qp_alpha.zero_point, 8)
+    d_exp = spec.pwl_exp.grid_out[requantize_scaled(data - data.max(), spec.rq_shift)] - spec._zp_exp_out
+    return divide_round(d_exp, max(int(d_exp.sum()), 1), spec.rq_alpha)
 
 
 def softmax_int_exact(q_e, spec: QuantAttentionSpec) -> np.ndarray:
@@ -270,7 +270,9 @@ class AttentionKeys(NamedTuple):
     """The attention operands that depend on the encoder states only."""
 
     enc_diff: np.ndarray  # (T, m_enc) int32: centred encoder states
-    k_term: np.ndarray  # (T, m_att) int64: the key projections' term of the pre-tanh sum
+    # the pre-tanh sum's stage: the query term's multiplier, and as its (T, m_att)
+    # zero point the rescaled key terms plus the sum's zero point
+    sum_stage: Rescale
 
 
 def attention_keys(enc: np.ndarray, spec: QuantAttentionSpec) -> AttentionKeys:
@@ -278,11 +280,13 @@ def attention_keys(enc: np.ndarray, spec: QuantAttentionSpec) -> AttentionKeys:
     ``spec.qp_enc``) through ``w_k`` once per sequence.
 
     The pre-tanh sum rounds the query and key terms on their own before
-    adding them, so the rescaled key term is the same at every decoder step.
+    adding them, so the rescaled key term is the same at every decoder step
+    and serves as the offset of the query term's stage.
     """
     enc_diff = enc - spec._zp_enc
-    q_k = requantize_scaled(int_matmul(enc_diff, spec.w_k_diff.T), spec.m_k, spec.qp_k.zero_point, 8)
-    return AttentionKeys(enc_diff, apply_multiplier(q_k - spec.qp_k.zero_point, spec.m_k2sum))
+    d_k = requantize_scaled(int_matmul(enc_diff, spec.w_k_diff.T), spec.rq_k)
+    offset = requantize_scaled(d_k, spec.rs_k2sum)
+    return AttentionKeys(enc_diff, Rescale.of(spec.m_q2sum, offset, 0, spec.qp_sum.qmax))
 
 
 def attention_int(h: np.ndarray, keys: AttentionKeys, spec: QuantAttentionSpec):
@@ -290,13 +294,12 @@ def attention_int(h: np.ndarray, keys: AttentionKeys, spec: QuantAttentionSpec):
     output.  ``h`` is the raw decoder state on ``spec.qp_h_dec``; returns
     the raw int64 (context, attention weights) on ``spec.qp_s`` and
     ``spec.qp_alpha``."""
-    acc_q = int_matmul(spec.w_q_diff, h - spec._zp_h)
-    d_q = _clamp(apply_multiplier(acc_q, spec.m_q), spec._q_lo, spec._q_hi)
-    pre = _clamp(apply_multiplier(d_q, spec.m_q2sum) + keys.k_term + spec._zp_sum, 0, spec.qp_sum.qmax)
+    d_q = requantize_scaled(int_matmul(spec.w_q_diff, h - spec._zp_h), spec.rq_q)
+    pre = requantize_scaled(d_q, keys.sum_stage)
     acc_e = int_matmul(spec.pwl_tanh.grid_out[pre] - spec._zp_tanh, spec.v_diff)
-    alpha = softmax_int(requantize_scaled(acc_e, spec.m_e, spec.qp_e.zero_point, 16), spec)
+    alpha = softmax_int(requantize_scaled(acc_e, spec.rq_e), spec)
     acc_s = int_matmul(alpha - spec.qp_alpha.zero_point, keys.enc_diff)
-    return requantize_scaled(acc_s, spec.m_ctx, spec.qp_s.zero_point, 8), alpha
+    return requantize_scaled(acc_s, spec.rq_ctx), alpha
 
 
 def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
@@ -360,7 +363,12 @@ class QuantAttnDecoderSpec:
         self.m_ms = saturating_multiplier(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
         self.m_ms2sig = term_multiplier("pre_sig", self.qp_ms.scale / self.cell.qp_pre_sig.scale, 255)
         self.m_ms2j = term_multiplier("pre_j", self.qp_ms.scale / self.cell.qp_pre_j.scale, 255)
-        self._rs_ms = RowMultipliers.blocks(*_gate_blocks(self.cell.hidden_size, self.m_ms2sig, self.m_ms2j))
+        m, cell = self.cell.hidden_size, self.cell
+        self.rq_ms = Rescale.of(self.m_ms, 0, -self.qp_ms.zero_point, 255 - self.qp_ms.zero_point)
+        # the formed preactivations (multiplier 1) plus the context term, on each row's gate-sum grid
+        terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, self.m_ms2sig, self.m_ms2j)))
+        top = _rows(*_gate_blocks(m, cell.qp_pre_sig.qmax, cell.qp_pre_j.qmax))
+        self.rs_ms = Rescale.of(np.stack(terms), 0, 0, top)
 
     @classmethod
     def from_float(
@@ -399,9 +407,8 @@ def inject_context(pre: np.ndarray, s: np.ndarray, dec: QuantAttnDecoderSpec) ->
     (the ``(1, 4m)`` output of :func:`lstm_gate_preacts_int` on the cell's
     one lane), saturating on each row's gate-sum grid.  ``s`` is the raw
     context on ``dec.attn.qp_s``."""
-    acc = int_matmul(dec.w_s_diff, s - dec.attn._zp_s)
-    d = requantize_scaled(acc, dec.m_ms, dec.qp_ms.zero_point, 8) - np.int64(dec.qp_ms.zero_point)
-    return _clamp(pre + dec._rs_ms.apply(d), 0, dec.cell.lanes.pre_top)
+    d = requantize_scaled(int_matmul(dec.w_s_diff, s - dec.attn._zp_s), dec.rq_ms)
+    return rescale_add(np.concatenate((pre, d[None]))[None], dec.rs_ms)
 
 
 def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):

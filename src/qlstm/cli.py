@@ -196,7 +196,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_pwl(args) -> int:
-    if args.function not in ("tanh", "sigmoid", "exp", "identity"):
+    if args.function not in ACTIVATIONS:
         raise ValueError(f"unsupported function {args.function!r}")
     lo, hi = args.range
     if not lo < hi:

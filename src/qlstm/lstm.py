@@ -13,13 +13,13 @@ preactivation grid and one PWL instance; the candidate tanh and the cell
 tanh each have their own.
 
 The integer step works on all 4m gate rows of ``k`` cells ("lanes") at
-once: each stage's multipliers, zero points and clamp bounds are ``(k,
-rows)`` arrays that :class:`LstmLanes` builds once, so a stage is one
-vectorised pass whichever lane and grid a row is on.  A unidirectional
-layer and the attention decoder run one lane; a BiLSTM runs its forward
-step t and its backward step T-1-t as two lanes of one call.  Weights are
-stored k-major, a contiguous ``(k, n, 4m)`` stack of ``W.T``, so each
-matmul is one batched vector-matrix product.
+once: each stage is one :class:`~qlstm.quant.Rescale` whose multipliers,
+zero points and clamp bounds :class:`LstmLanes` builds once as ``(k,
+rows)`` stacks, so a stage is one vectorised call whichever lane and grid a
+row is on.  A unidirectional layer and the attention decoder run one lane;
+a BiLSTM runs its forward step t and its backward step T-1-t as two lanes
+of one call.  Weights are stored k-major, a contiguous ``(k, n, 4m)`` stack
+of ``W.T``, so each matmul is one batched vector-matrix product.
 """
 from __future__ import annotations
 
@@ -33,8 +33,7 @@ from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
     QuantParams,
     QuantTensor,
-    RowMultipliers,
-    _clamp,
+    Rescale,
     check_accumulator,
     check_dtype,
     compute_qparams,
@@ -48,9 +47,6 @@ from .quant import (
     saturating_multiplier,
     term_multiplier,
 )
-
-# eval_pwl_int, rescale_add and requantize_scaled are not called here; the
-# names stay bound because perfbench/spans.py re-binds them in this module.
 
 
 @contextmanager
@@ -139,8 +135,9 @@ def _gate_blocks(m: int, sig, j) -> tuple:
 
 
 def _rows(*blocks) -> np.ndarray:
-    """int64 per-row constants from ``(value, row count)`` blocks."""
-    return np.repeat(np.array([v for v, _ in blocks], dtype=np.int64), [n for _, n in blocks])
+    """Per-row constants from ``(value, row count)`` blocks: int64 for
+    integers, an object array for :class:`~qlstm.quant.ScaledMultiplier` s."""
+    return np.repeat(np.array([v for v, _ in blocks]), [n for _, n in blocks])
 
 
 def lstm_step_real(x_t, state: LstmState, weights: LstmWeights, record=_noop) -> LstmState:
@@ -222,6 +219,8 @@ class QuantLstmSpec:
     norm_c: MadNormQParams | None = None
 
     def __post_init__(self):
+        if self.qp_x.bitwidth != 8:
+            raise ValueError("input is always 8-bit")
         if self.qp_h.bitwidth != 8:
             raise ValueError("hidden state is always 8-bit")
         if self.qp_c.bitwidth not in (8, 16):
@@ -373,8 +372,9 @@ class LstmLanes:
     """Constants of the fused integer LSTM step for ``k`` cells run side by side.
 
     Lane ``l`` is the cell ``specs[l]``.  Every per-row constant is a ``(k,
-    rows)`` stack and every per-lane one a ``(k, 1)`` column, so one kernel
-    call advances all lanes by one step, each on its own grids, as
+    rows)`` stack (a stacked pair of terms a ``(k, 2, rows)`` one) and every
+    per-lane one a ``(k, 1)`` column, so one kernel call advances all lanes
+    by one step, each on its own grids, as
     :class:`~qlstm.madnorm.MadNormRows` does for MadNorm.  The weights are
     k-major: ``w_x`` is the contiguous ``(k, n, 4w)`` stack of the lanes'
     centred ``W_x.T`` and ``w_h`` the ``(k, w, 4w)`` stack of ``W_h.T``.
@@ -403,17 +403,14 @@ class LstmLanes:
             raise ValueError("MadNorm lanes must share the hidden width")
         n, r = specs[0].input_size, 4 * w
 
-        def col(f):
-            return np.array([[f(s)] for s in specs], dtype=np.int64)
+        def col(f, dtype=np.int64):  # f(spec) -> one value per lane: (k, 1)
+            return np.array([[f(s)] for s in specs], dtype=dtype)
 
-        def rows(f):  # f(spec) -> (value, row count) blocks
+        def pair(f, width, dtype=np.int64):  # f(spec) -> one value per stacked term: (k, 2, width)
+            return np.array([[[v] * width for v in f(s)] for s in specs], dtype=dtype)
+
+        def rows(f):  # f(spec) -> (value, row count) blocks: (k, rows)
             return np.stack([_rows(*f(s)) for s in specs])
-
-        def multipliers(f):  # f(spec) -> (ScaledMultiplier, row count) blocks
-            def part(name):
-                return rows(lambda s: [(getattr(sm, name), c) for sm, c in f(s)])
-
-            return RowMultipliers(part("mantissa"), part("shift"))
 
         def gates(f):  # f(spec) -> (sigmoid value, candidate value) on the 4w gate rows
             return lambda s: _gate_blocks(w, *f(s))
@@ -426,38 +423,41 @@ class LstmLanes:
         # the bias padded like a one-column weight
         self.bias = np.stack([_k_major(s.bias_q[:, None], s.hidden_size, w, 1)[0] for s in specs])
         # stacked mx|mh: storage values when MadNorm follows, centred values otherwise
-        self.rq_mxh = multipliers(lambda s: ((s.m_mx, r), (s.m_mh, r)))
-        zp_mxh = rows(lambda s: ((s.qp_mx.zero_point, r), (s.qp_mh.zero_point, r)))
+        m_mxh = pair(lambda s: (s.m_mx, s.m_mh), r, object)
+        zp_mxh = pair(lambda s: (s.qp_mx.zero_point, s.qp_mh.zero_point), r)
         if self.norm:
+            self.rq_mxh = Rescale.of(m_mxh, zp_mxh, 0, 255)
             self.norm_xh = MadNormRows([p for s in specs for p in (s.norm_x, s.norm_h)])
-            self.mxh_zp = zp_mxh
-            self.nxh_zp = rows(lambda s: ((s.norm_x.qp_y.zero_point, r), (s.norm_h.qp_y.zero_point, r)))
+            self.nxh_zp = pair(lambda s: (s.norm_x.qp_y.zero_point, s.norm_h.qp_y.zero_point), r)
             self.norm_c = MadNormRows([s.norm_c for s in specs])
         else:
-            self.mxh_lo, self.mxh_hi = -zp_mxh, 255 - zp_mxh
-        self.rs_pre = multipliers(
-            lambda s: (*_gate_blocks(w, s.m_x2sig, s.m_x2j), *_gate_blocks(w, s.m_h2sig, s.m_h2j))
+            self.rq_mxh = Rescale.of(m_mxh, 0, -zp_mxh, 255 - zp_mxh)
+        x_terms = rows(gates(lambda s: (s.m_x2sig, s.m_x2j)))
+        h_terms = rows(gates(lambda s: (s.m_h2sig, s.m_h2j)))
+        self.rs_pre = Rescale.of(
+            np.stack((x_terms, h_terms), axis=1),
+            rows(gates(lambda s: (s.qp_pre_sig.zero_point, s.qp_pre_j.zero_point))),
+            0,
+            rows(gates(lambda s: (s.qp_pre_sig.qmax, s.qp_pre_j.qmax))),
         )
-        self.pre_zp = rows(gates(lambda s: (s.qp_pre_sig.zero_point, s.qp_pre_j.zero_point)))
-        self.pre_top = rows(gates(lambda s: (s.qp_pre_sig.qmax, s.qp_pre_j.qmax)))
         # every lane's sigmoid | candidate tanh, one table; rows gather at their lane's offsets
         tables = [t for s in specs for t in (s.pwl_sig.grid_out, s.pwl_tanh_j.grid_out)]
         starts = np.cumsum([0] + [len(t) for t in tables])
         self.gate_table = np.concatenate(tables)
         self.gate_off = np.stack([_rows(*_gate_blocks(w, *starts[2 * i : 2 * i + 2])) for i in range(self.k)])
         self.gate_zp = rows(gates(lambda s: (s.qp_sig.zero_point, s.qp_tanh_j.zero_point)))
-        # stacked f*c | i*j products, then their rescale-add into c
-        self.rq_prod = multipliers(lambda s: ((s.m_fc, w), (s.m_ij, w)))
-        zp_prod = rows(lambda s: ((s.qp_p_fc.zero_point, w), (s.qp_p_ij.zero_point, w)))
-        self.prod_lo, self.prod_hi = -zp_prod, col(lambda s: s.qp_c.qmax) - zp_prod
-        self.rs_c = multipliers(lambda s: ((s.m_fc2c, w), (s.m_ij2c, w)))
+        # stacked f*c | i*j products (centred), then their rescale-add into c
+        zp_prod = pair(lambda s: (s.qp_p_fc.zero_point, s.qp_p_ij.zero_point), w)
+        top_prod = pair(lambda s: (s.qp_p_fc.qmax, s.qp_p_ij.qmax), w)
+        self.rq_prod = Rescale.of(pair(lambda s: (s.m_fc, s.m_ij), w, object), 0, -zp_prod, top_prod - zp_prod)
         self.zp_c = col(lambda s: s.qp_c.zero_point)
-        self.c_top = col(lambda s: s.qp_c.qmax)
+        m_c = pair(lambda s: (s.m_fc2c, s.m_ij2c), w, object)
+        self.rs_c = Rescale.of(m_c, self.zp_c, 0, col(lambda s: s.qp_c.qmax))
         tanh_c = [s.pwl_tanh_c.grid_out for s in specs]
         self.tanh_c_table = np.concatenate(tanh_c)
         self.tanh_c_off = np.cumsum([0] + [len(t) for t in tanh_c[:-1]])[:, None]
         self.zp_tanh_c = col(lambda s: s.qp_tanh_c.zero_point)
-        self.rq_h = multipliers(lambda s: ((s.m_h, 1),))
+        self.rq_h = Rescale.of(col(lambda s: s.m_h, object), self.zp_h, 0, 255)
 
     def initial_state(self) -> tuple:
         """Raw ``(h, c)`` of every lane at real 0: uint8 and int64 ``(k, w)``."""
@@ -481,17 +481,12 @@ def lstm_gate_preacts_int(x: np.ndarray, h: np.ndarray, lanes: LstmLanes) -> np.
     gate-sum grid: ``qp_pre_sig`` for the input, forget and output rows,
     ``qp_pre_j`` for the candidate rows.
     """
-    r = 4 * lanes.width
-    acc = np.concatenate(
-        (int_matmul(x - lanes.zp_x, lanes.w_x) + lanes.bias, int_matmul(h - lanes.zp_h, lanes.w_h)), axis=1
-    )
+    mx = int_matmul(x - lanes.zp_x, lanes.w_x) + lanes.bias
+    mh = int_matmul(h - lanes.zp_h, lanes.w_h)
+    q = requantize_scaled(np.concatenate((mx[:, None], mh[:, None]), axis=1), lanes.rq_mxh)  # (k, 2, 4w)
     if lanes.norm:
-        q = _clamp(lanes.rq_mxh.apply(acc) + lanes.mxh_zp, 0, 255)
-        d = madnorm_int(q.reshape(-1, r), lanes.norm_xh).reshape(q.shape) - lanes.nxh_zp
-    else:
-        d = _clamp(lanes.rq_mxh.apply(acc), lanes.mxh_lo, lanes.mxh_hi)
-    t = lanes.rs_pre.apply(d)
-    return _clamp(t[:, :r] + t[:, r:] + lanes.pre_zp, 0, lanes.pre_top)
+        q = madnorm_int(q.reshape(-1, 4 * lanes.width), lanes.norm_xh).reshape(q.shape) - lanes.nxh_zp
+    return rescale_add(q, lanes.rs_pre)
 
 
 def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, lanes: LstmLanes):
@@ -505,13 +500,12 @@ def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, lanes: LstmLanes):
     """
     m = lanes.width
     d = lanes.gate_table[pre + lanes.gate_off] - lanes.gate_zp  # centred i | f | j | o
-    gates = np.concatenate((d[:, m : 2 * m], d[:, :m]), axis=1)  # f | i
-    prod = gates * np.concatenate((c - lanes.zp_c, d[:, 2 * m : 3 * m]), axis=1)  # f*c | i*j
-    t = lanes.rs_c.apply(_clamp(lanes.rq_prod.apply(prod), lanes.prod_lo, lanes.prod_hi))
-    c_new = _clamp(t[:, :m] + t[:, m:] + lanes.zp_c, 0, lanes.c_top)
+    fc = d[:, None, m : 2 * m] * (c - lanes.zp_c)[:, None]
+    ij = d[:, None, :m] * d[:, None, 2 * m : 3 * m]
+    c_new = rescale_add(requantize_scaled(np.concatenate((fc, ij), axis=1), lanes.rq_prod), lanes.rs_c)
     src = madnorm_int(c_new, lanes.norm_c) if lanes.norm else c_new
     t_c = lanes.tanh_c_table[src + lanes.tanh_c_off]
-    h_new = _clamp(lanes.rq_h.apply(d[:, 3 * m :] * (t_c - lanes.zp_tanh_c)) + lanes.zp_h, 0, 255)
+    h_new = requantize_scaled(d[:, 3 * m :] * (t_c - lanes.zp_tanh_c), lanes.rq_h)
     return h_new.astype(np.uint8), c_new
 
 

@@ -15,21 +15,18 @@ from . import floatguard
 from .quant import (
     MultiplierCombo,
     QuantParams,
-    RowMultipliers,
-    _clamp,
+    Rescale,
     check_int,
     combine_round,
     combine_round_exact,
     compute_qparams,
+    divide_round,
     divide_round_exact,
     requantize_exact,
     requantize_scaled,
     saturating_multiplier,
     term_multiplier,
 )
-
-# combine_round and requantize_scaled are not called here; the names stay
-# bound because perfbench/spans.py re-binds them in this module.
 
 
 @dataclass
@@ -104,9 +101,9 @@ def madnorm_observe(x: np.ndarray, record, prefix: str) -> np.ndarray:
 class MadNormRows:
     """Constants of the integer MadNorm kernel for ``k`` stacked instances.
 
-    Every constant is a ``(k, 1)`` column built once, so row ``r`` of a
-    ``(k, h)`` input is normalized on instance ``r``'s grids with instance
-    ``r``'s multipliers.
+    Every constant is a ``(k, 1)`` column built once (the x_hat stage's
+    mantissas a ``(k, 2)`` pair), so row ``r`` of a ``(k, h)`` input is
+    normalized on instance ``r``'s grids with instance ``r``'s multipliers.
     """
 
     def __init__(self, params):
@@ -114,28 +111,22 @@ class MadNormRows:
             raise ValueError("stacked MadNorm instances must share the hidden dimension")
         h = self.hidden = params[0].hidden
 
-        def col(f):
-            return np.array([[f(p)] for p in params], dtype=np.int64)
+        def col(f, dtype=np.int64):
+            return np.array([[f(p)] for p in params], dtype=dtype)
 
         zp_x = col(lambda p: p.qp_x.zero_point)
         self.mu_off = h * zp_x
-        self.mu = RowMultipliers(col(lambda p: p._m_mu.mantissa), col(lambda p: p._m_mu.shift))
         zp_mu = col(lambda p: p.qp_mu.zero_point)
-        self.mu_lo, self.mu_hi = -zp_mu, 255 - zp_mu
+        self.mu = Rescale.of(col(lambda p: p._m_mu, object), 0, -zp_mu, 255 - zp_mu)
         # x_hat rounds (x - zp_x) * a + dmu * b once; both terms share the combo's shift
-        shift = col(lambda p: p._combo_xhat.shift)
-        self.xhat_x = RowMultipliers(col(lambda p: p._combo_xhat.mantissas[0]), shift)
-        self.xhat_mu = RowMultipliers(col(lambda p: p._combo_xhat.mantissas[1]), shift)
-        self.xhat_off = zp_x * self.xhat_x.mant
         zp_xhat = col(lambda p: p.qp_xhat.zero_point)
-        self.xhat_lo, self.xhat_hi = -zp_xhat, 255 - zp_xhat
-        self.d = RowMultipliers(col(lambda p: p._m_d.mantissa), col(lambda p: p._m_d.shift))
-        # y = round(x_hat * m_y / max(q_d, 1)), the mantissa doubled to round the division;
-        # from shift 40 on |x_hat| * m_y < 1/2, so the row rounds to 0 (and den << shift cannot wrap)
-        live = col(lambda p: p._m_y.shift < 40)
-        self.y_mant2 = live * col(lambda p: 2 * p._m_y.mantissa)
-        self.y_shift = live * col(lambda p: p._m_y.shift)
-        self.zp_y = col(lambda p: p.qp_y.zero_point)
+        combos = [p._combo_xhat for p in params]
+        self.xhat = Rescale([c.mantissas for c in combos], [[c.shift] for c in combos], 0, -zp_xhat, 255 - zp_xhat)
+        self.xhat_a, self.xhat_b = self.xhat.mant[:, :1], self.xhat.mant[:, 1:]
+        self.xhat_off = zp_x * self.xhat_a
+        # the lower bound 1 guards the division (qp_d's zero point is 0)
+        self.d = Rescale.of(col(lambda p: p._m_d, object), 0, 1, 255)
+        self.y = Rescale.of(col(lambda p: p._m_y, object), col(lambda p: p.qp_y.zero_point), 0, 255)
 
 
 def madnorm_int(x: np.ndarray, r: MadNormRows) -> np.ndarray:
@@ -150,13 +141,9 @@ def madnorm_int(x: np.ndarray, r: MadNormRows) -> np.ndarray:
     floatguard.note(x)
     if x.shape[-1] != r.hidden:
         raise ValueError("hidden dimension mismatch")
-    dmu = _clamp(r.mu.apply(x.sum(axis=-1, keepdims=True) - r.mu_off), r.mu_lo, r.mu_hi)
-    xhat = r.xhat_x.round(x * r.xhat_x.mant + (dmu * r.xhat_mu.mant - r.xhat_off))
-    dxhat = _clamp(xhat, r.xhat_lo, r.xhat_hi)
-    mag = np.abs(dxhat)
-    den = _clamp(r.d.apply(mag.sum(axis=-1, keepdims=True)), 1, 255) << r.y_shift
-    v = np.sign(dxhat) * ((mag * r.y_mant2 + den) // (2 * den))
-    return _clamp(v + r.zp_y, 0, 255)
+    dmu = requantize_scaled(x.sum(axis=-1, keepdims=True) - r.mu_off, r.mu)
+    dxhat = combine_round(x * r.xhat_a + (dmu * r.xhat_b - r.xhat_off), r.xhat)
+    return divide_round(dxhat, requantize_scaled(np.abs(dxhat).sum(axis=-1, keepdims=True), r.d), r.y)
 
 
 def madnorm_int_exact(q_x, p: MadNormQParams) -> np.ndarray:

@@ -230,19 +230,6 @@ def term_multiplier(stage: str, r: float, bound: int) -> ScaledMultiplier:
     return m
 
 
-def _shift_round(p: np.ndarray, shift: int) -> np.ndarray:
-    """round_half_away(p / 2^shift) on int64; exact integer arithmetic only
-    (a shift <= 0 is a left shift, exact for a :func:`term_multiplier`)."""
-    floatguard.note(p)
-    if shift <= 0:
-        return p << (-shift)
-    if shift >= 63:
-        # |p| < 2^62 for all callers, so the ratio is strictly below 0.5
-        return np.zeros_like(p)
-    half = np.int64(1) << np.int64(shift - 1)
-    return np.sign(p) * ((np.abs(p) + half) >> np.int64(shift))
-
-
 def _shift_round_exact(p: int, shift: int) -> int:
     if shift <= 0:
         return p << (-shift)
@@ -252,65 +239,51 @@ def _shift_round_exact(p: int, shift: int) -> int:
     return q if p >= 0 else -q
 
 
-def _clamp(v: np.ndarray, lo, hi) -> np.ndarray:
-    out = np.minimum(np.maximum(v, lo), hi)
-    floatguard.note(out)
-    return out
+_I64 = np.iinfo(np.int64)
 
 
-def _clamp_store(v: np.ndarray, zero_point: int, bitwidth: int) -> np.ndarray:
-    return _clamp(v + np.int64(zero_point), 0, (1 << bitwidth) - 1)
+class Rescale:
+    """One requantization stage: ``clamp(round(x * mantissa * 2^-shift) + zp, lo, hi)``.
 
+    The six constants are int64 arrays that broadcast against the operand,
+    so one class serves a scalar stage, one multiplier per row of a
+    ``(rows,)`` vector, a ``(k, rows)`` stack of lanes and per-term
+    multipliers on :func:`rescale_add`'s term axis.  They are normalized
+    once, here: a shift <= 0 becomes a left shift folded into the mantissa
+    (exact for a :func:`term_multiplier`), and a shift >= 63 rounds the row
+    to 0 (every operand times its mantissa stays below 2^62).  Mantissas
+    are non-negative, except a :class:`MultiplierCombo`'s, which only
+    :func:`combine_round`'s caller reads.  The default bounds are int64's
+    own, for a term whose sum saturates only as a whole.
 
-class RowMultipliers:
-    """One fixed-point multiplier per row of a stacked vector.
-
-    :meth:`apply` computes ``round_half_away(x_r * mantissa_r * 2^-shift_r)``
-    for every row ``r`` in one pass, with the rounding rule of
-    :func:`_shift_round`.  The constants are normalized once at construction:
-    a shift <= 0 becomes a left shift folded into the mantissa (exact for a
-    :func:`term_multiplier`, like ``_shift_round``'s ``p << -shift``), and a
-    shift >= 63 rounds the row to 0, as there.
+    Exactly four functions apply a stage: :func:`requantize_scaled`,
+    :func:`rescale_add`, :func:`combine_round` and :func:`divide_round`.
     """
 
-    def __init__(self, mantissas, shifts):
+    def __init__(self, mantissas, shifts, zero_point=0, lo=_I64.min, hi=_I64.max):
         shifts = np.asarray(shifts, dtype=np.int64)
-        left = np.maximum(-shifts, 0)
         live = shifts < 63
-        self.mant = np.where(live, np.asarray(mantissas, dtype=np.int64) << left, 0)
+        self.mant = np.where(live, np.asarray(mantissas, dtype=np.int64) << np.maximum(-shifts, 0), 0)
         self.shift = np.where(live, np.maximum(shifts, 0), 0)
         self.half = np.where(self.shift > 0, np.int64(1) << np.maximum(self.shift - 1, 0), 0)
+        self.zp, self.lo, self.hi = (np.asarray(v, dtype=np.int64) for v in (zero_point, lo, hi))
 
     @classmethod
-    def blocks(cls, *pairs) -> "RowMultipliers":
-        """Rows given as consecutive ``(ScaledMultiplier, row count)`` blocks."""
-        counts = [n for _, n in pairs]
-        return cls(np.repeat([m.mantissa for m, _ in pairs], counts), np.repeat([m.shift for m, _ in pairs], counts))
-
-    def apply(self, x) -> np.ndarray:
-        return self.round(x * self.mant)
-
-    def round(self, p) -> np.ndarray:
-        """round_half_away(p * 2^-shift_r) of an already scaled product ``p``."""
-        floatguard.note(p)
-        return np.sign(p) * ((np.abs(p) + self.half) >> self.shift)
+    def of(cls, multipliers, zero_point=0, lo=_I64.min, hi=_I64.max) -> "Rescale":
+        """From a :class:`ScaledMultiplier` or an array-like of them in the rows' shape."""
+        ms = np.asarray(multipliers, dtype=object)
+        mantissas = np.array([m.mantissa for m in ms.flat], dtype=np.int64).reshape(ms.shape)
+        shifts = np.array([m.shift for m in ms.flat], dtype=np.int64).reshape(ms.shape)
+        return cls(mantissas, shifts, zero_point, lo, hi)
 
 
-def apply_multiplier(acc, m: ScaledMultiplier) -> np.ndarray:
-    """round_half_away(acc * m.value) via integer multiply and shift."""
-    floatguard.note(acc)  # before the cast, which would hide a float accumulator
-    p = np.asarray(acc, dtype=np.int64) * np.int64(m.mantissa)
-    return _shift_round(p, m.shift)
-
-
-def requantize_scaled(acc, m: ScaledMultiplier, out_zero_point: int, out_bitwidth: int):
-    """Rescale an accumulator to a narrower quantized representation.
-
-    Computes ``clamp(round(acc * m.value) + out_zero_point)`` with integer
-    multiply and arithmetic shifts only.
-    """
-    v = _clamp_store(apply_multiplier(acc, m), out_zero_point, out_bitwidth)
-    return int(v) if np.ndim(acc) == 0 else v
+def requantize_scaled(acc, s: Rescale) -> np.ndarray:
+    """Rescale one operand onto the stage's grid: ``clamp(round(acc * m) +
+    zp)``, with integer multiply and arithmetic shifts only.  A float
+    ``acc`` is noted, then rejected by the shift."""
+    floatguard.note(acc)
+    p = acc * s.mant
+    return np.minimum(np.maximum(np.sign(p) * ((np.abs(p) + s.half) >> s.shift) + s.zp, s.lo), s.hi)
 
 
 def requantize_exact(acc: int, m: ScaledMultiplier, out_zero_point: int, out_bitwidth: int) -> int:
@@ -319,18 +292,23 @@ def requantize_exact(acc: int, m: ScaledMultiplier, out_zero_point: int, out_bit
     return max(0, min(v, (1 << out_bitwidth) - 1))
 
 
-def rescale_add(parts, out_zero_point: int, out_bitwidth: int) -> np.ndarray:
-    """Sum of independently rounded rescaled terms, then saturate.
+def rescale_add(terms, s: Rescale) -> np.ndarray:
+    """Sum of two independently rounded rescaled terms, then saturate.
 
-    ``parts`` is a sequence of ``(diff_array, ScaledMultiplier)`` pairs; each
-    term is rounded on its own before the integer addition (the rescale-then-add
-    convention used for gate sums, residuals and context injection).
+    ``terms`` stacks the two operands on its second-to-last axis (shape
+    ``(..., 2, rows)``), against per-term multipliers of the same layout;
+    each term is rounded on its own before the integer addition (the
+    rescale-then-add convention used for gate sums, residuals and context
+    injection), and the stage's zero point and bounds apply to the sum.
     """
-    total = None
-    for diff, m in parts:
-        term = apply_multiplier(diff, m)
-        total = term if total is None else total + term
-    return _clamp_store(total, out_zero_point, out_bitwidth)
+    floatguard.note(terms)
+    # in place, and signed by the operands (a term's mantissa is never
+    # negative): a residual's (T, 2, w) terms are the largest of any stage
+    t = np.abs(terms) * s.mant
+    t += s.half
+    t >>= s.shift
+    t *= np.sign(terms)
+    return np.minimum(np.maximum(t[..., 0, :] + t[..., 1, :] + s.zp, s.lo), s.hi)
 
 
 def rescale_add_exact(parts, out_zero_point: int, out_bitwidth: int) -> int:
@@ -362,13 +340,15 @@ class MultiplierCombo:
         return cls(mants, shift)
 
 
-def combine_round(diffs, combo: MultiplierCombo, out_zero_point: int, out_bitwidth: int) -> np.ndarray:
-    """Single-rounded linear combination: clamp(round(sum_i d_i * r_i) + zp)."""
-    raw = None
-    for diff, mant in zip(diffs, combo.mantissas):
-        term = np.asarray(diff, dtype=np.int64) * np.int64(mant)
-        raw = term if raw is None else raw + term
-    return _clamp_store(_shift_round(raw, combo.shift), out_zero_point, out_bitwidth)
+def combine_round(raw, s: Rescale) -> np.ndarray:
+    """Single-rounded linear combination: ``clamp(round(raw * 2^-shift) + zp)``.
+
+    ``raw`` is the sum of the terms already multiplied by the stage's
+    per-term mantissas (a :class:`MultiplierCombo`'s, normalized, on the
+    last axis of ``s.mant``), so only the stage's one shift rounds it.
+    """
+    floatguard.note(raw)
+    return np.minimum(np.maximum(np.sign(raw) * ((np.abs(raw) + s.half) >> s.shift) + s.zp, s.lo), s.hi)
 
 
 def combine_round_exact(diffs, combo: MultiplierCombo, out_zero_point: int, out_bitwidth: int) -> int:
@@ -377,18 +357,21 @@ def combine_round_exact(diffs, combo: MultiplierCombo, out_zero_point: int, out_
     return max(0, min(v, (1 << out_bitwidth) - 1))
 
 
-def divide_round(num: np.ndarray, den: int, shift: int, out_zero_point: int, out_bitwidth: int) -> np.ndarray:
-    """clamp(round(num / (den * 2^shift)) + zp); num int64, den positive int,
-    shift >= 0 (a :func:`saturating_multiplier`'s)."""
-    floatguard.note(num)
-    den_total = int(den) << shift
-    num = np.asarray(num, dtype=np.int64)
-    if den_total > (1 << 61):
-        v = np.array([_round_div_exact(int(p), den_total) for p in num.ravel()], dtype=np.int64)
-        v = v.reshape(num.shape)
-    else:
-        v = np.sign(num) * ((2 * np.abs(num) + den_total) // (2 * den_total))
-    return _clamp_store(v, out_zero_point, out_bitwidth)
+def divide_round(num, den, s: Rescale) -> np.ndarray:
+    """``clamp(round(num * m / den) + zp)`` on a :func:`saturating_multiplier`'s
+    stage; ``|num| < 2^31`` and ``den`` positive, both int64 (per row).
+
+    With ``p = num * mantissa`` and ``D = den << shift``, ``round(p / D)``
+    is ``(|p| + D // 2) // D`` (ties away from zero), exact in int64 while
+    ``D < 2^63`` as ``|p| < 2^62``.  A ``D`` past that is more than
+    ``2|p|``, so the quotient rounds to 0; ``D`` saturates at int64's
+    maximum there, which yields that 0.
+    """
+    floatguard.note(num, den)
+    p = num * s.mant
+    d = np.where(den > _I64.max >> s.shift, _I64.max, den << s.shift)
+    v = np.sign(p) * ((np.abs(p) + (d >> 1)) // d)
+    return np.minimum(np.maximum(v + s.zp, s.lo), s.hi)
 
 
 def _round_div_exact(p: int, q: int) -> int:

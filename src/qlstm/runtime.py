@@ -55,6 +55,7 @@ from .quant import (
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
+    Rescale,
     check_accumulator,
     check_dtype,
     compute_qparams,
@@ -403,6 +404,8 @@ class IntEmbedding(_IntLayer):
     qp_in = None  # consumes token ids, not a layer's output
 
     def __post_init__(self):
+        if self.qp.bitwidth != 8:
+            raise ValueError("embedding output must be 8-bit")
         check_dtype(np.uint8, table_q=self.table_q)
 
     @property
@@ -563,8 +566,11 @@ class IntResidual(_IntLayer):
     qp_out: QuantParams
 
     def __post_init__(self):
+        if self.qp_out.bitwidth != 8:
+            raise ValueError("residual output must be 8-bit")
         self.m_a = term_multiplier("out", self.qp_a.scale / self.qp_out.scale, 255)
         self.m_b = term_multiplier("out", self.qp_b.scale / self.qp_out.scale, 255)
+        self.rs = Rescale.of([[self.m_a], [self.m_b]], self.qp_out.zero_point, 0, 255)
 
     @property
     def qp_in(self):
@@ -574,8 +580,7 @@ class IntResidual(_IntLayer):
         return [(self.qp_a, out_qps[self.skip_from], " (residual skip operand)"), (self.qp_b, prev, "")]
 
     def run(self, x, outputs):
-        a = outputs[self.skip_from]
-        out = rescale_add([(a.diffs(), self.m_a), (x.diffs(), self.m_b)], self.qp_out.zero_point, 8)
+        out = rescale_add(np.stack((outputs[self.skip_from].diffs(), x.diffs()), axis=-2), self.rs)
         return QuantTensor(out.astype(np.uint8), self.qp_out)
 
     def run_exact(self, x, outputs):
@@ -621,6 +626,8 @@ class IntProjection(_IntLayer):
     qp_out = None  # 32-bit logits on the qp_w.scale * qp_in.scale grid
 
     def __post_init__(self):
+        if self.qp_in.bitwidth != 8:
+            raise ValueError("projection input must be 8-bit")
         check_dtype(np.uint8, w_q=self.w_q)
         check_dtype(np.int32, bias_q=self.bias_q)
         check_accumulator((self.w_q.shape[-1],), self.bias_q)

@@ -1,11 +1,13 @@
 """LSTM cells: real math, integer pipeline vs exact oracle, sequence layers."""
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import observe, random_cell, random_lstm_config
+from conftest import calibrated_int_model, observe, random_cell, random_lstm_config
+from perfbench.spans import Recorder, instrument
 from qlstm import lstm as L
 from qlstm import runtime
 from qlstm.attention import AttentionWeights, attn_decoder_sequence_exact, attn_decoder_sequence_int
@@ -530,3 +532,27 @@ class TestLongRuns:
         dec, enc = im.layers[2].spec, QuantTensor(q.data[:16], q.qp)
         got = attn_decoder_sequence_int(q, enc, dec)
         assert np.array_equal(got.data.astype(np.int64), attn_decoder_sequence_exact(q.data, enc.data, dec))
+
+
+def test_rescale_spans_sit_inside_the_lstm_kernels():
+    """The fused step applies its stages through the module-global ops, so
+    the benchmark's spans time them inside the kernel that runs them: per
+    step, one requantize (mx|mh) and one rescale-add (gate sums) in the
+    preactivations, two requantizes (products, h) and one rescale-add (c)
+    in the gates, both BiLSTM directions in one call."""
+    rng = np.random.default_rng(31)
+    _, im = calibrated_int_model(rng, ["bilstm"])
+    seq = rng.integers(0, 6, size=7)
+    rec = Recorder()
+    with instrument(rec):
+        runtime.run(im, seq)
+    spans = rec.spans
+    nested = Counter(
+        (s.name, spans[s.parent].name) for s in spans if s.name in ("quant.requantize", "quant.rescale_add")
+    )
+    assert nested == {
+        ("quant.requantize", "lstm.preacts"): 7,
+        ("quant.rescale_add", "lstm.preacts"): 7,
+        ("quant.requantize", "lstm.gates"): 14,
+        ("quant.rescale_add", "lstm.gates"): 7,
+    }

@@ -1,7 +1,7 @@
 """Quantization primitives: scalar examples, grid properties, kernel exactness."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qlstm.floatguard import trace_float_ops
@@ -9,18 +9,24 @@ from qlstm.quant import (
     _BIAS_LIMIT,
     MAX_REDUCE_DIM,
     DegenerateRangeError,
+    MultiplierCombo,
     QuantParams,
     QuantTensor,
-    RowMultipliers,
+    Rescale,
     ScaledMultiplier,
-    _shift_round,
     _shift_round_exact,
+    combine_round,
+    combine_round_exact,
     compute_qparams,
     dequantize,
+    divide_round,
+    divide_round_exact,
     int_matmul,
     quantize,
     requantize_exact,
     requantize_scaled,
+    rescale_add,
+    rescale_add_exact,
     saturating_multiplier,
     term_multiplier,
 )
@@ -153,8 +159,13 @@ class TestFixedPointMultiplier:
         assert abs(m.value - r) / r <= 2**-30
 
 
+def storage_stage(m, zero_point: int, bits: int) -> Rescale:
+    """The stage of ``m`` onto a ``bits``-wide storage grid."""
+    return Rescale.of(m, zero_point, 0, (1 << bits) - 1)
+
+
 def requantize(acc, r: float, zero_point: int, bits: int):
-    return requantize_scaled(acc, ScaledMultiplier.from_real(r), zero_point, bits)
+    return requantize_scaled(acc, storage_stage(ScaledMultiplier.from_real(r), zero_point, bits))
 
 
 class TestRequantize:
@@ -184,7 +195,7 @@ class TestRequantize:
         want = np.empty(n, dtype=np.int64)
         for i, m in enumerate(mults):
             sl = slice(i, n, n_mults)
-            got[sl] = requantize_scaled(accs[sl], m, 128, 8)
+            got[sl] = requantize_scaled(accs[sl], storage_stage(m, 128, 8))
             want[sl] = [requantize_exact(int(a), m, 128, 8) for a in accs[sl]]
         assert np.array_equal(got, want)
 
@@ -193,7 +204,7 @@ class TestRequantize:
         assert requantize(10_000, 0.9, 500, 16) == 9500
 
 
-class TestRowMultipliers:
+class TestRescaleRows:
     @given(
         st.lists(
             st.tuples(
@@ -205,19 +216,101 @@ class TestRowMultipliers:
             max_size=12,
         )
     )
-    def test_each_row_rounds_like_the_scalar_helpers(self, rows):
+    def test_each_row_rounds_like_the_exact_helper(self, rows):
         x, mants, shifts = (np.array(c, dtype=np.int64) for c in zip(*rows))
-        got = RowMultipliers(mants, shifts).apply(x)
+        got = requantize_scaled(x, Rescale(mants, shifts))  # no zero point, no clamp
         for r in range(len(rows)):
             p = int(x[r]) * int(mants[r])  # |p| < 2^52, so shifts >= 63 give 0
-            assert got[r] == _shift_round_exact(p, int(shifts[r])) == _shift_round(np.int64(p), int(shifts[r]))
+            assert got[r] == _shift_round_exact(p, int(shifts[r]))
 
     def test_blocks_repeat_each_multiplier(self):
         a, b = ScaledMultiplier.from_real(0.3), ScaledMultiplier.from_real(5e9)
-        rows = RowMultipliers.blocks((a, 2), (b, 3))
+        rows = Rescale.of(np.repeat([a, b], [2, 3]))
         x = np.array([7, -7, 1, -1, 0])
         want = [_shift_round_exact(int(v) * m.mantissa, m.shift) for v, m in zip(x, [a, a, b, b, b])]
-        assert b.shift <= 0 and np.array_equal(rows.apply(x), want)
+        assert b.shift <= 0 and np.array_equal(requantize_scaled(x, rows), want)
+
+    def test_scalar_rows_and_lanes_are_one_class(self):
+        m = ScaledMultiplier.from_real(0.3)
+        x = np.array([[5, -9], [100, 3]])
+        want = [[requantize_exact(int(v), m, 10, 8) for v in row] for row in x]
+        for ms in (m, [m, m], [[m, m], [m, m]]):
+            assert np.array_equal(requantize_scaled(x, Rescale.of(ms, 10, 0, 255)), want)
+
+
+# One row of a per-row stage: an operand, a multiplier (shifts <= 0 and
+# >= 63 included), and a zero point on an 8- or 16-bit output grid.
+_mant = st.integers(0, 2**31 - 1)
+_shift = st.integers(-8, 80)
+_grid = st.tuples(st.sampled_from([8, 16]), st.integers(0, 2**16 - 1)).map(lambda t: (t[0], t[1] % (1 << t[0])))
+_x = st.integers(-(2**20), 2**20)
+_signed_mant = st.integers(-(2**31), 2**31 - 1)  # a MultiplierCombo's
+_num = st.integers(-(2**31) + 1, 2**31 - 1)  # divide_round's numerator bound
+
+
+def _row_grid(rows):
+    """The per-row zero points and clamp bounds of ``(…, (bits, zp))`` rows."""
+    bits = np.array([r[-1][0] for r in rows])
+    return np.array([r[-1][1] for r in rows]), 0, (1 << bits) - 1
+
+
+class TestStageOps:
+    """Each of the four ops on a random per-row stage equals its exact
+    twin row by row; the examples pin both clamp bounds, shifts <= 0 and
+    >= 63, and divisors past 2^61 and 2^63."""
+
+    @given(st.lists(st.tuples(_x, _mant, _shift, _grid), min_size=1, max_size=12))
+    @example([(2**20, 2**31 - 1, -8, (8, 0)), (-(2**20), 2**31 - 1, 0, (16, 65535)), (5, 2**30, 70, (8, 3))])
+    def test_requantize_scaled(self, rows):
+        x, mants, shifts = (np.array(c, dtype=np.int64) for c in list(zip(*rows))[:3])
+        got = requantize_scaled(x, Rescale(mants, shifts, *_row_grid(rows)))
+        want = [requantize_exact(a, ScaledMultiplier(m, s), zp, b) for a, m, s, (b, zp) in rows]
+        assert np.array_equal(got, want)
+
+    @given(st.lists(st.tuples(_x, _x, _mant, _mant, _shift, _shift, _grid), min_size=1, max_size=12))
+    @example([(2**20, 2**20, 2**31 - 1, 2**31 - 1, -8, -8, (8, 0)), (-(2**20), -7, 2**31 - 1, 5, 0, 63, (16, 9))])
+    def test_rescale_add(self, rows):
+        cols = [np.array(c, dtype=np.int64) for c in list(zip(*rows))[:6]]
+        terms, mants, shifts = (np.stack(cols[i : i + 2]) for i in (0, 2, 4))  # term axis first: (2, rows)
+        got = rescale_add(terms, Rescale(mants, shifts, *_row_grid(rows)))
+        want = [
+            rescale_add_exact([(a, ScaledMultiplier(ma, sa)), (b, ScaledMultiplier(mb, sb))], zp, bits)
+            for a, b, ma, mb, sa, sb, (bits, zp) in rows
+        ]
+        assert np.array_equal(got, want)
+
+    @given(st.lists(st.tuples(_x, _x, _signed_mant, _signed_mant, _shift, _grid), min_size=1, max_size=12))
+    @example([(2**20, 1, 2**31 - 1, -(2**31), -8, (8, 0)), (-(2**20), 3, 2**31 - 1, 0, 2, (16, 0))])
+    @example([(9, 9, 1, 1, 64, (8, 7))])
+    def test_combine_round(self, rows):
+        d, a, shifts = np.array([r[:2] for r in rows]), np.array([r[2:4] for r in rows]), [[r[4]] for r in rows]
+        zp, lo, hi = _row_grid(rows)
+        stage = Rescale(a, shifts, zp[:, None], lo, hi[:, None])
+        got = combine_round((d * stage.mant).sum(axis=1, keepdims=True), stage)[:, 0]
+        want = [combine_round_exact(r[:2], MultiplierCombo(r[2:4], r[4]), r[5][1], r[5][0]) for r in rows]
+        assert np.array_equal(got, want)
+
+    @given(st.lists(st.tuples(_num, st.integers(1, 2**62), _mant, _shift, _grid), min_size=1, max_size=12))
+    @example(
+        [
+            (3, 2, 1, 0, (8, 0)),  # 1.5: a tie, away from zero
+            (-3, 2, 1, 0, (8, 100)),
+            (2**31 - 1, 2**31 - 1, 2**31 - 1, 31, (8, 0)),  # D just below 2^62, quotient 1
+            (2**31 - 1, 2**40, 2**31 - 1, 22, (8, 0)),  # D = 2^62: past 2^61
+            (-(2**31) + 1, 2**62, 2**31 - 1, 1, (16, 65535)),  # D = 2^63: past int64
+            (2**31 - 1, 1, 2**31 - 1, 0, (16, 0)),  # saturates high
+            (-(2**31) + 1, 1, 2**31 - 1, 0, (16, 65535)),  # saturates low
+            (7, 5, 2**30, 70, (8, 4)),
+            (2**20, 3, 2**31 - 1, -8, (8, 0)),
+        ]
+    )
+    def test_divide_round(self, rows):
+        # a left shift folded into the mantissa leaves |num * mantissa| below 2^62
+        rows = [(n >> max(-s, 0), den, m, s, g) for n, den, m, s, g in rows]
+        num, den, mants, shifts = (np.array(c, dtype=np.int64) for c in list(zip(*rows))[:4])
+        got = divide_round(num, den, Rescale(mants, shifts, *_row_grid(rows)))
+        want = [divide_round_exact(n * m, den, s, zp, bits) for n, den, m, s, (bits, zp) in rows]
+        assert np.array_equal(got, want)
 
 
 class TestTermMultiplier:
@@ -249,7 +342,7 @@ class TestSaturatingMultiplier:
             for zp in (0, 100, (1 << bits) - 1):
                 accs = np.array([-(2**31), -(2**20), -1, 0, 1, 7, 2**31 - 1], dtype=np.int64)
                 want = [requantize_exact(int(a), ScaledMultiplier.from_real(r), zp, bits) for a in accs]
-                assert np.array_equal(requantize_scaled(accs, m, zp, bits), want)
+                assert np.array_equal(requantize_scaled(accs, storage_stage(m, zp, bits)), want)
 
     def test_smaller_multipliers_are_left_alone(self):
         for r in (1e-30, 0.37, 255.0, 2.0**29):

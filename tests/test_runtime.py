@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import calibrated_int_model, random_cell, token_model, use_true_functions
+from perfbench.workloads import WORKLOADS, make_inputs
 from qlstm import attention, floatguard, lstm, serialize
 from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
@@ -385,13 +386,14 @@ class TestConvertAndRun:
 
     def test_float_accumulator_in_rescale_is_counted(self, monkeypatch):
         """A float matmul result reaching a rescale is counted before the
-        rescale casts it to int64 (which would otherwise hide it)."""
+        rescale's integer shift rejects it (it is never cast to int64)."""
         rng = np.random.default_rng(14)
         _, im = calibrated_int_model(rng, ["lstm", "attn"])
         seq = rng.integers(0, 6, size=5)
         monkeypatch.setattr(attention, "int_matmul", lambda a, b: int_matmul(a, b).astype(np.float64) + 0.4)
         with floatguard.trace_float_ops() as count:
-            run(im, seq)
+            with pytest.raises(TypeError):
+                run(im, seq)
             assert count() > 0
 
     def test_env_var_enables_tracing_guard(self, monkeypatch):
@@ -489,6 +491,30 @@ class TestSaveLoad:
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="chain"):
             serialize.load(path)
+
+    @pytest.mark.parametrize(
+        "workload, edits, message",
+        [
+            ("seq2seq", ("L0.out", "L1.x"), "layer 0: embedding output must be 8-bit"),
+            ("seq2seq", ("L1.x",), "layer 1: input is always 8-bit"),
+            ("bilstm16", ("L2.out", "L3.in"), "layer 2: residual output must be 8-bit"),
+            ("bilstm16", ("L3.in",), "layer 3: projection input must be 8-bit"),
+        ],
+    )
+    def test_16_bit_grid_on_an_8_bit_stage_rejected(self, tmp_path, workload, edits, message):
+        # an edited pair of chained grids used to load, and run then failed on
+        # uint8 storage with 16-bit qparams while run_reference ran
+        w = WORKLOADS[workload]
+        inputs = make_inputs(w, 1)
+        im = convert(inputs.model, calibrate(inputs.model, inputs.calibration), **w.config)
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        for name in edits:
+            doc["qparams"][name]["bitwidth"] = 16
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match=message):
+            serialize.load(str(path))
 
     @pytest.mark.parametrize("field, value", [("zero_point", 106.5), ("zero_point", 106.0), ("zero_point", True)])
     def test_non_integer_qparams_field_rejected(self, tmp_path, field, value):
