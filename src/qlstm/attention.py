@@ -369,6 +369,7 @@ class QuantAttnDecoderSpec:
         terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, self.m_ms2sig, self.m_ms2j)))
         top = _rows(*_gate_blocks(m, cell.qp_pre_sig.qmax, cell.qp_pre_j.qmax))
         self.rs_ms = Rescale.of(np.stack(terms), 0, 0, top)
+        cell.lanes  # the decoder runs its cell as one lane: built with the spec, not on its first run
 
     @classmethod
     def from_float(

@@ -20,11 +20,18 @@ row is on.  A unidirectional layer and the attention decoder run one lane;
 a BiLSTM runs its forward step t and its backward step T-1-t as two lanes
 of one call.  Weights are stored k-major, a contiguous ``(k, n, 4m)`` stack
 of ``W.T``, so each matmul is one batched vector-matrix product.
+
+When every lane's cell grid is 8-bit, so is every operand of the cell
+update and the hidden output, and those stages are pair tables that
+:class:`LstmLanes` builds by calling each stage's op once on all 256 x 256
+storage pairs: a step gathers the rounded f*c and i*j terms and h instead
+of rescaling.  A 16-bit cell keeps the arithmetic.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from .quant import (
     check_dtype,
     compute_qparams,
     int_matmul,
+    narrowest,
     quantize_bias,
     quantize_weights,
     requantize_exact,
@@ -45,6 +53,7 @@ from .quant import (
     rescale_add,
     rescale_add_exact,
     saturating_multiplier,
+    tabulate,
     term_multiplier,
 )
 
@@ -258,7 +267,13 @@ class QuantLstmSpec:
         self.m_fc2c = term_multiplier("c", self.qp_p_fc.scale / self.qp_c.scale, self.qp_c.qmax)
         self.m_ij2c = term_multiplier("c", self.qp_p_ij.scale / self.qp_c.scale, self.qp_c.qmax)
         self.m_h = saturating_multiplier(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
-        self.lanes = LstmLanes([self])
+
+    @cached_property
+    def lanes(self) -> "LstmLanes":
+        """The cell as one lane, built on first use: a layer that runs the
+        cell alone reads it when it is made, and a BiLSTM direction, which
+        runs as a lane of its :class:`BiLstmSpec`, never builds it."""
+        return LstmLanes([self])
 
     def weight_diffs(self) -> tuple:
         """The zero-point-centred ``(w_x, w_h)`` as int32."""
@@ -388,6 +403,22 @@ class LstmLanes:
     so they change no real unit, and callers copy out each lane's own
     ``hidden`` units.  MadNorm normalizes over all of a stage's rows, so
     MadNorm lanes must share their width.
+
+    ``tabled`` lanes (every ``qp_c`` 8-bit, chosen from the qparams alone)
+    replace the last three stages with pair tables, lane ``l``'s entry for
+    the storage pair ``(a, b)`` at ``(l << 16) + (a << 8) + b``: ``fc_table``
+    holds the rounded f*c term of the cell update at ``(f, c)``,
+    ``ij_table`` the rounded i*j term at ``(i, j)`` and ``h_table`` h at
+    ``(o, x)``, ``x`` the cell tanh's 8-bit input, whose gather it folds
+    in.  ``gate_rows`` is the gate table with each sigmoid output ``g`` of
+    lane ``l`` stored as its row ``(l << 16) + (g << 8)``.  Each table is
+    the stage's own op called on every pair, so it is bit-exact by
+    construction; the build takes about 2-3 ms per lane.  Resident per lane:
+    320 KiB (both terms int16 where their values fit, h uint8) and 2 KiB of
+    gate rows on an 8-bit gate grid (512 KiB on a 16-bit one).  A 16-bit
+    cell would need a 256 x 65,536 f*c table, so a lane set with any
+    16-bit cell keeps the arithmetic stages (``rq_prod``, ``rs_c``,
+    ``rq_h``).
     """
 
     def __init__(self, specs):
@@ -445,19 +476,40 @@ class LstmLanes:
         starts = np.cumsum([0] + [len(t) for t in tables])
         self.gate_table = np.concatenate(tables)
         self.gate_off = np.stack([_rows(*_gate_blocks(w, *starts[2 * i : 2 * i + 2])) for i in range(self.k)])
-        self.gate_zp = rows(gates(lambda s: (s.qp_sig.zero_point, s.qp_tanh_j.zero_point)))
-        # stacked f*c | i*j products (centred), then their rescale-add into c
-        zp_prod = pair(lambda s: (s.qp_p_fc.zero_point, s.qp_p_ij.zero_point), w)
-        top_prod = pair(lambda s: (s.qp_p_fc.qmax, s.qp_p_ij.qmax), w)
-        self.rq_prod = Rescale.of(pair(lambda s: (s.m_fc, s.m_ij), w, object), 0, -zp_prod, top_prod - zp_prod)
-        self.zp_c = col(lambda s: s.qp_c.zero_point)
-        m_c = pair(lambda s: (s.m_fc2c, s.m_ij2c), w, object)
-        self.rs_c = Rescale.of(m_c, self.zp_c, 0, col(lambda s: s.qp_c.qmax))
         tanh_c = [s.pwl_tanh_c.grid_out for s in specs]
         self.tanh_c_table = np.concatenate(tanh_c)
         self.tanh_c_off = np.cumsum([0] + [len(t) for t in tanh_c[:-1]])[:, None]
-        self.zp_tanh_c = col(lambda s: s.qp_tanh_c.zero_point)
-        self.rq_h = Rescale.of(col(lambda s: s.m_h, object), self.zp_h, 0, 255)
+        # stacked f*c | i*j products (centred), their rescale-add into c, and h = o * tanh(c)
+        self.zp_c = col(lambda s: s.qp_c.zero_point)
+        self.tabled = all(s.qp_c.bitwidth == 8 for s in specs)
+        span = 1 if self.tabled else w  # a table broadcasts each lane's constants over its pairs
+        zp_prod = pair(lambda s: (s.qp_p_fc.zero_point, s.qp_p_ij.zero_point), span)
+        top_prod = pair(lambda s: (s.qp_p_fc.qmax, s.qp_p_ij.qmax), span)
+        rq_prod = Rescale.of(pair(lambda s: (s.m_fc, s.m_ij), span, object), 0, -zp_prod, top_prod - zp_prod)
+        m_c = pair(lambda s: (s.m_fc2c, s.m_ij2c), span, object)
+        rq_h = Rescale.of(col(lambda s: s.m_h, object), self.zp_h, 0, 255)
+        zp_tanh_c = col(lambda s: s.qp_tanh_c.zero_point)
+        if self.tabled:
+            # every operand of these stages is 8-bit: each lane's stage, called on all 2^16
+            # storage pairs, is a table that a step gathers from at (a << 8) + b + (lane << 16)
+            zp_sig = col(lambda s: s.qp_sig.zero_point)
+            zp_cj = pair(lambda s: (s.qp_c.zero_point, s.qp_tanh_j.zero_point), 1)  # f*c's and i*j's second operands
+            # rescale_add rounds each term alone, as requantize_scaled does without bounds
+            terms = Rescale.of(m_c)
+            prods = lambda a, b: (a - zp_sig)[:, None] * (b - zp_cj)  # (k, 2, n): f*c | i*j
+            fc_ij = tabulate(lambda a, b: requantize_scaled(requantize_scaled(prods(a, b), rq_prod), terms))
+            self.fc_table, self.ij_table = narrowest(fc_ij[:, 0]).ravel(), narrowest(fc_ij[:, 1]).ravel()
+            # h's second operand is the cell tanh's (8-bit) input: the tanh gather is folded in
+            t_c = lambda b: self.tanh_c_table[b + self.tanh_c_off] - zp_tanh_c
+            h = tabulate(lambda a, b: requantize_scaled((a - zp_sig) * t_c(b), rq_h))
+            self.h_table = h.astype(np.uint8).ravel()
+            # the gate gather gives i, f and o as rows of their lane's pair tables, and j as a column
+            sig_rows = [(s.pwl_sig.grid_out.astype(np.int32) << 8) + (l << 16) for l, s in enumerate(specs)]
+            self.gate_rows = np.concatenate([t for rs, s in zip(sig_rows, specs) for t in (rs, s.pwl_tanh_j.grid_out)])
+        else:
+            self.gate_zp = rows(gates(lambda s: (s.qp_sig.zero_point, s.qp_tanh_j.zero_point)))
+            self.rq_prod, self.rq_h, self.zp_tanh_c = rq_prod, rq_h, zp_tanh_c
+            self.rs_c = Rescale.of(m_c, self.zp_c, 0, col(lambda s: s.qp_c.qmax))
 
     def initial_state(self) -> tuple:
         """Raw ``(h, c)`` of every lane at real 0: uint8 and int64 ``(k, w)``."""
@@ -494,11 +546,20 @@ def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, lanes: LstmLanes):
 
     ``pre`` is :func:`lstm_gate_preacts_int`'s output and ``c`` the raw
     ``(k, w)`` cell state.  Sigmoid and candidate tanh are one gather from
-    the lanes' gate table and the cell tanh one from their cell tanh table;
-    the ``fc|ij`` products are requantized together.  Returns the raw
-    ``(h, c)``: ``h`` as uint8 storage, ``c`` as int64.
+    the lanes' gate table.  On tabled lanes the rest is gathers from the
+    pair tables: ``c' = clamp(FC[f, c] + IJ[i, j] + zp_c)`` and ``h' = H[o,
+    c']`` (``H[o, MadNorm(c')]``).  Otherwise the cell tanh is one gather
+    from the cell tanh table and the ``fc|ij`` products are requantized
+    together.  Returns the raw ``(h, c)``: ``h`` as uint8 storage, ``c`` as
+    int64.
     """
     m = lanes.width
+    if lanes.tabled:
+        r = lanes.gate_rows[pre + lanes.gate_off]  # i, f and o as pair-table rows, j as a column
+        c_new = lanes.fc_table[r[:, m : 2 * m] + c] + lanes.zp_c + lanes.ij_table[r[:, :m] + r[:, 2 * m : 3 * m]]
+        c_new = np.minimum(np.maximum(c_new, 0), 255)
+        src = madnorm_int(c_new, lanes.norm_c) if lanes.norm else c_new
+        return lanes.h_table[r[:, 3 * m :] + src], c_new
     d = lanes.gate_table[pre + lanes.gate_off] - lanes.gate_zp  # centred i | f | j | o
     fc = d[:, None, m : 2 * m] * (c - lanes.zp_c)[:, None]
     ij = d[:, None, :m] * d[:, None, 2 * m : 3 * m]

@@ -3,7 +3,9 @@
 MadNorm centres a vector on its mean and divides by the mean absolute
 deviation instead of the standard deviation, which keeps the whole
 operation inside integer arithmetic (sums, absolute values and fixed-point
-rescales; no square root).
+rescales; no square root).  On an 8-bit input grid the centred values and
+the division are gathers from pair tables built once per instance (see
+:class:`MadNormRows`).
 """
 from __future__ import annotations
 
@@ -22,9 +24,11 @@ from .quant import (
     compute_qparams,
     divide_round,
     divide_round_exact,
+    narrowest,
     requantize_exact,
     requantize_scaled,
     saturating_multiplier,
+    tabulate,
     term_multiplier,
 )
 
@@ -104,6 +108,15 @@ class MadNormRows:
     Every constant is a ``(k, 1)`` column built once (the x_hat stage's
     mantissas a ``(k, 2)`` pair), so row ``r`` of a ``(k, h)`` input is
     normalized on instance ``r``'s grids with instance ``r``'s multipliers.
+
+    ``tabled`` instances (every input grid 8-bit) also hold two pair
+    tables, instance ``i``'s entry for the storage pair ``(a, b)`` at
+    ``(i << 16) + (a << 8) + b``: ``xhat_table``, the centred x_hat at
+    ``(mu, x)`` (the ``combine_round`` stage), and ``y_table``, the output
+    at ``(d, x_hat)`` (the ``divide_round`` stage; its row 0 divides by
+    ``max(0, 1)``, as the guard does).  Each is the stage's op called on
+    every pair, so it is bit-exact by construction.  Resident: 192 KiB per
+    instance (x_hat int16, y uint8).  A 16-bit input keeps the arithmetic.
     """
 
     def __init__(self, params):
@@ -127,23 +140,41 @@ class MadNormRows:
         # the lower bound 1 guards the division (qp_d's zero point is 0)
         self.d = Rescale.of(col(lambda p: p._m_d, object), 0, 1, 255)
         self.y = Rescale.of(col(lambda p: p._m_y, object), col(lambda p: p.qp_y.zero_point), 0, 255)
+        self.tabled = all(p.qp_x.bitwidth == 8 for p in params)
+        if self.tabled:
+            # x_hat's and y's operands are 8-bit: each instance's stage, called on all
+            # 2^16 storage pairs, is a table that the kernel gathers from at (a << 8) + b
+            off = np.arange(len(params))[:, None] << 16
+            zp_mu = col(lambda p: p.qp_mu.zero_point)
+            raw = lambda a, b: b * self.xhat_a + ((a - zp_mu) * self.xhat_b - self.xhat_off)  # as in madnorm_int
+            xhat = tabulate(lambda a, b: combine_round(raw(a, b), self.xhat))
+            self.xhat_table, self.xhat_row = narrowest(xhat).ravel(), off + (zp_mu << 8)  # (mu, x)
+            # the y table's row 0 divides by max(0, 1), as the guard does
+            y = tabulate(lambda a, b: divide_round(b - zp_xhat, np.maximum(a, 1), self.y))
+            self.y_table, self.y_row = y.astype(np.uint8).ravel(), off + zp_xhat  # (d, x_hat)
 
 
 def madnorm_int(x: np.ndarray, r: MadNormRows) -> np.ndarray:
     """Integer-only MadNorm over the rows of a raw ``(k, h)`` int64 array.
 
     Row ``i`` of ``x`` lies on instance ``i``'s input grid (the caller
-    checks the qparams); the result is the raw ``(k, h)`` int64 output, row
-    ``i`` on instance ``i``'s output grid.  Mean, centred values and
-    deviation each land on their own calibrated 8-bit grid; the division is
-    guarded by ``max(q_d, 1)``.
+    checks the qparams); the result is the raw ``(k, h)`` output (uint8 from
+    the tables, int64 from the arithmetic), row ``i`` on instance ``i``'s
+    output grid.  Mean, centred values and deviation each land on their own
+    calibrated 8-bit grid; the division is guarded by ``max(q_d, 1)``.
     """
     floatguard.note(x)
     if x.shape[-1] != r.hidden:
         raise ValueError("hidden dimension mismatch")
     dmu = requantize_scaled(x.sum(axis=-1, keepdims=True) - r.mu_off, r.mu)
-    dxhat = combine_round(x * r.xhat_a + (dmu * r.xhat_b - r.xhat_off), r.xhat)
-    return divide_round(dxhat, requantize_scaled(np.abs(dxhat).sum(axis=-1, keepdims=True), r.d), r.y)
+    if r.tabled:
+        dxhat = r.xhat_table[x + ((dmu << 8) + r.xhat_row)]
+    else:
+        dxhat = combine_round(x * r.xhat_a + (dmu * r.xhat_b - r.xhat_off), r.xhat)
+    q_d = requantize_scaled(np.abs(dxhat).sum(axis=-1, keepdims=True), r.d)
+    if r.tabled:
+        return r.y_table[dxhat + ((q_d << 8) + r.y_row)]
+    return divide_round(dxhat, q_d, r.y)
 
 
 def madnorm_int_exact(q_x, p: MadNormQParams) -> np.ndarray:

@@ -105,14 +105,28 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
 
 
 def quantize(x, qp: QuantParams):
-    """Map real values onto the quantized grid (saturating).
+    """Map real values onto the quantized grid (saturating); int64."""
+    q = quantize_in_place(np.array(x, dtype=np.float64), qp).astype(np.int64)
+    return int(q) if np.isscalar(x) or np.ndim(x) == 0 else q
 
-    The clamp comes before the int cast, so values whose grid index lies
+
+def quantize_in_place(q: np.ndarray, qp: QuantParams) -> np.ndarray:
+    """Round the float64 array ``q`` onto ``qp``'s grid in place and return
+    it: :func:`round_half_away` of ``q / scale`` plus the zero point,
+    clamped, with one sign mask as the only temporary.
+
+    The clamp comes before any int cast, so values whose grid index lies
     beyond int64 (tiny scales, huge inputs) saturate instead of wrapping.
     """
-    q = round_half_away(np.asarray(x, dtype=np.float64) / qp.scale) + qp.zero_point
-    q = np.minimum(np.maximum(q, 0), qp.qmax).astype(np.int64)
-    return int(q) if np.isscalar(x) or np.ndim(x) == 0 else q
+    q /= qp.scale
+    neg = np.signbit(q)
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.negative(q, out=q, where=neg)
+    q += qp.zero_point
+    np.maximum(q, 0, out=q)
+    return np.minimum(q, qp.qmax, out=q)
 
 
 def dequantize(q, qp: QuantParams):
@@ -176,7 +190,12 @@ class QuantTensor:
 
     @classmethod
     def from_real(cls, x, qp: QuantParams) -> "QuantTensor":
-        return cls(np.asarray(quantize(x, qp)).astype(qp.storage_dtype), qp)
+        return cls.from_private(np.array(x, dtype=np.float64), qp)
+
+    @classmethod
+    def from_private(cls, x: np.ndarray, qp: QuantParams) -> "QuantTensor":
+        """Quantize a float64 array the caller owns, overwriting it."""
+        return cls(quantize_in_place(x, qp).astype(qp.storage_dtype), qp)
 
 
 @dataclass(frozen=True)
@@ -283,7 +302,11 @@ def requantize_scaled(acc, s: Rescale) -> np.ndarray:
     ``acc`` is noted, then rejected by the shift."""
     floatguard.note(acc)
     p = acc * s.mant
-    return np.minimum(np.maximum(np.sign(p) * ((np.abs(p) + s.half) >> s.shift) + s.zp, s.lo), s.hi)
+    t = np.abs(p)  # rounded in place: the half and the shift have the mantissa's shape
+    t += s.half
+    t >>= s.shift
+    t *= np.sign(p)
+    return np.minimum(np.maximum(t + s.zp, s.lo), s.hi)
 
 
 def requantize_exact(acc: int, m: ScaledMultiplier, out_zero_point: int, out_bitwidth: int) -> int:
@@ -388,6 +411,32 @@ def divide_round_exact(num: int, den: int, shift: int, out_zero_point: int, out_
         shift = 0
     v = _round_div_exact(num, int(den) << shift) + out_zero_point
     return max(0, min(v, (1 << out_bitwidth) - 1))
+
+
+_PAIR_BLOCK = 8192  # pairs per stage call: a block's int64 temporaries stay in cache
+
+
+def tabulate(stage) -> np.ndarray:
+    """A stage over every pair of 8-bit storage values: ``stage(a, b)`` with
+    ``a`` and ``b`` the pairs' first and second values, ``(n,)`` vectors
+    that the stage's ``(k, 1)`` constants broadcast against, so one table
+    holds ``k`` instances.  Returns the ``(k, ..., 2^16)`` results, the pair
+    ``(a, b)``'s at ``(a << 8) + b``.  The pairs go through in blocks: on
+    all 2^16 at once, the int64 temporaries leave the cache and a table
+    takes about twice as long."""
+    g = np.arange(_PAIR_BLOCK, dtype=np.int64)
+    a, b = g >> 8, g & 255
+    blocks = [stage(a + (i >> 8), b) for i in range(0, 1 << 16, _PAIR_BLOCK)]
+    return np.concatenate(blocks, axis=-1)
+
+
+def narrowest(table: np.ndarray) -> np.ndarray:
+    """``table`` as the narrowest of int16, int32 and int64 that holds its values."""
+    for dtype in (np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= table.min() and table.max() <= info.max:
+            return table.astype(dtype)
+    return table
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -437,6 +437,9 @@ class IntEmbedding(_IntLayer):
 class IntLstm(_IntLayer):
     spec: QuantLstmSpec
 
+    def __post_init__(self):
+        self.spec.lanes  # built with the layer, not on its first run
+
     @property
     def qp_in(self):
         return self.spec.qp_x
@@ -732,12 +735,12 @@ def validate_chain(model: IntModel) -> None:
 def _prepare_input(model: IntModel, seq):
     if model.takes_tokens:
         return _check_tokens(seq, model.layers[0].table_q.shape[0])
-    x = np.atleast_2d(np.asarray(seq, dtype=np.float64))
+    x = np.atleast_2d(np.array(seq, dtype=np.float64))  # a private copy, quantized in place
     if x.shape[0] == 0:
         raise ValueError("input sequence must not be empty")
     if not np.isfinite(x).all():
         raise ValueError("input frames must be finite (found NaN or inf)")
-    return QuantTensor.from_real(x, model.input_qp)
+    return QuantTensor.from_private(x, model.input_qp)
 
 
 def run(model: IntModel, seq):

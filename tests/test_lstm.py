@@ -534,25 +534,48 @@ class TestLongRuns:
         assert np.array_equal(got.data.astype(np.int64), attn_decoder_sequence_exact(q.data, enc.data, dec))
 
 
-def test_rescale_spans_sit_inside_the_lstm_kernels():
-    """The fused step applies its stages through the module-global ops, so
-    the benchmark's spans time them inside the kernel that runs them: per
-    step, one requantize (mx|mh) and one rescale-add (gate sums) in the
-    preactivations, two requantizes (products, h) and one rescale-add (c)
-    in the gates, both BiLSTM directions in one call."""
-    rng = np.random.default_rng(31)
-    _, im = calibrated_int_model(rng, ["bilstm"])
-    seq = rng.integers(0, 6, size=7)
+def rescale_spans(im, seq) -> Counter:
+    """``(span, enclosing span)`` counts of the rescale ops over one run."""
     rec = Recorder()
     with instrument(rec):
         runtime.run(im, seq)
     spans = rec.spans
-    nested = Counter(
+    return Counter(
         (s.name, spans[s.parent].name) for s in spans if s.name in ("quant.requantize", "quant.rescale_add")
     )
-    assert nested == {
+
+
+def test_rescale_spans_sit_inside_the_lstm_kernels():
+    """The fused step applies its stages through the module-global ops, so
+    the benchmark's spans time them inside the kernel that runs them.  With
+    a 16-bit cell, per step: one requantize (mx|mh) and one rescale-add
+    (gate sums) in the preactivations, two requantizes (products, h) and one
+    rescale-add (c) in the gates, both BiLSTM directions in one call.  With
+    an 8-bit cell the gates' stages are pair-table gathers, so the gates
+    apply no rescale op."""
+    rng = np.random.default_rng(31)
+    seq = rng.integers(0, 6, size=7)
+    _, im16 = calibrated_int_model(rng, ["bilstm"], cell_bits=16)
+    assert rescale_spans(im16, seq) == {
         ("quant.requantize", "lstm.preacts"): 7,
         ("quant.rescale_add", "lstm.preacts"): 7,
         ("quant.requantize", "lstm.gates"): 14,
         ("quant.rescale_add", "lstm.gates"): 7,
     }
+    _, im8 = calibrated_int_model(rng, ["bilstm"])
+    assert rescale_spans(im8, seq) == {
+        ("quant.requantize", "lstm.preacts"): 7,
+        ("quant.rescale_add", "lstm.preacts"): 7,
+    }
+
+
+def test_bilstm_directions_build_no_lanes_of_their_own():
+    """A BiLSTM runs its directions as the two lanes of its own stack, so
+    their single-lane objects are never built; a unidirectional layer builds
+    its one lane with the layer, not on its first run."""
+    rng = np.random.default_rng(45)
+    _, im = calibrated_int_model(rng, ["bilstm", "lstm"])
+    bi, uni = im.layers[1].spec, im.layers[2].spec
+    assert "lanes" in vars(uni)
+    runtime.run(im, rng.integers(0, 6, size=5))
+    assert "lanes" not in vars(bi.fwd) and "lanes" not in vars(bi.bwd)
