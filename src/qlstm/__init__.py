@@ -56,6 +56,6 @@ from .runtime import (
     run,
     run_reference,
 )
-from .serialize import ModelFormatError, ModelManifest, load, save
+from .serialize import ModelFormatError, load, save
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -30,6 +30,7 @@ from .lstm import (
     stage_errors,
     stage_qparams,
 )
+from .madnorm import _noop, scoped
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact
 from .quant import (
     QuantParams,
@@ -85,10 +86,6 @@ class AttentionWeights:
     @property
     def m_enc(self) -> int:
         return self.w_k.shape[1]
-
-
-def _noop(name, value):
-    pass
 
 
 def attention_real(h_prev, enc_h, w: AttentionWeights, record=_noop):
@@ -473,7 +470,7 @@ def attn_decoder_sequence_exact(q_xs, q_enc, dec: QuantAttnDecoderSpec) -> np.nd
 
 
 def attn_decoder_step_real(x_t, state: LstmState, enc_h, cell_w: LstmWeights, attn_w: AttentionWeights, record=_noop):
-    s, alpha = attention_real(state.h, enc_h, attn_w, record=lambda n, v: record(f"attn.{n}", v))
+    s, alpha = attention_real(state.h, enc_h, attn_w, record=scoped(record, "attn"))
     m = cell_w.hidden_size
     mx = cell_w.w_x @ np.asarray(x_t, dtype=np.float64) + cell_w.bias
     mh = cell_w.w_h @ np.asarray(state.h, dtype=np.float64)

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -112,8 +113,25 @@ def cmd_convert(args) -> int:
         model, ranges, pieces=args.pieces, cell_bits=args.cell_bits
     )
     serialize.save(int_model, args.out)
+    manifest, blob = os.path.getsize(args.out), os.path.getsize(args.out + ".blob")
+    f32 = 4 * _param_count(model)
     print(f"wrote integer model -> {args.out}")
+    print(
+        f"model bytes: manifest {manifest} + blob {blob} = {manifest + blob};"
+        f" f32 weights {f32} bytes, {f32 / (manifest + blob):.2f}x the model"
+    )
     return EXIT_OK
+
+
+def _param_count(obj) -> int:
+    """Number of array elements in a float layer or model, through nested dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, list):
+        return sum(map(_param_count, obj))
+    if is_dataclass(obj):
+        return sum(_param_count(getattr(obj, f.name)) for f in fields(obj))
+    return 0
 
 
 def cmd_run(args) -> int:

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .madnorm import MadNormQParams, MadNormRows, madnorm_int, madnorm_int_exact, madnorm_observe
+from .madnorm import MadNormQParams, MadNormRows, _noop, madnorm_int, madnorm_int_exact, madnorm_observe, scoped
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
     QuantParams,
@@ -125,10 +125,6 @@ class LstmState:
     @classmethod
     def zeros(cls, m: int) -> "LstmState":
         return cls(np.zeros(m), np.zeros(m))
-
-
-def _noop(name, value):
-    pass
 
 
 def _gate_rows(m: int):
@@ -789,8 +785,8 @@ class BiLstmSpec:
 
 
 def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noop) -> np.ndarray:
-    fwd = lstm_sequence_real(xs, w_fwd, "forward", record=lambda n, v: record(f"fwd.{n}", v))
-    bwd = lstm_sequence_real(xs, w_bwd, "backward", record=lambda n, v: record(f"bwd.{n}", v))
+    fwd = lstm_sequence_real(xs, w_fwd, "forward", record=scoped(record, "fwd"))
+    bwd = lstm_sequence_real(xs, w_bwd, "backward", record=scoped(record, "bwd"))
     return np.concatenate([fwd, bwd], axis=-1)
 
 

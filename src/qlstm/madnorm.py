@@ -83,6 +83,25 @@ class MadNormQParams:
         )
 
 
+def _noop(name, value):
+    pass
+
+
+def scoped(record, prefix: str):
+    """``record`` with ``prefix.`` before every stage name it is given.
+
+    A recorder with a ``view`` method (``runtime.CalibrationObserver``)
+    returns its cached view, so recording through it builds no string per
+    call; ``_noop`` stays itself and any other callable is wrapped.
+    """
+    if record is _noop:
+        return _noop
+    view = getattr(record, "view", None)
+    if view is not None:
+        return view(prefix)
+    return lambda name, value: record(f"{prefix}.{name}", value)
+
+
 def madnorm_observe(x: np.ndarray, record, prefix: str) -> np.ndarray:
     """Real MadNorm over the last axis; reports each integer stage's values.
 
@@ -95,10 +114,11 @@ def madnorm_observe(x: np.ndarray, record, prefix: str) -> np.ndarray:
     d = np.abs(xhat).mean(axis=-1, keepdims=True)
     dead = d <= 1e-12 * np.abs(mu)
     y = np.where(dead, 0.0, xhat / np.where(dead, 1.0, d))
-    record(f"{prefix}.mu", mu)
-    record(f"{prefix}.xhat", xhat)
-    record(f"{prefix}.d", d)
-    record(f"{prefix}.y", y)
+    record = scoped(record, prefix)
+    record("mu", mu)
+    record("xhat", xhat)
+    record("d", d)
+    record("y", y)
     return y
 
 

@@ -9,10 +9,11 @@ curves most.  A min-heap of adjacent slope differences drives the merges, so
 reducing N candidate knots costs O(N log N); among equal differences the
 knot of lowest index goes first.
 
-The PWL form (knots, fixed-point slopes and intercepts, override points) is
-what a model stores and what the exact oracle evaluates.  At build or load
-time every table also expands that form into its integer output at each
-point of the input grid (256 entries for an 8-bit input, 65,536 for a
+The integer PWL form (knots, fixed-point slopes and intercepts, override
+points) is what a model stores and what the exact oracle evaluates; the real
+form (knot values, slopes, intercepts) exists only on tables built here.  At
+build or load time every table also expands the integer form into its output
+at each point of the input grid (256 entries for an 8-bit input, 65,536 for a
 16-bit one), so the integer engine evaluates an activation as one gather.
 The engine reads nothing else, so the same tables filled with
 :func:`build_lut` run the true nonlinearities instead
@@ -151,21 +152,24 @@ def select_knots(knots, intercepts, n_pieces: int):
 class PwlTable:
     """Piecewise-linear table over a quantized input grid.
 
-    ``knots_q``/``knots_r`` hold the N+1 knots (quantized and real form),
-    ``intercepts`` the exact function values at every knot, ``slopes`` the N
-    chord slopes.  The integer form carries one fixed-point slope multiplier
-    and one precomputed intercept constant per piece, aligned so each
-    evaluation performs a single rounding; ``grid_out`` is that evaluation
-    over the whole input grid.
+    ``knots_q`` holds the N+1 knots on the input grid.  The integer form
+    carries one fixed-point slope multiplier and one precomputed intercept
+    constant per piece, aligned so each evaluation performs a single
+    rounding; ``grid_out`` is that evaluation over the whole input grid.
+    The real form (``knots_r``, the real knots; ``intercepts``, the exact
+    function values there; ``slopes``, the N chord slopes) is set by
+    :func:`build_pwl` and is ``None`` on a table read back by
+    ``serialize.load``, which stores the integer form only.
     """
 
     knots_q: np.ndarray
-    knots_r: np.ndarray
-    slopes: np.ndarray
-    intercepts: np.ndarray
     in_qp: QuantParams
     out_qp: QuantParams
     fn_name: str | None = None
+    # real form
+    knots_r: np.ndarray | None = field(default=None, repr=False)
+    slopes: np.ndarray | None = field(default=None, repr=False)
+    intercepts: np.ndarray | None = field(default=None, repr=False)
     # integer form
     slope_mants: np.ndarray = field(default=None, repr=False)
     slope_shifts: np.ndarray = field(default=None, repr=False)
@@ -194,7 +198,7 @@ class PwlTable:
 
     @property
     def n_pieces(self) -> int:
-        return len(self.slopes)
+        return len(self.knots_q) - 1
 
 
 def _build_integer_form(t: PwlTable) -> None:
@@ -290,13 +294,18 @@ def build_pwl(
     knots_r = rs[idx]
     intercepts = bs[idx]
     slopes = np.diff(intercepts) / np.diff(knots_r)
-    t = PwlTable(knots_q, knots_r, slopes, intercepts, in_qp, out_qp, fn_name=fn_name)
+    t = PwlTable(knots_q, in_qp, out_qp, fn_name, knots_r, slopes, intercepts)
     _build_integer_form(t)
     return t
 
 
 def eval_pwl_real(x, t: PwlTable):
-    """Real-arithmetic PWL evaluation; boundary pieces extend linearly."""
+    """Real-arithmetic PWL evaluation; boundary pieces extend linearly.
+
+    Needs the table's real form, which only :func:`build_pwl` sets.
+    """
+    if t.knots_r is None:
+        raise ValueError("PWL table has no real form: a loaded table keeps only the integer form; use build_pwl")
     x = np.asarray(x, dtype=np.float64)
     idx = np.clip(np.searchsorted(t.knots_r, x, side="right") - 1, 0, t.n_pieces - 1)
     g = t.slopes[idx] * (x - t.knots_r[idx]) + t.intercepts[idx]
@@ -360,7 +369,8 @@ def eval_pwl_int_exact(q: int, t: PwlTable) -> int:
 
 
 def dump_pwl_csv(t: PwlTable, fh) -> None:
-    """Write (q_x, real_in, real_out, int_out, piece_index) rows for the full grid."""
+    """Write (q_x, real_in, real_out, int_out, piece_index) rows for the full
+    grid; ``ValueError`` on a table without its real form."""
     qs = np.arange(t.in_qp.qmax + 1, dtype=np.int64)
     rs = dequantize(qs, t.in_qp)
     real_out = eval_pwl_real(rs, t)

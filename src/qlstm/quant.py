@@ -86,7 +86,8 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
 
     The range is widened to include zero so that real 0 is exactly
     representable at the zero-point.  A NaN or infinite bound, or a range
-    too wide for a finite scale, raises :class:`DegenerateRangeError`.
+    too wide for a finite scale or too narrow for a nonzero one, raises
+    :class:`DegenerateRangeError`.
     """
     if bitwidth not in (8, 16):
         raise ValueError(f"unsupported bitwidth {bitwidth}")
@@ -100,6 +101,8 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
     scale = (hi - lo) / qmax
     if not math.isfinite(scale):
         raise DegenerateRangeError(f"range [{min_val}, {max_val}] is not finite or too wide")
+    if scale == 0.0:
+        raise DegenerateRangeError(f"range [{min_val}, {max_val}] is too narrow for a nonzero scale")
     zero_point = int(iround(-lo / scale))
     return QuantParams(lo, hi, bitwidth, scale, zero_point)
 

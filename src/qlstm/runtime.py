@@ -50,6 +50,7 @@ from .lstm import (
     lstm_sequence_real,
     stage_qparams,
 )
+from .madnorm import _noop, scoped
 from .pwl import ACTIVATIONS, PwlTable, build_lut
 from .quant import (
     DegenerateRangeError,
@@ -287,7 +288,41 @@ class FloatModel:
         return bool(self.layers) and self.layers[0].takes_tokens
 
 
-class CalibrationObserver:
+class _StageView:
+    """Records stage values under one name prefix of a :class:`CalibrationObserver`.
+
+    A call appends the value to its stage's buffer in the observer; the full
+    stage name is built once per view and stage, not per call.
+    """
+
+    def __init__(self, obs: "CalibrationObserver", prefix: str):
+        self._obs = obs
+        self._prefix = prefix
+        self._buffers = {}  # stage name -> the observer's buffer for prefix + name
+        self._views = {}
+
+    def __call__(self, name: str, value) -> None:
+        v = value if type(value) is np.ndarray else np.asarray(value)
+        try:
+            self._buffers[name].append(v)
+        except KeyError:
+            buf = self._buffers[name] = self._obs._pending.setdefault(self._prefix + name, [])
+            buf.append(v)
+        obs = self._obs
+        obs._pending_size += v.size
+        if obs._pending_size > obs.PENDING_LIMIT:
+            obs.flush()
+
+    def view(self, prefix: str) -> "_StageView":
+        """The view that records under ``prefix.`` inside this one."""
+        try:
+            return self._views[prefix]
+        except KeyError:
+            view = self._views[prefix] = _StageView(self._obs, f"{self._prefix}{prefix}.")
+            return view
+
+
+class CalibrationObserver(_StageView):
     """Running per-stage min/max over observed activations.
 
     A call only buffers its value; :meth:`flush` (which :func:`calibrate`
@@ -296,31 +331,29 @@ class CalibrationObserver:
     cannot buffer without bound, a call that brings the buffer above
     ``PENDING_LIMIT`` elements flushes it too.  A recorded array must not be
     changed in place before it is flushed.  Empty values are ignored, and a
-    NaN value makes its stage's range NaN.
+    NaN value makes its stage's range NaN.  ``view(prefix)`` records under a
+    name prefix (the model's layers, a BiLSTM's directions) and is cached,
+    so a recorded value costs one Python call.
     """
 
     PENDING_LIMIT = 1 << 20
 
     def __init__(self):
+        super().__init__(self, "")
         self._ranges: dict = {}
-        self._pending: dict = {}
+        self._pending: dict = {}  # stage name -> buffered values; views hold these lists
         self._pending_size = 0
-
-    def __call__(self, name: str, value) -> None:
-        v = np.asarray(value)
-        self._pending.setdefault(name, []).append(v)
-        self._pending_size += v.size
-        if self._pending_size > self.PENDING_LIMIT:
-            self.flush()
 
     def flush(self) -> None:
         for name, values in self._pending.items():
+            if not values:
+                continue
             if name in self._ranges:
                 values.append(self._ranges[name])
             v = np.concatenate(values, axis=None, dtype=np.float64)
             if v.size:
                 self._ranges[name] = (float(v.min()), float(v.max()))
-        self._pending.clear()
+            values.clear()
         self._pending_size = 0
 
     @property
@@ -331,20 +364,16 @@ class CalibrationObserver:
 
 def forward_float(model: FloatModel, seq, record=None) -> list:
     """Run the float model, returning every layer's output sequence."""
-    obs = record if record is not None else (lambda name, value: None)
+    obs = record if record is not None else _noop
     cur = seq
     if not model.takes_tokens:
         cur = np.atleast_2d(np.asarray(seq, dtype=np.float64))
         obs("input", cur)
     outputs = []
     for i, layer in enumerate(model.layers):
-        cur = layer.forward(cur, outputs, _prefixed(obs, f"L{i}"))
+        cur = layer.forward(cur, outputs, scoped(obs, f"L{i}"))
         outputs.append(cur)
     return outputs
-
-
-def _prefixed(obs, prefix):
-    return lambda name, value: obs(f"{prefix}.{name}", value)
 
 
 def _check_tokens(seq, vocab: int) -> np.ndarray:

@@ -1,12 +1,26 @@
 """Model serialization: a UTF-8 JSON manifest plus a little-endian tensor blob.
 
-The manifest carries the layer graph, every per-stage quantization parameter,
-PWL tables (both real and integer form) and references into the blob as
-(offset, length) pairs.  Each layer class encodes and decodes its own
-descriptor through the writer and reader below; ``_LAYER_TYPES`` maps the
-descriptors' type tags back to the classes.  Floats round-trip exactly through JSON (shortest
-repr), integer constants are stored verbatim, so ``load(save(m))`` runs
-bit-identically to ``m``.  The blob is integrity-checked with SHA-256.
+The manifest (format version 2, compact JSON with sorted keys) carries the
+layer graph, every per-stage quantization parameter as ``[min, max,
+bitwidth]``, each PWL table's integer form (``knots_q``, the fixed-point
+slopes, intercepts and override points, ``frac_bits``, ``fn``) and
+references into the blob as (offset, length) pairs.  Each layer class
+encodes and decodes its own descriptor through the writer and reader below;
+``_LAYER_TYPES`` maps the descriptors' type tags back to the classes.
+
+``load`` derives each qparam's scale and zero point with
+:func:`~qlstm.quant.compute_qparams` (IEEE division and rounding, no libm),
+so ``save`` accepts only qparams that are that function's output.  Floats
+round-trip exactly through JSON (shortest repr) and integer constants are
+stored verbatim, so ``load(save(m))`` runs bit-identically to ``m``.  One
+SHA-256, the ``seal``, covers the manifest body (the document without its
+seal, dumped canonically) followed by the blob, so an edited manifest value
+or blob byte does not load.
+
+Version 1 files (indented JSON, five-field qparams, PWL tables with their
+real form too, a SHA-256 of the blob only) still load: their stored scales
+and zero points must equal the derived ones, and their real PWL form is
+ignored.
 """
 from __future__ import annotations
 
@@ -15,7 +29,6 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +36,7 @@ from .attention import QuantAttentionSpec
 from .lstm import QuantLstmSpec
 from .madnorm import MadNormQParams
 from .pwl import ACTIVATIONS, PwlTable
-from .quant import QuantParams
+from .quant import QuantParams, check_int, compute_qparams
 from .runtime import (
     AttentionDecoderLayer,
     BiLstmLayer,
@@ -42,7 +55,7 @@ from .runtime import (
     validate_chain,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _DTYPES = {
     "u8": np.uint8,
@@ -73,67 +86,35 @@ def _malformed(where: str):
         raise ModelFormatError(f"{where}: {e}") from e
 
 
-@dataclass
-class ModelManifest:
-    """Parsed manifest: layer descriptors plus tensor and qparams registries."""
-
-    version: int
-    kind: str
-    endianness: str
-    blob_file: str
-    checksum: str
-    layers: list
-    tensors: dict
-    qparams: dict
-    config: dict = field(default_factory=dict)
-    input_qparams: str | None = None
-
-    def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "kind": self.kind,
-            "endianness": self.endianness,
-            "blob": {"file": self.blob_file, "sha256": self.checksum},
-            "config": self.config,
-            "input_qparams": self.input_qparams,
-            "layers": self.layers,
-            "tensors": self.tensors,
-            "qparams": self.qparams,
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelManifest":
-        with _malformed("manifest"):
-            doc = json.loads(text)
-            if doc.get("version") != FORMAT_VERSION:
-                raise ModelFormatError(f"unsupported manifest version {doc.get('version')}")
-            return cls(
-                version=doc["version"],
-                kind=doc["kind"],
-                endianness=doc["endianness"],
-                blob_file=doc["blob"]["file"],
-                checksum=doc["blob"]["sha256"],
-                layers=doc["layers"],
-                tensors=doc["tensors"],
-                qparams=doc["qparams"],
-                config=doc.get("config") or {},
-                input_qparams=doc.get("input_qparams"),
-            )
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
-def _qp_dict(qp: QuantParams) -> dict:
-    return {
-        "min": qp.min,
-        "max": qp.max,
-        "bitwidth": qp.bitwidth,
-        "scale": qp.scale,
-        "zero_point": qp.zero_point,
-    }
+def seal(doc: dict, blob: bytes) -> str:
+    """SHA-256 (hex) of the manifest body, ``doc`` without its ``seal`` as
+    compact sorted JSON, followed by the blob."""
+    h = hashlib.sha256(_dumps({k: v for k, v in doc.items() if k != "seal"}).encode("utf-8"))
+    h.update(blob)
+    return h.hexdigest()
 
 
-def _qp_from(d: dict) -> QuantParams:
-    return QuantParams(d["min"], d["max"], d["bitwidth"], d["scale"], d["zero_point"])
+def _qp_v1(d: dict) -> QuantParams:
+    qp = QuantParams(d["min"], d["max"], d["bitwidth"], d["scale"], d["zero_point"])
+    if compute_qparams(qp.min, qp.max, qp.bitwidth) != qp:
+        raise ValueError("stored scale and zero point are not the ones its range and bitwidth give")
+    return qp
+
+
+def _qp_v2(entry: list) -> QuantParams:
+    lo, hi, bitwidth = entry
+    check_int("bitwidth", bitwidth)
+    qp = compute_qparams(lo, hi, bitwidth)
+    if (qp.min, qp.max) != (lo, hi):
+        raise ValueError(f"range [{lo}, {hi}] does not include zero")
+    return qp
+
+
+_QP_DECODERS = {1: _qp_v1, 2: _qp_v2}
 
 
 # manifest type tag -> (float layer class, integer layer class)
@@ -167,6 +148,7 @@ class _Writer:
         self.offset = 0
         self.tensors = {}
         self.qparams = {}
+        self._derived = set()  # qparams already checked against compute_qparams
 
     def tensor(self, name: str, arr: np.ndarray) -> str:
         arr = np.ascontiguousarray(arr)
@@ -185,7 +167,11 @@ class _Writer:
     def qp(self, name: str, qp: QuantParams) -> str:
         # every layer records its own entry; the loader re-checks that
         # adjacent layers still agree (chain validation)
-        self.qparams[name] = _qp_dict(qp)
+        if qp not in self._derived:
+            if compute_qparams(qp.min, qp.max, qp.bitwidth) != qp:
+                raise ValueError(f"qparams {name}: scale and zero point are not derived from the range")
+            self._derived.add(qp)
+        self.qparams[name] = [qp.min, qp.max, qp.bitwidth]
         return name
 
     def pwl(self, prefix: str, t: PwlTable) -> dict:
@@ -194,9 +180,6 @@ class _Writer:
             "in_qp": self.qp(f"{prefix}.in", t.in_qp),
             "out_qp": self.qp(f"{prefix}.out", t.out_qp),
             "knots_q": [int(v) for v in t.knots_q],
-            "knots_r": [float(v) for v in t.knots_r],
-            "slopes": [float(v) for v in t.slopes],
-            "intercepts": [float(v) for v in t.intercepts],
             "frac_bits": t.frac_bits,
             **{k: [int(v) for v in getattr(t, k)] for k in _PWL_INT_FIELDS},
         }
@@ -248,13 +231,15 @@ class _Writer:
 class _Reader:
     """Resolves the manifest's tensor and qparams references."""
 
-    def __init__(self, manifest: ModelManifest, blob: bytes):
-        self.m = manifest
+    def __init__(self, doc: dict, blob: bytes):
+        self.tensors = doc["tensors"]
+        self.qparams = doc["qparams"]
+        self._qp_decode = _QP_DECODERS[doc["version"]]
         self.blob = blob
         self._qp_cache = {}
 
     def tensor(self, name: str) -> np.ndarray:
-        ref = self.m.tensors[name]
+        ref = self.tensors[name]
         offset, length, shape = ref["offset"], ref["length"], ref["shape"]
         if not all(type(v) is int and v >= 0 for v in (offset, length, *shape)):
             raise ModelFormatError(f"tensor {name}: offset, length and shape must be non-negative integers")
@@ -269,7 +254,9 @@ class _Reader:
     def qp(self, name: str) -> QuantParams:
         # shared references resolve to one object so chained layers compare equal
         if name not in self._qp_cache:
-            self._qp_cache[name] = _qp_from(self.m.qparams[name])
+            entry = self.qparams[name]
+            with _malformed(f"qparams {name}"):
+                self._qp_cache[name] = self._qp_decode(entry)
         return self._qp_cache[name]
 
     def pwl(self, d: dict) -> PwlTable:
@@ -277,9 +264,6 @@ class _Reader:
             raise ModelFormatError(f"PWL table of unknown function {d['fn']!r}")
         return PwlTable(
             knots_q=np.array(d["knots_q"], dtype=np.int64),
-            knots_r=np.array(d["knots_r"], dtype=np.float64),
-            slopes=np.array(d["slopes"], dtype=np.float64),
-            intercepts=np.array(d["intercepts"], dtype=np.float64),
             in_qp=self.qp(d["in_qp"]),
             out_qp=self.qp(d["out_qp"]),
             fn_name=d["fn"],
@@ -320,7 +304,8 @@ class _Reader:
 
 
 def save(model, path: str) -> str:
-    """Write a model (float or integer) as ``path`` plus ``path + '.blob'``."""
+    """Write a model (float or integer) as ``path`` plus ``path + '.blob'``
+    in format version 2."""
     if not isinstance(model, (IntModel, FloatModel)):
         raise TypeError("save() expects a FloatModel or IntModel")
     w = _Writer()
@@ -330,60 +315,71 @@ def save(model, path: str) -> str:
         input_key = w.qp("input", model.input_qp) if model.input_qp is not None else None
         config, kind = model.config, "integer"
     blob = b"".join(w.chunks)
-    blob_name = os.path.basename(path) + ".blob"
-    manifest = ModelManifest(
-        version=FORMAT_VERSION,
-        kind=kind,
-        endianness="little",
-        blob_file=blob_name,
-        checksum=hashlib.sha256(blob).hexdigest(),
-        layers=layers,
-        tensors=w.tensors,
-        qparams=w.qparams,
-        config=config,
-        input_qparams=input_key,
-    )
+    doc = {
+        "version": FORMAT_VERSION,
+        "kind": kind,
+        "endianness": "little",
+        "blob": {"file": os.path.basename(path) + ".blob"},
+        "config": config,
+        "input_qparams": input_key,
+        "layers": layers,
+        "tensors": w.tensors,
+        "qparams": w.qparams,
+    }
+    doc["seal"] = seal(doc, blob)
     with open(path + ".blob", "wb") as fh:
         fh.write(blob)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+        fh.write(_dumps(doc))
     return path
 
 
 def load(path: str):
-    """Load a model saved with :func:`save`; verifies version and checksum.
+    """Load a model saved with :func:`save` (format version 1 or 2); verifies
+    the version and the checksum.
 
     Any manifest the loader cannot decode into a valid model raises
     :class:`ModelFormatError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        manifest = ModelManifest.from_json(fh.read())
-    name = manifest.blob_file
+        text = fh.read()
+    with _malformed("manifest"):
+        doc = json.loads(text)
+        version = doc.get("version")
+        if type(version) is not int or version not in _QP_DECODERS:
+            raise ModelFormatError(f"unsupported manifest version {version!r}")
+        name = doc["blob"]["file"]
     if not isinstance(name, str) or os.path.basename(name) != name or "\\" in name or name in ("", ".", ".."):
         raise ModelFormatError(f"blob file {name!r} must be a plain file name next to the manifest")
     blob_path = os.path.join(os.path.dirname(path) or ".", name)
     with open(blob_path, "rb") as fh:
         blob = fh.read()
-    if hashlib.sha256(blob).hexdigest() != manifest.checksum:
-        raise ModelFormatError("blob checksum mismatch")
-    if manifest.kind not in ("float", "integer"):
-        raise ModelFormatError(f"unknown model kind {manifest.kind!r}")
-    r = _Reader(manifest, blob)
-    integer = manifest.kind == "integer"
-    layers = []
     with _malformed("manifest"):
-        for i, d in enumerate(manifest.layers):
+        if version == 1:
+            intact = hashlib.sha256(blob).hexdigest() == doc["blob"]["sha256"]
+        else:
+            intact = seal(doc, blob) == doc["seal"]
+        if not intact:
+            raise ModelFormatError("checksum mismatch: the manifest or the blob changed after save")
+        kind = doc["kind"]
+        if kind not in ("float", "integer"):
+            raise ModelFormatError(f"unknown model kind {kind!r}")
+        r = _Reader(doc, blob)
+        integer = kind == "integer"
+        layers = []
+        for i, d in enumerate(doc["layers"]):
             # missing keys, and the layer constructors' checks (dtypes, shapes, accumulator bounds)
             with _malformed(f"layer {i}"):
-                kind = d.get("type")
-                if not isinstance(kind, str) or kind not in _LAYER_TYPES:
-                    raise ModelFormatError(f"unknown layer type {kind!r}")
-                layers.append(_LAYER_TYPES[kind][integer].decode(r, d))
+                tag = d.get("type")
+                if not isinstance(tag, str) or tag not in _LAYER_TYPES:
+                    raise ModelFormatError(f"unknown layer type {tag!r}")
+                layers.append(_LAYER_TYPES[tag][integer].decode(r, d))
     # the structure rules and the qparams chain
     with _malformed("model"):
         if not integer:
             return FloatModel(layers)
-        input_qp = r.qp(manifest.input_qparams) if manifest.input_qparams else None
-        model = IntModel(layers, input_qp, config=manifest.config)
+        input_key = doc.get("input_qparams")
+        input_qp = r.qp(input_key) if input_key else None
+        model = IntModel(layers, input_qp, config=doc.get("config") or {})
         validate_chain(model)
     return model

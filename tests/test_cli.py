@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import calibrated_int_model, random_cell, token_model
+from conftest import calibrated_int_model, edit_manifest, random_cell, token_model
 from qlstm import runtime, serialize
 from qlstm.cli import main
 from qlstm.lstm import LstmWeights
@@ -117,9 +117,7 @@ class TestExitCodes:
         _, im = calibrated_int_model(np.random.default_rng(32), ["lstm", "lstm", "residual"])
         path = tmp_path / "int.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        doc["layers"][3]["skip_from"] = 7
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, lambda doc: doc["layers"][3].update(skip_from=7))
         inp = tmp_path / "input.txt"
         inp.write_text("0 1 2\n")
         assert main(["run", "--model", str(path), "--input", str(inp), "--out", str(tmp_path / "o.txt")]) == 3
@@ -130,9 +128,7 @@ class TestExitCodes:
         _, im = calibrated_int_model(np.random.default_rng(33), ["lstm"])
         path = tmp_path / "int.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        del doc["layers"][1]["tensors"]
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, lambda doc: doc["layers"][1].pop("tensors"))
         inp = tmp_path / "input.txt"
         inp.write_text("0 1 2\n")
         assert main(["run", "--model", str(path), "--input", str(inp), "--out", str(tmp_path / "o.txt")]) == 3
@@ -156,6 +152,17 @@ class TestCalibrateConvert:
         rc = main(["calibrate", "--model", fpath, "--data", str(empty), "--out", str(tmp_path / "qp.json")])
         assert rc == 3
         assert "never observed" in capsys.readouterr().err
+
+    def test_convert_reports_model_bytes_against_f32(self, pipeline, capsys):
+        tmp_path, fpath, data = pipeline
+        _, ipath = run_pipeline(tmp_path, fpath, data)
+        line = capsys.readouterr().out.splitlines()[-1]
+        manifest, blob = (tmp_path / "int.json").stat().st_size, (tmp_path / "int.json.blob").stat().st_size
+        f32 = 4 * (5 * 3 + 16 * 3 + 16 * 4 + 16 + 5 * 4 + 5)  # embedding, LSTM, projection
+        assert line == (
+            f"model bytes: manifest {manifest} + blob {blob} = {manifest + blob};"
+            f" f32 weights {f32} bytes, {f32 / (manifest + blob):.2f}x the model"
+        )
 
     def test_convert_cell_bits(self, pipeline):
         tmp_path, fpath, data = pipeline

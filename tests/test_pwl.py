@@ -296,3 +296,19 @@ def test_csv_dump(tmp_path):
     assert len(lines) == 257
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[4]) == 0
+
+
+def test_table_without_real_form_keeps_its_integer_form(tmp_path):
+    # what serialize.load builds: the integer form only
+    built = build_pwl("tanh", QP_IN_44, QP_TANH, 5)
+    t = replace(built, knots_r=None, slopes=None, intercepts=None)
+    assert t.n_pieces == built.n_pieces == 5
+    assert np.array_equal(t.grid_out, built.grid_out)
+    qs = np.arange(256)
+    assert np.array_equal(eval_pwl_int(qs, t), eval_pwl_int(qs, built))
+    assert eval_pwl_int_exact(17, t) == eval_pwl_int_exact(17, built)
+    with pytest.raises(ValueError, match="no real form"):
+        eval_pwl_real(0.5, t)
+    with open(tmp_path / "table.csv", "w") as fh, pytest.raises(ValueError, match="no real form"):
+        dump_pwl_csv(t, fh)
+    assert (tmp_path / "table.csv").read_text() == ""

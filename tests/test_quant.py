@@ -69,6 +69,12 @@ class TestComputeQparams:
         with pytest.raises(DegenerateRangeError, match="is not finite or too wide"):
             compute_qparams(lo, hi, 16)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-5e-324, 0.0), (-5e-324, 5e-324)])
+    def test_range_too_narrow_for_a_scale_is_degenerate(self, lo, hi):
+        # the scale underflowed to 0 and the zero point raised ZeroDivisionError
+        with pytest.raises(DegenerateRangeError, match="too narrow"):
+            compute_qparams(lo, hi, 8)
+
     @pytest.mark.parametrize("field", ["min", "max", "scale"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_quant_params_reject_non_finite_fields(self, field, value):
@@ -89,6 +95,29 @@ class TestComputeQparams:
     def test_zero_point_dequantizes_to_zero(self, r):
         qp = compute_qparams(*r, 8)
         assert dequantize(qp.zero_point, qp) == 0.0
+
+    # bounds at zero (both signs), tiny and huge spans, and ranges compute_qparams widens to zero
+    bounds = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-3, 1e-3),
+    )
+
+    @given(bounds, bounds, st.sampled_from([8, 16]))
+    @example(0.0, 1.0, 8)
+    @example(-1.0, -0.0, 16)
+    @example(-1e-300, 1e-300, 8)
+    @example(-1e300, 1e300, 16)
+    def test_range_and_bitwidth_derive_the_qparams_back(self, a, b, bits):
+        """Models store each qparam as [min, max, bitwidth], and ``load``
+        derives the scale and zero point: every result must be a fixed point."""
+        try:
+            qp = compute_qparams(min(a, b), max(a, b), bits)
+        except ValueError:  # DegenerateRangeError included: not a range compute_qparams accepts
+            return
+        again = compute_qparams(qp.min, qp.max, qp.bitwidth)
+        assert again == qp
+        assert (again.scale, again.zero_point) == (qp.scale, qp.zero_point)
 
     @given(ranges8, st.sampled_from([8, 16]))
     def test_invariants(self, r, bits):

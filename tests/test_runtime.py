@@ -1,19 +1,27 @@
 """Runtime: calibration, conversion, integer execution and serialization."""
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, random_cell, token_model, use_true_functions
+from conftest import calibrated_int_model, edit_manifest, random_cell, token_model, use_true_functions
 from perfbench.workloads import WORKLOADS, make_inputs
 from qlstm import attention, floatguard, lstm, serialize
 from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
-from qlstm.quant import _BIAS_LIMIT, MAX_REDUCE_DIM, DegenerateRangeError, QuantTensor, compute_qparams, int_matmul
+from qlstm.quant import (
+    _BIAS_LIMIT,
+    MAX_REDUCE_DIM,
+    DegenerateRangeError,
+    QuantParams,
+    QuantTensor,
+    compute_qparams,
+    int_matmul,
+)
 from qlstm.runtime import (
     AttentionDecoderLayer,
     BiLstmLayer,
@@ -35,6 +43,32 @@ from qlstm.runtime import (
     run_reference,
     validate_chain,
 )
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def v1_golden_copy(tmp_path, edit) -> Path:
+    """``golden_int.json`` (format version 1) in ``tmp_path`` with ``edit(doc)``
+    applied; version 1 hashes only the blob, so the edit needs no re-seal."""
+    (tmp_path / "golden_int.json.blob").write_bytes((DATA / "golden_int.json.blob").read_bytes())
+    doc = json.loads((DATA / "golden_int.json").read_text())
+    edit(doc)
+    path = tmp_path / "golden_int.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def all_qparams(obj, path="model"):
+    """``(path, QuantParams)`` for every qparam reachable through dataclass fields and lists."""
+    if isinstance(obj, QuantParams):
+        yield path, obj
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from all_qparams(v, f"{path}[{i}]")
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from all_qparams(getattr(obj, f.name), f"{path}.{f.name}")
 
 
 def pwl_tables(model) -> list:
@@ -144,6 +178,17 @@ class TestCalibrate:
             obs("b", [float(i)])
             assert obs._pending_size <= obs.PENDING_LIMIT
         assert obs.ranges == {"a": (values.min(), values.max()), "b": (0.0, 39.0)}
+
+    def test_views_record_under_their_prefix(self):
+        obs = CalibrationObserver()
+        view = obs.view("L0")
+        assert obs.view("L0") is view and view.view("fwd") is view.view("fwd")
+        obs("L0.x", [3.0])
+        view("x", [1.0])
+        view.view("fwd")("x", np.array([-2.0, 0.5]))
+        obs.flush()
+        view("x", [4.0])
+        assert obs.ranges == {"L0.x": (1.0, 4.0), "L0.fwd.x": (-2.0, 0.5)}
 
     def test_observer_nan_anywhere_makes_range_nan(self):
         obs = CalibrationObserver()
@@ -434,6 +479,8 @@ class TestSaveLoad:
             path = str(tmp_path / f"m_{'_'.join(arch)}_{cell_bits}.json")
             serialize.save(im, path)
             im2 = serialize.load(path)
+            saved, loaded = dict(all_qparams(im)), dict(all_qparams(im2))
+            assert len(saved) > 30 and saved == loaded
             seq = rng.integers(0, 6, size=6)
             assert np.array_equal(run(im, seq), run(im2, seq))
 
@@ -446,6 +493,14 @@ class TestSaveLoad:
             im2 = serialize.load(path)
             assert im2.layers[1].spec.qp_c.bitwidth == bits
             assert im2.config["cell_bits"] == bits
+
+    def test_qparams_not_derived_from_their_range_not_saved(self, tmp_path):
+        # version 2 stores [min, max, bitwidth] only, so such a model would load changed
+        _, im = calibrated_int_model(np.random.default_rng(45), ["lstm"])
+        qp = im.layers[2].qp_w
+        im.layers[2].qp_w = replace(qp, zero_point=qp.zero_point + 1)
+        with pytest.raises(ValueError, match="qparams L2.wq: scale and zero point are not derived from the range"):
+            serialize.save(im, str(tmp_path / "m.json"))
 
     def test_corrupted_blob_rejected(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -473,10 +528,8 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = str(tmp_path / "m.json")
         serialize.save(im, path)
-        doc = json.loads((tmp_path / "m.json").read_text())
-        doc["version"] = 2
-        (tmp_path / "m.json").write_text(json.dumps(doc))
-        with pytest.raises(serialize.ModelFormatError, match="version"):
+        edit_manifest(path, lambda doc: doc.update(version=3))
+        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 3"):
             serialize.load(path)
 
     def test_chain_inconsistency_rejected(self, tmp_path):
@@ -484,11 +537,11 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = str(tmp_path / "m.json")
         serialize.save(im, path)
-        doc = json.loads((tmp_path / "m.json").read_text())
-        key = doc["layers"][1]["qparams"]["x"]
-        doc["qparams"][key]["scale"] *= 1.5
-        doc["qparams"][key]["max"] *= 1.5
-        (tmp_path / "m.json").write_text(json.dumps(doc))
+
+        def widen_input_grid(doc):
+            doc["qparams"][doc["layers"][1]["qparams"]["x"]][1] *= 1.5  # [min, max, bitwidth]
+
+        edit_manifest(path, widen_input_grid)
         with pytest.raises(ValueError, match="chain"):
             serialize.load(path)
 
@@ -509,23 +562,30 @@ class TestSaveLoad:
         im = convert(inputs.model, calibrate(inputs.model, inputs.calibration), **w.config)
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        for name in edits:
-            doc["qparams"][name]["bitwidth"] = 16
-        path.write_text(json.dumps(doc))
+
+        def widen(doc):
+            for name in edits:
+                doc["qparams"][name][2] = 16
+
+        edit_manifest(path, widen)
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
-    @pytest.mark.parametrize("field, value", [("zero_point", 106.5), ("zero_point", 106.0), ("zero_point", True)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("zero_point", 106.5), ("zero_point", 106.0), ("zero_point", True)]
+        + [("bitwidth", 8.5), ("bitwidth", 8.0), ("bitwidth", True)],
+    )
     def test_non_integer_qparams_field_rejected(self, tmp_path, field, value):
-        # a fractional zero point used to load, and run then disagreed with run_reference
-        rng = np.random.default_rng(40)
-        _, im = calibrated_int_model(rng, ["lstm"])
-        path = tmp_path / "m.json"
-        serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        doc["qparams"][doc["layers"][1]["qparams"]["mx"]][field] = value
-        path.write_text(json.dumps(doc))
+        # a fractional zero point used to load, and run then disagreed with run_reference;
+        # version 1 files still store the zero point, version 2 files the range and bitwidth only
+        if field == "zero_point":
+            path = v1_golden_copy(tmp_path, lambda doc: doc["qparams"]["L1.fwd.mx"].update(zero_point=value))
+        else:
+            path = tmp_path / "m.json"
+            _, im = calibrated_int_model(np.random.default_rng(40), ["lstm"])
+            serialize.save(im, str(path))
+            edit_manifest(path, lambda doc: doc["qparams"][doc["layers"][1]["qparams"]["mx"]].__setitem__(2, value))
         with pytest.raises(serialize.ModelFormatError, match=f"{field} must be an integer"):
             serialize.load(str(path))
 
@@ -535,12 +595,12 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
         tiny = compute_qparams(-1e-20, 1e-20, 8)
-        doc["qparams"][doc["layers"][1]["qparams"]["pre_sig"]].update(
-            min=tiny.min, max=tiny.max, scale=tiny.scale, zero_point=tiny.zero_point
-        )
-        path.write_text(json.dumps(doc))
+
+        def narrow(doc):
+            doc["qparams"][doc["layers"][1]["qparams"]["pre_sig"]] = [tiny.min, tiny.max, 8]
+
+        edit_manifest(path, narrow)
         with pytest.raises(serialize.ModelFormatError, match="layer 1: stage 'pre_sig': .* overflows int64"):
             serialize.load(str(path))
 
@@ -551,10 +611,12 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm_norm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        for norm in doc["layers"][1]["norm"].values():
-            norm["hidden"] = value(norm["hidden"])
-        path.write_text(json.dumps(doc))
+
+        def retype_hidden(doc):
+            for norm in doc["layers"][1]["norm"].values():
+                norm["hidden"] = value(norm["hidden"])
+
+        edit_manifest(path, retype_hidden)
         with pytest.raises(serialize.ModelFormatError, match="hidden must be an integer"):
             serialize.load(str(path))
 
@@ -573,9 +635,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        max(doc["tensors"].values(), key=lambda ref: ref["offset"]).update(edit)  # the blob's last tensor
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, lambda doc: max(doc["tensors"].values(), key=lambda ref: ref["offset"]).update(edit))
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
@@ -585,9 +645,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm", "lstm", "residual"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        doc["layers"][3]["skip_from"] = skip_from
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, lambda doc: doc["layers"][3].update(skip_from=skip_from))
         with pytest.raises(ValueError, match="residual skip"):
             serialize.load(str(path))
 
@@ -637,9 +695,7 @@ class TestSaveLoad:
         path = tmp_path / "models" / "m.json"
         serialize.save(im, str(path))
         (tmp_path / "x.blob").write_bytes((tmp_path / "models" / "m.json.blob").read_bytes())
-        doc = json.loads(path.read_text())
-        doc["blob"]["file"] = blob_file
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, lambda doc: doc["blob"].update(file=blob_file))
         with pytest.raises(serialize.ModelFormatError, match="plain file name"):
             serialize.load(str(path))
 
@@ -658,9 +714,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        doc["layers"][1]["pwl"]["sig"].update(edit)
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, lambda doc: doc["layers"][1]["pwl"]["sig"].update(edit))
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
@@ -681,9 +735,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, edit)
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
@@ -693,9 +745,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        doc["layers"][1]["pwl"]["tanh_c"]["fn"] = fn
-        path.write_text(json.dumps(doc))
+        edit_manifest(path, lambda doc: doc["layers"][1]["pwl"]["tanh_c"].update(fn=fn))
         with pytest.raises(serialize.ModelFormatError, match=f"PWL table of unknown function {fn!r}"):
             serialize.load(str(path))
 
@@ -721,10 +771,12 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm_norm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
-        cell = doc["layers"][1]
-        cell["norm"][norm][key] = cell["qparams"][value] if key == "x" else value
-        path.write_text(json.dumps(doc))
+
+        def mismatch(doc):
+            cell = doc["layers"][1]
+            cell["norm"][norm][key] = cell["qparams"][value] if key == "x" else value
+
+        edit_manifest(path, mismatch)
         with pytest.raises(serialize.ModelFormatError, match=f"norm_{norm[1]} must take"):
             serialize.load(str(path))
 
@@ -775,54 +827,142 @@ def saved_manifest(tmp_path_factory):
     _, im = calibrated_int_model(np.random.default_rng(39), ["lstm_norm", "attn"])
     path = tmp_path_factory.mktemp("fuzz") / "m.json"
     serialize.save(im, str(path))
-    doc = json.loads(path.read_text())
-    return path, doc, [p for p in _leaf_paths(doc) if p[0] != "blob"]
+    text = path.read_text()
+    return path, text, [p for p in _leaf_paths(json.loads(text)) if p[0] not in ("blob", "seal")]
 
 
 @given(data=st.data(), value=st.sampled_from([None, -1, 0, 1.5, 10**12, "x", [], {}, "<deleted>"]))
 def test_mutated_manifest_loads_or_raises_format_error(saved_manifest, data, value):
-    path, doc, paths = saved_manifest
-    doc = json.loads(json.dumps(doc))
+    path, text, paths = saved_manifest
     *parents, key = data.draw(st.sampled_from(paths))
-    node = doc
-    for k in parents:
-        node = node[k]
-    if value == "<deleted>":
-        node.pop(key)
-    else:
-        node[key] = value
-    path.write_text(json.dumps(doc))
+
+    def mutate(doc):
+        node = doc
+        for k in parents:
+            node = node[k]
+        if value == "<deleted>":
+            node.pop(key)
+        else:
+            node[key] = value
+
+    path.write_text(text)
+    edit_manifest(path, mutate)  # re-sealed, so the decoder's own checks see the edit
     try:
         serialize.load(str(path))
     except serialize.ModelFormatError:
         pass
 
 
-class TestGoldenFormat:
-    """Models written by an earlier version of the code, every layer type in
-    each: the format must keep reading them and writing them back unchanged."""
+def _bump_sig_intercept(doc):
+    doc["layers"][1]["pwl"]["sig"]["intercept_fx"][0] += 1
 
-    DATA = Path(__file__).resolve().parent / "data"
+
+class TestSeal:
+    """One SHA-256 covers the manifest body and the blob: any edit that is
+    not re-sealed fails to load, where version 1 hashed the blob only."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["qparams"][doc["layers"][1]["qparams"]["pre_sig"]].__setitem__(1, 4.0),
+            _bump_sig_intercept,
+            lambda doc: max(doc["tensors"].values(), key=lambda ref: ref["offset"]).update(offset=0),
+            lambda doc: doc.update(seal=doc["seal"].upper()),
+        ],
+        ids=["qparam-max", "pwl-intercept", "tensor-offset", "seal-itself"],
+    )
+    def test_unsealed_manifest_edit_rejected(self, tmp_path, edit):
+        _, im = calibrated_int_model(np.random.default_rng(43), ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.ModelFormatError, match="checksum mismatch"):
+            serialize.load(str(path))
+
+    def test_seal_covers_the_blob_and_ignores_layout(self, tmp_path):
+        _, im = calibrated_int_model(np.random.default_rng(44), ["lstm"])
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["seal"] == serialize.seal(doc, (tmp_path / "m.json.blob").read_bytes())
+        path.write_text(json.dumps(doc, indent=2))  # same body, other whitespace and key order
+        serialize.load(str(path))
+        blob = bytearray((tmp_path / "m.json.blob").read_bytes())
+        blob[-1] ^= 1
+        assert doc["seal"] != serialize.seal(doc, bytes(blob))
+
+
+class TestGoldenFormat:
+    """Models written by earlier versions of the code, every layer type in
+    each.  Version 1 files keep loading and are written back as their
+    version 2 fixtures; version 2 files are written back unchanged."""
+
+    def assert_saves_as(self, model, tmp_path, name):
+        serialize.save(model, str(tmp_path / name))
+        for suffix in ("", ".blob"):
+            assert (tmp_path / (name + suffix)).read_bytes() == (DATA / (name + suffix)).read_bytes()
 
     @pytest.mark.parametrize("name", ["golden_int.json", "golden_float.json"])
     def test_loads_and_saves_back_byte_identical(self, tmp_path, name):
-        model = serialize.load(str(self.DATA / name))
-        kinds = [d["type"] for d in json.loads((self.DATA / name).read_text())["layers"]]
+        """A version 1 file loads and saves back as its version 2 fixture."""
+        doc = json.loads((DATA / name).read_text())
+        model = serialize.load(str(DATA / name))
+        kinds = [d["type"] for d in doc["layers"]]
+        assert doc["version"] == 1
         assert len(model.layers) == len(kinds) == 7
         assert set(kinds) == {
             "embedding", "lstm", "madnorm_lstm", "bilstm", "attention_decoder", "residual_add", "final_projection"
         }
-        serialize.save(model, str(tmp_path / name))
-        for suffix in ("", ".blob"):
-            assert (tmp_path / (name + suffix)).read_bytes() == (self.DATA / (name + suffix)).read_bytes()
+        self.assert_saves_as(model, tmp_path, name.replace(".json", ".v2.json"))
+
+    @pytest.mark.parametrize("name", ["golden_int.v2.json", "golden_float.v2.json"])
+    def test_v2_loads_and_saves_back_byte_identical(self, tmp_path, name):
+        assert json.loads((DATA / name).read_text())["version"] == 2
+        self.assert_saves_as(serialize.load(str(DATA / name)), tmp_path, name)
+
+    def test_v2_loads_to_the_v1_qparams(self):
+        v1 = serialize.load(str(DATA / "golden_int.json"))
+        v2 = serialize.load(str(DATA / "golden_int.v2.json"))
+        tables = list(zip(pwl_tables(v1), pwl_tables(v2)))
+        assert len(tables) == 17
+        for a, b in tables:
+            assert (a.in_qp, a.out_qp) == (b.in_qp, b.out_qp)
+            assert np.array_equal(a.grid_out, b.grid_out)
+            assert a.knots_r is None and b.knots_r is None  # the real form is not loaded
 
     def test_int_run_matches_oracle_and_stored_logits(self):
-        model = serialize.load(str(self.DATA / "golden_int.json"))
-        expected = json.loads((self.DATA / "golden_int.expected.json").read_text())
+        expected = json.loads((DATA / "golden_int.expected.json").read_text())
         tokens = np.array(expected["tokens"])
-        got = run(model, tokens)
-        assert np.array_equal(got, run_reference(model, tokens))
-        assert got.tolist() == expected["logits"]
+        for name in ("golden_int.json", "golden_int.v2.json"):
+            model = serialize.load(str(DATA / name))
+            got = run(model, tokens)
+            assert np.array_equal(got, run_reference(model, tokens))
+            assert got.tolist() == expected["logits"]
+
+    @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("scale", lambda v: v * (1 + 2**-40), "stored scale and zero point are not the ones"),
+            ("zero_point", lambda v: v + 1, "stored scale and zero point are not the ones"),
+            ("zero_point", lambda v: v + 0.5, "zero_point must be an integer"),
+        ],
+    )
+    def test_v1_qparams_not_derived_from_their_range_rejected(self, tmp_path, field, change, message):
+        # version 1 stores the scale and zero point too; the loader still derives them
+        qp = json.loads((DATA / "golden_int.json").read_text())["qparams"]["L1.fwd.mx"]
+        path = v1_golden_copy(tmp_path, lambda doc: doc["qparams"]["L1.fwd.mx"].update({field: change(qp[field])}))
+        with pytest.raises(serialize.ModelFormatError, match=f"qparams L1.fwd.mx: {message}"):
+            serialize.load(str(path))
+
+    def test_v1_blob_checksum_still_checked(self, tmp_path):
+        path = v1_golden_copy(tmp_path, lambda doc: None)
+        blob = bytearray((tmp_path / "golden_int.json.blob").read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        (tmp_path / "golden_int.json.blob").write_bytes(bytes(blob))
+        with pytest.raises(serialize.ModelFormatError, match="checksum"):
+            serialize.load(str(path))
 
 
 class TestExactActivations:
