@@ -19,7 +19,6 @@ from .lstm import (
     LstmState,
     LstmWeights,
     QuantLstmSpec,
-    _check_inputs,
     _finish_step_real,
     _gate_blocks,
     _rows,
@@ -34,7 +33,6 @@ from .madnorm import _noop, scoped
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact
 from .quant import (
     QuantParams,
-    QuantTensor,
     Rescale,
     ScaledMultiplier,
     check_accumulator,
@@ -356,11 +354,16 @@ class QuantAttnDecoderSpec:
             raise ValueError("context matmul output must be 8-bit")
         check_dtype(np.uint8, w_s_q=self.w_s_q)
         check_accumulator((self.w_s_q.shape[-1],))
+        m, cell, a = self.cell.hidden_size, self.cell, self.attn
+        m_att, m_enc = a.v_q.shape[-1], a.w_k_q.shape[-1]
+        shapes = {"w_q": (a.w_q_q, (m_att, m)), "w_k": (a.w_k_q, (m_att, m_enc)), "w_s": (self.w_s_q, (4 * m, m_enc))}
+        for name, (w, want) in shapes.items():
+            if w.shape != want:
+                raise ValueError(f"{name} has shape {w.shape}, not {want}, in a {m}-unit decoder's attention")
         self.w_s_diff = self.w_s_q.astype(np.int32) - np.int32(self.qp_ws.zero_point)
         self.m_ms = saturating_multiplier(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
         self.m_ms2sig = term_multiplier("pre_sig", self.qp_ms.scale / self.cell.qp_pre_sig.scale, 255)
         self.m_ms2j = term_multiplier("pre_j", self.qp_ms.scale / self.cell.qp_pre_j.scale, 255)
-        m, cell = self.cell.hidden_size, self.cell
         self.rq_ms = Rescale.of(self.m_ms, 0, -self.qp_ms.zero_point, 255 - self.qp_ms.zero_point)
         # the formed preactivations (multiplier 1) plus the context term, on each row's gate-sum grid
         terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, self.m_ms2sig, self.m_ms2j)))
@@ -430,23 +433,21 @@ def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
     return sig, j
 
 
-def attn_decoder_sequence_int(q_xs: QuantTensor, q_enc: QuantTensor, dec: QuantAttnDecoderSpec) -> QuantTensor:
-    """The decoder over ``q_xs``, attending over ``q_enc``; the qparams are
-    checked here, once, and the kernels run on the raw storage arrays."""
+def attn_decoder_sequence_int(xs: np.ndarray, enc: np.ndarray, dec: QuantAttnDecoderSpec) -> np.ndarray:
+    """The decoder over the raw ``(T, n)`` storage ``xs`` on ``dec.cell.qp_x``,
+    attending over the raw encoder states ``enc`` on ``dec.attn.qp_enc``;
+    returns the raw ``(T, m)`` uint8 hidden states on ``dec.cell.qp_h``."""
     cell, lanes = dec.cell, dec.cell.lanes
-    _check_inputs(cell, q_xs.qp)
-    if q_enc.qp != dec.attn.qp_enc:
-        raise ValueError("encoder qparams do not match the attention spec")
-    data = np.atleast_2d(q_xs.data)
+    xs = np.atleast_2d(xs)
     h, c = lanes.initial_state()
-    hs = np.empty((len(data), cell.hidden_size), dtype=np.uint8)
-    keys = attention_keys(q_enc.data, dec.attn)
-    for t in range(len(data)):
+    hs = np.empty((len(xs), cell.hidden_size), dtype=np.uint8)
+    keys = attention_keys(enc, dec.attn)
+    for t in range(len(xs)):
         s, _ = attention_int(h[0], keys, dec.attn)
-        pre = inject_context(lstm_gate_preacts_int(data[t, None], h, lanes), s, dec)
+        pre = inject_context(lstm_gate_preacts_int(xs[t, None], h, lanes), s, dec)
         h, c = lstm_apply_gates_int(pre, c, lanes)
         hs[t] = h[0]
-    return QuantTensor(hs, cell.qp_h)
+    return hs
 
 
 def attn_decoder_step_exact(q_x, q_h, q_c, q_enc, dec: QuantAttnDecoderSpec):

@@ -3,29 +3,17 @@
 Every integer kernel reports the arrays it touches through :func:`note`.
 While tracing is active, any array with a floating-point dtype increments
 a global counter; a clean integer-only run therefore finishes with a count
-of zero.  Tracing is off by default (``note`` is a cheap no-op) and can be
-switched on either with :func:`trace_float_ops` or by setting the
-``QLSTM_FLOAT_TRACE`` environment variable to ``1`` before a model run.
+of zero.  Tracing is off by default (``note`` is a cheap no-op) and is
+switched on for a block with :func:`trace_float_ops`.
 """
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 import numpy as np
 
-_ENV_VAR = "QLSTM_FLOAT_TRACE"
-
 _tracing = False
 _float_ops = 0
-
-
-def env_tracing_requested() -> bool:
-    return os.environ.get(_ENV_VAR, "") == "1"
-
-
-def tracing() -> bool:
-    return _tracing
 
 
 def float_op_count() -> int:

@@ -39,7 +39,6 @@ from .madnorm import MadNormQParams, MadNormRows, _noop, madnorm_int, madnorm_in
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
     QuantParams,
-    QuantTensor,
     Rescale,
     check_accumulator,
     check_dtype,
@@ -240,8 +239,11 @@ class QuantLstmSpec:
             raise ValueError("MadNorm variant needs all three norm configurations")
         check_dtype(np.uint8, w_x_q=self.w_x_q, w_h_q=self.w_h_q)
         check_dtype(np.int32, bias_q=self.bias_q)
-        check_accumulator((self.input_size, self.w_h_q.shape[-1]), self.bias_q)
         m = self.hidden_size
+        w_x, w_h, bias = self.w_x_q.shape, self.w_h_q.shape, self.bias_q.shape
+        if len(w_x) != 2 or w_x[0] != 4 * m or w_h != (4 * m, m) or bias != (4 * m,):
+            raise ValueError(f"inconsistent LSTM weight shapes: w_x {w_x}, w_h {w_h}, bias {bias}")
+        check_accumulator((self.input_size, m), self.bias_q)
         if self.norm:
             # each MadNorm normalizes one stage's rows on that stage's grid
             stages = (("norm_x", 4 * m, self.qp_mx), ("norm_h", 4 * m, self.qp_mh), ("norm_c", m, self.qp_c))
@@ -578,11 +580,6 @@ def run_lanes(frames: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     return hs
 
 
-def _check_inputs(spec: QuantLstmSpec, qp_x: QuantParams) -> None:
-    if qp_x != spec.qp_x:
-        raise ValueError("input qparams do not match the cell spec")
-
-
 # ---------------------------------------------------------------------------
 # exact-arithmetic oracle
 # ---------------------------------------------------------------------------
@@ -719,10 +716,11 @@ def lstm_sequence_real(
     return hs
 
 
-def lstm_sequence_int(q_xs: QuantTensor, spec: QuantLstmSpec) -> QuantTensor:
-    """Forward pass of one cell; a BiLSTM runs both directions in :func:`bilstm_sequence_int`."""
-    _check_inputs(spec, q_xs.qp)
-    return QuantTensor(run_lanes(np.atleast_2d(q_xs.data)[:, None], spec.lanes)[:, 0], spec.qp_h)
+def lstm_sequence_int(xs: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
+    """Forward pass of one cell over the raw ``(T, n)`` storage ``xs`` on
+    ``spec.qp_x``; returns the raw ``(T, m)`` uint8 hidden states on
+    ``spec.qp_h``.  A BiLSTM runs both directions in :func:`bilstm_sequence_int`."""
+    return run_lanes(np.atleast_2d(xs)[:, None], spec.lanes)[:, 0]
 
 
 def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec, direction: str = "forward") -> np.ndarray:
@@ -790,13 +788,14 @@ def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noo
     return np.concatenate([fwd, bwd], axis=-1)
 
 
-def bilstm_sequence_int(q_xs: QuantTensor, spec: BiLstmSpec) -> QuantTensor:
-    """Forward step t and backward step T-1-t as the two lanes of one kernel call."""
-    _check_inputs(spec.fwd, q_xs.qp)
-    data = np.atleast_2d(q_xs.data)
-    hs = run_lanes(np.stack((data, data[::-1]), axis=1), spec.lanes)
+def bilstm_sequence_int(xs: np.ndarray, spec: BiLstmSpec) -> np.ndarray:
+    """Forward step t and backward step T-1-t as the two lanes of one kernel
+    call, on raw storage as :func:`lstm_sequence_int`; returns the
+    directions' hidden states side by side."""
+    xs = np.atleast_2d(xs)
+    hs = run_lanes(np.stack((xs, xs[::-1]), axis=1), spec.lanes)
     fwd, bwd = spec.lanes.hidden
-    return QuantTensor(np.concatenate((hs[:, 0, :fwd], hs[::-1, 1, :bwd]), axis=1), spec.qp_h)
+    return np.concatenate((hs[:, 0, :fwd], hs[::-1, 1, :bwd]), axis=1)
 
 
 def bilstm_sequence_exact(q_xs: np.ndarray, spec: BiLstmSpec) -> np.ndarray:

@@ -167,7 +167,9 @@ def check_accumulator(dims, bias_q=None) -> None:
 
 @dataclass
 class QuantTensor:
-    """Quantized integer data together with its quantization parameters."""
+    """An integer model's output sequence together with its quantization
+    parameters, as :func:`~qlstm.runtime.run` returns it; between layers,
+    values are raw storage arrays."""
 
     data: np.ndarray
     qp: QuantParams
@@ -179,26 +181,8 @@ class QuantTensor:
                 f"storage dtype {self.data.dtype} does not match bitwidth {self.qp.bitwidth}"
             )
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def diffs(self) -> np.ndarray:
-        """Zero-point-centred values as int32 (matmul/elementwise operand form)."""
-        floatguard.note(self.data)
-        return self.data.astype(np.int32) - np.int32(self.qp.zero_point)
-
     def dequantize(self) -> np.ndarray:
         return dequantize(self.data, self.qp)
-
-    @classmethod
-    def from_real(cls, x, qp: QuantParams) -> "QuantTensor":
-        return cls.from_private(np.array(x, dtype=np.float64), qp)
-
-    @classmethod
-    def from_private(cls, x: np.ndarray, qp: QuantParams) -> "QuantTensor":
-        """Quantize a float64 array the caller owns, overwriting it."""
-        return cls(quantize_in_place(x, qp).astype(qp.storage_dtype), qp)
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,18 @@ are plain loops over the stack:
 * a float layer has ``forward(x, outputs, record)``, ``stages(prefix)`` (the
   calibration keys it needs) and ``convert(ranges, prefix, qp_in, out_qps,
   **opts)``, which returns its integer layer;
-* an integer layer has ``qp_in``/``qp_out``, ``links`` (the qparams chain
-  checks), ``run``, ``run_exact`` (its exact oracle) and ``dequantize``;
+* an integer layer has ``qp_in``/``qp_out``, ``links`` (the chain checks),
+  ``run``, ``run_exact`` (its exact oracle) and ``dequantize``; ``run``
+  takes and returns raw arrays (uint8/uint16 storage, or int32 logits),
+  ``run_exact`` int64 arrays;
 * both have ``encode(writer, prefix)`` and ``decode(reader, desc)`` for the
   manifest, whose type tags ``serialize`` maps to the classes.
 
 ``outputs`` holds the outputs of the layers already run, for residuals.
 Per-stage quantization parameters chain through the stack: every layer
-consumes its producer's output qparams, so adjacent layers always agree on
-the wire format.
+consumes its producer's output qparams and width.  Building an
+:class:`IntModel` checks that chain once, so a layer reads the zero points
+of its input from its own qparams.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from . import floatguard
 from .attention import (
     AttentionWeights,
     QuantAttnDecoderSpec,
@@ -63,6 +65,7 @@ from .quant import (
     dequantize,
     int_matmul,
     quantize_bias,
+    quantize_in_place,
     quantize_weights,
     rescale_add,
     rescale_add_exact,
@@ -82,6 +85,8 @@ class _Layer:
 
 
 def _check_structure(layers) -> None:
+    if not layers:
+        raise ValueError("a model needs at least one layer")
     for i, layer in enumerate(layers):
         if layer.takes_tokens and i != 0:
             raise ValueError("embedding must be the first layer")
@@ -285,7 +290,7 @@ class FloatModel:
 
     @property
     def takes_tokens(self) -> bool:
-        return bool(self.layers) and self.layers[0].takes_tokens
+        return self.layers[0].takes_tokens
 
 
 class _StageView:
@@ -419,9 +424,15 @@ def calibrate(model: FloatModel, batches) -> dict:
 
 
 class _IntLayer(_Layer):
-    def links(self, prev, out_qps) -> list:
-        """``(consumed, produced, where)`` qparams pairs that must be equal."""
-        return [] if self.qp_in is None else [(self.qp_in, prev, "")]
+    def links(self, prev, outs) -> list:
+        """``(consumed, produced, where)`` ports that must agree, a port being
+        ``(qparams, width)``: ``prev`` is the previous layer's output port
+        (the model input's, of any width, for the first layer) and ``outs``
+        every earlier layer's."""
+        return [] if self.qp_in is None else [((self.qp_in, self.input_size), prev, "")]
+
+    def port_out(self, prev) -> tuple:
+        return self.qp_out, self.output_size
 
 
 @dataclass
@@ -441,11 +452,15 @@ class IntEmbedding(_IntLayer):
     def qp_out(self):
         return self.qp
 
+    @property
+    def output_size(self) -> int:
+        return self.table_q.shape[1]
+
     def run(self, tokens, outputs):
-        return QuantTensor(self.table_q[tokens], self.qp)
+        return self.table_q[tokens]
 
     def run_exact(self, tokens, outputs):
-        return self.table_q[tokens].astype(np.int64), self.qp
+        return self.table_q[tokens].astype(np.int64)
 
     def dequantize(self):
         return EmbeddingLayer(dequantize(self.table_q, self.qp))
@@ -481,11 +496,15 @@ class IntLstm(_IntLayer):
     def input_size(self) -> int:
         return self.spec.input_size
 
+    @property
+    def output_size(self) -> int:
+        return self.spec.hidden_size
+
     def run(self, x, outputs):
         return lstm_sequence_int(x, self.spec)
 
     def run_exact(self, x, outputs):
-        return lstm_sequence_exact(x[0], self.spec), self.qp_out
+        return lstm_sequence_exact(x, self.spec)
 
     def dequantize(self):
         return LstmLayer(_dequant_cell(self.spec), norm=self.spec.norm)
@@ -514,11 +533,15 @@ class IntBiLstm(_IntLayer):
     def input_size(self) -> int:
         return self.spec.fwd.input_size
 
+    @property
+    def output_size(self) -> int:
+        return sum(self.spec.lanes.hidden)
+
     def run(self, x, outputs):
         return bilstm_sequence_int(x, self.spec)
 
     def run_exact(self, x, outputs):
-        return bilstm_sequence_exact(x[0], self.spec), self.qp_out
+        return bilstm_sequence_exact(x, self.spec)
 
     def dequantize(self):
         return BiLstmLayer(_dequant_cell(self.spec.fwd), _dequant_cell(self.spec.bwd))
@@ -548,14 +571,19 @@ class IntAttnDecoder(_IntLayer):
     def input_size(self) -> int:
         return self.spec.cell.input_size
 
-    def links(self, prev, out_qps):
-        return [(self.spec.attn.qp_enc, prev, " (attention encoder input)"), (self.qp_in, prev, "")]
+    @property
+    def output_size(self) -> int:
+        return self.spec.cell.hidden_size
+
+    def links(self, prev, outs):
+        enc = (self.spec.attn.qp_enc, self.spec.attn.w_k_q.shape[-1])
+        return [(enc, prev, " (attention encoder input)"), *super().links(prev, outs)]
 
     def run(self, x, outputs):
         return attn_decoder_sequence_int(x, x, self.spec)
 
     def run_exact(self, x, outputs):
-        return attn_decoder_sequence_exact(x[0], x[0], self.spec), self.qp_out
+        return attn_decoder_sequence_exact(x, x, self.spec)
 
     def dequantize(self):
         a = self.spec.attn
@@ -603,29 +631,31 @@ class IntResidual(_IntLayer):
         self.m_a = term_multiplier("out", self.qp_a.scale / self.qp_out.scale, 255)
         self.m_b = term_multiplier("out", self.qp_b.scale / self.qp_out.scale, 255)
         self.rs = Rescale.of([[self.m_a], [self.m_b]], self.qp_out.zero_point, 0, 255)
+        self.zp_ab = np.array([[self.qp_a.zero_point], [self.qp_b.zero_point]], dtype=np.int32)
 
     @property
     def qp_in(self):
         return self.qp_b
 
-    def links(self, prev, out_qps):
-        return [(self.qp_a, out_qps[self.skip_from], " (residual skip operand)"), (self.qp_b, prev, "")]
+    def links(self, prev, outs):
+        # both operands must be as wide as the previous layer's output
+        width = prev[1]
+        return [((self.qp_a, width), outs[self.skip_from], " (residual skip operand)"), ((self.qp_b, width), prev, "")]
+
+    def port_out(self, prev) -> tuple:
+        return self.qp_out, prev[1]
 
     def run(self, x, outputs):
-        out = rescale_add(np.stack((outputs[self.skip_from].diffs(), x.diffs()), axis=-2), self.rs)
-        return QuantTensor(out.astype(np.uint8), self.qp_out)
+        terms = np.stack((outputs[self.skip_from], x), axis=-2).astype(np.int32) - self.zp_ab
+        return rescale_add(terms, self.rs).astype(np.uint8)
 
     def run_exact(self, x, outputs):
-        (a, qp_a), (b, qp_b) = outputs[self.skip_from], x
+        za, zb = self.qp_a.zero_point, self.qp_b.zero_point
         res = [
-            rescale_add_exact(
-                [(int(u) - qp_a.zero_point, self.m_a), (int(v) - qp_b.zero_point, self.m_b)],
-                self.qp_out.zero_point,
-                8,
-            )
-            for u, v in zip(a.ravel(), b.ravel())
+            rescale_add_exact([(int(u) - za, self.m_a), (int(v) - zb, self.m_b)], self.qp_out.zero_point, 8)
+            for u, v in zip(outputs[self.skip_from].ravel(), x.ravel())
         ]
-        return np.array(res, dtype=np.int64).reshape(a.shape), self.qp_out
+        return np.array(res, dtype=np.int64).reshape(x.shape)
 
     def dequantize(self):
         return ResidualAddLayer(self.skip_from)
@@ -669,12 +699,15 @@ class IntProjection(_IntLayer):
     def input_size(self) -> int:
         return self.w_q.shape[-1]
 
+    @property
+    def output_size(self) -> int:
+        return self.w_q.shape[0]
+
     def run(self, x, outputs):
-        return (int_matmul(x.diffs(), self.w_diff.T) + self.bias_q).astype(np.int32)
+        return (int_matmul(x - np.int32(self.qp_in.zero_point), self.w_diff.T) + self.bias_q).astype(np.int32)
 
     def run_exact(self, x, outputs):
-        data, qp = x
-        return (data - qp.zero_point) @ self.w_diff.T.astype(np.int64) + self.bias_q, None
+        return (x - self.qp_in.zero_point) @ self.w_diff.T.astype(np.int64) + self.bias_q
 
     def dequantize(self):
         bias = self.bias_q * (self.qp_w.scale * self.qp_in.scale)
@@ -698,16 +731,20 @@ class IntProjection(_IntLayer):
 
 @dataclass
 class IntModel:
+    """An integer layer stack whose structure, qparams chain and widths are
+    checked when it is built (:func:`validate_chain`)."""
+
     layers: list
     input_qp: QuantParams | None
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _check_structure(self.layers)
+        validate_chain(self)
 
     @property
     def takes_tokens(self) -> bool:
-        return bool(self.layers) and self.layers[0].takes_tokens
+        return self.layers[0].takes_tokens
 
 
 def convert(
@@ -750,52 +787,43 @@ def convert(
 
 
 def validate_chain(model: IntModel) -> None:
-    """Check that every consumer's input qparams equal its producer's output."""
-    prev = model.input_qp
-    out_qps = []
+    """Check that every consumer's input qparams and width equal its producer's output."""
+    prev, outs = (model.input_qp, None), []
     for i, layer in enumerate(model.layers):
-        for got, want, where in layer.links(prev, out_qps):
-            if want is None or got != want:
+        for (qp, width), (want_qp, want_width), where in layer.links(prev, outs):
+            if want_qp is None or qp != want_qp:
                 raise ValueError(f"qparams chain broken at layer {i}{where}")
-        prev = layer.qp_out
-        out_qps.append(prev)
+            if want_width is not None and width != want_width:
+                raise ValueError(f"layer {i}{where} takes {width} values per frame, but its input has {want_width}")
+        prev = layer.port_out(prev)
+        outs.append(prev)
 
 
-def _prepare_input(model: IntModel, seq):
+def _prepare_input(model: IntModel, seq) -> np.ndarray:
+    """Token ids, or the frames as raw storage on ``model.input_qp``."""
     if model.takes_tokens:
         return _check_tokens(seq, model.layers[0].table_q.shape[0])
     x = np.atleast_2d(np.array(seq, dtype=np.float64))  # a private copy, quantized in place
+    width = model.layers[0].input_size
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"input frames must have {width} features each, not shape {x.shape}")
     if x.shape[0] == 0:
         raise ValueError("input sequence must not be empty")
     if not np.isfinite(x).all():
         raise ValueError("input frames must be finite (found NaN or inf)")
-    return QuantTensor.from_private(x, model.input_qp)
+    return quantize_in_place(x, model.input_qp).astype(model.input_qp.storage_dtype)
 
 
 def run(model: IntModel, seq):
     """Execute the integer model; returns 32-bit logits when the model ends
-    in a projection, otherwise the final quantized sequence.
-
-    With ``QLSTM_FLOAT_TRACE=1`` the run is wrapped in the float-op tracer
-    and fails loudly if any floating-point value crosses an integer kernel.
-    """
-    prepared = _prepare_input(model, seq)
-    if floatguard.env_tracing_requested() and not floatguard.tracing():
-        with floatguard.trace_float_ops() as count:
-            result = _run_layers(model, prepared)
-            n = count()
-        if n:
-            raise RuntimeError(f"{n} floating-point operations detected on the integer path")
-        return result
-    return _run_layers(model, prepared)
-
-
-def _run_layers(model: IntModel, prepared):
-    cur, outputs = prepared, []
+    in a projection, otherwise the final sequence's storage together with
+    its qparams (``.data`` and ``.qp``)."""
+    cur, outputs = _prepare_input(model, seq), []
     for layer in model.layers:
         cur = layer.run(cur, outputs)
         outputs.append(cur)
-    return cur
+    qp = model.layers[-1].qp_out
+    return cur if qp is None else QuantTensor(cur, qp)
 
 
 def exact_activations(model: IntModel) -> IntModel:
@@ -822,16 +850,14 @@ def _exact_tables(node):
     return replace(node, **changed) if changed else node
 
 
-def run_reference(model: IntModel, seq):
-    """Exact-arithmetic mirror of :func:`run` (the fake-quantization oracle)."""
-    cur = _prepare_input(model, seq)
-    if not model.takes_tokens:
-        cur = (cur.data.astype(np.int64), cur.qp)
-    outputs = []
+def run_reference(model: IntModel, seq) -> np.ndarray:
+    """Exact-arithmetic mirror of :func:`run` (the fake-quantization oracle);
+    returns the raw output as int64."""
+    cur, outputs = _prepare_input(model, seq).astype(np.int64), []
     for layer in model.layers:
         cur = layer.run_exact(cur, outputs)
         outputs.append(cur)
-    return cur[0]
+    return cur
 
 
 def dequantize_model(model: IntModel) -> FloatModel:

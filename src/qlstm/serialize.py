@@ -52,7 +52,6 @@ from .runtime import (
     IntResidual,
     LstmLayer,
     ResidualAddLayer,
-    validate_chain,
 )
 
 FORMAT_VERSION = 2
@@ -374,12 +373,10 @@ def load(path: str):
                 if not isinstance(tag, str) or tag not in _LAYER_TYPES:
                     raise ModelFormatError(f"unknown layer type {tag!r}")
                 layers.append(_LAYER_TYPES[tag][integer].decode(r, d))
-    # the structure rules and the qparams chain
+    # the structure rules, and for an integer model the qparams chain and the widths
     with _malformed("model"):
         if not integer:
             return FloatModel(layers)
         input_key = doc.get("input_qparams")
         input_qp = r.qp(input_key) if input_key else None
-        model = IntModel(layers, input_qp, config=doc.get("config") or {})
-        validate_chain(model)
-    return model
+        return IntModel(layers, input_qp, config=doc.get("config") or {})

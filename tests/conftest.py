@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, settings
 
 from qlstm import attention as att
@@ -22,6 +23,11 @@ def edit_manifest(path, edit) -> None:
     edit(doc)
     doc["seal"] = serialize.seal(doc, Path(f"{path}.blob").read_bytes())
     path.write_text(json.dumps(doc))
+
+
+def stored(x, qp) -> np.ndarray:
+    """``x`` quantized onto ``qp`` in its storage dtype, as a layer holds it."""
+    return quant.quantize(x, qp).astype(qp.storage_dtype)
 
 
 def random_cell(rng, m, n, scale=0.5):

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import calibrated_int_model, observe, random_attention_config, random_cell
+from conftest import calibrated_int_model, observe, random_attention_config, random_cell, stored
 from qlstm import floatguard, runtime, serialize
 from qlstm.attention import attention_int, attention_int_exact, attention_keys
 from qlstm.cli import main
@@ -26,7 +26,7 @@ from qlstm.lstm import (
 )
 from qlstm.madnorm import MadNormQParams, MadNormRows, madnorm_int, madnorm_int_exact, madnorm_observe
 from qlstm.pwl import build_lut, build_pwl, eval_pwl_int, eval_pwl_real, select_knots, sigmoid
-from qlstm.quant import QuantTensor, compute_qparams, dequantize
+from qlstm.quant import compute_qparams, dequantize
 
 
 @contextmanager
@@ -185,14 +185,14 @@ def test_criterion_6_bit_exactness_suite():
                 wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"),
                 pieces=int(rng.integers(2, 8)), cell_bits=8 if k % 2 == 0 else 16,
             )
-            q_xs = QuantTensor.from_real(xs, spec.fwd.qp_x)
+            q_xs = stored(xs, spec.fwd.qp_x)
             got = bilstm_sequence_int(q_xs, spec)
-            assert np.array_equal(got.data.astype(np.int64), bilstm_sequence_exact(q_xs.data, spec))
+            assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, spec))
 
         for _ in range(1000):
             _, h, enc, spec = random_attention_config(rng, pieces=8, candidates=128)
-            q_h = QuantTensor.from_real(h, spec.qp_h_dec).data
-            q_enc = QuantTensor.from_real(enc, spec.qp_enc).data
+            q_h = stored(h, spec.qp_h_dec)
+            q_enc = stored(enc, spec.qp_enc)
             q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
             s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
             assert np.array_equal(q_s, s_ref)
@@ -234,8 +234,8 @@ def test_criterion_7_cell_state_bitwidth_fidelity():
             gaps = {}
             for cell_bits in (8, 16):
                 spec = QuantLstmSpec.from_float(w, ranges, pieces=16, cell_bits=cell_bits)
-                hs = lstm_sequence_int(QuantTensor.from_real(xs, spec.qp_x), spec)
-                gaps[cell_bits] = float(np.abs(hs.dequantize() - real).mean())
+                hs = lstm_sequence_int(stored(xs, spec.qp_x), spec)
+                gaps[cell_bits] = float(np.abs(dequantize(hs, spec.qp_h) - real).mean())
             assert gaps[16] <= gaps[8], (seed, gaps)
 
 

@@ -1,9 +1,11 @@
 """Additive attention: real path, integer softmax/attention vs exact oracle."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, observe, random_attention_config, random_cell, use_true_functions
+from conftest import calibrated_int_model, observe, random_attention_config, random_cell, stored, use_true_functions
 from qlstm import attention as att
 from qlstm import runtime
 from qlstm.attention import (
@@ -20,7 +22,7 @@ from qlstm.attention import (
     softmax_int_exact,
 )
 from qlstm.lstm import lstm_gate_preacts_int
-from qlstm.quant import QuantTensor, compute_qparams, dequantize, quantize
+from qlstm.quant import compute_qparams, dequantize, quantize
 
 
 def scalar_reference_attention(h_prev, enc_h, w):
@@ -168,11 +170,6 @@ class TestAttentionInt:
         assert np.max(np.abs(q_s - want)) <= 1
 
 
-def stored(x, qp) -> np.ndarray:
-    """``x`` quantized onto ``qp`` in its storage dtype, as a layer holds it."""
-    return quantize(x, qp).astype(qp.storage_dtype)
-
-
 def pinned(rng, shape, how: str) -> np.ndarray:
     """uint8 storage: random, all 0, all 255, or a random mix of 0 and 255."""
     return {
@@ -252,37 +249,39 @@ class TestInjectContext:
     def test_decoder_sequence_bit_exact(self):
         rng = np.random.default_rng(14)
         _, _, xs, enc, dec = build_decoder(rng)
-        q_xs = QuantTensor.from_real(xs, dec.cell.qp_x)
-        q_enc = QuantTensor.from_real(enc, dec.attn.qp_enc)
+        q_xs = stored(xs, dec.cell.qp_x)
+        q_enc = stored(enc, dec.attn.qp_enc)
         got = attn_decoder_sequence_int(q_xs, q_enc, dec)
-        want = attn_decoder_sequence_exact(q_xs.data, q_enc.data, dec)
-        assert np.array_equal(got.data.astype(np.int64), want)
+        want = attn_decoder_sequence_exact(q_xs, q_enc, dec)
+        assert np.array_equal(got.astype(np.int64), want)
 
     def test_decoder_close_to_three_term_real_sum(self):
         rng = np.random.default_rng(15)
         cell, attn_w, xs, enc, dec = build_decoder(rng)
-        q_xs = QuantTensor.from_real(xs, dec.cell.qp_x)
-        q_enc = QuantTensor.from_real(enc, dec.attn.qp_enc)
-        got = attn_decoder_sequence_int(q_xs, q_enc, dec).dequantize()
+        q_xs = stored(xs, dec.cell.qp_x)
+        q_enc = stored(enc, dec.attn.qp_enc)
+        got = dequantize(attn_decoder_sequence_int(q_xs, q_enc, dec), dec.cell.qp_h)
         want = att.attn_decoder_sequence_real(xs, enc, cell, attn_w)
         assert np.abs(got - want).mean() < 0.1
 
     def test_decoder_rejects_mismatched_encoder_qparams(self):
+        """The decoder attends over its own input: building its model
+        checks the encoder grid against the input's, once."""
         rng = np.random.default_rng(12)
-        _, _, xs, enc, dec = build_decoder(rng)
-        bad = QuantTensor.from_real(enc, compute_qparams(-20.0, 20.0, 8))
-        with pytest.raises(ValueError, match="encoder qparams"):
-            attn_decoder_sequence_int(QuantTensor.from_real(xs, dec.cell.qp_x), bad, dec)
+        _, _, _, _, dec = build_decoder(rng, n_in=5)
+        dec = replace(dec, attn=replace(dec.attn, qp_enc=compute_qparams(-20.0, 20.0, 8)))
+        with pytest.raises(ValueError, match=r"qparams chain broken at layer 0 \(attention encoder input\)"):
+            runtime.IntModel([runtime.IntAttnDecoder(dec)], dec.cell.qp_x)
 
     def test_16bit_gate_sum_bit_exact(self):
         rng = np.random.default_rng(16)
         _, _, xs, enc, dec = build_decoder(rng, gate_bits=16)
         assert dec.cell.qp_pre_sig.bitwidth == 16
-        q_xs = QuantTensor.from_real(xs, dec.cell.qp_x)
-        q_enc = QuantTensor.from_real(enc, dec.attn.qp_enc)
+        q_xs = stored(xs, dec.cell.qp_x)
+        q_enc = stored(enc, dec.attn.qp_enc)
         got = attn_decoder_sequence_int(q_xs, q_enc, dec)
-        want = attn_decoder_sequence_exact(q_xs.data, q_enc.data, dec)
-        assert np.array_equal(got.data.astype(np.int64), want)
+        want = attn_decoder_sequence_exact(q_xs, q_enc, dec)
+        assert np.array_equal(got.astype(np.int64), want)
 
 
 def test_keys_are_projected_once_per_sequence(monkeypatch):
@@ -297,8 +296,8 @@ def test_keys_are_projected_once_per_sequence(monkeypatch):
         return int_matmul(a, b)
 
     monkeypatch.setattr(att, "int_matmul", counting)
-    q_enc = QuantTensor.from_real(enc, dec.attn.qp_enc)
-    attn_decoder_sequence_int(QuantTensor.from_real(xs, dec.cell.qp_x), q_enc, dec)
+    q_enc = stored(enc, dec.attn.qp_enc)
+    attn_decoder_sequence_int(stored(xs, dec.cell.qp_x), q_enc, dec)
     # one T x m_att x m_enc key product per sequence, never one per step
     assert [a for a, b in shapes if b == (m_enc, m_att)] == [(T, m_enc)]
     assert len(shapes) == 1 + 4 * T  # per step: query, score, context and its injection
@@ -307,8 +306,6 @@ def test_keys_are_projected_once_per_sequence(monkeypatch):
 def test_ledger_bitwidth_violation_rejected():
     rng = np.random.default_rng(17)
     w, h, enc, spec = random_attention_config(rng)
-    from dataclasses import replace
-
     bad_e = compute_qparams(spec.qp_e.min, spec.qp_e.max, 8)
     with pytest.raises(ValueError):
         replace(spec, qp_e=bad_e)

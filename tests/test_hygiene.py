@@ -4,6 +4,9 @@ The one exception is ``eval_pwl_int`` in ``lstm`` and ``attention``:
 ``perfbench/spans.py`` re-binds it there to time ``pwl.eval``, and the
 kernels gather from the PWL tables instead of calling it, so each module
 keeps the import only so that the binding exists.
+
+Layers pass raw arrays, so ``QuantTensor`` is built only as ``runtime.run``'s
+return value.
 """
 import ast
 from pathlib import Path
@@ -47,3 +50,42 @@ def test_unread_imports_finds_exactly_the_unread_names(tmp_path):
         "from .quant import a, b as c, d\n\n\ndef f(x: d) -> None:\n    return np.sum(c)\n"
     )
     assert unread_imports(probe) == {"os", "a"}
+
+
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "name", None)  # aliases and definitions
+
+
+def uses(path: Path, name: str) -> tuple:
+    """Whether ``path`` names ``name`` anywhere, and the innermost function
+    around each call of it (``None`` at module level)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _name(child.func) == name:
+                callers.append(fn)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(tree, None)
+    return any(_name(node) == name for node in ast.walk(tree)), callers
+
+
+def test_quant_tensor_is_built_only_by_run():
+    found = {path.stem: uses(path, "QuantTensor") for path in sorted(SRC.glob("*.py"))}
+    assert {stem for stem, (named, _) in found.items() if named} == {"__init__", "quant", "runtime"}
+    assert {stem: callers for stem, (_, callers) in found.items() if callers} == {"runtime": ["run"]}
+
+
+def test_uses_finds_every_call_and_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .quant import T\nT(0)\n\n\ndef f():\n    def g():\n        return quant.T(1)\n\n    return T(g())\n"
+    )
+    assert uses(probe, "T") == (True, [None, "g", "f"])
+    assert uses(probe, "U") == (False, [])

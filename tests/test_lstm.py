@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, observe, random_cell, random_lstm_config
+from conftest import calibrated_int_model, observe, random_cell, random_lstm_config, stored
 from perfbench.spans import Recorder, instrument
 from qlstm import lstm as L
 from qlstm import runtime
@@ -28,7 +28,7 @@ from qlstm.lstm import (
     lstm_step_real,
     madnorm_lstm_step_real,
 )
-from qlstm.quant import QuantTensor, ScaledMultiplier, compute_qparams, dequantize, quantize
+from qlstm.quant import ScaledMultiplier, compute_qparams, dequantize, quantize
 
 
 def int_step(q_x, h, c, spec):
@@ -121,9 +121,9 @@ class TestIntStep:
         state_r = LstmState.zeros(4)
         h, c = initial_state(spec)
         for t in range(1000):
-            q_x = QuantTensor.from_real(xs[t], spec.qp_x)
+            q_x = stored(xs[t], spec.qp_x)
             state_r = fakequant_step(xs[t], state_r, spec)
-            h, c = int_step(q_x.data, h, c, spec)
+            h, c = int_step(q_x, h, c, spec)
             assert np.array_equal(np.asarray(quantize(state_r.h, spec.qp_h)), h.astype(np.int64))
             assert np.array_equal(np.asarray(quantize(state_r.c, spec.qp_c)), c)
 
@@ -159,8 +159,8 @@ class TestIntStep:
         xs = rng.normal(0, 1, (32, n))
         ranges = observe(lstm_sequence_real, xs, w)
         spec = QuantLstmSpec.from_float(w, ranges, pieces=16, cell_bits=16)
-        hs = lstm_sequence_int(QuantTensor.from_real(xs, spec.qp_x), spec)
-        gap = np.abs(hs.dequantize() - lstm_sequence_real(xs, w)).mean()
+        hs = lstm_sequence_int(stored(xs, spec.qp_x), spec)
+        gap = np.abs(dequantize(hs, spec.qp_h) - lstm_sequence_real(xs, w)).mean()
         assert gap < 0.005  # first-run value 0.00380
 
     def test_state_stays_in_storage_range(self):
@@ -169,16 +169,28 @@ class TestIntStep:
         xs = rng.normal(0, 25, (50, 3))  # far outside the calibrated range
         h, c = initial_state(spec)
         for x in xs:
-            h, c = int_step(QuantTensor.from_real(x, spec.qp_x).data, h, c, spec)
+            h, c = int_step(stored(x, spec.qp_x), h, c, spec)
             assert 0 <= h.min() and h.max() <= 255
             assert 0 <= c.min() and c.max() <= 65535
 
     def test_rejects_mismatched_input(self):
+        """The cell's input grid is checked once, when its model is built."""
         rng = np.random.default_rng(9)
         _, _, spec = random_lstm_config(rng)
-        bad = QuantTensor.from_real(np.zeros((3, spec.input_size)), compute_qparams(-7.0, 7.0, 8))
-        with pytest.raises(ValueError, match="input qparams"):
-            lstm_sequence_int(bad, spec)
+        with pytest.raises(ValueError, match="qparams chain broken at layer 0$"):
+            runtime.IntModel([runtime.IntLstm(spec)], compute_qparams(-7.0, 7.0, 8))
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [("w_h_q", (12, 2)), ("w_h_q", (12, 4)), ("w_x_q", (12, 2, 1)), ("w_x_q", (10, 2)), ("bias_q", (6,))],
+)
+def test_cell_weight_shapes_must_agree(name, shape):
+    """A recurrent matrix narrower than the hidden state used to build and
+    run, ignoring the last hidden units, while the oracle failed."""
+    _, _, spec = random_lstm_config(np.random.default_rng(24), m=3, n=2)
+    with pytest.raises(ValueError, match="inconsistent LSTM weight shapes"):
+        replace(spec, **{name: np.zeros(shape, dtype=getattr(spec, name).dtype)})
 
 
 class TestMadNormVariant:
@@ -199,10 +211,10 @@ class TestMadNormVariant:
         rng = np.random.default_rng(11)
         w, _, spec = random_lstm_config(rng, norm=True, m=8, n=4, T=10, pieces=12)
         xs = rng.normal(0, 1, (500, 4))
-        q_xs = QuantTensor.from_real(xs, spec.qp_x)
+        q_xs = stored(xs, spec.qp_x)
         got = lstm_sequence_int(q_xs, spec)
-        want = lstm_sequence_exact(q_xs.data, spec)
-        assert np.array_equal(got.data.astype(np.int64), want)
+        want = lstm_sequence_exact(q_xs, spec)
+        assert np.array_equal(got.astype(np.int64), want)
 
     def test_forward_stability_smoke(self):
         rng = np.random.default_rng(12)
@@ -251,12 +263,12 @@ class TestSequences:
     def test_int_sequence_directions_bit_exact(self):
         rng = np.random.default_rng(17)
         _, xs, spec = random_lstm_config(rng, m=3, n=3, T=6)
-        q_xs = QuantTensor.from_real(xs, spec.qp_x)
-        fwd = lstm_sequence_exact(q_xs.data, spec, "forward")
-        assert np.array_equal(lstm_sequence_int(q_xs, spec).data.astype(np.int64), fwd)
+        q_xs = stored(xs, spec.qp_x)
+        fwd = lstm_sequence_exact(q_xs, spec, "forward")
+        assert np.array_equal(lstm_sequence_int(q_xs, spec).astype(np.int64), fwd)
         # the backward integer path is a BiLSTM lane, checked against this oracle in TestBiLstm
-        bwd = lstm_sequence_exact(q_xs.data, spec, "backward")
-        assert np.array_equal(bwd, lstm_sequence_exact(q_xs.data[::-1], spec, "forward")[::-1])
+        bwd = lstm_sequence_exact(q_xs, spec, "backward")
+        assert np.array_equal(bwd, lstm_sequence_exact(q_xs[::-1], spec, "forward")[::-1])
 
 
 class TestBiLstm:
@@ -288,10 +300,10 @@ class TestBiLstm:
     def test_bit_exact_vs_oracle(self):
         rng = np.random.default_rng(20)
         wf, wb, xs, spec = self._bispec(rng)
-        q_xs = QuantTensor.from_real(xs, spec.fwd.qp_x)
+        q_xs = stored(xs, spec.fwd.qp_x)
         got = bilstm_sequence_int(q_xs, spec)
-        want = bilstm_sequence_exact(q_xs.data, spec)
-        assert np.array_equal(got.data.astype(np.int64), want)
+        want = bilstm_sequence_exact(q_xs, spec)
+        assert np.array_equal(got.astype(np.int64), want)
         assert got.shape == (6, 6)
 
     def test_unequal_direction_widths_run_equals_reference(self):
@@ -305,10 +317,10 @@ class TestBiLstm:
         for T in (1, 9):
             xs = rng.normal(0, 1, (T, 4))
             assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
-            q_xs = QuantTensor.from_real(xs, spec.fwd.qp_x)
+            q_xs = stored(xs, spec.fwd.qp_x)
             got = bilstm_sequence_int(q_xs, spec)
             assert got.shape == (T, 8)
-            assert np.array_equal(got.data.astype(np.int64), bilstm_sequence_exact(q_xs.data, spec))
+            assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, spec))
 
     def test_madnorm_lanes_of_unequal_width_rejected(self):
         rng = np.random.default_rng(22)
@@ -334,7 +346,7 @@ class TestBiLstm:
 
         monkeypatch.setattr(L, "lstm_gate_preacts_int", counted("preacts", L.lstm_gate_preacts_int))
         monkeypatch.setattr(L, "int_matmul", counted("matmul", L.int_matmul))
-        bilstm_sequence_int(QuantTensor.from_real(xs, spec.fwd.qp_x), spec)
+        bilstm_sequence_int(stored(xs, spec.fwd.qp_x), spec)
         assert calls == {"preacts": 7, "matmul": 14}
 
 
@@ -375,7 +387,7 @@ class TestFusedKernelEdges:
             "qmax": np.full((T, 3), 1e3),
             "both": rng.choice([-1e3, 1e3], size=(T, 3)),
         }[inputs]
-        q = QuantTensor.from_real(xs, im.input_qp).data
+        q = stored(xs, im.input_qp)
         assert inputs == "random" or np.all((q == 0) | (q == 255))
         assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
 
@@ -388,8 +400,8 @@ class TestFusedKernelEdges:
         norm_x = replace(spec.norm_x, qp_x=qp_mx) if norm else None
         spec = replace(spec, qp_mx=qp_mx, norm_x=norm_x)
         assert spec.m_mx.shift >= 63
-        q_xs = QuantTensor.from_real(xs, spec.qp_x)
-        assert np.array_equal(lstm_sequence_int(q_xs, spec).data, lstm_sequence_exact(q_xs.data, spec))
+        q_xs = stored(xs, spec.qp_x)
+        assert np.array_equal(lstm_sequence_int(q_xs, spec), lstm_sequence_exact(q_xs, spec))
 
     @pytest.mark.parametrize("gate_bits", [8, 16])
     def test_stage_shift_of_0_or_less_rounds_bit_exactly(self, gate_bits):
@@ -398,8 +410,8 @@ class TestFusedKernelEdges:
         tiny = compute_qparams(-1e-12, 1e-12, gate_bits)
         spec = replace(spec, qp_pre_sig=tiny, qp_pre_j=tiny)
         assert spec.m_x2sig.shift <= 0 and spec.m_h2j.shift <= 0
-        q_xs = QuantTensor.from_real(xs, spec.qp_x)
-        assert np.array_equal(lstm_sequence_int(q_xs, spec).data, lstm_sequence_exact(q_xs.data, spec))
+        q_xs = stored(xs, spec.qp_x)
+        assert np.array_equal(lstm_sequence_int(q_xs, spec), lstm_sequence_exact(q_xs, spec))
 
     def test_stage_shift_past_int64_rejected_with_its_stage(self):
         """At +-1e-20 the gate-sum multipliers reach shift -37, and their
@@ -435,8 +447,8 @@ class TestFusedKernelEdges:
             assert cells[lane].m_x2sig.shift <= 0 and cells[lane].m_h2j.shift <= 0
             assert cells[1 - lane].m_x2sig.shift > 0
         spec = BiLstmSpec(*cells)
-        q_xs = QuantTensor.from_real(rng.normal(0, 1, (9, 3)), spec.fwd.qp_x)
-        assert np.array_equal(bilstm_sequence_int(q_xs, spec).data, bilstm_sequence_exact(q_xs.data, spec))
+        q_xs = stored(rng.normal(0, 1, (9, 3)), spec.fwd.qp_x)
+        assert np.array_equal(bilstm_sequence_int(q_xs, spec), bilstm_sequence_exact(q_xs, spec))
 
     def test_bilstm_lanes_with_gate_tables_of_different_lengths(self):
         """An 8-bit gate grid on one lane and a 16-bit one on the other:
@@ -455,8 +467,8 @@ class TestFusedKernelEdges:
         assert len(spec.lanes.gate_table) == 2 * 256 + 2 * 65536
         assert len(spec.lanes.tanh_c_table) == 256 + 65536
         for T in (1, 11):
-            q_xs = QuantTensor.from_real(rng.normal(0, 2, (T, 2)), qp_x)
-            assert np.array_equal(bilstm_sequence_int(q_xs, spec).data, bilstm_sequence_exact(q_xs.data, spec))
+            q_xs = stored(rng.normal(0, 2, (T, 2)), qp_x)
+            assert np.array_equal(bilstm_sequence_int(q_xs, spec), bilstm_sequence_exact(q_xs, spec))
 
     def test_bilstm_single_frame_both_lanes_read_it(self):
         rng = np.random.default_rng(44)
@@ -465,10 +477,10 @@ class TestFusedKernelEdges:
         spec = BiLstmSpec.from_float(
             wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"), pieces=6
         )
-        q_x = QuantTensor.from_real(xs[:1], spec.fwd.qp_x)
-        got = bilstm_sequence_int(q_x, spec).data
-        assert np.array_equal(got, bilstm_sequence_exact(q_x.data, spec))
-        one = [int_step(q_x.data[0], *initial_state(c), c)[0] for c in (spec.fwd, spec.bwd)]
+        q_x = stored(xs[:1], spec.fwd.qp_x)
+        got = bilstm_sequence_int(q_x, spec)
+        assert np.array_equal(got, bilstm_sequence_exact(q_x, spec))
+        one = [int_step(q_x[0], *initial_state(c), c)[0] for c in (spec.fwd, spec.bwd)]
         assert np.array_equal(got[0], np.concatenate(one))
 
 
@@ -482,7 +494,7 @@ def saturating_cell(rng, m, n):
 def assert_cell_saturates(spec, q_xs):
     """The integer cell state reaches the top of its grid within the run."""
     h, c = initial_state(spec)
-    for q_x in q_xs.data[:200]:
+    for q_x in q_xs[:200]:
         h, c = int_step(q_x, h, c, spec)
         if c.max() == spec.qp_c.qmax:
             return
@@ -502,7 +514,7 @@ class TestLongRuns:
         im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 3))]), pieces=6, cell_bits=cell_bits)
         xs = rng.normal(0, 1, (self.T, 3))
         spec = im.layers[0].spec
-        assert_cell_saturates(spec.fwd, QuantTensor.from_real(xs, im.input_qp))
+        assert_cell_saturates(spec.fwd, stored(xs, im.input_qp))
         assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
 
     def test_seq2seq_shaped(self):
@@ -522,16 +534,16 @@ class TestLongRuns:
             ]
         )
         im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 3))]), pieces=6)
-        q = QuantTensor.from_real(rng.normal(0, 1, (self.T, 3)), im.input_qp)
+        q = stored(rng.normal(0, 1, (self.T, 3)), im.input_qp)
         assert_cell_saturates(im.layers[0].spec, q)
         for layer in im.layers[:2]:
             got = layer.run(q, [])
-            want, _ = layer.run_exact((q.data.astype(np.int64), q.qp), [])
-            assert np.array_equal(got.data.astype(np.int64), want)
+            want = layer.run_exact(q.astype(np.int64), [])
+            assert np.array_equal(got.astype(np.int64), want)
             q = got
-        dec, enc = im.layers[2].spec, QuantTensor(q.data[:16], q.qp)
+        dec, enc = im.layers[2].spec, q[:16]
         got = attn_decoder_sequence_int(q, enc, dec)
-        assert np.array_equal(got.data.astype(np.int64), attn_decoder_sequence_exact(q.data, enc.data, dec))
+        assert np.array_equal(got.astype(np.int64), attn_decoder_sequence_exact(q, enc, dec))
 
 
 def rescale_spans(im, seq) -> Counter:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import stored
 from qlstm.floatguard import trace_float_ops
 from qlstm.quant import (
     _BIAS_LIMIT,
@@ -384,10 +385,10 @@ class TestQuantTensor:
         with pytest.raises(ValueError):
             QuantTensor(np.zeros(4, dtype=np.uint16), qp)
 
-    def test_from_real_round_trip(self):
+    def test_dequantize_round_trip(self):
         qp = compute_qparams(-2, 3, 16)
         x = np.linspace(-2, 3, 50)
-        t = QuantTensor.from_real(x, qp)
+        t = QuantTensor(stored(x, qp), qp)
         assert t.data.dtype == np.uint16
         assert np.max(np.abs(t.dequantize() - x)) <= qp.scale / 2 + 1e-12
 

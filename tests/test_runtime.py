@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, edit_manifest, random_cell, token_model, use_true_functions
+from conftest import (
+    calibrated_int_model,
+    edit_manifest,
+    observe,
+    random_cell,
+    random_lstm_config,
+    stored,
+    token_model,
+    use_true_functions,
+)
 from perfbench.workloads import WORKLOADS, make_inputs
 from qlstm import attention, floatguard, lstm, serialize
 from qlstm.lstm import LstmWeights
@@ -33,6 +42,7 @@ from qlstm.runtime import (
     IntLstm,
     IntModel,
     IntProjection,
+    IntResidual,
     LstmLayer,
     calibrate,
     convert,
@@ -413,6 +423,11 @@ class TestConvertAndRun:
             with pytest.raises(ValueError, match="first|last"):
                 FloatModel([layer.dequantize() for layer in layers])
 
+    def test_empty_model_rejected(self):
+        for build in (lambda: IntModel([], compute_qparams(-1.0, 1.0, 8)), lambda: FloatModel([])):
+            with pytest.raises(ValueError, match="a model needs at least one layer"):
+                build()
+
     def test_no_float_ops_on_integer_path(self, monkeypatch):
         rng = np.random.default_rng(13)
         _, im = calibrated_int_model(rng, ["bilstm", "lstm_norm", "attn"])
@@ -440,15 +455,6 @@ class TestConvertAndRun:
             with pytest.raises(TypeError):
                 run(im, seq)
             assert count() > 0
-
-    def test_env_var_enables_tracing_guard(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        _, im = calibrated_int_model(rng, ["lstm"])
-        seq = rng.integers(0, 6, size=4)
-        monkeypatch.setenv("QLSTM_FLOAT_TRACE", "1")
-        baseline = run(im, seq)  # guarded run passes on a clean integer path
-        assert np.array_equal(baseline, run_reference(im, seq))
-        run(exact_activations(im), seq)  # the exact-activation configuration is guarded too
 
     def test_manifest_layer_type_tags(self, tmp_path):
         rng = np.random.default_rng(24)
@@ -857,6 +863,59 @@ def _bump_sig_intercept(doc):
     doc["layers"][1]["pwl"]["sig"]["intercept_fx"][0] += 1
 
 
+class TestWidthChecks:
+    """Widths are part of the chain that building an IntModel checks."""
+
+    def _lstms(self, rng, n_second):
+        """A 4-unit LSTM on 3 inputs, and a 3-unit one on ``n_second`` inputs
+        whose input grid is the first one's output grid."""
+        _, _, first = random_lstm_config(rng, m=4, n=3)
+        w = random_cell(rng, 3, n_second)
+        ranges = observe(lstm.lstm_sequence_real, rng.normal(0, 1, (5, n_second)), w)
+        return first, lstm.QuantLstmSpec.from_float(w, ranges, qp_x=first.qp_h, pieces=6)
+
+    def test_layer_width_must_match_its_input(self, tmp_path):
+        first, second = self._lstms(np.random.default_rng(80), 5)
+        message = "layer 1 takes 5 values per frame, but its input has 4"
+        with pytest.raises(ValueError, match=message):
+            IntModel([IntLstm(first), IntLstm(second)], first.qp_x)
+        im = IntModel([IntLstm(first)], first.qp_x)
+        im.layers.append(IntLstm(second))  # past the check, as an edited file would be
+        path = str(tmp_path / "m.json")
+        serialize.save(im, path)
+        with pytest.raises(serialize.ModelFormatError, match=f"model: {message}"):
+            serialize.load(path)
+
+    def test_residual_operands_must_share_their_width(self):
+        first, second = self._lstms(np.random.default_rng(81), 4)
+        res = IntResidual(0, first.qp_h, second.qp_h, compute_qparams(-2.0, 2.0, 8))
+        with pytest.raises(ValueError, match=r"layer 2 \(residual skip operand\) takes 3 values per frame, but its input has 4"):
+            IntModel([IntLstm(first), IntLstm(second), res], first.qp_x)
+
+    def test_frames_of_another_width_rejected(self):
+        first, _ = self._lstms(np.random.default_rng(82), 4)
+        im = IntModel([IntLstm(first)], first.qp_x)
+        for fn in (run, run_reference):
+            with pytest.raises(ValueError, match=r"must have 3 features each, not shape \(2, 4\)"):
+                fn(im, np.zeros((2, 4)))
+
+    def test_decoder_weights_must_fit_its_cell_and_input(self, tmp_path):
+        _, im = calibrated_int_model(np.random.default_rng(83), ["attn"])  # 3-wide embedding, 3-unit decoder
+        dec = im.layers[1].spec
+        with pytest.raises(ValueError, match=r"w_s has shape \(12, 6\), not \(12, 3\)"):
+            replace(dec, w_s_q=np.zeros((12, 6), dtype=np.uint8))
+        wide = replace(
+            dec, attn=replace(dec.attn, w_k_q=np.zeros((3, 6), dtype=np.uint8)), w_s_q=np.zeros((12, 6), dtype=np.uint8)
+        )
+        with pytest.raises(ValueError, match=r"layer 1 \(attention encoder input\) takes 6 values per frame, but its input has 3"):
+            IntModel([im.layers[0], IntAttnDecoder(wide), im.layers[2]], im.input_qp)
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        edit_manifest(path, lambda doc: doc["tensors"]["L1.w_s"].update(shape=[6, 6]))  # same length
+        with pytest.raises(serialize.ModelFormatError, match=r"layer 1: w_s has shape \(6, 6\), not \(12, 3\)"):
+            serialize.load(str(path))
+
+
 class TestSeal:
     """One SHA-256 covers the manifest body and the blob: any edit that is
     not re-sealed fails to load, where version 1 hashed the blob only."""
@@ -1109,7 +1168,7 @@ class TestAccumulatorLimit:
         spec = convert(model, calibrate(model, [x, 0 * x]), pieces=4).layers[0].spec
         bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
         im = IntModel([IntLstm(replace(spec, bias_q=bias))], spec.qp_x)
-        acc = int_matmul(spec.weight_diffs()[0], QuantTensor.from_real(x[0], spec.qp_x).diffs()) + bias
+        acc = int_matmul(spec.weight_diffs()[0], stored(x[0], spec.qp_x) - np.int32(spec.qp_x.zero_point)) + bias
         assert np.abs(acc.astype(np.int64)).max() == self.TOP
         assert np.array_equal(run(im, x).data, run_reference(im, x))
 
@@ -1129,11 +1188,12 @@ class TestAccumulatorLimit:
         dec = convert(model, calibrate(model, [x, 0 * x]), pieces=4).layers[0].spec
         bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
         dec = replace(dec, cell=replace(dec.cell, bias_q=bias))
-        q_x = QuantTensor.from_real(x, dec.cell.qp_x)
+        q_x = stored(x, dec.cell.qp_x)
+        d_x = q_x - np.int32(dec.cell.qp_x.zero_point)
         h = np.full(m, dec.cell.qp_h.zero_point, dtype=np.uint8)
-        q_s, _ = attention.attention_int(h, attention.attention_keys(q_x.data, dec.attn), dec.attn)
-        acc_x = int_matmul(dec.cell.weight_diffs()[0], q_x.diffs()[0]) + bias
-        acc_k = int_matmul(q_x.diffs(), dec.attn.w_k_diff.T)
+        q_s, _ = attention.attention_int(h, attention.attention_keys(q_x, dec.attn), dec.attn)
+        acc_x = int_matmul(dec.cell.weight_diffs()[0], d_x[0]) + bias
+        acc_k = int_matmul(d_x, dec.attn.w_k_diff.T)
         acc_s = int_matmul(dec.w_s_diff, q_s - dec.attn.qp_s.zero_point)
         assert np.abs(acc_x.astype(np.int64)).max() == self.TOP
         assert np.abs(acc_k).max() == np.abs(acc_s).max() == self.TOP - _BIAS_LIMIT
@@ -1142,20 +1202,20 @@ class TestAccumulatorLimit:
 
 
 def test_quant_tensors_per_run_do_not_grow_with_length(monkeypatch):
-    """QuantTensor wraps layer outputs only: the kernels inside a layer,
-    the decoder's per-step attention among them, run on raw arrays."""
+    """Layers pass raw arrays: ``run`` wraps a sequence model's output in
+    one QuantTensor, and a logits model's in none."""
     rng = np.random.default_rng(74)
-    _, im = calibrated_int_model(rng, ["lstm", "lstm_norm", "attn"])
+    _, logits = calibrated_int_model(rng, ["lstm", "lstm_norm", "attn"])
+    sequence = IntModel(logits.layers[:-1], logits.input_qp)
     made, init = [], QuantTensor.__post_init__
 
     def counting(self):
-        made.append(self.shape)
+        made.append(self.data.shape)
         init(self)
 
     monkeypatch.setattr(QuantTensor, "__post_init__", counting)
-    counts = []
-    for T in (3, 9):
-        made.clear()
-        run(im, rng.integers(0, 6, size=T))
-        counts.append(len(made))
-    assert counts[0] == counts[1] == 4
+    for im, want in ((logits, 0), (sequence, 1)):
+        for T in (3, 9):
+            made.clear()
+            run(im, rng.integers(0, 6, size=T))
+            assert len(made) == want, (T, made)
