@@ -27,7 +27,6 @@ from .lstm import (
     lstm_sequence_int,
     lstm_sequence_real,
     lstm_step_real,
-    madnorm_lstm_step_real,
 )
 from .attention import (
     AttentionWeights,

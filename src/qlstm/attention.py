@@ -1,8 +1,9 @@
 """Additive (Bahdanau-style) attention in real, integer and exact-oracle form.
 
-Mixed-precision layout on the integer path: 8-bit weights and projection
-outputs, 16-bit pre-tanh sums and alignments, 8-bit tanh/exp outputs, a
-32-bit softmax denominator and 8-bit attention weights and context.  The
+Mixed-precision layout on the integer path (:data:`ATTN_BITS`): 8-bit
+weights and projection outputs, 16-bit pre-tanh sums and alignments, 8-bit
+tanh/exp outputs, a 32-bit softmax denominator and 8-bit attention weights
+and context.  The
 softmax inputs are max-shifted for numerical stability, which on the
 integer path happens directly on the raw alignments.  The integer tanh and
 exp are gathers from their tables' grid outputs.
@@ -19,15 +20,13 @@ from .lstm import (
     LstmState,
     LstmWeights,
     QuantLstmSpec,
-    _finish_step_real,
     _gate_blocks,
     _rows,
     lstm_apply_gates_exact,
     lstm_apply_gates_int,
     lstm_gate_preacts_exact,
     lstm_gate_preacts_int,
-    stage_errors,
-    stage_qparams,
+    lstm_step_real,
 )
 from .madnorm import _noop, scoped
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact
@@ -37,7 +36,6 @@ from .quant import (
     ScaledMultiplier,
     check_accumulator,
     check_dtype,
-    compute_qparams,
     divide_round,
     divide_round_exact,
     int_matmul,
@@ -47,9 +45,23 @@ from .quant import (
     rescale_add,
     rescale_add_exact,
     saturating_multiplier,
+    stage_errors,
+    stage_qparams,
+    sub_ranges,
     term_multiplier,
     _shift_round_exact,
 )
+
+
+#: The mixed-precision layout: every ``qp_<field>`` of
+#: :class:`QuantAttentionSpec` and its bitwidth.
+ATTN_BITS = {
+    "wq": 8, "wk": 8, "v": 8, "h_dec": 8, "enc": 8, "q": 8, "k": 8, "sum": 16,
+    "tanh": 8, "e": 16, "exp_in": 16, "exp_out": 8, "alpha": 8, "s": 8,
+}
+#: The stages the float path records, each calibrating the field of its name
+#: (``ctx``: the context, field ``s``).
+ATTN_STAGES = ("q", "k", "sum", "tanh", "e", "exp_in", "exp_out", "alpha", "ctx")
 
 
 @dataclass
@@ -140,14 +152,9 @@ class QuantAttentionSpec:
     pwl_exp: PwlTable
 
     def __post_init__(self):
-        ledger = {
-            "qp_wq": 8, "qp_wk": 8, "qp_v": 8, "qp_h_dec": 8, "qp_enc": 8,
-            "qp_q": 8, "qp_k": 8, "qp_sum": 16, "qp_tanh": 8, "qp_e": 16,
-            "qp_exp_in": 16, "qp_exp_out": 8, "qp_alpha": 8, "qp_s": 8,
-        }
-        for name, bits in ledger.items():
-            if getattr(self, name).bitwidth != bits:
-                raise ValueError(f"{name} must be {bits}-bit")
+        for name, bits in ATTN_BITS.items():
+            if getattr(self, f"qp_{name}").bitwidth != bits:
+                raise ValueError(f"stage {name!r} must be {bits}-bit")
         if self.qp_exp_in.max != 0.0:
             raise ValueError("exp input range must end at 0 (max-shifted alignments)")
         if self.qp_alpha.min > 0.0 or self.qp_alpha.max < 1.0:
@@ -196,36 +203,19 @@ class QuantAttentionSpec:
         # exp sees max-shifted alignments, non-positive by construction; exp
         # output and attention weights cover their analytic tops (exp(0) = 1
         # after the shift; weights live in [0, 1]).  A NaN bound stays NaN.
-        ranges = {**ranges, "exp_in": (min(ranges["exp_in"][0], -1e-6), 0.0)}
+        ranges = {**ranges, "exp_in": (min(ranges["exp_in"][0], -1e-6), 0.0), "alpha": (0.0, 1.0)}
         ranges["exp_out"] = (0.0, max(ranges["exp_out"][1], 1.0))
-        qp_sum = stage_qparams(ranges, "sum", 16)
-        qp_exp_in = stage_qparams(ranges, "exp_in", 16)
-        qp_tanh = stage_qparams(ranges, "tanh", 8)
-        qp_exp_out = stage_qparams(ranges, "exp_out", 8)
+        qps = {}
+        for stage in ATTN_STAGES:
+            name = "s" if stage == "ctx" else stage
+            qps[f"qp_{name}"] = stage_qparams(ranges, stage, ATTN_BITS[name])
         with stage_errors("tanh"):
-            pwl_tanh = build_pwl("tanh", qp_sum, qp_tanh, pieces, candidates=candidates)
+            pwl_tanh = build_pwl("tanh", qps["qp_sum"], qps["qp_tanh"], pieces, candidates=candidates)
         with stage_errors("exp_out"):
-            pwl_exp = build_pwl("exp", qp_exp_in, qp_exp_out, pieces, candidates=candidates)
+            pwl_exp = build_pwl("exp", qps["qp_exp_in"], qps["qp_exp_out"], pieces, candidates=candidates)
         return cls(
-            w_q_q=w_q_q,
-            w_k_q=w_k_q,
-            v_q=v_q,
-            qp_wq=qp_wq,
-            qp_wk=qp_wk,
-            qp_v=qp_v,
-            qp_h_dec=qp_h_dec,
-            qp_enc=qp_enc,
-            qp_q=stage_qparams(ranges, "q", 8),
-            qp_k=stage_qparams(ranges, "k", 8),
-            qp_sum=qp_sum,
-            qp_tanh=qp_tanh,
-            qp_e=stage_qparams(ranges, "e", 16),
-            qp_exp_in=qp_exp_in,
-            qp_exp_out=qp_exp_out,
-            qp_alpha=compute_qparams(0.0, 1.0, 8),
-            qp_s=stage_qparams(ranges, "ctx", 8),
-            pwl_tanh=pwl_tanh,
-            pwl_exp=pwl_exp,
+            w_q_q=w_q_q, w_k_q=w_k_q, v_q=v_q, qp_wq=qp_wq, qp_wk=qp_wk, qp_v=qp_v,
+            qp_h_dec=qp_h_dec, qp_enc=qp_enc, pwl_tanh=pwl_tanh, pwl_exp=pwl_exp, **qps,
         )
 
 
@@ -389,9 +379,8 @@ class QuantAttnDecoderSpec:
             cell_w, ranges, cell_bits=cell_bits, gate_bits=gate_bits, pieces=pieces,
             qp_x=qp_x, candidates=candidates,
         )
-        attn_ranges = {k.split(".", 1)[1]: v for k, v in ranges.items() if k.startswith("attn.")}
         attn = QuantAttentionSpec.from_float(
-            attn_w, attn_ranges, qp_h_dec=cell.qp_h, qp_enc=qp_enc, pieces=pieces, candidates=candidates
+            attn_w, sub_ranges(ranges, "attn"), qp_h_dec=cell.qp_h, qp_enc=qp_enc, pieces=pieces, candidates=candidates
         )
         w_s_q, qp_ws = quantize_weights(attn_w.w_s)
         return cls(
@@ -472,16 +461,7 @@ def attn_decoder_sequence_exact(q_xs, q_enc, dec: QuantAttnDecoderSpec) -> np.nd
 
 def attn_decoder_step_real(x_t, state: LstmState, enc_h, cell_w: LstmWeights, attn_w: AttentionWeights, record=_noop):
     s, alpha = attention_real(state.h, enc_h, attn_w, record=scoped(record, "attn"))
-    m = cell_w.hidden_size
-    mx = cell_w.w_x @ np.asarray(x_t, dtype=np.float64) + cell_w.bias
-    mh = cell_w.w_h @ np.asarray(state.h, dtype=np.float64)
-    ms = attn_w.w_s @ s
-    record("x", x_t)
-    record("mx", mx)
-    record("mh", mh)
-    record("ms", ms)
-    pre = mx + mh + ms
-    return _finish_step_real(pre, state, m, record), alpha
+    return lstm_step_real(x_t, state, cell_w, record, ms=attn_w.w_s @ s), alpha
 
 
 def attn_decoder_sequence_real(xs, enc_h, cell_w: LstmWeights, attn_w: AttentionWeights, record=_noop) -> np.ndarray:

@@ -29,7 +29,6 @@ of rescaling.  A 16-bit cell keeps the arithmetic.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,9 +41,9 @@ from .quant import (
     Rescale,
     check_accumulator,
     check_dtype,
-    compute_qparams,
     int_matmul,
     narrowest,
+    prefix_errors,
     quantize_bias,
     quantize_weights,
     requantize_exact,
@@ -52,39 +51,25 @@ from .quant import (
     rescale_add,
     rescale_add_exact,
     saturating_multiplier,
+    stage_errors,
+    stage_qparams,
+    sub_ranges,
     tabulate,
     term_multiplier,
 )
 
 
-@contextmanager
-def stage_errors(key: str):
-    """Re-raise a ``ValueError`` (as its own type) with the stage's name in front."""
-    try:
-        yield
-    except ValueError as e:
-        raise type(e)(f"stage {key!r}: {e}") from None
-
-
-@contextmanager
-def prefix_errors(prefix: str):
-    """Re-raise a ``ValueError`` from one part of a layer (a BiLSTM direction,
-    a MadNorm) with the part in its stage name (``stage 'bwd.sig': ...``),
-    or in front of the message."""
-    try:
-        yield
-    except ValueError as e:
-        msg, head = str(e), "stage '"
-        msg = head + f"{prefix}." + msg[len(head) :] if msg.startswith(head) else f"{prefix}: {msg}"
-        raise type(e)(msg) from None
-
-
-def stage_qparams(ranges: dict, key: str, bitwidth: int) -> QuantParams:
-    """compute_qparams for one named stage; errors carry the stage name."""
-    if key not in ranges:
-        raise ValueError(f"stage {key!r} missing from calibration ranges")
-    with stage_errors(key):
-        return compute_qparams(*ranges[key], bitwidth)
+#: The mixed-precision layout of the cell: each stage's bitwidth, 8, or the
+#: ``cell_bits`` (``"cell"``) or ``gate_bits`` (``"gate"``) of the conversion.
+#: Every stage has a ``qp_<stage>`` field in :class:`QuantLstmSpec`; the
+#: order is the order in which conversion reports a degenerate range.
+CELL_STAGES = {
+    "x": 8, "h": 8, "c": "cell", "mx": 8, "mh": 8, "pre_sig": "gate", "pre_j": "gate",
+    "sig": 8, "tanh_j": 8, "p_fc": "cell", "p_ij": "cell", "tanh_c": 8,
+}
+#: The MadNorm cell's norms: spec field ``norm_<k>``, calibrated under
+#: ``n<k>.``, normalizing the stage it names, whose values are ``rows * m``.
+CELL_NORMS = {"x": ("mx", 4), "h": ("mh", 4), "c": ("c", 1)}
 
 
 @dataclass
@@ -144,33 +129,23 @@ def _rows(*blocks) -> np.ndarray:
     return np.repeat(np.array([v for v, _ in blocks]), [n for _, n in blocks])
 
 
-def lstm_step_real(x_t, state: LstmState, weights: LstmWeights, record=_noop) -> LstmState:
-    """One exact real-arithmetic step (biases added to the preactivations)."""
+def lstm_step_real(x_t, state: LstmState, weights: LstmWeights, record=_noop, norm=False, ms=None) -> LstmState:
+    """One exact real-arithmetic step (biases added to the preactivations).
+
+    ``norm`` puts MadNorm on each matmul result and on the cell state (the
+    MadNorm cell); ``ms``, the attention decoder's context matmul, is added
+    to the preactivations.
+    """
     m = weights.hidden_size
     mx = weights.w_x @ np.asarray(x_t, dtype=np.float64) + weights.bias
     mh = weights.w_h @ np.asarray(state.h, dtype=np.float64)
     record("x", x_t)
     record("mx", mx)
     record("mh", mh)
-    pre = mx + mh
-    return _finish_step_real(pre, state, m, record)
-
-
-def madnorm_lstm_step_real(x_t, state: LstmState, weights: LstmWeights, record=_noop) -> LstmState:
-    """Real step with MadNorm on each matmul result and on the cell state."""
-    m = weights.hidden_size
-    mx = weights.w_x @ np.asarray(x_t, dtype=np.float64) + weights.bias
-    mh = weights.w_h @ np.asarray(state.h, dtype=np.float64)
-    record("x", x_t)
-    record("mx", mx)
-    record("mh", mh)
-    nx = madnorm_observe(mx, record, "nx")
-    nh = madnorm_observe(mh, record, "nh")
-    pre = nx + nh
-    return _finish_step_real(pre, state, m, record, norm_c=True)
-
-
-def _finish_step_real(pre, state, m, record, norm_c=False):
+    pre = madnorm_observe(mx, record, "nx") + madnorm_observe(mh, record, "nh") if norm else mx + mh
+    if ms is not None:
+        record("ms", ms)
+        pre = pre + ms
     sig_rows, _ = _gate_rows(m)
     record("pre_sig", pre[sig_rows])
     record("pre_j", pre[2 * m : 3 * m])
@@ -185,8 +160,7 @@ def _finish_step_real(pre, state, m, record, norm_c=False):
     record("p_ij", p_ij)
     c_new = p_fc + p_ij
     record("c", c_new)
-    tanh_in = madnorm_observe(c_new, record, "nc") if norm_c else c_new
-    t_c = np.tanh(tanh_in)
+    t_c = np.tanh(madnorm_observe(c_new, record, "nc") if norm else c_new)
     record("tanh_c", t_c)
     h_new = s_o * t_c
     record("h", h_new)
@@ -223,18 +197,13 @@ class QuantLstmSpec:
     norm_c: MadNormQParams | None = None
 
     def __post_init__(self):
-        if self.qp_x.bitwidth != 8:
-            raise ValueError("input is always 8-bit")
-        if self.qp_h.bitwidth != 8:
-            raise ValueError("hidden state is always 8-bit")
-        if self.qp_c.bitwidth not in (8, 16):
-            raise ValueError("cell state must be 8- or 16-bit")
-        if self.qp_p_fc.bitwidth != self.qp_c.bitwidth or self.qp_p_ij.bitwidth != self.qp_c.bitwidth:
-            raise ValueError("elementwise product bitwidth follows the cell state")
-        for qp in (self.qp_sig, self.qp_tanh_j, self.qp_tanh_c):
-            if qp.bitwidth != 8:
-                raise ValueError("PWL outputs are 8-bit")
-        norms = (self.norm_x, self.norm_h, self.norm_c)
+        first = {}  # each bitwidth group's first stage and bitwidth
+        for stage, kind in CELL_STAGES.items():
+            bits = getattr(self, f"qp_{stage}").bitwidth
+            ref, want = first.setdefault(kind, (stage, 8 if kind == 8 else bits))
+            if bits != want:
+                raise ValueError(f"stage {stage!r} must be {want}-bit" + ("" if kind == 8 else f" like stage {ref!r}"))
+        norms = [getattr(self, f"norm_{k}") for k in CELL_NORMS]
         if any(n is not None for n in norms) and not all(n is not None for n in norms):
             raise ValueError("MadNorm variant needs all three norm configurations")
         check_dtype(np.uint8, w_x_q=self.w_x_q, w_h_q=self.w_h_q)
@@ -246,11 +215,10 @@ class QuantLstmSpec:
         check_accumulator((self.input_size, m), self.bias_q)
         if self.norm:
             # each MadNorm normalizes one stage's rows on that stage's grid
-            stages = (("norm_x", 4 * m, self.qp_mx), ("norm_h", 4 * m, self.qp_mh), ("norm_c", m, self.qp_c))
-            for name, hidden, qp in stages:
-                p = getattr(self, name)
-                if p.hidden != hidden or p.qp_x != qp:
-                    raise ValueError(f"{name} must take {hidden} values on its stage's grid")
+            for k, (stage, rows) in CELL_NORMS.items():
+                p = getattr(self, f"norm_{k}")
+                if p.hidden != rows * m or p.qp_x != getattr(self, f"qp_{stage}"):
+                    raise ValueError(f"norm_{k} must take {rows * m} values on its stage's grid")
         self._sig_rows, self._j_rows = _gate_rows(m)
         src_x = self.norm_x.qp_y if self.norm_x is not None else self.qp_mx
         src_h = self.norm_h.qp_y if self.norm_h is not None else self.qp_mh
@@ -306,70 +274,36 @@ class QuantLstmSpec:
         norm: bool = False,
         candidates: int | None = None,
     ) -> "QuantLstmSpec":
-        m = weights.hidden_size
-        qp_x = qp_x if qp_x is not None else stage_qparams(ranges, "x", 8)
-        qp_h = qp_h if qp_h is not None else stage_qparams(ranges, "h", 8)
-        qp_c = stage_qparams(ranges, "c", cell_bits)
-        qp_mx = stage_qparams(ranges, "mx", 8)
-        qp_mh = stage_qparams(ranges, "mh", 8)
-        qp_pre_sig = stage_qparams(ranges, "pre_sig", gate_bits)
-        qp_pre_j = stage_qparams(ranges, "pre_j", gate_bits)
-        qp_sig = stage_qparams(ranges, "sig", 8)
-        qp_tanh_j = stage_qparams(ranges, "tanh_j", 8)
-        qp_p_fc = stage_qparams(ranges, "p_fc", cell_bits)
-        qp_p_ij = stage_qparams(ranges, "p_ij", cell_bits)
-        qp_tanh_c = stage_qparams(ranges, "tanh_c", 8)
+        bits = {8: 8, "cell": cell_bits, "gate": gate_bits}
+        qps = {"qp_x": qp_x, "qp_h": qp_h}
+        for stage, kind in CELL_STAGES.items():
+            if qps.get(f"qp_{stage}") is None:
+                qps[f"qp_{stage}"] = stage_qparams(ranges, stage, bits[kind])
 
         w_x_q, qp_wx = quantize_weights(weights.w_x)
         w_h_q, qp_wh = quantize_weights(weights.w_h)
-        bias_q = quantize_bias(weights.bias, qp_wx.scale * qp_x.scale)
+        bias_q = quantize_bias(weights.bias, qp_wx.scale * qps["qp_x"].scale)
 
-        norm_x = norm_h = norm_c = None
+        norms = {}
         if norm:
-            norm_x = _norm_params(ranges, "nx", qp_mx, 4 * m)
-            norm_h = _norm_params(ranges, "nh", qp_mh, 4 * m)
-            norm_c = _norm_params(ranges, "nc", qp_c, m)
-        tanh_c_in = norm_c.qp_y if norm else qp_c
+            for k, (stage, rows) in CELL_NORMS.items():
+                with prefix_errors(f"n{k}"):
+                    qp_in, hidden = qps[f"qp_{stage}"], rows * weights.hidden_size
+                    norms[f"norm_{k}"] = MadNormQParams.from_ranges(sub_ranges(ranges, f"n{k}"), qp_in, hidden)
+        tanh_c_in = norms["norm_c"].qp_y if norm else qps["qp_c"]
 
         # each table is named after the stage its outputs land on
         with stage_errors("sig"):
-            pwl_sig = build_pwl("sigmoid", qp_pre_sig, qp_sig, pieces, candidates=candidates)
+            pwl_sig = build_pwl("sigmoid", qps["qp_pre_sig"], qps["qp_sig"], pieces, candidates=candidates)
         with stage_errors("tanh_j"):
-            pwl_tanh_j = build_pwl("tanh", qp_pre_j, qp_tanh_j, pieces, candidates=candidates)
+            pwl_tanh_j = build_pwl("tanh", qps["qp_pre_j"], qps["qp_tanh_j"], pieces, candidates=candidates)
         with stage_errors("tanh_c"):
-            pwl_tanh_c = build_pwl("tanh", tanh_c_in, qp_tanh_c, pieces, candidates=candidates)
+            pwl_tanh_c = build_pwl("tanh", tanh_c_in, qps["qp_tanh_c"], pieces, candidates=candidates)
 
         return cls(
-            w_x_q=w_x_q,
-            w_h_q=w_h_q,
-            bias_q=bias_q,
-            qp_wx=qp_wx,
-            qp_wh=qp_wh,
-            qp_x=qp_x,
-            qp_h=qp_h,
-            qp_c=qp_c,
-            qp_mx=qp_mx,
-            qp_mh=qp_mh,
-            qp_pre_sig=qp_pre_sig,
-            qp_pre_j=qp_pre_j,
-            qp_sig=qp_sig,
-            qp_tanh_j=qp_tanh_j,
-            qp_p_fc=qp_p_fc,
-            qp_p_ij=qp_p_ij,
-            qp_tanh_c=qp_tanh_c,
-            pwl_sig=pwl_sig,
-            pwl_tanh_j=pwl_tanh_j,
-            pwl_tanh_c=pwl_tanh_c,
-            norm_x=norm_x,
-            norm_h=norm_h,
-            norm_c=norm_c,
+            w_x_q=w_x_q, w_h_q=w_h_q, bias_q=bias_q, qp_wx=qp_wx, qp_wh=qp_wh,
+            pwl_sig=pwl_sig, pwl_tanh_j=pwl_tanh_j, pwl_tanh_c=pwl_tanh_c, **qps, **norms,
         )
-
-
-def _norm_params(ranges: dict, prefix: str, qp_in: QuantParams, hidden: int) -> MadNormQParams:
-    qps = {f"qp_{k}": stage_qparams(ranges, f"{prefix}.{k}", 8) for k in ("mu", "xhat", "d", "y")}
-    with prefix_errors(prefix):
-        return MadNormQParams(qp_x=qp_in, hidden=hidden, **qps)
 
 
 def _k_major(w_diff: np.ndarray, m: int, width: int, cols: int) -> np.ndarray:
@@ -707,11 +641,10 @@ def lstm_sequence_real(
     norm: bool = False,
 ) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    step = madnorm_lstm_step_real if norm else lstm_step_real
     state = LstmState.zeros(weights.hidden_size)
     hs = np.zeros((len(xs), weights.hidden_size))
     for t in _time_order(len(xs), direction):
-        state = step(xs[t], state, weights, record)
+        state = lstm_step_real(xs[t], state, weights, record, norm=norm)
         hs[t] = state.h
     return hs
 
@@ -773,8 +706,8 @@ class BiLstmSpec:
             return {key: (float(np.minimum(a, c)), float(np.maximum(b, d)))}
 
         if qp_x is None:
-            qp_x = stage_qparams(shared("x"), "x", 8)
-        qp_h = stage_qparams(shared("h"), "h", 8)
+            qp_x = stage_qparams(shared("x"), "x", CELL_STAGES["x"])
+        qp_h = stage_qparams(shared("h"), "h", CELL_STAGES["h"])
         with prefix_errors("fwd"):
             fwd = QuantLstmSpec.from_float(w_fwd, ranges_fwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
         with prefix_errors("bwd"):

@@ -21,16 +21,20 @@ from .quant import (
     check_int,
     combine_round,
     combine_round_exact,
-    compute_qparams,
     divide_round,
     divide_round_exact,
     narrowest,
     requantize_exact,
     requantize_scaled,
     saturating_multiplier,
+    stage_qparams,
     tabulate,
     term_multiplier,
 )
+
+
+#: MadNorm's stages after its input, every one on an 8-bit grid
+NORM_STAGES = ("mu", "xhat", "d", "y")
 
 
 @dataclass
@@ -38,7 +42,7 @@ class MadNormQParams:
     """Per-stage quantization parameters for one integer MadNorm instance.
 
     The input may be 8- or 16-bit (the latter when normalizing a 16-bit cell
-    state); every intermediate stage is 8-bit.
+    state); every stage of :data:`NORM_STAGES` is 8-bit.
     """
 
     qp_x: QuantParams
@@ -52,9 +56,9 @@ class MadNormQParams:
         check_int("hidden", self.hidden)
         if self.hidden < 1:
             raise ValueError("hidden dimension must be at least 1")
-        for name in ("qp_mu", "qp_xhat", "qp_d", "qp_y"):
-            if getattr(self, name).bitwidth != 8:
-                raise ValueError(f"{name} must be 8-bit")
+        for stage in NORM_STAGES:
+            if getattr(self, f"qp_{stage}").bitwidth != 8:
+                raise ValueError(f"stage {stage!r} must be 8-bit")
         if self.qp_d.min < 0 or self.qp_d.zero_point != 0:
             raise ValueError("deviation qparams must be non-negative with zero_point 0")
         h = self.hidden
@@ -67,20 +71,10 @@ class MadNormQParams:
         self._m_y = saturating_multiplier(self.qp_xhat.scale / (self.qp_y.scale * self.qp_d.scale))
 
     @classmethod
-    def from_ranges(cls, ranges: dict, hidden: int, input_bits: int = 8) -> "MadNormQParams":
-        """Build from observed per-stage (min, max) ranges.
-
-        Expected keys: ``x``, ``mu``, ``xhat``, ``d`` and ``y``.
-        """
-        qp = {k: compute_qparams(*ranges[k], 8) for k in ("mu", "xhat", "d", "y")}
-        return cls(
-            qp_x=compute_qparams(*ranges["x"], input_bits),
-            qp_mu=qp["mu"],
-            qp_xhat=qp["xhat"],
-            qp_d=qp["d"],
-            qp_y=qp["y"],
-            hidden=hidden,
-        )
+    def from_ranges(cls, ranges: dict, qp_x: QuantParams, hidden: int) -> "MadNormQParams":
+        """Build on the input grid ``qp_x`` from the observed ``(min, max)``
+        of every stage in :data:`NORM_STAGES`; errors name the stage."""
+        return cls(qp_x=qp_x, hidden=hidden, **{f"qp_{s}": stage_qparams(ranges, s, 8) for s in NORM_STAGES})
 
 
 def _noop(name, value):

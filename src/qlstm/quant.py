@@ -12,6 +12,7 @@ dimension is at most ``MAX_REDUCE_DIM``.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,42 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
         raise DegenerateRangeError(f"range [{min_val}, {max_val}] is too narrow for a nonzero scale")
     zero_point = int(iround(-lo / scale))
     return QuantParams(lo, hi, bitwidth, scale, zero_point)
+
+
+@contextmanager
+def stage_errors(key: str):
+    """Re-raise a ``ValueError`` (as its own type) with the stage's name in front."""
+    try:
+        yield
+    except ValueError as e:
+        raise type(e)(f"stage {key!r}: {e}") from None
+
+
+@contextmanager
+def prefix_errors(prefix: str):
+    """Re-raise a ``ValueError`` from one part of a layer (a BiLSTM direction,
+    a MadNorm) with the part in its stage name (``stage 'bwd.sig': ...``),
+    or in front of the message."""
+    try:
+        yield
+    except ValueError as e:
+        msg, head = str(e), "stage '"
+        msg = head + f"{prefix}." + msg[len(head) :] if msg.startswith(head) else f"{prefix}: {msg}"
+        raise type(e)(msg) from None
+
+
+def sub_ranges(ranges: dict, prefix: str) -> dict:
+    """The calibration ranges under ``prefix.``, with the prefix stripped."""
+    pre = prefix + "."
+    return {k[len(pre) :]: v for k, v in ranges.items() if k.startswith(pre)}
+
+
+def stage_qparams(ranges: dict, key: str, bitwidth: int) -> QuantParams:
+    """compute_qparams for one named stage; errors carry the stage name."""
+    if key not in ranges:
+        raise ValueError(f"stage {key!r} missing from calibration ranges")
+    with stage_errors(key):
+        return compute_qparams(*ranges[key], bitwidth)
 
 
 def quantize(x, qp: QuantParams):

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .attention import (
+    ATTN_STAGES,
     AttentionWeights,
     QuantAttnDecoderSpec,
     attn_decoder_sequence_exact,
@@ -41,6 +42,8 @@ from .attention import (
     attn_decoder_sequence_real,
 )
 from .lstm import (
+    CELL_NORMS,
+    CELL_STAGES,
     BiLstmSpec,
     LstmWeights,
     QuantLstmSpec,
@@ -50,9 +53,8 @@ from .lstm import (
     lstm_sequence_exact,
     lstm_sequence_int,
     lstm_sequence_real,
-    stage_qparams,
 )
-from .madnorm import _noop, scoped
+from .madnorm import NORM_STAGES, _noop, scoped
 from .pwl import ACTIVATIONS, PwlTable, build_lut
 from .quant import (
     DegenerateRangeError,
@@ -61,6 +63,7 @@ from .quant import (
     Rescale,
     check_accumulator,
     check_dtype,
+    check_int,
     compute_qparams,
     dequantize,
     int_matmul,
@@ -69,13 +72,10 @@ from .quant import (
     quantize_weights,
     rescale_add,
     rescale_add_exact,
+    stage_qparams,
+    sub_ranges,
     term_multiplier,
 )
-
-_CELL_STAGES = ["mx", "mh", "pre_sig", "pre_j", "sig", "tanh_j", "p_fc", "p_ij", "c", "tanh_c", "h", "x"]
-_NORM_STAGES = [f"{p}.{s}" for p in ("nx", "nh", "nc") for s in ("mu", "xhat", "d", "y")]
-_ATTN_STAGES = ["q", "k", "sum", "tanh", "e", "exp_in", "exp_out", "alpha", "ctx"]
-
 
 class _Layer:
     """Where a layer may sit in a stack; shared by the float and integer forms."""
@@ -93,14 +93,10 @@ def _check_structure(layers) -> None:
         if layer.emits_logits and i != len(layers) - 1:
             raise ValueError("final projection must be the last layer")
         skip = getattr(layer, "skip_from", None)
-        if skip is not None and not (isinstance(skip, (int, np.integer)) and 0 <= skip < i):
-            raise ValueError("residual skip must reference an earlier layer")
-
-
-def _sub(ranges: dict, prefix: str) -> dict:
-    """The ranges under ``prefix.``, with the prefix stripped."""
-    pre = prefix + "."
-    return {k[len(pre):]: v for k, v in ranges.items() if k.startswith(pre)}
+        if skip is not None:
+            check_int("skip_from", skip)
+            if not 0 <= skip < i:
+                raise ValueError("residual skip must reference an earlier layer")
 
 
 def _encode_weights(w, prefix: str, weights: LstmWeights, key: str = "") -> dict:
@@ -156,10 +152,11 @@ class LstmLayer(_Layer):
         return lstm_sequence_real(x, self.weights, record=record, norm=self.norm)
 
     def stages(self, prefix):
-        return [f"{prefix}.{s}" for s in _CELL_STAGES + (_NORM_STAGES if self.norm else [])]
+        norms = [f"n{k}.{s}" for k in CELL_NORMS for s in NORM_STAGES] if self.norm else []
+        return [f"{prefix}.{s}" for s in [*CELL_STAGES, *norms]]
 
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
-        spec = QuantLstmSpec.from_float(self.weights, _sub(ranges, prefix), qp_x=qp_in, norm=self.norm, **opts)
+        spec = QuantLstmSpec.from_float(self.weights, sub_ranges(ranges, prefix), qp_x=qp_in, norm=self.norm, **opts)
         return IntLstm(spec)
 
     def encode(self, w, prefix):
@@ -183,10 +180,10 @@ class BiLstmLayer(_Layer):
         return bilstm_sequence_real(x, self.fwd, self.bwd, record=record)
 
     def stages(self, prefix):
-        return [f"{prefix}.{d}.{s}" for d in ("fwd", "bwd") for s in _CELL_STAGES]
+        return [f"{prefix}.{d}.{s}" for d in ("fwd", "bwd") for s in CELL_STAGES]
 
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
-        rf, rb = _sub(ranges, f"{prefix}.fwd"), _sub(ranges, f"{prefix}.bwd")
+        rf, rb = sub_ranges(ranges, f"{prefix}.fwd"), sub_ranges(ranges, f"{prefix}.bwd")
         return IntBiLstm(BiLstmSpec.from_float(self.fwd, self.bwd, rf, rb, qp_x=qp_in, **opts))
 
     def encode(self, w, prefix):
@@ -207,11 +204,11 @@ class AttentionDecoderLayer(_Layer):
         return attn_decoder_sequence_real(x, x, self.cell, self.attn, record=record)
 
     def stages(self, prefix):
-        return [f"{prefix}.{s}" for s in _CELL_STAGES + ["ms"]] + [f"{prefix}.attn.{s}" for s in _ATTN_STAGES]
+        return [f"{prefix}.{s}" for s in [*CELL_STAGES, "ms"]] + [f"{prefix}.attn.{s}" for s in ATTN_STAGES]
 
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
         spec = QuantAttnDecoderSpec.from_float(
-            self.cell, self.attn, _sub(ranges, prefix), qp_x=qp_in, qp_enc=qp_in, **opts
+            self.cell, self.attn, sub_ranges(ranges, prefix), qp_x=qp_in, qp_enc=qp_in, **opts
         )
         return IntAttnDecoder(spec)
 

@@ -29,12 +29,13 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
-from .attention import QuantAttentionSpec
-from .lstm import QuantLstmSpec
-from .madnorm import MadNormQParams
+from .attention import ATTN_BITS, QuantAttentionSpec
+from .lstm import CELL_NORMS, CELL_STAGES, QuantLstmSpec
+from .madnorm import NORM_STAGES, MadNormQParams
 from .pwl import ACTIVATIONS, PwlTable
 from .quant import QuantParams, check_int, compute_qparams
 from .runtime import (
@@ -127,13 +128,9 @@ _LAYER_TYPES = {
     "final_projection": (FinalProjectionLayer, IntProjection),
 }
 
-_QP_FIELDS = (
-    "wx", "wh", "x", "h", "c", "mx", "mh", "pre_sig", "pre_j",
-    "sig", "tanh_j", "p_fc", "p_ij", "tanh_c",
-)
-_ATTN_QP_FIELDS = (
-    "wq", "wk", "v", "h_dec", "enc", "q", "k", "sum", "tanh", "e", "exp_in", "exp_out", "alpha", "s",
-)
+_QP_FIELDS = ("wx", "wh", *CELL_STAGES)
+# the cell's PWL tables, each named after the stage its outputs land on
+_PWL_STAGES = [f.name[4:] for f in fields(QuantLstmSpec) if f.name.startswith("pwl_")]
 _PWL_INT_FIELDS = (
     "slope_mants", "slope_shifts", "intercept_fx", "knot_targets", "override_q", "override_val",
 )
@@ -186,7 +183,7 @@ class _Writer:
     def norm(self, prefix: str, p: MadNormQParams, qp_in_key: str) -> dict:
         return {
             "x": qp_in_key,
-            **{k: self.qp(f"{prefix}.{k}", getattr(p, f"qp_{k}")) for k in ("mu", "xhat", "d", "y")},
+            **{k: self.qp(f"{prefix}.{k}", getattr(p, f"qp_{k}")) for k in NORM_STAGES},
             "hidden": p.hidden,
         }
 
@@ -198,17 +195,14 @@ class _Writer:
                 "bias": self.tensor(f"{prefix}.bias", spec.bias_q),
             },
             "qparams": {k: self.qp(f"{prefix}.{k}", getattr(spec, f"qp_{k}")) for k in _QP_FIELDS},
-            "pwl": {
-                k: self.pwl(f"{prefix}.pwl_{k}", getattr(spec, f"pwl_{k}")) for k in ("sig", "tanh_j", "tanh_c")
-            },
+            "pwl": {k: self.pwl(f"{prefix}.pwl_{k}", getattr(spec, f"pwl_{k}")) for k in _PWL_STAGES},
             "norm": None,
         }
         if spec.norm:
             q = d["qparams"]
             d["norm"] = {
-                "nx": self.norm(f"{prefix}.nx", spec.norm_x, q["mx"]),
-                "nh": self.norm(f"{prefix}.nh", spec.norm_h, q["mh"]),
-                "nc": self.norm(f"{prefix}.nc", spec.norm_c, q["c"]),
+                f"n{k}": self.norm(f"{prefix}.n{k}", getattr(spec, f"norm_{k}"), q[stage])
+                for k, (stage, _) in CELL_NORMS.items()
             }
         return d
 
@@ -219,7 +213,7 @@ class _Writer:
                 "w_k": self.tensor(f"{prefix}.w_k", spec.w_k_q),
                 "v": self.tensor(f"{prefix}.v", spec.v_q),
             },
-            "qparams": {k: self.qp(f"{prefix}.{k}", getattr(spec, f"qp_{k}")) for k in _ATTN_QP_FIELDS},
+            "qparams": {k: self.qp(f"{prefix}.{k}", getattr(spec, f"qp_{k}")) for k in ATTN_BITS},
             "pwl": {
                 "tanh": self.pwl(f"{prefix}.pwl_tanh", spec.pwl_tanh),
                 "exp": self.pwl(f"{prefix}.pwl_exp", spec.pwl_exp),
@@ -271,7 +265,7 @@ class _Reader:
         )
 
     def norm(self, d: dict) -> MadNormQParams:
-        qps = {f"qp_{k}": self.qp(d[k]) for k in ("x", "mu", "xhat", "d", "y")}
+        qps = {f"qp_{k}": self.qp(d[k]) for k in ("x", *NORM_STAGES)}
         return MadNormQParams(hidden=d["hidden"], **qps)
 
     def cell(self, d: dict) -> QuantLstmSpec:
@@ -280,8 +274,8 @@ class _Reader:
             w_x_q=self.tensor(t["w_x"]),
             w_h_q=self.tensor(t["w_h"]),
             bias_q=self.tensor(t["bias"]),
-            **{f"pwl_{k}": self.pwl(d["pwl"][k]) for k in ("sig", "tanh_j", "tanh_c")},
-            **{f"norm_{k}": self.norm(norm[f"n{k}"]) if norm else None for k in ("x", "h", "c")},
+            **{f"pwl_{k}": self.pwl(d["pwl"][k]) for k in _PWL_STAGES},
+            **{f"norm_{k}": self.norm(norm[f"n{k}"]) if norm else None for k in CELL_NORMS},
             **{f"qp_{k}": self.qp(d["qparams"][k]) for k in _QP_FIELDS},
         )
 
@@ -293,7 +287,7 @@ class _Reader:
             v_q=self.tensor(t["v"]),
             pwl_tanh=self.pwl(d["pwl"]["tanh"]),
             pwl_exp=self.pwl(d["pwl"]["exp"]),
-            **{f"qp_{k}": self.qp(d["qparams"][k]) for k in _ATTN_QP_FIELDS},
+            **{f"qp_{k}": self.qp(d["qparams"][k]) for k in ATTN_BITS},
         )
 
 

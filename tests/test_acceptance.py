@@ -141,8 +141,7 @@ def _madnorm_cases(rng, count):
 
         for x in xs:
             madnorm_observe(x, rec, "n")
-        ranges["x"] = (float(xs.min()), float(xs.max()))
-        p = MadNormQParams.from_ranges(ranges, hidden)
+        p = MadNormQParams.from_ranges(ranges, compute_qparams(float(xs.min()), float(xs.max()), 8), hidden)
         yield rng.integers(0, 256, hidden).astype(np.uint8), p
 
 

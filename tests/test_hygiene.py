@@ -7,11 +7,19 @@ keeps the import only so that the binding exists.
 
 Layers pass raw arrays, so ``QuantTensor`` is built only as ``runtime.run``'s
 return value.
+
+Each cell's mixed-precision layout is declared once, in the module whose
+kernels run it (``lstm.CELL_STAGES``, ``attention.ATTN_BITS`` and
+``ATTN_STAGES``, ``madnorm.NORM_STAGES``), so ``runtime`` and ``serialize``
+hold no literal list of its stage names.
 """
 import ast
 from pathlib import Path
 
 from perfbench.spans import BINDINGS
+from qlstm.attention import ATTN_BITS, ATTN_STAGES
+from qlstm.lstm import CELL_STAGES
+from qlstm.madnorm import NORM_STAGES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qlstm"
 
@@ -89,3 +97,33 @@ def test_uses_finds_every_call_and_name(tmp_path):
     )
     assert uses(probe, "T") == (True, [None, "g", "f"])
     assert uses(probe, "U") == (False, [])
+
+
+STAGE_NAMES = {*CELL_STAGES, *ATTN_BITS, *ATTN_STAGES, *NORM_STAGES}
+
+
+def stage_lists(path: Path) -> list:
+    """Lines of ``path``'s literal lists, tuples and sets that hold two or more stage names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.List, ast.Tuple, ast.Set))
+        and sum(isinstance(e, ast.Constant) and e.value in STAGE_NAMES for e in node.elts) >= 2
+    ]
+
+
+def test_runtime_and_serialize_spell_out_no_stage_layout():
+    assert {name: stage_lists(SRC / name) for name in ("runtime.py", "serialize.py")} == {
+        "runtime.py": [],
+        "serialize.py": [],
+    }
+
+
+def test_stage_lists_finds_literal_lists_of_two_stage_names(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        'A = ("mx", "mh")\nB = ["x", "w_x", 8]\nC = {"sum", *D}\nE = {"q": 1, "k": 2}\n'
+        'F = {"tanh", "e"}\nfor k in ["nx", ("c", "p_fc")]:\n    pass\n'
+    )
+    assert sorted(stage_lists(probe)) == [1, 5, 6]

@@ -26,7 +26,6 @@ from qlstm.lstm import (
     lstm_sequence_real,
     lstm_step_exact,
     lstm_step_real,
-    madnorm_lstm_step_real,
 )
 from qlstm.quant import ScaledMultiplier, compute_qparams, dequantize, quantize
 
@@ -203,7 +202,7 @@ class TestMadNormVariant:
         state_a, state_b = LstmState.zeros(m), LstmState.zeros(m)
         for t in range(5):
             x = rng.normal(0, 1, n)
-            state_a = madnorm_lstm_step_real(x, state_a, w_const)
+            state_a = lstm_step_real(x, state_a, w_const, norm=True)
             state_b = lstm_step_real(x, state_b, w_zero)
             assert np.allclose(state_a.h, state_b.h) and np.allclose(state_a.c, state_b.c)
 

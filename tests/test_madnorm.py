@@ -27,7 +27,7 @@ def calibrated_params(vectors, hidden, input_bits=8):
     for x in vectors:
         madnorm_observe(np.asarray(x, dtype=np.float64), rec, "n")
         rec("n.x", x)
-    return MadNormQParams.from_ranges(ranges, hidden, input_bits=input_bits)
+    return MadNormQParams.from_ranges(ranges, compute_qparams(*ranges["x"], input_bits), hidden)
 
 
 def madnorm_one(q_x, p):
@@ -67,7 +67,7 @@ class TestMadNormInt:
 
     def test_single_element_maps_to_zero_point(self):
         ranges = {"x": (-1, 1), "mu": (-1, 1), "xhat": (-0.5, 0.5), "d": (0, 0.5), "y": (-1, 1)}
-        p = MadNormQParams.from_ranges(ranges, 1)
+        p = MadNormQParams.from_ranges(ranges, compute_qparams(*ranges["x"], 8), 1)
         assert madnorm_one(quantize(np.array([0.7]), p.qp_x), p)[0] == p.qp_y.zero_point
 
     def test_close_to_real_path(self):
@@ -87,7 +87,7 @@ class TestMadNormInt:
         for hidden in (1, 2, 64, 1366):
             if hidden == 1:
                 p = MadNormQParams.from_ranges(
-                    {"x": (-2, 2), "mu": (-2, 2), "xhat": (-1, 1), "d": (0, 1), "y": (-1, 1)}, 1
+                    {"mu": (-2, 2), "xhat": (-1, 1), "d": (0, 1), "y": (-1, 1)}, compute_qparams(-2, 2, 8), 1
                 )
             else:
                 p = calibrated_params(rng.normal(0, 1.5, (30, hidden)), hidden)
@@ -199,7 +199,7 @@ class TestStackedKernel:
 
     def test_rows_must_share_the_hidden_dimension(self):
         ranges = {"x": (-1, 1), "mu": (-1, 1), "xhat": (-1, 1), "d": (0, 1), "y": (-1, 1)}
-        a = MadNormQParams.from_ranges(ranges, 4)
+        a = MadNormQParams.from_ranges(ranges, compute_qparams(*ranges["x"], 8), 4)
         with pytest.raises(ValueError, match="hidden dimension"):
             MadNormRows([a, replace(a, hidden=5)])
         with pytest.raises(ValueError, match="hidden dimension mismatch"):

@@ -12,6 +12,7 @@ from conftest import (
     calibrated_int_model,
     edit_manifest,
     observe,
+    random_attention_config,
     random_cell,
     random_lstm_config,
     stored,
@@ -19,7 +20,7 @@ from conftest import (
     use_true_functions,
 )
 from perfbench.workloads import WORKLOADS, make_inputs
-from qlstm import attention, floatguard, lstm, serialize
+from qlstm import attention, floatguard, lstm, madnorm, serialize
 from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
 from qlstm.quant import (
@@ -44,11 +45,13 @@ from qlstm.runtime import (
     IntProjection,
     IntResidual,
     LstmLayer,
+    ResidualAddLayer,
     calibrate,
     convert,
     dequantize_model,
     exact_activations,
     forward_float,
+    required_stages,
     run,
     run_reference,
     validate_chain,
@@ -555,7 +558,7 @@ class TestSaveLoad:
         "workload, edits, message",
         [
             ("seq2seq", ("L0.out", "L1.x"), "layer 0: embedding output must be 8-bit"),
-            ("seq2seq", ("L1.x",), "layer 1: input is always 8-bit"),
+            ("seq2seq", ("L1.x",), "layer 1: stage 'x' must be 8-bit"),
             ("bilstm16", ("L2.out", "L3.in"), "layer 2: residual output must be 8-bit"),
             ("bilstm16", ("L3.in",), "layer 3: projection input must be 8-bit"),
         ],
@@ -654,6 +657,18 @@ class TestSaveLoad:
         edit_manifest(path, lambda doc: doc["layers"][3].update(skip_from=skip_from))
         with pytest.raises(ValueError, match="residual skip"):
             serialize.load(str(path))
+
+    def test_boolean_residual_skip_rejected(self, tmp_path):
+        # True is layer index 1: the float model built, and a re-sealed manifest loaded and ran
+        model, im = calibrated_int_model(np.random.default_rng(29), ["lstm", "lstm", "residual"])
+        with pytest.raises(ValueError, match="skip_from must be an integer, not True"):
+            FloatModel([*model.layers[:3], ResidualAddLayer(skip_from=True), model.layers[4]])
+        for m in (model, im):
+            path = tmp_path / f"{type(m).__name__}.json"
+            serialize.save(m, str(path))
+            edit_manifest(path, lambda doc: doc["layers"][3].update(skip_from=True))
+            with pytest.raises(serialize.ModelFormatError, match="skip_from must be an integer, not True"):
+                serialize.load(str(path))
 
     @pytest.mark.parametrize("layer", ["projection", "lstm"])
     def test_over_range_bias_in_resaved_manifest_rejected(self, tmp_path, layer):
@@ -861,6 +876,49 @@ def test_mutated_manifest_loads_or_raises_format_error(saved_manifest, data, val
 
 def _bump_sig_intercept(doc):
     doc["layers"][1]["pwl"]["sig"]["intercept_fx"][0] += 1
+
+
+class TestStageTables:
+    """The mixed-precision layout is declared once per cell: ``lstm.CELL_STAGES``,
+    ``attention.ATTN_BITS`` and ``madnorm.NORM_STAGES``."""
+
+    @staticmethod
+    def qp_fields(cls) -> list:
+        return [f.name[3:] for f in fields(cls) if f.name.startswith("qp_")]
+
+    def test_spec_qparams_fields_are_the_tables(self):
+        assert self.qp_fields(lstm.QuantLstmSpec) == ["wx", "wh", *lstm.CELL_STAGES]
+        assert self.qp_fields(attention.QuantAttentionSpec) == list(attention.ATTN_BITS)
+        assert self.qp_fields(madnorm.MadNormQParams) == ["x", *madnorm.NORM_STAGES]
+
+    @pytest.mark.parametrize("arch, count", [(["bilstm", "bilstm", "residual"], 49), (["lstm", "lstm_norm", "attn"], 58)])
+    def test_calibrate_records_exactly_the_required_stages(self, arch, count):
+        rng = np.random.default_rng(31)
+        model = token_model(rng, arch)
+        ranges = calibrate(model, [rng.integers(0, 6, 8)])
+        assert sorted(ranges) == sorted(required_stages(model))
+        assert len(ranges) == len(required_stages(model)) == count
+
+    @staticmethod
+    def other_bits(qp: QuantParams) -> QuantParams:
+        return compute_qparams(qp.min, qp.max, 24 - qp.bitwidth)
+
+    @pytest.mark.parametrize(
+        "table, stage",
+        [("cell", s) for s in lstm.CELL_STAGES]
+        + [("norm", s) for s in madnorm.NORM_STAGES]
+        + [("attn", s) for s in attention.ATTN_BITS],
+    )
+    def test_wrong_bitwidth_names_the_stage(self, table, stage):
+        rng = np.random.default_rng(32)
+        if table == "attn":
+            spec = random_attention_config(rng)[-1]
+        else:
+            spec = random_lstm_config(rng, norm=True)[-1]
+            spec = spec if table == "cell" else spec.norm_x
+        name = f"qp_{stage}"
+        with pytest.raises(ValueError, match=f"'{stage}'"):
+            replace(spec, **{name: self.other_bits(getattr(spec, name))})
 
 
 class TestWidthChecks:
