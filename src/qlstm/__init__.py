@@ -34,6 +34,7 @@ from .attention import (
     QuantAttnDecoderSpec,
     attention_int,
     attention_keys,
+    attention_keys_real,
     attention_real,
     inject_context,
     softmax_int,

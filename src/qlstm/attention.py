@@ -27,6 +27,7 @@ from .lstm import (
     lstm_gate_preacts_exact,
     lstm_gate_preacts_int,
     lstm_step_real,
+    matvec,
 )
 from .madnorm import _noop, scoped
 from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact
@@ -98,27 +99,34 @@ class AttentionWeights:
         return self.w_k.shape[1]
 
 
-def attention_real(h_prev, enc_h, w: AttentionWeights, record=_noop):
-    """Context vector and attention weights over the encoder states."""
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    enc_h = np.atleast_2d(np.asarray(enc_h, dtype=np.float64))
-    q_proj = w.w_q @ h_prev
-    k_proj = enc_h @ w.w_k.T
-    record("q", q_proj)
+def attention_keys_real(enc_h, w: AttentionWeights, record=_noop) -> np.ndarray:
+    """The encoder states (``(T, m_enc)``, or a ``(B, T, m_enc)`` stack)
+    projected through ``w_k`` once per sequence."""
+    k_proj = np.atleast_2d(np.asarray(enc_h, dtype=np.float64)) @ w.w_k.T
     record("k", k_proj)
-    pre = q_proj[None, :] + k_proj
+    return k_proj
+
+
+def attention_real(h_prev, enc_h, k_proj, w: AttentionWeights, record=_noop):
+    """Context vector and attention weights over the encoder states, whose
+    keys :func:`attention_keys_real` projected; ``h_prev`` is ``(m_dec,)``,
+    or ``(B, m_dec)`` with a stack of encoder states."""
+    enc_h = np.atleast_2d(np.asarray(enc_h, dtype=np.float64))
+    q_proj = matvec(w.w_q, np.asarray(h_prev, dtype=np.float64))
+    record("q", q_proj)
+    pre = q_proj[..., None, :] + k_proj
     record("sum", pre)
     th = np.tanh(pre)
     record("tanh", th)
     e = th @ w.v
     record("e", e)
-    shifted = e - e.max()
+    shifted = e - e.max(axis=-1, keepdims=True)
     record("exp_in", shifted)
     ex = np.exp(shifted)
     record("exp_out", ex)
-    alpha = ex / ex.sum()
+    alpha = ex / ex.sum(axis=-1, keepdims=True)
     record("alpha", alpha)
-    s = alpha @ enc_h
+    s = np.matmul(alpha[..., None, :], enc_h)[..., 0, :]
     record("ctx", s)
     return s, alpha
 
@@ -459,17 +467,17 @@ def attn_decoder_sequence_exact(q_xs, q_enc, dec: QuantAttnDecoderSpec) -> np.nd
     return hs
 
 
-def attn_decoder_step_real(x_t, state: LstmState, enc_h, cell_w: LstmWeights, attn_w: AttentionWeights, record=_noop):
-    s, alpha = attention_real(state.h, enc_h, attn_w, record=scoped(record, "attn"))
-    return lstm_step_real(x_t, state, cell_w, record, ms=attn_w.w_s @ s), alpha
-
-
 def attn_decoder_sequence_real(xs, enc_h, cell_w: LstmWeights, attn_w: AttentionWeights, record=_noop) -> np.ndarray:
+    """The decoder's hidden states over one sequence or a stack, as
+    :func:`~qlstm.lstm.lstm_sequence_real`; the keys are projected once."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    state = LstmState.zeros(cell_w.hidden_size)
-    hs = np.zeros((len(xs), cell_w.hidden_size))
-    for t in range(len(xs)):
-        state, _ = attn_decoder_step_real(xs[t], state, enc_h, cell_w, attn_w, record)
-        hs[t] = state.h
+    enc_h = np.atleast_2d(np.asarray(enc_h, dtype=np.float64))
+    record_attn = scoped(record, "attn")
+    k_proj = attention_keys_real(enc_h, attn_w, record_attn)
+    state = LstmState.zeros((*xs.shape[:-2], cell_w.hidden_size))
+    hs = np.zeros((*xs.shape[:-1], cell_w.hidden_size))
+    for t in range(xs.shape[-2]):
+        s, _ = attention_real(state.h, enc_h, k_proj, attn_w, record_attn)
+        state = lstm_step_real(xs[..., t, :], state, cell_w, record, ms=matvec(attn_w.w_s, s))
+        hs[..., t, :] = state.h
     return hs
-

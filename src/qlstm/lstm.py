@@ -107,8 +107,9 @@ class LstmState:
     c: np.ndarray
 
     @classmethod
-    def zeros(cls, m: int) -> "LstmState":
-        return cls(np.zeros(m), np.zeros(m))
+    def zeros(cls, shape) -> "LstmState":
+        """The zero state: ``shape`` is ``m``, or ``(B, m)`` for a stack."""
+        return cls(np.zeros(shape), np.zeros(shape))
 
 
 def _gate_rows(m: int):
@@ -129,16 +130,24 @@ def _rows(*blocks) -> np.ndarray:
     return np.repeat(np.array([v for v, _ in blocks]), [n for _, n in blocks])
 
 
+def matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` for a vector ``x`` or a stack of them (``(..., n)``): one
+    matrix-vector product per vector, so each gets the bits it gets alone.
+    A GEMM over the stack (``x @ w.T``) can differ in the last bit."""
+    return np.matmul(w, x[..., None])[..., 0]
+
+
 def lstm_step_real(x_t, state: LstmState, weights: LstmWeights, record=_noop, norm=False, ms=None) -> LstmState:
-    """One exact real-arithmetic step (biases added to the preactivations).
+    """One exact real-arithmetic step (biases added to the preactivations)
+    of one cell, or of a stack of cells: ``x_t`` is ``(n,)`` or ``(B, n)``.
 
     ``norm`` puts MadNorm on each matmul result and on the cell state (the
     MadNorm cell); ``ms``, the attention decoder's context matmul, is added
     to the preactivations.
     """
     m = weights.hidden_size
-    mx = weights.w_x @ np.asarray(x_t, dtype=np.float64) + weights.bias
-    mh = weights.w_h @ np.asarray(state.h, dtype=np.float64)
+    mx = matvec(weights.w_x, np.asarray(x_t, dtype=np.float64)) + weights.bias
+    mh = matvec(weights.w_h, np.asarray(state.h, dtype=np.float64))
     record("x", x_t)
     record("mx", mx)
     record("mh", mh)
@@ -147,12 +156,12 @@ def lstm_step_real(x_t, state: LstmState, weights: LstmWeights, record=_noop, no
         record("ms", ms)
         pre = pre + ms
     sig_rows, _ = _gate_rows(m)
-    record("pre_sig", pre[sig_rows])
-    record("pre_j", pre[2 * m : 3 * m])
-    gates = sigmoid(pre[sig_rows])
+    record("pre_sig", pre[..., sig_rows])
+    record("pre_j", pre[..., 2 * m : 3 * m])
+    gates = sigmoid(pre[..., sig_rows])
     record("sig", gates)
-    s_i, s_f, s_o = gates[:m], gates[m : 2 * m], gates[2 * m :]
-    t_j = np.tanh(pre[2 * m : 3 * m])
+    s_i, s_f, s_o = gates[..., :m], gates[..., m : 2 * m], gates[..., 2 * m :]
+    t_j = np.tanh(pre[..., 2 * m : 3 * m])
     record("tanh_j", t_j)
     p_fc = s_f * np.asarray(state.c, dtype=np.float64)
     p_ij = s_i * t_j
@@ -640,12 +649,15 @@ def lstm_sequence_real(
     record=_noop,
     norm: bool = False,
 ) -> np.ndarray:
+    """The hidden states of ``(T, n)`` frames, ``(T, m)``; a ``(B, T, n)``
+    stack of equal-length sequences runs as one, to ``(B, T, m)``, each
+    sequence with the bits it gets alone."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    state = LstmState.zeros(weights.hidden_size)
-    hs = np.zeros((len(xs), weights.hidden_size))
-    for t in _time_order(len(xs), direction):
-        state = lstm_step_real(xs[t], state, weights, record, norm=norm)
-        hs[t] = state.h
+    state = LstmState.zeros((*xs.shape[:-2], weights.hidden_size))
+    hs = np.zeros((*xs.shape[:-1], weights.hidden_size))
+    for t in _time_order(xs.shape[-2], direction):
+        state = lstm_step_real(xs[..., t, :], state, weights, record, norm=norm)
+        hs[..., t, :] = state.h
     return hs
 
 
@@ -716,6 +728,8 @@ class BiLstmSpec:
 
 
 def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noop) -> np.ndarray:
+    """Both directions' hidden states side by side, of one sequence or a
+    stack, as :func:`lstm_sequence_real`."""
     fwd = lstm_sequence_real(xs, w_fwd, "forward", record=scoped(record, "fwd"))
     bwd = lstm_sequence_real(xs, w_bwd, "backward", record=scoped(record, "bwd"))
     return np.concatenate([fwd, bwd], axis=-1)

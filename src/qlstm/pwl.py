@@ -39,13 +39,10 @@ from .quant import (
 
 
 def sigmoid(x):
+    """The logistic function without overflow: ``exp`` only ever of ``-|x|``."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 #: scalar nonlinearities known to the converter and the CLI

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -127,7 +128,10 @@ class EmbeddingLayer(_Layer):
     takes_tokens = True
 
     def forward(self, tokens, outputs, record):
-        return self.table[_check_tokens(tokens, self.table.shape[0])]
+        tokens = np.asarray(tokens)
+        for seq in tokens if tokens.ndim == 2 else [tokens]:
+            _check_tokens(seq, self.table.shape[0])
+        return self.table[tokens]
 
     def stages(self, prefix):
         return []
@@ -365,7 +369,13 @@ class CalibrationObserver(_StageView):
 
 
 def forward_float(model: FloatModel, seq, record=None) -> list:
-    """Run the float model, returning every layer's output sequence."""
+    """Run the float model, returning every layer's output sequence.
+
+    ``seq`` is one sequence, ``(T,)`` token ids or ``(T, n)`` frames, or a
+    stack of equal-length ones, ``(B, T)`` or ``(B, T, n)``, run as one pass
+    whose outputs have the leading ``B`` axis; each sequence's outputs have
+    the bits it gets alone.
+    """
     obs = record if record is not None else _noop
     cur = seq
     if not model.takes_tokens:
@@ -399,14 +409,37 @@ def _missing_stages(model: FloatModel, ranges: dict) -> list:
     return [s for s in required_stages(model) if s not in ranges]
 
 
+#: The most equal-shape calibration sequences :func:`calibrate` runs as one
+#: stacked :func:`forward_float` pass.
+CALIBRATION_STACK = 8
+
+
+def _calibration_passes(model: FloatModel, batches):
+    """Each run of consecutive sequences of one shape and dtype, ``(T,)``
+    tokens or ``(T, n)`` frames, as stacks of up to
+    :data:`CALIBRATION_STACK`; a run of one, and a sequence of any other
+    rank, passes alone."""
+    ndim = 1 if model.takes_tokens else 2
+
+    def run_key(seq):  # a sequence of another rank gets a key equal to no other
+        return (seq.shape, seq.dtype) if seq.ndim == ndim else object()
+
+    for _, run in groupby(map(np.asarray, batches), run_key):
+        while stack := list(islice(run, CALIBRATION_STACK)):
+            yield stack[0] if len(stack) == 1 else np.stack(stack)
+
+
 def calibrate(model: FloatModel, batches) -> dict:
     """Observe per-stage ranges over a stream of input sequences.
 
     Returns the ``{stage: (min, max)}`` map consumed by :func:`convert`.
     Raises if any stage required by the model was never observed.
+    Consecutive sequences of one shape run as one stacked pass; a stage's
+    min and max do not depend on the order its values are seen in, so the
+    ranges are those of running each sequence alone.
     """
     obs = CalibrationObserver()
-    for seq in batches:
+    for seq in _calibration_passes(model, batches):
         forward_float(model, seq, record=obs)
         obs.flush()
     missing = _missing_stages(model, obs.ranges)

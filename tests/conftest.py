@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 from qlstm import attention as att
 from qlstm import lstm as L
 from qlstm import quant, runtime, serialize
+from qlstm.madnorm import _noop
 from qlstm.pwl import ACTIVATIONS
 
 settings.register_profile(
@@ -45,6 +46,12 @@ def observe(fn, *args, **kwargs) -> dict:
     return obs.ranges
 
 
+def attend_real(h, enc, w, record=_noop):
+    """One float attention step over keys projected first, as the decoder
+    projects them once per sequence."""
+    return att.attention_real(h, enc, att.attention_keys_real(enc, w, record), w, record)
+
+
 def random_lstm_config(rng, *, norm=False, cell_bits=8, gate_bits=8, pieces=6, T=None, m=None, n=None):
     """Random weights + inputs, calibrated on those inputs, spec built from them."""
     m = m if m is not None else int(rng.integers(2 if norm else 1, 5))
@@ -72,7 +79,7 @@ def random_attention_config(rng, *, pieces=10, candidates=256):
     )
     enc = rng.normal(0, 1, (T, m_enc))
     h = rng.normal(0, 1, m_dec)
-    ranges = observe(att.attention_real, h, enc, w)
+    ranges = observe(attend_real, h, enc, w)
     qp_h = quant.compute_qparams(float(h.min()), float(h.max()), 8)
     qp_enc = quant.compute_qparams(float(enc.min()), float(enc.max()), 8)
     spec = att.QuantAttentionSpec.from_float(
@@ -81,10 +88,11 @@ def random_attention_config(rng, *, pieces=10, candidates=256):
     return w, h, enc, spec
 
 
-def token_model(rng, arch, vocab=6, emb=3, m=3):
-    """Build a small float token model; ``arch`` names the middle layers."""
-    layers = [runtime.EmbeddingLayer(rng.normal(0, 1, (vocab, emb)))]
-    width = emb
+def token_model(rng, arch, vocab=6, emb=3, m=3, frames=None):
+    """Build a small float token model; ``arch`` names the middle layers.
+    With ``frames``, the model takes frames that wide instead of tokens."""
+    layers = [] if frames else [runtime.EmbeddingLayer(rng.normal(0, 1, (vocab, emb)))]
+    width = frames or emb
     for kind in arch:
         if kind == "lstm":
             layers.append(runtime.LstmLayer(random_cell(rng, m, width)))

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, observe, random_attention_config, random_cell, stored, use_true_functions
+from conftest import (
+    attend_real,
+    calibrated_int_model,
+    observe,
+    random_attention_config,
+    random_cell,
+    stored,
+    use_true_functions,
+)
 from qlstm import attention as att
 from qlstm import runtime
 from qlstm.attention import (
@@ -14,7 +22,6 @@ from qlstm.attention import (
     attention_int,
     attention_int_exact,
     attention_keys,
-    attention_real,
     attn_decoder_sequence_exact,
     attn_decoder_sequence_int,
     inject_context,
@@ -46,7 +53,7 @@ class TestAttentionReal:
         rng = np.random.default_rng(0)
         w = AttentionWeights(rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 3), rng.normal(0, 1, (8, 4)))
         enc = rng.normal(0, 1, (1, 4))
-        s, alpha = attention_real(rng.normal(0, 1, 2), enc, w)
+        s, alpha = attend_real(rng.normal(0, 1, 2), enc, w)
         assert np.array_equal(alpha, [1.0])
         assert np.array_equal(s, enc[0])
 
@@ -54,7 +61,7 @@ class TestAttentionReal:
         rng = np.random.default_rng(1)
         w = AttentionWeights(rng.normal(0, 1, (3, 2)), rng.normal(0, 1, (3, 4)), rng.normal(0, 1, 3), rng.normal(0, 1, (8, 4)))
         enc = np.tile(rng.normal(0, 1, 4), (5, 1))
-        _, alpha = attention_real(rng.normal(0, 1, 2), enc, w)
+        _, alpha = attend_real(rng.normal(0, 1, 2), enc, w)
         assert np.allclose(alpha, 0.2)
 
     def test_matches_scalar_reference(self):
@@ -62,7 +69,7 @@ class TestAttentionReal:
         w = AttentionWeights(rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (4, 5)), rng.normal(0, 1, 4), rng.normal(0, 1, (12, 5)))
         enc = rng.normal(0, 1, (3, 5))
         h = rng.normal(0, 1, 3)
-        s, alpha = attention_real(h, enc, w)
+        s, alpha = attend_real(h, enc, w)
         s_ref, alpha_ref = scalar_reference_attention(h, enc, w)
         assert np.allclose(alpha, alpha_ref, atol=1e-12)
         assert np.allclose(s, s_ref, atol=1e-12)
@@ -73,7 +80,7 @@ class TestAttentionReal:
         enc = rng.normal(0, 1, (6, 5))
         h = rng.normal(0, 1, 3)
         rec = {}
-        _, alpha = attention_real(h, enc, w, record=lambda k, v: rec.__setitem__(k, np.array(v)))
+        _, alpha = attend_real(h, enc, w, record=lambda k, v: rec.__setitem__(k, np.array(v)))
         e = rec["e"]
         want = np.exp(e) / np.exp(e).sum()
         assert np.allclose(alpha, want, atol=1e-12)
@@ -154,7 +161,7 @@ class TestAttentionInt:
         for _ in range(n):
             w, h, enc, spec = random_attention_config(rng, pieces=12)
             _, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), spec), spec)
-            _, a_real = attention_real(h, enc, w)
+            _, a_real = attend_real(h, enc, w)
             agree += int(np.argmax(q_a) == np.argmax(a_real))
         assert agree / n >= 0.95
 

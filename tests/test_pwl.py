@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlstm.pwl import (
+    _candidate_grid,
     build_lut,
     build_pwl,
     dump_pwl_csv,
@@ -36,6 +37,33 @@ def select_knots_reference(knots, intercepts, n_pieces):
         j = int(np.argmin(diff_adj))
         knots = np.delete(knots, j + 1)
         intercepts = np.delete(intercepts, j + 1)
+
+
+def sigmoid_two_branch(x):
+    """The logistic function as two masked branches, each taking ``exp`` of
+    a non-positive value: the form ``sigmoid`` must keep the bits of."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    """``build_pwl`` reads ``sigmoid`` for its knot values, so its bits are
+    the saved tables' bits."""
+
+    def test_bits_equal_the_two_branch_form(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e-310, -1e-310, 745.0, -745.0, 746.0, -746.0]
+        grid = np.linspace(-40.0, 40.0, 65_536)
+        normals = np.random.default_rng(5).normal(0, 8, 100_000)
+        qp16 = compute_qparams(-12.0, 12.0, 16)
+        cands = dequantize(_candidate_grid(qp16, None), qp16)
+        for x in (np.array(edges), grid, normals, cands, normals.reshape(4, -1)[:, ::3], np.float64(-3.5)):
+            assert np.array_equal(sigmoid(x), sigmoid_two_branch(x), equal_nan=True)
 
 
 class TestBuildLut:

@@ -33,6 +33,7 @@ from qlstm.quant import (
     int_matmul,
 )
 from qlstm.runtime import (
+    CALIBRATION_STACK,
     AttentionDecoderLayer,
     BiLstmLayer,
     CalibrationObserver,
@@ -46,6 +47,7 @@ from qlstm.runtime import (
     IntResidual,
     LstmLayer,
     ResidualAddLayer,
+    _calibration_passes,
     calibrate,
     convert,
     dequantize_model,
@@ -162,14 +164,46 @@ class TestCalibrate:
             forward_float(model, seq, record=record)
         return ranges
 
-    @pytest.mark.parametrize("arch", [["bilstm", "bilstm", "residual"], ["lstm", "lstm_norm", "attn"]])
+    @staticmethod
+    def model_and_batches(rng, arch, lengths):
+        """The BiLSTM stack on 3-wide frames, any other on tokens."""
+        if arch[0] == "bilstm":
+            return token_model(rng, arch, m=4, frames=3), [rng.normal(0, 1, (t, 3)) for t in lengths]
+        return token_model(rng, arch, m=4), [rng.integers(0, 6, t) for t in lengths]
+
+    # equal-length runs, singletons and a run longer than the stack cap
+    LENGTHS = [7, 7, 7, 1, 12, 5, 5, *[9] * (CALIBRATION_STACK + 2), 4]
+    ARCHS = [["bilstm", "bilstm", "residual"], ["lstm", "lstm_norm", "attn"]]
+
+    @pytest.mark.parametrize("arch", ARCHS)
     def test_equals_per_call_min_max(self, arch):
         rng = np.random.default_rng(70)
-        model = token_model(rng, arch, m=4)
-        batches = [rng.integers(0, 6, int(t)) for t in (7, 1, 12)]
+        model, batches = self.model_and_batches(rng, arch, self.LENGTHS)
         got = calibrate(model, batches)
         want = self.per_call_ranges(model, batches)
         assert list(got) == list(want) and got == want
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_passes_stack_runs_of_one_shape(self, arch):
+        rng = np.random.default_rng(71)
+        model, batches = self.model_and_batches(rng, arch, self.LENGTHS)
+        cap = CALIBRATION_STACK
+        shapes = [(3, 7), (1,), (12,), (2, 5), (cap, 9), (2, 9), (4,)]
+        if arch[0] == "bilstm":  # frames; a lone frame passes as given
+            batches.insert(3, batches[0][0])
+            shapes = [(3, 7, 3), (3,), (1, 3), (12, 3), (2, 5, 3), (cap, 9, 3), (2, 9, 3), (4, 3)]
+        assert [np.shape(p) for p in _calibration_passes(model, batches)] == shapes
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_stacked_forward_equals_each_sequence(self, arch):
+        rng = np.random.default_rng(72)
+        model, seqs = self.model_and_batches(rng, arch, [6] * 3)
+        stacked = forward_float(model, np.stack(seqs))
+        for b, seq in enumerate(seqs):
+            alone = forward_float(model, seq)
+            assert len(stacked) == len(alone) == len(model.layers)
+            for got, want in zip(stacked, alone):
+                assert got.shape == (3, *want.shape) and np.array_equal(got[b], want)
 
     def test_observer_ignores_empty_values(self):
         obs = CalibrationObserver()
