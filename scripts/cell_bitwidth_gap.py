@@ -11,9 +11,8 @@ import argparse
 
 import numpy as np
 
-from qlstm.lstm import LstmWeights, QuantLstmSpec, lstm_sequence_int, lstm_sequence_real
-from qlstm.quant import dequantize, quantize
-from qlstm.runtime import CalibrationObserver
+from qlstm.lstm import LstmWeights, QuantLstmSpec, lstm_sequence_real
+from qlstm.runtime import CalibrationObserver, IntLstm, IntModel, run
 
 
 def main():
@@ -41,8 +40,8 @@ def main():
         row = {}
         for bits in (8, 16):
             spec = QuantLstmSpec.from_float(w, ranges, pieces=args.pieces, cell_bits=bits)
-            hs = lstm_sequence_int(quantize(xs, spec.qp_x).astype(spec.qp_x.storage_dtype), spec)
-            row[bits] = float(np.abs(dequantize(hs, spec.qp_h) - real).mean())
+            hs = run(IntModel([IntLstm(spec)], spec.qp_x), xs)
+            row[bits] = float(np.abs(hs.dequantize() - real).mean())
             gaps[bits].append(row[bits])
         print(f"{seed:>4} {row[8]:>10.6f} {row[16]:>10.6f}")
     print(f"mean {np.mean(gaps[8]):>10.6f} {np.mean(gaps[16]):>10.6f}")

@@ -17,10 +17,12 @@ import numpy as np
 
 from . import floatguard
 from .lstm import (
+    LstmLanes,
     LstmState,
     LstmWeights,
     QuantLstmSpec,
     _gate_blocks,
+    _gate_rows,
     _rows,
     lstm_apply_gates_exact,
     lstm_apply_gates_int,
@@ -169,9 +171,6 @@ class QuantAttentionSpec:
             raise ValueError("attention weights must be representable over [0, 1]")
         check_dtype(np.uint8, w_q_q=self.w_q_q, w_k_q=self.w_k_q, v_q=self.v_q)
         check_accumulator((self.w_q_q.shape[-1], self.w_k_q.shape[-1], self.v_q.shape[-1]))
-        self.w_q_diff = self.w_q_q.astype(np.int32) - np.int32(self.qp_wq.zero_point)
-        self.w_k_diff = self.w_k_q.astype(np.int32) - np.int32(self.qp_wk.zero_point)
-        self.v_diff = self.v_q.astype(np.int32) - np.int32(self.qp_v.zero_point)
         self.m_q = saturating_multiplier(self.qp_wq.scale * self.qp_h_dec.scale / self.qp_q.scale)
         self.m_k = saturating_multiplier(self.qp_wk.scale * self.qp_enc.scale / self.qp_k.scale)
         self.m_q2sum = term_multiplier("sum", self.qp_q.scale / self.qp_sum.scale, 255)
@@ -180,19 +179,6 @@ class QuantAttentionSpec:
         self.m_shift = saturating_multiplier(self.qp_e.scale / self.qp_exp_in.scale)
         self.m_alpha = saturating_multiplier(1.0 / self.qp_alpha.scale)
         self.m_ctx = saturating_multiplier(self.qp_alpha.scale * self.qp_enc.scale / self.qp_s.scale)
-        # the kernels' stages; the query and keys stay centred for the pre-tanh sum
-        zp_q, zp_k = self.qp_q.zero_point, self.qp_k.zero_point
-        self.rq_q = Rescale.of(self.m_q, 0, -zp_q, 255 - zp_q)
-        self.rq_k = Rescale.of(self.m_k, 0, -zp_k, 255 - zp_k)
-        self.rs_k2sum = Rescale.of(self.m_k2sum, self.qp_sum.zero_point)  # unclamped: the sum saturates
-        self.rq_e = Rescale.of(self.m_e, self.qp_e.zero_point, 0, self.qp_e.qmax)
-        self.rq_shift = Rescale.of(self.m_shift, self.qp_exp_in.zero_point, 0, self.qp_exp_in.qmax)
-        self.rq_alpha = Rescale.of(self.m_alpha, self.qp_alpha.zero_point, 0, self.qp_alpha.qmax)
-        self.rq_ctx = Rescale.of(self.m_ctx, self.qp_s.zero_point, 0, self.qp_s.qmax)
-        # zero points as signed numpy scalars, so unsigned storage minus one is signed
-        self._zp_h, self._zp_enc, self._zp_s = (np.int32(qp.zero_point) for qp in (self.qp_h_dec, self.qp_enc, self.qp_s))
-        self._zp_tanh = np.int32(self.qp_tanh.zero_point)
-        self._zp_exp_out = np.int64(self.qp_exp_out.zero_point)
 
     @classmethod
     def from_float(
@@ -227,18 +213,61 @@ class QuantAttentionSpec:
         )
 
 
-def softmax_int(e: np.ndarray, spec: QuantAttentionSpec) -> np.ndarray:
+def _centred(w_q: np.ndarray, qp: QuantParams) -> np.ndarray:
+    """Stored weights minus their zero point, as int32."""
+    return w_q.astype(np.int32) - np.int32(qp.zero_point)
+
+
+class AttentionConsts:
+    """Run-time constants of the integer attention, built once from a
+    :class:`QuantAttentionSpec` (by ``runtime.engine``, with its model):
+    the centred weights, the kernels' :class:`~qlstm.quant.Rescale` stages,
+    the zero points they subtract, and the grids that the tanh and exp
+    gathers read, which ``grid`` maps each PWL table to.  Given the decoder
+    ``dec`` that the attention belongs to, it also holds the constants of
+    that decoder's context injection.
+    """
+
+    def __init__(self, attn: QuantAttentionSpec, grid, dec: QuantAttnDecoderSpec | None = None):
+        weights = ((attn.w_q_q, attn.qp_wq), (attn.w_k_q, attn.qp_wk), (attn.v_q, attn.qp_v))
+        self.w_q, self.w_k, self.v = (_centred(w, qp) for w, qp in weights)
+        self.tanh, self.exp = grid(attn.pwl_tanh), grid(attn.pwl_exp)
+        # the query and keys stay centred for the pre-tanh sum
+        zp_q, zp_k = attn.qp_q.zero_point, attn.qp_k.zero_point
+        self.rq_q = Rescale.of(attn.m_q, 0, -zp_q, 255 - zp_q)
+        self.rq_k = Rescale.of(attn.m_k, 0, -zp_k, 255 - zp_k)
+        self.rs_k2sum = Rescale.of(attn.m_k2sum, attn.qp_sum.zero_point)  # unclamped: the sum saturates
+        self.m_q2sum, self.sum_top = attn.m_q2sum, attn.qp_sum.qmax
+        self.rq_e = Rescale.of(attn.m_e, attn.qp_e.zero_point, 0, attn.qp_e.qmax)
+        self.rq_shift = Rescale.of(attn.m_shift, attn.qp_exp_in.zero_point, 0, attn.qp_exp_in.qmax)
+        self.rq_alpha = Rescale.of(attn.m_alpha, attn.qp_alpha.zero_point, 0, attn.qp_alpha.qmax)
+        self.rq_ctx = Rescale.of(attn.m_ctx, attn.qp_s.zero_point, 0, attn.qp_s.qmax)
+        # zero points as signed numpy scalars, so unsigned storage minus one is signed
+        qps = (attn.qp_h_dec, attn.qp_enc, attn.qp_s, attn.qp_tanh)
+        self.zp_h, self.zp_enc, self.zp_s, self.zp_tanh = (np.int32(qp.zero_point) for qp in qps)
+        self.zp_exp_out, self.zp_alpha = np.int64(attn.qp_exp_out.zero_point), attn.qp_alpha.zero_point
+        if dec is not None:
+            m, cell = dec.cell.hidden_size, dec.cell
+            self.w_s = _centred(dec.w_s_q, dec.qp_ws)
+            self.rq_ms = Rescale.of(dec.m_ms, 0, -dec.qp_ms.zero_point, 255 - dec.qp_ms.zero_point)
+            # the formed preactivations (multiplier 1) plus the context term, on each row's gate-sum grid
+            terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, dec.m_ms2sig, dec.m_ms2j)))
+            top = _rows(*_gate_blocks(m, cell.qp_pre_sig.qmax, cell.qp_pre_j.qmax))
+            self.rs_ms = Rescale.of(np.stack(terms), 0, 0, top)
+
+
+def softmax_int(e: np.ndarray, a: AttentionConsts) -> np.ndarray:
     """Integer softmax: max-shift, PWL exp, 32-bit denominator, rounded division.
 
-    ``e`` holds raw alignments on ``spec.qp_e``; returns the raw int64
-    attention weights on ``spec.qp_alpha``.  The max-shift's requantize
+    ``e`` holds raw alignments on the spec's ``qp_e``; returns the raw int64
+    attention weights on its ``qp_alpha``.  The max-shift's requantize
     clamps onto the exp input grid, so the PWL exp is one gather from its
     table.
     """
     floatguard.note(e)
     data = e.astype(np.int64)  # signed, so the max-shift cannot wrap
-    d_exp = spec.pwl_exp.grid_out[requantize_scaled(data - data.max(), spec.rq_shift)] - spec._zp_exp_out
-    return divide_round(d_exp, max(int(d_exp.sum()), 1), spec.rq_alpha)
+    d_exp = a.exp[requantize_scaled(data - data.max(), a.rq_shift)] - a.zp_exp_out
+    return divide_round(d_exp, max(int(d_exp.sum()), 1), a.rq_alpha)
 
 
 def softmax_int_exact(q_e, spec: QuantAttentionSpec) -> np.ndarray:
@@ -268,60 +297,47 @@ class AttentionKeys(NamedTuple):
     sum_stage: Rescale
 
 
-def attention_keys(enc: np.ndarray, spec: QuantAttentionSpec) -> AttentionKeys:
-    """Project the raw encoder states (``(T, m_enc)`` storage on
-    ``spec.qp_enc``) through ``w_k`` once per sequence.
+def attention_keys(enc: np.ndarray, a: AttentionConsts) -> AttentionKeys:
+    """Project the raw encoder states (``(T, m_enc)`` storage on the spec's
+    ``qp_enc``) through ``w_k`` once per sequence.
 
     The pre-tanh sum rounds the query and key terms on their own before
     adding them, so the rescaled key term is the same at every decoder step
     and serves as the offset of the query term's stage.
     """
-    enc_diff = enc - spec._zp_enc
-    d_k = requantize_scaled(int_matmul(enc_diff, spec.w_k_diff.T), spec.rq_k)
-    offset = requantize_scaled(d_k, spec.rs_k2sum)
-    return AttentionKeys(enc_diff, Rescale.of(spec.m_q2sum, offset, 0, spec.qp_sum.qmax))
+    enc_diff = enc - a.zp_enc
+    d_k = requantize_scaled(int_matmul(enc_diff, a.w_k.T), a.rq_k)
+    offset = requantize_scaled(d_k, a.rs_k2sum)
+    return AttentionKeys(enc_diff, Rescale.of(a.m_q2sum, offset, 0, a.sum_top))
 
 
-def attention_int(h: np.ndarray, keys: AttentionKeys, spec: QuantAttentionSpec):
+def attention_int(h: np.ndarray, keys: AttentionKeys, a: AttentionConsts):
     """One decoder step of integer attention over :func:`attention_keys`'
-    output.  ``h`` is the raw decoder state on ``spec.qp_h_dec``; returns
-    the raw int64 (context, attention weights) on ``spec.qp_s`` and
-    ``spec.qp_alpha``."""
-    d_q = requantize_scaled(int_matmul(spec.w_q_diff, h - spec._zp_h), spec.rq_q)
+    output.  ``h`` is the raw decoder state on the spec's ``qp_h_dec``;
+    returns the raw int64 (context, attention weights) on its ``qp_s`` and
+    ``qp_alpha``."""
+    d_q = requantize_scaled(int_matmul(a.w_q, h - a.zp_h), a.rq_q)
     pre = requantize_scaled(d_q, keys.sum_stage)
-    acc_e = int_matmul(spec.pwl_tanh.grid_out[pre] - spec._zp_tanh, spec.v_diff)
-    alpha = softmax_int(requantize_scaled(acc_e, spec.rq_e), spec)
-    acc_s = int_matmul(alpha - spec.qp_alpha.zero_point, keys.enc_diff)
-    return requantize_scaled(acc_s, spec.rq_ctx), alpha
+    acc_e = int_matmul(a.tanh[pre] - a.zp_tanh, a.v)
+    alpha = softmax_int(requantize_scaled(acc_e, a.rq_e), a)
+    acc_s = int_matmul(alpha - a.zp_alpha, keys.enc_diff)
+    return requantize_scaled(acc_s, a.rq_ctx), alpha
 
 
 def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
     h = np.asarray(q_h_prev, dtype=np.int64) - spec.qp_h_dec.zero_point
     enc_diff = np.asarray(q_enc, dtype=np.int64) - spec.qp_enc.zero_point
-    acc_q = spec.w_q_diff.astype(np.int64) @ h
+    acc_q = _centred(spec.w_q_q, spec.qp_wq).astype(np.int64) @ h
     q_q = np.array([requantize_exact(int(a), spec.m_q, spec.qp_q.zero_point, 8) for a in acc_q])
-    acc_k = enc_diff @ spec.w_k_diff.T.astype(np.int64)
+    acc_k = enc_diff @ _centred(spec.w_k_q, spec.qp_wk).T.astype(np.int64)
     q_k = np.array(
         [[requantize_exact(int(a), spec.m_k, spec.qp_k.zero_point, 8) for a in row] for row in acc_k]
     )
-    pre = np.array(
-        [
-            [
-                rescale_add_exact(
-                    [
-                        (int(q_q[j]) - spec.qp_q.zero_point, spec.m_q2sum),
-                        (int(q_k[i, j]) - spec.qp_k.zero_point, spec.m_k2sum),
-                    ],
-                    spec.qp_sum.zero_point,
-                    16,
-                )
-                for j in range(q_q.shape[0])
-            ]
-            for i in range(q_k.shape[0])
-        ]
-    )
+    d_q, d_k = q_q - spec.qp_q.zero_point, q_k - spec.qp_k.zero_point
+    terms = [[[(int(a), spec.m_q2sum), (int(b), spec.m_k2sum)] for a, b in zip(d_q, row)] for row in d_k]
+    pre = np.array([[rescale_add_exact(t, spec.qp_sum.zero_point, 16) for t in row] for row in terms])
     th = np.array([[eval_pwl_int_exact(int(q), spec.pwl_tanh) for q in row] for row in pre])
-    acc_e = (th - spec.qp_tanh.zero_point) @ spec.v_diff.astype(np.int64)
+    acc_e = (th - spec.qp_tanh.zero_point) @ _centred(spec.v_q, spec.qp_v).astype(np.int64)
     q_e = np.array([requantize_exact(int(a), spec.m_e, spec.qp_e.zero_point, 16) for a in acc_e])
     q_alpha = softmax_int_exact(q_e, spec)
     acc_s = (q_alpha - spec.qp_alpha.zero_point) @ enc_diff
@@ -352,22 +368,15 @@ class QuantAttnDecoderSpec:
             raise ValueError("context matmul output must be 8-bit")
         check_dtype(np.uint8, w_s_q=self.w_s_q)
         check_accumulator((self.w_s_q.shape[-1],))
-        m, cell, a = self.cell.hidden_size, self.cell, self.attn
+        m, a = self.cell.hidden_size, self.attn
         m_att, m_enc = a.v_q.shape[-1], a.w_k_q.shape[-1]
         shapes = {"w_q": (a.w_q_q, (m_att, m)), "w_k": (a.w_k_q, (m_att, m_enc)), "w_s": (self.w_s_q, (4 * m, m_enc))}
         for name, (w, want) in shapes.items():
             if w.shape != want:
                 raise ValueError(f"{name} has shape {w.shape}, not {want}, in a {m}-unit decoder's attention")
-        self.w_s_diff = self.w_s_q.astype(np.int32) - np.int32(self.qp_ws.zero_point)
         self.m_ms = saturating_multiplier(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
         self.m_ms2sig = term_multiplier("pre_sig", self.qp_ms.scale / self.cell.qp_pre_sig.scale, 255)
         self.m_ms2j = term_multiplier("pre_j", self.qp_ms.scale / self.cell.qp_pre_j.scale, 255)
-        self.rq_ms = Rescale.of(self.m_ms, 0, -self.qp_ms.zero_point, 255 - self.qp_ms.zero_point)
-        # the formed preactivations (multiplier 1) plus the context term, on each row's gate-sum grid
-        terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, self.m_ms2sig, self.m_ms2j)))
-        top = _rows(*_gate_blocks(m, cell.qp_pre_sig.qmax, cell.qp_pre_j.qmax))
-        self.rs_ms = Rescale.of(np.stack(terms), 0, 0, top)
-        cell.lanes  # the decoder runs its cell as one lane: built with the spec, not on its first run
 
     @classmethod
     def from_float(
@@ -400,48 +409,45 @@ class QuantAttnDecoderSpec:
         )
 
 
-def inject_context(pre: np.ndarray, s: np.ndarray, dec: QuantAttnDecoderSpec) -> np.ndarray:
+def inject_context(pre: np.ndarray, s: np.ndarray, a: AttentionConsts) -> np.ndarray:
     """Add the rescaled context matmul to already-formed gate preactivations
     (the ``(1, 4m)`` output of :func:`lstm_gate_preacts_int` on the cell's
     one lane), saturating on each row's gate-sum grid.  ``s`` is the raw
-    context on ``dec.attn.qp_s``."""
-    d = requantize_scaled(int_matmul(dec.w_s_diff, s - dec.attn._zp_s), dec.rq_ms)
-    return rescale_add(np.concatenate((pre, d[None]))[None], dec.rs_ms)
+    context on the attention's ``qp_s``, and ``a`` the constants of the
+    decoder's attention and context injection."""
+    d = requantize_scaled(int_matmul(a.w_s, s - a.zp_s), a.rq_ms)
+    return rescale_add(np.concatenate((pre, d[None]))[None], a.rs_ms)
 
 
 def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
     s_diff = np.asarray(q_s, dtype=np.int64) - dec.attn.qp_s.zero_point
-    acc = dec.w_s_diff.astype(np.int64) @ s_diff
+    acc = _centred(dec.w_s_q, dec.qp_ws).astype(np.int64) @ s_diff
     q_ms = [requantize_exact(int(a), dec.m_ms, dec.qp_ms.zero_point, 8) for a in acc]
     d = [v - dec.qp_ms.zero_point for v in q_ms]
+
+    def with_context(pre, rows, m, qp):  # each formed gate sum plus its rounded context term, saturated
+        sums = (int(p) + _shift_round_exact(d[r] * m.mantissa, m.shift) for p, r in zip(pre, rows))
+        return np.array([max(0, min(v, qp.qmax)) for v in sums])
+
     cell = dec.cell
-    sig = np.array(
-        [
-            max(0, min(int(pre_sig[k]) + _shift_round_exact(d[r] * dec.m_ms2sig.mantissa, dec.m_ms2sig.shift), cell.qp_pre_sig.qmax))
-            for k, r in enumerate(cell._sig_rows)
-        ]
-    )
-    j = np.array(
-        [
-            max(0, min(int(pre_j[k]) + _shift_round_exact(d[r] * dec.m_ms2j.mantissa, dec.m_ms2j.shift), cell.qp_pre_j.qmax))
-            for k, r in enumerate(cell._j_rows)
-        ]
-    )
-    return sig, j
+    sig_rows, j_rows = _gate_rows(cell.hidden_size)
+    sig = with_context(pre_sig, sig_rows, dec.m_ms2sig, cell.qp_pre_sig)
+    return sig, with_context(pre_j, j_rows, dec.m_ms2j, cell.qp_pre_j)
 
 
-def attn_decoder_sequence_int(xs: np.ndarray, enc: np.ndarray, dec: QuantAttnDecoderSpec) -> np.ndarray:
-    """The decoder over the raw ``(T, n)`` storage ``xs`` on ``dec.cell.qp_x``,
-    attending over the raw encoder states ``enc`` on ``dec.attn.qp_enc``;
-    returns the raw ``(T, m)`` uint8 hidden states on ``dec.cell.qp_h``."""
-    cell, lanes = dec.cell, dec.cell.lanes
+def attn_decoder_sequence_int(xs: np.ndarray, enc: np.ndarray, lanes: LstmLanes, a: AttentionConsts) -> np.ndarray:
+    """The decoder, its cell the one lane of ``lanes`` and its attention and
+    context injection ``a``, over the raw ``(T, n)`` storage ``xs`` on the
+    cell's ``qp_x``, attending over the raw encoder states ``enc`` on the
+    attention's ``qp_enc``; returns the raw ``(T, m)`` uint8 hidden states
+    on the cell's ``qp_h``."""
     xs = np.atleast_2d(xs)
     h, c = lanes.initial_state()
-    hs = np.empty((len(xs), cell.hidden_size), dtype=np.uint8)
-    keys = attention_keys(enc, dec.attn)
+    hs = np.empty((len(xs), lanes.width), dtype=np.uint8)
+    keys = attention_keys(enc, a)
     for t in range(len(xs)):
-        s, _ = attention_int(h[0], keys, dec.attn)
-        pre = inject_context(lstm_gate_preacts_int(xs[t, None], h, lanes), s, dec)
+        s, _ = attention_int(h[0], keys, a)
+        pre = inject_context(lstm_gate_preacts_int(xs[t, None], h, lanes), s, a)
         h, c = lstm_apply_gates_int(pre, c, lanes)
         hs[t] = h[0]
     return hs

@@ -12,10 +12,12 @@ Weight layout stacks the four gates as contiguous row blocks in the order
 preactivation grid and one PWL instance; the candidate tanh and the cell
 tanh each have their own.
 
-The integer step works on all 4m gate rows of ``k`` cells ("lanes") at
-once: each stage is one :class:`~qlstm.quant.Rescale` whose multipliers,
-zero points and clamp bounds :class:`LstmLanes` builds once as ``(k,
-rows)`` stacks, so a stage is one vectorised call whichever lane and grid a
+The specs hold data only: weights, qparams, PWL tables and the scalar
+multipliers that the oracle reads.  The integer step works on all 4m gate
+rows of ``k`` cells ("lanes") at once: each stage is one
+:class:`~qlstm.quant.Rescale` whose multipliers, zero points and clamp
+bounds :class:`LstmLanes` builds once from the specs as ``(k, rows)``
+stacks, so a stage is one vectorised call whichever lane and grid a
 row is on.  A unidirectional layer and the attention decoder run one lane;
 a BiLSTM runs its forward step t and its backward step T-1-t as two lanes
 of one call.  Weights are stored k-major, a contiguous ``(k, n, 4m)`` stack
@@ -30,7 +32,6 @@ of rescaling.  A 16-bit cell keeps the arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -228,7 +229,6 @@ class QuantLstmSpec:
                 p = getattr(self, f"norm_{k}")
                 if p.hidden != rows * m or p.qp_x != getattr(self, f"qp_{stage}"):
                     raise ValueError(f"norm_{k} must take {rows * m} values on its stage's grid")
-        self._sig_rows, self._j_rows = _gate_rows(m)
         src_x = self.norm_x.qp_y if self.norm_x is not None else self.qp_mx
         src_h = self.norm_h.qp_y if self.norm_h is not None else self.qp_mh
         self.m_mx = saturating_multiplier(self.qp_wx.scale * self.qp_x.scale / self.qp_mx.scale)
@@ -242,13 +242,6 @@ class QuantLstmSpec:
         self.m_fc2c = term_multiplier("c", self.qp_p_fc.scale / self.qp_c.scale, self.qp_c.qmax)
         self.m_ij2c = term_multiplier("c", self.qp_p_ij.scale / self.qp_c.scale, self.qp_c.qmax)
         self.m_h = saturating_multiplier(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
-
-    @cached_property
-    def lanes(self) -> "LstmLanes":
-        """The cell as one lane, built on first use: a layer that runs the
-        cell alone reads it when it is made, and a BiLSTM direction, which
-        runs as a lane of its :class:`BiLstmSpec`, never builds it."""
-        return LstmLanes([self])
 
     def weight_diffs(self) -> tuple:
         """The zero-point-centred ``(w_x, w_h)`` as int32."""
@@ -327,10 +320,12 @@ def _k_major(w_diff: np.ndarray, m: int, width: int, cols: int) -> np.ndarray:
 class LstmLanes:
     """Constants of the fused integer LSTM step for ``k`` cells run side by side.
 
-    Lane ``l`` is the cell ``specs[l]``.  Every per-row constant is a ``(k,
-    rows)`` stack (a stacked pair of terms a ``(k, 2, rows)`` one) and every
-    per-lane one a ``(k, 1)`` column, so one kernel call advances all lanes
-    by one step, each on its own grids, as
+    Lane ``l`` is the cell ``specs[l]``, and ``grid`` maps each of its PWL
+    tables to the outputs that its gathers read (``runtime.engine``, which
+    builds every model's lanes once, when the model is built).  Every
+    per-row constant is a ``(k, rows)`` stack (a stacked pair of terms a
+    ``(k, 2, rows)`` one) and every per-lane one a ``(k, 1)`` column, so one
+    kernel call advances all lanes by one step, each on its own grids, as
     :class:`~qlstm.madnorm.MadNormRows` does for MadNorm.  The weights are
     k-major: ``w_x`` is the contiguous ``(k, n, 4w)`` stack of the lanes'
     centred ``W_x.T`` and ``w_h`` the ``(k, w, 4w)`` stack of ``W_h.T``.
@@ -362,7 +357,7 @@ class LstmLanes:
     ``rq_h``).
     """
 
-    def __init__(self, specs):
+    def __init__(self, specs, grid):
         if len({s.input_size for s in specs}) != 1:
             raise ValueError("lanes must share the input width")
         if len({s.norm for s in specs}) != 1:
@@ -413,11 +408,12 @@ class LstmLanes:
             rows(gates(lambda s: (s.qp_pre_sig.qmax, s.qp_pre_j.qmax))),
         )
         # every lane's sigmoid | candidate tanh, one table; rows gather at their lane's offsets
-        tables = [t for s in specs for t in (s.pwl_sig.grid_out, s.pwl_tanh_j.grid_out)]
+        grids = [(grid(s.pwl_sig), grid(s.pwl_tanh_j), grid(s.pwl_tanh_c)) for s in specs]
+        tables = [t for g in grids for t in g[:2]]
         starts = np.cumsum([0] + [len(t) for t in tables])
         self.gate_table = np.concatenate(tables)
         self.gate_off = np.stack([_rows(*_gate_blocks(w, *starts[2 * i : 2 * i + 2])) for i in range(self.k)])
-        tanh_c = [s.pwl_tanh_c.grid_out for s in specs]
+        tanh_c = [g[2] for g in grids]
         self.tanh_c_table = np.concatenate(tanh_c)
         self.tanh_c_off = np.cumsum([0] + [len(t) for t in tanh_c[:-1]])[:, None]
         # stacked f*c | i*j products (centred), their rescale-add into c, and h = o * tanh(c)
@@ -445,8 +441,8 @@ class LstmLanes:
             h = tabulate(lambda a, b: requantize_scaled((a - zp_sig) * t_c(b), rq_h))
             self.h_table = h.astype(np.uint8).ravel()
             # the gate gather gives i, f and o as rows of their lane's pair tables, and j as a column
-            sig_rows = [(s.pwl_sig.grid_out.astype(np.int32) << 8) + (l << 16) for l, s in enumerate(specs)]
-            self.gate_rows = np.concatenate([t for rs, s in zip(sig_rows, specs) for t in (rs, s.pwl_tanh_j.grid_out)])
+            sig_rows = [(g[0].astype(np.int32) << 8) + (l << 16) for l, g in enumerate(grids)]
+            self.gate_rows = np.concatenate([t for rs, g in zip(sig_rows, grids) for t in (rs, g[1])])
         else:
             self.gate_zp = rows(gates(lambda s: (s.qp_sig.zero_point, s.qp_tanh_j.zero_point)))
             self.rq_prod, self.rq_h, self.zp_tanh_c = rq_prod, rq_h, zp_tanh_c
@@ -540,29 +536,14 @@ def lstm_gate_preacts_exact(q_x, q_h, spec: QuantLstmSpec):
         zx, zh = spec.norm_x.qp_y.zero_point, spec.norm_h.qp_y.zero_point
     else:
         zx, zh = spec.qp_mx.zero_point, spec.qp_mh.zero_point
-    pw = spec.qp_pre_sig
-    pre_sig = np.array(
-        [
-            rescale_add_exact(
-                [(int(q_mx[r]) - zx, spec.m_x2sig), (int(q_mh[r]) - zh, spec.m_h2sig)],
-                pw.zero_point,
-                pw.bitwidth,
-            )
-            for r in spec._sig_rows
-        ]
-    )
-    pj = spec.qp_pre_j
-    pre_j = np.array(
-        [
-            rescale_add_exact(
-                [(int(q_mx[r]) - zx, spec.m_x2j), (int(q_mh[r]) - zh, spec.m_h2j)],
-                pj.zero_point,
-                pj.bitwidth,
-            )
-            for r in spec._j_rows
-        ]
-    )
-    return pre_sig, pre_j
+
+    def gate_sums(rows, qp, m_x, m_h):  # each term rounded on its own, the sum on the rows' grid
+        terms = ([(int(q_mx[r]) - zx, m_x), (int(q_mh[r]) - zh, m_h)] for r in rows)
+        return np.array([rescale_add_exact(t, qp.zero_point, qp.bitwidth) for t in terms])
+
+    sig_rows, j_rows = _gate_rows(spec.hidden_size)
+    pre_sig = gate_sums(sig_rows, spec.qp_pre_sig, spec.m_x2sig, spec.m_h2sig)
+    return pre_sig, gate_sums(j_rows, spec.qp_pre_j, spec.m_x2j, spec.m_h2j)
 
 
 def lstm_apply_gates_exact(pre_sig, pre_j, q_c, spec: QuantLstmSpec):
@@ -572,55 +553,18 @@ def lstm_apply_gates_exact(pre_sig, pre_j, q_c, spec: QuantLstmSpec):
     z_sig = spec.qp_sig.zero_point
     d_i, d_f, d_o = gates[:m] - z_sig, gates[m : 2 * m] - z_sig, gates[2 * m :] - z_sig
 
-    q_p_fc = np.array(
-        [
-            requantize_exact(
-                int(d_f[k]) * (int(q_c[k]) - spec.qp_c.zero_point),
-                spec.m_fc,
-                spec.qp_p_fc.zero_point,
-                spec.qp_p_fc.bitwidth,
-            )
-            for k in range(m)
-        ]
-    )
-    q_p_ij = np.array(
-        [
-            requantize_exact(
-                int(d_i[k]) * (int(t_j[k]) - spec.qp_tanh_j.zero_point),
-                spec.m_ij,
-                spec.qp_p_ij.zero_point,
-                spec.qp_p_ij.bitwidth,
-            )
-            for k in range(m)
-        ]
-    )
-    c_new = np.array(
-        [
-            rescale_add_exact(
-                [
-                    (int(q_p_fc[k]) - spec.qp_p_fc.zero_point, spec.m_fc2c),
-                    (int(q_p_ij[k]) - spec.qp_p_ij.zero_point, spec.m_ij2c),
-                ],
-                spec.qp_c.zero_point,
-                spec.qp_c.bitwidth,
-            )
-            for k in range(m)
-        ]
-    )
+    def product(d, b, zp_b, mult, qp):  # d * (b - zp_b) requantized onto qp
+        prods = (int(u) * (int(v) - zp_b) for u, v in zip(d, b))
+        return np.array([requantize_exact(p, mult, qp.zero_point, qp.bitwidth) for p in prods])
+
+    q_p_fc = product(d_f, q_c, spec.qp_c.zero_point, spec.m_fc, spec.qp_p_fc)
+    q_p_ij = product(d_i, t_j, spec.qp_tanh_j.zero_point, spec.m_ij, spec.qp_p_ij)
+    zp_fc, zp_ij = spec.qp_p_fc.zero_point, spec.qp_p_ij.zero_point
+    terms = ([(int(a) - zp_fc, spec.m_fc2c), (int(b) - zp_ij, spec.m_ij2c)] for a, b in zip(q_p_fc, q_p_ij))
+    c_new = np.array([rescale_add_exact(t, spec.qp_c.zero_point, spec.qp_c.bitwidth) for t in terms])
     tanh_src = madnorm_int_exact(c_new, spec.norm_c) if spec.norm else c_new
     t_c = np.array([eval_pwl_int_exact(int(q), spec.pwl_tanh_c) for q in tanh_src])
-    h_new = np.array(
-        [
-            requantize_exact(
-                int(d_o[k]) * (int(t_c[k]) - spec.qp_tanh_c.zero_point),
-                spec.m_h,
-                spec.qp_h.zero_point,
-                8,
-            )
-            for k in range(m)
-        ]
-    )
-    return h_new, c_new
+    return product(d_o, t_c, spec.qp_tanh_c.zero_point, spec.m_h, spec.qp_h), c_new
 
 
 def lstm_step_exact(q_x, q_h, q_c, spec: QuantLstmSpec):
@@ -661,11 +605,12 @@ def lstm_sequence_real(
     return hs
 
 
-def lstm_sequence_int(xs: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
-    """Forward pass of one cell over the raw ``(T, n)`` storage ``xs`` on
-    ``spec.qp_x``; returns the raw ``(T, m)`` uint8 hidden states on
-    ``spec.qp_h``.  A BiLSTM runs both directions in :func:`bilstm_sequence_int`."""
-    return run_lanes(np.atleast_2d(xs)[:, None], spec.lanes)[:, 0]
+def lstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
+    """Forward pass of one cell, the one lane of ``lanes``, over the raw
+    ``(T, n)`` storage ``xs`` on its ``qp_x``; returns the raw ``(T, m)``
+    uint8 hidden states on its ``qp_h``.  A BiLSTM runs both directions in
+    :func:`bilstm_sequence_int`."""
+    return run_lanes(np.atleast_2d(xs)[:, None], lanes)[:, 0]
 
 
 def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec, direction: str = "forward") -> np.ndarray:
@@ -696,7 +641,6 @@ class BiLstmSpec:
             raise ValueError("forward/backward hidden qparams must be shared for concatenation")
         if self.fwd.qp_x != self.bwd.qp_x:
             raise ValueError("forward/backward cells must consume the same input qparams")
-        self.lanes = LstmLanes([self.fwd, self.bwd])
 
     @property
     def qp_h(self) -> QuantParams:
@@ -735,13 +679,14 @@ def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noo
     return np.concatenate([fwd, bwd], axis=-1)
 
 
-def bilstm_sequence_int(xs: np.ndarray, spec: BiLstmSpec) -> np.ndarray:
+def bilstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     """Forward step t and backward step T-1-t as the two lanes of one kernel
-    call, on raw storage as :func:`lstm_sequence_int`; returns the
-    directions' hidden states side by side."""
+    call (``lanes``, forward first), on raw storage as
+    :func:`lstm_sequence_int`; returns the directions' hidden states side by
+    side."""
     xs = np.atleast_2d(xs)
-    hs = run_lanes(np.stack((xs, xs[::-1]), axis=1), spec.lanes)
-    fwd, bwd = spec.lanes.hidden
+    hs = run_lanes(np.stack((xs, xs[::-1]), axis=1), lanes)
+    fwd, bwd = lanes.hidden
     return np.concatenate((hs[:, 0, :fwd], hs[::-1, 1, :bwd]), axis=1)
 
 

@@ -13,11 +13,11 @@ The integer PWL form (knots, fixed-point slopes and intercepts, override
 points) is what a model stores and what the exact oracle evaluates; the real
 form (knot values, slopes, intercepts) exists only on tables built here.  At
 build or load time every table also expands the integer form into its output
-at each point of the input grid (256 entries for an 8-bit input, 65,536 for a
-16-bit one), so the integer engine evaluates an activation as one gather.
-The engine reads nothing else, so the same tables filled with
-:func:`build_lut` run the true nonlinearities instead
-(``runtime.exact_activations``).
+at each point of the input grid, ``grid_out`` (256 entries for an 8-bit
+input, 65,536 for a 16-bit one).  The integer engine (``runtime.engine``)
+evaluates an activation as one gather from a grid that it takes from each
+table: ``grid_out``, or for ``runtime.exact_activations`` :func:`build_lut`
+on the table's grids, which runs the true nonlinearity instead.
 """
 from __future__ import annotations
 

@@ -14,9 +14,10 @@ are plain loops over the stack:
   calibration keys it needs) and ``convert(ranges, prefix, qp_in, out_qps,
   **opts)``, which returns its integer layer;
 * an integer layer has ``qp_in``/``qp_out``, ``links`` (the chain checks),
-  ``run``, ``run_exact`` (its exact oracle) and ``dequantize``; ``run``
-  takes and returns raw arrays (uint8/uint16 storage, or int32 logits),
-  ``run_exact`` int64 arrays;
+  ``cells`` and ``decoder`` (the specs that its part of the engine is built
+  from), ``run``, ``run_exact`` (its exact oracle) and ``dequantize``;
+  ``run`` takes and returns raw arrays (uint8/uint16 storage, or int32
+  logits), ``run_exact`` int64 arrays;
 * both have ``encode(writer, prefix)`` and ``decode(reader, desc)`` for the
   manifest, whose type tags ``serialize`` maps to the classes.
 
@@ -25,17 +26,23 @@ Per-stage quantization parameters chain through the stack: every layer
 consumes its producer's output qparams and width.  Building an
 :class:`IntModel` checks that chain once, so a layer reads the zero points
 of its input from its own qparams.
+
+The integer layers' specs are data: stored tensors, qparams, PWL tables and
+the scalar multipliers the oracle reads.  What the kernels run on (each
+LSTM layer's lanes, an attention decoder's constants) is the model's
+``engine``, which :func:`engine` builds once when the model is built, and
+:func:`run` hands each layer its own part of it.
 """
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field
 from itertools import groupby, islice
 
 import numpy as np
 
 from .attention import (
     ATTN_STAGES,
+    AttentionConsts,
     AttentionWeights,
     QuantAttnDecoderSpec,
     attn_decoder_sequence_exact,
@@ -46,6 +53,7 @@ from .lstm import (
     CELL_NORMS,
     CELL_STAGES,
     BiLstmSpec,
+    LstmLanes,
     LstmWeights,
     QuantLstmSpec,
     bilstm_sequence_exact,
@@ -454,6 +462,9 @@ def calibrate(model: FloatModel, batches) -> dict:
 
 
 class _IntLayer(_Layer):
+    cells = ()  # the LSTM cells that the layer runs as the lanes of one kernel
+    decoder = None  # the attention decoder spec whose attention the layer runs
+
     def links(self, prev, outs) -> list:
         """``(consumed, produced, where)`` ports that must agree, a port being
         ``(qparams, width)``: ``prev`` is the previous layer's output port
@@ -486,7 +497,7 @@ class IntEmbedding(_IntLayer):
     def output_size(self) -> int:
         return self.table_q.shape[1]
 
-    def run(self, tokens, outputs):
+    def run(self, tokens, outputs, part):
         return self.table_q[tokens]
 
     def run_exact(self, tokens, outputs):
@@ -511,8 +522,9 @@ class IntEmbedding(_IntLayer):
 class IntLstm(_IntLayer):
     spec: QuantLstmSpec
 
-    def __post_init__(self):
-        self.spec.lanes  # built with the layer, not on its first run
+    @property
+    def cells(self) -> tuple:
+        return (self.spec,)
 
     @property
     def qp_in(self):
@@ -530,8 +542,8 @@ class IntLstm(_IntLayer):
     def output_size(self) -> int:
         return self.spec.hidden_size
 
-    def run(self, x, outputs):
-        return lstm_sequence_int(x, self.spec)
+    def run(self, x, outputs, lanes):
+        return lstm_sequence_int(x, lanes)
 
     def run_exact(self, x, outputs):
         return lstm_sequence_exact(x, self.spec)
@@ -552,6 +564,10 @@ class IntBiLstm(_IntLayer):
     spec: BiLstmSpec
 
     @property
+    def cells(self) -> tuple:
+        return self.spec.fwd, self.spec.bwd
+
+    @property
     def qp_in(self):
         return self.spec.fwd.qp_x
 
@@ -565,10 +581,10 @@ class IntBiLstm(_IntLayer):
 
     @property
     def output_size(self) -> int:
-        return sum(self.spec.lanes.hidden)
+        return self.spec.fwd.hidden_size + self.spec.bwd.hidden_size
 
-    def run(self, x, outputs):
-        return bilstm_sequence_int(x, self.spec)
+    def run(self, x, outputs, lanes):
+        return bilstm_sequence_int(x, lanes)
 
     def run_exact(self, x, outputs):
         return bilstm_sequence_exact(x, self.spec)
@@ -590,6 +606,14 @@ class IntAttnDecoder(_IntLayer):
     spec: QuantAttnDecoderSpec
 
     @property
+    def cells(self) -> tuple:
+        return (self.spec.cell,)
+
+    @property
+    def decoder(self):
+        return self.spec
+
+    @property
     def qp_in(self):
         return self.spec.cell.qp_x
 
@@ -609,8 +633,8 @@ class IntAttnDecoder(_IntLayer):
         enc = (self.spec.attn.qp_enc, self.spec.attn.w_k_q.shape[-1])
         return [(enc, prev, " (attention encoder input)"), *super().links(prev, outs)]
 
-    def run(self, x, outputs):
-        return attn_decoder_sequence_int(x, x, self.spec)
+    def run(self, x, outputs, part):
+        return attn_decoder_sequence_int(x, x, *part)
 
     def run_exact(self, x, outputs):
         return attn_decoder_sequence_exact(x, x, self.spec)
@@ -675,7 +699,7 @@ class IntResidual(_IntLayer):
     def port_out(self, prev) -> tuple:
         return self.qp_out, prev[1]
 
-    def run(self, x, outputs):
+    def run(self, x, outputs, part):
         terms = np.stack((outputs[self.skip_from], x), axis=-2).astype(np.int32) - self.zp_ab
         return rescale_add(terms, self.rs).astype(np.uint8)
 
@@ -733,7 +757,7 @@ class IntProjection(_IntLayer):
     def output_size(self) -> int:
         return self.w_q.shape[0]
 
-    def run(self, x, outputs):
+    def run(self, x, outputs, part):
         return (int_matmul(x - np.int32(self.qp_in.zero_point), self.w_diff.T) + self.bias_q).astype(np.int32)
 
     def run_exact(self, x, outputs):
@@ -762,7 +786,8 @@ class IntProjection(_IntLayer):
 @dataclass
 class IntModel:
     """An integer layer stack whose structure, qparams chain and widths are
-    checked when it is built (:func:`validate_chain`)."""
+    checked when it is built (:func:`validate_chain`), and which then builds
+    its ``engine`` (:func:`engine`) on its PWL tables' grids."""
 
     layers: list
     input_qp: QuantParams | None
@@ -771,6 +796,7 @@ class IntModel:
     def __post_init__(self):
         _check_structure(self.layers)
         validate_chain(self)
+        self.engine = engine(self, _pwl_grid)
 
     @property
     def takes_tokens(self) -> bool:
@@ -816,6 +842,36 @@ def convert(
     return IntModel(layers, input_qp, config=dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits))
 
 
+def _pwl_grid(t: PwlTable) -> np.ndarray:
+    return t.grid_out
+
+
+def _exact_grid(t: PwlTable) -> np.ndarray:
+    if t.fn_name not in ACTIVATIONS:
+        raise ValueError(f"PWL table of unknown function {t.fn_name!r}")
+    return build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp).astype(t.grid_out.dtype)
+
+
+def engine(model: IntModel, grid) -> list:
+    """Every run-time structure of ``model``, one part per layer, which
+    :func:`run` hands to that layer: the :class:`~qlstm.lstm.LstmLanes` of
+    the cells it runs as one kernel (pair tables, gate rows, MadNorm rows),
+    and for an attention decoder ``(lanes, AttentionConsts)``; ``None`` for
+    a layer with no cells.  ``grid`` maps each PWL table to the outputs that
+    its gathers read.  Building an :class:`IntModel` calls this once on the
+    tables' own grids, and :func:`exact_activations` on ``build_lut``'s."""
+    parts = []
+    for i, layer in enumerate(model.layers):
+        try:
+            part = LstmLanes(layer.cells, grid) if layer.cells else None
+            if layer.decoder is not None:
+                part = part, AttentionConsts(layer.decoder.attn, grid, layer.decoder)
+        except ValueError as e:
+            raise type(e)(f"layer {i}: {e}") from None
+        parts.append(part)
+    return parts
+
+
 def validate_chain(model: IntModel) -> None:
     """Check that every consumer's input qparams and width equal its producer's output."""
     prev, outs = (model.input_qp, None), []
@@ -849,35 +905,22 @@ def run(model: IntModel, seq):
     in a projection, otherwise the final sequence's storage together with
     its qparams (``.data`` and ``.qp``)."""
     cur, outputs = _prepare_input(model, seq), []
-    for layer in model.layers:
-        cur = layer.run(cur, outputs)
+    for layer in model.layers:  # its engine part is at its index, len(outputs): a zip would allocate per run
+        cur = layer.run(cur, outputs, model.engine[len(outputs)])
         outputs.append(cur)
     qp = model.layers[-1].qp_out
     return cur if qp is None else QuantTensor(cur, qp)
 
 
 def exact_activations(model: IntModel) -> IntModel:
-    """A copy of ``model`` whose activation tables hold the true functions
-    (``build_lut`` on each table's grids): the configuration without
-    quantized activations, run by the same integer ``run``.  The copy is
-    for ``run`` only; ``run_reference`` and ``save`` still see the PWL form
-    it was made from.  ``model`` itself is not changed."""
-    return replace(model, layers=[_exact_tables(layer) for layer in model.layers])
-
-
-def _exact_tables(node):
-    # replace() re-derives what a spec builds from its tables (an LSTM's joint gate table)
-    if isinstance(node, PwlTable):
-        if node.fn_name not in ACTIVATIONS:
-            raise ValueError(f"PWL table of unknown function {node.fn_name!r}")
-        t = copy.copy(node)
-        t.grid_out = build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp).astype(node.grid_out.dtype)
-        return t
-    if not is_dataclass(node):
-        return node
-    new = {f.name: _exact_tables(getattr(node, f.name)) for f in fields(node) if f.init}
-    changed = {k: v for k, v in new.items() if v is not getattr(node, k)}
-    return replace(node, **changed) if changed else node
+    """``model`` with an engine whose activation gathers read the true
+    functions (``build_lut`` on each table's grids): the configuration
+    without quantized activations, run by the same integer ``run``.  It
+    shares ``model``'s layers, so ``run_reference`` and ``save`` see the PWL
+    form; ``model`` itself is not changed."""
+    exact = object.__new__(IntModel)  # the layers are checked already: only the engine is new
+    vars(exact).update(vars(model), layers=list(model.layers), engine=engine(model, _exact_grid))
+    return exact
 
 
 def run_reference(model: IntModel, seq) -> np.ndarray:

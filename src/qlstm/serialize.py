@@ -16,11 +16,6 @@ stored verbatim, so ``load(save(m))`` runs bit-identically to ``m``.  One
 SHA-256, the ``seal``, covers the manifest body (the document without its
 seal, dumped canonically) followed by the blob, so an edited manifest value
 or blob byte does not load.
-
-Version 1 files (indented JSON, five-field qparams, PWL tables with their
-real form too, a SHA-256 of the blob only) still load: their stored scales
-and zero points must equal the derived ones, and their real PWL form is
-ignored.
 """
 from __future__ import annotations
 
@@ -98,23 +93,13 @@ def seal(doc: dict, blob: bytes) -> str:
     return h.hexdigest()
 
 
-def _qp_v1(d: dict) -> QuantParams:
-    qp = QuantParams(d["min"], d["max"], d["bitwidth"], d["scale"], d["zero_point"])
-    if compute_qparams(qp.min, qp.max, qp.bitwidth) != qp:
-        raise ValueError("stored scale and zero point are not the ones its range and bitwidth give")
-    return qp
-
-
-def _qp_v2(entry: list) -> QuantParams:
+def _decode_qp(entry: list) -> QuantParams:
     lo, hi, bitwidth = entry
     check_int("bitwidth", bitwidth)
     qp = compute_qparams(lo, hi, bitwidth)
     if (qp.min, qp.max) != (lo, hi):
         raise ValueError(f"range [{lo}, {hi}] does not include zero")
     return qp
-
-
-_QP_DECODERS = {1: _qp_v1, 2: _qp_v2}
 
 
 # manifest type tag -> (float layer class, integer layer class)
@@ -227,7 +212,6 @@ class _Reader:
     def __init__(self, doc: dict, blob: bytes):
         self.tensors = doc["tensors"]
         self.qparams = doc["qparams"]
-        self._qp_decode = _QP_DECODERS[doc["version"]]
         self.blob = blob
         self._qp_cache = {}
 
@@ -249,7 +233,7 @@ class _Reader:
         if name not in self._qp_cache:
             entry = self.qparams[name]
             with _malformed(f"qparams {name}"):
-                self._qp_cache[name] = self._qp_decode(entry)
+                self._qp_cache[name] = _decode_qp(entry)
         return self._qp_cache[name]
 
     def pwl(self, d: dict) -> PwlTable:
@@ -296,11 +280,13 @@ class _Reader:
 # ---------------------------------------------------------------------------
 
 
-def save(model, path: str) -> str:
-    """Write a model (float or integer) as ``path`` plus ``path + '.blob'``
-    in format version 2."""
+def save(model, path) -> str:
+    """Write a model (float or integer) as ``path`` (a ``str`` or path-like)
+    plus ``path + '.blob'`` in format version 2; returns the path as a
+    ``str``."""
     if not isinstance(model, (IntModel, FloatModel)):
         raise TypeError("save() expects a FloatModel or IntModel")
+    path = os.fspath(path)
     w = _Writer()
     layers = [layer.encode(w, f"L{i}") for i, layer in enumerate(model.layers)]
     input_key, config, kind = None, {}, "float"
@@ -327,9 +313,9 @@ def save(model, path: str) -> str:
     return path
 
 
-def load(path: str):
-    """Load a model saved with :func:`save` (format version 1 or 2); verifies
-    the version and the checksum.
+def load(path):
+    """Load a model saved with :func:`save` from ``path`` (a ``str`` or
+    path-like); verifies the version (2) and the checksum.
 
     Any manifest the loader cannot decode into a valid model raises
     :class:`ModelFormatError`.
@@ -339,7 +325,7 @@ def load(path: str):
     with _malformed("manifest"):
         doc = json.loads(text)
         version = doc.get("version")
-        if type(version) is not int or version not in _QP_DECODERS:
+        if type(version) is not int or version != FORMAT_VERSION:
             raise ModelFormatError(f"unsupported manifest version {version!r}")
         name = doc["blob"]["file"]
     if not isinstance(name, str) or os.path.basename(name) != name or "\\" in name or name in ("", ".", ".."):
@@ -348,11 +334,7 @@ def load(path: str):
     with open(blob_path, "rb") as fh:
         blob = fh.read()
     with _malformed("manifest"):
-        if version == 1:
-            intact = hashlib.sha256(blob).hexdigest() == doc["blob"]["sha256"]
-        else:
-            intact = seal(doc, blob) == doc["seal"]
-        if not intact:
+        if seal(doc, blob) != doc["seal"]:
             raise ModelFormatError("checksum mismatch: the manifest or the blob changed after save")
         kind = doc["kind"]
         if kind not in ("float", "integer"):

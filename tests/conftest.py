@@ -31,6 +31,24 @@ def stored(x, qp) -> np.ndarray:
     return quant.quantize(x, qp).astype(qp.storage_dtype)
 
 
+def lanes_of(*specs) -> L.LstmLanes:
+    """The cells as the lanes of one kernel, on their PWL tables' own grids,
+    as a model's engine builds them."""
+    return L.LstmLanes(specs, lambda t: t.grid_out)
+
+
+def attn_consts(attn, dec=None) -> att.AttentionConsts:
+    """The attention's (and the decoder's context injection's) run-time
+    constants on its PWL tables' own grids, as a model's engine builds them."""
+    return att.AttentionConsts(attn, lambda t: t.grid_out, dec)
+
+
+def decoder_parts(dec) -> tuple:
+    """The attention decoder's part of a model's engine: its cell's lanes and
+    its attention constants."""
+    return lanes_of(dec.cell), attn_consts(dec.attn, dec)
+
+
 def random_cell(rng, m, n, scale=0.5):
     return L.LstmWeights(
         rng.normal(0, scale, (4 * m, n)),

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import calibrated_int_model, observe, random_attention_config, random_cell, stored
+from conftest import attn_consts, calibrated_int_model, lanes_of, observe, random_attention_config, random_cell, stored
 from qlstm import floatguard, runtime, serialize
 from qlstm.attention import attention_int, attention_int_exact, attention_keys
 from qlstm.cli import main
@@ -168,8 +168,9 @@ def test_criterion_6_bit_exactness_suite():
             q_h = rng.integers(0, 256, m).astype(np.uint8)
             q_c = rng.integers(0, spec.qp_c.qmax + 1, m).astype(spec.qp_c.storage_dtype)
             # one step of the fused kernels from an arbitrary state
-            pre = lstm_gate_preacts_int(q_x[None], q_h[None], spec.lanes)
-            h, c = lstm_apply_gates_int(pre, q_c[None], spec.lanes)
+            one = lanes_of(spec)
+            pre = lstm_gate_preacts_int(q_x[None], q_h[None], one)
+            h, c = lstm_apply_gates_int(pre, q_c[None], one)
             h_ref, c_ref = lstm_step_exact(q_x, q_h, q_c, spec)
             assert np.array_equal(h[0].astype(np.int64), h_ref)
             assert np.array_equal(c[0], c_ref)
@@ -185,14 +186,15 @@ def test_criterion_6_bit_exactness_suite():
                 pieces=int(rng.integers(2, 8)), cell_bits=8 if k % 2 == 0 else 16,
             )
             q_xs = stored(xs, spec.fwd.qp_x)
-            got = bilstm_sequence_int(q_xs, spec)
+            got = bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd))
             assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, spec))
 
         for _ in range(1000):
             _, h, enc, spec = random_attention_config(rng, pieces=8, candidates=128)
             q_h = stored(h, spec.qp_h_dec)
             q_enc = stored(enc, spec.qp_enc)
-            q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
+            a = attn_consts(spec)
+            q_s, q_a = attention_int(q_h, attention_keys(q_enc, a), a)
             s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
             assert np.array_equal(q_s, s_ref)
             assert np.array_equal(q_a, a_ref)
@@ -233,7 +235,7 @@ def test_criterion_7_cell_state_bitwidth_fidelity():
             gaps = {}
             for cell_bits in (8, 16):
                 spec = QuantLstmSpec.from_float(w, ranges, pieces=16, cell_bits=cell_bits)
-                hs = lstm_sequence_int(stored(xs, spec.qp_x), spec)
+                hs = lstm_sequence_int(stored(xs, spec.qp_x), lanes_of(spec))
                 gaps[cell_bits] = float(np.abs(dequantize(hs, spec.qp_h) - real).mean())
             assert gaps[16] <= gaps[8], (seed, gaps)
 

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     attend_real,
+    attn_consts,
     calibrated_int_model,
+    decoder_parts,
     observe,
     random_attention_config,
     random_cell,
@@ -28,7 +30,7 @@ from qlstm.attention import (
     softmax_int,
     softmax_int_exact,
 )
-from qlstm.lstm import lstm_gate_preacts_int
+from qlstm.lstm import _gate_rows, lstm_gate_preacts_int
 from qlstm.quant import compute_qparams, dequantize, quantize
 
 
@@ -96,13 +98,13 @@ class TestSoftmaxInt:
     def test_singleton_is_quantized_one(self):
         rng = np.random.default_rng(5)
         _, _, _, spec = random_attention_config(rng)
-        alpha = softmax_int(np.array([1234], dtype=np.uint16), spec)
+        alpha = softmax_int(np.array([1234], dtype=np.uint16), attn_consts(spec))
         assert alpha[0] == quantize(1.0, spec.qp_alpha)
 
     def test_equal_alignments_give_uniform_weights(self):
         rng = np.random.default_rng(6)
         _, _, _, spec = random_attention_config(rng)
-        alpha = softmax_int(np.full(4, 900, dtype=np.uint16), spec)
+        alpha = softmax_int(np.full(4, 900, dtype=np.uint16), attn_consts(spec))
         assert np.all(alpha == quantize(0.25, spec.qp_alpha))
 
     def test_bit_exact_vs_oracle(self):
@@ -111,14 +113,14 @@ class TestSoftmaxInt:
             _, _, _, spec = random_attention_config(rng)
             t = int(rng.integers(1, 9))
             q_e = rng.integers(0, 65536, t).astype(np.uint16)
-            assert np.array_equal(softmax_int(q_e, spec), softmax_int_exact(q_e, spec))
+            assert np.array_equal(softmax_int(q_e, attn_consts(spec)), softmax_int_exact(q_e, spec))
 
     def test_integer_shift_leaves_weights_bit_identical(self):
         rng = np.random.default_rng(8)
         _, _, _, spec = random_attention_config(rng)
         base = rng.integers(5000, 20000, 6).astype(np.uint16)
-        a1 = softmax_int(base, spec)
-        a2 = softmax_int(base + np.uint16(4000), spec)
+        a1 = softmax_int(base, attn_consts(spec))
+        a2 = softmax_int(base + np.uint16(4000), attn_consts(spec))
         assert np.array_equal(a1, a2)
 
     def test_weight_sum_close_to_one(self):
@@ -126,7 +128,7 @@ class TestSoftmaxInt:
         for _ in range(20):
             _, _, _, spec = random_attention_config(rng)
             t = int(rng.integers(1, 9))
-            alpha = softmax_int(rng.integers(0, 65536, t).astype(np.uint16), spec)
+            alpha = softmax_int(rng.integers(0, 65536, t).astype(np.uint16), attn_consts(spec))
             deq = dequantize(alpha, spec.qp_alpha)
             assert np.all(deq >= 0.0) and np.all(deq <= 1.0 + spec.qp_alpha.scale)
             assert abs(deq.sum() - 1.0) <= t * spec.qp_alpha.scale
@@ -137,8 +139,8 @@ class TestAttentionInt:
         rng = np.random.default_rng(10)
         for _ in range(100):
             w, h, enc, spec = random_attention_config(rng)
-            q_h, q_enc = stored(h, spec.qp_h_dec), stored(enc, spec.qp_enc)
-            q_s, q_a = attention_int(q_h, attention_keys(q_enc, spec), spec)
+            q_h, q_enc, a = stored(h, spec.qp_h_dec), stored(enc, spec.qp_enc), attn_consts(spec)
+            q_s, q_a = attention_int(q_h, attention_keys(q_enc, a), a)
             s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
             assert np.array_equal(q_s, s_ref)
             assert np.array_equal(q_a, a_ref)
@@ -149,7 +151,8 @@ class TestAttentionInt:
         # fake quantization: quantize -> exact oracle -> dequantize
         q_s_fq, q_a_fq = attention_int_exact(quantize(h, spec.qp_h_dec), quantize(enc, spec.qp_enc), spec)
         s_fq, a_fq = dequantize(q_s_fq, spec.qp_s), dequantize(q_a_fq, spec.qp_alpha)
-        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), spec), spec)
+        a = attn_consts(spec)
+        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), a), a)
         assert np.array_equal(np.asarray(quantize(s_fq, spec.qp_s)), q_s)
         assert np.array_equal(np.asarray(quantize(a_fq, spec.qp_alpha)), q_a)
 
@@ -160,7 +163,8 @@ class TestAttentionInt:
         n = 1000
         for _ in range(n):
             w, h, enc, spec = random_attention_config(rng, pieces=12)
-            _, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), spec), spec)
+            a = attn_consts(spec)
+            _, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), a), a)
             _, a_real = attend_real(h, enc, w)
             agree += int(np.argmax(q_a) == np.argmax(a_real))
         assert agree / n >= 0.95
@@ -170,8 +174,8 @@ class TestAttentionInt:
         # encoder state re-gridded onto the context qparams
         rng = np.random.default_rng(21)
         w, h, enc, spec = random_attention_config(rng)
-        q_enc = stored(enc[:1], spec.qp_enc)
-        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(q_enc, spec), spec)
+        q_enc, a = stored(enc[:1], spec.qp_enc), attn_consts(spec)
+        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(q_enc, a), a)
         assert q_a[0] == quantize(1.0, spec.qp_alpha)
         want = np.asarray(quantize(dequantize(q_enc, spec.qp_enc)[0], spec.qp_s))
         assert np.max(np.abs(q_s - want)) <= 1
@@ -199,8 +203,8 @@ class TestAttentionKernelEdges:
         _, _, _, spec = random_attention_config(rng, pieces=8, candidates=128)
         q_enc = pinned(rng, (T, spec.w_k_q.shape[1]), enc_in)
         q_h = pinned(rng, spec.w_q_q.shape[1], h_in)
-        keys = attention_keys(q_enc, spec)
-        q_s, q_a = attention_int(q_h, keys, spec)
+        a = attn_consts(spec)
+        q_s, q_a = attention_int(q_h, attention_keys(q_enc, a), a)
         s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
         assert np.array_equal(q_s, s_ref)
         assert np.array_equal(q_a, a_ref)
@@ -246,10 +250,11 @@ class TestInjectContext:
     def test_zero_point_context_leaves_preacts_unchanged(self):
         rng = np.random.default_rng(13)
         _, _, xs, enc, dec = build_decoder(rng)
-        h, _ = dec.cell.lanes.initial_state()
-        pre = lstm_gate_preacts_int(stored(xs[:1], dec.cell.qp_x), h, dec.cell.lanes)
-        out, pre = inject_context(pre, np.full(5, dec.attn.qp_s.zero_point, dtype=np.uint8), dec)[0], pre[0]
-        sig, j = dec.cell._sig_rows, dec.cell._j_rows
+        lanes, a = decoder_parts(dec)
+        h, _ = lanes.initial_state()
+        pre = lstm_gate_preacts_int(stored(xs[:1], dec.cell.qp_x), h, lanes)
+        out, pre = inject_context(pre, np.full(5, dec.attn.qp_s.zero_point, dtype=np.uint8), a)[0], pre[0]
+        sig, j = _gate_rows(dec.cell.hidden_size)
         assert np.array_equal(out[sig], pre[sig])
         assert np.array_equal(out[j], pre[j])
 
@@ -258,7 +263,7 @@ class TestInjectContext:
         _, _, xs, enc, dec = build_decoder(rng)
         q_xs = stored(xs, dec.cell.qp_x)
         q_enc = stored(enc, dec.attn.qp_enc)
-        got = attn_decoder_sequence_int(q_xs, q_enc, dec)
+        got = attn_decoder_sequence_int(q_xs, q_enc, *decoder_parts(dec))
         want = attn_decoder_sequence_exact(q_xs, q_enc, dec)
         assert np.array_equal(got.astype(np.int64), want)
 
@@ -267,7 +272,7 @@ class TestInjectContext:
         cell, attn_w, xs, enc, dec = build_decoder(rng)
         q_xs = stored(xs, dec.cell.qp_x)
         q_enc = stored(enc, dec.attn.qp_enc)
-        got = dequantize(attn_decoder_sequence_int(q_xs, q_enc, dec), dec.cell.qp_h)
+        got = dequantize(attn_decoder_sequence_int(q_xs, q_enc, *decoder_parts(dec)), dec.cell.qp_h)
         want = att.attn_decoder_sequence_real(xs, enc, cell, attn_w)
         assert np.abs(got - want).mean() < 0.1
 
@@ -286,7 +291,7 @@ class TestInjectContext:
         assert dec.cell.qp_pre_sig.bitwidth == 16
         q_xs = stored(xs, dec.cell.qp_x)
         q_enc = stored(enc, dec.attn.qp_enc)
-        got = attn_decoder_sequence_int(q_xs, q_enc, dec)
+        got = attn_decoder_sequence_int(q_xs, q_enc, *decoder_parts(dec))
         want = attn_decoder_sequence_exact(q_xs, q_enc, dec)
         assert np.array_equal(got.astype(np.int64), want)
 
@@ -304,7 +309,7 @@ def test_keys_are_projected_once_per_sequence(monkeypatch):
 
     monkeypatch.setattr(att, "int_matmul", counting)
     q_enc = stored(enc, dec.attn.qp_enc)
-    attn_decoder_sequence_int(stored(xs, dec.cell.qp_x), q_enc, dec)
+    attn_decoder_sequence_int(stored(xs, dec.cell.qp_x), q_enc, *decoder_parts(dec))
     # one T x m_att x m_enc key product per sequence, never one per step
     assert [a for a, b in shapes if b == (m_enc, m_att)] == [(T, m_enc)]
     assert len(shapes) == 1 + 4 * T  # per step: query, score, context and its injection

@@ -8,6 +8,10 @@ keeps the import only so that the binding exists.
 Layers pass raw arrays, so ``QuantTensor`` is built only as ``runtime.run``'s
 return value.
 
+The integer specs are data: the lanes and attention constants that the
+kernels run on are built in one place, ``runtime.engine``, and nothing in
+the package caches a structure on a spec.
+
 Each cell's mixed-precision layout is declared once, in the module whose
 kernels run it (``lstm.CELL_STAGES``, ``attention.ATTN_BITS`` and
 ``ATTN_STAGES``, ``madnorm.NORM_STAGES``), so ``runtime`` and ``serialize``
@@ -16,7 +20,11 @@ hold no literal list of its stage names.
 import ast
 from pathlib import Path
 
+import numpy as np
+
+from conftest import calibrated_int_model
 from perfbench.spans import BINDINGS
+from qlstm import attention, lstm
 from qlstm.attention import ATTN_BITS, ATTN_STAGES
 from qlstm.lstm import CELL_STAGES
 from qlstm.madnorm import NORM_STAGES
@@ -88,6 +96,18 @@ def test_quant_tensor_is_built_only_by_run():
     found = {path.stem: uses(path, "QuantTensor") for path in sorted(SRC.glob("*.py"))}
     assert {stem for stem, (named, _) in found.items() if named} == {"__init__", "quant", "runtime"}
     assert {stem: callers for stem, (_, callers) in found.items() if callers} == {"runtime": ["run"]}
+
+
+def test_engine_structures_are_built_only_by_the_engine():
+    for name in ("LstmLanes", "AttentionConsts"):
+        found = {path.stem: uses(path, name)[1] for path in sorted(SRC.glob("*.py"))}
+        assert {stem: callers for stem, callers in found.items() if callers} == {"runtime": ["engine"]}, name
+    assert not any(uses(path, "cached_property")[0] for path in sorted(SRC.glob("*.py")))
+    specs = (lstm.QuantLstmSpec, lstm.BiLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
+    assert not any(hasattr(cls, "lanes") for cls in specs)
+    _, im = calibrated_int_model(np.random.default_rng(0), ["bilstm", "lstm_norm", "attn"])
+    built = [s for layer in im.layers[1:4] for s in (layer.spec, *vars(layer.spec).values()) if isinstance(s, specs)]
+    assert len(built) == 7 and not any(hasattr(s, "lanes") for s in built)
 
 
 def test_uses_finds_every_call_and_name(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, observe, random_cell, random_lstm_config, stored
+from conftest import calibrated_int_model, decoder_parts, lanes_of, observe, random_cell, random_lstm_config, stored
 from perfbench.spans import Recorder, instrument
 from qlstm import lstm as L
 from qlstm import runtime
@@ -30,17 +30,17 @@ from qlstm.lstm import (
 from qlstm.quant import ScaledMultiplier, compute_qparams, dequantize, quantize
 
 
-def int_step(q_x, h, c, spec):
-    """One integer step of ``spec``'s cell from the raw state ``(h, c)``,
-    through the fused kernels on its one lane; returns the raw ``(h, c)``."""
-    pre = lstm_gate_preacts_int(np.asarray(q_x)[None], np.asarray(h)[None], spec.lanes)
-    h, c = lstm_apply_gates_int(pre, np.asarray(c)[None], spec.lanes)
+def int_step(q_x, h, c, one):
+    """One integer step of the cell that is the one lane of ``one`` from the
+    raw state ``(h, c)``, through the fused kernels; returns the raw ``(h, c)``."""
+    pre = lstm_gate_preacts_int(np.asarray(q_x)[None], np.asarray(h)[None], one)
+    h, c = lstm_apply_gates_int(pre, np.asarray(c)[None], one)
     return h[0], c[0]
 
 
-def initial_state(spec):
-    """The raw ``(h, c)`` of ``spec``'s cell at real 0."""
-    h, c = spec.lanes.initial_state()
+def initial_state(one):
+    """The raw ``(h, c)`` of the one lane of ``one`` at real 0."""
+    h, c = one.initial_state()
     return h[0], c[0]
 
 
@@ -109,7 +109,8 @@ class TestIntStep:
         w = LstmWeights(rng.normal(0, 0.4, (12, 2)), rng.normal(0, 0.4, (12, 3)), np.zeros(12))
         ranges = observe(lstm_sequence_real, rng.normal(0, 1, (4, 2)), w)
         spec = QuantLstmSpec.from_float(w, ranges, pieces=255)
-        h, c = int_step(np.full(2, spec.qp_x.zero_point, dtype=np.uint8), *initial_state(spec), spec)
+        one = lanes_of(spec)
+        h, c = int_step(np.full(2, spec.qp_x.zero_point, dtype=np.uint8), *initial_state(one), one)
         assert np.all(h == spec.qp_h.zero_point)
         assert np.all(c == spec.qp_c.zero_point)
 
@@ -118,11 +119,12 @@ class TestIntStep:
         w, _, spec = random_lstm_config(rng, m=4, n=3, T=8, pieces=10)
         xs = rng.normal(0, 1, (1000, 3))
         state_r = LstmState.zeros(4)
-        h, c = initial_state(spec)
+        one = lanes_of(spec)
+        h, c = initial_state(one)
         for t in range(1000):
             q_x = stored(xs[t], spec.qp_x)
             state_r = fakequant_step(xs[t], state_r, spec)
-            h, c = int_step(q_x, h, c, spec)
+            h, c = int_step(q_x, h, c, one)
             assert np.array_equal(np.asarray(quantize(state_r.h, spec.qp_h)), h.astype(np.int64))
             assert np.array_equal(np.asarray(quantize(state_r.c, spec.qp_c)), c)
 
@@ -158,7 +160,7 @@ class TestIntStep:
         xs = rng.normal(0, 1, (32, n))
         ranges = observe(lstm_sequence_real, xs, w)
         spec = QuantLstmSpec.from_float(w, ranges, pieces=16, cell_bits=16)
-        hs = lstm_sequence_int(stored(xs, spec.qp_x), spec)
+        hs = lstm_sequence_int(stored(xs, spec.qp_x), lanes_of(spec))
         gap = np.abs(dequantize(hs, spec.qp_h) - lstm_sequence_real(xs, w)).mean()
         assert gap < 0.005  # first-run value 0.00380
 
@@ -166,9 +168,10 @@ class TestIntStep:
         rng = np.random.default_rng(8)
         w, _, spec = random_lstm_config(rng, m=3, n=3, T=6, cell_bits=16)
         xs = rng.normal(0, 25, (50, 3))  # far outside the calibrated range
-        h, c = initial_state(spec)
+        one = lanes_of(spec)
+        h, c = initial_state(one)
         for x in xs:
-            h, c = int_step(stored(x, spec.qp_x), h, c, spec)
+            h, c = int_step(stored(x, spec.qp_x), h, c, one)
             assert 0 <= h.min() and h.max() <= 255
             assert 0 <= c.min() and c.max() <= 65535
 
@@ -211,7 +214,7 @@ class TestMadNormVariant:
         w, _, spec = random_lstm_config(rng, norm=True, m=8, n=4, T=10, pieces=12)
         xs = rng.normal(0, 1, (500, 4))
         q_xs = stored(xs, spec.qp_x)
-        got = lstm_sequence_int(q_xs, spec)
+        got = lstm_sequence_int(q_xs, lanes_of(spec))
         want = lstm_sequence_exact(q_xs, spec)
         assert np.array_equal(got.astype(np.int64), want)
 
@@ -264,7 +267,7 @@ class TestSequences:
         _, xs, spec = random_lstm_config(rng, m=3, n=3, T=6)
         q_xs = stored(xs, spec.qp_x)
         fwd = lstm_sequence_exact(q_xs, spec, "forward")
-        assert np.array_equal(lstm_sequence_int(q_xs, spec).astype(np.int64), fwd)
+        assert np.array_equal(lstm_sequence_int(q_xs, lanes_of(spec)).astype(np.int64), fwd)
         # the backward integer path is a BiLSTM lane, checked against this oracle in TestBiLstm
         bwd = lstm_sequence_exact(q_xs, spec, "backward")
         assert np.array_equal(bwd, lstm_sequence_exact(q_xs[::-1], spec, "forward")[::-1])
@@ -300,7 +303,7 @@ class TestBiLstm:
         rng = np.random.default_rng(20)
         wf, wb, xs, spec = self._bispec(rng)
         q_xs = stored(xs, spec.fwd.qp_x)
-        got = bilstm_sequence_int(q_xs, spec)
+        got = bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd))
         want = bilstm_sequence_exact(q_xs, spec)
         assert np.array_equal(got.astype(np.int64), want)
         assert got.shape == (6, 6)
@@ -317,7 +320,7 @@ class TestBiLstm:
             xs = rng.normal(0, 1, (T, 4))
             assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
             q_xs = stored(xs, spec.fwd.qp_x)
-            got = bilstm_sequence_int(q_xs, spec)
+            got = bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd))
             assert got.shape == (T, 8)
             assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, spec))
 
@@ -326,8 +329,8 @@ class TestBiLstm:
         _, _, f = random_lstm_config(rng, norm=True, m=3, n=2)
         _, _, b = random_lstm_config(rng, norm=True, m=4, n=2)
         b = replace(b, qp_x=f.qp_x, qp_h=f.qp_h)
-        with pytest.raises(ValueError, match="MadNorm lanes must share the hidden width"):
-            BiLstmSpec(f, b)
+        with pytest.raises(ValueError, match="layer 0: MadNorm lanes must share the hidden width"):
+            runtime.IntModel([runtime.IntBiLstm(BiLstmSpec(f, b))], f.qp_x)
 
     def test_one_kernel_call_per_time_step(self, monkeypatch):
         """Both directions advance in one preacts call, with one batched
@@ -345,7 +348,7 @@ class TestBiLstm:
 
         monkeypatch.setattr(L, "lstm_gate_preacts_int", counted("preacts", L.lstm_gate_preacts_int))
         monkeypatch.setattr(L, "int_matmul", counted("matmul", L.int_matmul))
-        bilstm_sequence_int(stored(xs, spec.fwd.qp_x), spec)
+        bilstm_sequence_int(stored(xs, spec.fwd.qp_x), lanes_of(spec.fwd, spec.bwd))
         assert calls == {"preacts": 7, "matmul": 14}
 
 
@@ -400,7 +403,7 @@ class TestFusedKernelEdges:
         spec = replace(spec, qp_mx=qp_mx, norm_x=norm_x)
         assert spec.m_mx.shift >= 63
         q_xs = stored(xs, spec.qp_x)
-        assert np.array_equal(lstm_sequence_int(q_xs, spec), lstm_sequence_exact(q_xs, spec))
+        assert np.array_equal(lstm_sequence_int(q_xs, lanes_of(spec)), lstm_sequence_exact(q_xs, spec))
 
     @pytest.mark.parametrize("gate_bits", [8, 16])
     def test_stage_shift_of_0_or_less_rounds_bit_exactly(self, gate_bits):
@@ -410,7 +413,7 @@ class TestFusedKernelEdges:
         spec = replace(spec, qp_pre_sig=tiny, qp_pre_j=tiny)
         assert spec.m_x2sig.shift <= 0 and spec.m_h2j.shift <= 0
         q_xs = stored(xs, spec.qp_x)
-        assert np.array_equal(lstm_sequence_int(q_xs, spec), lstm_sequence_exact(q_xs, spec))
+        assert np.array_equal(lstm_sequence_int(q_xs, lanes_of(spec)), lstm_sequence_exact(q_xs, spec))
 
     def test_stage_shift_past_int64_rejected_with_its_stage(self):
         """At +-1e-20 the gate-sum multipliers reach shift -37, and their
@@ -447,7 +450,7 @@ class TestFusedKernelEdges:
             assert cells[1 - lane].m_x2sig.shift > 0
         spec = BiLstmSpec(*cells)
         q_xs = stored(rng.normal(0, 1, (9, 3)), spec.fwd.qp_x)
-        assert np.array_equal(bilstm_sequence_int(q_xs, spec), bilstm_sequence_exact(q_xs, spec))
+        assert np.array_equal(bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd)), bilstm_sequence_exact(q_xs, spec))
 
     def test_bilstm_lanes_with_gate_tables_of_different_lengths(self):
         """An 8-bit gate grid on one lane and a 16-bit one on the other:
@@ -463,11 +466,12 @@ class TestFusedKernelEdges:
         fwd = QuantLstmSpec.from_float(wf, rf, gate_bits=8, **common)
         bwd = QuantLstmSpec.from_float(wb, rb, gate_bits=16, cell_bits=16, **common)
         spec = BiLstmSpec(fwd, bwd)
-        assert len(spec.lanes.gate_table) == 2 * 256 + 2 * 65536
-        assert len(spec.lanes.tanh_c_table) == 256 + 65536
+        both = lanes_of(fwd, bwd)
+        assert len(both.gate_table) == 2 * 256 + 2 * 65536
+        assert len(both.tanh_c_table) == 256 + 65536
         for T in (1, 11):
             q_xs = stored(rng.normal(0, 2, (T, 2)), qp_x)
-            assert np.array_equal(bilstm_sequence_int(q_xs, spec), bilstm_sequence_exact(q_xs, spec))
+            assert np.array_equal(bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd)), bilstm_sequence_exact(q_xs, spec))
 
     def test_bilstm_single_frame_both_lanes_read_it(self):
         rng = np.random.default_rng(44)
@@ -477,9 +481,10 @@ class TestFusedKernelEdges:
             wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"), pieces=6
         )
         q_x = stored(xs[:1], spec.fwd.qp_x)
-        got = bilstm_sequence_int(q_x, spec)
+        got = bilstm_sequence_int(q_x, lanes_of(spec.fwd, spec.bwd))
         assert np.array_equal(got, bilstm_sequence_exact(q_x, spec))
-        one = [int_step(q_x[0], *initial_state(c), c)[0] for c in (spec.fwd, spec.bwd)]
+        alone = [lanes_of(spec.fwd), lanes_of(spec.bwd)]
+        one = [int_step(q_x[0], *initial_state(lanes), lanes)[0] for lanes in alone]
         assert np.array_equal(got[0], np.concatenate(one))
 
 
@@ -492,9 +497,10 @@ def saturating_cell(rng, m, n):
 
 def assert_cell_saturates(spec, q_xs):
     """The integer cell state reaches the top of its grid within the run."""
-    h, c = initial_state(spec)
+    one = lanes_of(spec)
+    h, c = initial_state(one)
     for q_x in q_xs[:200]:
-        h, c = int_step(q_x, h, c, spec)
+        h, c = int_step(q_x, h, c, one)
         if c.max() == spec.qp_c.qmax:
             return
     raise AssertionError("cell state never saturated")
@@ -535,13 +541,13 @@ class TestLongRuns:
         im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 3))]), pieces=6)
         q = stored(rng.normal(0, 1, (self.T, 3)), im.input_qp)
         assert_cell_saturates(im.layers[0].spec, q)
-        for layer in im.layers[:2]:
-            got = layer.run(q, [])
+        for layer, part in zip(im.layers[:2], im.engine):
+            got = layer.run(q, [], part)
             want = layer.run_exact(q.astype(np.int64), [])
             assert np.array_equal(got.astype(np.int64), want)
             q = got
         dec, enc = im.layers[2].spec, q[:16]
-        got = attn_decoder_sequence_int(q, enc, dec)
+        got = attn_decoder_sequence_int(q, enc, *decoder_parts(dec))
         assert np.array_equal(got.astype(np.int64), attn_decoder_sequence_exact(q, enc, dec))
 
 
@@ -580,13 +586,12 @@ def test_rescale_spans_sit_inside_the_lstm_kernels():
     }
 
 
-def test_bilstm_directions_build_no_lanes_of_their_own():
+def test_bilstm_directions_build_no_lanes_of_their_own(monkeypatch):
     """A BiLSTM runs its directions as the two lanes of its own stack, so
-    their single-lane objects are never built; a unidirectional layer builds
-    its one lane with the layer, not on its first run."""
+    their single-lane objects are never built; a unidirectional layer's one
+    lane is built with the model, not on its first run."""
     rng = np.random.default_rng(45)
     _, im = calibrated_int_model(rng, ["bilstm", "lstm"])
-    bi, uni = im.layers[1].spec, im.layers[2].spec
-    assert "lanes" in vars(uni)
+    assert [None if part is None else part.hidden for part in im.engine] == [None, [3, 3], [3], None]
+    monkeypatch.setattr(runtime, "LstmLanes", None)  # a run that built lanes would fail
     runtime.run(im, rng.integers(0, 6, size=5))
-    assert "lanes" not in vars(bi.fwd) and "lanes" not in vars(bi.bwd)

@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import observe, random_cell, random_lstm_config
-from qlstm.lstm import BiLstmSpec, LstmLanes, QuantLstmSpec, lstm_sequence_real
+from conftest import lanes_of, observe, random_cell, random_lstm_config
+from qlstm.lstm import LstmLanes, QuantLstmSpec, lstm_sequence_real
 from qlstm.madnorm import MadNormQParams, MadNormRows
 from qlstm.quant import (
     QuantParams,
@@ -92,7 +92,7 @@ class TestLstmPairTables:
     )
     def test_tables_equal_the_stage_ops_on_every_lane(self, a, b):
         specs = [with_grids(*a), with_grids(*b)]
-        lanes = LstmLanes(specs)
+        lanes = lanes_of(*specs)
         assert lanes.tabled
         for lane, s in enumerate(specs):
             for got, want in zip(lane_tables(lanes, lane), cell_stages(s)):
@@ -107,7 +107,7 @@ class TestLstmPairTables:
         assert lanes.h_table.dtype == np.uint8
 
     def test_tables_are_narrow(self):
-        lanes = base_spec().lanes
+        lanes = lanes_of(base_spec())
         assert lanes.fc_table.dtype == lanes.ij_table.dtype == np.int16
         assert sum(t.nbytes for t in (lanes.fc_table, lanes.ij_table, lanes.h_table)) == 5 << 16
 
@@ -164,14 +164,14 @@ def madnorm_cell(cell_bits: int) -> QuantLstmSpec:
 
 class TestPathChoice:
     def test_8bit_cells_carry_tables(self):
-        lanes = madnorm_cell(8).lanes
+        lanes = lanes_of(madnorm_cell(8))
         assert lanes.tabled and len(lanes.fc_table) == len(lanes.h_table) == 1 << 16
         assert not hasattr(lanes, "rq_prod")
         assert lanes.norm_xh.tabled and lanes.norm_c.tabled
         assert len(lanes.norm_xh.xhat_table) == len(lanes.norm_xh.y_table) == 2 << 16
 
     def test_16bit_cells_keep_the_arithmetic(self):
-        lanes = madnorm_cell(16).lanes
+        lanes = lanes_of(madnorm_cell(16))
         assert not lanes.tabled and not hasattr(lanes, "fc_table")
         # the matmul outputs stay 8-bit, so their MadNorms still gather
         assert lanes.norm_xh.tabled
@@ -188,9 +188,9 @@ class TestPathChoice:
         common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6, candidates=256)
         fwd = QuantLstmSpec.from_float(wf, rf, **common)
         bwd = QuantLstmSpec.from_float(wb, rb, cell_bits=16, **common)
-        assert not BiLstmSpec(fwd, bwd).lanes.tabled
-        assert not hasattr(BiLstmSpec(fwd, bwd).lanes, "fc_table")
-        assert BiLstmSpec(fwd, fwd).lanes.tabled
+        mixed = lanes_of(fwd, bwd)  # as the BiLSTM's engine runs them
+        assert not mixed.tabled and not hasattr(mixed, "fc_table")
+        assert lanes_of(fwd, fwd).tabled
 
     def test_mixed_madnorm_instances_keep_the_arithmetic(self):
         p8 = MadNormQParams(qp8(0, 3), qp8(0, 3), qp8(0, 3), QuantParams(0.0, 1.0, 8, 1.0, 0), qp8(0, 3), hidden=4)

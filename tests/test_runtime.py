@@ -1,6 +1,7 @@
 """Runtime: calibration, conversion, integer execution and serialization."""
 import json
 import warnings
+from collections import Counter
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from conftest import (
     use_true_functions,
 )
 from perfbench.workloads import WORKLOADS, make_inputs
-from qlstm import attention, floatguard, lstm, madnorm, serialize
+from qlstm import attention, floatguard, lstm, madnorm, runtime, serialize
 from qlstm.lstm import LstmWeights
 from qlstm.pwl import ACTIVATIONS, build_lut, eval_pwl_int
 from qlstm.quant import (
@@ -63,17 +64,6 @@ from qlstm.runtime import (
 DATA = Path(__file__).resolve().parent / "data"
 
 
-def v1_golden_copy(tmp_path, edit) -> Path:
-    """``golden_int.json`` (format version 1) in ``tmp_path`` with ``edit(doc)``
-    applied; version 1 hashes only the blob, so the edit needs no re-seal."""
-    (tmp_path / "golden_int.json.blob").write_bytes((DATA / "golden_int.json.blob").read_bytes())
-    doc = json.loads((DATA / "golden_int.json").read_text())
-    edit(doc)
-    path = tmp_path / "golden_int.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
 def all_qparams(obj, path="model"):
     """``(path, QuantParams)`` for every qparam reachable through dataclass fields and lists."""
     if isinstance(obj, QuantParams):
@@ -99,6 +89,23 @@ def pwl_tables(model) -> list:
             tables += [spec.attn.pwl_tanh, spec.attn.pwl_exp]
         tables += [t for c in cells for t in (c.pwl_sig, c.pwl_tanh_j, c.pwl_tanh_c)]
     return tables
+
+
+def engine_grids(model) -> list:
+    """The grid that each PWL table's gathers read in ``model``'s engine, in
+    :func:`pwl_tables` order: cut from the LSTM lanes' concatenated gate and
+    cell tanh tables, and the attention constants' tanh and exp grids."""
+    grids = []
+    for layer, part in zip(model.layers, model.engine):
+        lanes, consts = part if layer.decoder is not None else (part, None)
+        if consts is not None:
+            grids += [consts.tanh, consts.exp]
+        if lanes is not None:
+            cut = lambda table, ts: np.split(table, np.cumsum([t.in_qp.qmax + 1 for t in ts])[:-1])
+            gates = cut(lanes.gate_table, [t for c in layer.cells for t in (c.pwl_sig, c.pwl_tanh_j)])
+            tanh_c = cut(lanes.tanh_c_table, [c.pwl_tanh_c for c in layer.cells])
+            grids += [g for k in range(len(layer.cells)) for g in (*gates[2 * k : 2 * k + 2], tanh_c[k])]
+    return grids
 
 
 class TestCalibrate:
@@ -575,6 +582,22 @@ class TestSaveLoad:
         with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 3"):
             serialize.load(path)
 
+    def test_version_1_manifest_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        serialize.save(calibrated_int_model(np.random.default_rng(19), ["lstm"])[1], str(path))
+        edit_manifest(path, lambda doc: doc.update(version=1))
+        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 1"):
+            serialize.load(str(path))
+
+    @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+    def test_saves_and_loads_through_str_and_path(self, tmp_path, as_path):
+        rng = np.random.default_rng(21)
+        _, im = calibrated_int_model(rng, ["lstm"])
+        path = as_path(tmp_path / "m.json")
+        assert serialize.save(im, path) == str(path)
+        seq = rng.integers(0, 6, size=5)
+        assert np.array_equal(run(serialize.load(path), seq), run(im, seq))
+
     def test_chain_inconsistency_rejected(self, tmp_path):
         rng = np.random.default_rng(20)
         _, im = calibrated_int_model(rng, ["lstm"])
@@ -614,21 +637,13 @@ class TestSaveLoad:
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("zero_point", 106.5), ("zero_point", 106.0), ("zero_point", True)]
-        + [("bitwidth", 8.5), ("bitwidth", 8.0), ("bitwidth", True)],
-    )
+    @pytest.mark.parametrize("field, value", [("bitwidth", 8.5), ("bitwidth", 8.0), ("bitwidth", True)])
     def test_non_integer_qparams_field_rejected(self, tmp_path, field, value):
-        # a fractional zero point used to load, and run then disagreed with run_reference;
-        # version 1 files still store the zero point, version 2 files the range and bitwidth only
-        if field == "zero_point":
-            path = v1_golden_copy(tmp_path, lambda doc: doc["qparams"]["L1.fwd.mx"].update(zero_point=value))
-        else:
-            path = tmp_path / "m.json"
-            _, im = calibrated_int_model(np.random.default_rng(40), ["lstm"])
-            serialize.save(im, str(path))
-            edit_manifest(path, lambda doc: doc["qparams"][doc["layers"][1]["qparams"]["mx"]].__setitem__(2, value))
+        # a manifest stores each qparam as [min, max, bitwidth]; the bitwidth must be an int
+        path = tmp_path / "m.json"
+        _, im = calibrated_int_model(np.random.default_rng(40), ["lstm"])
+        serialize.save(im, str(path))
+        edit_manifest(path, lambda doc: doc["qparams"][doc["layers"][1]["qparams"]["mx"]].__setitem__(2, value))
         with pytest.raises(serialize.ModelFormatError, match=f"{field} must be an integer"):
             serialize.load(str(path))
 
@@ -1047,73 +1062,25 @@ class TestSeal:
 
 class TestGoldenFormat:
     """Models written by earlier versions of the code, every layer type in
-    each.  Version 1 files keep loading and are written back as their
-    version 2 fixtures; version 2 files are written back unchanged."""
+    each, which are written back unchanged."""
 
     def assert_saves_as(self, model, tmp_path, name):
         serialize.save(model, str(tmp_path / name))
         for suffix in ("", ".blob"):
             assert (tmp_path / (name + suffix)).read_bytes() == (DATA / (name + suffix)).read_bytes()
 
-    @pytest.mark.parametrize("name", ["golden_int.json", "golden_float.json"])
-    def test_loads_and_saves_back_byte_identical(self, tmp_path, name):
-        """A version 1 file loads and saves back as its version 2 fixture."""
-        doc = json.loads((DATA / name).read_text())
-        model = serialize.load(str(DATA / name))
-        kinds = [d["type"] for d in doc["layers"]]
-        assert doc["version"] == 1
-        assert len(model.layers) == len(kinds) == 7
-        assert set(kinds) == {
-            "embedding", "lstm", "madnorm_lstm", "bilstm", "attention_decoder", "residual_add", "final_projection"
-        }
-        self.assert_saves_as(model, tmp_path, name.replace(".json", ".v2.json"))
-
     @pytest.mark.parametrize("name", ["golden_int.v2.json", "golden_float.v2.json"])
     def test_v2_loads_and_saves_back_byte_identical(self, tmp_path, name):
         assert json.loads((DATA / name).read_text())["version"] == 2
         self.assert_saves_as(serialize.load(str(DATA / name)), tmp_path, name)
 
-    def test_v2_loads_to_the_v1_qparams(self):
-        v1 = serialize.load(str(DATA / "golden_int.json"))
-        v2 = serialize.load(str(DATA / "golden_int.v2.json"))
-        tables = list(zip(pwl_tables(v1), pwl_tables(v2)))
-        assert len(tables) == 17
-        for a, b in tables:
-            assert (a.in_qp, a.out_qp) == (b.in_qp, b.out_qp)
-            assert np.array_equal(a.grid_out, b.grid_out)
-            assert a.knots_r is None and b.knots_r is None  # the real form is not loaded
-
     def test_int_run_matches_oracle_and_stored_logits(self):
         expected = json.loads((DATA / "golden_int.expected.json").read_text())
         tokens = np.array(expected["tokens"])
-        for name in ("golden_int.json", "golden_int.v2.json"):
-            model = serialize.load(str(DATA / name))
-            got = run(model, tokens)
-            assert np.array_equal(got, run_reference(model, tokens))
-            assert got.tolist() == expected["logits"]
-
-    @pytest.mark.parametrize(
-        "field, change, message",
-        [
-            ("scale", lambda v: v * (1 + 2**-40), "stored scale and zero point are not the ones"),
-            ("zero_point", lambda v: v + 1, "stored scale and zero point are not the ones"),
-            ("zero_point", lambda v: v + 0.5, "zero_point must be an integer"),
-        ],
-    )
-    def test_v1_qparams_not_derived_from_their_range_rejected(self, tmp_path, field, change, message):
-        # version 1 stores the scale and zero point too; the loader still derives them
-        qp = json.loads((DATA / "golden_int.json").read_text())["qparams"]["L1.fwd.mx"]
-        path = v1_golden_copy(tmp_path, lambda doc: doc["qparams"]["L1.fwd.mx"].update({field: change(qp[field])}))
-        with pytest.raises(serialize.ModelFormatError, match=f"qparams L1.fwd.mx: {message}"):
-            serialize.load(str(path))
-
-    def test_v1_blob_checksum_still_checked(self, tmp_path):
-        path = v1_golden_copy(tmp_path, lambda doc: None)
-        blob = bytearray((tmp_path / "golden_int.json.blob").read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        (tmp_path / "golden_int.json.blob").write_bytes(bytes(blob))
-        with pytest.raises(serialize.ModelFormatError, match="checksum"):
-            serialize.load(str(path))
+        model = serialize.load(str(DATA / "golden_int.v2.json"))
+        got = run(model, tokens)
+        assert np.array_equal(got, run_reference(model, tokens))
+        assert got.tolist() == expected["logits"]
 
 
 class TestExactActivations:
@@ -1125,26 +1092,40 @@ class TestExactActivations:
             rng = np.random.default_rng(50 + gate_bits)
             _, im = calibrated_int_model(rng, ["lstm", "attn"], gate_bits=gate_bits, cell_bits=16)
             exact = exact_activations(im)
-            for src, t in zip(pwl_tables(im), pwl_tables(exact)):
-                assert t is not src and t.grid_out.dtype == src.grid_out.dtype
-                assert np.array_equal(t.grid_out, build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp))
+            tables = pwl_tables(exact)
+            assert len(tables) == len(engine_grids(exact)) == 8
+            for src, t, grid in zip(pwl_tables(im), tables, engine_grids(exact)):
+                assert t is src and grid.dtype == src.grid_out.dtype
+                assert np.array_equal(grid, build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp))
                 seen.add((t.fn_name, t.in_qp.bitwidth))
-            # the LSTM's joint gate table is rebuilt from the new tables
-            spec = exact.layers[1].spec
-            joint = np.concatenate((spec.pwl_sig.grid_out, spec.pwl_tanh_j.grid_out))
-            assert np.array_equal(spec.lanes.gate_table, joint)
         assert seen == {(f, b) for f in ("sigmoid", "tanh") for b in (8, 16)} | {("exp", 16)}
+
+    def test_layers_shared_and_no_spec_rebuilt(self, monkeypatch):
+        """The copy is the model's own layers with a second engine: no spec
+        is rebuilt, so no PWL table is searched for again."""
+        _, im = calibrated_int_model(np.random.default_rng(56), ["bilstm", "lstm_norm", "attn"])
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact_activations rebuilt a spec")
+
+        for owner, name in ((lstm, "build_pwl"), (attention, "build_pwl")):
+            monkeypatch.setattr(owner, name, forbidden)
+        for cls in (lstm.QuantLstmSpec, lstm.BiLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec):
+            monkeypatch.setattr(cls, "__post_init__", forbidden)
+        exact = exact_activations(im)
+        assert len(exact.layers) == len(im.layers) == 5
+        assert all(a is b for a, b in zip(exact.layers, im.layers))
+        assert (exact.input_qp, exact.config) == (im.input_qp, im.config)
 
     def test_source_model_untouched(self, tmp_path):
         rng = np.random.default_rng(52)
         _, im = calibrated_int_model(rng, ["bilstm", "lstm_norm", "attn"])
         before = [t.grid_out.copy() for t in pwl_tables(im)]
-        bi = im.layers[1].spec
-        specs = [bi, bi.fwd, bi.bwd, im.layers[2].spec, im.layers[3].spec.cell]
-        gates = [s.lanes.gate_table.copy() for s in specs]
+        assert all(np.array_equal(g, t.grid_out) for g, t in zip(engine_grids(im), pwl_tables(im)))
+        engine = [g.copy() for g in engine_grids(im)]
         exact = exact_activations(im)
         assert all(np.array_equal(a, t.grid_out) for a, t in zip(before, pwl_tables(im)))
-        assert all(np.array_equal(a, s.lanes.gate_table) for a, s in zip(gates, specs))
+        assert all(np.array_equal(a, g) for a, g in zip(engine, engine_grids(im)))
         seq = rng.integers(0, 6, size=6)
         assert np.array_equal(run(im, seq), run_reference(im, seq))
         assert not np.array_equal(run(exact, seq), run(im, seq))
@@ -1160,17 +1141,17 @@ class TestExactActivations:
         tables, so the copy runs no stale PWL entry."""
         rng = np.random.default_rng(55)
         _, im = calibrated_int_model(rng, ["bilstm"])
-        src, spec = im.layers[1].spec, exact_activations(im).layers[1].spec
+        spec, src, lanes = im.layers[1].spec, im.engine[1], exact_activations(im).engine[1]
 
         def lut(t):
             return build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp)
 
         cells = (spec.fwd, spec.bwd)
         gates = np.concatenate([lut(t) for c in cells for t in (c.pwl_sig, c.pwl_tanh_j)])
-        assert np.array_equal(spec.lanes.gate_table, gates)
-        assert np.array_equal(spec.lanes.tanh_c_table, np.concatenate([lut(c.pwl_tanh_c) for c in cells]))
-        assert not np.array_equal(src.lanes.gate_table, spec.lanes.gate_table)
-        assert not np.array_equal(src.lanes.tanh_c_table, spec.lanes.tanh_c_table)
+        assert np.array_equal(lanes.gate_table, gates)
+        assert np.array_equal(lanes.tanh_c_table, np.concatenate([lut(c.pwl_tanh_c) for c in cells]))
+        assert not np.array_equal(src.gate_table, lanes.gate_table)
+        assert not np.array_equal(src.tanh_c_table, lanes.tanh_c_table)
 
     @pytest.mark.parametrize("arch", [["bilstm", "lstm_norm", "lstm", "residual"], ["lstm", "attn"]])
     def test_run_equals_true_function_oracle(self, monkeypatch, arch):
@@ -1189,6 +1170,31 @@ class TestExactActivations:
         _, im = calibrated_int_model(rng, ["lstm", "bilstm"], pieces=255)
         seq = rng.integers(0, 6, size=6)
         assert np.array_equal(run(exact_activations(im), seq), run(im, seq))
+
+
+def test_each_model_builds_its_engine_once(monkeypatch, tmp_path):
+    """``convert``, ``load`` and ``exact_activations`` each build every
+    layer's lanes and attention constants once, and ``save`` builds none."""
+    built = Counter()
+
+    def counted(name, cls):
+        def build(*args):
+            built[name] += 1
+            return cls(*args)
+
+        return build
+
+    for name in ("LstmLanes", "AttentionConsts"):
+        monkeypatch.setattr(runtime, name, counted(name, getattr(runtime, name)))
+    once = {"LstmLanes": 3, "AttentionConsts": 1}  # BiLSTM, MadNorm-LSTM, decoder
+    _, im = calibrated_int_model(np.random.default_rng(57), ["bilstm", "lstm_norm", "attn"])
+    assert built == once
+    path = str(tmp_path / "m.json")
+    steps = ((lambda: serialize.save(im, path), {}), (lambda: serialize.load(path), once), (lambda: exact_activations(im), once))
+    for step, want in steps:
+        built.clear()
+        step()
+        assert built == want
 
 
 def _feature_model(rng):
@@ -1283,13 +1289,14 @@ class TestAccumulatorLimit:
         q_x = stored(x, dec.cell.qp_x)
         d_x = q_x - np.int32(dec.cell.qp_x.zero_point)
         h = np.full(m, dec.cell.qp_h.zero_point, dtype=np.uint8)
-        q_s, _ = attention.attention_int(h, attention.attention_keys(q_x, dec.attn), dec.attn)
+        im = IntModel([IntAttnDecoder(dec)], dec.cell.qp_x)
+        _, a = im.engine[0]
+        q_s, _ = attention.attention_int(h, attention.attention_keys(q_x, a), a)
         acc_x = int_matmul(dec.cell.weight_diffs()[0], d_x[0]) + bias
-        acc_k = int_matmul(d_x, dec.attn.w_k_diff.T)
-        acc_s = int_matmul(dec.w_s_diff, q_s - dec.attn.qp_s.zero_point)
+        acc_k = int_matmul(d_x, a.w_k.T)
+        acc_s = int_matmul(a.w_s, q_s - dec.attn.qp_s.zero_point)
         assert np.abs(acc_x.astype(np.int64)).max() == self.TOP
         assert np.abs(acc_k).max() == np.abs(acc_s).max() == self.TOP - _BIAS_LIMIT
-        im = IntModel([IntAttnDecoder(dec)], dec.cell.qp_x)
         assert np.array_equal(run(im, x).data, run_reference(im, x))
 
 
