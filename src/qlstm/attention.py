@@ -37,6 +37,7 @@ from .quant import (
     QuantParams,
     Rescale,
     ScaledMultiplier,
+    centred,
     check_accumulator,
     check_dtype,
     divide_round,
@@ -213,11 +214,6 @@ class QuantAttentionSpec:
         )
 
 
-def _centred(w_q: np.ndarray, qp: QuantParams) -> np.ndarray:
-    """Stored weights minus their zero point, as int32."""
-    return w_q.astype(np.int32) - np.int32(qp.zero_point)
-
-
 class AttentionConsts:
     """Run-time constants of the integer attention, built once from a
     :class:`QuantAttentionSpec` (by ``runtime.engine``, with its model):
@@ -230,7 +226,7 @@ class AttentionConsts:
 
     def __init__(self, attn: QuantAttentionSpec, grid, dec: QuantAttnDecoderSpec | None = None):
         weights = ((attn.w_q_q, attn.qp_wq), (attn.w_k_q, attn.qp_wk), (attn.v_q, attn.qp_v))
-        self.w_q, self.w_k, self.v = (_centred(w, qp) for w, qp in weights)
+        self.w_q, self.w_k, self.v = (centred(w, qp) for w, qp in weights)
         self.tanh, self.exp = grid(attn.pwl_tanh), grid(attn.pwl_exp)
         # the query and keys stay centred for the pre-tanh sum
         zp_q, zp_k = attn.qp_q.zero_point, attn.qp_k.zero_point
@@ -248,7 +244,7 @@ class AttentionConsts:
         self.zp_exp_out, self.zp_alpha = np.int64(attn.qp_exp_out.zero_point), attn.qp_alpha.zero_point
         if dec is not None:
             m, cell = dec.cell.hidden_size, dec.cell
-            self.w_s = _centred(dec.w_s_q, dec.qp_ws)
+            self.w_s = centred(dec.w_s_q, dec.qp_ws)
             self.rq_ms = Rescale.of(dec.m_ms, 0, -dec.qp_ms.zero_point, 255 - dec.qp_ms.zero_point)
             # the formed preactivations (multiplier 1) plus the context term, on each row's gate-sum grid
             terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, dec.m_ms2sig, dec.m_ms2j)))
@@ -327,9 +323,9 @@ def attention_int(h: np.ndarray, keys: AttentionKeys, a: AttentionConsts):
 def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
     h = np.asarray(q_h_prev, dtype=np.int64) - spec.qp_h_dec.zero_point
     enc_diff = np.asarray(q_enc, dtype=np.int64) - spec.qp_enc.zero_point
-    acc_q = _centred(spec.w_q_q, spec.qp_wq).astype(np.int64) @ h
+    acc_q = centred(spec.w_q_q, spec.qp_wq).astype(np.int64) @ h
     q_q = np.array([requantize_exact(int(a), spec.m_q, spec.qp_q.zero_point, 8) for a in acc_q])
-    acc_k = enc_diff @ _centred(spec.w_k_q, spec.qp_wk).T.astype(np.int64)
+    acc_k = enc_diff @ centred(spec.w_k_q, spec.qp_wk).T.astype(np.int64)
     q_k = np.array(
         [[requantize_exact(int(a), spec.m_k, spec.qp_k.zero_point, 8) for a in row] for row in acc_k]
     )
@@ -337,7 +333,7 @@ def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
     terms = [[[(int(a), spec.m_q2sum), (int(b), spec.m_k2sum)] for a, b in zip(d_q, row)] for row in d_k]
     pre = np.array([[rescale_add_exact(t, spec.qp_sum.zero_point, 16) for t in row] for row in terms])
     th = np.array([[eval_pwl_int_exact(int(q), spec.pwl_tanh) for q in row] for row in pre])
-    acc_e = (th - spec.qp_tanh.zero_point) @ _centred(spec.v_q, spec.qp_v).astype(np.int64)
+    acc_e = (th - spec.qp_tanh.zero_point) @ centred(spec.v_q, spec.qp_v).astype(np.int64)
     q_e = np.array([requantize_exact(int(a), spec.m_e, spec.qp_e.zero_point, 16) for a in acc_e])
     q_alpha = softmax_int_exact(q_e, spec)
     acc_s = (q_alpha - spec.qp_alpha.zero_point) @ enc_diff
@@ -421,7 +417,7 @@ def inject_context(pre: np.ndarray, s: np.ndarray, a: AttentionConsts) -> np.nda
 
 def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
     s_diff = np.asarray(q_s, dtype=np.int64) - dec.attn.qp_s.zero_point
-    acc = _centred(dec.w_s_q, dec.qp_ws).astype(np.int64) @ s_diff
+    acc = centred(dec.w_s_q, dec.qp_ws).astype(np.int64) @ s_diff
     q_ms = [requantize_exact(int(a), dec.m_ms, dec.qp_ms.zero_point, 8) for a in acc]
     d = [v - dec.qp_ms.zero_point for v in q_ms]
 

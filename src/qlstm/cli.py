@@ -220,9 +220,8 @@ def cmd_pwl(args) -> int:
     if not lo < hi:
         raise ValueError("range must satisfy a < b")
     in_qp = compute_qparams(lo, hi, args.bits)
-    f = ACTIVATIONS[args.function]
     grid = dequantize(np.arange(in_qp.qmax + 1, dtype=np.int64), in_qp)
-    vals = f(grid)
+    vals = ACTIVATIONS[args.function](grid)
     out_qp = compute_qparams(float(vals.min()), float(vals.max()), 8)
     table = build_pwl(args.function, in_qp, out_qp, args.pieces)
     approx = eval_pwl_real(grid, table)

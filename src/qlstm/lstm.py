@@ -40,6 +40,7 @@ from .pwl import PwlTable, build_pwl, eval_pwl_int, eval_pwl_int_exact, sigmoid
 from .quant import (
     QuantParams,
     Rescale,
+    centred,
     check_accumulator,
     check_dtype,
     int_matmul,
@@ -243,13 +244,6 @@ class QuantLstmSpec:
         self.m_ij2c = term_multiplier("c", self.qp_p_ij.scale / self.qp_c.scale, self.qp_c.qmax)
         self.m_h = saturating_multiplier(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
 
-    def weight_diffs(self) -> tuple:
-        """The zero-point-centred ``(w_x, w_h)`` as int32."""
-        return (
-            self.w_x_q.astype(np.int32) - np.int32(self.qp_wx.zero_point),
-            self.w_h_q.astype(np.int32) - np.int32(self.qp_wh.zero_point),
-        )
-
     @property
     def hidden_size(self) -> int:
         return self.w_x_q.shape[0] // 4
@@ -384,9 +378,8 @@ class LstmLanes:
 
         self.zp_x = col(lambda s: s.qp_x.zero_point).astype(np.int32)
         self.zp_h = col(lambda s: s.qp_h.zero_point).astype(np.int32)
-        diffs = [s.weight_diffs() for s in specs]
-        self.w_x = np.stack([_k_major(dx, s.hidden_size, w, n) for s, (dx, _) in zip(specs, diffs)])
-        self.w_h = np.stack([_k_major(dh, s.hidden_size, w, w) for s, (_, dh) in zip(specs, diffs)])
+        self.w_x = np.stack([_k_major(centred(s.w_x_q, s.qp_wx), s.hidden_size, w, n) for s in specs])
+        self.w_h = np.stack([_k_major(centred(s.w_h_q, s.qp_wh), s.hidden_size, w, w) for s in specs])
         # the bias padded like a one-column weight
         self.bias = np.stack([_k_major(s.bias_q[:, None], s.hidden_size, w, 1)[0] for s in specs])
         # stacked mx|mh: storage values when MadNorm follows, centred values otherwise
@@ -525,7 +518,7 @@ def run_lanes(frames: np.ndarray, lanes: LstmLanes) -> np.ndarray:
 
 
 def lstm_gate_preacts_exact(q_x, q_h, spec: QuantLstmSpec):
-    w_x, w_h = (w.astype(np.int64) for w in spec.weight_diffs())
+    w_x, w_h = centred(spec.w_x_q, spec.qp_wx).astype(np.int64), centred(spec.w_h_q, spec.qp_wh).astype(np.int64)
     acc_x = w_x @ (np.asarray(q_x, dtype=np.int64) - spec.qp_x.zero_point) + spec.bias_q
     acc_h = w_h @ (np.asarray(q_h, dtype=np.int64) - spec.qp_h.zero_point)
     q_mx = np.array([requantize_exact(int(a), spec.m_mx, spec.qp_mx.zero_point, 8) for a in acc_x])
@@ -578,28 +571,14 @@ def lstm_step_exact(q_x, q_h, q_c, spec: QuantLstmSpec):
 # ---------------------------------------------------------------------------
 
 
-def _time_order(n: int, direction: str):
-    if direction == "forward":
-        return range(n)
-    if direction == "backward":
-        return range(n - 1, -1, -1)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def lstm_sequence_real(
-    xs: np.ndarray,
-    weights: LstmWeights,
-    direction: str = "forward",
-    record=_noop,
-    norm: bool = False,
-) -> np.ndarray:
+def lstm_sequence_real(xs: np.ndarray, weights: LstmWeights, record=_noop, norm: bool = False) -> np.ndarray:
     """The hidden states of ``(T, n)`` frames, ``(T, m)``; a ``(B, T, n)``
     stack of equal-length sequences runs as one, to ``(B, T, m)``, each
     sequence with the bits it gets alone."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     state = LstmState.zeros((*xs.shape[:-2], weights.hidden_size))
     hs = np.zeros((*xs.shape[:-1], weights.hidden_size))
-    for t in _time_order(xs.shape[-2], direction):
+    for t in range(xs.shape[-2]):
         state = lstm_step_real(xs[..., t, :], state, weights, record, norm=norm)
         hs[..., t, :] = state.h
     return hs
@@ -613,12 +592,12 @@ def lstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     return run_lanes(np.atleast_2d(xs)[:, None], lanes)[:, 0]
 
 
-def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec, direction: str = "forward") -> np.ndarray:
+def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
     data = np.atleast_2d(q_xs)
     q_h = np.full(spec.hidden_size, spec.qp_h.zero_point, dtype=np.int64)
     q_c = np.full(spec.hidden_size, spec.qp_c.zero_point, dtype=np.int64)
     hs = np.zeros((len(data), spec.hidden_size), dtype=np.int64)
-    for t in _time_order(len(data), direction):
+    for t in range(len(data)):
         q_h, q_c = lstm_step_exact(data[t], q_h, q_c, spec)
         hs[t] = q_h
     return hs
@@ -673,10 +652,12 @@ class BiLstmSpec:
 
 def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noop) -> np.ndarray:
     """Both directions' hidden states side by side, of one sequence or a
-    stack, as :func:`lstm_sequence_real`."""
-    fwd = lstm_sequence_real(xs, w_fwd, "forward", record=scoped(record, "fwd"))
-    bwd = lstm_sequence_real(xs, w_bwd, "backward", record=scoped(record, "bwd"))
-    return np.concatenate([fwd, bwd], axis=-1)
+    stack, as :func:`lstm_sequence_real`; the backward cell runs forward
+    over the reversed frames, and its states are flipped back."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    fwd = lstm_sequence_real(xs, w_fwd, record=scoped(record, "fwd"))
+    bwd = lstm_sequence_real(xs[..., ::-1, :], w_bwd, record=scoped(record, "bwd"))
+    return np.concatenate([fwd, bwd[..., ::-1, :]], axis=-1)
 
 
 def bilstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
@@ -691,6 +672,6 @@ def bilstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
 
 
 def bilstm_sequence_exact(q_xs: np.ndarray, spec: BiLstmSpec) -> np.ndarray:
-    fwd = lstm_sequence_exact(q_xs, spec.fwd, "forward")
-    bwd = lstm_sequence_exact(q_xs, spec.bwd, "backward")
-    return np.concatenate([fwd, bwd], axis=-1)
+    q_xs = np.atleast_2d(q_xs)
+    fwd, bwd = lstm_sequence_exact(q_xs, spec.fwd), lstm_sequence_exact(q_xs[::-1], spec.bwd)
+    return np.concatenate([fwd, bwd[::-1]], axis=-1)

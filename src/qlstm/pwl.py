@@ -162,7 +162,7 @@ class PwlTable:
     knots_q: np.ndarray
     in_qp: QuantParams
     out_qp: QuantParams
-    fn_name: str | None = None
+    fn_name: str
     # real form
     knots_r: np.ndarray | None = field(default=None, repr=False)
     slopes: np.ndarray | None = field(default=None, repr=False)
@@ -263,14 +263,14 @@ def _candidate_grid(in_qp: QuantParams, candidates: int | None) -> np.ndarray:
 
 
 def build_pwl(
-    f,
+    fn_name: str,
     in_qp: QuantParams,
     out_qp: QuantParams,
     n_pieces: int,
     candidates: int | None = None,
-    fn_name: str | None = None,
 ) -> PwlTable:
-    """Build a PWL table for ``f`` under frozen quantization parameters.
+    """Build a PWL table for the activation ``ACTIVATIONS[fn_name]`` under
+    frozen quantization parameters.
 
     The knot search starts from every point of the quantized input grid
     (16-bit grids are subsampled to ``CANDIDATES_16BIT`` candidates first)
@@ -278,8 +278,7 @@ def build_pwl(
     """
     if not (1 <= n_pieces <= in_qp.qmax):
         raise ValueError(f"n_pieces must be in [1, {in_qp.qmax}]")
-    if isinstance(f, str):
-        fn_name, f = f, ACTIVATIONS[f]
+    f = ACTIVATIONS[fn_name]
     qs = _candidate_grid(in_qp, candidates)
     if n_pieces > len(qs) - 1:
         raise ValueError("n_pieces exceeds candidate knot count")

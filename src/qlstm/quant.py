@@ -181,6 +181,11 @@ def quantize_weights(w) -> tuple:
     return np.asarray(quantize(w, qp)).astype(np.uint8), qp
 
 
+def centred(w_q: np.ndarray, qp: QuantParams) -> np.ndarray:
+    """Stored weights minus their zero point, as int32."""
+    return w_q.astype(np.int32) - np.int32(qp.zero_point)
+
+
 def quantize_bias(bias, scale: float) -> np.ndarray:
     """Bias on the accumulator grid ``scale``, clipped to the bias headroom."""
     return np.clip(iround(bias / scale), -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
@@ -482,6 +487,4 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     else:
         sa, sb = "ij"[2 - a.ndim :], "jk"[: b.ndim]
         subscripts = f"{sa},{sb}->{sa[:-1]}{sb[1:]}"
-    out = np.einsum(subscripts, a.astype(np.int32, copy=False), b.astype(np.int32, copy=False))
-    floatguard.note(out)
-    return out
+    return np.einsum(subscripts, a.astype(np.int32, copy=False), b.astype(np.int32, copy=False))

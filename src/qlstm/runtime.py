@@ -15,7 +15,8 @@ are plain loops over the stack:
   **opts)``, which returns its integer layer;
 * an integer layer has ``qp_in``/``qp_out``, ``links`` (the chain checks),
   ``cells`` and ``decoder`` (the specs that its part of the engine is built
-  from), ``run``, ``run_exact`` (its exact oracle) and ``dequantize``;
+  from; a layer of cells reads its ports from them), ``run``, ``run_exact``
+  (its exact oracle) and ``dequantize``;
   ``run`` takes and returns raw arrays (uint8/uint16 storage, or int32
   logits), ``run_exact`` int64 arrays;
 * both have ``encode(writer, prefix)`` and ``decode(reader, desc)`` for the
@@ -70,6 +71,7 @@ from .quant import (
     QuantParams,
     QuantTensor,
     Rescale,
+    centred,
     check_accumulator,
     check_dtype,
     check_int,
@@ -518,29 +520,35 @@ class IntEmbedding(_IntLayer):
         return cls(r.tensor(d["tensors"]["table"]), r.qp(d["qparams"]["out"]))
 
 
+class _CellLayer(_IntLayer):
+    """A layer of LSTM cells, whose ports are its cells': it takes the first
+    cell's input, and emits every cell's hidden state side by side on the
+    first cell's ``qp_h``, which the cells share."""
+
+    @property
+    def qp_in(self):
+        return self.cells[0].qp_x
+
+    @property
+    def input_size(self) -> int:
+        return self.cells[0].input_size
+
+    @property
+    def qp_out(self):
+        return self.cells[0].qp_h
+
+    @property
+    def output_size(self) -> int:
+        return sum(cell.hidden_size for cell in self.cells)
+
+
 @dataclass
-class IntLstm(_IntLayer):
+class IntLstm(_CellLayer):
     spec: QuantLstmSpec
 
     @property
     def cells(self) -> tuple:
         return (self.spec,)
-
-    @property
-    def qp_in(self):
-        return self.spec.qp_x
-
-    @property
-    def qp_out(self):
-        return self.spec.qp_h
-
-    @property
-    def input_size(self) -> int:
-        return self.spec.input_size
-
-    @property
-    def output_size(self) -> int:
-        return self.spec.hidden_size
 
     def run(self, x, outputs, lanes):
         return lstm_sequence_int(x, lanes)
@@ -560,28 +568,12 @@ class IntLstm(_IntLayer):
 
 
 @dataclass
-class IntBiLstm(_IntLayer):
+class IntBiLstm(_CellLayer):
     spec: BiLstmSpec
 
     @property
     def cells(self) -> tuple:
         return self.spec.fwd, self.spec.bwd
-
-    @property
-    def qp_in(self):
-        return self.spec.fwd.qp_x
-
-    @property
-    def qp_out(self):
-        return self.spec.qp_h
-
-    @property
-    def input_size(self) -> int:
-        return self.spec.fwd.input_size
-
-    @property
-    def output_size(self) -> int:
-        return self.spec.fwd.hidden_size + self.spec.bwd.hidden_size
 
     def run(self, x, outputs, lanes):
         return bilstm_sequence_int(x, lanes)
@@ -602,7 +594,7 @@ class IntBiLstm(_IntLayer):
 
 
 @dataclass
-class IntAttnDecoder(_IntLayer):
+class IntAttnDecoder(_CellLayer):
     spec: QuantAttnDecoderSpec
 
     @property
@@ -612,22 +604,6 @@ class IntAttnDecoder(_IntLayer):
     @property
     def decoder(self):
         return self.spec
-
-    @property
-    def qp_in(self):
-        return self.spec.cell.qp_x
-
-    @property
-    def qp_out(self):
-        return self.spec.cell.qp_h
-
-    @property
-    def input_size(self) -> int:
-        return self.spec.cell.input_size
-
-    @property
-    def output_size(self) -> int:
-        return self.spec.cell.hidden_size
 
     def links(self, prev, outs):
         enc = (self.spec.attn.qp_enc, self.spec.attn.w_k_q.shape[-1])
@@ -747,7 +723,7 @@ class IntProjection(_IntLayer):
         check_dtype(np.uint8, w_q=self.w_q)
         check_dtype(np.int32, bias_q=self.bias_q)
         check_accumulator((self.w_q.shape[-1],), self.bias_q)
-        self.w_diff = self.w_q.astype(np.int32) - np.int32(self.qp_w.zero_point)
+        self.w_diff = centred(self.w_q, self.qp_w)
 
     @property
     def input_size(self) -> int:
@@ -787,13 +763,15 @@ class IntProjection(_IntLayer):
 class IntModel:
     """An integer layer stack whose structure, qparams chain and widths are
     checked when it is built (:func:`validate_chain`), and which then builds
-    its ``engine`` (:func:`engine`) on its PWL tables' grids."""
+    its ``engine`` (:func:`engine`) on its PWL tables' grids.  ``layers`` is
+    kept as a tuple, so no layer joins the stack unchecked."""
 
-    layers: list
+    layers: tuple
     input_qp: QuantParams | None
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.layers = tuple(self.layers)
         _check_structure(self.layers)
         validate_chain(self)
         self.engine = engine(self, _pwl_grid)
@@ -919,7 +897,7 @@ def exact_activations(model: IntModel) -> IntModel:
     shares ``model``'s layers, so ``run_reference`` and ``save`` see the PWL
     form; ``model`` itself is not changed."""
     exact = object.__new__(IntModel)  # the layers are checked already: only the engine is new
-    vars(exact).update(vars(model), layers=list(model.layers), engine=engine(model, _exact_grid))
+    vars(exact).update(vars(model), engine=engine(model, _exact_grid))
     return exact
 
 

@@ -182,7 +182,7 @@ def test_criterion_6_bit_exactness_suite():
             wf, wb = random_cell(rng, m, n), random_cell(rng, m, n)
             xs = rng.normal(0, 1, (T, n))
             spec = BiLstmSpec.from_float(
-                wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"),
+                wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb),
                 pieces=int(rng.integers(2, 8)), cell_bits=8 if k % 2 == 0 else 16,
             )
             q_xs = stored(xs, spec.fwd.qp_x)

@@ -16,15 +16,20 @@ Each cell's mixed-precision layout is declared once, in the module whose
 kernels run it (``lstm.CELL_STAGES``, ``attention.ATTN_BITS`` and
 ``ATTN_STAGES``, ``madnorm.NORM_STAGES``), so ``runtime`` and ``serialize``
 hold no literal list of its stage names.
+
+A layer of LSTM cells reads its ports from its cells, in one base class,
+and a backward direction is the forward step over reversed frames, so the
+sequence functions take no time order.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 from conftest import calibrated_int_model
 from perfbench.spans import BINDINGS
-from qlstm import attention, lstm
+from qlstm import attention, lstm, runtime
 from qlstm.attention import ATTN_BITS, ATTN_STAGES
 from qlstm.lstm import CELL_STAGES
 from qlstm.madnorm import NORM_STAGES
@@ -147,3 +152,11 @@ def test_stage_lists_finds_literal_lists_of_two_stage_names(tmp_path):
         'F = {"tanh", "e"}\nfor k in ["nx", ("c", "p_fc")]:\n    pass\n'
     )
     assert sorted(stage_lists(probe)) == [1, 5, 6]
+
+
+def test_cell_layers_read_their_ports_from_their_cells():
+    ports = {"qp_in", "qp_out", "input_size", "output_size"}
+    for cls in (runtime.IntLstm, runtime.IntBiLstm, runtime.IntAttnDecoder):
+        assert not ports & set(vars(cls)), cls.__name__
+    for fn in (lstm.lstm_sequence_real, lstm.lstm_sequence_exact):
+        assert "direction" not in inspect.signature(fn).parameters, fn.__name__

@@ -247,30 +247,30 @@ class TestSequences:
 
     def test_backward_is_forward_on_reversed_input(self):
         rng = np.random.default_rng(15)
-        w = random_cell(rng, 3, 2)
+        wf, wb = random_cell(rng, 3, 2), random_cell(rng, 3, 2)
         xs = rng.normal(0, 1, (5, 2))
-        bwd = lstm_sequence_real(xs, w, direction="backward")
-        fwd_rev = lstm_sequence_real(xs[::-1], w, direction="forward")
-        assert np.allclose(bwd, fwd_rev[::-1])
+        out = bilstm_sequence_real(xs, wf, wb)
+        assert np.array_equal(out[:, :3], lstm_sequence_real(xs, wf))
+        assert np.array_equal(out[:, 3:], lstm_sequence_real(xs[::-1], wb)[::-1])
 
     def test_palindrome_input_symmetry(self):
         rng = np.random.default_rng(16)
         w = random_cell(rng, 2, 2)
         half = rng.normal(0, 1, (3, 2))
         xs = np.concatenate([half, half[::-1]])  # palindromic sequence
-        fwd = lstm_sequence_real(xs, w)
-        bwd = lstm_sequence_real(xs, w, direction="backward")
-        assert np.allclose(bwd[::-1], fwd)
+        out = bilstm_sequence_real(xs, w, w)
+        assert np.array_equal(out[::-1, 2:], out[:, :2])
 
     def test_int_sequence_directions_bit_exact(self):
         rng = np.random.default_rng(17)
         _, xs, spec = random_lstm_config(rng, m=3, n=3, T=6)
         q_xs = stored(xs, spec.qp_x)
-        fwd = lstm_sequence_exact(q_xs, spec, "forward")
+        fwd = lstm_sequence_exact(q_xs, spec)
         assert np.array_equal(lstm_sequence_int(q_xs, lanes_of(spec)).astype(np.int64), fwd)
-        # the backward integer path is a BiLSTM lane, checked against this oracle in TestBiLstm
-        bwd = lstm_sequence_exact(q_xs, spec, "backward")
-        assert np.array_equal(bwd, lstm_sequence_exact(q_xs[::-1], spec, "forward")[::-1])
+        # the backward direction is the forward step over the reversed frames in the oracle too
+        both = bilstm_sequence_exact(q_xs, BiLstmSpec(spec, spec))
+        assert np.array_equal(both, np.concatenate([fwd, lstm_sequence_exact(q_xs[::-1], spec)[::-1]], axis=1))
+        assert np.array_equal(bilstm_sequence_int(q_xs, lanes_of(spec, spec)), both)
 
 
 class TestBiLstm:
@@ -278,7 +278,7 @@ class TestBiLstm:
         wf, wb = random_cell(rng, m, n), random_cell(rng, m, n)
         xs = rng.normal(0, 1, (T, n))
         rf = observe(lstm_sequence_real, xs, wf)
-        rb = observe(lstm_sequence_real, xs, wb, "backward")  # backward pass sees reversed time
+        rb = observe(lstm_sequence_real, xs[::-1], wb)  # backward pass sees reversed time
         spec = BiLstmSpec.from_float(wf, wb, rf, rb, pieces=8)
         return wf, wb, xs, spec
 
@@ -437,7 +437,7 @@ class TestFusedKernelEdges:
         wf, wb = random_cell(rng, 3, 3), random_cell(rng, 3, 3)
         xs = rng.normal(0, 1, (6, 3))
         spec = BiLstmSpec.from_float(
-            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"), pieces=6
+            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb), pieces=6
         )
         cells = [spec.fwd, spec.bwd]
         if edge == "shift63":
@@ -459,7 +459,7 @@ class TestFusedKernelEdges:
         rng = np.random.default_rng(43)
         wf, wb = random_cell(rng, 3, 2), random_cell(rng, 4, 2)
         xs = rng.normal(0, 1, (6, 2))
-        rf, rb = observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward")
+        rf, rb = observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb)
         qp_x = compute_qparams(float(xs.min()), float(xs.max()), 8)
         qp_h = compute_qparams(min(rf["h"][0], rb["h"][0]), max(rf["h"][1], rb["h"][1]), 8)
         common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6, candidates=256)
@@ -478,7 +478,7 @@ class TestFusedKernelEdges:
         wf, wb = random_cell(rng, 3, 2), random_cell(rng, 3, 2)
         xs = rng.normal(0, 1, (6, 2))
         spec = BiLstmSpec.from_float(
-            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward"), pieces=6
+            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb), pieces=6
         )
         q_x = stored(xs[:1], spec.fwd.qp_x)
         got = bilstm_sequence_int(q_x, lanes_of(spec.fwd, spec.bwd))

@@ -182,7 +182,7 @@ class TestPathChoice:
         rng = np.random.default_rng(43)
         wf, wb = random_cell(rng, 3, 2), random_cell(rng, 3, 2)
         xs = rng.normal(0, 1, (6, 2))
-        rf, rb = observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs, wb, "backward")
+        rf, rb = observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb)
         qp_x = compute_qparams(float(xs.min()), float(xs.max()), 8)
         qp_h = compute_qparams(min(rf["h"][0], rb["h"][0]), max(rf["h"][1], rb["h"][1]), 8)
         common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6, candidates=256)

@@ -30,6 +30,7 @@ from qlstm.quant import (
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
+    centred,
     compute_qparams,
     int_matmul,
 )
@@ -65,10 +66,10 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def all_qparams(obj, path="model"):
-    """``(path, QuantParams)`` for every qparam reachable through dataclass fields and lists."""
+    """``(path, QuantParams)`` for every qparam reachable through dataclass fields, lists and tuples."""
     if isinstance(obj, QuantParams):
         yield path, obj
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from all_qparams(v, f"{path}[{i}]")
     elif is_dataclass(obj):
@@ -986,12 +987,25 @@ class TestWidthChecks:
         message = "layer 1 takes 5 values per frame, but its input has 4"
         with pytest.raises(ValueError, match=message):
             IntModel([IntLstm(first), IntLstm(second)], first.qp_x)
-        im = IntModel([IntLstm(first)], first.qp_x)
-        im.layers.append(IntLstm(second))  # past the check, as an edited file would be
-        path = str(tmp_path / "m.json")
-        serialize.save(im, path)
+        # a valid model whose middle layer (4 inputs, 5 units, on the first's output grid) is
+        # then cut from its file, so the last layer reads the first layer's 4 values
+        w = random_cell(np.random.default_rng(84), 5, 4)
+        ranges = observe(lstm.lstm_sequence_real, np.random.default_rng(85).normal(0, 1, (5, 4)), w)
+        middle = lstm.QuantLstmSpec.from_float(w, ranges, qp_x=first.qp_h, qp_h=first.qp_h, pieces=6)
+        im = IntModel([IntLstm(first), IntLstm(middle), IntLstm(second)], first.qp_x)
+        path = serialize.save(im, tmp_path / "m.json")
+        edit_manifest(path, lambda doc: doc["layers"].pop(1))
         with pytest.raises(serialize.ModelFormatError, match=f"model: {message}"):
             serialize.load(path)
+
+    def test_layers_cannot_join_a_built_model(self):
+        """A built model's layers are a tuple, so no layer gets past the
+        checks and the engine build by being appended afterwards."""
+        first, second = self._lstms(np.random.default_rng(86), 4)
+        im = IntModel([IntLstm(first)], first.qp_x)
+        with pytest.raises(AttributeError):
+            im.layers.append(IntLstm(second))
+        assert len(im.layers) == len(im.engine) == 1
 
     def test_residual_operands_must_share_their_width(self):
         first, second = self._lstms(np.random.default_rng(81), 4)
@@ -1266,7 +1280,7 @@ class TestAccumulatorLimit:
         spec = convert(model, calibrate(model, [x, 0 * x]), pieces=4).layers[0].spec
         bias = np.where(np.arange(4 * m) % 2, -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
         im = IntModel([IntLstm(replace(spec, bias_q=bias))], spec.qp_x)
-        acc = int_matmul(spec.weight_diffs()[0], stored(x[0], spec.qp_x) - np.int32(spec.qp_x.zero_point)) + bias
+        acc = int_matmul(centred(spec.w_x_q, spec.qp_wx), stored(x[0], spec.qp_x) - np.int32(spec.qp_x.zero_point)) + bias
         assert np.abs(acc.astype(np.int64)).max() == self.TOP
         assert np.array_equal(run(im, x).data, run_reference(im, x))
 
@@ -1292,7 +1306,7 @@ class TestAccumulatorLimit:
         im = IntModel([IntAttnDecoder(dec)], dec.cell.qp_x)
         _, a = im.engine[0]
         q_s, _ = attention.attention_int(h, attention.attention_keys(q_x, a), a)
-        acc_x = int_matmul(dec.cell.weight_diffs()[0], d_x[0]) + bias
+        acc_x = int_matmul(centred(dec.cell.w_x_q, dec.cell.qp_wx), d_x[0]) + bias
         acc_k = int_matmul(d_x, a.w_k.T)
         acc_s = int_matmul(a.w_s, q_s - dec.attn.qp_s.zero_point)
         assert np.abs(acc_x.astype(np.int64)).max() == self.TOP
