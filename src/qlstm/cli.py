@@ -102,15 +102,25 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _read_ranges(path: str) -> dict:
+    """The ``{stage: (min, max)}`` of a qparams file as ``calibrate`` writes it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    stages = doc.get("stages") if isinstance(doc, dict) else None
+    if not isinstance(stages, dict):
+        raise ValueError(f"qparams file {path} has no 'stages' object")
+    for k, v in stages.items():
+        if not isinstance(v, dict) or set(v) != {"min", "max"} or any(type(x) not in (int, float) for x in v.values()):
+            raise ValueError(f"qparams stage {k!r} must be {{min, max}} with numeric values")
+    return {k: (v["min"], v["max"]) for k, v in stages.items()}
+
+
 def cmd_convert(args) -> int:
     model = serialize.load(args.model)
     if not isinstance(model, runtime.FloatModel):
         raise ValueError("conversion needs a float model")
-    with open(args.qparams, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    ranges = {k: (v["min"], v["max"]) for k, v in doc["stages"].items()}
     int_model = runtime.convert(
-        model, ranges, pieces=args.pieces, cell_bits=args.cell_bits
+        model, _read_ranges(args.qparams), pieces=args.pieces, cell_bits=args.cell_bits
     )
     serialize.save(int_model, args.out)
     manifest, blob = os.path.getsize(args.out), os.path.getsize(args.out + ".blob")
@@ -221,7 +231,8 @@ def cmd_pwl(args) -> int:
         raise ValueError("range must satisfy a < b")
     in_qp = compute_qparams(lo, hi, args.bits)
     grid = dequantize(np.arange(in_qp.qmax + 1, dtype=np.int64), in_qp)
-    vals = ACTIVATIONS[args.function](grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite range is rejected below
+        vals = ACTIVATIONS[args.function](grid)
     out_qp = compute_qparams(float(vals.min()), float(vals.max()), 8)
     table = build_pwl(args.function, in_qp, out_qp, args.pieces)
     approx = eval_pwl_real(grid, table)

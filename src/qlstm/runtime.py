@@ -19,8 +19,11 @@ are plain loops over the stack:
   (its exact oracle) and ``dequantize``;
   ``run`` takes and returns raw arrays (uint8/uint16 storage, or int32
   logits), ``run_exact`` int64 arrays;
-* both have ``encode(writer, prefix)`` and ``decode(reader, desc)`` for the
-  manifest, whose type tags ``serialize`` maps to the classes.
+* a float layer has ``encode(writer, prefix)`` and ``decode(reader, desc)``
+  for the manifest; an integer layer has none, as ``serialize`` stores its
+  fields by their names (``qp_<k>``, ``pwl_<k>``, ``norm_<k>``, ``<k>_q``,
+  ``spec`` and nested specs).  ``serialize`` maps the type tags to the
+  classes.
 
 ``outputs`` holds the outputs of the layers already run, for residuals.
 Per-stage quantization parameters chain through the stack: every layer
@@ -481,19 +484,15 @@ class _IntLayer(_Layer):
 @dataclass
 class IntEmbedding(_IntLayer):
     table_q: np.ndarray
-    qp: QuantParams
+    qp_out: QuantParams
 
     takes_tokens = True
     qp_in = None  # consumes token ids, not a layer's output
 
     def __post_init__(self):
-        if self.qp.bitwidth != 8:
+        if self.qp_out.bitwidth != 8:
             raise ValueError("embedding output must be 8-bit")
         check_dtype(np.uint8, table_q=self.table_q)
-
-    @property
-    def qp_out(self):
-        return self.qp
 
     @property
     def output_size(self) -> int:
@@ -506,18 +505,7 @@ class IntEmbedding(_IntLayer):
         return self.table_q[tokens].astype(np.int64)
 
     def dequantize(self):
-        return EmbeddingLayer(dequantize(self.table_q, self.qp))
-
-    def encode(self, w, prefix):
-        return {
-            "type": "embedding",
-            "tensors": {"table": w.tensor(f"{prefix}.table", self.table_q)},
-            "qparams": {"out": w.qp(f"{prefix}.out", self.qp)},
-        }
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(r.tensor(d["tensors"]["table"]), r.qp(d["qparams"]["out"]))
+        return EmbeddingLayer(dequantize(self.table_q, self.qp_out))
 
 
 class _CellLayer(_IntLayer):
@@ -559,13 +547,6 @@ class IntLstm(_CellLayer):
     def dequantize(self):
         return LstmLayer(_dequant_cell(self.spec), norm=self.spec.norm)
 
-    def encode(self, w, prefix):
-        return {"type": "madnorm_lstm" if self.spec.norm else "lstm", **w.cell(prefix, self.spec)}
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(r.cell(d))
-
 
 @dataclass
 class IntBiLstm(_CellLayer):
@@ -583,14 +564,6 @@ class IntBiLstm(_CellLayer):
 
     def dequantize(self):
         return BiLstmLayer(_dequant_cell(self.spec.fwd), _dequant_cell(self.spec.bwd))
-
-    def encode(self, w, prefix):
-        fwd = w.cell(f"{prefix}.fwd", self.spec.fwd)
-        return {"type": "bilstm", "fwd": fwd, "bwd": w.cell(f"{prefix}.bwd", self.spec.bwd)}
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(BiLstmSpec(r.cell(d["fwd"]), r.cell(d["bwd"])))
 
 
 @dataclass
@@ -624,28 +597,6 @@ class IntAttnDecoder(_CellLayer):
             dequantize(self.spec.w_s_q, self.spec.qp_ws),
         )
         return AttentionDecoderLayer(_dequant_cell(self.spec.cell), attn)
-
-    def encode(self, w, prefix):
-        spec = self.spec
-        return {
-            "type": "attention_decoder",
-            "cell": w.cell(f"{prefix}.cell", spec.cell),
-            "attn": w.attn(f"{prefix}.attn", spec.attn),
-            "tensors": {"w_s": w.tensor(f"{prefix}.w_s", spec.w_s_q)},
-            "qparams": {"ws": w.qp(f"{prefix}.ws", spec.qp_ws), "ms": w.qp(f"{prefix}.ms", spec.qp_ms)},
-        }
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(
-            QuantAttnDecoderSpec(
-                cell=r.cell(d["cell"]),
-                attn=r.attn(d["attn"]),
-                w_s_q=r.tensor(d["tensors"]["w_s"]),
-                qp_ws=r.qp(d["qparams"]["ws"]),
-                qp_ms=r.qp(d["qparams"]["ms"]),
-            )
-        )
 
 
 @dataclass
@@ -690,27 +641,11 @@ class IntResidual(_IntLayer):
     def dequantize(self):
         return ResidualAddLayer(self.skip_from)
 
-    def encode(self, w, prefix):
-        return {
-            "type": "residual_add",
-            "skip_from": self.skip_from,
-            "qparams": {
-                "a": w.qp(f"{prefix}.a", self.qp_a),
-                "b": w.qp(f"{prefix}.b", self.qp_b),
-                "out": w.qp(f"{prefix}.out", self.qp_out),
-            },
-        }
-
-    @classmethod
-    def decode(cls, r, d):
-        q = d["qparams"]
-        return cls(d["skip_from"], r.qp(q["a"]), r.qp(q["b"]), r.qp(q["out"]))
-
 
 @dataclass
 class IntProjection(_IntLayer):
     w_q: np.ndarray
-    qp_w: QuantParams
+    qp_w: QuantParams = field(metadata={"name": "wq"})  # saved as qparams "<layer>.wq"
     bias_q: np.ndarray
     qp_in: QuantParams
 
@@ -742,21 +677,6 @@ class IntProjection(_IntLayer):
     def dequantize(self):
         bias = self.bias_q * (self.qp_w.scale * self.qp_in.scale)
         return FinalProjectionLayer(dequantize(self.w_q, self.qp_w), bias)
-
-    def encode(self, w, prefix):
-        return {
-            "type": "final_projection",
-            "tensors": {
-                "w": w.tensor(f"{prefix}.w", self.w_q),
-                "bias": w.tensor(f"{prefix}.bias", self.bias_q),
-            },
-            "qparams": {"w": w.qp(f"{prefix}.wq", self.qp_w), "in": w.qp(f"{prefix}.in", self.qp_in)},
-        }
-
-    @classmethod
-    def decode(cls, r, d):
-        t, q = d["tensors"], d["qparams"]
-        return cls(r.tensor(t["w"]), r.qp(q["w"]), r.tensor(t["bias"]), r.qp(q["in"]))
 
 
 @dataclass

@@ -4,9 +4,12 @@ The manifest (format version 2, compact JSON with sorted keys) carries the
 layer graph, every per-stage quantization parameter as ``[min, max,
 bitwidth]``, each PWL table's integer form (``knots_q``, the fixed-point
 slopes, intercepts and override points, ``frac_bits``, ``fn``) and
-references into the blob as (offset, length) pairs.  Each layer class
-encodes and decodes its own descriptor through the writer and reader below;
-``_LAYER_TYPES`` maps the descriptors' type tags back to the classes.
+references into the blob as (offset, length) pairs.  A float layer class
+encodes and decodes its own descriptor through the writer and reader below.
+An integer layer has no codec of its own: its descriptor is its dataclass
+fields, each placed by its name (:func:`_slot`), and a spec field is placed
+the same way, inlined (``spec``) or nested under its own name.
+``_LAYER_TYPES`` maps the descriptors' type tags to the classes.
 
 ``load`` derives each qparam's scale and zero point with
 :func:`~qlstm.quant.compute_qparams` (IEEE division and rounding, no libm),
@@ -24,12 +27,12 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from .attention import ATTN_BITS, QuantAttentionSpec
-from .lstm import CELL_NORMS, CELL_STAGES, QuantLstmSpec
+from .lstm import CELL_NORMS
 from .madnorm import NORM_STAGES, MadNormQParams
 from .pwl import ACTIVATIONS, PwlTable
 from .quant import QuantParams, check_int, compute_qparams
@@ -113,12 +116,26 @@ _LAYER_TYPES = {
     "final_projection": (FinalProjectionLayer, IntProjection),
 }
 
-_QP_FIELDS = ("wx", "wh", *CELL_STAGES)
-# the cell's PWL tables, each named after the stage its outputs land on
-_PWL_STAGES = [f.name[4:] for f in fields(QuantLstmSpec) if f.name.startswith("pwl_")]
 _PWL_INT_FIELDS = (
     "slope_mants", "slope_shifts", "intercept_fx", "knot_targets", "override_q", "override_val",
 )
+_SECTIONS = {"qp_": "qparams", "pwl_": "pwl", "norm_": "norm"}
+
+
+def _slot(name: str) -> tuple:
+    """Where an integer layer's or spec's field ``name`` is stored:
+    ``(section, key)``, section ``None`` for a field under its own name."""
+    for head, section in _SECTIONS.items():
+        if name.startswith(head):
+            return section, name[len(head):]
+    if name.endswith("_q"):
+        return "tensors", name[:-2]
+    return None, name
+
+
+def _tag(layer) -> str:
+    tag = next(t for t, (_, cls) in _LAYER_TYPES.items() if cls is type(layer))
+    return "madnorm_lstm" if tag == "lstm" and layer.spec.norm else tag
 
 
 class _Writer:
@@ -172,38 +189,30 @@ class _Writer:
             "hidden": p.hidden,
         }
 
-    def cell(self, prefix: str, spec: QuantLstmSpec) -> dict:
-        d = {
-            "tensors": {
-                "w_x": self.tensor(f"{prefix}.w_x", spec.w_x_q),
-                "w_h": self.tensor(f"{prefix}.w_h", spec.w_h_q),
-                "bias": self.tensor(f"{prefix}.bias", spec.bias_q),
-            },
-            "qparams": {k: self.qp(f"{prefix}.{k}", getattr(spec, f"qp_{k}")) for k in _QP_FIELDS},
-            "pwl": {k: self.pwl(f"{prefix}.pwl_{k}", getattr(spec, f"pwl_{k}")) for k in _PWL_STAGES},
-            "norm": None,
-        }
-        if spec.norm:
-            q = d["qparams"]
-            d["norm"] = {
-                f"n{k}": self.norm(f"{prefix}.n{k}", getattr(spec, f"norm_{k}"), q[stage])
-                for k, (stage, _) in CELL_NORMS.items()
-            }
+    def fields(self, prefix: str, obj) -> dict:
+        """The descriptor of an integer layer or spec, its entries named
+        ``prefix.<key>`` (a field's ``name`` metadata overrides the key)."""
+        d = {}
+        for f in fields(obj):
+            v, (section, key) = getattr(obj, f.name), _slot(f.name)
+            name = f"{prefix}.{f.metadata.get('name', key)}"
+            if section == "qparams":
+                d.setdefault(section, {})[key] = self.qp(name, v)
+            elif section == "pwl":
+                d.setdefault(section, {})[key] = self.pwl(f"{prefix}.{f.name}", v)
+            elif section == "tensors":
+                d.setdefault(section, {})[key] = self.tensor(name, v)
+            elif section == "norm":  # on its stage's qparams key, set above; null without MadNorm
+                if v is None:
+                    d["norm"] = None
+                else:
+                    x = d["qparams"][CELL_NORMS[key][0]]
+                    d.setdefault("norm", {})[f"n{key}"] = self.norm(f"{prefix}.n{key}", v, x)
+            elif f.name == "spec":
+                d.update(self.fields(prefix, v))
+            else:
+                d[key] = self.fields(name, v) if is_dataclass(v) else v
         return d
-
-    def attn(self, prefix: str, spec: QuantAttentionSpec) -> dict:
-        return {
-            "tensors": {
-                "w_q": self.tensor(f"{prefix}.w_q", spec.w_q_q),
-                "w_k": self.tensor(f"{prefix}.w_k", spec.w_k_q),
-                "v": self.tensor(f"{prefix}.v", spec.v_q),
-            },
-            "qparams": {k: self.qp(f"{prefix}.{k}", getattr(spec, f"qp_{k}")) for k in ATTN_BITS},
-            "pwl": {
-                "tanh": self.pwl(f"{prefix}.pwl_tanh", spec.pwl_tanh),
-                "exp": self.pwl(f"{prefix}.pwl_exp", spec.pwl_exp),
-            },
-        }
 
 
 class _Reader:
@@ -252,27 +261,26 @@ class _Reader:
         qps = {f"qp_{k}": self.qp(d[k]) for k in ("x", *NORM_STAGES)}
         return MadNormQParams(hidden=d["hidden"], **qps)
 
-    def cell(self, d: dict) -> QuantLstmSpec:
-        t, norm = d["tensors"], d.get("norm")
-        return QuantLstmSpec(
-            w_x_q=self.tensor(t["w_x"]),
-            w_h_q=self.tensor(t["w_h"]),
-            bias_q=self.tensor(t["bias"]),
-            **{f"pwl_{k}": self.pwl(d["pwl"][k]) for k in _PWL_STAGES},
-            **{f"norm_{k}": self.norm(norm[f"n{k}"]) if norm else None for k in CELL_NORMS},
-            **{f"qp_{k}": self.qp(d["qparams"][k]) for k in _QP_FIELDS},
-        )
-
-    def attn(self, d: dict) -> QuantAttentionSpec:
-        t = d["tensors"]
-        return QuantAttentionSpec(
-            w_q_q=self.tensor(t["w_q"]),
-            w_k_q=self.tensor(t["w_k"]),
-            v_q=self.tensor(t["v"]),
-            pwl_tanh=self.pwl(d["pwl"]["tanh"]),
-            pwl_exp=self.pwl(d["pwl"]["exp"]),
-            **{f"qp_{k}": self.qp(d["qparams"][k]) for k in ATTN_BITS},
-        )
+    def fields(self, cls, d: dict):
+        """The integer layer or spec ``cls`` built from its descriptor ``d``."""
+        kw = {}
+        for f in fields(cls):
+            section, key = _slot(f.name)
+            if section == "qparams":
+                v = self.qp(d[section][key])
+            elif section == "pwl":
+                v = self.pwl(d[section][key])
+            elif section == "tensors":
+                v = self.tensor(d[section][key])
+            elif section == "norm":
+                v = self.norm(d["norm"][f"n{key}"]) if d.get("norm") else None
+            elif f.name == "spec":
+                v = self.fields(get_type_hints(cls)[f.name], d)
+            else:
+                hint = get_type_hints(cls)[f.name]
+                v = self.fields(hint, d[key]) if is_dataclass(hint) else d[key]
+            kw[f.name] = v
+        return cls(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +296,13 @@ def save(model, path) -> str:
         raise TypeError("save() expects a FloatModel or IntModel")
     path = os.fspath(path)
     w = _Writer()
-    layers = [layer.encode(w, f"L{i}") for i, layer in enumerate(model.layers)]
     input_key, config, kind = None, {}, "float"
     if isinstance(model, IntModel):
+        layers = [{"type": _tag(layer), **w.fields(f"L{i}", layer)} for i, layer in enumerate(model.layers)]
         input_key = w.qp("input", model.input_qp) if model.input_qp is not None else None
         config, kind = model.config, "integer"
+    else:
+        layers = [layer.encode(w, f"L{i}") for i, layer in enumerate(model.layers)]
     blob = b"".join(w.chunks)
     doc = {
         "version": FORMAT_VERSION,
@@ -348,7 +358,8 @@ def load(path):
                 tag = d.get("type")
                 if not isinstance(tag, str) or tag not in _LAYER_TYPES:
                     raise ModelFormatError(f"unknown layer type {tag!r}")
-                layers.append(_LAYER_TYPES[tag][integer].decode(r, d))
+                cls = _LAYER_TYPES[tag][integer]
+                layers.append(r.fields(cls, d) if integer else cls.decode(r, d))
     # the structure rules, and for an integer model the qparams chain and the widths
     with _malformed("model"):
         if not integer:

@@ -1,5 +1,9 @@
 """CLI: exit codes, file formats, pipeline consistency, bench/pwl outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +101,31 @@ class TestExitCodes:
         rc = main(["convert", "--model", fpath, "--qparams", qp, "--out", str(tmp_path / "x.json")])
         assert rc == 3
         assert "stage 'mx': range [nan, " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.pop("stages"),
+            lambda doc: doc.update(stages=[]),
+            lambda doc: doc["stages"].update({"L1.mx": [-1.0, 1.0]}),
+            lambda doc: doc["stages"]["L1.mx"].pop("max"),
+            lambda doc: doc["stages"]["L1.mx"].update(min="-1"),
+            lambda doc: doc["stages"]["L1.mx"].update(max=None),
+        ],
+        ids=["no-stages", "stages-list", "stage-list", "no-max", "string-min", "null-max"],
+    )
+    def test_malformed_qparams_file_is_validation_error(self, pipeline, capsys, edit):
+        tmp_path, fpath, data = pipeline
+        qp, _ = run_pipeline(tmp_path, fpath, data)
+        doc = json.loads(open(qp).read())
+        edit(doc)
+        with open(qp, "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        rc = main(["convert", "--model", fpath, "--qparams", qp, "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("validation error: qparams ") and err.count("\n") == 1, err
 
     def test_non_finite_feature_frame_is_validation_error(self, tmp_path, capsys):
         rng = np.random.default_rng(78)
@@ -305,3 +334,14 @@ class TestPwl:
 
     def test_rejects_bad_range(self, capsys):
         assert main(["pwl", "--function", "tanh", "--range", "4", "-4", "--pieces", "4", "--out", "x.csv"]) == 3
+
+    def test_overflowing_function_fails_in_one_line(self, tmp_path):
+        # the function overflows on the grid; the one diagnostic is the range's
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        argv = ["pwl", "--function", "exp", "--range", "-1000", "1000", "--pieces", "4", "--out", "x.csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlstm.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("validation error: range [0.0, inf]") and proc.stderr.count("\n") == 1, proc.stderr

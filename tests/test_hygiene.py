@@ -20,19 +20,27 @@ hold no literal list of its stage names.
 A layer of LSTM cells reads its ports from its cells, in one base class,
 and a backward direction is the forward step over reversed frames, so the
 sequence functions take no time order.
+
+An integer layer's manifest descriptor is its fields, placed by their names
+by one writer and one reader in ``serialize``, so no integer layer or spec
+has a codec of its own.
 """
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from conftest import calibrated_int_model
 from perfbench.spans import BINDINGS
-from qlstm import attention, lstm, runtime
+from qlstm import attention, lstm, runtime, serialize
 from qlstm.attention import ATTN_BITS, ATTN_STAGES
 from qlstm.lstm import CELL_STAGES
-from qlstm.madnorm import NORM_STAGES
+from qlstm.madnorm import NORM_STAGES, MadNormQParams
+from qlstm.pwl import PwlTable
+from qlstm.quant import QuantParams
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qlstm"
 
@@ -160,3 +168,27 @@ def test_cell_layers_read_their_ports_from_their_cells():
         assert not ports & set(vars(cls)), cls.__name__
     for fn in (lstm.lstm_sequence_real, lstm.lstm_sequence_exact):
         assert "direction" not in inspect.signature(fn).parameters, fn.__name__
+
+
+INT_LAYERS = (
+    runtime.IntEmbedding, runtime.IntLstm, runtime.IntBiLstm, runtime.IntAttnDecoder, runtime.IntResidual,
+    runtime.IntProjection,
+)
+SPECS = (lstm.QuantLstmSpec, lstm.BiLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
+# the integer manifest's field-name rule: prefix or suffix -> the type it stores
+NAMED = {"qp_": QuantParams, "pwl_": PwlTable, "norm_": MadNormQParams | None, "_q": np.ndarray}
+
+
+def test_integer_layers_are_stored_by_their_field_names():
+    for cls in INT_LAYERS:
+        assert not hasattr(cls, "encode") and not hasattr(cls, "decode"), cls.__name__
+    for cls in (serialize._Writer, serialize._Reader):
+        assert not hasattr(cls, "cell") and not hasattr(cls, "attn"), cls.__name__
+    for cls in (*INT_LAYERS, *SPECS):
+        hints = get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            where = f"{cls.__name__}.{f.name}"
+            assert f.init, where
+            # prefixes first, so qp_q holds qparams
+            rule = next((t for k, t in NAMED.items() if f.name.startswith(k) or f.name.endswith(k)), None)
+            assert hints[f.name] == rule if rule else hints[f.name] in (*SPECS, int), where
