@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -37,29 +38,32 @@ class _Parser(argparse.ArgumentParser):
 class BenchRow:
     config: str
     mean_ms: float
+    peak_kb: float  # traced peak of one call, in kB
     iters_per_sec: float
     speedup: float
 
 
 @dataclass
 class BenchReport:
-    """Per-configuration latency summary; speedup is relative to the float path."""
+    """Per-configuration latency and working-memory summary; speedup is
+    relative to the float path."""
 
     warmup: int
     iters: int
     rows: list = field(default_factory=list)
 
     def csv(self) -> str:
-        lines = ["config,mean_ms,iters_per_sec,speedup"]
+        lines = ["config,mean_ms,peak_kb,iters_per_sec,speedup"]
         for r in self.rows:
-            lines.append(f"{r.config},{r.mean_ms:.3f},{r.iters_per_sec:.3f},{r.speedup:.3f}")
+            lines.append(f"{r.config},{r.mean_ms:.3f},{r.peak_kb:.1f},{r.iters_per_sec:.3f},{r.speedup:.3f}")
         return "\n".join(lines) + "\n"
 
     def text(self) -> str:
         lines = [f"warmup={self.warmup} iters={self.iters}"]
         for r in self.rows:
             lines.append(
-                f"  {r.config:<16} {r.mean_ms:9.3f} ms  {r.iters_per_sec:8.3f} iter/s  {r.speedup:5.2f}x"
+                f"  {r.config:<16} {r.mean_ms:9.3f} ms  {r.peak_kb:8.1f} kB  {r.iters_per_sec:8.3f} iter/s"
+                f"  {r.speedup:5.2f}x"
             )
         return "\n".join(lines)
 
@@ -178,9 +182,20 @@ def _time_config(fn, warmup: int, iters: int) -> float:
     return (time.perf_counter() - start) / iters
 
 
+def _peak_kb(fn) -> float:
+    """The ``tracemalloc`` peak of one untimed call, in kB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e3
+    finally:
+        tracemalloc.stop()
+
+
 def bench_model(model: runtime.IntModel, seq_len: int, warmup: int, iters: int) -> BenchReport:
     """Time the float reference, the integer engine and the integer engine
-    on exact activation tables, on the same weights and input."""
+    on exact activation tables, on the same weights and input, and trace
+    the working memory of one more call of each after its timed ones."""
     if iters < 1:
         raise ValueError("iters must be at least 1")
     seq = _bench_input(model, seq_len)
@@ -193,15 +208,17 @@ def bench_model(model: runtime.IntModel, seq_len: int, warmup: int, iters: int) 
         ("int_float_act", lambda: runtime.run(exact_model, seq)),
     ]
     report = BenchReport(warmup=warmup, iters=iters)
-    times = {}
+    times, peaks = {}, {}
     for name, fn in configs:
         times[name] = _time_config(fn, warmup, iters)
+        peaks[name] = _peak_kb(fn)
     for name, _ in configs:
         t = times[name]
         report.rows.append(
             BenchRow(
                 config=name,
                 mean_ms=t * 1e3,
+                peak_kb=peaks[name],
                 iters_per_sec=(1.0 / t) if t > 0 else float("inf"),
                 speedup=times["float"] / t if t > 0 else float("inf"),
             )

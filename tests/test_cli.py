@@ -261,11 +261,12 @@ class TestBench:
         )
         assert rc == 0
         lines = csv.read_text().strip().split("\n")
-        assert lines[0] == "config,mean_ms,iters_per_sec,speedup"
+        assert lines[0] == "config,mean_ms,peak_kb,iters_per_sec,speedup"
         names = [line.split(",")[0] for line in lines[1:]]
         assert names == ["float", "int_pwl", "int_float_act"]
         float_row = lines[1].split(",")
-        assert float(float_row[3]) == pytest.approx(1.0)
+        assert float(float_row[4]) == pytest.approx(1.0)
+        assert all(float(line.split(",")[2]) > 0 for line in lines[1:])
 
     def test_single_iteration(self, pipeline, tmp_path):
         tmp_path, fpath, data = pipeline

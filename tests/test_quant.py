@@ -1,4 +1,6 @@
 """Quantization primitives: scalar examples, grid properties, kernel exactness."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -24,6 +26,7 @@ from qlstm.quant import (
     divide_round_exact,
     int_matmul,
     quantize,
+    quantize_bias,
     requantize_exact,
     requantize_scaled,
     rescale_add,
@@ -75,6 +78,14 @@ class TestComputeQparams:
         # the scale underflowed to 0 and the zero point raised ZeroDivisionError
         with pytest.raises(DegenerateRangeError, match="too narrow"):
             compute_qparams(lo, hi, 8)
+
+    def test_subnormal_scale_is_degenerate(self):
+        # the subnormal scale put the zero point past the grid, which
+        # QuantParams rejected as a plain ValueError
+        with pytest.raises(ValueError) as err:
+            compute_qparams(-6.4e-321, 0.0, 8)
+        assert err.type is DegenerateRangeError
+        assert "too narrow" in str(err.value)
 
     @pytest.mark.parametrize("field", ["min", "max", "scale"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -129,6 +140,13 @@ class TestComputeQparams:
 
 
 class TestQuantizeDequantize:
+    def test_saturated_bias_keeps_its_sign(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the int64 cast of a huge index warned
+            q = quantize_bias(np.array([1.0, -1.0]), 1e-300)
+        assert q.dtype == np.int32
+        assert q.tolist() == [_BIAS_LIMIT, -_BIAS_LIMIT]
+
     def test_zero_maps_to_zero_point(self):
         qp = compute_qparams(-3.7, 11.2, 8)
         assert quantize(0.0, qp) == qp.zero_point

@@ -1,5 +1,6 @@
 """Runtime: calibration, conversion, integer execution and serialization."""
 import json
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields, is_dataclass, replace
@@ -35,6 +36,7 @@ from qlstm.quant import (
     int_matmul,
 )
 from qlstm.runtime import (
+    BLOCK_ELEMENTS,
     CALIBRATION_STACK,
     AttentionDecoderLayer,
     BiLstmLayer,
@@ -1332,3 +1334,81 @@ def test_quant_tensors_per_run_do_not_grow_with_length(monkeypatch):
             made.clear()
             run(im, rng.integers(0, 6, size=T))
             assert len(made) == want, (T, made)
+
+
+class TestRowBlocks:
+    """Whole-sequence stages (the input's quantization, a residual add, the
+    final projection) run on blocks of ``BLOCK_ELEMENTS`` input elements."""
+
+    N, M, VOCAB = 37, 16, 6  # 37 does not divide the block
+
+    @pytest.fixture(scope="class")
+    def frame_model(self):
+        """LSTM -> LSTM -> residual -> projection on frames."""
+        rng = np.random.default_rng(91)
+        model = token_model(rng, ["lstm", "lstm", "residual"], vocab=self.VOCAB, m=self.M, frames=self.N)
+        return convert(model, calibrate(model, [rng.normal(0, 1, (40, self.N))]), pieces=6, candidates=256)
+
+    def block_rows(self):
+        """Rows per block of the input, the residual and the projection."""
+        return [BLOCK_ELEMENTS // w for w in (self.N, 2 * self.M, self.M)]
+
+    def test_run_equals_reference_across_block_edges(self, frame_model):
+        lengths = {1} | {t for b in self.block_rows() for t in (b - 1, b, b + 1, 3 * b + 1)}
+        rng = np.random.default_rng(92)
+        for T in sorted(lengths):
+            x = rng.normal(0, 1.2, (T, self.N)).astype(np.float32)
+            out = run(frame_model, x)
+            assert out.dtype == np.int32 and out.shape == (T, self.VOCAB)
+            assert np.array_equal(out, run_reference(frame_model, x)), T
+
+    def test_late_non_finite_frame_rejected_and_frames_untouched(self, frame_model):
+        b = self.block_rows()[0]
+        rng = np.random.default_rng(93)
+        x = rng.normal(0, 1, (3 * b + 1, self.N)).astype(np.float32)
+        x.setflags(write=False)  # a write to the caller's frames raises
+        before = x.copy()
+        run(frame_model, x)
+        assert np.array_equal(x, before)
+        bad = x.copy()
+        bad[-1, -1] = np.nan
+        with pytest.raises(ValueError, match="input frames must be finite"):
+            run(frame_model, bad)
+
+    def test_scratch_does_not_grow_with_length(self, frame_model, monkeypatch):
+        """Each stage's traced peak, less the bytes live before it and the
+        output it returns, is the same at T and at 4T.  The stages are the
+        input's quantization and each layer.  Per stage, because ``run``
+        frees the input storage after the first layer, and the logits do
+        not exist yet when the residual peaks, so the whole run's peak less
+        the bytes it keeps changes with T even when no stage's scratch
+        does."""
+        scratch = []
+
+        def traced(fn):
+            def stage(*args):
+                live = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = fn(*args)
+                scratch.append(tracemalloc.get_traced_memory()[1] - live - out.nbytes)
+                return out
+
+            return stage
+
+        monkeypatch.setattr(runtime, "_prepare_input", traced(runtime._prepare_input))
+        for cls in {type(layer) for layer in frame_model.layers}:
+            monkeypatch.setattr(cls, "run", traced(cls.run))
+        rng = np.random.default_rng(94)
+        per_length = []
+        for T in (300, 1200):  # two full blocks of every stage at least
+            x = rng.normal(0, 1, (T, self.N)).astype(np.float32)
+            run(frame_model, x)  # warm-up
+            scratch.clear()
+            tracemalloc.start()
+            try:
+                run(frame_model, x)
+            finally:
+                tracemalloc.stop()
+            per_length.append(np.array(scratch))
+        assert len(per_length[0]) == 1 + len(frame_model.layers)
+        assert np.abs(per_length[1] - per_length[0]).max() < 4096, per_length
