@@ -19,11 +19,9 @@ are plain loops over the stack:
   (its exact oracle) and ``dequantize``;
   ``run`` takes and returns raw arrays (uint8/uint16 storage, or int32
   logits), ``run_exact`` int64 arrays;
-* a float layer has ``encode(writer, prefix)`` and ``decode(reader, desc)``
-  for the manifest; an integer layer has none, as ``serialize`` stores its
-  fields by their names (``qp_<k>``, ``pwl_<k>``, ``norm_<k>``, ``<k>_q``,
-  ``spec`` and nested specs).  ``serialize`` maps the type tags to the
-  classes.
+* no layer has a codec for the manifest: ``serialize`` stores its fields by
+  their names and types (``qp_<k>``, ``pwl_<k>``, ``norm_<k>``, arrays,
+  ``spec`` and nested dataclasses), and maps the type tags to the classes.
 
 ``outputs`` holds the outputs of the layers already run, for residuals.
 Per-stage quantization parameters chain through the stack: every layer
@@ -113,14 +111,6 @@ def _check_structure(layers) -> None:
                 raise ValueError("residual skip must reference an earlier layer")
 
 
-def _encode_weights(w, prefix: str, weights: LstmWeights, key: str = "") -> dict:
-    return {f"{key}{n}": w.tensor(f"{prefix}.{key}{n}", getattr(weights, n)) for n in ("w_x", "w_h", "bias")}
-
-
-def _decode_weights(r, tensors: dict, key: str = "") -> LstmWeights:
-    return LstmWeights(*(r.tensor(tensors[f"{key}{n}"]) for n in ("w_x", "w_h", "bias")))
-
-
 def _dequant_cell(spec: QuantLstmSpec) -> LstmWeights:
     return LstmWeights(
         dequantize(spec.w_x_q, spec.qp_wx),
@@ -152,13 +142,6 @@ class EmbeddingLayer(_Layer):
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
         return IntEmbedding(*quantize_weights(self.table))
 
-    def encode(self, w, prefix):
-        return {"type": "embedding", "tensors": {"table": w.tensor(f"{prefix}.table", self.table)}}
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(r.tensor(d["tensors"]["table"]))
-
 
 @dataclass
 class LstmLayer(_Layer):
@@ -176,17 +159,6 @@ class LstmLayer(_Layer):
         spec = QuantLstmSpec.from_float(self.weights, sub_ranges(ranges, prefix), qp_x=qp_in, norm=self.norm, **opts)
         return IntLstm(spec)
 
-    def encode(self, w, prefix):
-        return {
-            "type": "madnorm_lstm" if self.norm else "lstm",
-            "norm": self.norm,
-            "tensors": _encode_weights(w, prefix, self.weights),
-        }
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(_decode_weights(r, d["tensors"]), norm=d.get("norm", d["type"] == "madnorm_lstm"))
-
 
 @dataclass
 class BiLstmLayer(_Layer):
@@ -202,14 +174,6 @@ class BiLstmLayer(_Layer):
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
         rf, rb = sub_ranges(ranges, f"{prefix}.fwd"), sub_ranges(ranges, f"{prefix}.bwd")
         return IntBiLstm(BiLstmSpec.from_float(self.fwd, self.bwd, rf, rb, qp_x=qp_in, **opts))
-
-    def encode(self, w, prefix):
-        t = _encode_weights(w, prefix, self.fwd, "fwd.")
-        return {"type": "bilstm", "tensors": {**t, **_encode_weights(w, prefix, self.bwd, "bwd.")}}
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(_decode_weights(r, d["tensors"], "fwd."), _decode_weights(r, d["tensors"], "bwd."))
 
 
 @dataclass
@@ -229,18 +193,6 @@ class AttentionDecoderLayer(_Layer):
         )
         return IntAttnDecoder(spec)
 
-    def encode(self, w, prefix):
-        t = _encode_weights(w, prefix, self.cell)
-        for n in ("w_q", "w_k", "v", "w_s"):
-            t[n] = w.tensor(f"{prefix}.{n}", getattr(self.attn, n))
-        return {"type": "attention_decoder", "tensors": t}
-
-    @classmethod
-    def decode(cls, r, d):
-        t = d["tensors"]
-        attn = AttentionWeights(*(r.tensor(t[n]) for n in ("w_q", "w_k", "v", "w_s")))
-        return cls(_decode_weights(r, t), attn)
-
 
 @dataclass
 class ResidualAddLayer(_Layer):
@@ -257,13 +209,6 @@ class ResidualAddLayer(_Layer):
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
         qp_out = stage_qparams(ranges, f"{prefix}.out", 8)
         return IntResidual(self.skip_from, out_qps[self.skip_from], qp_in, qp_out)
-
-    def encode(self, w, prefix):
-        return {"type": "residual_add", "skip_from": self.skip_from}
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(d["skip_from"])
 
 
 @dataclass
@@ -285,14 +230,6 @@ class FinalProjectionLayer(_Layer):
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
         w_q, qp_w = quantize_weights(self.w)
         return IntProjection(w_q, qp_w, quantize_bias(self.bias, qp_w.scale * qp_in.scale), qp_in)
-
-    def encode(self, w, prefix):
-        t = {"w": w.tensor(f"{prefix}.w", self.w), "bias": w.tensor(f"{prefix}.bias", self.bias)}
-        return {"type": "final_projection", "tensors": t}
-
-    @classmethod
-    def decode(cls, r, d):
-        return cls(r.tensor(d["tensors"]["w"]), r.tensor(d["tensors"]["bias"]))
 
 
 @dataclass

@@ -1,33 +1,39 @@
-"""Model serialization: a UTF-8 JSON manifest plus a little-endian tensor blob.
+"""Model serialization: a gzip-compressed JSON manifest plus a little-endian tensor blob.
 
-The manifest (format version 2, compact JSON with sorted keys) carries the
+The manifest (format version 3) is compact JSON with sorted keys, written
+with ``gzip.compress(..., mtime=0)`` so that saving a model twice gives the
+same bytes, and ``zcat model.json`` prints the document.  It carries the
 layer graph, every per-stage quantization parameter as ``[min, max,
 bitwidth]``, each PWL table's integer form (``knots_q``, the fixed-point
 slopes, intercepts and override points, ``frac_bits``, ``fn``) and
-references into the blob as (offset, length) pairs.  A float layer class
-encodes and decodes its own descriptor through the writer and reader below.
-An integer layer has no codec of its own: its descriptor is its dataclass
-fields, each placed by its name (:func:`_slot`), and a spec field is placed
+references into the blob as (offset, length) pairs.  No layer class has a
+codec of its own: a layer's descriptor is its dataclass fields, each placed
+by its name and type (:func:`_slot`), and a nested dataclass field is placed
 the same way, inlined (``spec``) or nested under its own name.
 ``_LAYER_TYPES`` maps the descriptors' type tags to the classes.
 
-``load`` derives each qparam's scale and zero point with
+``load`` inflates at most :data:`MAX_MANIFEST_BYTES` of manifest, and
+rejects a file that is not gzip (a manifest of an earlier version) as one
+to convert again.  It derives each qparam's scale and zero point with
 :func:`~qlstm.quant.compute_qparams` (IEEE division and rounding, no libm),
 so ``save`` accepts only qparams that are that function's output.  Floats
 round-trip exactly through JSON (shortest repr) and integer constants are
 stored verbatim, so ``load(save(m))`` runs bit-identically to ``m``.  One
 SHA-256, the ``seal``, covers the manifest body (the document without its
-seal, dumped canonically) followed by the blob, so an edited manifest value
-or blob byte does not load.
+seal, dumped canonically, before compression) followed by the blob, so an
+edited manifest value or blob byte does not load.
 """
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import math
 import os
+import zlib
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
+from functools import cache
 from typing import get_type_hints
 
 import numpy as np
@@ -53,7 +59,8 @@ from .runtime import (
     ResidualAddLayer,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+MAX_MANIFEST_BYTES = 16 << 20  # inflated; the seed-1 benchmark manifests inflate to at most 17 KB
 
 _DTYPES = {
     "u8": np.uint8,
@@ -122,20 +129,27 @@ _PWL_INT_FIELDS = (
 _SECTIONS = {"qp_": "qparams", "pwl_": "pwl", "norm_": "norm"}
 
 
-def _slot(name: str) -> tuple:
-    """Where an integer layer's or spec's field ``name`` is stored:
-    ``(section, key)``, section ``None`` for a field under its own name."""
+def _slot(name: str, hint) -> tuple:
+    """Where a layer's or nested dataclass's field ``name`` of type ``hint``
+    is stored: ``(section, key)``, section ``None`` for a field under its own
+    name.  An array goes to ``tensors``, without a ``_q`` suffix."""
     for head, section in _SECTIONS.items():
         if name.startswith(head):
             return section, name[len(head):]
-    if name.endswith("_q"):
-        return "tensors", name[:-2]
+    if hint is np.ndarray:
+        return "tensors", name.removesuffix("_q")
     return None, name
 
 
+@cache
+def _hints(cls) -> dict:
+    """``cls``'s field types, resolved once per class."""
+    return get_type_hints(cls)
+
+
 def _tag(layer) -> str:
-    tag = next(t for t, (_, cls) in _LAYER_TYPES.items() if cls is type(layer))
-    return "madnorm_lstm" if tag == "lstm" and layer.spec.norm else tag
+    tag = next(t for t, classes in _LAYER_TYPES.items() if type(layer) in classes)
+    return "madnorm_lstm" if tag == "lstm" and getattr(layer, "spec", layer).norm else tag
 
 
 class _Writer:
@@ -190,11 +204,11 @@ class _Writer:
         }
 
     def fields(self, prefix: str, obj) -> dict:
-        """The descriptor of an integer layer or spec, its entries named
+        """The descriptor of a layer or nested dataclass, its entries named
         ``prefix.<key>`` (a field's ``name`` metadata overrides the key)."""
-        d = {}
+        d, hints = {}, _hints(type(obj))
         for f in fields(obj):
-            v, (section, key) = getattr(obj, f.name), _slot(f.name)
+            v, (section, key) = getattr(obj, f.name), _slot(f.name, hints[f.name])
             name = f"{prefix}.{f.metadata.get('name', key)}"
             if section == "qparams":
                 d.setdefault(section, {})[key] = self.qp(name, v)
@@ -211,7 +225,7 @@ class _Writer:
             elif f.name == "spec":
                 d.update(self.fields(prefix, v))
             else:
-                d[key] = self.fields(name, v) if is_dataclass(v) else v
+                d[key] = self.fields(name, v) if is_dataclass(hints[f.name]) else v
         return d
 
 
@@ -262,10 +276,10 @@ class _Reader:
         return MadNormQParams(hidden=d["hidden"], **qps)
 
     def fields(self, cls, d: dict):
-        """The integer layer or spec ``cls`` built from its descriptor ``d``."""
-        kw = {}
+        """The layer or nested dataclass ``cls`` built from its descriptor ``d``."""
+        kw, hints = {}, _hints(cls)
         for f in fields(cls):
-            section, key = _slot(f.name)
+            section, key = _slot(f.name, hints[f.name])
             if section == "qparams":
                 v = self.qp(d[section][key])
             elif section == "pwl":
@@ -275,10 +289,9 @@ class _Reader:
             elif section == "norm":
                 v = self.norm(d["norm"][f"n{key}"]) if d.get("norm") else None
             elif f.name == "spec":
-                v = self.fields(get_type_hints(cls)[f.name], d)
+                v = self.fields(hints[f.name], d)
             else:
-                hint = get_type_hints(cls)[f.name]
-                v = self.fields(hint, d[key]) if is_dataclass(hint) else d[key]
+                v = self.fields(hints[f.name], d[key]) if is_dataclass(hints[f.name]) else d[key]
             kw[f.name] = v
         return cls(**kw)
 
@@ -290,19 +303,17 @@ class _Reader:
 
 def save(model, path) -> str:
     """Write a model (float or integer) as ``path`` (a ``str`` or path-like)
-    plus ``path + '.blob'`` in format version 2; returns the path as a
+    plus ``path + '.blob'`` in format version 3; returns the path as a
     ``str``."""
     if not isinstance(model, (IntModel, FloatModel)):
         raise TypeError("save() expects a FloatModel or IntModel")
     path = os.fspath(path)
     w = _Writer()
+    layers = [{"type": _tag(layer), **w.fields(f"L{i}", layer)} for i, layer in enumerate(model.layers)]
     input_key, config, kind = None, {}, "float"
     if isinstance(model, IntModel):
-        layers = [{"type": _tag(layer), **w.fields(f"L{i}", layer)} for i, layer in enumerate(model.layers)]
         input_key = w.qp("input", model.input_qp) if model.input_qp is not None else None
         config, kind = model.config, "integer"
-    else:
-        layers = [layer.encode(w, f"L{i}") for i, layer in enumerate(model.layers)]
     blob = b"".join(w.chunks)
     doc = {
         "version": FORMAT_VERSION,
@@ -318,22 +329,41 @@ def save(model, path) -> str:
     doc["seal"] = seal(doc, blob)
     with open(path + ".blob", "wb") as fh:
         fh.write(blob)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(doc))
+    with open(path, "wb") as fh:
+        fh.write(gzip.compress(_dumps(doc).encode("utf-8"), compresslevel=9, mtime=0))
     return path
+
+
+def _inflate(raw: bytes) -> bytes:
+    """The manifest document's bytes, inflated from gzip, at most
+    :data:`MAX_MANIFEST_BYTES` of them."""
+    if raw[:2] != b"\x1f\x8b":
+        raise ModelFormatError(
+            f"not a format-{FORMAT_VERSION} manifest (gzip-compressed JSON): convert the model again"
+        )
+    inflater = zlib.decompressobj(16 + zlib.MAX_WBITS)
+    try:
+        body = inflater.decompress(raw, MAX_MANIFEST_BYTES)
+    except zlib.error as e:
+        raise ModelFormatError(f"manifest: {e}") from e
+    if not inflater.eof:
+        if len(body) == MAX_MANIFEST_BYTES:
+            raise ModelFormatError(f"manifest inflates past the {MAX_MANIFEST_BYTES}-byte cap")
+        raise ModelFormatError("manifest: the gzip stream is truncated")
+    return body
 
 
 def load(path):
     """Load a model saved with :func:`save` from ``path`` (a ``str`` or
-    path-like); verifies the version (2) and the checksum.
+    path-like); verifies the version (3) and the checksum.
 
     Any manifest the loader cannot decode into a valid model raises
     :class:`ModelFormatError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        body = _inflate(fh.read())
     with _malformed("manifest"):
-        doc = json.loads(text)
+        doc = json.loads(body)
         version = doc.get("version")
         if type(version) is not int or version != FORMAT_VERSION:
             raise ModelFormatError(f"unsupported manifest version {version!r}")
@@ -358,8 +388,7 @@ def load(path):
                 tag = d.get("type")
                 if not isinstance(tag, str) or tag not in _LAYER_TYPES:
                     raise ModelFormatError(f"unknown layer type {tag!r}")
-                cls = _LAYER_TYPES[tag][integer]
-                layers.append(r.fields(cls, d) if integer else cls.decode(r, d))
+                layers.append(r.fields(_LAYER_TYPES[tag][integer], d))
     # the structure rules, and for an integer model the qparams chain and the widths
     with _malformed("model"):
         if not integer:

@@ -1,3 +1,4 @@
+import gzip
 import json
 from pathlib import Path
 
@@ -16,14 +17,26 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def read_manifest(path) -> dict:
+    """A saved manifest's document, inflated and parsed."""
+    return json.loads(gzip.decompress(Path(path).read_bytes()))
+
+
+def write_manifest(path, doc, *, reseal=True, dumps=json.dumps) -> None:
+    """Write ``doc`` as the manifest at ``path``, as ``dumps`` prints it and
+    compressed as ``save`` writes it; with ``reseal`` its seal is first
+    computed afresh over the blob next to it."""
+    if reseal:
+        doc["seal"] = serialize.seal(doc, Path(f"{path}.blob").read_bytes())
+    Path(path).write_bytes(gzip.compress(dumps(doc).encode("utf-8"), mtime=0))
+
+
 def edit_manifest(path, edit) -> None:
     """Apply ``edit(doc)`` to a saved manifest and re-seal it, so that
     ``load`` gets past the seal to the check the edit is aimed at."""
-    path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = read_manifest(path)
     edit(doc)
-    doc["seal"] = serialize.seal(doc, Path(f"{path}.blob").read_bytes())
-    path.write_text(json.dumps(doc))
+    write_manifest(path, doc)
 
 
 def stored(x, qp) -> np.ndarray:

@@ -21,9 +21,9 @@ A layer of LSTM cells reads its ports from its cells, in one base class,
 and a backward direction is the forward step over reversed frames, so the
 sequence functions take no time order.
 
-An integer layer's manifest descriptor is its fields, placed by their names
-by one writer and one reader in ``serialize``, so no integer layer or spec
-has a codec of its own.
+A layer's manifest descriptor is its fields, placed by their names and
+types by one writer and one reader in ``serialize``, so no layer, float or
+integer, and no spec has a codec of its own.
 """
 import ast
 import dataclasses
@@ -174,13 +174,17 @@ INT_LAYERS = (
     runtime.IntEmbedding, runtime.IntLstm, runtime.IntBiLstm, runtime.IntAttnDecoder, runtime.IntResidual,
     runtime.IntProjection,
 )
+FLOAT_LAYERS = (
+    runtime.EmbeddingLayer, runtime.LstmLayer, runtime.BiLstmLayer, runtime.AttentionDecoderLayer,
+    runtime.ResidualAddLayer, runtime.FinalProjectionLayer,
+)
 SPECS = (lstm.QuantLstmSpec, lstm.BiLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
 # the integer manifest's field-name rule: prefix or suffix -> the type it stores
 NAMED = {"qp_": QuantParams, "pwl_": PwlTable, "norm_": MadNormQParams | None, "_q": np.ndarray}
 
 
 def test_integer_layers_are_stored_by_their_field_names():
-    for cls in INT_LAYERS:
+    for cls in (*INT_LAYERS, *FLOAT_LAYERS):
         assert not hasattr(cls, "encode") and not hasattr(cls, "decode"), cls.__name__
     for cls in (serialize._Writer, serialize._Reader):
         assert not hasattr(cls, "cell") and not hasattr(cls, "attn"), cls.__name__

@@ -1,4 +1,6 @@
 """Runtime: calibration, conversion, integer execution and serialization."""
+import gzip
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -17,9 +19,11 @@ from conftest import (
     random_attention_config,
     random_cell,
     random_lstm_config,
+    read_manifest,
     stored,
     token_model,
     use_true_functions,
+    write_manifest,
 )
 from perfbench.workloads import WORKLOADS, make_inputs
 from qlstm import attention, floatguard, lstm, madnorm, runtime, serialize
@@ -508,7 +512,7 @@ class TestConvertAndRun:
         _, im = calibrated_int_model(rng, ["lstm_norm", "lstm", "attn"])
         path = str(tmp_path / "m.json")
         serialize.save(im, path)
-        doc = json.loads((tmp_path / "m.json").read_text())
+        doc = read_manifest(path)
         kinds = [d["type"] for d in doc["layers"]]
         assert kinds == ["embedding", "madnorm_lstm", "lstm", "attention_decoder", "final_projection"]
 
@@ -548,7 +552,7 @@ class TestSaveLoad:
             assert im2.config["cell_bits"] == bits
 
     def test_qparams_not_derived_from_their_range_not_saved(self, tmp_path):
-        # version 2 stores [min, max, bitwidth] only, so such a model would load changed
+        # the manifest stores [min, max, bitwidth] only, so such a model would load changed
         _, im = calibrated_int_model(np.random.default_rng(45), ["lstm"])
         qp = im.layers[2].qp_w
         im.layers[2].qp_w = replace(qp, zero_point=qp.zero_point + 1)
@@ -581,8 +585,8 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = str(tmp_path / "m.json")
         serialize.save(im, path)
-        edit_manifest(path, lambda doc: doc.update(version=3))
-        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 3"):
+        edit_manifest(path, lambda doc: doc.update(version=4))
+        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 4"):
             serialize.load(path)
 
     def test_version_1_manifest_rejected(self, tmp_path):
@@ -827,8 +831,51 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        path.write_text(path.read_text()[:-40])
+        write_manifest(path, read_manifest(path), reseal=False, dumps=lambda doc: json.dumps(doc)[:-40])
         with pytest.raises(serialize.ModelFormatError, match="manifest"):
+            serialize.load(str(path))
+
+    @pytest.mark.parametrize("cut", [lambda n: n - 1, lambda n: n // 2, lambda n: 10], ids=["trailer", "half", "header"])
+    def test_truncated_manifest_stream_rejected(self, tmp_path, cut):
+        path = tmp_path / "m.json"
+        serialize.save(calibrated_int_model(np.random.default_rng(37), ["lstm"])[1], str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[: cut(len(raw))])
+        with pytest.raises(serialize.ModelFormatError, match="the gzip stream is truncated"):
+            serialize.load(str(path))
+
+    def test_manifest_past_the_inflation_cap_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        serialize.save(calibrated_int_model(np.random.default_rng(37), ["lstm"])[1], str(path))
+        size = len(gzip.decompress(path.read_bytes()))
+        monkeypatch.setattr(serialize, "MAX_MANIFEST_BYTES", size)
+        serialize.load(str(path))
+        monkeypatch.setattr(serialize, "MAX_MANIFEST_BYTES", size - 1)
+        with pytest.raises(serialize.ModelFormatError, match=f"past the {size - 1}-byte cap"):
+            serialize.load(str(path))
+        # a stream that would inflate to 8 MiB is read no further than the cap
+        path.write_bytes(gzip.compress(b" " * (8 << 20)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(serialize.ModelFormatError, match="cap"):
+                serialize.load(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("version", [1, 2, None])
+    def test_manifest_that_is_not_gzip_must_be_converted_again(self, tmp_path, version):
+        path = tmp_path / "m.json"
+        serialize.save(calibrated_int_model(np.random.default_rng(37), ["lstm"])[1], str(path))
+        if version is None:
+            path.write_bytes(b"")
+        else:  # a plain-JSON manifest as versions 1 and 2 wrote it, sealed
+            doc = read_manifest(path)
+            doc["version"] = version
+            doc["seal"] = serialize.seal(doc, (tmp_path / "m.json.blob").read_bytes())
+            path.write_text(json.dumps(doc, separators=(",", ":"), sort_keys=True))
+        with pytest.raises(serialize.ModelFormatError, match="not a format-3 manifest .*: convert the model again"):
             serialize.load(str(path))
 
     @pytest.mark.parametrize(
@@ -864,7 +911,7 @@ class TestSaveLoad:
             assert a is not b and a.grid_out.dtype == b.grid_out.dtype
             assert np.array_equal(a.grid_out, b.grid_out)
         # the tables are derived at load time, never stored
-        assert "grid_out" not in (tmp_path / "m.json").read_text()
+        assert "grid_out" not in json.dumps(read_manifest(path))
 
     def test_validate_chain_direct(self):
         rng = np.random.default_rng(21)
@@ -900,13 +947,12 @@ def saved_manifest(tmp_path_factory):
     _, im = calibrated_int_model(np.random.default_rng(39), ["lstm_norm", "attn"])
     path = tmp_path_factory.mktemp("fuzz") / "m.json"
     serialize.save(im, str(path))
-    text = path.read_text()
-    return path, text, [p for p in _leaf_paths(json.loads(text)) if p[0] not in ("blob", "seal")]
+    return path, path.read_bytes(), [p for p in _leaf_paths(read_manifest(path)) if p[0] not in ("blob", "seal")]
 
 
 @given(data=st.data(), value=st.sampled_from([None, -1, 0, 1.5, 10**12, "x", [], {}, "<deleted>"]))
 def test_mutated_manifest_loads_or_raises_format_error(saved_manifest, data, value):
-    path, text, paths = saved_manifest
+    path, raw, paths = saved_manifest
     *parents, key = data.draw(st.sampled_from(paths))
 
     def mutate(doc):
@@ -918,7 +964,7 @@ def test_mutated_manifest_loads_or_raises_format_error(saved_manifest, data, val
         else:
             node[key] = value
 
-    path.write_text(text)
+    path.write_bytes(raw)
     edit_manifest(path, mutate)  # re-sealed, so the decoder's own checks see the edit
     try:
         serialize.load(str(path))
@@ -1057,9 +1103,9 @@ class TestSeal:
         _, im = calibrated_int_model(np.random.default_rng(43), ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
+        doc = read_manifest(path)
         edit(doc)
-        path.write_text(json.dumps(doc))
+        write_manifest(path, doc, reseal=False)
         with pytest.raises(serialize.ModelFormatError, match="checksum mismatch"):
             serialize.load(str(path))
 
@@ -1067,9 +1113,10 @@ class TestSeal:
         _, im = calibrated_int_model(np.random.default_rng(44), ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        doc = json.loads(path.read_text())
+        doc = read_manifest(path)
         assert doc["seal"] == serialize.seal(doc, (tmp_path / "m.json.blob").read_bytes())
-        path.write_text(json.dumps(doc, indent=2))  # same body, other whitespace and key order
+        # same body, other whitespace and key order
+        write_manifest(path, doc, reseal=False, dumps=lambda d: json.dumps(d, indent=2))
         serialize.load(str(path))
         blob = bytearray((tmp_path / "m.json.blob").read_bytes())
         blob[-1] ^= 1
@@ -1077,26 +1124,31 @@ class TestSeal:
 
 
 class TestGoldenFormat:
-    """Models written by earlier versions of the code, every layer type in
-    each, which are written back unchanged."""
+    """Models saved once in format 3 from the models of the version-2
+    fixtures, every layer type in each, which are written back unchanged."""
 
     def assert_saves_as(self, model, tmp_path, name):
         serialize.save(model, str(tmp_path / name))
         for suffix in ("", ".blob"):
             assert (tmp_path / (name + suffix)).read_bytes() == (DATA / (name + suffix)).read_bytes()
 
-    @pytest.mark.parametrize("name", ["golden_int.v2.json", "golden_float.v2.json"])
-    def test_v2_loads_and_saves_back_byte_identical(self, tmp_path, name):
-        assert json.loads((DATA / name).read_text())["version"] == 2
+    @pytest.mark.parametrize("name", ["golden_int.v3.json", "golden_float.v3.json"])
+    def test_v3_loads_and_saves_back_byte_identical(self, tmp_path, name):
+        assert read_manifest(DATA / name)["version"] == 3
         self.assert_saves_as(serialize.load(str(DATA / name)), tmp_path, name)
 
     def test_int_run_matches_oracle_and_stored_logits(self):
         expected = json.loads((DATA / "golden_int.expected.json").read_text())
         tokens = np.array(expected["tokens"])
-        model = serialize.load(str(DATA / "golden_int.v2.json"))
+        model = serialize.load(str(DATA / "golden_int.v3.json"))
         got = run(model, tokens)
         assert np.array_equal(got, run_reference(model, tokens))
         assert got.tolist() == expected["logits"]
+
+    def test_int_blob_is_the_version_2_blob(self):
+        # format 3 changed the manifest's encoding only; this is the SHA-256 of golden_int.v2.json.blob
+        blob = (DATA / "golden_int.v3.json.blob").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == "6ac401119efcd558e20f783ca24015f162c3586d970faa5e2beea0fee03e0304"
 
 
 class TestExactActivations:
