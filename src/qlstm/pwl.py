@@ -171,10 +171,9 @@ class PwlTable:
     slope_mants: np.ndarray = field(default=None, repr=False)
     slope_shifts: np.ndarray = field(default=None, repr=False)
     intercept_fx: np.ndarray = field(default=None, repr=False)
-    frac_bits: int = 0
-    knot_targets: np.ndarray = field(default=None, repr=False)
-    # grid points whose fixed-point evaluation would round across a half-step
-    # boundary differently from the real path; pinned at build time
+    # grid points where the fixed-point form misses the real path's quantized
+    # value (a rounding across a half-step boundary, or a last knot that the
+    # last piece misses); pinned at build time
     override_q: np.ndarray = field(default=None, repr=False)
     override_val: np.ndarray = field(default=None, repr=False)
     # integer output at every input grid point, overrides applied; derived
@@ -197,9 +196,14 @@ class PwlTable:
     def n_pieces(self) -> int:
         return len(self.knots_q) - 1
 
+    @property
+    def frac_bits(self) -> int:
+        """Fraction bits of the intercept constants, fixed by the output width."""
+        return _FRAC_BITS[self.out_qp.bitwidth]
+
 
 def _build_integer_form(t: PwlTable) -> None:
-    e = _FRAC_BITS[t.out_qp.bitwidth]
+    e = t.frac_bits
     ratio = t.in_qp.scale / t.out_qp.scale
     zp = t.out_qp.zero_point
     qmax = t.out_qp.qmax
@@ -239,8 +243,6 @@ def _build_integer_form(t: PwlTable) -> None:
     t.slope_mants = mants
     t.slope_shifts = shifts
     t.intercept_fx = consts
-    t.frac_bits = e
-    t.knot_targets = targets
     # exhaustive agreement check: pin any grid point where the fixed-point
     # rounding lands on the other side of a half-step boundary
     grid = np.arange(t.in_qp.qmax + 1, dtype=np.int64)
@@ -326,11 +328,7 @@ def _fixed_point_grid(t: PwlTable) -> np.ndarray:
         raw = np.arange(lo - knot, hi - knot, dtype=np.int64) * t.slope_mants[i]
         raw += int(t.intercept_fx[i]) << (shift - t.frac_bits)
         out[lo:hi] = np.sign(raw) * ((np.abs(raw) + (1 << (shift - 1))) >> shift)
-    out = np.minimum(np.maximum(out, 0), t.out_qp.qmax)
-    last = int(t.knots_q[-1])
-    if 0 <= last <= top:
-        out[last] = min(max(int(t.knot_targets[-1]), 0), t.out_qp.qmax)
-    return out
+    return np.minimum(np.maximum(out, 0), t.out_qp.qmax)
 
 
 def eval_pwl_int(q_x, t: PwlTable):
@@ -355,8 +353,6 @@ def eval_pwl_int_exact(q: int, t: PwlTable) -> int:
         i = int(np.searchsorted(t.override_q, q))
         if i < len(t.override_q) and int(t.override_q[i]) == q:
             return int(t.override_val[i])
-    if q == int(t.knots_q[-1]):
-        return max(0, min(int(t.knot_targets[-1]), t.out_qp.qmax))
     i = min(max(int(np.searchsorted(t.knots_q, q, side="right")) - 1, 0), t.n_pieces - 1)
     shift = int(t.slope_shifts[i])
     raw = (q - int(t.knots_q[i])) * int(t.slope_mants[i])

@@ -19,9 +19,10 @@ are plain loops over the stack:
   (its exact oracle) and ``dequantize``;
   ``run`` takes and returns raw arrays (uint8/uint16 storage, or int32
   logits), ``run_exact`` int64 arrays;
-* no layer has a codec for the manifest: ``serialize`` stores its fields by
-  their names and types (``qp_<k>``, ``pwl_<k>``, ``norm_<k>``, arrays,
-  ``spec`` and nested dataclasses), and maps the type tags to the classes.
+* no layer has a codec for the manifest: ``serialize`` stores each of its
+  fields under the field's name, in the form that the field's type decides
+  (qparams, PWL tables, arrays, nested dataclasses), and maps the type tags
+  to the classes.
 
 ``outputs`` holds the outputs of the layers already run, for residuals.
 Per-stage quantization parameters chain through the stack: every layer
@@ -584,7 +585,7 @@ class IntResidual(_IntLayer):
 @dataclass
 class IntProjection(_IntLayer):
     w_q: np.ndarray
-    qp_w: QuantParams = field(metadata={"name": "wq"})  # saved as qparams "<layer>.wq"
+    qp_w: QuantParams
     bias_q: np.ndarray
     qp_in: QuantParams
 

@@ -157,11 +157,11 @@ class TestExitCodes:
         _, im = calibrated_int_model(np.random.default_rng(33), ["lstm"])
         path = tmp_path / "int.json"
         serialize.save(im, str(path))
-        edit_manifest(path, lambda doc: doc["layers"][1].pop("tensors"))
+        edit_manifest(path, lambda doc: doc["layers"][1]["spec"].pop("w_x_q"))
         inp = tmp_path / "input.txt"
         inp.write_text("0 1 2\n")
         assert main(["run", "--model", str(path), "--input", str(inp), "--out", str(tmp_path / "o.txt")]) == 3
-        assert "missing key 'tensors'" in capsys.readouterr().err
+        assert "missing key 'w_x_q'" in capsys.readouterr().err
 
 
 class TestCalibrateConvert:

@@ -21,12 +21,15 @@ A layer of LSTM cells reads its ports from its cells, in one base class,
 and a backward direction is the forward step over reversed frames, so the
 sequence functions take no time order.
 
-A layer's manifest descriptor is its fields, placed by their names and
-types by one writer and one reader in ``serialize``, so no layer, float or
-integer, and no spec has a codec of its own.
+A layer's manifest entry is its fields, each stored under its own name in
+the form that its type decides, by one writer and one reader in
+``serialize``.  So no layer, float or integer, and no spec has a codec of
+its own, no dataclass field carries metadata for the serializer, and
+``serialize`` reads nothing of a cell's layout from ``lstm`` or ``madnorm``.
 """
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 from typing import get_type_hints
@@ -179,7 +182,7 @@ FLOAT_LAYERS = (
     runtime.ResidualAddLayer, runtime.FinalProjectionLayer,
 )
 SPECS = (lstm.QuantLstmSpec, lstm.BiLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
-# the integer manifest's field-name rule: prefix or suffix -> the type it stores
+# the integer fields' naming rule, which the stage tables read: prefix or suffix -> the field's type
 NAMED = {"qp_": QuantParams, "pwl_": PwlTable, "norm_": MadNormQParams | None, "_q": np.ndarray}
 
 
@@ -196,3 +199,35 @@ def test_integer_layers_are_stored_by_their_field_names():
             # prefixes first, so qp_q holds qparams
             rule = next((t for k, t in NAMED.items() if f.name.startswith(k) or f.name.endswith(k)), None)
             assert hints[f.name] == rule if rule else hints[f.name] in (*SPECS, int), where
+
+
+def imported_modules(path: Path) -> set:
+    """The modules that ``path`` imports, or imports names from, as written (``.lstm`` is ``lstm``)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_serialize_reads_no_cell_layout():
+    modules = imported_modules(SRC / "serialize.py")
+    assert "runtime" in modules
+    assert not {m for m in modules if m.split(".")[-1] in ("lstm", "madnorm")}, sorted(modules)
+
+
+def test_imported_modules_finds_relative_and_absolute_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os.path\nfrom . import lstm\nfrom .madnorm import X\nfrom qlstm.pwl import Y\n")
+    assert imported_modules(probe) == {"os.path", "lstm", "madnorm", "qlstm.pwl"}
+
+
+def test_no_dataclass_field_carries_metadata():
+    modules = [importlib.import_module(f"qlstm.{path.stem}") for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    classes = {
+        cls for m in modules for cls in vars(m).values() if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    }
+    assert runtime.IntProjection in classes and len(classes) > 20
+    assert [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls) if f.metadata] == []

@@ -2,6 +2,7 @@
 import gzip
 import hashlib
 import json
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -81,6 +82,27 @@ def all_qparams(obj, path="model"):
     elif is_dataclass(obj):
         for f in fields(obj):
             yield from all_qparams(getattr(obj, f.name), f"{path}.{f.name}")
+
+
+def tensor_refs(node):
+    """Every tensor reference (``dtype``, ``shape``, ``offset``, ``length``) in a manifest document."""
+    if isinstance(node, dict):
+        if "offset" in node:
+            yield node
+        else:
+            for v in node.values():
+                yield from tensor_refs(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from tensor_refs(v)
+
+
+def stored_at(doc, path: str):
+    """The manifest value at an :func:`all_qparams` path: ``model.layers[1].spec.qp_x``
+    is ``doc["layers"][1]["spec"]["qp_x"]``."""
+    for name, index in re.findall(r"\.(\w+)|\[(\d+)\]", path.removeprefix("model")):
+        doc = doc[name] if name else doc[int(index)]
+    return doc
 
 
 def pwl_tables(model) -> list:
@@ -514,7 +536,9 @@ class TestConvertAndRun:
         serialize.save(im, path)
         doc = read_manifest(path)
         kinds = [d["type"] for d in doc["layers"]]
-        assert kinds == ["embedding", "madnorm_lstm", "lstm", "attention_decoder", "final_projection"]
+        assert kinds == ["embedding", "lstm", "lstm", "attention_decoder", "final_projection"]
+        # a MadNorm-LSTM is the LSTM whose cell stores its norms
+        assert [doc["layers"][i]["spec"]["norm_x"] is not None for i in (1, 2)] == [True, False]
 
     def test_dequantized_float_model_runs(self):
         rng = np.random.default_rng(14)
@@ -556,7 +580,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(np.random.default_rng(45), ["lstm"])
         qp = im.layers[2].qp_w
         im.layers[2].qp_w = replace(qp, zero_point=qp.zero_point + 1)
-        with pytest.raises(ValueError, match="qparams L2.wq: scale and zero point are not derived from the range"):
+        with pytest.raises(ValueError, match="qparams L2.qp_w: scale and zero point are not derived from the range"):
             serialize.save(im, str(tmp_path / "m.json"))
 
     def test_corrupted_blob_rejected(self, tmp_path):
@@ -585,8 +609,8 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = str(tmp_path / "m.json")
         serialize.save(im, path)
-        edit_manifest(path, lambda doc: doc.update(version=4))
-        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 4"):
+        edit_manifest(path, lambda doc: doc.update(version=5))
+        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 5"):
             serialize.load(path)
 
     def test_version_1_manifest_rejected(self, tmp_path):
@@ -612,7 +636,7 @@ class TestSaveLoad:
         serialize.save(im, path)
 
         def widen_input_grid(doc):
-            doc["qparams"][doc["layers"][1]["qparams"]["x"]][1] *= 1.5  # [min, max, bitwidth]
+            doc["layers"][1]["spec"]["qp_x"][1] *= 1.5  # [min, max, bitwidth]
 
         edit_manifest(path, widen_input_grid)
         with pytest.raises(ValueError, match="chain"):
@@ -621,10 +645,10 @@ class TestSaveLoad:
     @pytest.mark.parametrize(
         "workload, edits, message",
         [
-            ("seq2seq", ("L0.out", "L1.x"), "layer 0: embedding output must be 8-bit"),
-            ("seq2seq", ("L1.x",), "layer 1: stage 'x' must be 8-bit"),
-            ("bilstm16", ("L2.out", "L3.in"), "layer 2: residual output must be 8-bit"),
-            ("bilstm16", ("L3.in",), "layer 3: projection input must be 8-bit"),
+            ("seq2seq", ((0, "qp_out"), (1, "spec", "qp_x")), "layer 0: embedding output must be 8-bit"),
+            ("seq2seq", ((1, "spec", "qp_x"),), "layer 1: stage 'x' must be 8-bit"),
+            ("bilstm16", ((2, "qp_out"), (3, "qp_in")), "layer 2: residual output must be 8-bit"),
+            ("bilstm16", ((3, "qp_in"),), "layer 3: projection input must be 8-bit"),
         ],
     )
     def test_16_bit_grid_on_an_8_bit_stage_rejected(self, tmp_path, workload, edits, message):
@@ -637,8 +661,11 @@ class TestSaveLoad:
         serialize.save(im, str(path))
 
         def widen(doc):
-            for name in edits:
-                doc["qparams"][name][2] = 16
+            for i, *keys in edits:
+                qp = doc["layers"][i]
+                for key in keys:
+                    qp = qp[key]
+                qp[2] = 16
 
         edit_manifest(path, widen)
         with pytest.raises(serialize.ModelFormatError, match=message):
@@ -650,7 +677,7 @@ class TestSaveLoad:
         path = tmp_path / "m.json"
         _, im = calibrated_int_model(np.random.default_rng(40), ["lstm"])
         serialize.save(im, str(path))
-        edit_manifest(path, lambda doc: doc["qparams"][doc["layers"][1]["qparams"]["mx"]].__setitem__(2, value))
+        edit_manifest(path, lambda doc: doc["layers"][1]["spec"]["qp_mx"].__setitem__(2, value))
         with pytest.raises(serialize.ModelFormatError, match=f"{field} must be an integer"):
             serialize.load(str(path))
 
@@ -663,7 +690,7 @@ class TestSaveLoad:
         tiny = compute_qparams(-1e-20, 1e-20, 8)
 
         def narrow(doc):
-            doc["qparams"][doc["layers"][1]["qparams"]["pre_sig"]] = [tiny.min, tiny.max, 8]
+            doc["layers"][1]["spec"]["qp_pre_sig"] = [tiny.min, tiny.max, 8]
 
         edit_manifest(path, narrow)
         with pytest.raises(serialize.ModelFormatError, match="layer 1: stage 'pre_sig': .* overflows int64"):
@@ -678,7 +705,8 @@ class TestSaveLoad:
         serialize.save(im, str(path))
 
         def retype_hidden(doc):
-            for norm in doc["layers"][1]["norm"].values():
+            spec = doc["layers"][1]["spec"]
+            for norm in (spec["norm_x"], spec["norm_h"], spec["norm_c"]):
                 norm["hidden"] = value(norm["hidden"])
 
         edit_manifest(path, retype_hidden)
@@ -700,7 +728,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        edit_manifest(path, lambda doc: max(doc["tensors"].values(), key=lambda ref: ref["offset"]).update(edit))
+        edit_manifest(path, lambda doc: max(tensor_refs(doc), key=lambda ref: ref["offset"]).update(edit))
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
@@ -791,19 +819,19 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        edit_manifest(path, lambda doc: doc["layers"][1]["pwl"]["sig"].update(edit))
+        edit_manifest(path, lambda doc: doc["layers"][1]["spec"]["pwl_sig"].update(edit))
         with pytest.raises(serialize.ModelFormatError, match=message):
             serialize.load(str(path))
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda doc: doc["layers"][1].pop("tensors"), "layer 1: unknown or missing key 'tensors'"),
-            (lambda doc: doc["qparams"].pop(doc["layers"][1]["qparams"]["c"]), "layer 1: unknown or missing key"),
+            (lambda doc: doc["layers"][1]["spec"].pop("w_x_q"), "layer 1: unknown or missing key 'w_x_q'"),
+            (lambda doc: doc["layers"][1]["spec"].pop("qp_c"), "layer 1: unknown or missing key"),
             (lambda doc: doc.pop("layers"), "manifest: unknown or missing key 'layers'"),
             (lambda doc: doc["layers"][2].update(type=["final_projection"]), "unknown layer type"),
             (lambda doc: doc["layers"].insert(2, doc["layers"][0]), "model: embedding must be the first"),
-            (lambda doc: doc["layers"][2]["qparams"].update({"in": "L1.c"}), "chain"),
+            (lambda doc: doc["layers"][2].update(qp_in=doc["layers"][1]["spec"]["qp_c"]), "chain"),
         ],
         ids=["layer-key", "qparams-entry", "top-key", "type-not-a-string", "structure", "chain"],
     )
@@ -822,7 +850,7 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        edit_manifest(path, lambda doc: doc["layers"][1]["pwl"]["tanh_c"].update(fn=fn))
+        edit_manifest(path, lambda doc: doc["layers"][1]["spec"]["pwl_tanh_c"].update(fn_name=fn))
         with pytest.raises(serialize.ModelFormatError, match=f"PWL table of unknown function {fn!r}"):
             serialize.load(str(path))
 
@@ -864,6 +892,38 @@ class TestSaveLoad:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_file_that_is_not_gzip_is_read_no_further_than_its_magic(self, tmp_path):
+        path = tmp_path / "m.json"
+        with open(path, "wb") as fh:
+            fh.truncate(32 << 20)  # 32 MiB of zeros
+        tracemalloc.start()
+        try:
+            with pytest.raises(serialize.ModelFormatError, match=r"\(gzip-compressed JSON\): convert the model again"):
+                serialize.load(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("arch", [["bilstm", "lstm_norm", "attn"], ["lstm", "lstm", "residual"]])
+    def test_each_value_is_stored_at_its_field(self, tmp_path, arch):
+        model, im = calibrated_int_model(np.random.default_rng(46), arch)
+        for m in (model, im):
+            path = tmp_path / f"{type(m).__name__}.json"
+            serialize.save(m, str(path))
+            doc = read_manifest(path)
+            assert '"qparams":' not in json.dumps(doc) and '"tensors":' not in json.dumps(doc)
+        qps = dict(all_qparams(im))
+        assert len(qps) > 40
+        for where, qp in qps.items():
+            assert stored_at(doc, where) == [qp.min, qp.max, qp.bitwidth], where
+        # a PWL table stores its integer form, and nothing that the form derives
+        sig = doc["layers"][1]["spec"]["fwd"]["pwl_sig"] if arch[0] == "bilstm" else doc["layers"][1]["spec"]["pwl_sig"]
+        assert set(sig) == {
+            "fn_name", "in_qp", "out_qp", "knots_q", "slope_mants", "slope_shifts", "intercept_fx", "override_q",
+            "override_val",
+        }
+
     @pytest.mark.parametrize("version", [1, 2, None])
     def test_manifest_that_is_not_gzip_must_be_converted_again(self, tmp_path, version):
         path = tmp_path / "m.json"
@@ -875,7 +935,7 @@ class TestSaveLoad:
             doc["version"] = version
             doc["seal"] = serialize.seal(doc, (tmp_path / "m.json.blob").read_bytes())
             path.write_text(json.dumps(doc, separators=(",", ":"), sort_keys=True))
-        with pytest.raises(serialize.ModelFormatError, match="not a format-3 manifest .*: convert the model again"):
+        with pytest.raises(serialize.ModelFormatError, match="not a format-4 manifest .*: convert the model again"):
             serialize.load(str(path))
 
     @pytest.mark.parametrize(
@@ -893,8 +953,11 @@ class TestSaveLoad:
         serialize.save(im, str(path))
 
         def mismatch(doc):
-            cell = doc["layers"][1]
-            cell["norm"][norm][key] = cell["qparams"][value] if key == "x" else value
+            spec = doc["layers"][1]["spec"]
+            if key == "x":
+                spec[f"norm_{norm[1]}"]["qp_x"] = spec[f"qp_{value}"]
+            else:
+                spec[f"norm_{norm[1]}"][key] = value
 
         edit_manifest(path, mismatch)
         with pytest.raises(serialize.ModelFormatError, match=f"norm_{norm[1]} must take"):
@@ -973,7 +1036,7 @@ def test_mutated_manifest_loads_or_raises_format_error(saved_manifest, data, val
 
 
 def _bump_sig_intercept(doc):
-    doc["layers"][1]["pwl"]["sig"]["intercept_fx"][0] += 1
+    doc["layers"][1]["spec"]["pwl_sig"]["intercept_fx"][0] += 1
 
 
 class TestStageTables:
@@ -1080,7 +1143,7 @@ class TestWidthChecks:
             IntModel([im.layers[0], IntAttnDecoder(wide), im.layers[2]], im.input_qp)
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
-        edit_manifest(path, lambda doc: doc["tensors"]["L1.w_s"].update(shape=[6, 6]))  # same length
+        edit_manifest(path, lambda doc: doc["layers"][1]["spec"]["w_s_q"].update(shape=[6, 6]))  # same length
         with pytest.raises(serialize.ModelFormatError, match=r"layer 1: w_s has shape \(6, 6\), not \(12, 3\)"):
             serialize.load(str(path))
 
@@ -1092,9 +1155,9 @@ class TestSeal:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda doc: doc["qparams"][doc["layers"][1]["qparams"]["pre_sig"]].__setitem__(1, 4.0),
+            lambda doc: doc["layers"][1]["spec"]["qp_pre_sig"].__setitem__(1, 4.0),
             _bump_sig_intercept,
-            lambda doc: max(doc["tensors"].values(), key=lambda ref: ref["offset"]).update(offset=0),
+            lambda doc: max(tensor_refs(doc), key=lambda ref: ref["offset"]).update(offset=0),
             lambda doc: doc.update(seal=doc["seal"].upper()),
         ],
         ids=["qparam-max", "pwl-intercept", "tensor-offset", "seal-itself"],
@@ -1124,7 +1187,7 @@ class TestSeal:
 
 
 class TestGoldenFormat:
-    """Models saved once in format 3 from the models of the version-2
+    """Models saved once in format 4 from the models of the version-3
     fixtures, every layer type in each, which are written back unchanged."""
 
     def assert_saves_as(self, model, tmp_path, name):
@@ -1132,22 +1195,28 @@ class TestGoldenFormat:
         for suffix in ("", ".blob"):
             assert (tmp_path / (name + suffix)).read_bytes() == (DATA / (name + suffix)).read_bytes()
 
-    @pytest.mark.parametrize("name", ["golden_int.v3.json", "golden_float.v3.json"])
-    def test_v3_loads_and_saves_back_byte_identical(self, tmp_path, name):
-        assert read_manifest(DATA / name)["version"] == 3
+    @pytest.mark.parametrize("name", ["golden_int.v4.json", "golden_float.v4.json"])
+    def test_v4_loads_and_saves_back_byte_identical(self, tmp_path, name):
+        assert read_manifest(DATA / name)["version"] == 4
         self.assert_saves_as(serialize.load(str(DATA / name)), tmp_path, name)
+
+    def test_version_3_manifest_must_be_converted_again(self):
+        # the format-3 file of this model, its qparams and tensors kept in registries
+        assert read_manifest(DATA / "golden_int.v3.json")["version"] == 3
+        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 3: convert the model again"):
+            serialize.load(str(DATA / "golden_int.v3.json"))
 
     def test_int_run_matches_oracle_and_stored_logits(self):
         expected = json.loads((DATA / "golden_int.expected.json").read_text())
         tokens = np.array(expected["tokens"])
-        model = serialize.load(str(DATA / "golden_int.v3.json"))
+        model = serialize.load(str(DATA / "golden_int.v4.json"))
         got = run(model, tokens)
         assert np.array_equal(got, run_reference(model, tokens))
         assert got.tolist() == expected["logits"]
 
     def test_int_blob_is_the_version_2_blob(self):
-        # format 3 changed the manifest's encoding only; this is the SHA-256 of golden_int.v2.json.blob
-        blob = (DATA / "golden_int.v3.json.blob").read_bytes()
+        # formats 3 and 4 changed the manifest only; this is the SHA-256 of golden_int.v2.json.blob
+        blob = (DATA / "golden_int.v4.json.blob").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == "6ac401119efcd558e20f783ca24015f162c3586d970faa5e2beea0fee03e0304"
 
 
