@@ -53,8 +53,9 @@ ACTIVATIONS = {
     "identity": lambda x: np.asarray(x, dtype=np.float64),
 }
 
-#: default number of candidate knots when the input grid is 16-bit
-CANDIDATES_16BIT = 1 << 12
+#: default candidate knots on a 16-bit input grid: the fewest of 512-4,096 whose median
+#: max LSB error on calibrated tables (scripts/candidate_sweep.py) was no worse than 4,096's
+CANDIDATES_16BIT = 1 << 9
 
 # fraction bits carried by the per-piece intercept constants
 _FRAC_BITS = {8: 23, 16: 15}
@@ -256,12 +257,9 @@ def _build_integer_form(t: PwlTable) -> None:
 
 
 def _candidate_grid(in_qp: QuantParams, candidates: int | None) -> np.ndarray:
-    if in_qp.bitwidth == 8 and candidates is None:
-        return np.arange(in_qp.qmax + 1, dtype=np.int64)
-    n = candidates if candidates is not None else CANDIDATES_16BIT
-    n = min(n, in_qp.qmax + 1)
-    qs = np.unique(iround(np.linspace(0, in_qp.qmax, n)))
-    return qs
+    if candidates is None:
+        candidates = in_qp.qmax + 1 if in_qp.bitwidth == 8 else CANDIDATES_16BIT
+    return np.unique(iround(np.linspace(0, in_qp.qmax, min(candidates, in_qp.qmax + 1))))
 
 
 def build_pwl(
@@ -274,9 +272,9 @@ def build_pwl(
     """Build a PWL table for the activation ``ACTIVATIONS[fn_name]`` under
     frozen quantization parameters.
 
-    The knot search starts from every point of the quantized input grid
-    (16-bit grids are subsampled to ``CANDIDATES_16BIT`` candidates first)
-    and greedily drops knots down to ``n_pieces`` pieces.
+    The knot search starts from every point of an 8-bit input grid, or from
+    ``candidates`` evenly spaced points of it (``CANDIDATES_16BIT`` on a
+    16-bit grid by default), and greedily drops knots down to ``n_pieces``.
     """
     if not (1 <= n_pieces <= in_qp.qmax):
         raise ValueError(f"n_pieces must be in [1, {in_qp.qmax}]")

@@ -12,7 +12,7 @@ its own name, in the form that its type decides:
   ``knots_q``, the fixed-point slopes and intercepts, the override points);
 * an array as ``{dtype, shape, offset, length}``, its bytes in the blob;
 * a nested dataclass (``spec``, ``cell``, ``norm_x``, ...) as an object of
-  its own fields, ``None`` as ``null`` and any other value as it is.
+  its own fields, ``None`` as ``null`` and an ``int`` or ``bool`` as that JSON type.
 
 ``load`` reads the file in chunks, inflates at most
 :data:`MAX_MANIFEST_BYTES` of manifest, and rejects a file that is not gzip,
@@ -199,7 +199,7 @@ class _Reader:
             in_qp=_decode_qp(d["in_qp"]),
             out_qp=_decode_qp(d["out_qp"]),
             fn_name=d["fn_name"],
-            **{k: np.array(d[k], dtype=np.int64) for k in _PWL_ARRAYS},
+            **{k: np.array([self.value(int, x, k) for x in d[k]], dtype=np.int64) for k in _PWL_ARRAYS},
         )
 
     def value(self, hint, v, name: str):
@@ -216,6 +216,8 @@ class _Reader:
             return self.tensor(v, name)
         if is_dataclass(hint):
             return self.fields(hint, v)
+        if type(v) is not hint:  # JSON 1.0 is no int, and 0 no bool
+            raise ModelFormatError(f"{name} must be {({int: 'an integer', bool: 'a boolean'})[hint]}, not {v!r}")
         return v
 
     def fields(self, cls, d: dict):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_attention_config, random_lstm_config
 from qlstm.pwl import (
+    ACTIVATIONS,
     _candidate_grid,
     build_lut,
     build_pwl,
@@ -37,6 +39,24 @@ def select_knots_reference(knots, intercepts, n_pieces):
         j = int(np.argmin(diff_adj))
         knots = np.delete(knots, j + 1)
         intercepts = np.delete(intercepts, j + 1)
+
+
+def engine_16bit_tables(rng, cells, attentions):
+    """The 16-bit-input tables that calibrated conversions build on the
+    default candidate count: three per random LSTM cell with 16-bit cell
+    and gates, and the two of a random attention, each on 1-16 pieces.
+    All of them have 8-bit outputs."""
+    for _ in range(cells):
+        spec = random_lstm_config(rng, cell_bits=16, gate_bits=16, pieces=int(rng.integers(1, 17)))[2]
+        yield from (spec.pwl_sig, spec.pwl_tanh_j, spec.pwl_tanh_c)
+    for _ in range(attentions):
+        spec = random_attention_config(rng, pieces=int(rng.integers(1, 17)), candidates=None)[3]
+        yield from (spec.pwl_tanh, spec.pwl_exp)
+
+
+def max_lsb_error(t) -> int:
+    """The table's largest output distance from the full look-up table, in output steps."""
+    return int(np.abs(t.grid_out - build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp)).max())
 
 
 def sigmoid_two_branch(x):
@@ -215,6 +235,19 @@ class TestBuildPwl:
         with pytest.raises(ValueError):
             build_pwl("tanh", QP_IN_44, QP_TANH, 256)
 
+    def test_default_16bit_candidates_no_worse_than_4096(self):
+        """Per table, the max error on ``CANDIDATES_16BIT`` candidates minus
+        that on 4,096 has a median of at most 0: on 24 tables this held for
+        every seed of 0-59, where the two medians themselves are too close
+        to compare on so few tables (1 LSB at both counts over all 1,440)."""
+        tables = list(engine_16bit_tables(np.random.default_rng(0), cells=6, attentions=3))
+        assert {(t.in_qp.bitwidth, t.out_qp.bitwidth) for t in tables} == {(16, 8)}
+        diffs = [
+            max_lsb_error(t) - max_lsb_error(build_pwl(t.fn_name, t.in_qp, t.out_qp, t.n_pieces, candidates=4096))
+            for t in tables
+        ]
+        assert np.median(diffs) <= 0
+
     def test_16bit_input_subsampled_build(self):
         in_qp = compute_qparams(-6.0, 0.0, 16)
         out_qp = compute_qparams(0.0, 1.0, 8)
@@ -282,16 +315,18 @@ class TestEvalInt:
 
 class TestGridOutputs:
     @pytest.mark.parametrize(
-        "name, in_qp, pieces",
+        "name, in_qp, pieces, candidates",
         [
-            ("sigmoid", QP_IN_44, 32),  # pins one override point
-            ("tanh", QP_IN_88, 8),
-            ("tanh", compute_qparams(-5.0, 3.0, 16), 12),
+            ("sigmoid", QP_IN_44, 32, None),  # pins one override point
+            ("tanh", QP_IN_88, 8, None),
+            ("tanh", compute_qparams(-5.0, 3.0, 16), 12, 256),
+            ("tanh", compute_qparams(-6.0, 7.0, 16), 16, None),  # CANDIDATES_16BIT
         ],
+        ids=["sigmoid-in_qp0-32", "tanh-in_qp1-8", "tanh-in_qp2-12", "tanh-in_qp3-16"],
     )
-    def test_every_entry_equals_exact_oracle(self, name, in_qp, pieces):
+    def test_every_entry_equals_exact_oracle(self, name, in_qp, pieces, candidates):
         out_qp = QP_SIG if name == "sigmoid" else QP_TANH
-        t = build_pwl(name, in_qp, out_qp, pieces, candidates=256 if in_qp.bitwidth == 16 else None)
+        t = build_pwl(name, in_qp, out_qp, pieces, candidates=candidates)
         if name == "sigmoid":
             assert len(t.override_q) > 0
         assert t.grid_out.shape == (in_qp.qmax + 1,)
