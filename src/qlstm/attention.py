@@ -190,7 +190,6 @@ class QuantAttentionSpec:
         qp_enc: QuantParams,
         *,
         pieces: int = 16,
-        candidates: int | None = None,
     ) -> "QuantAttentionSpec":
         w_q_q, qp_wq = quantize_weights(w.w_q)
         w_k_q, qp_wk = quantize_weights(w.w_k)
@@ -205,9 +204,9 @@ class QuantAttentionSpec:
             name = "s" if stage == "ctx" else stage
             qps[f"qp_{name}"] = stage_qparams(ranges, stage, ATTN_BITS[name])
         with stage_errors("tanh"):
-            pwl_tanh = build_pwl("tanh", qps["qp_sum"], qps["qp_tanh"], pieces, candidates=candidates)
+            pwl_tanh = build_pwl("tanh", qps["qp_sum"], qps["qp_tanh"], pieces)
         with stage_errors("exp_out"):
-            pwl_exp = build_pwl("exp", qps["qp_exp_in"], qps["qp_exp_out"], pieces, candidates=candidates)
+            pwl_exp = build_pwl("exp", qps["qp_exp_in"], qps["qp_exp_out"], pieces)
         return cls(
             w_q_q=w_q_q, w_k_q=w_k_q, v_q=v_q, qp_wq=qp_wq, qp_wk=qp_wk, qp_v=qp_v,
             qp_h_dec=qp_h_dec, qp_enc=qp_enc, pwl_tanh=pwl_tanh, pwl_exp=pwl_exp, **qps,
@@ -386,14 +385,12 @@ class QuantAttnDecoderSpec:
         pieces: int = 16,
         cell_bits: int = 8,
         gate_bits: int = 8,
-        candidates: int | None = None,
     ) -> "QuantAttnDecoderSpec":
         cell = QuantLstmSpec.from_float(
-            cell_w, ranges, cell_bits=cell_bits, gate_bits=gate_bits, pieces=pieces,
-            qp_x=qp_x, candidates=candidates,
+            cell_w, ranges, cell_bits=cell_bits, gate_bits=gate_bits, pieces=pieces, qp_x=qp_x
         )
         attn = QuantAttentionSpec.from_float(
-            attn_w, sub_ranges(ranges, "attn"), qp_h_dec=cell.qp_h, qp_enc=qp_enc, pieces=pieces, candidates=candidates
+            attn_w, sub_ranges(ranges, "attn"), qp_h_dec=cell.qp_h, qp_enc=qp_enc, pieces=pieces
         )
         w_s_q, qp_ws = quantize_weights(attn_w.w_s)
         return cls(

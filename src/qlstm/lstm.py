@@ -268,7 +268,6 @@ class QuantLstmSpec:
         qp_x: QuantParams | None = None,
         qp_h: QuantParams | None = None,
         norm: bool = False,
-        candidates: int | None = None,
     ) -> "QuantLstmSpec":
         bits = {8: 8, "cell": cell_bits, "gate": gate_bits}
         qps = {"qp_x": qp_x, "qp_h": qp_h}
@@ -290,11 +289,11 @@ class QuantLstmSpec:
 
         # each table is named after the stage its outputs land on
         with stage_errors("sig"):
-            pwl_sig = build_pwl("sigmoid", qps["qp_pre_sig"], qps["qp_sig"], pieces, candidates=candidates)
+            pwl_sig = build_pwl("sigmoid", qps["qp_pre_sig"], qps["qp_sig"], pieces)
         with stage_errors("tanh_j"):
-            pwl_tanh_j = build_pwl("tanh", qps["qp_pre_j"], qps["qp_tanh_j"], pieces, candidates=candidates)
+            pwl_tanh_j = build_pwl("tanh", qps["qp_pre_j"], qps["qp_tanh_j"], pieces)
         with stage_errors("tanh_c"):
-            pwl_tanh_c = build_pwl("tanh", tanh_c_in, qps["qp_tanh_c"], pieces, candidates=candidates)
+            pwl_tanh_c = build_pwl("tanh", tanh_c_in, qps["qp_tanh_c"], pieces)
 
         return cls(
             w_x_q=w_x_q, w_h_q=w_h_q, bias_q=bias_q, qp_wx=qp_wx, qp_wh=qp_wh,

@@ -9,15 +9,17 @@ curves most.  A min-heap of adjacent slope differences drives the merges, so
 reducing N candidate knots costs O(N log N); among equal differences the
 knot of lowest index goes first.
 
-The integer PWL form (knots, fixed-point slopes and intercepts, override
-points) is what a model stores and what the exact oracle evaluates; the real
-form (knot values, slopes, intercepts) exists only on tables built here.  At
-build or load time every table also expands the integer form into its output
-at each point of the input grid, ``grid_out`` (256 entries for an 8-bit
-input, 65,536 for a 16-bit one).  The integer engine (``runtime.engine``)
-evaluates an activation as one gather from a grid that it takes from each
-table: ``grid_out``, or for ``runtime.exact_activations`` :func:`build_lut`
-on the table's grids, which runs the true nonlinearity instead.
+A table holds the integer PWL form (knots, fixed-point slopes and
+intercepts, override points) that a model stores and the exact oracle
+evaluates, and derives the rest, so built and loaded tables are alike: the
+real form from its knots and function, and from the integer form its output
+at each input grid point, ``grid_out`` (256 entries for an 8-bit input,
+65,536 for a 16-bit one).
+
+The integer engine (``runtime.engine``) evaluates an activation as one
+gather from a grid that it takes from each table: ``grid_out``, or for
+``runtime.exact_activations`` :func:`build_lut` on the table's grids, which
+runs the true nonlinearity instead.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .quant import (
     dequantize,
     iround,
     quantize,
+    quantize_in_place,
 )
 
 
@@ -61,10 +64,9 @@ CANDIDATES_16BIT = 1 << 9
 _FRAC_BITS = {8: 23, 16: 15}
 
 
-def _grid_dtype(out_qp: QuantParams):
-    """Signed storage one size wider than the outputs, so that subtracting
-    the output zero point from a table entry cannot wrap."""
-    return np.int16 if out_qp.bitwidth == 8 else np.int32
+def _increasing_on_grid(points: np.ndarray, top: int) -> bool:
+    """Whether ``points`` is 1-D and strictly increasing within ``[0, top]``."""
+    return points.ndim == 1 and (np.diff(points) > 0).all() and (not points.size or 0 <= points[0] <= points[-1] <= top)
 
 
 def build_lut(f, in_qp: QuantParams, out_qp: QuantParams) -> np.ndarray:
@@ -148,50 +150,67 @@ def select_knots(knots, intercepts, n_pieces: int):
 
 @dataclass
 class PwlTable:
-    """Piecewise-linear table over a quantized input grid.
+    """Piecewise-linear table over a quantized input grid, as a model stores it.
 
     ``knots_q`` holds the N+1 knots on the input grid.  The integer form
     carries one fixed-point slope multiplier and one precomputed intercept
     constant per piece, aligned so each evaluation performs a single
-    rounding; ``grid_out`` is that evaluation over the whole input grid.
-    The real form (``knots_r``, the real knots; ``intercepts``, the exact
-    function values there; ``slopes``, the N chord slopes) is set by
-    :func:`build_pwl` and is ``None`` on a table read back by
-    ``serialize.load``, which stores the integer form only.
+    rounding.  Derived on construction: the real form (``knots_r``, the
+    dequantized knots; ``intercepts``, ``ACTIVATIONS[fn_name]`` there;
+    ``slopes``, the N chord slopes) and ``grid_out``.  An integer form that
+    :func:`build_pwl` never makes raises ``ValueError``.
     """
 
     knots_q: np.ndarray
     in_qp: QuantParams
     out_qp: QuantParams
     fn_name: str
-    # real form
-    knots_r: np.ndarray | None = field(default=None, repr=False)
-    slopes: np.ndarray | None = field(default=None, repr=False)
-    intercepts: np.ndarray | None = field(default=None, repr=False)
     # integer form
-    slope_mants: np.ndarray = field(default=None, repr=False)
-    slope_shifts: np.ndarray = field(default=None, repr=False)
-    intercept_fx: np.ndarray = field(default=None, repr=False)
+    slope_mants: np.ndarray = field(repr=False)
+    slope_shifts: np.ndarray = field(repr=False)
+    intercept_fx: np.ndarray = field(repr=False)
     # grid points where the fixed-point form misses the real path's quantized
     # value (a rounding across a half-step boundary, or a last knot that the
     # last piece misses); pinned at build time
-    override_q: np.ndarray = field(default=None, repr=False)
-    override_val: np.ndarray = field(default=None, repr=False)
-    # integer output at every input grid point, overrides applied; derived
-    # from the integer form above and never serialized
-    grid_out: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    override_q: np.ndarray = field(repr=False)
+    override_val: np.ndarray = field(repr=False)
+    # real form, derived from the knots
+    knots_r: np.ndarray = field(init=False, repr=False, compare=False)
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    intercepts: np.ndarray = field(init=False, repr=False, compare=False)
+    # the integer form's output at every input grid point, overrides applied
+    grid_out: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        knots = np.asarray(self.knots_q)
-        if knots.size < 2 or np.any(np.diff(knots) <= 0) or knots[0] < 0 or knots[-1] > self.in_qp.qmax:
+        if self.fn_name not in ACTIVATIONS:
+            raise ValueError(f"PWL table of unknown function {self.fn_name!r}")
+        knots, top = np.asarray(self.knots_q), self.in_qp.qmax
+        if knots.size < 2 or not _increasing_on_grid(knots, top):
             raise ValueError("PWL knots must be strictly increasing points of the input grid")
-        if self.slope_mants is not None:
-            pins = np.asarray(self.override_q)
-            if pins.shape != np.shape(self.override_val) or np.any((pins < 0) | (pins > self.in_qp.qmax)):
-                raise ValueError("PWL override points must lie on the input grid, one value each")
-            out = _fixed_point_grid(self)
-            out[pins] = self.override_val
-            self.grid_out = out.astype(_grid_dtype(self.out_qp))
+        n, e = self.n_pieces, self.frac_bits
+        mants, shifts = np.asarray(self.slope_mants), np.asarray(self.slope_shifts)
+        if any(np.shape(a) != (n,) for a in (mants, shifts, self.intercept_fx)):
+            raise ValueError(f"a PWL table of {n} pieces needs {n} slopes and {n} intercepts")
+        # the bounds the build keeps, which keep the grid's int64 products from wrapping
+        if ((mants <= -(1 << 33)) | (mants >= 1 << 33)).any() or ((shifts < e) | (shifts > e + 28)).any():
+            raise ValueError(f"PWL slopes need mantissas of magnitude below 2^33 and shifts in [{e}, {e + 28}]")
+        if (np.abs(np.asarray(self.intercept_fx, dtype=np.float64)) * 2.0 ** (shifts - e) >= 2.0**62).any():
+            raise ValueError("PWL intercepts must stay below 2^62 in magnitude at their slopes' shifts")
+        pins, vals = np.asarray(self.override_q), np.asarray(self.override_val)
+        if not _increasing_on_grid(pins, top) or pins.shape != vals.shape:
+            raise ValueError("PWL override points must be strictly increasing points of the input grid, one value each")
+        if ((vals < 0) | (vals > self.out_qp.qmax)).any():
+            raise ValueError(f"PWL override values must lie in the output grid [0, {self.out_qp.qmax}]")
+        self.knots_r = dequantize(knots, self.in_qp)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
+            self.intercepts = np.asarray(ACTIVATIONS[self.fn_name](self.knots_r), dtype=np.float64)
+            self.slopes = np.diff(self.intercepts) / np.diff(self.knots_r)
+        if not np.isfinite(self.slopes).all():
+            raise ValueError("PWL knot values and slopes must be finite")
+        out = _fixed_point_grid(self)
+        out[pins] = vals
+        # signed storage one size wider than the outputs: subtracting the output zero point cannot wrap
+        self.grid_out = out.astype(np.int16 if self.out_qp.bitwidth == 8 else np.int32)
 
     @property
     def n_pieces(self) -> int:
@@ -203,19 +222,18 @@ class PwlTable:
         return _FRAC_BITS[self.out_qp.bitwidth]
 
 
-def _build_integer_form(t: PwlTable) -> None:
-    e = t.frac_bits
-    ratio = t.in_qp.scale / t.out_qp.scale
-    zp = t.out_qp.zero_point
-    qmax = t.out_qp.qmax
-
-    targets = np.asarray(quantize(t.intercepts, t.out_qp), dtype=np.int64)
-    n = t.n_pieces
+def _integer_form(knots_r, intercepts, in_qp: QuantParams, out_qp: QuantParams) -> tuple:
+    """Per-piece slope mantissas, slope shifts and intercept constants of the
+    chords through ``(knots_r, intercepts)``, nudged onto the quantized knots."""
+    e, ratio = _FRAC_BITS[out_qp.bitwidth], in_qp.scale / out_qp.scale
+    slopes = np.diff(intercepts) / np.diff(knots_r)
+    targets = np.asarray(quantize(intercepts, out_qp), dtype=np.int64)
+    n = len(slopes)
     mants = np.zeros(n, dtype=np.int64)
     shifts = np.full(n, e, dtype=np.int64)
     consts = np.zeros(n, dtype=np.int64)
     for i in range(n):
-        a = float(t.slopes[i]) * ratio
+        a = float(slopes[i]) * ratio
         if a != 0.0:
             sm = ScaledMultiplier.from_real(abs(a))
             shift = min(max(sm.shift, e), e + 28)
@@ -226,34 +244,36 @@ def _build_integer_form(t: PwlTable) -> None:
             mant = int(iround(scaled))
             mants[i] = mant if a > 0 else -mant
             shifts[i] = shift
-        c_real = (t.intercepts[i] / t.out_qp.scale + zp) * 2.0**e
+        c_real = (intercepts[i] / out_qp.scale + out_qp.zero_point) * 2.0**e
         if not abs(c_real) < 2.0**62:
-            v, lo, hi = t.intercepts[i], t.out_qp.min, t.out_qp.max
+            v, lo, hi = intercepts[i], out_qp.min, out_qp.max
             raise ValueError(f"knot value {v:.3g} lies too far outside the output range [{lo:.3g}, {hi:.3g}]")
         c = int(iround(c_real))
         # nudge so the integer evaluation reproduces the quantized knot value exactly
         want = int(targets[i])
         for _ in range(8):
-            have = max(0, min(_shift_round_exact(c, e), qmax))
+            have = max(0, min(_shift_round_exact(c, e), out_qp.qmax))
             if have == want:
                 break
             c += 1 if have < want else -1
         else:
             raise AssertionError("intercept nudge did not converge")
         consts[i] = c
-    t.slope_mants = mants
-    t.slope_shifts = shifts
-    t.intercept_fx = consts
-    # exhaustive agreement check: pin any grid point where the fixed-point
-    # rounding lands on the other side of a half-step boundary
-    grid = np.arange(t.in_qp.qmax + 1, dtype=np.int64)
-    want = np.asarray(quantize(eval_pwl_real(dequantize(grid, t.in_qp), t), t.out_qp), dtype=np.int64)
-    got = _fixed_point_grid(t)
-    bad = np.nonzero(got != want)[0]
-    t.override_q = grid[bad]
-    t.override_val = want[bad]
-    got[bad] = want[bad]
-    t.grid_out = got.astype(_grid_dtype(t.out_qp))
+    return mants, shifts, consts
+
+
+def _pin_overrides(t: PwlTable) -> None:
+    """Pin every grid point where the fixed-point rounding lands on the other
+    side of a half-step boundary from the real path, evaluated as
+    :func:`eval_pwl_real` does, piece by piece on :func:`_pieces`' runs."""
+    want = dequantize(np.arange(t.in_qp.qmax + 1), t.in_qp)
+    for i, (lo, hi) in _pieces(t):
+        want[lo:hi] = t.slopes[i] * (want[lo:hi] - t.knots_r[i]) + t.intercepts[i]
+    want[t.knots_q[-1]] = t.intercepts[-1]
+    want = quantize_in_place(want, t.out_qp).astype(np.int64)
+    t.override_q = np.flatnonzero(t.grid_out != want)
+    t.override_val = want[t.override_q]
+    t.grid_out[t.override_q] = t.override_val
 
 
 def _candidate_grid(in_qp: QuantParams, candidates: int | None) -> np.ndarray:
@@ -278,30 +298,21 @@ def build_pwl(
     """
     if not (1 <= n_pieces <= in_qp.qmax):
         raise ValueError(f"n_pieces must be in [1, {in_qp.qmax}]")
-    f = ACTIVATIONS[fn_name]
     qs = _candidate_grid(in_qp, candidates)
     if n_pieces > len(qs) - 1:
         raise ValueError("n_pieces exceeds candidate knot count")
     rs = dequantize(qs, in_qp)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are rejected below
-        bs = np.asarray(f(rs), dtype=np.float64)
+        bs = np.asarray(ACTIVATIONS[fn_name](rs), dtype=np.float64)
     idx = _select_indices(rs, bs, n_pieces)
-    knots_q = qs[idx]
-    knots_r = rs[idx]
-    intercepts = bs[idx]
-    slopes = np.diff(intercepts) / np.diff(knots_r)
-    t = PwlTable(knots_q, in_qp, out_qp, fn_name, knots_r, slopes, intercepts)
-    _build_integer_form(t)
+    none = np.zeros(0, dtype=np.int64)
+    t = PwlTable(qs[idx], in_qp, out_qp, fn_name, *_integer_form(rs[idx], bs[idx], in_qp, out_qp), none, none)
+    _pin_overrides(t)
     return t
 
 
 def eval_pwl_real(x, t: PwlTable):
-    """Real-arithmetic PWL evaluation; boundary pieces extend linearly.
-
-    Needs the table's real form, which only :func:`build_pwl` sets.
-    """
-    if t.knots_r is None:
-        raise ValueError("PWL table has no real form: a loaded table keeps only the integer form; use build_pwl")
+    """Real-arithmetic PWL evaluation; boundary pieces extend linearly."""
     x = np.asarray(x, dtype=np.float64)
     idx = np.clip(np.searchsorted(t.knots_r, x, side="right") - 1, 0, t.n_pieces - 1)
     g = t.slopes[idx] * (x - t.knots_r[idx]) + t.intercepts[idx]
@@ -309,19 +320,18 @@ def eval_pwl_real(x, t: PwlTable):
     return float(g) if np.ndim(x) == 0 else g
 
 
-def _fixed_point_grid(t: PwlTable) -> np.ndarray:
-    """The integer form at every input grid point, overrides not applied.
+def _pieces(t: PwlTable):
+    """Each piece's index and its run ``[lo, hi)`` of grid points: the first
+    piece also covers those below its left knot, the last all from it on."""
+    bounds = [0, *t.knots_q[1:-1].tolist(), t.in_qp.qmax + 1]
+    return enumerate(zip(bounds, bounds[1:]))
 
-    Each piece covers a run of consecutive grid points (the first piece also
-    those below its left knot, the last piece all from its left knot on);
-    there the value is one multiply plus one rounding shift per point.
-    """
-    n, top = t.n_pieces, t.in_qp.qmax
-    edges = np.minimum(np.maximum(t.knots_q, 0), top + 1)
-    out = np.empty(top + 1, dtype=np.int64)
-    for i in range(n):
-        lo = 0 if i == 0 else int(edges[i])
-        hi = top + 1 if i == n - 1 else int(edges[i + 1])
+
+def _fixed_point_grid(t: PwlTable) -> np.ndarray:
+    """The integer form at every input grid point, overrides not applied:
+    one multiply plus one rounding shift per point, piece by piece."""
+    out = np.empty(t.in_qp.qmax + 1, dtype=np.int64)
+    for i, (lo, hi) in _pieces(t):
         shift, knot = int(t.slope_shifts[i]), int(t.knots_q[i])
         raw = np.arange(lo - knot, hi - knot, dtype=np.int64) * t.slope_mants[i]
         raw += int(t.intercept_fx[i]) << (shift - t.frac_bits)
@@ -347,10 +357,9 @@ def eval_pwl_int(q_x, t: PwlTable):
 def eval_pwl_int_exact(q: int, t: PwlTable) -> int:
     """Arbitrary-precision reference for :func:`eval_pwl_int`."""
     q = int(q)
-    if t.override_q is not None and len(t.override_q):
-        i = int(np.searchsorted(t.override_q, q))
-        if i < len(t.override_q) and int(t.override_q[i]) == q:
-            return int(t.override_val[i])
+    i = int(np.searchsorted(t.override_q, q))
+    if i < len(t.override_q) and int(t.override_q[i]) == q:
+        return int(t.override_val[i])
     i = min(max(int(np.searchsorted(t.knots_q, q, side="right")) - 1, 0), t.n_pieces - 1)
     shift = int(t.slope_shifts[i])
     raw = (q - int(t.knots_q[i])) * int(t.slope_mants[i])
@@ -359,8 +368,7 @@ def eval_pwl_int_exact(q: int, t: PwlTable) -> int:
 
 
 def dump_pwl_csv(t: PwlTable, fh) -> None:
-    """Write (q_x, real_in, real_out, int_out, piece_index) rows for the full
-    grid; ``ValueError`` on a table without its real form."""
+    """Write (q_x, real_in, real_out, int_out, piece_index) rows for the full grid."""
     qs = np.arange(t.in_qp.qmax + 1, dtype=np.int64)
     rs = dequantize(qs, t.in_qp)
     real_out = eval_pwl_real(rs, t)

@@ -651,7 +651,6 @@ def convert(
     pieces: int = 16,
     cell_bits: int = 8,
     gate_bits: int = 8,
-    candidates: int | None = None,
 ) -> IntModel:
     """Quantize a calibrated float model into an integer model."""
     if pieces < 1:
@@ -669,7 +668,7 @@ def convert(
         except DegenerateRangeError as e:
             raise DegenerateRangeError(f"stage 'input': {e}") from None
 
-    opts = dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits, candidates=candidates)
+    opts = dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits)
     layers, out_qps = [], []
     prev_qp = input_qp
     for i, layer in enumerate(model.layers):
@@ -688,8 +687,6 @@ def _pwl_grid(t: PwlTable) -> np.ndarray:
 
 
 def _exact_grid(t: PwlTable) -> np.ndarray:
-    if t.fn_name not in ACTIVATIONS:
-        raise ValueError(f"PWL table of unknown function {t.fn_name!r}")
     return build_lut(ACTIVATIONS[t.fn_name], t.in_qp, t.out_qp).astype(t.grid_out.dtype)
 
 

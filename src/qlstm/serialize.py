@@ -41,7 +41,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .pwl import ACTIVATIONS, PwlTable
+from .pwl import PwlTable
 from .quant import QuantParams, check_int, compute_qparams
 from .runtime import (
     AttentionDecoderLayer,
@@ -193,8 +193,6 @@ class _Reader:
         return arr.astype(_DTYPES[ref["dtype"]]).reshape(shape)
 
     def pwl(self, d: dict) -> PwlTable:
-        if d["fn_name"] not in ACTIVATIONS:
-            raise ModelFormatError(f"PWL table of unknown function {d['fn_name']!r}")
         return PwlTable(
             in_qp=_decode_qp(d["in_qp"]),
             out_qp=_decode_qp(d["out_qp"]),

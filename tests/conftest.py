@@ -97,7 +97,7 @@ def random_lstm_config(rng, *, norm=False, cell_bits=8, gate_bits=8, pieces=6, T
     return w, xs, spec
 
 
-def random_attention_config(rng, *, pieces=10, candidates=256):
+def random_attention_config(rng, *, pieces=10):
     m_att = int(rng.integers(2, 6))
     m_dec = int(rng.integers(2, 6))
     m_enc = int(rng.integers(2, 6))
@@ -113,9 +113,7 @@ def random_attention_config(rng, *, pieces=10, candidates=256):
     ranges = observe(attend_real, h, enc, w)
     qp_h = quant.compute_qparams(float(h.min()), float(h.max()), 8)
     qp_enc = quant.compute_qparams(float(enc.min()), float(enc.max()), 8)
-    spec = att.QuantAttentionSpec.from_float(
-        w, ranges, qp_h, qp_enc, pieces=pieces, candidates=candidates
-    )
+    spec = att.QuantAttentionSpec.from_float(w, ranges, qp_h, qp_enc, pieces=pieces)
     return w, h, enc, spec
 
 
@@ -151,15 +149,11 @@ def token_model(rng, arch, vocab=6, emb=3, m=3, frames=None):
     return runtime.FloatModel(layers)
 
 
-def calibrated_int_model(
-    rng, arch, *, pieces=6, cell_bits=8, gate_bits=8, candidates=256, vocab=6, T=8, n_batches=2
-):
+def calibrated_int_model(rng, arch, *, pieces=6, cell_bits=8, gate_bits=8, vocab=6, T=8, n_batches=2):
     model = token_model(rng, arch, vocab=vocab)
     batches = [rng.integers(0, vocab, size=T) for _ in range(n_batches)]
     ranges = runtime.calibrate(model, batches)
-    im = runtime.convert(
-        model, ranges, pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits, candidates=candidates
-    )
+    im = runtime.convert(model, ranges, pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits)
     return model, im
 
 

@@ -190,7 +190,7 @@ def test_criterion_6_bit_exactness_suite():
             assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, spec))
 
         for _ in range(1000):
-            _, h, enc, spec = random_attention_config(rng, pieces=8, candidates=128)
+            _, h, enc, spec = random_attention_config(rng, pieces=8)
             q_h = stored(h, spec.qp_h_dec)
             q_enc = stored(enc, spec.qp_enc)
             a = attn_consts(spec)
@@ -210,7 +210,7 @@ def test_criterion_6_bit_exactness_suite():
             arch = archs[k % len(archs)]
             _, im = calibrated_int_model(
                 rng, arch, pieces=int(rng.integers(2, 8)),
-                cell_bits=8 if k % 2 == 0 else 16, candidates=128, T=4,
+                cell_bits=8 if k % 2 == 0 else 16, T=4,
             )
             seq = rng.integers(0, 6, size=int(rng.integers(1, 5)))
             assert np.array_equal(

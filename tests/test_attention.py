@@ -200,7 +200,7 @@ class TestAttentionKernelEdges:
     )
     def test_attention_equals_oracle(self, T, enc_in, h_in, seed):
         rng = np.random.default_rng(seed)
-        _, _, _, spec = random_attention_config(rng, pieces=8, candidates=128)
+        _, _, _, spec = random_attention_config(rng, pieces=8)
         q_enc = pinned(rng, (T, spec.w_k_q.shape[1]), enc_in)
         q_h = pinned(rng, spec.w_q_q.shape[1], h_in)
         a = attn_consts(spec)
@@ -240,8 +240,7 @@ def build_decoder(rng, *, gate_bits=8, pieces=8, n_in=3, T=6):
     qp_x = compute_qparams(*ranges["x"], 8)
     qp_enc = compute_qparams(float(enc.min()), float(enc.max()), 8)
     dec = QuantAttnDecoderSpec.from_float(
-        cell, attn_w, ranges, qp_x=qp_x, qp_enc=qp_enc, pieces=pieces,
-        gate_bits=gate_bits, candidates=256,
+        cell, attn_w, ranges, qp_x=qp_x, qp_enc=qp_enc, pieces=pieces, gate_bits=gate_bits
     )
     return cell, attn_w, xs, enc, dec
 

@@ -26,6 +26,10 @@ the form that its type decides, by one writer and one reader in
 ``serialize``.  So no layer, float or integer, and no spec has a codec of
 its own, no dataclass field carries metadata for the serializer, and
 ``serialize`` reads nothing of a cell's layout from ``lstm`` or ``madnorm``.
+
+A PWL table is its stored form: every one of its init fields is stored and
+required, and the rest is derived.  Conversion builds every table on the
+default candidate count, so only ``build_pwl`` takes one.
 """
 import ast
 import dataclasses
@@ -231,3 +235,20 @@ def test_no_dataclass_field_carries_metadata():
     }
     assert runtime.IntProjection in classes and len(classes) > 20
     assert [f"{cls.__name__}.{f.name}" for cls in classes for f in dataclasses.fields(cls) if f.metadata] == []
+
+
+def test_pwl_table_init_fields_are_its_stored_form():
+    init = [f for f in dataclasses.fields(PwlTable) if f.init]
+    assert {f.name for f in init} == {"fn_name", "in_qp", "out_qp", *serialize._PWL_ARRAYS}
+    missing = dataclasses.MISSING
+    assert [f.name for f in init if f.default is not missing or f.default_factory is not missing] == []
+
+
+def test_conversion_takes_no_candidate_count():
+    chain = (
+        runtime.convert,
+        lstm.QuantLstmSpec.from_float,
+        attention.QuantAttentionSpec.from_float,
+        attention.QuantAttnDecoderSpec.from_float,
+    )
+    assert [fn.__qualname__ for fn in chain if "candidates" in inspect.signature(fn).parameters] == []

@@ -381,7 +381,7 @@ class TestFusedKernelEdges:
         rng = np.random.default_rng(seed)
         model = edge_model(rng, kind)
         ranges = runtime.calibrate(model, [rng.normal(0, 1, (6, 3))])
-        im = runtime.convert(model, ranges, pieces=6, cell_bits=cell_bits, gate_bits=gate_bits, candidates=256)
+        im = runtime.convert(model, ranges, pieces=6, cell_bits=cell_bits, gate_bits=gate_bits)
         # +-1e3 lies far outside the calibrated range: those inputs quantize to 0 or qmax
         xs = {
             "random": rng.normal(0, 1, (T, 3)),
@@ -462,7 +462,7 @@ class TestFusedKernelEdges:
         rf, rb = observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb)
         qp_x = compute_qparams(float(xs.min()), float(xs.max()), 8)
         qp_h = compute_qparams(min(rf["h"][0], rb["h"][0]), max(rf["h"][1], rb["h"][1]), 8)
-        common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6, candidates=256)
+        common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6)
         fwd = QuantLstmSpec.from_float(wf, rf, gate_bits=8, **common)
         bwd = QuantLstmSpec.from_float(wb, rb, gate_bits=16, cell_bits=16, **common)
         spec = BiLstmSpec(fwd, bwd)

@@ -185,7 +185,7 @@ class TestPathChoice:
         rf, rb = observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb)
         qp_x = compute_qparams(float(xs.min()), float(xs.max()), 8)
         qp_h = compute_qparams(min(rf["h"][0], rb["h"][0]), max(rf["h"][1], rb["h"][1]), 8)
-        common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6, candidates=256)
+        common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6)
         fwd = QuantLstmSpec.from_float(wf, rf, **common)
         bwd = QuantLstmSpec.from_float(wb, rb, cell_bits=16, **common)
         mixed = lanes_of(fwd, bwd)  # as the BiLSTM's engine runs them

@@ -1,4 +1,5 @@
 """PWL tables: knot selection, LUT equivalence, integer/real agreement."""
+import io
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_attention_config, random_lstm_config
+from conftest import calibrated_int_model, random_attention_config, random_lstm_config
+from qlstm import serialize
 from qlstm.pwl import (
     ACTIVATIONS,
     _candidate_grid,
@@ -50,7 +52,7 @@ def engine_16bit_tables(rng, cells, attentions):
         spec = random_lstm_config(rng, cell_bits=16, gate_bits=16, pieces=int(rng.integers(1, 17)))[2]
         yield from (spec.pwl_sig, spec.pwl_tanh_j, spec.pwl_tanh_c)
     for _ in range(attentions):
-        spec = random_attention_config(rng, pieces=int(rng.integers(1, 17)), candidates=None)[3]
+        spec = random_attention_config(rng, pieces=int(rng.integers(1, 17)))[3]
         yield from (spec.pwl_tanh, spec.pwl_exp)
 
 
@@ -248,6 +250,13 @@ class TestBuildPwl:
         ]
         assert np.median(diffs) <= 0
 
+    def test_non_finite_real_form_rejected_without_warning(self):
+        t = build_pwl("tanh", compute_qparams(-10.0, 800.0, 8), QP_TANH, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="knot values and slopes must be finite"):
+                replace(t, fn_name="exp")  # exp(800) overflows
+
     def test_16bit_input_subsampled_build(self):
         in_qp = compute_qparams(-6.0, 0.0, 16)
         out_qp = compute_qparams(0.0, 1.0, 8)
@@ -336,6 +345,31 @@ class TestGridOutputs:
         # a table built from the stored integer constants, as load does, has the same outputs
         assert np.array_equal(replace(t).grid_out, want)
 
+    def test_overrides_are_where_the_fixed_point_grid_misses_the_real_path(self):
+        """The build pins exactly the grid points where the override-free
+        fixed-point grid differs from the real path evaluated over the whole
+        grid at once (``eval_pwl_real``'s piece search)."""
+        functions = [
+            ("sigmoid", (-8.0, 8.0), (0.0, 1.0)), ("tanh", (-0.5, 0.5), (-0.5, 0.5)), ("exp", (-2.0, 1.0), (0.0, 3.0))
+        ]
+        cases = [(*f, bits, pieces) for f in functions for bits in (8, 16) for pieces in (16, 32)]
+        # one piece whose chord misses the function's value at its last knot by a rounding step
+        lo, hi = -2.563244180141597, 7.328513312027216
+        cases.append(("identity", (lo, hi), (2 * lo, 2 * hi), 8, 1))
+        pinned = 0
+        for name, in_range, out_range, bits, pieces in cases:
+            in_qp, out_qp = compute_qparams(*in_range, bits), compute_qparams(*out_range, bits)
+            t = build_pwl(name, in_qp, out_qp, pieces)
+            none = np.zeros(0, dtype=np.int64)
+            fixed = replace(t, override_q=none, override_val=none).grid_out
+            grid = np.arange(in_qp.qmax + 1)
+            want = quantize(eval_pwl_real(dequantize(grid, in_qp), t), out_qp)
+            assert np.array_equal(t.override_q, np.flatnonzero(fixed != want)), (name, bits, pieces)
+            assert np.array_equal(t.override_val, want[t.override_q])
+            assert np.array_equal(t.grid_out, want)
+            pinned += len(t.override_q)
+        assert pinned > 0
+
     def test_centred_outputs_cannot_wrap(self):
         t = build_pwl("tanh", QP_IN_44, QP_TANH, 8)
         centred = t.grid_out - QP_TANH.zero_point
@@ -361,17 +395,21 @@ def test_csv_dump(tmp_path):
     assert int(first[0]) == 0 and int(first[4]) == 0
 
 
-def test_table_without_real_form_keeps_its_integer_form(tmp_path):
-    # what serialize.load builds: the integer form only
-    built = build_pwl("tanh", QP_IN_44, QP_TANH, 5)
-    t = replace(built, knots_r=None, slopes=None, intercepts=None)
-    assert t.n_pieces == built.n_pieces == 5
-    assert np.array_equal(t.grid_out, built.grid_out)
-    qs = np.arange(256)
-    assert np.array_equal(eval_pwl_int(qs, t), eval_pwl_int(qs, built))
-    assert eval_pwl_int_exact(17, t) == eval_pwl_int_exact(17, built)
-    with pytest.raises(ValueError, match="no real form"):
-        eval_pwl_real(0.5, t)
-    with open(tmp_path / "table.csv", "w") as fh, pytest.raises(ValueError, match="no real form"):
-        dump_pwl_csv(t, fh)
-    assert (tmp_path / "table.csv").read_text() == ""
+def test_loaded_table_has_the_built_real_form(tmp_path):
+    """A table read back by ``serialize.load`` derives its real form from
+    its knots, so it evaluates and dumps as the built table does."""
+    _, im = calibrated_int_model(np.random.default_rng(4), ["lstm"], pieces=5)
+    path = tmp_path / "m.json"
+    serialize.save(im, str(path))
+    built, loaded = im.layers[1].spec, serialize.load(str(path)).layers[1].spec
+    for name in ("pwl_sig", "pwl_tanh_j", "pwl_tanh_c"):
+        a, b = getattr(built, name), getattr(loaded, name)
+        assert np.array_equal(b.grid_out, a.grid_out) and eval_pwl_int_exact(17, b) == eval_pwl_int_exact(17, a), name
+        grid = dequantize(np.arange(a.in_qp.qmax + 1), a.in_qp)
+        assert np.array_equal(eval_pwl_real(grid, b), eval_pwl_real(grid, a)), name
+        dumps = []
+        for t in (a, b):
+            fh = io.StringIO()
+            dump_pwl_csv(t, fh)
+            dumps.append(fh.getvalue())
+        assert dumps[0] == dumps[1] and len(dumps[0].splitlines()) == 257, name

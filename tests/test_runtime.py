@@ -297,7 +297,7 @@ class TestConvertAndRun:
         rng = np.random.default_rng(99)
         model = token_model(rng, ["lstm_norm", "lstm"])
         ranges = calibrate(model, [rng.integers(0, 6, 10) for _ in range(2)])
-        im = convert(model, ranges, pieces=8, cell_bits=16, gate_bits=16, candidates=512)
+        im = convert(model, ranges, pieces=8, cell_bits=16, gate_bits=16)
         seq = rng.integers(0, 6, size=6)
         assert np.array_equal(run(im, seq).astype(np.int64), run_reference(im, seq))
 
@@ -881,6 +881,30 @@ class TestSaveLoad:
         with pytest.raises(serialize.ModelFormatError, match=f"PWL table of unknown function {fn!r}"):
             serialize.load(str(path))
 
+    @pytest.mark.parametrize(
+        "gate_bits, edit, message",
+        [
+            (16, lambda t, zp: t.update(slope_mants=[2**50] * len(t["slope_mants"])), "mantissas"),
+            (8, lambda t, zp: t.update(override_q=[zp], override_val=[300]), "override values"),
+            (8, lambda t, zp: t.update(slope_shifts=[s + 29 for s in t["slope_shifts"]]), "shifts"),
+            (8, lambda t, zp: t.update(intercept_fx=t["intercept_fx"] + [0]), "slopes and .* intercepts"),
+            (8, lambda t, zp: t.update(intercept_fx=[2**63 - 2**40] * len(t["intercept_fx"])), r"below 2\^62"),
+        ],
+        ids=["mantissa", "override-value", "shift", "piece-count", "intercept"],
+    )
+    def test_pwl_integer_form_that_no_build_makes_rejected(self, tmp_path, gate_bits, edit, message):
+        """Re-sealed integer forms that such a model would run wrongly: a
+        mantissa of 2^50 wraps the grid's int64 products, and an override
+        value past the output grid sends the gathers past their pair-table
+        rows (both loaded, and ran unlike ``run_reference``, before)."""
+        _, im = calibrated_int_model(np.random.default_rng(39), ["bilstm", "lstm"], gate_bits=gate_bits)
+        path = tmp_path / "m.json"
+        serialize.save(im, str(path))
+        zp = im.layers[2].spec.qp_pre_sig.zero_point
+        edit_manifest(path, lambda doc: edit(doc["layers"][2]["spec"]["pwl_sig"], zp))
+        with pytest.raises(serialize.ModelFormatError, match=message):
+            serialize.load(str(path))
+
     def test_manifest_that_is_not_json_is_a_format_error(self, tmp_path):
         rng = np.random.default_rng(37)
         _, im = calibrated_int_model(rng, ["lstm"])
@@ -1384,7 +1408,7 @@ class TestNonFinite:
         ranges[stage] = tuple(bound)
         short = stage.rsplit(".", 1)[1]
         with pytest.raises(DegenerateRangeError, match=f"stage '{short}': range .* is not finite"):
-            convert(model, ranges, candidates=256)
+            convert(model, ranges)
 
     def test_convert_names_a_non_finite_input_stage(self):
         model, ranges = _feature_model(np.random.default_rng(61))
@@ -1396,7 +1420,7 @@ class TestNonFinite:
     def test_run_rejects_non_finite_frames(self, bad):
         rng = np.random.default_rng(62)
         model, ranges = _feature_model(rng)
-        im = convert(model, ranges, candidates=256)
+        im = convert(model, ranges)
         x = rng.normal(0, 1, (5, 2))
         x[3, 1] = bad
         for fn in (run, run_reference):
@@ -1498,7 +1522,7 @@ class TestRowBlocks:
         """LSTM -> LSTM -> residual -> projection on frames."""
         rng = np.random.default_rng(91)
         model = token_model(rng, ["lstm", "lstm", "residual"], vocab=self.VOCAB, m=self.M, frames=self.N)
-        return convert(model, calibrate(model, [rng.normal(0, 1, (40, self.N))]), pieces=6, candidates=256)
+        return convert(model, calibrate(model, [rng.normal(0, 1, (40, self.N))]), pieces=6)
 
     def block_rows(self):
         """Rows per block of the input, the residual and the projection."""

@@ -19,11 +19,9 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ["demo_pipeline.py", "--cell-bits", "8"],
         ["demo_pipeline.py", "--cell-bits", "16"],
-        ["pwl_error_sweep.py"],
-        ["cell_bitwidth_gap.py", "--seeds", "2"],
         ["candidate_sweep.py", "--stacks", "3", "--counts", "64", "128"],
     ],
-    ids=["demo_pipeline-cell8", "demo_pipeline-cell16", "pwl_error_sweep", "cell_bitwidth_gap", "candidate_sweep"],
+    ids=["demo_pipeline-cell8", "demo_pipeline-cell16", "candidate_sweep"],
 )
 def test_script_exits_cleanly(argv, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
