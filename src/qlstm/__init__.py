@@ -18,7 +18,6 @@ from .quant import (
 from .pwl import PwlTable, build_lut, build_pwl, eval_pwl_int, eval_pwl_real, select_knots
 from .madnorm import MadNormQParams, madnorm_int
 from .lstm import (
-    BiLstmSpec,
     LstmState,
     LstmWeights,
     QuantLstmSpec,

@@ -180,6 +180,8 @@ class QuantAttentionSpec:
         self.m_shift = saturating_multiplier(self.qp_e.scale / self.qp_exp_in.scale)
         self.m_alpha = saturating_multiplier(1.0 / self.qp_alpha.scale)
         self.m_ctx = saturating_multiplier(self.qp_alpha.scale * self.qp_enc.scale / self.qp_s.scale)
+        self.pwl_tanh.check_grids("pwl_tanh", self.qp_sum, self.qp_tanh)
+        self.pwl_exp.check_grids("pwl_exp", self.qp_exp_in, self.qp_exp_out)
 
     @classmethod
     def from_float(

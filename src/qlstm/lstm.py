@@ -243,6 +243,9 @@ class QuantLstmSpec:
         self.m_fc2c = term_multiplier("c", self.qp_p_fc.scale / self.qp_c.scale, self.qp_c.qmax)
         self.m_ij2c = term_multiplier("c", self.qp_p_ij.scale / self.qp_c.scale, self.qp_c.qmax)
         self.m_h = saturating_multiplier(self.qp_sig.scale * self.qp_tanh_c.scale / self.qp_h.scale)
+        self.pwl_sig.check_grids("pwl_sig", self.qp_pre_sig, self.qp_sig)
+        self.pwl_tanh_j.check_grids("pwl_tanh_j", self.qp_pre_j, self.qp_tanh_j)
+        self.pwl_tanh_c.check_grids("pwl_tanh_c", self.norm_c.qp_y if self.norm else self.qp_c, self.qp_tanh_c)
 
     @property
     def hidden_size(self) -> int:
@@ -607,48 +610,6 @@ def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BiLstmSpec:
-    """Forward and backward cells whose hidden outputs share one quantized grid."""
-
-    fwd: QuantLstmSpec
-    bwd: QuantLstmSpec
-
-    def __post_init__(self):
-        if self.fwd.qp_h != self.bwd.qp_h:
-            raise ValueError("forward/backward hidden qparams must be shared for concatenation")
-        if self.fwd.qp_x != self.bwd.qp_x:
-            raise ValueError("forward/backward cells must consume the same input qparams")
-
-    @property
-    def qp_h(self) -> QuantParams:
-        return self.fwd.qp_h
-
-    @classmethod
-    def from_float(
-        cls,
-        w_fwd: LstmWeights,
-        w_bwd: LstmWeights,
-        ranges_fwd: dict,
-        ranges_bwd: dict,
-        *,
-        qp_x: QuantParams | None = None,
-        **kwargs,
-    ) -> "BiLstmSpec":
-        def shared(key):  # one range over both directions; a NaN bound stays NaN
-            (a, b), (c, d) = ranges_fwd[key], ranges_bwd[key]
-            return {key: (float(np.minimum(a, c)), float(np.maximum(b, d)))}
-
-        if qp_x is None:
-            qp_x = stage_qparams(shared("x"), "x", CELL_STAGES["x"])
-        qp_h = stage_qparams(shared("h"), "h", CELL_STAGES["h"])
-        with prefix_errors("fwd"):
-            fwd = QuantLstmSpec.from_float(w_fwd, ranges_fwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
-        with prefix_errors("bwd"):
-            bwd = QuantLstmSpec.from_float(w_bwd, ranges_bwd, qp_x=qp_x, qp_h=qp_h, **kwargs)
-        return cls(fwd, bwd)
-
-
 def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noop) -> np.ndarray:
     """Both directions' hidden states side by side, of one sequence or a
     stack, as :func:`lstm_sequence_real`; the backward cell runs forward
@@ -670,7 +631,7 @@ def bilstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     return np.concatenate((hs[:, 0, :fwd], hs[::-1, 1, :bwd]), axis=1)
 
 
-def bilstm_sequence_exact(q_xs: np.ndarray, spec: BiLstmSpec) -> np.ndarray:
+def bilstm_sequence_exact(q_xs: np.ndarray, fwd: QuantLstmSpec, bwd: QuantLstmSpec) -> np.ndarray:
     q_xs = np.atleast_2d(q_xs)
-    fwd, bwd = lstm_sequence_exact(q_xs, spec.fwd), lstm_sequence_exact(q_xs[::-1], spec.bwd)
-    return np.concatenate([fwd, bwd[::-1]], axis=-1)
+    hs_fwd, hs_bwd = lstm_sequence_exact(q_xs, fwd), lstm_sequence_exact(q_xs[::-1], bwd)
+    return np.concatenate([hs_fwd, hs_bwd[::-1]], axis=-1)

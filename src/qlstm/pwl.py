@@ -216,6 +216,11 @@ class PwlTable:
     def n_pieces(self) -> int:
         return len(self.knots_q) - 1
 
+    def check_grids(self, name: str, qp_in: QuantParams, qp_out: QuantParams) -> None:
+        """Raise ``ValueError`` naming the table, ``name``, unless it maps ``qp_in`` onto ``qp_out``."""
+        if (self.in_qp, self.out_qp) != (qp_in, qp_out):
+            raise ValueError(f"table {name} must map its input stage's grid onto its output stage's")
+
     @property
     def frac_bits(self) -> int:
         """Fraction bits of the intercept constants, fixed by the output width."""

@@ -38,7 +38,7 @@ LSTM layer's lanes, an attention decoder's constants) is the model's
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby, islice
 
 import numpy as np
@@ -55,7 +55,6 @@ from .attention import (
 from .lstm import (
     CELL_NORMS,
     CELL_STAGES,
-    BiLstmSpec,
     LstmLanes,
     LstmWeights,
     QuantLstmSpec,
@@ -80,6 +79,7 @@ from .quant import (
     compute_qparams,
     dequantize,
     int_matmul,
+    prefix_errors,
     quantize_bias,
     quantize_in_place,
     quantize_weights,
@@ -173,8 +173,15 @@ class BiLstmLayer(_Layer):
         return [f"{prefix}.{d}.{s}" for d in ("fwd", "bwd") for s in CELL_STAGES]
 
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
-        rf, rb = sub_ranges(ranges, f"{prefix}.fwd"), sub_ranges(ranges, f"{prefix}.bwd")
-        return IntBiLstm(BiLstmSpec.from_float(self.fwd, self.bwd, rf, rb, qp_x=qp_in, **opts))
+        # the directions' hidden states are concatenated, so they share one grid over both ranges
+        (a, b), (c, d) = ranges[f"{prefix}.fwd.h"], ranges[f"{prefix}.bwd.h"]
+        qp_h = stage_qparams({"h": (float(np.minimum(a, c)), float(np.maximum(b, d)))}, "h", CELL_STAGES["h"])
+        cells = []
+        for side, w in (("fwd", self.fwd), ("bwd", self.bwd)):
+            with prefix_errors(side):
+                r = sub_ranges(ranges, f"{prefix}.{side}")
+                cells.append(QuantLstmSpec.from_float(w, r, qp_x=qp_in, qp_h=qp_h, **opts))
+        return IntBiLstm(*cells)
 
 
 @dataclass
@@ -488,20 +495,28 @@ class IntLstm(_CellLayer):
 
 @dataclass
 class IntBiLstm(_CellLayer):
-    spec: BiLstmSpec
+    """Forward and backward cells on one input grid, whose concatenated hidden states share one grid."""
+
+    fwd: QuantLstmSpec
+    bwd: QuantLstmSpec
+
+    def __post_init__(self):
+        for qp in ("qp_x", "qp_h"):
+            if getattr(self.fwd, qp) != getattr(self.bwd, qp):
+                raise ValueError(f"forward and backward cells must share {qp}")
 
     @property
     def cells(self) -> tuple:
-        return self.spec.fwd, self.spec.bwd
+        return self.fwd, self.bwd
 
     def run(self, x, outputs, lanes):
         return bilstm_sequence_int(x, lanes)
 
     def run_exact(self, x, outputs):
-        return bilstm_sequence_exact(x, self.spec)
+        return bilstm_sequence_exact(x, self.fwd, self.bwd)
 
     def dequantize(self):
-        return BiLstmLayer(_dequant_cell(self.spec.fwd), _dequant_cell(self.spec.bwd))
+        return BiLstmLayer(_dequant_cell(self.fwd), _dequant_cell(self.bwd))
 
 
 @dataclass
@@ -597,6 +612,8 @@ class IntProjection(_IntLayer):
             raise ValueError("projection input must be 8-bit")
         check_dtype(np.uint8, w_q=self.w_q)
         check_dtype(np.int32, bias_q=self.bias_q)
+        if self.w_q.ndim != 2 or self.bias_q.shape != self.w_q.shape[:1]:
+            raise ValueError(f"bias_q of shape {self.bias_q.shape} does not fit shape {self.w_q.shape} of w_q")
         check_accumulator((self.w_q.shape[-1],), self.bias_q)
         self.w_diff = centred(self.w_q, self.qp_w)
 
@@ -631,7 +648,6 @@ class IntModel:
 
     layers: tuple
     input_qp: QuantParams | None
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.layers = tuple(self.layers)
@@ -679,7 +695,7 @@ def convert(
         layers.append(int_layer)
         prev_qp = int_layer.qp_out
         out_qps.append(prev_qp)
-    return IntModel(layers, input_qp, config=dict(pieces=pieces, cell_bits=cell_bits, gate_bits=gate_bits))
+    return IntModel(layers, input_qp)
 
 
 def _pwl_grid(t: PwlTable) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Model serialization: a gzip-compressed JSON manifest plus a little-endian tensor blob.
 
-The manifest (format version 4) is compact JSON with sorted keys, written
+The manifest (format version 5) is compact JSON with sorted keys, written
 with ``gzip.compress(..., mtime=0)`` so that saving a model twice gives the
-same bytes, and ``zcat model.json`` prints the document.  It holds the layer
+same bytes, and ``zcat model.json`` prints the document; the blob is the
+manifest's path plus ``.blob``.  The document holds what ``load`` builds the
+model from: ``version``, ``kind``, ``input_qp``, the ``seal`` and the layer
 stack, each layer as its type tag and its dataclass fields.  No layer class
 has a codec of its own: one writer and one reader store every field under
 its own name, in the form that its type decides:
@@ -10,8 +12,8 @@ its own name, in the form that its type decides:
 * a ``QuantParams`` as ``[min, max, bitwidth]``;
 * a ``PwlTable`` as its integer form (``fn_name``, ``in_qp``, ``out_qp``,
   ``knots_q``, the fixed-point slopes and intercepts, the override points);
-* an array as ``{dtype, shape, offset, length}``, its bytes in the blob;
-* a nested dataclass (``spec``, ``cell``, ``norm_x``, ...) as an object of
+* an array as ``{dtype, shape, offset}``, its bytes in the blob;
+* a nested dataclass (``spec``, ``fwd``, ``norm_x``, ...) as an object of
   its own fields, ``None`` as ``null`` and an ``int`` or ``bool`` as that JSON type.
 
 ``load`` reads the file in chunks, inflates at most
@@ -60,7 +62,7 @@ from .runtime import (
     ResidualAddLayer,
 )
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 MAX_MANIFEST_BYTES = 16 << 20  # inflated; the seed-1 benchmark manifests inflate to at most 14 KB
 _READ_CHUNK = 1 << 16  # bytes of the manifest file fed to the inflater at a time
 
@@ -146,7 +148,7 @@ class _Writer:
     def tensor(self, arr: np.ndarray) -> dict:
         arr = np.ascontiguousarray(arr)
         raw = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        ref = {"dtype": _DTYPE_TAGS[arr.dtype], "shape": list(arr.shape), "offset": self.offset, "length": len(raw)}
+        ref = {"dtype": _DTYPE_TAGS[arr.dtype], "shape": list(arr.shape), "offset": self.offset}
         self.chunks.append(raw)
         self.offset += len(raw)
         return ref
@@ -181,15 +183,13 @@ class _Reader:
         self.blob = blob
 
     def tensor(self, ref: dict, name: str) -> np.ndarray:
-        offset, length, shape = ref["offset"], ref["length"], ref["shape"]
-        if not all(type(v) is int and v >= 0 for v in (offset, length, *shape)):
-            raise ModelFormatError(f"tensor {name}: offset, length and shape must be non-negative integers")
+        offset, shape = ref["offset"], ref["shape"]
+        if not all(type(v) is int and v >= 0 for v in (offset, *shape)):
+            raise ModelFormatError(f"tensor {name}: offset and shape must be non-negative integers")
         dt = np.dtype(_DTYPES[ref["dtype"]]).newbyteorder("<")
-        if length != math.prod(shape) * dt.itemsize:
-            raise ModelFormatError(f"tensor {name}: length {length} does not fit shape {shape}")
-        if offset + length > len(self.blob):
+        if offset + math.prod(shape) * dt.itemsize > len(self.blob):
             raise ModelFormatError(f"tensor {name} extends past the end of the blob")
-        arr = np.frombuffer(self.blob, dtype=dt, count=length // dt.itemsize, offset=offset)
+        arr = np.frombuffer(self.blob, dtype=dt, count=math.prod(shape), offset=offset)
         return arr.astype(_DTYPES[ref["dtype"]]).reshape(shape)
 
     def pwl(self, d: dict) -> PwlTable:
@@ -231,7 +231,7 @@ class _Reader:
 
 def save(model, path) -> str:
     """Write a model (float or integer) as ``path`` (a ``str`` or path-like)
-    plus ``path + '.blob'`` in format version 4; returns the path as a
+    plus ``path + '.blob'`` in format version 5; returns the path as a
     ``str``."""
     if not isinstance(model, (IntModel, FloatModel)):
         raise TypeError("save() expects a FloatModel or IntModel")
@@ -241,9 +241,6 @@ def save(model, path) -> str:
     doc = {
         "version": FORMAT_VERSION,
         "kind": "integer" if integer else "float",
-        "endianness": "little",
-        "blob": {"file": os.path.basename(path) + ".blob"},
-        "config": model.config if integer else {},
         "layers": [{"type": _TAGS[type(layer)], **w.value(layer, f"L{i}")} for i, layer in enumerate(model.layers)],
         "input_qp": w.value(model.input_qp, "input_qp") if integer else None,
     }
@@ -283,8 +280,8 @@ def _inflate(fh) -> bytes:
 
 
 def load(path):
-    """Load a model saved with :func:`save` from ``path`` (a ``str`` or
-    path-like); verifies the version (4) and the checksum.
+    """Load a model saved with :func:`save` as ``path`` (a ``str`` or
+    path-like); verifies the version (5) and the checksum.
 
     Any manifest the loader cannot decode into a valid model raises
     :class:`ModelFormatError`.
@@ -296,13 +293,8 @@ def load(path):
         version = doc.get("version")
         if type(version) is not int or version != FORMAT_VERSION:
             raise ModelFormatError(f"unsupported manifest version {version!r}: convert the model again")
-        name = doc["blob"]["file"]
-    if not isinstance(name, str) or os.path.basename(name) != name or "\\" in name or name in ("", ".", ".."):
-        raise ModelFormatError(f"blob file {name!r} must be a plain file name next to the manifest")
-    blob_path = os.path.join(os.path.dirname(path) or ".", name)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    with _malformed("manifest"):
+        with open(f"{os.fspath(path)}.blob", "rb") as fh:
+            blob = fh.read()
         if seal(doc, blob) != doc["seal"]:
             raise ModelFormatError("checksum mismatch: the manifest or the blob changed after save")
         kind = doc["kind"]
@@ -323,4 +315,4 @@ def load(path):
         if not integer:
             return FloatModel(layers)
         input_qp = r.value(QuantParams | None, doc["input_qp"], "input_qp")
-        return IntModel(layers, input_qp, config=doc.get("config") or {})
+        return IntModel(layers, input_qp)

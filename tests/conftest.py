@@ -1,5 +1,6 @@
 import gzip
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from qlstm import attention as att
 from qlstm import lstm as L
 from qlstm import quant, runtime, serialize
 from qlstm.madnorm import _noop
-from qlstm.pwl import ACTIVATIONS
+from qlstm.pwl import ACTIVATIONS, build_pwl
 
 settings.register_profile(
     "suite", max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -75,6 +76,22 @@ def observe(fn, *args, **kwargs) -> dict:
     obs = runtime.CalibrationObserver()
     fn(*args, record=obs, **kwargs)
     return obs.ranges
+
+
+def with_gate_sum_grid(spec, qp) -> L.QuantLstmSpec:
+    """``spec`` with both gate sums on the grid ``qp``, and its sigmoid and
+    candidate tanh tables built on that grid as conversion builds them."""
+    pieces = spec.pwl_sig.n_pieces
+    sig, tanh_j = build_pwl("sigmoid", qp, spec.qp_sig, pieces), build_pwl("tanh", qp, spec.qp_tanh_j, pieces)
+    return replace(spec, qp_pre_sig=qp, qp_pre_j=qp, pwl_sig=sig, pwl_tanh_j=tanh_j)
+
+
+def bilstm_layer(wf, wb, xs, **opts) -> runtime.IntBiLstm:
+    """The integer layer that a BiLSTM of the cells ``wf`` and ``wb``
+    converts to, calibrated on the frames ``xs``, as layer 0 of a model."""
+    layer = runtime.BiLstmLayer(wf, wb)
+    ranges = {f"L0.{k}": v for k, v in observe(layer.forward, xs, []).items()}
+    return layer.convert(ranges, "L0", quant.compute_qparams(*ranges["L0.fwd.x"], 8), [], **opts)
 
 
 def attend_real(h, enc, w, record=_noop):

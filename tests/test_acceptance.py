@@ -8,12 +8,20 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from conftest import attn_consts, calibrated_int_model, lanes_of, observe, random_attention_config, random_cell, stored
+from conftest import (
+    attn_consts,
+    bilstm_layer,
+    calibrated_int_model,
+    lanes_of,
+    observe,
+    random_attention_config,
+    random_cell,
+    stored,
+)
 from qlstm import floatguard, runtime, serialize
 from qlstm.attention import attention_int, attention_int_exact, attention_keys
 from qlstm.cli import main
 from qlstm.lstm import (
-    BiLstmSpec,
     LstmWeights,
     QuantLstmSpec,
     bilstm_sequence_exact,
@@ -181,13 +189,10 @@ def test_criterion_6_bit_exactness_suite():
             T = int(rng.integers(2, 5))
             wf, wb = random_cell(rng, m, n), random_cell(rng, m, n)
             xs = rng.normal(0, 1, (T, n))
-            spec = BiLstmSpec.from_float(
-                wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb),
-                pieces=int(rng.integers(2, 8)), cell_bits=8 if k % 2 == 0 else 16,
-            )
-            q_xs = stored(xs, spec.fwd.qp_x)
-            got = bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd))
-            assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, spec))
+            bi = bilstm_layer(wf, wb, xs, pieces=int(rng.integers(2, 8)), cell_bits=8 if k % 2 == 0 else 16)
+            q_xs = stored(xs, bi.qp_in)
+            got = bilstm_sequence_int(q_xs, lanes_of(bi.fwd, bi.bwd))
+            assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, bi.fwd, bi.bwd))
 
         for _ in range(1000):
             _, h, enc, spec = random_attention_config(rng, pieces=8)

@@ -123,11 +123,10 @@ def test_engine_structures_are_built_only_by_the_engine():
         found = {path.stem: uses(path, name)[1] for path in sorted(SRC.glob("*.py"))}
         assert {stem: callers for stem, callers in found.items() if callers} == {"runtime": ["engine"]}, name
     assert not any(uses(path, "cached_property")[0] for path in sorted(SRC.glob("*.py")))
-    specs = (lstm.QuantLstmSpec, lstm.BiLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
-    assert not any(hasattr(cls, "lanes") for cls in specs)
+    assert not any(hasattr(cls, "lanes") for cls in SPECS)
     _, im = calibrated_int_model(np.random.default_rng(0), ["bilstm", "lstm_norm", "attn"])
-    built = [s for layer in im.layers[1:4] for s in (layer.spec, *vars(layer.spec).values()) if isinstance(s, specs)]
-    assert len(built) == 7 and not any(hasattr(s, "lanes") for s in built)
+    built = [s for layer in im.layers[1:4] for s in (*layer.cells, layer.decoder, getattr(layer.decoder, "attn", None))]
+    assert sum(isinstance(s, SPECS) for s in built) == 6 and not any(hasattr(s, "lanes") for s in built)
 
 
 def test_uses_finds_every_call_and_name(tmp_path):
@@ -185,7 +184,7 @@ FLOAT_LAYERS = (
     runtime.EmbeddingLayer, runtime.LstmLayer, runtime.BiLstmLayer, runtime.AttentionDecoderLayer,
     runtime.ResidualAddLayer, runtime.FinalProjectionLayer,
 )
-SPECS = (lstm.QuantLstmSpec, lstm.BiLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
+SPECS = (lstm.QuantLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
 # the integer fields' naming rule, which the stage tables read: prefix or suffix -> the field's type
 NAMED = {"qp_": QuantParams, "pwl_": PwlTable, "norm_": MadNormQParams | None, "_q": np.ndarray}
 
@@ -203,6 +202,12 @@ def test_integer_layers_are_stored_by_their_field_names():
             # prefixes first, so qp_q holds qparams
             rule = next((t for k, t in NAMED.items() if f.name.startswith(k) or f.name.endswith(k)), None)
             assert hints[f.name] == rule if rule else hints[f.name] in (*SPECS, int), where
+
+
+def test_bilstm_layer_is_its_cells_and_a_model_its_layers():
+    assert [f.name for f in dataclasses.fields(runtime.IntBiLstm)] == ["fwd", "bwd"]
+    assert [f.name for f in dataclasses.fields(runtime.IntModel)] == ["layers", "input_qp"]
+    assert not hasattr(lstm, "BiLstmSpec")
 
 
 def imported_modules(path: Path) -> set:

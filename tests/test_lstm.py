@@ -6,13 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import calibrated_int_model, decoder_parts, lanes_of, observe, random_cell, random_lstm_config, stored
+from conftest import (
+    bilstm_layer,
+    calibrated_int_model,
+    decoder_parts,
+    lanes_of,
+    observe,
+    random_cell,
+    random_lstm_config,
+    stored,
+    with_gate_sum_grid,
+)
 from perfbench.spans import Recorder, instrument
 from qlstm import lstm as L
 from qlstm import runtime
 from qlstm.attention import AttentionWeights, attn_decoder_sequence_exact, attn_decoder_sequence_int
 from qlstm.lstm import (
-    BiLstmSpec,
     LstmState,
     LstmWeights,
     QuantLstmSpec,
@@ -268,19 +277,16 @@ class TestSequences:
         fwd = lstm_sequence_exact(q_xs, spec)
         assert np.array_equal(lstm_sequence_int(q_xs, lanes_of(spec)).astype(np.int64), fwd)
         # the backward direction is the forward step over the reversed frames in the oracle too
-        both = bilstm_sequence_exact(q_xs, BiLstmSpec(spec, spec))
+        both = bilstm_sequence_exact(q_xs, spec, spec)
         assert np.array_equal(both, np.concatenate([fwd, lstm_sequence_exact(q_xs[::-1], spec)[::-1]], axis=1))
         assert np.array_equal(bilstm_sequence_int(q_xs, lanes_of(spec, spec)), both)
 
 
 class TestBiLstm:
-    def _bispec(self, rng, m=3, n=2, T=6):
+    def _bilstm(self, rng, m=3, n=2, T=6):
         wf, wb = random_cell(rng, m, n), random_cell(rng, m, n)
         xs = rng.normal(0, 1, (T, n))
-        rf = observe(lstm_sequence_real, xs, wf)
-        rb = observe(lstm_sequence_real, xs[::-1], wb)  # backward pass sees reversed time
-        spec = BiLstmSpec.from_float(wf, wb, rf, rb, pieces=8)
-        return wf, wb, xs, spec
+        return wf, wb, xs, bilstm_layer(wf, wb, xs, pieces=8)
 
     def test_identical_cells_on_constant_input(self):
         # constant input reversed is itself, so the backward half is the
@@ -297,14 +303,14 @@ class TestBiLstm:
         w1, xs1, spec1 = random_lstm_config(rng, m=3, n=2, T=5)
         w2, xs2, spec2 = random_lstm_config(rng, m=3, n=2, T=5)
         with pytest.raises(ValueError):
-            BiLstmSpec(spec1, spec2)
+            runtime.IntBiLstm(spec1, spec2)
 
     def test_bit_exact_vs_oracle(self):
         rng = np.random.default_rng(20)
-        wf, wb, xs, spec = self._bispec(rng)
-        q_xs = stored(xs, spec.fwd.qp_x)
-        got = bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd))
-        want = bilstm_sequence_exact(q_xs, spec)
+        wf, wb, xs, bi = self._bilstm(rng)
+        q_xs = stored(xs, bi.qp_in)
+        got = bilstm_sequence_int(q_xs, lanes_of(bi.fwd, bi.bwd))
+        want = bilstm_sequence_exact(q_xs, bi.fwd, bi.bwd)
         assert np.array_equal(got.astype(np.int64), want)
         assert got.shape == (6, 6)
 
@@ -315,14 +321,14 @@ class TestBiLstm:
         layer = runtime.BiLstmLayer(random_cell(rng, 3, 4), random_cell(rng, 5, 4))
         model = runtime.FloatModel([layer, runtime.FinalProjectionLayer(rng.normal(0, 0.5, (4, 8)), np.zeros(4))])
         im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (7, 4))]), pieces=6, cell_bits=16)
-        spec = im.layers[0].spec
+        bi = im.layers[0]
         for T in (1, 9):
             xs = rng.normal(0, 1, (T, 4))
             assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
-            q_xs = stored(xs, spec.fwd.qp_x)
-            got = bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd))
+            q_xs = stored(xs, bi.qp_in)
+            got = bilstm_sequence_int(q_xs, lanes_of(bi.fwd, bi.bwd))
             assert got.shape == (T, 8)
-            assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, spec))
+            assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, bi.fwd, bi.bwd))
 
     def test_madnorm_lanes_of_unequal_width_rejected(self):
         rng = np.random.default_rng(22)
@@ -330,13 +336,13 @@ class TestBiLstm:
         _, _, b = random_lstm_config(rng, norm=True, m=4, n=2)
         b = replace(b, qp_x=f.qp_x, qp_h=f.qp_h)
         with pytest.raises(ValueError, match="layer 0: MadNorm lanes must share the hidden width"):
-            runtime.IntModel([runtime.IntBiLstm(BiLstmSpec(f, b))], f.qp_x)
+            runtime.IntModel([runtime.IntBiLstm(f, b)], f.qp_x)
 
     def test_one_kernel_call_per_time_step(self, monkeypatch):
         """Both directions advance in one preacts call, with one batched
         matmul for the inputs and one for the hidden states."""
         rng = np.random.default_rng(23)
-        _, _, xs, spec = self._bispec(rng, T=7)
+        _, _, xs, bi = self._bilstm(rng, T=7)
         calls = {"preacts": 0, "matmul": 0}
 
         def counted(name, fn):
@@ -348,7 +354,7 @@ class TestBiLstm:
 
         monkeypatch.setattr(L, "lstm_gate_preacts_int", counted("preacts", L.lstm_gate_preacts_int))
         monkeypatch.setattr(L, "int_matmul", counted("matmul", L.int_matmul))
-        bilstm_sequence_int(stored(xs, spec.fwd.qp_x), lanes_of(spec.fwd, spec.bwd))
+        bilstm_sequence_int(stored(xs, bi.qp_in), lanes_of(bi.fwd, bi.bwd))
         assert calls == {"preacts": 7, "matmul": 14}
 
 
@@ -410,7 +416,7 @@ class TestFusedKernelEdges:
         rng = np.random.default_rng(41)
         _, xs, spec = random_lstm_config(rng, m=3, n=3, T=6, gate_bits=gate_bits)
         tiny = compute_qparams(-1e-12, 1e-12, gate_bits)
-        spec = replace(spec, qp_pre_sig=tiny, qp_pre_j=tiny)
+        spec = with_gate_sum_grid(spec, tiny)
         assert spec.m_x2sig.shift <= 0 and spec.m_h2j.shift <= 0
         q_xs = stored(xs, spec.qp_x)
         assert np.array_equal(lstm_sequence_int(q_xs, lanes_of(spec)), lstm_sequence_exact(q_xs, spec))
@@ -436,21 +442,18 @@ class TestFusedKernelEdges:
         rng = np.random.default_rng(42)
         wf, wb = random_cell(rng, 3, 3), random_cell(rng, 3, 3)
         xs = rng.normal(0, 1, (6, 3))
-        spec = BiLstmSpec.from_float(
-            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb), pieces=6
-        )
-        cells = [spec.fwd, spec.bwd]
+        bi = bilstm_layer(wf, wb, xs, pieces=6)
+        cells = [bi.fwd, bi.bwd]
         if edge == "shift63":
             cells[lane] = replace(cells[lane], qp_mx=compute_qparams(-1e12, 1e12, 8))
             assert cells[lane].m_mx.shift >= 63 and cells[1 - lane].m_mx.shift < 63
         else:
             tiny = compute_qparams(-1e-12, 1e-12, 8)
-            cells[lane] = replace(cells[lane], qp_pre_sig=tiny, qp_pre_j=tiny)
+            cells[lane] = with_gate_sum_grid(cells[lane], tiny)
             assert cells[lane].m_x2sig.shift <= 0 and cells[lane].m_h2j.shift <= 0
             assert cells[1 - lane].m_x2sig.shift > 0
-        spec = BiLstmSpec(*cells)
-        q_xs = stored(rng.normal(0, 1, (9, 3)), spec.fwd.qp_x)
-        assert np.array_equal(bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd)), bilstm_sequence_exact(q_xs, spec))
+        q_xs = stored(rng.normal(0, 1, (9, 3)), bi.qp_in)
+        assert np.array_equal(bilstm_sequence_int(q_xs, lanes_of(*cells)), bilstm_sequence_exact(q_xs, *cells))
 
     def test_bilstm_lanes_with_gate_tables_of_different_lengths(self):
         """An 8-bit gate grid on one lane and a 16-bit one on the other:
@@ -465,25 +468,22 @@ class TestFusedKernelEdges:
         common = dict(qp_x=qp_x, qp_h=qp_h, pieces=6)
         fwd = QuantLstmSpec.from_float(wf, rf, gate_bits=8, **common)
         bwd = QuantLstmSpec.from_float(wb, rb, gate_bits=16, cell_bits=16, **common)
-        spec = BiLstmSpec(fwd, bwd)
         both = lanes_of(fwd, bwd)
         assert len(both.gate_table) == 2 * 256 + 2 * 65536
         assert len(both.tanh_c_table) == 256 + 65536
         for T in (1, 11):
             q_xs = stored(rng.normal(0, 2, (T, 2)), qp_x)
-            assert np.array_equal(bilstm_sequence_int(q_xs, lanes_of(spec.fwd, spec.bwd)), bilstm_sequence_exact(q_xs, spec))
+            assert np.array_equal(bilstm_sequence_int(q_xs, both), bilstm_sequence_exact(q_xs, fwd, bwd))
 
     def test_bilstm_single_frame_both_lanes_read_it(self):
         rng = np.random.default_rng(44)
         wf, wb = random_cell(rng, 3, 2), random_cell(rng, 3, 2)
         xs = rng.normal(0, 1, (6, 2))
-        spec = BiLstmSpec.from_float(
-            wf, wb, observe(lstm_sequence_real, xs, wf), observe(lstm_sequence_real, xs[::-1], wb), pieces=6
-        )
-        q_x = stored(xs[:1], spec.fwd.qp_x)
-        got = bilstm_sequence_int(q_x, lanes_of(spec.fwd, spec.bwd))
-        assert np.array_equal(got, bilstm_sequence_exact(q_x, spec))
-        alone = [lanes_of(spec.fwd), lanes_of(spec.bwd)]
+        bi = bilstm_layer(wf, wb, xs, pieces=6)
+        q_x = stored(xs[:1], bi.qp_in)
+        got = bilstm_sequence_int(q_x, lanes_of(bi.fwd, bi.bwd))
+        assert np.array_equal(got, bilstm_sequence_exact(q_x, bi.fwd, bi.bwd))
+        alone = [lanes_of(bi.fwd), lanes_of(bi.bwd)]
         one = [int_step(q_x[0], *initial_state(lanes), lanes)[0] for lanes in alone]
         assert np.array_equal(got[0], np.concatenate(one))
 
@@ -518,8 +518,7 @@ class TestLongRuns:
         model = runtime.FloatModel([layer, runtime.FinalProjectionLayer(rng.normal(0, 0.5, (4, 5)), np.zeros(4))])
         im = runtime.convert(model, runtime.calibrate(model, [rng.normal(0, 1, (6, 3))]), pieces=6, cell_bits=cell_bits)
         xs = rng.normal(0, 1, (self.T, 3))
-        spec = im.layers[0].spec
-        assert_cell_saturates(spec.fwd, stored(xs, im.input_qp))
+        assert_cell_saturates(im.layers[0].fwd, stored(xs, im.input_qp))
         assert np.array_equal(runtime.run(im, xs), runtime.run_reference(im, xs))
 
     def test_seq2seq_shaped(self):

@@ -71,10 +71,18 @@ def base_spec() -> QuantLstmSpec:
 
 
 def with_grids(sig, tanh_j, tanh_c, c, p_fc, p_ij, h) -> QuantLstmSpec:
-    """The base cell on the given stage grids; only the tables' stages read them."""
+    """The base cell on the given stage grids; only the tables' stages read
+    them.  Its PWL tables keep their integer forms on the new grids (all
+    8-bit, so their grid outputs are unchanged)."""
+    s = base_spec()
     try:
         grids = dict(qp_sig=sig, qp_tanh_j=tanh_j, qp_tanh_c=tanh_c, qp_c=c, qp_p_fc=p_fc, qp_p_ij=p_ij, qp_h=h)
-        return replace(base_spec(), **grids)
+        tables = dict(
+            pwl_sig=replace(s.pwl_sig, out_qp=sig),
+            pwl_tanh_j=replace(s.pwl_tanh_j, out_qp=tanh_j),
+            pwl_tanh_c=replace(s.pwl_tanh_c, in_qp=c, out_qp=tanh_c),
+        )
+        return replace(s, **grids, **tables)
     except ValueError:  # a rescale-add term whose product would leave int64
         assume(False)
 
