@@ -29,7 +29,6 @@ from .lstm import (
 )
 from .attention import (
     AttentionWeights,
-    QuantAttentionSpec,
     QuantAttnDecoderSpec,
     attention_int,
     attention_keys,

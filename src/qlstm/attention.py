@@ -58,10 +58,11 @@ from .quant import (
 
 
 #: The mixed-precision layout: every ``qp_<field>`` of
-#: :class:`QuantAttentionSpec` and its bitwidth.
+#: :class:`QuantAttnDecoderSpec` and its bitwidth (``ws`` and ``ms``: the
+#: context injection's weights and product).
 ATTN_BITS = {
-    "wq": 8, "wk": 8, "v": 8, "h_dec": 8, "enc": 8, "q": 8, "k": 8, "sum": 16,
-    "tanh": 8, "e": 16, "exp_in": 16, "exp_out": 8, "alpha": 8, "s": 8,
+    "wq": 8, "wk": 8, "v": 8, "q": 8, "k": 8, "sum": 16, "tanh": 8,
+    "e": 16, "exp_in": 16, "exp_out": 8, "alpha": 8, "s": 8, "ws": 8, "ms": 8,
 }
 #: The stages the float path records, each calibrating the field of its name
 #: (``ctx``: the context, field ``s``).
@@ -135,21 +136,23 @@ def attention_real(h_prev, enc_h, k_proj, w: AttentionWeights, record=_noop):
 
 
 @dataclass
-class QuantAttentionSpec:
-    """Quantized attention weights, per-stage qparams and PWL tables.
+class QuantAttnDecoderSpec:
+    """Decoder LSTM cell plus attention over the decoder's own input, with
+    the context matmul wired into the gate sums.  The query is the cell's
+    hidden state and the keys and context are its input frames, so the
+    attention reads both grids from the cell (``qp_h`` and ``qp_x``).
 
     Construction rejects any stage whose bitwidth deviates from the
-    mixed-precision layout.
+    mixed-precision layout, and weights that do not fit the cell.
     """
 
+    cell: QuantLstmSpec
     w_q_q: np.ndarray
     w_k_q: np.ndarray
     v_q: np.ndarray
     qp_wq: QuantParams
     qp_wk: QuantParams
     qp_v: QuantParams
-    qp_h_dec: QuantParams
-    qp_enc: QuantParams
     qp_q: QuantParams
     qp_k: QuantParams
     qp_sum: QuantParams
@@ -161,6 +164,9 @@ class QuantAttentionSpec:
     qp_s: QuantParams
     pwl_tanh: PwlTable
     pwl_exp: PwlTable
+    w_s_q: np.ndarray
+    qp_ws: QuantParams
+    qp_ms: QuantParams
 
     def __post_init__(self):
         for name, bits in ATTN_BITS.items():
@@ -170,87 +176,101 @@ class QuantAttentionSpec:
             raise ValueError("exp input range must end at 0 (max-shifted alignments)")
         if self.qp_alpha.min > 0.0 or self.qp_alpha.max < 1.0:
             raise ValueError("attention weights must be representable over [0, 1]")
-        check_dtype(np.uint8, w_q_q=self.w_q_q, w_k_q=self.w_k_q, v_q=self.v_q)
-        check_accumulator((self.w_q_q.shape[-1], self.w_k_q.shape[-1], self.v_q.shape[-1]))
-        self.m_q = saturating_multiplier(self.qp_wq.scale * self.qp_h_dec.scale / self.qp_q.scale)
-        self.m_k = saturating_multiplier(self.qp_wk.scale * self.qp_enc.scale / self.qp_k.scale)
+        check_dtype(np.uint8, w_q_q=self.w_q_q, w_k_q=self.w_k_q, v_q=self.v_q, w_s_q=self.w_s_q)
+        check_accumulator(tuple(w.shape[-1] for w in (self.w_q_q, self.w_k_q, self.v_q, self.w_s_q)))
+        cell = self.cell
+        m, n, m_att = cell.hidden_size, cell.input_size, self.v_q.shape[-1]
+        shapes = {"w_q": (self.w_q_q, (m_att, m)), "w_k": (self.w_k_q, (m_att, n)), "w_s": (self.w_s_q, (4 * m, n))}
+        for name, (w, want) in shapes.items():
+            if w.shape != want:
+                raise ValueError(f"{name} has shape {w.shape}, not {want}, in a {m}-unit decoder on {n} inputs")
+        self.m_q = saturating_multiplier(self.qp_wq.scale * cell.qp_h.scale / self.qp_q.scale)
+        self.m_k = saturating_multiplier(self.qp_wk.scale * cell.qp_x.scale / self.qp_k.scale)
         self.m_q2sum = term_multiplier("sum", self.qp_q.scale / self.qp_sum.scale, 255)
         self.m_k2sum = term_multiplier("sum", self.qp_k.scale / self.qp_sum.scale, 255)
         self.m_e = saturating_multiplier(self.qp_v.scale * self.qp_tanh.scale / self.qp_e.scale)
         self.m_shift = saturating_multiplier(self.qp_e.scale / self.qp_exp_in.scale)
         self.m_alpha = saturating_multiplier(1.0 / self.qp_alpha.scale)
-        self.m_ctx = saturating_multiplier(self.qp_alpha.scale * self.qp_enc.scale / self.qp_s.scale)
+        self.m_ctx = saturating_multiplier(self.qp_alpha.scale * cell.qp_x.scale / self.qp_s.scale)
+        self.m_ms = saturating_multiplier(self.qp_ws.scale * self.qp_s.scale / self.qp_ms.scale)
+        self.m_ms2sig = term_multiplier("pre_sig", self.qp_ms.scale / cell.qp_pre_sig.scale, 255)
+        self.m_ms2j = term_multiplier("pre_j", self.qp_ms.scale / cell.qp_pre_j.scale, 255)
         self.pwl_tanh.check_grids("pwl_tanh", self.qp_sum, self.qp_tanh)
         self.pwl_exp.check_grids("pwl_exp", self.qp_exp_in, self.qp_exp_out)
 
     @classmethod
     def from_float(
         cls,
-        w: AttentionWeights,
+        cell_w: LstmWeights,
+        attn_w: AttentionWeights,
         ranges: dict,
-        qp_h_dec: QuantParams,
-        qp_enc: QuantParams,
         *,
+        qp_x: QuantParams,
         pieces: int = 16,
-    ) -> "QuantAttentionSpec":
-        w_q_q, qp_wq = quantize_weights(w.w_q)
-        w_k_q, qp_wk = quantize_weights(w.w_k)
-        v_q, qp_v = quantize_weights(w.v)
+        cell_bits: int = 8,
+        gate_bits: int = 8,
+    ) -> "QuantAttnDecoderSpec":
+        cell = QuantLstmSpec.from_float(
+            cell_w, ranges, cell_bits=cell_bits, gate_bits=gate_bits, pieces=pieces, qp_x=qp_x
+        )
         # exp sees max-shifted alignments, non-positive by construction; exp
         # output and attention weights cover their analytic tops (exp(0) = 1
         # after the shift; weights live in [0, 1]).  A NaN bound stays NaN.
-        ranges = {**ranges, "exp_in": (min(ranges["exp_in"][0], -1e-6), 0.0), "alpha": (0.0, 1.0)}
-        ranges["exp_out"] = (0.0, max(ranges["exp_out"][1], 1.0))
+        r = {**sub_ranges(ranges, "attn"), "alpha": (0.0, 1.0)}
+        r["exp_in"] = (min(r["exp_in"][0], -1e-6), 0.0)
+        r["exp_out"] = (0.0, max(r["exp_out"][1], 1.0))
         qps = {}
         for stage in ATTN_STAGES:
             name = "s" if stage == "ctx" else stage
-            qps[f"qp_{name}"] = stage_qparams(ranges, stage, ATTN_BITS[name])
+            qps[f"qp_{name}"] = stage_qparams(r, stage, ATTN_BITS[name])
         with stage_errors("tanh"):
             pwl_tanh = build_pwl("tanh", qps["qp_sum"], qps["qp_tanh"], pieces)
         with stage_errors("exp_out"):
             pwl_exp = build_pwl("exp", qps["qp_exp_in"], qps["qp_exp_out"], pieces)
+        w_q_q, qp_wq = quantize_weights(attn_w.w_q)
+        w_k_q, qp_wk = quantize_weights(attn_w.w_k)
+        v_q, qp_v = quantize_weights(attn_w.v)
+        w_s_q, qp_ws = quantize_weights(attn_w.w_s)
         return cls(
-            w_q_q=w_q_q, w_k_q=w_k_q, v_q=v_q, qp_wq=qp_wq, qp_wk=qp_wk, qp_v=qp_v,
-            qp_h_dec=qp_h_dec, qp_enc=qp_enc, pwl_tanh=pwl_tanh, pwl_exp=pwl_exp, **qps,
+            cell=cell, w_q_q=w_q_q, w_k_q=w_k_q, v_q=v_q, qp_wq=qp_wq, qp_wk=qp_wk, qp_v=qp_v,
+            pwl_tanh=pwl_tanh, pwl_exp=pwl_exp, w_s_q=w_s_q, qp_ws=qp_ws,
+            qp_ms=stage_qparams(ranges, "ms", 8), **qps,
         )
 
 
 class AttentionConsts:
-    """Run-time constants of the integer attention, built once from a
-    :class:`QuantAttentionSpec` (by ``runtime.engine``, with its model):
+    """Run-time constants of an attention decoder, built once from its
+    :class:`QuantAttnDecoderSpec` (by ``runtime.engine``, with its model):
     the centred weights, the kernels' :class:`~qlstm.quant.Rescale` stages,
-    the zero points they subtract, and the grids that the tanh and exp
-    gathers read, which ``grid`` maps each PWL table to.  Given the decoder
-    ``dec`` that the attention belongs to, it also holds the constants of
-    that decoder's context injection.
+    the zero points they subtract, the grids that the tanh and exp gathers
+    read, which ``grid`` maps each PWL table to, and the constants of the
+    context injection.
     """
 
-    def __init__(self, attn: QuantAttentionSpec, grid, dec: QuantAttnDecoderSpec | None = None):
-        weights = ((attn.w_q_q, attn.qp_wq), (attn.w_k_q, attn.qp_wk), (attn.v_q, attn.qp_v))
-        self.w_q, self.w_k, self.v = (centred(w, qp) for w, qp in weights)
-        self.tanh, self.exp = grid(attn.pwl_tanh), grid(attn.pwl_exp)
+    def __init__(self, dec: QuantAttnDecoderSpec, grid):
+        cell, m = dec.cell, dec.cell.hidden_size
+        weights = ((dec.w_q_q, dec.qp_wq), (dec.w_k_q, dec.qp_wk), (dec.v_q, dec.qp_v), (dec.w_s_q, dec.qp_ws))
+        self.w_q, self.w_k, self.v, self.w_s = (centred(w, qp) for w, qp in weights)
+        self.tanh, self.exp = grid(dec.pwl_tanh), grid(dec.pwl_exp)
         # the query and keys stay centred for the pre-tanh sum
-        zp_q, zp_k = attn.qp_q.zero_point, attn.qp_k.zero_point
-        self.rq_q = Rescale.of(attn.m_q, 0, -zp_q, 255 - zp_q)
-        self.rq_k = Rescale.of(attn.m_k, 0, -zp_k, 255 - zp_k)
-        self.rs_k2sum = Rescale.of(attn.m_k2sum, attn.qp_sum.zero_point)  # unclamped: the sum saturates
-        self.m_q2sum, self.sum_top = attn.m_q2sum, attn.qp_sum.qmax
-        self.rq_e = Rescale.of(attn.m_e, attn.qp_e.zero_point, 0, attn.qp_e.qmax)
-        self.rq_shift = Rescale.of(attn.m_shift, attn.qp_exp_in.zero_point, 0, attn.qp_exp_in.qmax)
-        self.rq_alpha = Rescale.of(attn.m_alpha, attn.qp_alpha.zero_point, 0, attn.qp_alpha.qmax)
-        self.rq_ctx = Rescale.of(attn.m_ctx, attn.qp_s.zero_point, 0, attn.qp_s.qmax)
+        zp_q, zp_k = dec.qp_q.zero_point, dec.qp_k.zero_point
+        self.rq_q = Rescale.of(dec.m_q, 0, -zp_q, 255 - zp_q)
+        self.rq_k = Rescale.of(dec.m_k, 0, -zp_k, 255 - zp_k)
+        self.rs_k2sum = Rescale.of(dec.m_k2sum, dec.qp_sum.zero_point)  # unclamped: the sum saturates
+        self.m_q2sum, self.sum_top = dec.m_q2sum, dec.qp_sum.qmax
+        self.rq_e = Rescale.of(dec.m_e, dec.qp_e.zero_point, 0, dec.qp_e.qmax)
+        self.rq_shift = Rescale.of(dec.m_shift, dec.qp_exp_in.zero_point, 0, dec.qp_exp_in.qmax)
+        self.rq_alpha = Rescale.of(dec.m_alpha, dec.qp_alpha.zero_point, 0, dec.qp_alpha.qmax)
+        self.rq_ctx = Rescale.of(dec.m_ctx, dec.qp_s.zero_point, 0, dec.qp_s.qmax)
         # zero points as signed numpy scalars, so unsigned storage minus one is signed
-        qps = (attn.qp_h_dec, attn.qp_enc, attn.qp_s, attn.qp_tanh)
+        qps = (cell.qp_h, cell.qp_x, dec.qp_s, dec.qp_tanh)
         self.zp_h, self.zp_enc, self.zp_s, self.zp_tanh = (np.int32(qp.zero_point) for qp in qps)
-        self.zp_exp_out, self.zp_alpha = np.int64(attn.qp_exp_out.zero_point), attn.qp_alpha.zero_point
-        if dec is not None:
-            m, cell = dec.cell.hidden_size, dec.cell
-            self.w_s = centred(dec.w_s_q, dec.qp_ws)
-            self.rq_ms = Rescale.of(dec.m_ms, 0, -dec.qp_ms.zero_point, 255 - dec.qp_ms.zero_point)
-            # the formed preactivations (multiplier 1) plus the context term, on each row's gate-sum grid
-            terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, dec.m_ms2sig, dec.m_ms2j)))
-            top = _rows(*_gate_blocks(m, cell.qp_pre_sig.qmax, cell.qp_pre_j.qmax))
-            self.rs_ms = Rescale.of(np.stack(terms), 0, 0, top)
+        self.zp_exp_out, self.zp_alpha = np.int64(dec.qp_exp_out.zero_point), dec.qp_alpha.zero_point
+        self.rq_ms = Rescale.of(dec.m_ms, 0, -dec.qp_ms.zero_point, 255 - dec.qp_ms.zero_point)
+        # the formed preactivations (multiplier 1) plus the context term, on each row's gate-sum grid
+        terms = (_rows((ScaledMultiplier(1, 0), 4 * m)), _rows(*_gate_blocks(m, dec.m_ms2sig, dec.m_ms2j)))
+        top = _rows(*_gate_blocks(m, cell.qp_pre_sig.qmax, cell.qp_pre_j.qmax))
+        self.rs_ms = Rescale.of(np.stack(terms), 0, 0, top)
 
 
 def softmax_int(e: np.ndarray, a: AttentionConsts) -> np.ndarray:
@@ -267,7 +287,7 @@ def softmax_int(e: np.ndarray, a: AttentionConsts) -> np.ndarray:
     return divide_round(d_exp, max(int(d_exp.sum()), 1), a.rq_alpha)
 
 
-def softmax_int_exact(q_e, spec: QuantAttentionSpec) -> np.ndarray:
+def softmax_int_exact(q_e, spec: QuantAttnDecoderSpec) -> np.ndarray:
     data = [int(v) for v in np.asarray(q_e).ravel()]
     top = max(data)
     q_in = [
@@ -295,8 +315,8 @@ class AttentionKeys(NamedTuple):
 
 
 def attention_keys(enc: np.ndarray, a: AttentionConsts) -> AttentionKeys:
-    """Project the raw encoder states (``(T, m_enc)`` storage on the spec's
-    ``qp_enc``) through ``w_k`` once per sequence.
+    """Project the raw encoder states (``(T, n)`` storage on the cell's
+    ``qp_x``) through ``w_k`` once per sequence.
 
     The pre-tanh sum rounds the query and key terms on their own before
     adding them, so the rescaled key term is the same at every decoder step
@@ -310,7 +330,7 @@ def attention_keys(enc: np.ndarray, a: AttentionConsts) -> AttentionKeys:
 
 def attention_int(h: np.ndarray, keys: AttentionKeys, a: AttentionConsts):
     """One decoder step of integer attention over :func:`attention_keys`'
-    output.  ``h`` is the raw decoder state on the spec's ``qp_h_dec``;
+    output.  ``h`` is the raw decoder state on the cell's ``qp_h``;
     returns the raw int64 (context, attention weights) on its ``qp_s`` and
     ``qp_alpha``."""
     d_q = requantize_scaled(int_matmul(a.w_q, h - a.zp_h), a.rq_q)
@@ -321,9 +341,9 @@ def attention_int(h: np.ndarray, keys: AttentionKeys, a: AttentionConsts):
     return requantize_scaled(acc_s, a.rq_ctx), alpha
 
 
-def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
-    h = np.asarray(q_h_prev, dtype=np.int64) - spec.qp_h_dec.zero_point
-    enc_diff = np.asarray(q_enc, dtype=np.int64) - spec.qp_enc.zero_point
+def attention_int_exact(q_h_prev, q_enc, spec: QuantAttnDecoderSpec):
+    h = np.asarray(q_h_prev, dtype=np.int64) - spec.cell.qp_h.zero_point
+    enc_diff = np.asarray(q_enc, dtype=np.int64) - spec.cell.qp_x.zero_point
     acc_q = centred(spec.w_q_q, spec.qp_wq).astype(np.int64) @ h
     q_q = np.array([requantize_exact(int(a), spec.m_q, spec.qp_q.zero_point, 8) for a in acc_q])
     acc_k = enc_diff @ centred(spec.w_k_q, spec.qp_wk).T.astype(np.int64)
@@ -342,80 +362,17 @@ def attention_int_exact(q_h_prev, q_enc, spec: QuantAttentionSpec):
     return q_s, q_alpha
 
 
-# ---------------------------------------------------------------------------
-# attention decoder cell (context injected into the gate preactivations)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class QuantAttnDecoderSpec:
-    """Decoder LSTM cell plus attention, with the context matmul wired into
-    the gate sums."""
-
-    cell: QuantLstmSpec
-    attn: QuantAttentionSpec
-    w_s_q: np.ndarray
-    qp_ws: QuantParams
-    qp_ms: QuantParams
-
-    def __post_init__(self):
-        if self.attn.qp_h_dec != self.cell.qp_h:
-            raise ValueError("attention query qparams must match the decoder hidden state")
-        if self.qp_ms.bitwidth != 8:
-            raise ValueError("context matmul output must be 8-bit")
-        check_dtype(np.uint8, w_s_q=self.w_s_q)
-        check_accumulator((self.w_s_q.shape[-1],))
-        m, a = self.cell.hidden_size, self.attn
-        m_att, m_enc = a.v_q.shape[-1], a.w_k_q.shape[-1]
-        shapes = {"w_q": (a.w_q_q, (m_att, m)), "w_k": (a.w_k_q, (m_att, m_enc)), "w_s": (self.w_s_q, (4 * m, m_enc))}
-        for name, (w, want) in shapes.items():
-            if w.shape != want:
-                raise ValueError(f"{name} has shape {w.shape}, not {want}, in a {m}-unit decoder's attention")
-        self.m_ms = saturating_multiplier(self.qp_ws.scale * self.attn.qp_s.scale / self.qp_ms.scale)
-        self.m_ms2sig = term_multiplier("pre_sig", self.qp_ms.scale / self.cell.qp_pre_sig.scale, 255)
-        self.m_ms2j = term_multiplier("pre_j", self.qp_ms.scale / self.cell.qp_pre_j.scale, 255)
-
-    @classmethod
-    def from_float(
-        cls,
-        cell_w: LstmWeights,
-        attn_w: AttentionWeights,
-        ranges: dict,
-        *,
-        qp_x: QuantParams,
-        qp_enc: QuantParams,
-        pieces: int = 16,
-        cell_bits: int = 8,
-        gate_bits: int = 8,
-    ) -> "QuantAttnDecoderSpec":
-        cell = QuantLstmSpec.from_float(
-            cell_w, ranges, cell_bits=cell_bits, gate_bits=gate_bits, pieces=pieces, qp_x=qp_x
-        )
-        attn = QuantAttentionSpec.from_float(
-            attn_w, sub_ranges(ranges, "attn"), qp_h_dec=cell.qp_h, qp_enc=qp_enc, pieces=pieces
-        )
-        w_s_q, qp_ws = quantize_weights(attn_w.w_s)
-        return cls(
-            cell=cell,
-            attn=attn,
-            w_s_q=w_s_q,
-            qp_ws=qp_ws,
-            qp_ms=stage_qparams(ranges, "ms", 8),
-        )
-
-
 def inject_context(pre: np.ndarray, s: np.ndarray, a: AttentionConsts) -> np.ndarray:
     """Add the rescaled context matmul to already-formed gate preactivations
     (the ``(1, 4m)`` output of :func:`lstm_gate_preacts_int` on the cell's
     one lane), saturating on each row's gate-sum grid.  ``s`` is the raw
-    context on the attention's ``qp_s``, and ``a`` the constants of the
-    decoder's attention and context injection."""
+    context on the spec's ``qp_s``, and ``a`` the decoder's constants."""
     d = requantize_scaled(int_matmul(a.w_s, s - a.zp_s), a.rq_ms)
     return rescale_add(np.concatenate((pre, d[None]))[None], a.rs_ms)
 
 
 def inject_context_exact(pre_sig, pre_j, q_s, dec: QuantAttnDecoderSpec):
-    s_diff = np.asarray(q_s, dtype=np.int64) - dec.attn.qp_s.zero_point
+    s_diff = np.asarray(q_s, dtype=np.int64) - dec.qp_s.zero_point
     acc = centred(dec.w_s_q, dec.qp_ws).astype(np.int64) @ s_diff
     q_ms = [requantize_exact(int(a), dec.m_ms, dec.qp_ms.zero_point, 8) for a in acc]
     d = [v - dec.qp_ms.zero_point for v in q_ms]
@@ -434,8 +391,8 @@ def attn_decoder_sequence_int(xs: np.ndarray, enc: np.ndarray, lanes: LstmLanes,
     """The decoder, its cell the one lane of ``lanes`` and its attention and
     context injection ``a``, over the raw ``(T, n)`` storage ``xs`` on the
     cell's ``qp_x``, attending over the raw encoder states ``enc`` on the
-    attention's ``qp_enc``; returns the raw ``(T, m)`` uint8 hidden states
-    on the cell's ``qp_h``."""
+    same grid; returns the raw ``(T, m)`` uint8 hidden states on the cell's
+    ``qp_h``."""
     xs = np.atleast_2d(xs)
     h, c = lanes.initial_state()
     hs = np.empty((len(xs), lanes.width), dtype=np.uint8)
@@ -449,7 +406,7 @@ def attn_decoder_sequence_int(xs: np.ndarray, enc: np.ndarray, lanes: LstmLanes,
 
 
 def attn_decoder_step_exact(q_x, q_h, q_c, q_enc, dec: QuantAttnDecoderSpec):
-    q_s, q_alpha = attention_int_exact(q_h, q_enc, dec.attn)
+    q_s, q_alpha = attention_int_exact(q_h, q_enc, dec)
     pre_sig, pre_j = lstm_gate_preacts_exact(q_x, q_h, dec.cell)
     pre_sig, pre_j = inject_context_exact(pre_sig, pre_j, q_s, dec)
     h_new, c_new = lstm_apply_gates_exact(pre_sig, pre_j, q_c, dec.cell)

@@ -183,13 +183,19 @@ def _time_config(fn, warmup: int, iters: int) -> float:
 
 
 def _peak_kb(fn) -> float:
-    """The ``tracemalloc`` peak of one untimed call, in kB."""
-    tracemalloc.start()
+    """The ``tracemalloc`` peak of one untimed call above the memory traced
+    before it, in kB.  A trace that is already running stays on."""
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
     try:
         fn()
-        return tracemalloc.get_traced_memory()[1] / 1e3
+        return (tracemalloc.get_traced_memory()[1] - before) / 1e3
     finally:
-        tracemalloc.stop()
+        if not running:
+            tracemalloc.stop()
 
 
 def bench_model(model: runtime.IntModel, seq_len: int, warmup: int, iters: int) -> BenchReport:

@@ -189,6 +189,15 @@ class AttentionDecoderLayer(_Layer):
     cell: LstmWeights
     attn: AttentionWeights
 
+    def __post_init__(self):
+        # the decoder attends over its own input, from its own hidden state
+        a, c = self.attn, self.cell
+        if (a.m_dec, a.m_enc) != (c.hidden_size, c.input_size):
+            raise ValueError(
+                f"attention for a {a.m_dec}-unit decoder on {a.m_enc} inputs does not fit "
+                f"a {c.hidden_size}-unit cell on {c.input_size} inputs"
+            )
+
     def forward(self, x, outputs, record):
         return attn_decoder_sequence_real(x, x, self.cell, self.attn, record=record)
 
@@ -196,9 +205,7 @@ class AttentionDecoderLayer(_Layer):
         return [f"{prefix}.{s}" for s in [*CELL_STAGES, "ms"]] + [f"{prefix}.attn.{s}" for s in ATTN_STAGES]
 
     def convert(self, ranges, prefix, qp_in, out_qps, **opts):
-        spec = QuantAttnDecoderSpec.from_float(
-            self.cell, self.attn, sub_ranges(ranges, prefix), qp_x=qp_in, qp_enc=qp_in, **opts
-        )
+        spec = QuantAttnDecoderSpec.from_float(self.cell, self.attn, sub_ranges(ranges, prefix), qp_x=qp_in, **opts)
         return IntAttnDecoder(spec)
 
 
@@ -531,10 +538,6 @@ class IntAttnDecoder(_CellLayer):
     def decoder(self):
         return self.spec
 
-    def links(self, prev, outs):
-        enc = (self.spec.attn.qp_enc, self.spec.attn.w_k_q.shape[-1])
-        return [(enc, prev, " (attention encoder input)"), *super().links(prev, outs)]
-
     def run(self, x, outputs, part):
         return attn_decoder_sequence_int(x, x, *part)
 
@@ -542,14 +545,14 @@ class IntAttnDecoder(_CellLayer):
         return attn_decoder_sequence_exact(x, x, self.spec)
 
     def dequantize(self):
-        a = self.spec.attn
+        d = self.spec
         attn = AttentionWeights(
-            dequantize(a.w_q_q, a.qp_wq),
-            dequantize(a.w_k_q, a.qp_wk),
-            dequantize(a.v_q, a.qp_v),
-            dequantize(self.spec.w_s_q, self.spec.qp_ws),
+            dequantize(d.w_q_q, d.qp_wq),
+            dequantize(d.w_k_q, d.qp_wk),
+            dequantize(d.v_q, d.qp_v),
+            dequantize(d.w_s_q, d.qp_ws),
         )
-        return AttentionDecoderLayer(_dequant_cell(self.spec.cell), attn)
+        return AttentionDecoderLayer(_dequant_cell(d.cell), attn)
 
 
 @dataclass
@@ -719,7 +722,7 @@ def engine(model: IntModel, grid) -> list:
         try:
             part = LstmLanes(layer.cells, grid) if layer.cells else None
             if layer.decoder is not None:
-                part = part, AttentionConsts(layer.decoder.attn, grid, layer.decoder)
+                part = part, AttentionConsts(layer.decoder, grid)
         except ValueError as e:
             raise type(e)(f"layer {i}: {e}") from None
         parts.append(part)

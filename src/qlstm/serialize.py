@@ -1,6 +1,6 @@
 """Model serialization: a gzip-compressed JSON manifest plus a little-endian tensor blob.
 
-The manifest (format version 5) is compact JSON with sorted keys, written
+The manifest (format version 6) is compact JSON with sorted keys, written
 with ``gzip.compress(..., mtime=0)`` so that saving a model twice gives the
 same bytes, and ``zcat model.json`` prints the document; the blob is the
 manifest's path plus ``.blob``.  The document holds what ``load`` builds the
@@ -62,7 +62,7 @@ from .runtime import (
     ResidualAddLayer,
 )
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 MAX_MANIFEST_BYTES = 16 << 20  # inflated; the seed-1 benchmark manifests inflate to at most 14 KB
 _READ_CHUNK = 1 << 16  # bytes of the manifest file fed to the inflater at a time
 
@@ -231,7 +231,7 @@ class _Reader:
 
 def save(model, path) -> str:
     """Write a model (float or integer) as ``path`` (a ``str`` or path-like)
-    plus ``path + '.blob'`` in format version 5; returns the path as a
+    plus ``path + '.blob'`` in format version 6; returns the path as a
     ``str``."""
     if not isinstance(model, (IntModel, FloatModel)):
         raise TypeError("save() expects a FloatModel or IntModel")
@@ -281,7 +281,7 @@ def _inflate(fh) -> bytes:
 
 def load(path):
     """Load a model saved with :func:`save` as ``path`` (a ``str`` or
-    path-like); verifies the version (5) and the checksum.
+    path-like); verifies the version (6) and the checksum.
 
     Any manifest the loader cannot decode into a valid model raises
     :class:`ModelFormatError`.

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, settings
 from qlstm import attention as att
 from qlstm import lstm as L
 from qlstm import quant, runtime, serialize
-from qlstm.madnorm import _noop
+from qlstm.madnorm import _noop, scoped
 from qlstm.pwl import ACTIVATIONS, build_pwl
 
 settings.register_profile(
@@ -51,16 +51,16 @@ def lanes_of(*specs) -> L.LstmLanes:
     return L.LstmLanes(specs, lambda t: t.grid_out)
 
 
-def attn_consts(attn, dec=None) -> att.AttentionConsts:
-    """The attention's (and the decoder's context injection's) run-time
-    constants on its PWL tables' own grids, as a model's engine builds them."""
-    return att.AttentionConsts(attn, lambda t: t.grid_out, dec)
+def attn_consts(dec) -> att.AttentionConsts:
+    """The attention decoder's run-time constants on its PWL tables' own
+    grids, as a model's engine builds them."""
+    return att.AttentionConsts(dec, lambda t: t.grid_out)
 
 
 def decoder_parts(dec) -> tuple:
     """The attention decoder's part of a model's engine: its cell's lanes and
     its attention constants."""
-    return lanes_of(dec.cell), attn_consts(dec.attn, dec)
+    return lanes_of(dec.cell), attn_consts(dec)
 
 
 def random_cell(rng, m, n, scale=0.5):
@@ -114,24 +114,40 @@ def random_lstm_config(rng, *, norm=False, cell_bits=8, gate_bits=8, pieces=6, T
     return w, xs, spec
 
 
-def random_attention_config(rng, *, pieces=10):
-    m_att = int(rng.integers(2, 6))
-    m_dec = int(rng.integers(2, 6))
-    m_enc = int(rng.integers(2, 6))
-    T = int(rng.integers(2, 9))
+def random_attention(rng):
+    """Random attention weights (scale 0.6) of 2-5 units for a decoder of
+    2-5 units on 2-5-wide frames, then 2-8 frames ``xs`` and a decoder
+    state ``h``: ``(weights, xs, h)``.  The draws keep this order, which the
+    tables of ``test_pwl.engine_16bit_tables`` are pinned to."""
+    m_att, m, n, T = (int(rng.integers(lo, hi)) for lo, hi in ((2, 6), (2, 6), (2, 6), (2, 9)))
     w = att.AttentionWeights(
-        rng.normal(0, 0.6, (m_att, m_dec)),
-        rng.normal(0, 0.6, (m_att, m_enc)),
+        rng.normal(0, 0.6, (m_att, m)),
+        rng.normal(0, 0.6, (m_att, n)),
         rng.normal(0, 0.6, m_att),
-        rng.normal(0, 0.6, (4 * m_dec, m_enc)),
+        rng.normal(0, 0.6, (4 * m, n)),
     )
-    enc = rng.normal(0, 1, (T, m_enc))
-    h = rng.normal(0, 1, m_dec)
-    ranges = observe(attend_real, h, enc, w)
-    qp_h = quant.compute_qparams(float(h.min()), float(h.max()), 8)
-    qp_enc = quant.compute_qparams(float(enc.min()), float(enc.max()), 8)
-    spec = att.QuantAttentionSpec.from_float(w, ranges, qp_h, qp_enc, pieces=pieces)
-    return w, h, enc, spec
+    return w, rng.normal(0, 1, (T, n)), rng.normal(0, 1, m)
+
+
+def random_decoder(rng, *, pieces=10, gate_bits=8):
+    """A random attention decoder over its own input: the weights, frames
+    and state of :func:`random_attention`, and an m-unit cell on them.  Its
+    ranges cover the decoder's float run over ``xs`` and one attention step
+    from ``h`` over them, so ``h`` and ``xs`` lie on the cell's ``qp_h`` and
+    ``qp_x``.  Returns ``(cell weights, attention weights, xs, h, spec)``."""
+    attn_w, xs, h = random_attention(rng)
+    cell = random_cell(rng, attn_w.m_dec, attn_w.m_enc)
+
+    def float_run(record):
+        att.attn_decoder_sequence_real(xs, xs, cell, attn_w, record)
+        record("h", h)
+        attend_real(h, xs, attn_w, scoped(record, "attn"))
+
+    ranges = observe(float_run)
+    dec = att.QuantAttnDecoderSpec.from_float(
+        cell, attn_w, ranges, qp_x=quant.compute_qparams(*ranges["x"], 8), pieces=pieces, gate_bits=gate_bits
+    )
+    return cell, attn_w, xs, h, dec
 
 
 def token_model(rng, arch, vocab=6, emb=3, m=3, frames=None):

@@ -14,8 +14,8 @@ from conftest import (
     calibrated_int_model,
     lanes_of,
     observe,
-    random_attention_config,
     random_cell,
+    random_decoder,
     stored,
 )
 from qlstm import floatguard, runtime, serialize
@@ -195,9 +195,9 @@ def test_criterion_6_bit_exactness_suite():
             assert np.array_equal(got.astype(np.int64), bilstm_sequence_exact(q_xs, bi.fwd, bi.bwd))
 
         for _ in range(1000):
-            _, h, enc, spec = random_attention_config(rng, pieces=8)
-            q_h = stored(h, spec.qp_h_dec)
-            q_enc = stored(enc, spec.qp_enc)
+            _, _, enc, h, spec = random_decoder(rng, pieces=8)
+            q_h = stored(h, spec.cell.qp_h)
+            q_enc = stored(enc, spec.cell.qp_x)
             a = attn_consts(spec)
             q_s, q_a = attention_int(q_h, attention_keys(q_enc, a), a)
             s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)

@@ -10,9 +10,7 @@ from conftest import (
     attn_consts,
     calibrated_int_model,
     decoder_parts,
-    observe,
-    random_attention_config,
-    random_cell,
+    random_decoder,
     stored,
     use_true_functions,
 )
@@ -20,7 +18,6 @@ from qlstm import attention as att
 from qlstm import runtime
 from qlstm.attention import (
     AttentionWeights,
-    QuantAttnDecoderSpec,
     attention_int,
     attention_int_exact,
     attention_keys,
@@ -97,27 +94,27 @@ class TestAttentionReal:
 class TestSoftmaxInt:
     def test_singleton_is_quantized_one(self):
         rng = np.random.default_rng(5)
-        _, _, _, spec = random_attention_config(rng)
+        spec = random_decoder(rng)[-1]
         alpha = softmax_int(np.array([1234], dtype=np.uint16), attn_consts(spec))
         assert alpha[0] == quantize(1.0, spec.qp_alpha)
 
     def test_equal_alignments_give_uniform_weights(self):
         rng = np.random.default_rng(6)
-        _, _, _, spec = random_attention_config(rng)
+        spec = random_decoder(rng)[-1]
         alpha = softmax_int(np.full(4, 900, dtype=np.uint16), attn_consts(spec))
         assert np.all(alpha == quantize(0.25, spec.qp_alpha))
 
     def test_bit_exact_vs_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            _, _, _, spec = random_attention_config(rng)
+            spec = random_decoder(rng)[-1]
             t = int(rng.integers(1, 9))
             q_e = rng.integers(0, 65536, t).astype(np.uint16)
             assert np.array_equal(softmax_int(q_e, attn_consts(spec)), softmax_int_exact(q_e, spec))
 
     def test_integer_shift_leaves_weights_bit_identical(self):
         rng = np.random.default_rng(8)
-        _, _, _, spec = random_attention_config(rng)
+        spec = random_decoder(rng)[-1]
         base = rng.integers(5000, 20000, 6).astype(np.uint16)
         a1 = softmax_int(base, attn_consts(spec))
         a2 = softmax_int(base + np.uint16(4000), attn_consts(spec))
@@ -126,7 +123,7 @@ class TestSoftmaxInt:
     def test_weight_sum_close_to_one(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            _, _, _, spec = random_attention_config(rng)
+            spec = random_decoder(rng)[-1]
             t = int(rng.integers(1, 9))
             alpha = softmax_int(rng.integers(0, 65536, t).astype(np.uint16), attn_consts(spec))
             deq = dequantize(alpha, spec.qp_alpha)
@@ -138,8 +135,8 @@ class TestAttentionInt:
     def test_bit_exact_vs_oracle_batch(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
-            w, h, enc, spec = random_attention_config(rng)
-            q_h, q_enc, a = stored(h, spec.qp_h_dec), stored(enc, spec.qp_enc), attn_consts(spec)
+            _, w, enc, h, spec = random_decoder(rng)
+            q_h, q_enc, a = stored(h, spec.cell.qp_h), stored(enc, spec.cell.qp_x), attn_consts(spec)
             q_s, q_a = attention_int(q_h, attention_keys(q_enc, a), a)
             s_ref, a_ref = attention_int_exact(q_h, q_enc, spec)
             assert np.array_equal(q_s, s_ref)
@@ -147,12 +144,12 @@ class TestAttentionInt:
 
     def test_fakequant_matches_int_after_quantization(self):
         rng = np.random.default_rng(11)
-        w, h, enc, spec = random_attention_config(rng)
+        _, w, enc, h, spec = random_decoder(rng)
         # fake quantization: quantize -> exact oracle -> dequantize
-        q_s_fq, q_a_fq = attention_int_exact(quantize(h, spec.qp_h_dec), quantize(enc, spec.qp_enc), spec)
+        q_s_fq, q_a_fq = attention_int_exact(quantize(h, spec.cell.qp_h), quantize(enc, spec.cell.qp_x), spec)
         s_fq, a_fq = dequantize(q_s_fq, spec.qp_s), dequantize(q_a_fq, spec.qp_alpha)
         a = attn_consts(spec)
-        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), a), a)
+        q_s, q_a = attention_int(stored(h, spec.cell.qp_h), attention_keys(stored(enc, spec.cell.qp_x), a), a)
         assert np.array_equal(np.asarray(quantize(s_fq, spec.qp_s)), q_s)
         assert np.array_equal(np.asarray(quantize(a_fq, spec.qp_alpha)), q_a)
 
@@ -162,9 +159,9 @@ class TestAttentionInt:
         agree = 0
         n = 1000
         for _ in range(n):
-            w, h, enc, spec = random_attention_config(rng, pieces=12)
+            _, w, enc, h, spec = random_decoder(rng, pieces=12)
             a = attn_consts(spec)
-            _, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(stored(enc, spec.qp_enc), a), a)
+            _, q_a = attention_int(stored(h, spec.cell.qp_h), attention_keys(stored(enc, spec.cell.qp_x), a), a)
             _, a_real = attend_real(h, enc, w)
             agree += int(np.argmax(q_a) == np.argmax(a_real))
         assert agree / n >= 0.95
@@ -173,11 +170,11 @@ class TestAttentionInt:
         # T_enc = 1: alpha quantizes to exactly 1.0, so the context is the
         # encoder state re-gridded onto the context qparams
         rng = np.random.default_rng(21)
-        w, h, enc, spec = random_attention_config(rng)
-        q_enc, a = stored(enc[:1], spec.qp_enc), attn_consts(spec)
-        q_s, q_a = attention_int(stored(h, spec.qp_h_dec), attention_keys(q_enc, a), a)
+        _, w, enc, h, spec = random_decoder(rng)
+        q_enc, a = stored(enc[:1], spec.cell.qp_x), attn_consts(spec)
+        q_s, q_a = attention_int(stored(h, spec.cell.qp_h), attention_keys(q_enc, a), a)
         assert q_a[0] == quantize(1.0, spec.qp_alpha)
-        want = np.asarray(quantize(dequantize(q_enc, spec.qp_enc)[0], spec.qp_s))
+        want = np.asarray(quantize(dequantize(q_enc, spec.cell.qp_x)[0], spec.qp_s))
         assert np.max(np.abs(q_s - want)) <= 1
 
 
@@ -200,7 +197,7 @@ class TestAttentionKernelEdges:
     )
     def test_attention_equals_oracle(self, T, enc_in, h_in, seed):
         rng = np.random.default_rng(seed)
-        _, _, _, spec = random_attention_config(rng, pieces=8)
+        spec = random_decoder(rng, pieces=8)[-1]
         q_enc = pinned(rng, (T, spec.w_k_q.shape[1]), enc_in)
         q_h = pinned(rng, spec.w_q_q.shape[1], h_in)
         a = attn_consts(spec)
@@ -225,81 +222,59 @@ class TestAttentionKernelEdges:
             assert np.array_equal(g, runtime.run_reference(im, seq))
 
 
-def build_decoder(rng, *, gate_bits=8, pieces=8, n_in=3, T=6):
-    m_dec = 4
-    cell = random_cell(rng, m_dec, n_in)
-    attn_w = AttentionWeights(
-        rng.normal(0, 0.5, (3, m_dec)),
-        rng.normal(0, 0.5, (3, 5)),
-        rng.normal(0, 0.5, 3),
-        rng.normal(0, 0.5, (4 * m_dec, 5)),
-    )
-    enc = rng.normal(0, 1, (T, 5))
-    xs = rng.normal(0, 1, (T, n_in))
-    ranges = observe(att.attn_decoder_sequence_real, xs, enc, cell, attn_w)
-    qp_x = compute_qparams(*ranges["x"], 8)
-    qp_enc = compute_qparams(float(enc.min()), float(enc.max()), 8)
-    dec = QuantAttnDecoderSpec.from_float(
-        cell, attn_w, ranges, qp_x=qp_x, qp_enc=qp_enc, pieces=pieces, gate_bits=gate_bits
-    )
-    return cell, attn_w, xs, enc, dec
-
-
 class TestInjectContext:
     def test_zero_point_context_leaves_preacts_unchanged(self):
         rng = np.random.default_rng(13)
-        _, _, xs, enc, dec = build_decoder(rng)
+        _, _, xs, _, dec = random_decoder(rng, pieces=8)
         lanes, a = decoder_parts(dec)
         h, _ = lanes.initial_state()
         pre = lstm_gate_preacts_int(stored(xs[:1], dec.cell.qp_x), h, lanes)
-        out, pre = inject_context(pre, np.full(5, dec.attn.qp_s.zero_point, dtype=np.uint8), a)[0], pre[0]
+        s = np.full(dec.cell.input_size, dec.qp_s.zero_point, dtype=np.uint8)
+        out, pre = inject_context(pre, s, a)[0], pre[0]
         sig, j = _gate_rows(dec.cell.hidden_size)
         assert np.array_equal(out[sig], pre[sig])
         assert np.array_equal(out[j], pre[j])
 
     def test_decoder_sequence_bit_exact(self):
         rng = np.random.default_rng(14)
-        _, _, xs, enc, dec = build_decoder(rng)
+        _, _, xs, _, dec = random_decoder(rng, pieces=8)
         q_xs = stored(xs, dec.cell.qp_x)
-        q_enc = stored(enc, dec.attn.qp_enc)
-        got = attn_decoder_sequence_int(q_xs, q_enc, *decoder_parts(dec))
-        want = attn_decoder_sequence_exact(q_xs, q_enc, dec)
+        got = attn_decoder_sequence_int(q_xs, q_xs, *decoder_parts(dec))
+        want = attn_decoder_sequence_exact(q_xs, q_xs, dec)
         assert np.array_equal(got.astype(np.int64), want)
 
     def test_decoder_close_to_three_term_real_sum(self):
         rng = np.random.default_rng(15)
-        cell, attn_w, xs, enc, dec = build_decoder(rng)
+        cell, attn_w, xs, _, dec = random_decoder(rng, pieces=8)
         q_xs = stored(xs, dec.cell.qp_x)
-        q_enc = stored(enc, dec.attn.qp_enc)
-        got = dequantize(attn_decoder_sequence_int(q_xs, q_enc, *decoder_parts(dec)), dec.cell.qp_h)
-        want = att.attn_decoder_sequence_real(xs, enc, cell, attn_w)
+        got = dequantize(attn_decoder_sequence_int(q_xs, q_xs, *decoder_parts(dec)), dec.cell.qp_h)
+        want = att.attn_decoder_sequence_real(xs, xs, cell, attn_w)
         assert np.abs(got - want).mean() < 0.1
 
     def test_decoder_rejects_mismatched_encoder_qparams(self):
-        """The decoder attends over its own input: building its model
-        checks the encoder grid against the input's, once."""
+        """The decoder's encoder states are its own input, on its cell's
+        ``qp_x``: building its model checks that grid against the input's,
+        once, as for any layer of cells."""
         rng = np.random.default_rng(12)
-        _, _, _, _, dec = build_decoder(rng, n_in=5)
-        dec = replace(dec, attn=replace(dec.attn, qp_enc=compute_qparams(-20.0, 20.0, 8)))
-        with pytest.raises(ValueError, match=r"qparams chain broken at layer 0 \(attention encoder input\)"):
-            runtime.IntModel([runtime.IntAttnDecoder(dec)], dec.cell.qp_x)
+        dec = random_decoder(rng, pieces=8)[-1]
+        runtime.IntModel([runtime.IntAttnDecoder(dec)], dec.cell.qp_x)
+        with pytest.raises(ValueError, match=r"qparams chain broken at layer 0$"):
+            runtime.IntModel([runtime.IntAttnDecoder(dec)], compute_qparams(-20.0, 20.0, 8))
 
     def test_16bit_gate_sum_bit_exact(self):
         rng = np.random.default_rng(16)
-        _, _, xs, enc, dec = build_decoder(rng, gate_bits=16)
+        _, _, xs, _, dec = random_decoder(rng, pieces=8, gate_bits=16)
         assert dec.cell.qp_pre_sig.bitwidth == 16
         q_xs = stored(xs, dec.cell.qp_x)
-        q_enc = stored(enc, dec.attn.qp_enc)
-        got = attn_decoder_sequence_int(q_xs, q_enc, *decoder_parts(dec))
-        want = attn_decoder_sequence_exact(q_xs, q_enc, dec)
+        got = attn_decoder_sequence_int(q_xs, q_xs, *decoder_parts(dec))
+        want = attn_decoder_sequence_exact(q_xs, q_xs, dec)
         assert np.array_equal(got.astype(np.int64), want)
 
 
 def test_keys_are_projected_once_per_sequence(monkeypatch):
     rng = np.random.default_rng(18)
-    T = 6
-    _, _, xs, enc, dec = build_decoder(rng, T=T)
-    m_att, m_enc = dec.attn.w_k_q.shape
+    _, _, xs, _, dec = random_decoder(rng, pieces=8)
+    (T, n), m_att = xs.shape, dec.v_q.shape[0]
     shapes, int_matmul = [], att.int_matmul
 
     def counting(a, b):
@@ -307,16 +282,16 @@ def test_keys_are_projected_once_per_sequence(monkeypatch):
         return int_matmul(a, b)
 
     monkeypatch.setattr(att, "int_matmul", counting)
-    q_enc = stored(enc, dec.attn.qp_enc)
-    attn_decoder_sequence_int(stored(xs, dec.cell.qp_x), q_enc, *decoder_parts(dec))
-    # one T x m_att x m_enc key product per sequence, never one per step
-    assert [a for a, b in shapes if b == (m_enc, m_att)] == [(T, m_enc)]
+    q_xs = stored(xs, dec.cell.qp_x)
+    attn_decoder_sequence_int(q_xs, q_xs, *decoder_parts(dec))
+    # one T x m_att x n key product per sequence, never one per step
+    assert shapes.count(((T, n), (n, m_att))) == 1
     assert len(shapes) == 1 + 4 * T  # per step: query, score, context and its injection
 
 
 def test_ledger_bitwidth_violation_rejected():
     rng = np.random.default_rng(17)
-    w, h, enc, spec = random_attention_config(rng)
+    spec = random_decoder(rng)[-1]
     bad_e = compute_qparams(spec.qp_e.min, spec.qp_e.max, 8)
     with pytest.raises(ValueError):
         replace(spec, qp_e=bad_e)

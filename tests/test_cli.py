@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import calibrated_int_model, edit_manifest, random_cell, token_model
 from qlstm import runtime, serialize
-from qlstm.cli import main
+from qlstm.cli import _peak_kb, main
 from qlstm.lstm import LstmWeights
 from qlstm.runtime import BiLstmLayer, EmbeddingLayer, FinalProjectionLayer, FloatModel, LstmLayer
 
@@ -288,6 +289,22 @@ class TestBench:
         args = ["bench", "--model", ipath, "--seq-len", "5", "--warmup", "0", "--iters", "1", "--csv", str(csv)]
         assert main(args) == 0
         assert [line.split(",")[0] for line in csv.read_text().split()[1:]] == ["float", "int_pwl", "int_float_act"]
+
+    def test_peak_under_a_running_trace(self):
+        """Under the caller's trace, a call's peak is measured from the
+        memory traced before it, and the trace stays on: a 16 MB array
+        freed before a no-op once read as 16,000 kB and stopped the trace."""
+        tracemalloc.start()
+        try:
+            freed = np.ones(2_000_000)
+            del freed
+            assert _peak_kb(lambda: None) < 100
+            assert tracemalloc.is_tracing()
+            assert 15_000 < _peak_kb(lambda: np.ones(2_000_000)) < 17_000
+        finally:
+            tracemalloc.stop()
+        assert 15_000 < _peak_kb(lambda: np.ones(2_000_000)) < 17_000
+        assert not tracemalloc.is_tracing()
 
 
 class TestPwl:

@@ -27,6 +27,10 @@ the form that its type decides, by one writer and one reader in
 its own, no dataclass field carries metadata for the serializer, and
 ``serialize`` reads nothing of a cell's layout from ``lstm`` or ``madnorm``.
 
+An attention decoder is one spec: its attention reads the query's and the
+keys' grids from its cell, so it stores no grid of its own for them, and
+its layer needs no chain check of its own.
+
 A PWL table is its stored form: every one of its init fields is stored and
 required, and the rest is derived.  Conversion builds every table on the
 default candidate count, so only ``build_pwl`` takes one.
@@ -125,8 +129,8 @@ def test_engine_structures_are_built_only_by_the_engine():
     assert not any(uses(path, "cached_property")[0] for path in sorted(SRC.glob("*.py")))
     assert not any(hasattr(cls, "lanes") for cls in SPECS)
     _, im = calibrated_int_model(np.random.default_rng(0), ["bilstm", "lstm_norm", "attn"])
-    built = [s for layer in im.layers[1:4] for s in (*layer.cells, layer.decoder, getattr(layer.decoder, "attn", None))]
-    assert sum(isinstance(s, SPECS) for s in built) == 6 and not any(hasattr(s, "lanes") for s in built)
+    built = [s for layer in im.layers[1:4] for s in (*layer.cells, layer.decoder)]
+    assert sum(isinstance(s, SPECS) for s in built) == 5 and not any(hasattr(s, "lanes") for s in built)
 
 
 def test_uses_finds_every_call_and_name(tmp_path):
@@ -184,7 +188,7 @@ FLOAT_LAYERS = (
     runtime.EmbeddingLayer, runtime.LstmLayer, runtime.BiLstmLayer, runtime.AttentionDecoderLayer,
     runtime.ResidualAddLayer, runtime.FinalProjectionLayer,
 )
-SPECS = (lstm.QuantLstmSpec, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec)
+SPECS = (lstm.QuantLstmSpec, attention.QuantAttnDecoderSpec)
 # the integer fields' naming rule, which the stage tables read: prefix or suffix -> the field's type
 NAMED = {"qp_": QuantParams, "pwl_": PwlTable, "norm_": MadNormQParams | None, "_q": np.ndarray}
 
@@ -208,6 +212,13 @@ def test_bilstm_layer_is_its_cells_and_a_model_its_layers():
     assert [f.name for f in dataclasses.fields(runtime.IntBiLstm)] == ["fwd", "bwd"]
     assert [f.name for f in dataclasses.fields(runtime.IntModel)] == ["layers", "input_qp"]
     assert not hasattr(lstm, "BiLstmSpec")
+
+
+def test_attention_decoder_is_one_spec():
+    assert not hasattr(attention, "QuantAttentionSpec")
+    names = {f.name for f in dataclasses.fields(attention.QuantAttnDecoderSpec)}
+    assert "cell" in names and not names & {"qp_h_dec", "qp_enc", "attn"}
+    assert "links" not in vars(runtime.IntAttnDecoder)
 
 
 def imported_modules(path: Path) -> set:
@@ -253,7 +264,6 @@ def test_conversion_takes_no_candidate_count():
     chain = (
         runtime.convert,
         lstm.QuantLstmSpec.from_float,
-        attention.QuantAttentionSpec.from_float,
         attention.QuantAttnDecoderSpec.from_float,
     )
     assert [fn.__qualname__ for fn in chain if "candidates" in inspect.signature(fn).parameters] == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import calibrated_int_model, random_attention_config, random_lstm_config
+from conftest import attend_real, calibrated_int_model, observe, random_attention, random_lstm_config
 from qlstm import serialize
 from qlstm.pwl import (
     ACTIVATIONS,
@@ -46,14 +46,19 @@ def select_knots_reference(knots, intercepts, n_pieces):
 def engine_16bit_tables(rng, cells, attentions):
     """The 16-bit-input tables that calibrated conversions build on the
     default candidate count: three per random LSTM cell with 16-bit cell
-    and gates, and the two of a random attention, each on 1-16 pieces.
-    All of them have 8-bit outputs."""
+    and gates, and the two of a random attention calibrated on one step,
+    each on 1-16 pieces.  All of them have 8-bit outputs."""
     for _ in range(cells):
         spec = random_lstm_config(rng, cell_bits=16, gate_bits=16, pieces=int(rng.integers(1, 17)))[2]
         yield from (spec.pwl_sig, spec.pwl_tanh_j, spec.pwl_tanh_c)
     for _ in range(attentions):
-        spec = random_attention_config(rng, pieces=int(rng.integers(1, 17)))[3]
-        yield from (spec.pwl_tanh, spec.pwl_exp)
+        pieces = int(rng.integers(1, 17))
+        w, xs, h = random_attention(rng)
+        r = observe(attend_real, h, xs, w)
+        # the exp grids as QuantAttnDecoderSpec.from_float widens them
+        exp_in, exp_out = (min(r["exp_in"][0], -1e-6), 0.0), (0.0, max(r["exp_out"][1], 1.0))
+        yield build_pwl("tanh", compute_qparams(*r["sum"], 16), compute_qparams(*r["tanh"], 8), pieces)
+        yield build_pwl("exp", compute_qparams(*exp_in, 16), compute_qparams(*exp_out, 8), pieces)
 
 
 def max_lsb_error(t) -> int:

@@ -17,8 +17,8 @@ from conftest import (
     calibrated_int_model,
     edit_manifest,
     observe,
-    random_attention_config,
     random_cell,
+    random_decoder,
     random_lstm_config,
     read_manifest,
     stored,
@@ -110,7 +110,7 @@ def pwl_tables(model) -> list:
     tables = []
     for layer in model.layers:
         if layer.decoder is not None:
-            tables += [layer.decoder.attn.pwl_tanh, layer.decoder.attn.pwl_exp]
+            tables += [layer.decoder.pwl_tanh, layer.decoder.pwl_exp]
         tables += [t for c in layer.cells for t in (c.pwl_sig, c.pwl_tanh_j, c.pwl_tanh_c)]
     return tables
 
@@ -477,7 +477,7 @@ class TestConvertAndRun:
         _, im = calibrated_int_model(rng, ["lstm", "attn"])
         lstm, dec = im.layers[1].spec, im.layers[2].spec
         wide = lambda a: np.zeros((a.shape[0], MAX_REDUCE_DIM + 1), np.uint8)
-        for spec, name in ((lstm, "w_x_q"), (dec.attn, "w_k_q"), (dec, "w_s_q")):
+        for spec, name in ((lstm, "w_x_q"), (dec, "w_k_q"), (dec, "w_s_q")):
             with pytest.raises(ValueError, match="overflow the 32-bit accumulator"):
                 replace(spec, **{name: wide(getattr(spec, name))})
 
@@ -603,8 +603,8 @@ class TestSaveLoad:
         _, im = calibrated_int_model(rng, ["lstm"])
         path = str(tmp_path / "m.json")
         serialize.save(im, path)
-        edit_manifest(path, lambda doc: doc.update(version=6))
-        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 6"):
+        edit_manifest(path, lambda doc: doc.update(version=7))
+        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 7"):
             serialize.load(path)
 
     def test_version_1_manifest_rejected(self, tmp_path):
@@ -656,8 +656,7 @@ class TestSaveLoad:
         16-bit-gate sigmoid on 8-bit inputs) or raised ``IndexError`` in
         ``run`` (the others)."""
         _, im = calibrated_int_model(np.random.default_rng(48), arch, gate_bits=gate_bits)
-        in_attn = table == "pwl_exp"
-        owner = im.layers[1].spec.attn if in_attn else im.layers[1].spec
+        owner = im.layers[1].spec
         t = getattr(owner, table)
         qp = getattr(t, grid)
         grids = {"in_qp": t.in_qp, "out_qp": t.out_qp, grid: compute_qparams(qp.min, qp.max, 24 - qp.bitwidth)}
@@ -667,11 +666,7 @@ class TestSaveLoad:
         path = tmp_path / "m.json"
         serialize.save(im, str(path))
 
-        def swap(doc):
-            spec = doc["layers"][1]["spec"]
-            (spec["attn"] if in_attn else spec)[table] = serialize._Writer().value(other, table)
-
-        edit_manifest(path, swap)
+        edit_manifest(path, lambda doc: doc["layers"][1]["spec"].update({table: serialize._Writer().value(other, table)}))
         with pytest.raises(serialize.ModelFormatError, match=f"layer 1: table {table} must map"):
             serialize.load(str(path))
 
@@ -1021,7 +1016,7 @@ class TestSaveLoad:
             doc["version"] = version
             doc["seal"] = serialize.seal(doc, (tmp_path / "m.json.blob").read_bytes())
             path.write_text(json.dumps(doc, separators=(",", ":"), sort_keys=True))
-        with pytest.raises(serialize.ModelFormatError, match="not a format-5 manifest .*: convert the model again"):
+        with pytest.raises(serialize.ModelFormatError, match="not a format-6 manifest .*: convert the model again"):
             serialize.load(str(path))
 
     @pytest.mark.parametrize(
@@ -1135,7 +1130,7 @@ class TestStageTables:
 
     def test_spec_qparams_fields_are_the_tables(self):
         assert self.qp_fields(lstm.QuantLstmSpec) == ["wx", "wh", *lstm.CELL_STAGES]
-        assert self.qp_fields(attention.QuantAttentionSpec) == list(attention.ATTN_BITS)
+        assert self.qp_fields(attention.QuantAttnDecoderSpec) == list(attention.ATTN_BITS)
         assert self.qp_fields(madnorm.MadNormQParams) == ["x", *madnorm.NORM_STAGES]
 
     @pytest.mark.parametrize("arch, count", [(["bilstm", "bilstm", "residual"], 49), (["lstm", "lstm_norm", "attn"], 58)])
@@ -1159,7 +1154,7 @@ class TestStageTables:
     def test_wrong_bitwidth_names_the_stage(self, table, stage):
         rng = np.random.default_rng(32)
         if table == "attn":
-            spec = random_attention_config(rng)[-1]
+            spec = random_decoder(rng)[-1]
         else:
             spec = random_lstm_config(rng, norm=True)[-1]
             spec = spec if table == "cell" else spec.norm_x
@@ -1222,16 +1217,44 @@ class TestWidthChecks:
         dec = im.layers[1].spec
         with pytest.raises(ValueError, match=r"w_s has shape \(12, 6\), not \(12, 3\)"):
             replace(dec, w_s_q=np.zeros((12, 6), dtype=np.uint8))
-        wide = replace(
-            dec, attn=replace(dec.attn, w_k_q=np.zeros((3, 6), dtype=np.uint8)), w_s_q=np.zeros((12, 6), dtype=np.uint8)
-        )
-        with pytest.raises(ValueError, match=r"layer 1 \(attention encoder input\) takes 6 values per frame, but its input has 3"):
-            IntModel([im.layers[0], IntAttnDecoder(wide), im.layers[2]], im.input_qp)
+        # keys and context as wide as 6-wide frames: the decoder attends over its 3-wide input
+        with pytest.raises(ValueError, match=r"w_k has shape \(3, 6\), not \(3, 3\), in a 3-unit decoder on 3 inputs"):
+            replace(dec, w_k_q=np.zeros((3, 6), dtype=np.uint8), w_s_q=np.zeros((12, 6), dtype=np.uint8))
         path = tmp_path / "m.json"
-        serialize.save(im, str(path))
-        edit_manifest(path, lambda doc: doc["layers"][1]["spec"]["w_s_q"].update(shape=[6, 6]))  # same length
-        with pytest.raises(serialize.ModelFormatError, match=r"layer 1: w_s has shape \(6, 6\), not \(12, 3\)"):
-            serialize.load(str(path))
+        for name, shape, want in (("w_s_q", [6, 6], (12, 3)), ("w_k_q", [1, 9], (3, 3))):  # same lengths
+            serialize.save(im, str(path))
+            edit_manifest(path, lambda doc: doc["layers"][1]["spec"][name].update(shape=shape))
+            message = rf"layer 1: {name[:3]} has shape \({shape[0]}, {shape[1]}\), not \({want[0]}, {want[1]}\)"
+            with pytest.raises(serialize.ModelFormatError, match=message):
+                serialize.load(str(path))
+
+    def test_float_decoder_attention_must_fit_its_cell(self, tmp_path):
+        """A decoder attends over its own input from its own hidden state, so
+        its attention is sized for its cell: one sized for a 5-unit decoder
+        on a 3-unit cell once built, saved and loaded, and calibrating it
+        failed inside numpy."""
+        rng = np.random.default_rng(87)
+
+        def attn(m, n, a=2):
+            return attention.AttentionWeights(
+                rng.normal(0, 0.5, (a, m)), rng.normal(0, 0.5, (a, n)), rng.normal(0, 0.5, a), rng.normal(0, 0.5, (4 * m, n))
+            )
+
+        cell = random_cell(rng, 3, 4)
+        message = "attention for a {}-unit decoder on {} inputs does not fit a 3-unit cell on 4 inputs"
+        for m, n in ((5, 4), (3, 5)):
+            with pytest.raises(ValueError, match=message.format(m, n)):
+                AttentionDecoderLayer(cell, attn(m, n))
+        model = FloatModel([AttentionDecoderLayer(cell, attn(3, 4)), FinalProjectionLayer(rng.normal(0, 1, (8, 3)), np.zeros(8))])
+        path = serialize.save(model, tmp_path / "m.json")
+
+        def five_units(doc):  # w_q and w_s read on into the tensors after them, inside the blob
+            a = doc["layers"][0]["attn"]
+            a["w_q"]["shape"], a["w_s"]["shape"] = [2, 5], [20, 4]
+
+        edit_manifest(path, five_units)
+        with pytest.raises(serialize.ModelFormatError, match="layer 0: " + message.format(5, 4)):
+            serialize.load(path)
 
 
 class TestSeal:
@@ -1273,10 +1296,10 @@ class TestSeal:
 
 
 class TestGoldenFormat:
-    """Models written once in format 5 from the format-4 fixtures (dropping
-    ``endianness``, ``blob``, ``config``, the tensor lengths and the BiLSTM's
-    ``spec`` level, and re-sealed over the same blobs), every layer type in
-    each, which are written back unchanged."""
+    """Models written once in format 6 from the format-5 fixtures (the
+    attention decoder's ``attn`` fields lifted into its ``spec``, without
+    ``qp_h_dec`` and ``qp_enc``, and re-sealed over the same blobs), every
+    layer type in each, which are written back unchanged."""
 
     def assert_saves_as(self, model, tmp_path, name):
         # the deflated bytes depend on the zlib build, so the inflated document is compared
@@ -1286,10 +1309,17 @@ class TestGoldenFormat:
         assert gzip.decompress(saved.read_bytes()) == gzip.decompress(golden.read_bytes())
         assert Path(f"{saved}.blob").read_bytes() == Path(f"{golden}.blob").read_bytes()
 
-    @pytest.mark.parametrize("name", ["golden_int.v5.json", "golden_float.v5.json"])
-    def test_v5_loads_and_saves_back_byte_identical(self, tmp_path, name):
-        assert read_manifest(DATA / name)["version"] == 5
+    @pytest.mark.parametrize("name", ["golden_int.v6.json", "golden_float.v6.json"])
+    def test_v6_loads_and_saves_back_byte_identical(self, tmp_path, name):
+        assert read_manifest(DATA / name)["version"] == 6
         self.assert_saves_as(serialize.load(str(DATA / name)), tmp_path, name)
+
+    @pytest.mark.parametrize("name", ["golden_int.v5.json", "golden_float.v5.json"])
+    def test_version_5_manifest_must_be_converted_again(self, name):
+        # the format-5 files of these models, the decoder's attention nested under its spec
+        assert read_manifest(DATA / name)["version"] == 5
+        with pytest.raises(serialize.ModelFormatError, match="unsupported manifest version 5: convert the model again"):
+            serialize.load(str(DATA / name))
 
     @pytest.mark.parametrize("name", ["golden_int.v4.json", "golden_float.v4.json"])
     def test_version_4_manifest_must_be_converted_again(self, name):
@@ -1307,14 +1337,14 @@ class TestGoldenFormat:
     def test_int_run_matches_oracle_and_stored_logits(self):
         expected = json.loads((DATA / "golden_int.expected.json").read_text())
         tokens = np.array(expected["tokens"])
-        model = serialize.load(str(DATA / "golden_int.v5.json"))
+        model = serialize.load(str(DATA / "golden_int.v6.json"))
         got = run(model, tokens)
         assert np.array_equal(got, run_reference(model, tokens))
         assert got.tolist() == expected["logits"]
 
     def test_int_blob_is_the_version_2_blob(self):
-        # formats 3 to 5 changed the manifest only; this is the SHA-256 of golden_int.v2.json.blob
-        blob = (DATA / "golden_int.v5.json.blob").read_bytes()
+        # formats 3 to 6 changed the manifest only; this is the SHA-256 of golden_int.v2.json.blob
+        blob = (DATA / "golden_int.v6.json.blob").read_bytes()
         assert hashlib.sha256(blob).hexdigest() == "6ac401119efcd558e20f783ca24015f162c3586d970faa5e2beea0fee03e0304"
 
 
@@ -1345,7 +1375,7 @@ class TestExactActivations:
 
         for owner, name in ((lstm, "build_pwl"), (attention, "build_pwl")):
             monkeypatch.setattr(owner, name, forbidden)
-        for cls in (lstm.QuantLstmSpec, runtime.IntBiLstm, attention.QuantAttentionSpec, attention.QuantAttnDecoderSpec):
+        for cls in (lstm.QuantLstmSpec, runtime.IntBiLstm, attention.QuantAttnDecoderSpec):
             monkeypatch.setattr(cls, "__post_init__", forbidden)
         exact = exact_activations(im)
         assert len(exact.layers) == len(im.layers) == 5
@@ -1528,7 +1558,7 @@ class TestAccumulatorLimit:
         q_s, _ = attention.attention_int(h, attention.attention_keys(q_x, a), a)
         acc_x = int_matmul(centred(dec.cell.w_x_q, dec.cell.qp_wx), d_x[0]) + bias
         acc_k = int_matmul(d_x, a.w_k.T)
-        acc_s = int_matmul(a.w_s, q_s - dec.attn.qp_s.zero_point)
+        acc_s = int_matmul(a.w_s, q_s - dec.qp_s.zero_point)
         assert np.abs(acc_x.astype(np.int64)).max() == self.TOP
         assert np.abs(acc_k).max() == np.abs(acc_s).max() == self.TOP - _BIAS_LIMIT
         assert np.array_equal(run(im, x).data, run_reference(im, x))
