@@ -502,16 +502,15 @@ def lstm_apply_gates_int(pre: np.ndarray, c: np.ndarray, lanes: LstmLanes):
     return h_new.astype(np.uint8), c_new
 
 
-def run_lanes(frames: np.ndarray, lanes: LstmLanes) -> np.ndarray:
-    """Advance every lane from the zero state over ``frames`` (``(T, k,
-    n)``), lane ``l`` reading ``frames[t, l]`` at step ``t``; returns the
-    ``(T, k, w)`` uint8 hidden states."""
+def run_lanes(frames, states, lanes: LstmLanes) -> None:
+    """Advance every lane from the zero state over ``frames``, lane ``l``
+    reading ``frames[t][l]`` at step ``t``, and write the lanes' ``(k, w)``
+    uint8 hidden states to ``states[t]``.  A cell's frames and states are
+    ``(T, 1, ...)`` arrays; a BiLSTM's are one :class:`_Opposed`."""
     h, c = lanes.initial_state()
-    hs = np.empty((len(frames), lanes.k, lanes.width), dtype=np.uint8)
     for t in range(len(frames)):
         h, c = lstm_apply_gates_int(lstm_gate_preacts_int(frames[t], h, lanes), c, lanes)
-        hs[t] = h
-    return hs
+        states[t] = h
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +590,10 @@ def lstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     ``(T, n)`` storage ``xs`` on its ``qp_x``; returns the raw ``(T, m)``
     uint8 hidden states on its ``qp_h``.  A BiLSTM runs both directions in
     :func:`bilstm_sequence_int`."""
-    return run_lanes(np.atleast_2d(xs)[:, None], lanes)[:, 0]
+    xs = np.atleast_2d(xs)
+    hs = np.empty((len(xs), 1, lanes.width), dtype=np.uint8)
+    run_lanes(xs[:, None], hs, lanes)
+    return hs[:, 0]
 
 
 def lstm_sequence_exact(q_xs: np.ndarray, spec: QuantLstmSpec) -> np.ndarray:
@@ -620,15 +622,43 @@ def bilstm_sequence_real(xs, w_fwd: LstmWeights, w_bwd: LstmWeights, record=_noo
     return np.concatenate([fwd, bwd[..., ::-1, :]], axis=-1)
 
 
+class _Opposed:
+    """A BiLSTM's two lanes over one sequence, as :func:`run_lanes` indexes
+    their frames and states: step ``t`` copies frame ``t`` and frame
+    ``T-1-t`` into one ``(2, n)`` buffer, and writes each lane's state
+    into its own columns of the ``(T, fwd + bwd)`` uint8 output ``out``, at
+    row ``t`` and row ``T-1-t``."""
+
+    def __init__(self, xs: np.ndarray, fwd: int, bwd: int):
+        self.xs, self.fwd, self.bwd = xs, fwd, bwd
+        self.x = np.empty((2, xs.shape[1]), dtype=xs.dtype)
+        self.out = np.empty((len(xs), fwd + bwd), dtype=np.uint8)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        x, xs = self.x, self.xs
+        x[0] = xs[t]
+        x[1] = xs[-1 - t]
+        return x
+
+    def __setitem__(self, t: int, h: np.ndarray) -> None:
+        out, fwd = self.out, self.fwd
+        out[t, :fwd] = h[0, :fwd]
+        out[-1 - t, fwd:] = h[1, : self.bwd]
+
+
 def bilstm_sequence_int(xs: np.ndarray, lanes: LstmLanes) -> np.ndarray:
     """Forward step t and backward step T-1-t as the two lanes of one kernel
     call (``lanes``, forward first), on raw storage as
     :func:`lstm_sequence_int`; returns the directions' hidden states side by
-    side."""
-    xs = np.atleast_2d(xs)
-    hs = run_lanes(np.stack((xs, xs[::-1]), axis=1), lanes)
-    fwd, bwd = lanes.hidden
-    return np.concatenate((hs[:, 0, :fwd], hs[::-1, 1, :bwd]), axis=1)
+    side, which the lanes write straight into their columns of the output
+    (:class:`_Opposed`): the run holds no reversed copy of the frames and
+    no states besides its output."""
+    both = _Opposed(np.atleast_2d(xs), *lanes.hidden)
+    run_lanes(both, both, lanes)
+    return both.out
 
 
 def bilstm_sequence_exact(q_xs: np.ndarray, fwd: QuantLstmSpec, bwd: QuantLstmSpec) -> np.ndarray:

@@ -24,7 +24,8 @@ are plain loops over the stack:
   (qparams, PWL tables, arrays, nested dataclasses), and maps the type tags
   to the classes.
 
-``outputs`` holds the outputs of the layers already run, for residuals.
+``outputs`` holds the outputs of the layers already run, for residuals;
+:func:`run` drops each one once no later layer reads it.
 Per-stage quantization parameters chain through the stack: every layer
 consumes its producer's output qparams and width.  Building an
 :class:`IntModel` checks that chain once, so a layer reads the zero points
@@ -79,6 +80,7 @@ from .quant import (
     compute_qparams,
     dequantize,
     int_matmul,
+    narrowest,
     prefix_errors,
     quantize_bias,
     quantize_in_place,
@@ -557,6 +559,15 @@ class IntAttnDecoder(_CellLayer):
 
 @dataclass
 class IntResidual(_IntLayer):
+    """``clamp(round(m_a (a - za)) + round(m_b (b - zb)) + zp, 0, 255)`` of
+    the skip operand ``a`` and the input ``b``, each term rounded on its own
+    as :func:`~qlstm.quant.rescale_add` rounds it.  Each operand's term
+    over all 256 storage values is a table, built by the stage's own
+    ``rescale_add`` with the other term 0 and no bounds, so a run's two
+    gathers are the stage bit for bit; ``t_a`` also holds ``zp``.  Both
+    tables take the narrowest integer type that holds every sum of two of
+    their entries."""
+
     skip_from: int
     qp_a: QuantParams
     qp_b: QuantParams
@@ -567,8 +578,12 @@ class IntResidual(_IntLayer):
             raise ValueError("residual output must be 8-bit")
         self.m_a = term_multiplier("out", self.qp_a.scale / self.qp_out.scale, 255)
         self.m_b = term_multiplier("out", self.qp_b.scale / self.qp_out.scale, 255)
-        self.rs = Rescale.of([[self.m_a], [self.m_b]], self.qp_out.zero_point, 0, 255)
-        self.zp_ab = np.array([[self.qp_a.zero_point], [self.qp_b.zero_point]], dtype=np.int32)
+        v, zero = np.arange(256, dtype=np.int64), np.zeros(256, dtype=np.int64)
+        terms = Rescale.of([[self.m_a], [self.m_b]])
+        t_a = rescale_add(np.stack((v - self.qp_a.zero_point, zero)), terms) + self.qp_out.zero_point
+        t_b = rescale_add(np.stack((zero, v - self.qp_b.zero_point)), terms)
+        dtype = narrowest(np.array([t_a.min() + t_b.min(), t_a.max() + t_b.max()])).dtype
+        self.t_a, self.t_b = t_a.astype(dtype), t_b.astype(dtype)
 
     @property
     def qp_in(self):
@@ -584,7 +599,10 @@ class IntResidual(_IntLayer):
 
     def run(self, x, outputs, part):
         def add(a, b):
-            return rescale_add(np.subtract(np.stack((a, b), axis=-2), self.zp_ab, dtype=np.int32), self.rs)
+            total = self.t_a.take(a)
+            total += self.t_b.take(b)
+            np.maximum(total, 0, out=total)
+            return np.minimum(total, 255, out=total)
 
         return _by_blocks(add, np.uint8, outputs[self.skip_from], x)
 
@@ -647,7 +665,9 @@ class IntModel:
     """An integer layer stack whose structure, qparams chain and widths are
     checked when it is built (:func:`validate_chain`), and which then builds
     its ``engine`` (:func:`engine`) on its PWL tables' grids.  ``layers`` is
-    kept as a tuple, so no layer joins the stack unchecked."""
+    kept as a tuple, so no layer joins the stack unchecked.  ``frees[i]``
+    lists the outputs that no layer after ``i`` reads, which :func:`run`
+    drops once layer ``i`` has run."""
 
     layers: tuple
     input_qp: QuantParams | None
@@ -657,6 +677,7 @@ class IntModel:
         _check_structure(self.layers)
         validate_chain(self)
         self.engine = engine(self, _pwl_grid)
+        self.frees = _last_reads(self.layers)
 
     @property
     def takes_tokens(self) -> bool:
@@ -729,6 +750,18 @@ def engine(model: IntModel, grid) -> list:
     return parts
 
 
+def _last_reads(layers) -> tuple:
+    """For each layer, the indices of the earlier outputs that it is the
+    last layer to read: an output is read by the next layer and by every
+    residual that skips from it.  The last layer's output is read by none."""
+    last = list(range(1, len(layers) + 1))
+    for i, layer in enumerate(layers):
+        skip = getattr(layer, "skip_from", None)
+        if skip is not None:
+            last[skip] = max(last[skip], i)
+    return tuple(tuple(j for j, reader in enumerate(last) if reader == i) for i in range(len(layers)))
+
+
 def validate_chain(model: IntModel) -> None:
     """Check that every consumer's input qparams and width equal its producer's output."""
     prev, outs = (model.input_qp, None), []
@@ -749,7 +782,8 @@ def validate_chain(model: IntModel) -> None:
 #: sequence length.  Each block costs about a dozen numpy calls: against
 #: whole sequences, a bilstm16 run took 2.6%, 1.1% and 0.4% longer with
 #: 1,024, 2,048 and 4,096 elements per block, and its peak was 0.108,
-#: 0.126 and 0.191 MB (0.787 MB whole), on a 2-vCPU Xeon.
+#: 0.126 and 0.191 MB (0.787 MB whole), on a 2-vCPU Xeon, with the residual
+#: add of that time, which rescaled both operands per block.
 BLOCK_ELEMENTS = 2048
 
 
@@ -759,17 +793,21 @@ def _by_blocks(stage, dtype, *arrays) -> np.ndarray:
     width)`` rows per block, ``width`` being the arrays' row lengths added
     up.  ``stage`` maps a block of rows to as many output rows; each output
     block is written into one array of ``dtype``.  Arrays that fit one
-    block go to ``stage`` whole."""
+    block go to ``stage`` whole.
+
+    The blocks are handed over as lists: a generator expression per block
+    would leave about 50 bytes in a reference cycle until the garbage
+    collector runs, so the scratch would grow with the block count."""
     rows = len(arrays[0])
-    step = max(1, BLOCK_ELEMENTS // sum(a.shape[-1] for a in arrays))
-    first = stage(*(a[:step] for a in arrays))
+    step = max(1, BLOCK_ELEMENTS // sum([a.shape[-1] for a in arrays]))
+    first = stage(*[a[:step] for a in arrays])
     if rows <= step:
         return first.astype(dtype, copy=False)
     out = np.empty((rows, *first.shape[1:]), dtype=dtype)
     out[:step] = first
     del first  # its rows are in out: freed before the next block's temporaries
     for start in range(step, rows, step):
-        out[start : start + step] = stage(*(a[start : start + step] for a in arrays))
+        out[start : start + step] = stage(*[a[start : start + step] for a in arrays])
     return out
 
 
@@ -799,11 +837,18 @@ def _prepare_input(model: IntModel, seq) -> np.ndarray:
 def run(model: IntModel, seq):
     """Execute the integer model; returns 32-bit logits when the model ends
     in a projection, otherwise the final sequence's storage together with
-    its qparams (``.data`` and ``.qp``)."""
+    its qparams (``.data`` and ``.qp``).
+
+    A run holds a layer's output only until its last reader has run
+    (``model.frees``): the input storage goes once the first layer has run,
+    and a residual's skip operand once the residual has."""
     cur, outputs = _prepare_input(model, seq), []
-    for layer in model.layers:  # its engine part is at its index, len(outputs): a zip would allocate per run
-        cur = layer.run(cur, outputs, model.engine[len(outputs)])
+    for layer in model.layers:  # its index is len(outputs): a zip would allocate per run
+        i = len(outputs)
+        cur = layer.run(cur, outputs, model.engine[i])
         outputs.append(cur)
+        for j in model.frees[i]:
+            outputs[j] = None
     qp = model.layers[-1].qp_out
     return cur if qp is None else QuantTensor(cur, qp)
 

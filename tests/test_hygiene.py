@@ -34,6 +34,10 @@ its layer needs no chain check of its own.
 A PWL table is its stored form: every one of its init fields is stored and
 required, and the rest is derived.  Conversion builds every table on the
 default candidate count, so only ``build_pwl`` takes one.
+
+Every binding that ``perfbench/spans.py`` re-binds names an attribute of
+the package, so dropping or renaming one fails here, not as a ``KeyError``
+inside a traced benchmark run.
 """
 import ast
 import dataclasses
@@ -45,7 +49,7 @@ from typing import get_type_hints
 import numpy as np
 
 from conftest import calibrated_int_model
-from perfbench.spans import BINDINGS
+from perfbench.spans import BINDINGS, COUNTED, _resolve
 from qlstm import attention, lstm, runtime, serialize
 from qlstm.attention import ATTN_BITS, ATTN_STAGES
 from qlstm.lstm import CELL_STAGES
@@ -81,6 +85,27 @@ def test_unread_imports_are_only_the_pwl_eval_bindings():
     }
     assert UNREAD_BINDINGS <= set(BINDINGS)
     assert unread <= UNREAD_BINDINGS, sorted(unread - UNREAD_BINDINGS)
+
+
+def unbound(bindings) -> list:
+    """The ``(module or class, attribute)`` entries whose owner does not
+    itself hold the attribute, which ``spans.instrument`` reads as
+    ``vars(owner)[attr]``."""
+    return [(path, attr) for path, attr in bindings if attr not in vars(_resolve(path))]
+
+
+def test_every_span_binding_names_an_attribute_of_the_package():
+    assert unbound([*BINDINGS, *COUNTED]) == []
+
+
+def test_unbound_finds_a_missing_or_inherited_attribute():
+    probe = [
+        ("qlstm.runtime", "run"),
+        ("qlstm.runtime", "no_such"),
+        ("qlstm.lstm.QuantLstmSpec", "from_float"),
+        ("qlstm.runtime.IntLstm", "links"),  # inherited from _IntLayer
+    ]
+    assert unbound(probe) == [("qlstm.runtime", "no_such"), ("qlstm.runtime.IntLstm", "links")]
 
 
 def test_unread_imports_finds_exactly_the_unread_names(tmp_path):

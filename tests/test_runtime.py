@@ -36,9 +36,11 @@ from qlstm.quant import (
     DegenerateRangeError,
     QuantParams,
     QuantTensor,
+    Rescale,
     centred,
     compute_qparams,
     int_matmul,
+    rescale_add,
 )
 from qlstm.runtime import (
     BLOCK_ELEMENTS,
@@ -1589,12 +1591,23 @@ class TestRowBlocks:
     final projection) run on blocks of ``BLOCK_ELEMENTS`` input elements."""
 
     N, M, VOCAB = 37, 16, 6  # 37 does not divide the block
+    # the input's float64 copy of a block (8 bytes an element) and its finiteness check set the most
+    SCRATCH_PER_ELEMENT = 12
 
     @pytest.fixture(scope="class")
     def frame_model(self):
         """LSTM -> LSTM -> residual -> projection on frames."""
         rng = np.random.default_rng(91)
         model = token_model(rng, ["lstm", "lstm", "residual"], vocab=self.VOCAB, m=self.M, frames=self.N)
+        return convert(model, calibrate(model, [rng.normal(0, 1, (40, self.N))]), pieces=6)
+
+    @pytest.fixture(scope="class")
+    def bilstm_model(self):
+        """BiLSTM -> residual (the BiLSTM's output onto itself) -> projection on frames."""
+        rng = np.random.default_rng(95)
+        cells = [random_cell(rng, self.M, self.N) for _ in range(2)]
+        head = FinalProjectionLayer(rng.normal(0, 0.5, (self.VOCAB, 2 * self.M)), rng.normal(0, 0.1, self.VOCAB))
+        model = FloatModel([BiLstmLayer(*cells), ResidualAddLayer(skip_from=0), head])
         return convert(model, calibrate(model, [rng.normal(0, 1, (40, self.N))]), pieces=6)
 
     def block_rows(self):
@@ -1623,14 +1636,19 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match="input frames must be finite"):
             run(frame_model, bad)
 
-    def test_scratch_does_not_grow_with_length(self, frame_model, monkeypatch):
+    def test_scratch_does_not_grow_with_length(self, frame_model, bilstm_model, monkeypatch):
         """Each stage's traced peak, less the bytes live before it and the
-        output it returns, is the same at T and at 4T.  The stages are the
-        input's quantization and each layer.  Per stage, because ``run``
-        frees the input storage after the first layer, and the logits do
+        output it returns, is the same at T and at 4T, and at most
+        ``SCRATCH_PER_ELEMENT`` bytes per element of one block.  The stages
+        are the input's quantization and each layer.  Per stage, because
+        ``run`` frees each output after its last reader, and the logits do
         not exist yet when the residual peaks, so the whole run's peak less
-        the bytes it keeps changes with T even when no stage's scratch
-        does."""
+        the bytes it keeps changes with T even when no stage's scratch does.
+        "The same" is within 512 bytes: a few dozen bytes per block left for
+        the garbage collector would exceed it.  The BiLSTM stack holds the
+        two stages that once failed this: a BiLSTM that stacked its frames
+        with their reverse and kept its stacked states, which grew with T,
+        and a residual add that took 33 bytes per block element."""
         scratch = []
 
         def traced(fn):
@@ -1644,19 +1662,82 @@ class TestRowBlocks:
             return stage
 
         monkeypatch.setattr(runtime, "_prepare_input", traced(runtime._prepare_input))
-        for cls in {type(layer) for layer in frame_model.layers}:
+        for cls in {type(layer) for model in (frame_model, bilstm_model) for layer in model.layers}:
             monkeypatch.setattr(cls, "run", traced(cls.run))
         rng = np.random.default_rng(94)
-        per_length = []
-        for T in (300, 1200):  # two full blocks of every stage at least
-            x = rng.normal(0, 1, (T, self.N)).astype(np.float32)
-            run(frame_model, x)  # warm-up
-            scratch.clear()
-            tracemalloc.start()
-            try:
-                run(frame_model, x)
-            finally:
-                tracemalloc.stop()
-            per_length.append(np.array(scratch))
-        assert len(per_length[0]) == 1 + len(frame_model.layers)
-        assert np.abs(per_length[1] - per_length[0]).max() < 4096, per_length
+        for model in (bilstm_model, frame_model):
+            per_length = []
+            for T in (300, 1200):  # two full blocks of every stage at least
+                x = rng.normal(0, 1, (T, self.N)).astype(np.float32)
+                run(model, x)  # warm-up
+                scratch.clear()
+                tracemalloc.start()
+                try:
+                    run(model, x)
+                finally:
+                    tracemalloc.stop()
+                per_length.append(np.array(scratch))
+            assert len(per_length[0]) == 1 + len(model.layers)
+            assert np.abs(per_length[1] - per_length[0]).max() < 512, per_length
+            assert max(per_length[1]) <= self.SCRATCH_PER_ELEMENT * BLOCK_ELEMENTS, per_length
+
+    def test_run_frees_outputs_that_no_later_layer_reads(self, frame_model, monkeypatch):
+        """Once the residual (skipping from layer 0) has run, no later layer
+        reads either LSTM's output, so the projection runs with the
+        residual's output alone live: the run's traced bytes at its start
+        are that output's, where holding both LSTMs' outputs as well would
+        triple them."""
+        assert [type(layer) for layer in frame_model.layers] == [IntLstm, IntLstm, IntResidual, IntProjection]
+        live = []
+        project = IntProjection.run
+
+        def traced(self, x, outputs, part):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return project(self, x, outputs, part)
+
+        monkeypatch.setattr(IntProjection, "run", traced)
+        x = np.random.default_rng(96).normal(0, 1, (1200, self.N)).astype(np.float32)
+        run(frame_model, x)  # warm-up
+        tracemalloc.start()
+        try:
+            run(frame_model, x)
+        finally:
+            tracemalloc.stop()
+        residual_out = 1200 * self.M  # uint8 storage
+        assert residual_out <= live[-1] < residual_out + 2048, live
+
+
+class TestResidualTerms:
+    """A residual add gathers each operand's rounded term from a table over
+    the 256 storage values and adds the two."""
+
+    @staticmethod
+    def residual(ratio_a, ratio_b, za, zb, zp):
+        def qp(scale, zero_point):
+            return QuantParams(-scale * zero_point, scale * (255 - zero_point), 8, scale, zero_point)
+
+        return IntResidual(0, qp(ratio_a * 0.01, za), qp(ratio_b * 0.01, zb), qp(0.01, zp))
+
+    # operand-to-output scale ratios, and the type that holds every sum of two terms: below 1;
+    # above 1, a negative shift folded into the mantissa; terms past int16 alone, and each in
+    # int16 with their sums past it; terms past int32
+    @pytest.mark.parametrize(
+        "ratios, dtype",
+        [
+            ((0.37, 0.81), np.int16),
+            ((3.7, 1.3), np.int16),
+            ((300.0, 0.5), np.int32),
+            ((120.0, 120.0), np.int32),
+            ((2.0**24, 0.003), np.int64),
+            ((0.5, 3e9), np.int64),
+        ],
+    )
+    def test_tables_equal_rescale_add_on_every_storage_pair(self, ratios, dtype):
+        layer = self.residual(*ratios, za=3, zb=200, zp=77)
+        assert layer.t_a.dtype == layer.t_b.dtype == dtype
+        a, b = np.divmod(np.arange(1 << 16).reshape(256, 256), 256)
+        a, b = a.astype(np.uint8), b.astype(np.uint8)
+        terms = np.stack((a.astype(np.int64) - 3, b.astype(np.int64) - 200), axis=-2)
+        want = rescale_add(terms, Rescale.of([[layer.m_a], [layer.m_b]], 77, 0, 255))
+        got = layer.run(b, [a], None)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
